@@ -3,7 +3,13 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint verify fmt fmt-check bench bench-space bench-query bench-fleet bench-store fleet-smoke fleet-chaos clean
+.PHONY: all build test race vet lint verify fmt fmt-check bench bench-space bench-query bench-fleet bench-store bench-e2e-check fleet-smoke fleet-chaos clean
+
+# BENCH_CPUS is the -cpu list of the scaling benchmarks: 1,2,4,8 cut
+# off at the host's core count. A row above it measures goroutines
+# contending for cores, not scaling.
+NPROC := $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
+BENCH_CPUS := $(shell l=1; for c in 2 4 8; do [ $$c -le $(NPROC) ] && l=$$l,$$c; done; echo $$l)
 
 all: verify
 
@@ -33,7 +39,15 @@ lint:
 	if [ $$elapsed -ge 60 ]; then \
 		echo "lint: FAIL: $${elapsed}s exceeds the 60s budget" >&2; exit 1; fi
 
-verify: build vet lint test race
+# bench-e2e-check vets and tests the end-to-end benchmark. It is a
+# module of its own (bench/e2e/go.mod, `replace alex => ../..`), so the
+# root `go build ./...` never compiles it: without this target a
+# change to an internal API it uses would first fail in the benchmark
+# pipeline.
+bench-e2e-check:
+	cd bench/e2e && $(GO) vet ./... && $(GO) test ./...
+
+verify: build vet lint test race bench-e2e-check
 	@echo "verify: OK"
 
 fmt:
@@ -43,25 +57,26 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-bench: bench-space bench-query
+bench: bench-space bench-query bench-store bench-fleet
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-space runs the feature-space construction scaling benchmark
 # (-cpu rows are the parallel speedup curve) and records the results as
-# BENCH_space.json via cmd/benchjson.
+# BENCH_space.json via cmd/benchjson, which stamps every BENCH file
+# with the host's core count, GOMAXPROCS, CPU model, Go version and
+# the commit.
 bench-space:
 	$(GO) test -run '^$$' -bench '^BenchmarkSpaceBuild$$' -benchmem \
-		-cpu=1,2,4,8 ./internal/feature | \
+		-cpu=$(BENCH_CPUS) ./internal/feature | \
 		$(GO) run ./cmd/benchjson -out BENCH_space.json
 
-# bench-query runs the federated query read-path benchmarks: the
-# legacy serial evaluator vs the fast path with cold and pre-warmed
-# plan caches, plus static vs adaptive execution on the skewed-hub
-# profile, across -cpu worker counts. Results land in BENCH_query.json
-# (with delta_vs_prev against the previous run's file).
+# bench-query runs the federated query read-path benchmarks: cold vs
+# pre-warmed plan cache, plus static vs adaptive execution on the
+# skewed-hub profile, across -cpu worker counts. Results land in
+# BENCH_query.json (with delta_vs_prev against the previous run's file).
 bench-query:
 	$(GO) test -run '^$$' -bench '^(BenchmarkFederatedQuery|BenchmarkAdaptiveQuery)$$' -benchmem \
-		-cpu=1,2,4,8 ./internal/federation | \
+		-cpu=$(BENCH_CPUS) ./internal/federation | \
 		$(GO) run ./cmd/benchjson -out BENCH_query.json
 
 # bench-store runs the segment-store lifecycle benchmark at the

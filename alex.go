@@ -209,8 +209,9 @@ func RejectAnswer(row AnswerRow, sys *System) { federation.Reject(row, sys) }
 // BGPs, FILTER, OPTIONAL, UNION, DISTINCT, ORDER BY, LIMIT, OFFSET).
 func ParseQuery(q string) (*Query, error) { return sparql.Parse(q) }
 
-// ExecuteQuery runs a SPARQL query against a single graph.
-func ExecuteQuery(g *Graph, q string) (*QueryResult, error) { return sparql.Execute(g, q) }
+// ExecuteQuery runs a SPARQL query against a single graph: a federation
+// of one source with no links.
+func ExecuteQuery(g *Graph, q string) (*QueryResult, error) { return federation.Execute(g, q) }
 
 // Profiles lists the built-in synthetic dataset-pair profiles, one per
 // pair in the paper's Table 1.
@@ -232,7 +233,7 @@ var WriteTurtle = rdf.WriteTurtle
 // returns the constructed triples as a new graph sharing the input's
 // dictionary — handy for materializing owl:sameAs links or mapping
 // vocabularies.
-func ConstructQuery(g *Graph, q string) (*Graph, error) { return sparql.Construct(g, q) }
+func ConstructQuery(g *Graph, q string) (*Graph, error) { return federation.Construct(g, q) }
 
 // FeatureStat summarizes what ALEX learned about one feature (a pair of
 // predicates); see System.FeatureStats.

@@ -9,6 +9,9 @@
 // Go reports: ns/op always, plus pairs/s, queries/s, B/op and allocs/op
 // when the benchmark emits them. The -cpu suffix of the benchmark name
 // is parsed into its own field so scaling rows are directly comparable.
+// The file is stamped with the host it was recorded on (core count,
+// GOMAXPROCS, CPU model, Go version, commit): a number counts only on
+// stated hardware.
 package main
 
 import (
@@ -17,9 +20,42 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
+
+// File is one BENCH_*.json: where the rows were taken, then the rows.
+type File struct {
+	Host Host  `json:"host"`
+	Rows []Row `json:"rows"`
+}
+
+// Host states the hardware and toolchain behind a File's rows.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu,omitempty"` // the "cpu:" line go test prints
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+// thisHost describes the machine benchjson runs on, which is the one at
+// the head of its pipe. The commit carries "-dirty" when tracked files
+// differ from it, and is "unknown" outside a git checkout.
+func thisHost() Host {
+	h := Host{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Commit:     "unknown",
+	}
+	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {
+		h.Commit = strings.TrimSpace(string(out))
+	}
+	return h
+}
 
 // Row is one benchmark result.
 type Row struct {
@@ -41,6 +77,7 @@ func main() {
 	out := flag.String("out", "BENCH_space.json", "JSON output file")
 	flag.Parse()
 
+	host := thisHost()
 	var rows []Row
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -49,6 +86,8 @@ func main() {
 		fmt.Println(line)
 		if r, ok := parseLine(line); ok {
 			rows = append(rows, r)
+		} else if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			host.CPU = cpu
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -60,7 +99,7 @@ func main() {
 		os.Exit(1)
 	}
 	annotateDeltas(rows, *out)
-	data, err := json.MarshalIndent(rows, "", "  ")
+	data, err := json.MarshalIndent(File{Host: host, Rows: rows}, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
@@ -81,8 +120,8 @@ func annotateDeltas(rows []Row, path string) {
 	if err != nil {
 		return // first run, or unreadable — nothing to compare against
 	}
-	var prev []Row
-	if err := json.Unmarshal(data, &prev); err != nil {
+	prev, err := parseRows(data)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: ignoring unparsable previous %s: %v\n", path, err)
 		return
 	}
@@ -105,6 +144,18 @@ func annotateDeltas(rows []Row, path string) {
 		fmt.Fprintf(os.Stderr, "benchjson: %s-%d ns/op %s vs previous run\n",
 			rows[i].Name, rows[i].CPUs, rows[i].DeltaVsPrev)
 	}
+}
+
+// parseRows reads the rows of a BENCH file: a File, or the bare row
+// array written before files carried a host stamp.
+func parseRows(data []byte) ([]Row, error) {
+	var f File
+	if err := json.Unmarshal(data, &f); err == nil {
+		return f.Rows, nil
+	}
+	var rows []Row
+	err := json.Unmarshal(data, &rows)
+	return rows, err
 }
 
 // parseLine recognizes a result line such as

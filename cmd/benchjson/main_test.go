@@ -33,10 +33,10 @@ func TestParseLine(t *testing.T) {
 func TestAnnotateDeltas(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_query.json")
 	prev := []Row{
-		{Name: "BenchmarkFederatedQuery/serial", CPUs: 4, NsPerOp: 1000},
-		{Name: "BenchmarkFederatedQuery/serial", CPUs: 8, NsPerOp: 2000},
+		{Name: "BenchmarkFederatedQuery/warm", CPUs: 4, NsPerOp: 1000},
+		{Name: "BenchmarkFederatedQuery/warm", CPUs: 8, NsPerOp: 2000},
 	}
-	data, err := json.Marshal(prev)
+	data, err := json.Marshal(File{Host: thisHost(), Rows: prev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,8 @@ func TestAnnotateDeltas(t *testing.T) {
 	}
 
 	rows := []Row{
-		{Name: "BenchmarkFederatedQuery/serial", CPUs: 4, NsPerOp: 1100}, // +10%
-		{Name: "BenchmarkFederatedQuery/serial", CPUs: 8, NsPerOp: 1000}, // -50%
+		{Name: "BenchmarkFederatedQuery/warm", CPUs: 4, NsPerOp: 1100},   // +10%
+		{Name: "BenchmarkFederatedQuery/warm", CPUs: 8, NsPerOp: 1000},   // -50%
 		{Name: "BenchmarkAdaptiveQuery/adaptive", CPUs: 4, NsPerOp: 500}, // new row
 	}
 	annotateDeltas(rows, path)
@@ -60,10 +60,31 @@ func TestAnnotateDeltas(t *testing.T) {
 		t.Fatalf("delta for new row = %q, want empty", got)
 	}
 
+	// A previous file from before the host stamp is a bare row array.
+	data, err = json.Marshal(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bare := []Row{{Name: "BenchmarkFederatedQuery/warm", CPUs: 4, NsPerOp: 1100}}
+	annotateDeltas(bare, path)
+	if got := bare[0].DeltaVsPrev; got != "+10.0%" {
+		t.Fatalf("delta against an unstamped file = %q, want +10.0%%", got)
+	}
+
 	// No previous file: all deltas stay empty.
 	fresh := []Row{{Name: "X", CPUs: 1, NsPerOp: 10}}
 	annotateDeltas(fresh, filepath.Join(t.TempDir(), "missing.json"))
 	if fresh[0].DeltaVsPrev != "" {
 		t.Fatalf("delta with no previous file = %q, want empty", fresh[0].DeltaVsPrev)
+	}
+}
+
+func TestThisHostIsStamped(t *testing.T) {
+	h := thisHost()
+	if h.NProc < 1 || h.GOMAXPROCS < 1 || h.GoVersion == "" || h.Commit == "" {
+		t.Fatalf("incomplete host stamp: %+v", h)
 	}
 }

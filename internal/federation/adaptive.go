@@ -1,18 +1,17 @@
-// Adaptive execution: mid-query re-planning at chunk boundaries.
-// Layer 2 of the adaptive read path. The static planner (plan.go)
-// orders a group's patterns once, from CountMatch estimates; when an
-// estimate is wrong — correlated patterns, skewed fan-out — the whole
-// query pays for it. With Options.ReplanEvery > 0 the evaluator
-// instead re-ranks the *remaining* unexecuted patterns after every
-// ReplanEvery executed stages, using what this query (and, through the
-// plan's obsTable, earlier queries) actually observed.
+// Adaptive execution: mid-query re-planning at chunk boundaries. The
+// planner (plan.go) orders a group's patterns once, from CountMatch
+// estimates; when an estimate is wrong — correlated patterns, skewed
+// fan-out — the whole query pays for it. With Options.ReplanEvery > 0
+// the stage loop (evalTriples) instead re-ranks the *remaining*
+// unexecuted patterns after every ReplanEvery executed stages, with
+// the same ranker (rankPatterns) priced by what this query (and,
+// through the plan's obsTable, earlier queries) actually observed.
 //
-// Re-planning never moves the answer: candidate orders are constrained
-// by the same binding-safety rule as the static planner (a pattern may
-// not steal a variable's first binding from an earlier-written
-// pattern), and any binding-safe order is answer-identical — that is
-// the PR-5 invariant the 32-config equivalence harness enforces. Ties
-// still break toward written order, so the chosen order is a pure
+// Re-planning never moves the answer: the ranker only produces
+// binding-safe orders (a pattern may not steal a variable's first
+// binding from an earlier-written pattern), and any binding-safe order
+// is answer-identical — the invariant the golden harness enforces.
+// Ties still break toward written order, so the chosen order is a pure
 // function of the query and the observation sequence. This is why
 // re-planning happens at chunk (stage) boundaries rather than per
 // tuple as in ADQUEX: routing individual tuples through different
@@ -31,94 +30,12 @@ import (
 // leaves their costs untouched.
 const latencyWeightMillis = 100
 
-// evalTriplesAdaptive runs one group's triple patterns in an
-// adaptively re-ranked order, recording per-stage observations as it
-// goes. It replaces the static `for _, ti := range p.order[grp]` loop
-// when Options.adaptive() is set.
-func (f *Federator) evalTriplesAdaptive(ec *evalCtx, p *plan, grp *sparql.GroupGraphPattern, rows []irow, workers int) []irow {
-	tps := grp.Triples
-	stageIDs := p.stageOf[grp]
-	bound := copyBound(p.baseBound[grp])
-	scheduled := make([]bool, len(tps))
-	var executed []int
-	var ranked []int
-	pos := 0
-	for done := 0; done < len(tps); done++ {
-		if ranked == nil || pos >= len(ranked) || done%f.opts.ReplanEvery == 0 {
-			ranked = f.rankRemaining(ec, p, grp, len(rows), bound, scheduled)
-			pos = 0
-			if done > 0 && f.ametrics != nil {
-				f.ametrics.replans.Add(1)
-			}
-		}
-		ti := ranked[pos]
-		pos++
-		tp := tps[ti]
-		in := len(rows)
-		rows = mapRows(workers, rows, func(r irow, emit func(irow)) {
-			f.matchPattern(ec, tp, r, emit)
-		})
-		ec.stats.record(stageIDs[ti], in, len(rows))
-		scheduled[ti] = true
-		for _, v := range tp.Vars() {
-			bound[v] = true
-		}
-		if f.traceExec != nil {
-			executed = append(executed, ti)
-		}
-		if len(rows) == 0 {
-			break
-		}
-	}
-	if f.traceExec != nil {
-		f.traceExec(grp, executed)
-	}
-	return rows
-}
-
-// rankRemaining produces a complete binding-safe order over the
-// not-yet-scheduled patterns, greedily picking the cheapest next
-// pattern under the current observations. It mirrors orderTriples
-// exactly — same schedulability constraint, same written-order
-// tie-break — so with no observations the ranking reproduces the
-// static plan, and with identical observation sequences it is
-// deterministic. The returned order stays valid as its prefix
-// executes: each entry was chosen schedulable given the ones before
-// it.
-func (f *Federator) rankRemaining(ec *evalCtx, p *plan, grp *sparql.GroupGraphPattern, nrows int, bound map[string]bool, scheduled []bool) []int {
-	tps := grp.Triples
-	bound = copyBound(bound)
-	sched := append([]bool(nil), scheduled...)
-	var order []int
-	for {
-		best, bestCost := -1, 0.0
-		for i := range tps {
-			if sched[i] || !f.schedulable(tps, sched, i, bound) {
-				continue
-			}
-			cost := f.adaptiveCost(ec, p, grp, i, nrows, bound)
-			if best == -1 || cost < bestCost {
-				best, bestCost = i, cost
-			}
-		}
-		if best == -1 {
-			break
-		}
-		order = append(order, best)
-		sched[best] = true
-		for _, v := range tps[best].Vars() {
-			bound[v] = true
-		}
-	}
-	return order
-}
-
 // adaptiveCost estimates what executing pattern i next would cost, in
 // rows. Preference order: this query's own observation of the stage
 // (only available when the group re-runs per row, e.g. under
 // OPTIONAL), then the plan's learned table from earlier queries, then
 // the static CountMatch estimate — so the first query under a cold
-// plan ranks exactly like the static planner. Observed expansions are
+// plan ranks exactly as at plan time. Observed expansions are
 // per-input-row and scale with the live row count, which is the whole
 // point: a stage that looked cheap statically but fanned out 8× per
 // row is re-costed against reality. Slow sources surcharge every

@@ -11,7 +11,7 @@ import (
 // Both configurations run with a pre-warmed plan cache so the
 // comparison isolates execution order, not parsing:
 //
-//   - static: ReplanEvery=0, the PR-5 plan executed as compiled.
+//   - static: ReplanEvery=0, the plan-time order executed as compiled.
 //   - adaptive: ReplanEvery=1 with the plan's learned cardinalities
 //     already primed — the steady state of a hot query under alexd.
 //

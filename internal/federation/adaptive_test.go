@@ -57,8 +57,8 @@ func traceOf(f *Federator, o Options) (*Federator, *[][]int) {
 }
 
 // TestReplanZeroIsStaticPlan is the regression gate for the baseline:
-// with ReplanEvery=0 the evaluator must execute exactly the PR-5
-// static plan order, and record no observations.
+// with ReplanEvery=0 the stage loop must execute exactly the plan-time
+// order, and record no observations.
 func TestReplanZeroIsStaticPlan(t *testing.T) {
 	f, _, query := skewedWorld(t)
 	q, err := sparql.Parse(query)

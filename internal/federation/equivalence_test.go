@@ -1,51 +1,33 @@
 package federation
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"alex/internal/links"
 	"alex/internal/rdf"
-	"alex/internal/synth"
 )
 
-// The equivalence harness is the proof obligation of the fast read
-// path: every evaluator configuration — worker count × join reordering
-// × provenance representation — must produce results byte-identical to
-// the legacy serial evaluator (Workers:1, NoReorder, LegacyProvenance)
-// on every test world and query shape. "Byte-identical" is judged on
-// the canonical serialization of a ResultSet (rows sorted together
-// with their provenance): the engine has never guaranteed a row order
-// beyond ORDER BY — Go map iteration already varies it run to run —
-// so the solution multiset, per-solution provenance, Ask and Degraded
-// are the semantics, and those must match exactly.
+// Helpers of the golden harness (golden_test.go): the configuration
+// matrix every frozen answer is asserted under, and the canonical
+// serialization answers are compared in.
 
-// legacyOptions is the pre-PR-5 evaluator, the reference semantics.
-var legacyOptions = Options{Workers: 1, NoReorder: true, LegacyProvenance: true}
-
-// evalConfigs enumerates the configuration lattice under test: worker
-// count × reordering × provenance × adaptive re-planning = 32 configs.
+// evalConfigs enumerates the configuration matrix under test: worker
+// count × adaptive re-planning = 8 configs.
 func evalConfigs() []Options {
 	var out []Options
 	for _, w := range []int{1, 2, 3, 8} {
-		for _, noReorder := range []bool{false, true} {
-			for _, legacyProv := range []bool{false, true} {
-				for _, replan := range []int{0, 1} {
-					out = append(out, Options{Workers: w, NoReorder: noReorder, LegacyProvenance: legacyProv, ReplanEvery: replan})
-				}
-			}
+		for _, replan := range []int{0, 1} {
+			out = append(out, Options{Workers: w, ReplanEvery: replan})
 		}
 	}
 	return out
 }
 
 func optionsLabel(o Options) string {
-	return fmt.Sprintf("w%d_reorder=%v_cow=%v_replan=%d", o.Workers, !o.NoReorder, !o.LegacyProvenance, o.ReplanEvery)
+	return fmt.Sprintf("w%d_replan=%d", o.Workers, o.ReplanEvery)
 }
 
 // withOptions returns a shallow copy of f running under o, so one
@@ -85,46 +67,6 @@ func canonicalResult(rs *ResultSet) string {
 		sb.WriteString("\n")
 	}
 	return sb.String()
-}
-
-// assertAllConfigsMatch runs each query under the legacy reference and
-// every configuration and requires canonical equality.
-func assertAllConfigsMatch(t *testing.T, f *Federator, queries map[string]string) {
-	t.Helper()
-	for name, q := range queries {
-		q := q
-		t.Run(name, func(t *testing.T) {
-			ref, err := withOptions(f, legacyOptions).Query(q)
-			if err != nil {
-				t.Fatalf("legacy evaluator: %v", err)
-			}
-			want := canonicalResult(ref)
-			for _, o := range evalConfigs() {
-				fo := withOptions(f, o)
-				runs := 1
-				if o.ReplanEvery > 0 {
-					// Adaptive configs get their own plan cache and run
-					// the query three times: cold (static estimates),
-					// learned (ranking from the first run's observed
-					// cardinalities) and refined. Every run must stay
-					// answer-identical to the legacy evaluator no matter
-					// what order the observations steer it to.
-					fo.SetPlanCache(NewPlanCache(16))
-					runs = 3
-				}
-				for r := 0; r < runs; r++ {
-					got, err := fo.Query(q)
-					if err != nil {
-						t.Fatalf("%s run %d: %v", optionsLabel(o), r, err)
-					}
-					if c := canonicalResult(got); c != want {
-						t.Errorf("%s run %d diverges from legacy:\n--- legacy ---\n%s--- %s ---\n%s",
-							optionsLabel(o), r, want, optionsLabel(o), c)
-					}
-				}
-			}
-		})
-	}
 }
 
 // newsQueries exercises every query shape over the news world.
@@ -167,153 +109,6 @@ func newsQueries() map[string]string {
 			?article ?rel ?p .
 			?article ?rel ?o .
 		}`,
-	}
-}
-
-func TestEquivalenceNewsWorld(t *testing.T) {
-	f, _, _ := newsWorld(t)
-	assertAllConfigsMatch(t, f, newsQueries())
-}
-
-func TestEquivalenceChainWorld(t *testing.T) {
-	f, _ := chainWorld(t)
-	assertAllConfigsMatch(t, f, map[string]string{
-		"multi-hop": `SELECT ?name ?price WHERE {
-			?p <http://b/label> "Aspirin" .
-			?p <http://a/name> ?name .
-			?p <http://c/price> ?price .
-		}`,
-		"multi-hop-reordered-source": `SELECT ?name ?price WHERE {
-			?p <http://a/name> ?name .
-			?p <http://c/price> ?price .
-			?p <http://b/label> "Aspirin" .
-		}`,
-		"optional-cross-source": `SELECT ?p ?name ?price WHERE {
-			?p <http://b/label> "Aspirin" .
-			OPTIONAL { ?p <http://a/name> ?name . }
-			OPTIONAL { ?p <http://c/price> ?price . }
-		}`,
-		"scan-all": `SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`,
-	})
-}
-
-// TestEquivalenceDegradedWorld pins down that Degraded reporting is a
-// plan-level decision: with ds2's breaker held open, every evaluator
-// configuration reports the same Degraded list and the same partial
-// rows, regardless of join order or worker count.
-func TestEquivalenceDegradedWorld(t *testing.T) {
-	dict := rdf.NewDict()
-	g1 := rdf.NewGraphWithDict(dict)
-	g2 := rdf.NewGraphWithDict(dict)
-	p := rdf.IRI("http://x/p")
-	q := rdf.IRI("http://x/q")
-	g1.Insert(rdf.Triple{S: rdf.IRI("http://ds1/a"), P: p, O: rdf.Literal("v1")})
-	g1.Insert(rdf.Triple{S: rdf.IRI("http://ds1/a"), P: q, O: rdf.Literal("w1")})
-	g2.Insert(rdf.Triple{S: rdf.IRI("http://ds2/b"), P: p, O: rdf.Literal("v2")})
-
-	f := New(dict)
-	f.SetResilience(Resilience{
-		SourceTimeout: 20 * time.Millisecond,
-		Retries:       0,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    time.Millisecond,
-		Breaker:       BreakerConfig{Failures: 1, Cooldown: time.Hour, Successes: 1},
-	})
-	if err := f.AddSource("ds1", g1); err != nil {
-		t.Fatal(err)
-	}
-	err := f.Add(Source{Name: "ds2", Graph: g2, Access: func(context.Context) error {
-		return errors.New("down")
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetLinks(links.NewSet())
-
-	// One failing query trips the breaker (threshold 1, long cooldown),
-	// so every run below sees a stably open circuit.
-	if _, err := f.Query(`SELECT ?s WHERE { ?s <http://x/p> ?o . }`); err != nil {
-		t.Fatal(err)
-	}
-
-	assertAllConfigsMatch(t, f, map[string]string{
-		"degraded-join": `SELECT ?s ?o ?w WHERE {
-			?s <http://x/p> ?o .
-			?s <http://x/q> ?w .
-		}`,
-		"degraded-scan": `SELECT ?s ?o WHERE { ?s <http://x/p> ?o . }`,
-	})
-}
-
-// TestEquivalenceSynthProfiles runs the harness over down-scaled synth
-// dataset pairs with the ground-truth links installed, covering dense
-// sameAs fan-out and realistic value distributions.
-func TestEquivalenceSynthProfiles(t *testing.T) {
-	profiles := []string{"dbpedia-nytimes", "dbpedia-drugbank", "skewed-hub"}
-	if testing.Short() {
-		// Keep one paper profile plus the skewed profile, whose whole
-		// point is that adaptive configs execute a different join order
-		// than static ones — and must still answer identically.
-		profiles = []string{"dbpedia-nytimes", "skewed-hub"}
-	}
-	for _, name := range profiles {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			prof, ok := synth.ProfileByName(name)
-			if !ok {
-				t.Fatalf("unknown profile %q", name)
-			}
-			ds := synth.Generate(prof.Scale(0.1))
-			f := New(ds.Dict)
-			if err := f.AddSource("ds1", ds.G1); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.AddSource("ds2", ds.G2); err != nil {
-				t.Fatal(err)
-			}
-			f.SetLinks(ds.GroundTruth)
-
-			queries := map[string]string{
-				"cross-source-join": `SELECT ?e ?n ?g WHERE {
-					?e <http://ds1.example.org/onto/label> ?n .
-					?e <http://ds2.example.org/prop/group> ?g .
-				}`,
-				"selective-category": `SELECT ?e ?n WHERE {
-					?e <http://ds1.example.org/onto/label> ?n .
-					?e <http://ds1.example.org/onto/category> ?c .
-					?e <http://ds2.example.org/prop/group> ?c .
-				}`,
-				"optional-cross": `SELECT ?e ?n ?b WHERE {
-					?e <http://ds1.example.org/onto/label> ?n .
-					OPTIONAL { ?e <http://ds2.example.org/prop/born> ?b . }
-				}`,
-				"filtered-join": `SELECT ?e ?g WHERE {
-					?e <http://ds2.example.org/prop/group> ?g .
-					?e <http://ds1.example.org/onto/type> ?ty .
-					FILTER(?g != "none")
-				}`,
-				"distinct-groups": `SELECT DISTINCT ?g WHERE {
-					?e <http://ds1.example.org/onto/label> ?n .
-					?e <http://ds2.example.org/prop/group> ?g .
-				} ORDER BY ?g`,
-				"count-per-group": `SELECT ?g (COUNT(?e) AS ?n) WHERE {
-					?e <http://ds1.example.org/onto/type> ?ty .
-					?e <http://ds2.example.org/prop/group> ?g .
-				} GROUP BY ?g`,
-			}
-			if name == "skewed-hub" {
-				// The query shape the profile is built to mislead: the
-				// static planner schedules the hub fan-out before the
-				// type filter, an adaptive run learns to flip them.
-				// Either order must produce the same rows + provenance.
-				queries["hub-fanout"] = fmt.Sprintf(`SELECT ?e ?x WHERE {
-					?e <http://ds1.example.org/onto/category> %q .
-					?e <http://ds2.example.org/prop/connectedWith> ?x .
-					?e <http://ds1.example.org/onto/type> "active" .
-				}`, synth.SkewSeedCategory)
-			}
-			assertAllConfigsMatch(t, f, queries)
-		})
 	}
 }
 

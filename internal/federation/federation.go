@@ -7,14 +7,18 @@
 // or rejecting an answer therefore becomes approving or rejecting those
 // links — the feedback signal ALEX consumes.
 //
-// The read path is built for serving: queries are compiled into
-// link-independent plans (selectivity-ordered joins, see plan.go)
-// that an LRU cache shares across WithLinks snapshots (plancache.go),
-// intermediate rows fan out across workers with an order-preserving
-// merge (parallel.go), and per-row provenance is a copy-on-write
-// links.Frozen chain materialized only at emit time (prov.go). Every
-// layer is answer-identical to the legacy serial evaluator, which
-// remains reachable via Options for the equivalence harness.
+// This is the repository's one query executor. Queries are compiled
+// into link-independent plans whose join orders come from one ranker
+// (rankPatterns, plan.go) and which an LRU cache shares across
+// WithLinks snapshots (plancache.go); one stage loop (evalTriples)
+// walks a group's patterns — in plan-time order, or re-ranked from
+// observed cardinalities under Options.ReplanEvery (adaptive.go) —
+// fanning intermediate rows out across workers with an order-preserving
+// merge (parallel.go); per-row provenance is a persistent links.Frozen
+// chain materialized only at emit time. A single-graph query is a
+// federation of one source with no links (single.go). Answers, and the
+// join orders executed without re-planning, are pinned by the golden
+// files under testdata/golden.
 package federation
 
 import (
@@ -45,12 +49,12 @@ type Row struct {
 	Used    links.Set
 }
 
-// irow is an intermediate row during evaluation. Provenance is carried
-// behind the prov interface so the evaluator is agnostic to the
-// representation (copy-on-write chain vs legacy cloned Set).
+// irow is an intermediate row during evaluation: bindings plus the
+// sameAs links its derivation has crossed so far, as a persistent
+// chain that extending never copies.
 type irow struct {
 	b    sparql.Binding
-	used prov
+	used *links.Frozen
 }
 
 // ResultSet holds federated query solutions. For ASK queries Rows is
@@ -92,8 +96,7 @@ type Federator struct {
 	// breaker state survives snapshot publication.
 	res    Resilience
 	guards []*guard
-	// opts tunes the evaluator (workers, join order, provenance
-	// representation); see plan.go.
+	// opts tunes the evaluator (workers, re-planning); see plan.go.
 	opts Options
 	// plans, when non-nil, caches compiled plans by query text; shared
 	// with WithLinks snapshots because plans are link-independent.
@@ -104,16 +107,16 @@ type Federator struct {
 	ametrics *adaptiveMetrics
 	// traceExec, when non-nil, observes the executed stage order of
 	// every group (indices into grp.Triples, in execution order). Test
-	// hook for the re-planning determinism suite; never set in
-	// production.
+	// hook for the golden and re-planning determinism suites; never set
+	// in production.
 	traceExec func(grp *sparql.GroupGraphPattern, order []int)
 }
 
 // SetExecTrace installs fn as the executed-stage-order observer: after
 // every group evaluation fn receives the pattern indices in the order
-// they actually ran. Equivalence harnesses use it to assert that two
-// federators (e.g. the mem and disk store backends) execute identical
-// plans. Install before issuing queries; never use in production.
+// they actually ran. The golden harness uses it to assert that the
+// frozen join orders are the ones executed, on both store backends.
+// Install before issuing queries; never use in production.
 func (f *Federator) SetExecTrace(fn func(grp *sparql.GroupGraphPattern, order []int)) {
 	f.traceExec = fn
 }
@@ -294,7 +297,7 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 		return nil, fmt.Errorf("federation: no sources registered")
 	}
 	var stats *RuntimeStats
-	if f.opts.adaptive() && p.nstages > 0 {
+	if f.opts.ReplanEvery > 0 && p.nstages > 0 {
 		stats = newRuntimeStats(p.nstages, len(f.sources))
 	}
 	ec := f.newEvalCtx(ctx, p.probe, stats)
@@ -306,14 +309,7 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 			}
 		}
 	}
-	workers := f.opts.workerCount()
-	var empty prov
-	if f.opts.LegacyProvenance {
-		empty = cloneProv{s: links.NewSet()}
-	} else {
-		empty = cowProv{}
-	}
-	rows := f.evalGroup(ec, p, p.q.Where, []irow{{b: sparql.Binding{}, used: empty}}, workers)
+	rows := f.evalGroup(ec, p, p.q.Where, []irow{{b: sparql.Binding{}}}, f.opts.workerCount())
 	if stats != nil {
 		stats.foldInto(p.obs)
 	}
@@ -340,7 +336,7 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 		// contributed to it.
 		all := links.NewSet()
 		for _, r := range rows {
-			for l := range r.used.set() {
+			for l := range r.used.Set() {
 				all.Add(l)
 			}
 		}
@@ -356,11 +352,11 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 		k := f.projectionKey(res.Vars, b)
 		if prev, ok := used[k]; ok {
 			// merge provenance of duplicate solutions
-			for l := range rows[i].used.set() {
+			for l := range rows[i].used.Set() {
 				prev.Add(l)
 			}
 		} else {
-			used[k] = rows[i].used.set()
+			used[k] = rows[i].used.Set()
 		}
 	}
 	for _, b := range res.Rows {
@@ -402,35 +398,14 @@ func (f *Federator) projectionKey(vars []string, b sparql.Binding) string {
 }
 
 // evalGroup evaluates one group pattern over the input rows: triple
-// patterns in the plan's selectivity order, then union constructs,
-// optionals and filters — each stage fanned out across workers with an
-// order-preserving merge, so the output row order equals the serial
-// evaluator's. Nested groups reached through OPTIONAL run serially
-// (workers=1): the per-row fan-out already saturates the workers, and
-// nesting parallelism would only multiply goroutines.
+// patterns, then union constructs, optionals and filters — each stage
+// fanned out across workers with an order-preserving merge, so the
+// output row order equals a serial evaluation's. Nested groups reached
+// through OPTIONAL run serially (workers=1): the per-row fan-out
+// already saturates the workers, and nesting parallelism would only
+// multiply goroutines.
 func (f *Federator) evalGroup(ec *evalCtx, p *plan, grp *sparql.GroupGraphPattern, input []irow, workers int) []irow {
-	rows := input
-
-	if ec.stats != nil {
-		rows = f.evalTriplesAdaptive(ec, p, grp, rows, workers)
-	} else {
-		var executed []int
-		for _, ti := range p.order[grp] {
-			tp := grp.Triples[ti]
-			rows = mapRows(workers, rows, func(r irow, emit func(irow)) {
-				f.matchPattern(ec, tp, r, emit)
-			})
-			if f.traceExec != nil {
-				executed = append(executed, ti)
-			}
-			if len(rows) == 0 {
-				break
-			}
-		}
-		if f.traceExec != nil {
-			f.traceExec(grp, executed)
-		}
-	}
+	rows := f.evalTriples(ec, p, grp, input, workers)
 
 	for _, alts := range grp.Unions {
 		var merged []irow
@@ -465,6 +440,63 @@ func (f *Federator) evalGroup(ec *evalCtx, p *plan, grp *sparql.GroupGraphPatter
 				emit(r)
 			}
 		})
+	}
+	return rows
+}
+
+// evalTriples is the one stage loop: it runs a group's triple patterns
+// over rows, one mapRows stage per pattern, until the patterns or the
+// rows run out. Without re-planning it walks the plan-time order and
+// allocates nothing of its own — OPTIONAL groups re-enter it once per
+// input row. Under adaptive execution (ec.stats non-nil) it records
+// every stage's row counts and, every Options.ReplanEvery stages,
+// re-ranks the patterns still to run against the live row count.
+func (f *Federator) evalTriples(ec *evalCtx, p *plan, grp *sparql.GroupGraphPattern, rows []irow, workers int) []irow {
+	tps := grp.Triples
+	order := p.order[grp]
+	adaptive := ec.stats != nil
+	var bound map[string]bool
+	var scheduled []bool
+	if adaptive {
+		bound = copyBound(p.baseBound[grp])
+		scheduled = make([]bool, len(tps))
+	}
+	var executed []int
+	pos := 0
+	for done := 0; done < len(tps); done++ {
+		if adaptive && done%f.opts.ReplanEvery == 0 {
+			nrows := len(rows)
+			order = f.rankPatterns(tps, bound, scheduled, func(i int, b map[string]bool) float64 {
+				return f.adaptiveCost(ec, p, grp, i, nrows, b)
+			})
+			pos = 0
+			if done > 0 && f.ametrics != nil {
+				f.ametrics.replans.Add(1)
+			}
+		}
+		ti := order[pos]
+		pos++
+		tp := tps[ti]
+		in := len(rows)
+		rows = mapRows(workers, rows, func(r irow, emit func(irow)) {
+			f.matchPattern(ec, tp, r, emit)
+		})
+		if adaptive {
+			ec.stats.record(p.stageOf[grp][ti], in, len(rows))
+			scheduled[ti] = true
+			for _, v := range tp.Vars() {
+				bound[v] = true
+			}
+		}
+		if f.traceExec != nil {
+			executed = append(executed, ti)
+		}
+		if len(rows) == 0 {
+			break
+		}
+	}
+	if f.traceExec != nil {
+		f.traceExec(grp, executed)
 	}
 	return rows
 }
@@ -596,7 +628,7 @@ func (f *Federator) matchResolved(g store.TripleStore, tp sparql.TriplePattern, 
 				crossed = append(crossed, *r.link)
 			}
 		}
-		emit(irow{b: nb, used: row.used.extend(crossed)})
+		emit(irow{b: nb, used: row.used.With(crossed...)})
 		return true
 	})
 }

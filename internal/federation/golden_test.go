@@ -1,0 +1,391 @@
+package federation
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"alex/internal/links"
+	"alex/internal/rdf"
+	"alex/internal/sparql"
+	"alex/internal/synth"
+)
+
+// The golden harness is the proof obligation of the read path: every
+// evaluator configuration — worker count × adaptive re-planning, on
+// both store backends — must produce exactly the answers frozen under
+// testdata/golden, and with ReplanEvery == 0 must execute exactly the
+// frozen join orders. The files were written by the evaluator this
+// package used to carry as a baseline (written-order joins, a cloned
+// links.Set per intermediate row, one worker) and by its static
+// planner, at the last commit that had them; testdata/golden/README.md
+// gives the command. Identity is therefore asserted against data, not
+// against a second implementation kept alive for the purpose.
+//
+// "Exactly the answers" is judged on canonicalResult: the solution
+// multiset, per-solution provenance, Ask and Degraded. The engine has
+// never guaranteed a row order beyond ORDER BY.
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/golden from goldenReference instead of asserting against it")
+
+// goldenReference is the configuration -update-golden freezes answers
+// from. The committed files were generated with this set to the
+// parent commit's legacy options; see testdata/golden/README.md.
+var goldenReference = Options{Workers: 1}
+
+// goldenEntry is the frozen reference for one world × query.
+type goldenEntry struct {
+	// Result is canonicalResult of the reference answer, one element
+	// per line, or a digest and the line count when that is long.
+	Result []string `json:"result"`
+	// StaticOrders is the multiset of join orders the static planner
+	// executed, one per group evaluation, as sorted "order xN" strings.
+	StaticOrders []string `json:"static_orders"`
+}
+
+// goldenLines is how a canonical result is stored and compared: line
+// by line while that stays reviewable, as a digest beyond that (the
+// synth worlds answer with hundreds of rows).
+func goldenLines(canon string) []string {
+	lines := strings.Split(strings.TrimSuffix(canon, "\n"), "\n")
+	if len(lines) <= 40 && len(canon) <= 2048 {
+		return lines
+	}
+	return []string{fmt.Sprintf("sha256:%x", sha256.Sum256([]byte(canon))), fmt.Sprintf("lines=%d", len(lines))}
+}
+
+// orderCounts folds executed-order traces into a sorted multiset.
+func orderCounts(traces []string) []string {
+	counts := map[string]int{}
+	for _, tr := range traces {
+		counts[tr]++
+	}
+	out := make([]string, 0, len(counts))
+	for tr, n := range counts {
+		out = append(out, fmt.Sprintf("%s x%d", tr, n))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// traced returns f under o with a recorder of executed join orders.
+// The hook fires from worker goroutines at Workers > 1.
+func traced(f *Federator, o Options) (*Federator, func() []string) {
+	fo := withOptions(f, o)
+	var mu sync.Mutex
+	var traces []string
+	fo.SetExecTrace(func(_ *sparql.GroupGraphPattern, order []int) {
+		mu.Lock()
+		traces = append(traces, fmt.Sprint(order))
+		mu.Unlock()
+	})
+	return fo, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		out := orderCounts(traces)
+		traces = nil
+		return out
+	}
+}
+
+func goldenPath(world string) string {
+	return filepath.Join("testdata", "golden", world+".json")
+}
+
+func loadGolden(t *testing.T, world string) map[string]goldenEntry {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath(world))
+	if err != nil {
+		t.Fatalf("golden file: %v", err)
+	}
+	var entries map[string]goldenEntry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		t.Fatalf("%s: %v", goldenPath(world), err)
+	}
+	return entries
+}
+
+func writeGolden(t *testing.T, world string, f *Federator, queries map[string]string) {
+	t.Helper()
+	entries := map[string]goldenEntry{}
+	for name, q := range queries {
+		ref, err := withOptions(f, goldenReference).Query(q)
+		if err != nil {
+			t.Fatalf("%s: reference evaluator: %v", name, err)
+		}
+		static, orders := traced(f, Options{Workers: 1})
+		if _, err := static.Query(q); err != nil {
+			t.Fatalf("%s: static planner: %v", name, err)
+		}
+		entries[name] = goldenEntry{Result: goldenLines(canonicalResult(ref)), StaticOrders: orders()}
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath(world)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath(world), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertGolden is the harness core. For every query, both backends
+// (the federator as built, and its twin over mmap'd segments) run
+// under every configuration; adaptive configurations get their own
+// plan cache and run cold, learned and refined. Every run must answer
+// as frozen; static runs must also execute the frozen join orders, and
+// adaptive runs must learn the same orders on both backends.
+func assertGolden(t *testing.T, world string, fmem *Federator, queries map[string]string) {
+	t.Helper()
+	if *updateGolden {
+		writeGolden(t, world, fmem, queries)
+		return
+	}
+	golden := loadGolden(t, world)
+	if len(golden) != len(queries) {
+		t.Errorf("%s holds %d entries, the harness has %d queries", goldenPath(world), len(golden), len(queries))
+	}
+	fdisk := diskTwin(t, fmem)
+	for i := range fmem.sources {
+		assertCountMatchEqual(t, fmem.sources[i].Graph, fdisk.sources[i].Graph)
+	}
+	for name, q := range queries {
+		name, q := name, q
+		t.Run(name, func(t *testing.T) {
+			want, ok := golden[name]
+			if !ok {
+				t.Fatalf("no golden entry in %s", goldenPath(world))
+			}
+			for _, o := range evalConfigs() {
+				runs := 1
+				if o.ReplanEvery > 0 {
+					runs = 3
+				}
+				var memOrders [][]string // per run, to hold the disk twin to
+				for _, b := range []struct {
+					name string
+					fed  *Federator
+				}{{"mem", fmem}, {"disk", fdisk}} {
+					fo, orders := traced(b.fed, o)
+					if o.ReplanEvery > 0 {
+						fo.SetPlanCache(NewPlanCache(16))
+					}
+					for r := 0; r < runs; r++ {
+						label := fmt.Sprintf("%s %s run %d", b.name, optionsLabel(o), r)
+						got, err := fo.Query(q)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if lines := goldenLines(canonicalResult(got)); !slices.Equal(lines, want.Result) {
+							t.Errorf("%s diverges from golden:\n--- golden ---\n%s\n--- got ---\n%s",
+								label, strings.Join(want.Result, "\n"), strings.Join(lines, "\n"))
+						}
+						ran := orders()
+						if o.ReplanEvery == 0 && !slices.Equal(ran, want.StaticOrders) {
+							t.Errorf("%s executed join orders %v, golden %v", label, ran, want.StaticOrders)
+						}
+						if b.fed == fmem {
+							memOrders = append(memOrders, ran)
+						} else if !slices.Equal(ran, memOrders[r]) {
+							t.Errorf("%s executed join orders %v, the mem backend %v", label, ran, memOrders[r])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// goldenChainQueries joins across the three-source sameAs chain.
+func goldenChainQueries() map[string]string {
+	return map[string]string{
+		"multi-hop": `SELECT ?name ?price WHERE {
+			?p <http://b/label> "Aspirin" .
+			?p <http://a/name> ?name .
+			?p <http://c/price> ?price .
+		}`,
+		"multi-hop-reordered-source": `SELECT ?name ?price WHERE {
+			?p <http://a/name> ?name .
+			?p <http://c/price> ?price .
+			?p <http://b/label> "Aspirin" .
+		}`,
+		"optional-cross-source": `SELECT ?p ?name ?price WHERE {
+			?p <http://b/label> "Aspirin" .
+			OPTIONAL { ?p <http://a/name> ?name . }
+			OPTIONAL { ?p <http://c/price> ?price . }
+		}`,
+		"scan-all": `SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`,
+		// An unbound-predicate pattern joined with a selective one:
+		// however the planner orders them, the unbound-predicate
+		// pattern must still visit every source.
+		"unbound-predicate-reordered": `SELECT ?p ?rel ?v WHERE {
+			?p ?rel ?v .
+			?p <http://b/label> "Aspirin" .
+		}`,
+	}
+}
+
+// goldenDegradedWorld is a two-source federation whose second source
+// always fails its access probe, with the breaker already tripped:
+// Degraded reporting is a plan-level decision, so every configuration
+// must report the same Degraded list and the same partial rows,
+// regardless of join order or worker count.
+func goldenDegradedWorld(t *testing.T) *Federator {
+	t.Helper()
+	dict := rdf.NewDict()
+	g1 := rdf.NewGraphWithDict(dict)
+	g2 := rdf.NewGraphWithDict(dict)
+	p := rdf.IRI("http://x/p")
+	q := rdf.IRI("http://x/q")
+	g1.Insert(rdf.Triple{S: rdf.IRI("http://ds1/a"), P: p, O: rdf.Literal("v1")})
+	g1.Insert(rdf.Triple{S: rdf.IRI("http://ds1/a"), P: q, O: rdf.Literal("w1")})
+	g2.Insert(rdf.Triple{S: rdf.IRI("http://ds2/b"), P: p, O: rdf.Literal("v2")})
+
+	f := New(dict)
+	f.SetResilience(Resilience{
+		SourceTimeout: 20 * time.Millisecond,
+		Retries:       0,
+		BackoffBase:   time.Millisecond,
+		BackoffMax:    time.Millisecond,
+		Breaker:       BreakerConfig{Failures: 1, Cooldown: time.Hour, Successes: 1},
+	})
+	if err := f.AddSource("ds1", g1); err != nil {
+		t.Fatal(err)
+	}
+	err := f.Add(Source{Name: "ds2", Graph: g2, Access: func(context.Context) error {
+		return errors.New("down")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetLinks(links.NewSet())
+
+	// One failing query trips the breaker (threshold 1, long cooldown),
+	// so every later run sees a stably open circuit.
+	if _, err := f.Query(`SELECT ?s WHERE { ?s <http://x/p> ?o . }`); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// goldenSynthWorld is a down-scaled synth dataset pair with the
+// ground-truth links installed: dense sameAs fan-out, realistic value
+// distributions and multi-segment stores.
+func goldenSynthWorld(t *testing.T, profile string) *Federator {
+	t.Helper()
+	prof, ok := synth.ProfileByName(profile)
+	if !ok {
+		t.Fatalf("unknown profile %q", profile)
+	}
+	ds := synth.Generate(prof.Scale(0.1))
+	f := New(ds.Dict)
+	if err := f.AddSource("ds1", ds.G1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddSource("ds2", ds.G2); err != nil {
+		t.Fatal(err)
+	}
+	f.SetLinks(ds.GroundTruth)
+	return f
+}
+
+func goldenSynthQueries(profile string) map[string]string {
+	queries := map[string]string{
+		"cross-source-join": `SELECT ?e ?n ?g WHERE {
+			?e <http://ds1.example.org/onto/label> ?n .
+			?e <http://ds2.example.org/prop/group> ?g .
+		}`,
+		"selective-category": `SELECT ?e ?n WHERE {
+			?e <http://ds1.example.org/onto/label> ?n .
+			?e <http://ds1.example.org/onto/category> ?c .
+			?e <http://ds2.example.org/prop/group> ?c .
+		}`,
+		"optional-cross": `SELECT ?e ?n ?b WHERE {
+			?e <http://ds1.example.org/onto/label> ?n .
+			OPTIONAL { ?e <http://ds2.example.org/prop/born> ?b . }
+		}`,
+		"filtered-join": `SELECT ?e ?g WHERE {
+			?e <http://ds2.example.org/prop/group> ?g .
+			?e <http://ds1.example.org/onto/type> ?ty .
+			FILTER(?g != "none")
+		}`,
+		"distinct-groups": `SELECT DISTINCT ?g WHERE {
+			?e <http://ds1.example.org/onto/label> ?n .
+			?e <http://ds2.example.org/prop/group> ?g .
+		} ORDER BY ?g`,
+		"count-per-group": `SELECT ?g (COUNT(?e) AS ?n) WHERE {
+			?e <http://ds1.example.org/onto/type> ?ty .
+			?e <http://ds2.example.org/prop/group> ?g .
+		} GROUP BY ?g`,
+	}
+	if profile == "skewed-hub" {
+		// The query shape the profile is built to mislead: the static
+		// planner schedules the hub fan-out before the type filter, an
+		// adaptive run learns to flip them. Either order must produce
+		// the same rows + provenance.
+		queries["hub-fanout"] = fmt.Sprintf(`SELECT ?e ?x WHERE {
+			?e <http://ds1.example.org/onto/category> %q .
+			?e <http://ds2.example.org/prop/connectedWith> ?x .
+			?e <http://ds1.example.org/onto/type> "active" .
+		}`, synth.SkewSeedCategory)
+	}
+	return queries
+}
+
+func TestGoldenNewsWorld(t *testing.T) {
+	f, _, _ := newsWorld(t)
+	assertGolden(t, "news", f, newsQueries())
+}
+
+func TestGoldenChainWorld(t *testing.T) {
+	f, _ := chainWorld(t)
+	assertGolden(t, "chain", f, goldenChainQueries())
+}
+
+func TestGoldenDegradedWorld(t *testing.T) {
+	assertGolden(t, "degraded", goldenDegradedWorld(t), map[string]string{
+		"degraded-join": `SELECT ?s ?o ?w WHERE {
+			?s <http://x/p> ?o .
+			?s <http://x/q> ?w .
+		}`,
+		"degraded-scan": `SELECT ?s ?o WHERE { ?s <http://x/p> ?o . }`,
+	})
+}
+
+// TestGoldenSynthProfiles covers every built-in synth profile; short
+// mode keeps one paper profile plus the skewed one, whose whole point
+// is that adaptive configs execute a different join order than static
+// ones — and must still answer identically.
+func TestGoldenSynthProfiles(t *testing.T) {
+	var names []string
+	for _, p := range synth.Profiles() {
+		names = append(names, p.Name)
+	}
+	if testing.Short() {
+		names = []string{"dbpedia-nytimes", "skewed-hub"}
+	}
+	for _, name := range names {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			assertGolden(t, "synth-"+name, goldenSynthWorld(t, name), goldenSynthQueries(name))
+		})
+	}
+}

@@ -1,7 +1,9 @@
 // Query planning for the federated read path. A plan is everything
 // about a query that does not depend on the current sameAs link set:
 // the parsed AST, a selectivity-based join order for every group
-// pattern, and the set of sources the query may touch (the probe set).
+// pattern (from rankPatterns, the one ranker, priced by static
+// CountMatch estimates), and the set of sources the query may touch
+// (the probe set).
 // Plans are immutable after construction, which makes them safe to
 // share across concurrent queries and across WithLinks snapshots, and
 // therefore cacheable (see plancache.go).
@@ -14,34 +16,19 @@ import (
 	"alex/internal/sparql"
 )
 
-// Options tunes the federated evaluator. The zero value is the fast
-// path: selectivity-ordered joins, copy-on-write provenance, and one
-// worker per CPU. The legacy serial evaluator — written-order joins,
-// per-row Set cloning, single-threaded — is Options{Workers: 1,
-// NoReorder: true, LegacyProvenance: true}; it is kept callable so the
-// equivalence harness can prove the fast path answer-identical.
+// Options tunes the federated evaluator. The zero value is one worker
+// per CPU executing each plan's static join order.
 type Options struct {
 	// Workers is the number of goroutines sharding intermediate rows in
 	// each evaluation stage. 0 means GOMAXPROCS; 1 is serial.
 	Workers int
-	// NoReorder disables selectivity-based join reordering and keeps
-	// triple patterns in written order.
-	NoReorder bool
-	// LegacyProvenance tracks provenance by cloning a mutable links.Set
-	// per intermediate row instead of extending an immutable
-	// links.Frozen chain.
-	LegacyProvenance bool
 	// ReplanEvery enables adaptive execution (see adaptive.go): after
 	// every ReplanEvery executed pattern stages, the remaining patterns
 	// of the group are re-ranked using observed cardinalities instead of
-	// static estimates. 0 disables re-planning and preserves the static
-	// PR-5 plan exactly. Ignored when NoReorder is set: a pinned written
-	// order leaves nothing to re-rank.
+	// static estimates. 0 disables re-planning: the plan-time order is
+	// executed as compiled.
 	ReplanEvery int
 }
-
-// adaptive reports whether the evaluator re-ranks patterns mid-query.
-func (o Options) adaptive() bool { return o.ReplanEvery > 0 && !o.NoReorder }
 
 // SetOptions replaces the evaluator options. Not safe concurrently
 // with queries; set options before publishing a snapshot.
@@ -60,8 +47,8 @@ func (f *Federator) Opts() Options { return f.opts }
 // safe (see runtimestats.go).
 type plan struct {
 	q *sparql.Query
-	// order maps each group pattern of q to the evaluation order of its
-	// Triples, as indices into grp.Triples.
+	// order maps each group pattern of q to the plan-time evaluation
+	// order of its Triples, as indices into grp.Triples.
 	order map[*sparql.GroupGraphPattern][]int
 	// stageOf assigns every triple pattern a plan-global stage id
 	// (stageOf[grp][i] is the id of grp.Triples[i]), indexing the
@@ -118,7 +105,12 @@ func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound map[string]bo
 	}
 	p.nstages += len(grp.Triples)
 	p.stageOf[grp] = ids
-	p.order[grp] = f.orderTriples(grp.Triples, bound, probe)
+	for _, tp := range grp.Triples {
+		f.probeSet(tp, probe)
+	}
+	p.order[grp] = f.rankPatterns(grp.Triples, bound, nil, func(i int, b map[string]bool) float64 {
+		return float64(f.estimatePattern(grp.Triples[i], b))
+	})
 
 	inner := copyBound(bound)
 	for _, tp := range grp.Triples {
@@ -147,55 +139,52 @@ func copyBound(b map[string]bool) map[string]bool {
 	return out
 }
 
-// orderTriples returns a greedy selectivity order over patterns,
-// constrained so that every variable is first bound by the same
-// pattern as in written order. The constraint matters for answer
-// identity, not just determinism: a variable's bound value can differ
-// depending on which pattern binds it first (a direct match binds the
-// source's own IRI, a sameAs-resolved match binds the queried alias),
-// so reordering may only move a pattern ahead of another when doing so
-// cannot steal a variable's first binding. Formally: pattern i is
-// schedulable iff each of its not-yet-bound variables appears in no
-// unscheduled pattern j < i. The earliest unscheduled pattern is
-// always schedulable, so the greedy loop cannot deadlock. Among
-// schedulable patterns the one with the lowest estimated cardinality
-// runs first (bound-first heuristic: already-bound positions shrink
-// the estimate), with the written order as deterministic tie-break.
+// rankPatterns is the one join-order ranker: it returns a greedy
+// lowest-cost-first order over the patterns of tps not yet marked in
+// scheduled (nil: none are), constrained so that every variable is
+// first bound by the same pattern as in written order. The constraint
+// matters for answer identity, not just determinism: a variable's
+// bound value can differ depending on which pattern binds it first (a
+// direct match binds the source's own IRI, a sameAs-resolved match
+// binds the queried alias), so reordering may only move a pattern
+// ahead of another when doing so cannot steal a variable's first
+// binding. Formally: pattern i is schedulable iff each of its
+// not-yet-bound variables appears in no unscheduled pattern j < i. The
+// earliest unscheduled pattern is always schedulable, so the greedy
+// loop cannot deadlock, and any order it produces is answer-identical
+// to any other. Ties break toward written order, so the result is a
+// pure function of the patterns and of cost.
 //
-// orderTriples also folds every pattern's source selection into probe,
-// so the caller learns which sources the group may touch.
-func (f *Federator) orderTriples(tps []sparql.TriplePattern, bound map[string]bool, probe map[int]bool) []int {
-	order := make([]int, 0, len(tps))
-	for i, tp := range tps {
-		f.probeSet(tp, probe)
-		if f.opts.NoReorder {
-			order = append(order, i)
-		}
-	}
-	if f.opts.NoReorder {
-		return order
-	}
-
+// cost prices running pattern i next, given the variables bound by
+// then: the static CountMatch estimate at plan time (estimatePattern),
+// observed and learned expansions during adaptive execution
+// (adaptiveCost). The returned order stays valid as its prefix
+// executes: each entry was chosen schedulable given the ones before it.
+// bound and scheduled are not modified.
+func (f *Federator) rankPatterns(tps []sparql.TriplePattern, bound map[string]bool, scheduled []bool, cost func(i int, bound map[string]bool) float64) []int {
 	bound = copyBound(bound)
-	scheduled := make([]bool, len(tps))
-	for len(order) < len(tps) {
-		best, bestCost := -1, 0
-		for i, tp := range tps {
-			if scheduled[i] || !f.schedulable(tps, scheduled, i, bound) {
+	sched := make([]bool, len(tps))
+	copy(sched, scheduled)
+	order := make([]int, 0, len(tps))
+	for {
+		best, bestCost := -1, 0.0
+		for i := range tps {
+			if sched[i] || !f.schedulable(tps, sched, i, bound) {
 				continue
 			}
-			cost := f.estimatePattern(tp, bound)
-			if best == -1 || cost < bestCost {
-				best, bestCost = i, cost
+			if c := cost(i, bound); best == -1 || c < bestCost {
+				best, bestCost = i, c
 			}
 		}
+		if best == -1 {
+			return order
+		}
 		order = append(order, best)
-		scheduled[best] = true
+		sched[best] = true
 		for _, v := range tps[best].Vars() {
 			bound[v] = true
 		}
 	}
-	return order
 }
 
 // schedulable reports whether pattern i may run next without stealing
@@ -225,8 +214,7 @@ func (f *Federator) schedulable(tps []sparql.TriplePattern, scheduled []bool, i 
 // position held by an already-bound variable (its runtime value is
 // unknown at planning time, but a bound position joins rather than
 // scans). Estimates only steer ordering, so being cheap matters more
-// than being exact — CountMatch is O(1)-ish per source after PR 5's
-// index counting.
+// than being exact — CountMatch is O(1)-ish per source.
 func (f *Federator) estimatePattern(tp sparql.TriplePattern, bound map[string]bool) int {
 	var s, p, o rdf.ID
 	var haveS, haveP, haveO bool

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"alex/internal/rdf"
@@ -14,8 +13,7 @@ import (
 // three-pattern join written in pessimal order (broad label scan first,
 // cross-source join second, selective category constant last). The
 // planner's job is to hoist the category pattern; the workers' job is
-// to fan out the cross-source join; CoW provenance avoids cloning a
-// Set per intermediate row.
+// to fan out the cross-source join.
 func benchFederation(b *testing.B) (*Federator, string) {
 	b.Helper()
 	prof, ok := synth.ProfileByName("dbpedia-nytimes")
@@ -66,7 +64,7 @@ func benchFederation(b *testing.B) (*Federator, string) {
 
 	// Sanity: the query must return rows (and cross links) or the
 	// numbers below measure an empty evaluation.
-	rs, err := withOptions(f, legacyOptions).Query(query)
+	rs, err := f.Query(query)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -76,18 +74,15 @@ func benchFederation(b *testing.B) (*Federator, string) {
 	return f, query
 }
 
-// BenchmarkFederatedQuery measures end-to-end query latency in three
+// BenchmarkFederatedQuery measures end-to-end query latency in two
 // configurations:
 //
-//   - serial: the legacy evaluator (written order, 1 worker, cloned
-//     provenance), no plan cache — the pre-PR-5 baseline.
-//   - cold: the fast path (reordered, GOMAXPROCS workers, CoW
-//     provenance) but parsing and planning on every call.
-//   - warm: the fast path with a pre-warmed plan cache, the steady
-//     state of alexd's /query loop.
+//   - cold: parsing and planning on every call.
+//   - warm: a pre-warmed plan cache, the steady state of alexd's
+//     /query loop.
 //
-// Run with -cpu=1,2,4,8 to get the scaling curve; `make bench-query`
-// records it as BENCH_query.json.
+// `make bench-query` records both as BENCH_query.json, at every -cpu
+// value the host has cores for.
 func BenchmarkFederatedQuery(b *testing.B) {
 	f, query := benchFederation(b)
 
@@ -102,17 +97,6 @@ func BenchmarkFederatedQuery(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	}
 
-	b.Run("serial", func(b *testing.B) {
-		// The legacy baseline is single-goroutine by definition, so pin
-		// GOMAXPROCS to 1 regardless of -cpu: the only effect extra Ps
-		// have on this allocation-heavy serial loop is concurrent-GC
-		// interference, which made the row read ~35% slower at -cpu=4
-		// than at -cpu=1 for identical work (GOGC=off removes the
-		// inversion entirely). The row is now CPU-count-invariant.
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
-		run(b, withOptions(f, legacyOptions))
-	})
 	b.Run("cold", func(b *testing.B) {
 		run(b, withOptions(f, Options{}))
 	})

@@ -122,7 +122,7 @@ func (f *Federator) SourceStatuses() []SourceStatus {
 // Deciding availability ahead of evaluation makes Degraded a pure
 // function of the plan and the sources' health: it cannot vary with
 // join order, worker count or how early the row stream runs dry, which
-// the equivalence harness relies on. After construction the evalCtx's
+// the golden harness relies on. After construction the evalCtx's
 // fields are read-only and therefore safe to share across evaluation
 // workers; stats (non-nil only under adaptive execution) is internally
 // atomic and mutated through it.
@@ -131,7 +131,7 @@ type evalCtx struct {
 	avail    []bool // per source index; true = usable by this query
 	degraded []int  // probed sources that failed, ascending
 	// stats is this query's observation table; nil unless the evaluator
-	// runs adaptively (Options.adaptive()).
+	// runs adaptively (Options.ReplanEvery > 0).
 	stats *RuntimeStats
 	// learned is the plan's validated cross-query observation table, or
 	// nil when it holds no usable (or only stale) data.

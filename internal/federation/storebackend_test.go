@@ -2,27 +2,23 @@ package federation
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"testing"
 
 	"alex/internal/links"
 	"alex/internal/rdf"
-	"alex/internal/sparql"
 	"alex/internal/store"
-	"alex/internal/synth"
 )
 
-// The cross-backend harness is the tentpole proof obligation of the
-// segment store: a federator whose sources are mmap'd immutable
-// segments must be indistinguishable from one over in-memory
-// rdf.Graphs — identical answer rows, provenance, Degraded lists,
-// CountMatch statistics (the planner's input) and executed join orders
-// (the planner's output) — on every world, at more than one worker
-// count, including adaptive re-planning runs. The disk twin is built
-// by persisting the mem federator's triples, then cold-starting from
-// the manifest, so the comparison also covers the write → compact →
-// checkpoint → mmap-open cycle, not just the in-process Segmented.
+// The cross-backend half of the golden harness (golden_test.go): a
+// federator whose sources are mmap'd immutable segments must be
+// indistinguishable from one over in-memory rdf.Graphs — the same
+// frozen answer rows, provenance and Degraded lists, identical
+// CountMatch statistics (the planner's input) and identical executed
+// join orders (the planner's output) — on every world and under every
+// configuration. The disk twin is built by persisting the mem
+// federator's triples, then cold-starting from the manifest, so the
+// comparison also covers the write → compact → checkpoint → mmap-open
+// cycle, not just the in-process Segmented.
 
 // installedLinks reconstructs the link set a federator is running
 // with from its sameAs edge index (each edge carries the canonical
@@ -39,7 +35,8 @@ func installedLinks(f *Federator) links.Set {
 
 // diskTwin persists every source of f into a fresh segment store,
 // cold-starts the store from disk, and returns a federator over the
-// reopened (mmap-backed) sources with the same links installed.
+// reopened (mmap-backed) sources with the same links, access hooks and
+// resilience policy installed.
 func diskTwin(t *testing.T, f *Federator) *Federator {
 	t.Helper()
 	dir := t.TempDir()
@@ -73,6 +70,7 @@ func diskTwin(t *testing.T, f *Federator) *Federator {
 	t.Cleanup(func() { re.Close() }) //nolint:errcheck // read-only teardown
 
 	fd := New(re.Dict())
+	fd.SetResilience(f.res)
 	for i, src := range f.sources {
 		seg := re.Source(fmt.Sprintf("s%d", i))
 		if seg == nil {
@@ -80,7 +78,7 @@ func diskTwin(t *testing.T, f *Federator) *Federator {
 		}
 		// Keep the mem federator's source names so Degraded lists and
 		// source-selection behave identically.
-		if err := fd.Add(Source{Name: src.Name, Graph: seg}); err != nil {
+		if err := fd.Add(Source{Name: src.Name, Graph: seg, Access: src.Access}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,150 +110,5 @@ func assertCountMatchEqual(t *testing.T, mem, disk store.TripleStore) {
 	}
 	if m, d := fmt.Sprint(mem.PredicateIDs()), fmt.Sprint(disk.PredicateIDs()); m != d {
 		t.Fatalf("PredicateIDs diverge:\nmem  %s\ndisk %s", m, d)
-	}
-}
-
-// backendWorkerConfigs is the option matrix the cross-backend harness
-// runs under: ≥2 worker counts, with reordering on, plus an adaptive
-// configuration (which must converge to the same learned orders on
-// both backends because it learns from identical cardinalities).
-var backendWorkerConfigs = []Options{
-	{Workers: 1},
-	{Workers: 4},
-	{Workers: 4, ReplanEvery: 1},
-}
-
-// assertBackendsMatch is the harness core: for each option config and
-// query, the mem and disk federators must produce canonically equal
-// results and identical executed join orders.
-func assertBackendsMatch(t *testing.T, fmem *Federator, queries map[string]string) {
-	t.Helper()
-	fdisk := diskTwin(t, fmem)
-	for i := range fmem.sources {
-		assertCountMatchEqual(t, fmem.sources[i].Graph, fdisk.sources[i].Graph)
-	}
-	for _, o := range backendWorkerConfigs {
-		o := o
-		t.Run(optionsLabel(o), func(t *testing.T) {
-			for name, q := range queries {
-				fm := withOptions(fmem, o)
-				fd := withOptions(fdisk, o)
-				if o.ReplanEvery > 0 {
-					// Fresh caches so both backends learn from scratch.
-					fm.SetPlanCache(NewPlanCache(16))
-					fd.SetPlanCache(NewPlanCache(16))
-				}
-				// The trace hook fires from worker goroutines at Workers>1.
-				var traceMu sync.Mutex
-				var memOrders, diskOrders []string
-				fm.SetExecTrace(func(_ *sparql.GroupGraphPattern, order []int) {
-					traceMu.Lock()
-					memOrders = append(memOrders, fmt.Sprint(order))
-					traceMu.Unlock()
-				})
-				fd.SetExecTrace(func(_ *sparql.GroupGraphPattern, order []int) {
-					traceMu.Lock()
-					diskOrders = append(diskOrders, fmt.Sprint(order))
-					traceMu.Unlock()
-				})
-				runs := 1
-				if o.ReplanEvery > 0 {
-					runs = 3 // cold, learned, refined
-				}
-				for r := 0; r < runs; r++ {
-					memOrders, diskOrders = nil, nil
-					rm, err := fm.Query(q)
-					if err != nil {
-						t.Fatalf("%s (mem) run %d: %v", name, r, err)
-					}
-					rd, err := fd.Query(q)
-					if err != nil {
-						t.Fatalf("%s (disk) run %d: %v", name, r, err)
-					}
-					if cm, cd := canonicalResult(rm), canonicalResult(rd); cm != cd {
-						t.Fatalf("%s run %d: backends diverge\n--- mem ---\n%s--- disk ---\n%s", name, r, cm, cd)
-					}
-					sort.Strings(memOrders)
-					sort.Strings(diskOrders)
-					if fmt.Sprint(memOrders) != fmt.Sprint(diskOrders) {
-						t.Fatalf("%s run %d: executed join orders diverge\nmem  %v\ndisk %v", name, r, memOrders, diskOrders)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestStoreBackendNewsWorld(t *testing.T) {
-	f, _, _ := newsWorld(t)
-	assertBackendsMatch(t, f, newsQueries())
-}
-
-func TestStoreBackendChainWorld(t *testing.T) {
-	f, _ := chainWorld(t)
-	assertBackendsMatch(t, f, map[string]string{
-		"multi-hop": `SELECT ?name ?price WHERE {
-			?p <http://b/label> "Aspirin" .
-			?p <http://a/name> ?name .
-			?p <http://c/price> ?price .
-		}`,
-		"optional-cross-source": `SELECT ?p ?name ?price WHERE {
-			?p <http://b/label> "Aspirin" .
-			OPTIONAL { ?p <http://a/name> ?name . }
-			OPTIONAL { ?p <http://c/price> ?price . }
-		}`,
-		"scan-all": `SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`,
-	})
-}
-
-// TestStoreBackendSynthProfiles runs the backend harness over
-// down-scaled synth dataset pairs — every built-in profile in short
-// mode's subset, all of them otherwise — with ground-truth links
-// installed, covering dense sameAs fan-out, skewed cardinalities and
-// multi-segment stores.
-func TestStoreBackendSynthProfiles(t *testing.T) {
-	names := []string{}
-	for _, p := range synth.Profiles() {
-		names = append(names, p.Name)
-	}
-	if testing.Short() {
-		names = []string{"dbpedia-nytimes", "skewed-hub"}
-	}
-	for _, name := range names {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			prof, ok := synth.ProfileByName(name)
-			if !ok {
-				t.Fatalf("unknown profile %q", name)
-			}
-			ds := synth.Generate(prof.Scale(0.1))
-			f := New(ds.Dict)
-			if err := f.AddSource("ds1", ds.G1); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.AddSource("ds2", ds.G2); err != nil {
-				t.Fatal(err)
-			}
-			f.SetLinks(ds.GroundTruth)
-			assertBackendsMatch(t, f, map[string]string{
-				"cross-source-join": `SELECT ?e ?n ?g WHERE {
-					?e <http://ds1.example.org/onto/label> ?n .
-					?e <http://ds2.example.org/prop/group> ?g .
-				}`,
-				"selective-category": `SELECT ?e ?n WHERE {
-					?e <http://ds1.example.org/onto/label> ?n .
-					?e <http://ds1.example.org/onto/category> ?c .
-					?e <http://ds2.example.org/prop/group> ?c .
-				}`,
-				"optional-cross": `SELECT ?e ?n ?b WHERE {
-					?e <http://ds1.example.org/onto/label> ?n .
-					OPTIONAL { ?e <http://ds2.example.org/prop/born> ?b . }
-				}`,
-				"count-per-group": `SELECT ?g (COUNT(?e) AS ?n) WHERE {
-					?e <http://ds1.example.org/onto/type> ?ty .
-					?e <http://ds2.example.org/prop/group> ?g .
-				} GROUP BY ?g`,
-			})
-		})
 	}
 }

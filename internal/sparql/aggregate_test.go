@@ -1,9 +1,11 @@
-package sparql
+package sparql_test
 
 import (
 	"testing"
 
+	"alex/internal/federation"
 	"alex/internal/rdf"
+	"alex/internal/sparql"
 )
 
 func aggGraph() *rdf.Graph {
@@ -116,13 +118,13 @@ func TestAggregateErrors(t *testing.T) {
 		`SELECT ?t (SUM(?t) AS ?s) WHERE { ?p <http://ex/team> ?t . } GROUP BY ?t ??`, // trailing garbage
 	}
 	for _, q := range bad {
-		if _, err := Parse(q); err == nil {
+		if _, err := sparql.Parse(q); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", q)
 		}
 	}
 	// SUM over non-numeric values errors at evaluation time.
 	g := aggGraph()
-	if _, err := Execute(g, `SELECT (SUM(?t) AS ?s) WHERE { ?p <http://ex/team> ?t . }`); err == nil {
+	if _, err := federation.Execute(g, `SELECT (SUM(?t) AS ?s) WHERE { ?p <http://ex/team> ?t . }`); err == nil {
 		t.Error("SUM over strings succeeded")
 	}
 }

@@ -82,37 +82,18 @@ func trimColon(s string) string {
 	return s
 }
 
-// Construct evaluates a CONSTRUCT query against a graph and returns the
-// constructed triples as a new graph (sharing the input's dictionary).
-// Template triples whose variables are unbound in a solution, or which
-// would put a literal in subject position or a non-IRI in predicate
-// position, are skipped for that solution, per SPARQL semantics.
-func Construct(g *rdf.Graph, query string) (*rdf.Graph, error) {
-	q, err := ParseConstruct(query)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := evalGroup(g, q.Where, []Binding{{}})
-	if err != nil {
-		return nil, err
-	}
-	out := rdf.NewGraphWithDict(g.Dict())
-	emitted := 0
-	for _, b := range rows {
-		for _, tp := range q.Template {
-			if q.Limit >= 0 && emitted >= q.Limit {
-				return out, nil
-			}
-			tri, ok := instantiate(tp, b)
-			if !ok {
-				continue
-			}
-			if out.Insert(tri) {
-				emitted++
-			}
+// Instantiate returns the template's triples under one solution of the
+// WHERE clause. Template triples whose variables are unbound in the
+// solution, or which would put a literal in subject position or a
+// non-IRI in predicate position, are skipped, per SPARQL semantics.
+func (q *ConstructQuery) Instantiate(b Binding) []rdf.Triple {
+	var out []rdf.Triple
+	for _, tp := range q.Template {
+		if tri, ok := instantiate(tp, b); ok {
+			out = append(out, tri)
 		}
 	}
-	return out, nil
+	return out
 }
 
 func instantiate(tp TriplePattern, b Binding) (rdf.Triple, bool) {

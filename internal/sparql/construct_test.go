@@ -1,14 +1,15 @@
-package sparql
+package sparql_test
 
 import (
 	"testing"
 
+	"alex/internal/federation"
 	"alex/internal/rdf"
 )
 
 func TestConstructVocabularyMapping(t *testing.T) {
 	g := testGraph()
-	out, err := Construct(g, `CONSTRUCT { ?p <http://xmlns.com/foaf/0.1/name> ?n . }
+	out, err := federation.Construct(g, `CONSTRUCT { ?p <http://xmlns.com/foaf/0.1/name> ?n . }
 		WHERE { ?p <http://ex/name> ?n . }`)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +26,7 @@ func TestConstructSameAsMaterialization(t *testing.T) {
 	g := rdf.NewGraph()
 	g.Insert(rdf.Triple{S: rdf.IRI("http://a/x"), P: rdf.IRI("http://p/id"), O: rdf.Literal("k1")})
 	g.Insert(rdf.Triple{S: rdf.IRI("http://b/y"), P: rdf.IRI("http://q/id"), O: rdf.Literal("k1")})
-	out, err := Construct(g, `CONSTRUCT { ?u <`+rdf.OWLSameAs+`> ?v . } WHERE {
+	out, err := federation.Construct(g, `CONSTRUCT { ?u <`+rdf.OWLSameAs+`> ?v . } WHERE {
 		?u <http://p/id> ?k . ?v <http://q/id> ?k .
 	}`)
 	if err != nil {
@@ -38,7 +39,7 @@ func TestConstructSameAsMaterialization(t *testing.T) {
 
 func TestConstructMultiTripleTemplate(t *testing.T) {
 	g := testGraph()
-	out, err := Construct(g, `
+	out, err := federation.Construct(g, `
 		PREFIX x: <http://out/>
 		CONSTRUCT { ?p x:name ?n . ?p a x:Person . }
 		WHERE { ?p <http://ex/name> ?n . }`)
@@ -56,7 +57,7 @@ func TestConstructMultiTripleTemplate(t *testing.T) {
 func TestConstructSkipsIllFormedTriples(t *testing.T) {
 	g := testGraph()
 	// ?n binds to literals: illegal in subject position, skipped.
-	out, err := Construct(g, `CONSTRUCT { ?n <http://out/was> ?p . } WHERE { ?p <http://ex/name> ?n . }`)
+	out, err := federation.Construct(g, `CONSTRUCT { ?n <http://out/was> ?p . } WHERE { ?p <http://ex/name> ?n . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestConstructSkipsIllFormedTriples(t *testing.T) {
 
 func TestConstructLimit(t *testing.T) {
 	g := testGraph()
-	out, err := Construct(g, `CONSTRUCT { ?p <http://out/n> ?n . } WHERE { ?p <http://ex/name> ?n . } LIMIT 2`)
+	out, err := federation.Construct(g, `CONSTRUCT { ?p <http://out/n> ?n . } WHERE { ?p <http://ex/name> ?n . } LIMIT 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestConstructLimit(t *testing.T) {
 
 func TestConstructWithFilterInWhere(t *testing.T) {
 	g := testGraph()
-	out, err := Construct(g, `CONSTRUCT { ?p <http://out/senior> ?a . }
+	out, err := federation.Construct(g, `CONSTRUCT { ?p <http://out/senior> ?a . }
 		WHERE { ?p <http://ex/age> ?a . FILTER(?a > 28) }`)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestConstructErrors(t *testing.T) {
 	}
 	g := testGraph()
 	for _, q := range bad {
-		if _, err := Construct(g, q); err == nil {
+		if _, err := federation.Construct(g, q); err == nil {
 			t.Errorf("Construct(%q) succeeded, want error", q)
 		}
 	}

@@ -1,11 +1,17 @@
-package sparql
+package sparql_test
 
 import (
 	"fmt"
 	"testing"
 
+	"alex/internal/federation"
 	"alex/internal/rdf"
+	"alex/internal/sparql"
 )
+
+// These tests assert the SPARQL semantics of single-graph queries. The
+// language lives in this package; the executor they drive is the one
+// in internal/federation, as a federation of one source.
 
 func testGraph() *rdf.Graph {
 	g := rdf.NewGraph()
@@ -24,9 +30,9 @@ func testGraph() *rdf.Graph {
 	return g
 }
 
-func mustExec(t *testing.T, g *rdf.Graph, q string) *Result {
+func mustExec(t *testing.T, g *rdf.Graph, q string) *sparql.Result {
 	t.Helper()
-	res, err := Execute(g, q)
+	res, err := federation.Execute(g, q)
 	if err != nil {
 		t.Fatalf("Execute(%q): %v", q, err)
 	}

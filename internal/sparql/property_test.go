@@ -1,4 +1,4 @@
-package sparql
+package sparql_test
 
 import (
 	"fmt"
@@ -7,13 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	"alex/internal/federation"
 	"alex/internal/rdf"
+	"alex/internal/sparql"
+	"alex/internal/store"
 )
 
 // bruteForceBGP evaluates a basic graph pattern by enumerating every
 // assignment of graph terms to variables — exponential, but an
 // unarguable reference for small cases.
-func bruteForceBGP(g *rdf.Graph, patterns []TriplePattern) []Binding {
+func bruteForceBGP(g *rdf.Graph, patterns []sparql.TriplePattern) []sparql.Binding {
 	varSet := map[string]bool{}
 	for _, tp := range patterns {
 		for _, v := range tp.Vars() {
@@ -38,9 +41,9 @@ func bruteForceBGP(g *rdf.Graph, patterns []TriplePattern) []Binding {
 		terms = append(terms, t)
 	}
 
-	var out []Binding
-	var rec func(i int, b Binding)
-	rec = func(i int, b Binding) {
+	var out []sparql.Binding
+	var rec func(i int, b sparql.Binding)
+	rec = func(i int, b sparql.Binding) {
 		if i == len(vars) {
 			for _, tp := range patterns {
 				tri := rdf.Triple{
@@ -61,18 +64,18 @@ func bruteForceBGP(g *rdf.Graph, patterns []TriplePattern) []Binding {
 		}
 		delete(b, vars[i])
 	}
-	rec(0, Binding{})
+	rec(0, sparql.Binding{})
 	return out
 }
 
-func substitute(n Node, b Binding) rdf.Term {
+func substitute(n sparql.Node, b sparql.Binding) rdf.Term {
 	if n.IsVar {
 		return b[n.Var]
 	}
 	return n.Term
 }
 
-func canonicalize(vars []string, rows []Binding) []string {
+func canonicalize(vars []string, rows []sparql.Binding) []string {
 	out := make([]string, 0, len(rows))
 	for _, r := range rows {
 		var sb strings.Builder
@@ -88,8 +91,35 @@ func canonicalize(vars []string, rows []Binding) []string {
 	return out
 }
 
+// segmentedTwin copies g into a disk-backed store, compacting halfway
+// so the twin answers from a sorted segment and the write delta both.
+func segmentedTwin(t *testing.T, g *rdf.Graph) *store.Segmented {
+	t.Helper()
+	set, err := store.Create(t.TempDir(), g.Dict(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { set.Close() }) //nolint:errcheck // test teardown
+	seg, err := set.AddSource("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	g.ForEachMatchIDs(0, 0, 0, false, false, false, func(s, p, o rdf.ID) bool {
+		seg.InsertIDs(s, p, o)
+		if n++; n == g.Size()/2 {
+			if err := set.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return true
+	})
+	return seg
+}
+
 // TestEngineMatchesBruteForce compares the engine against the reference
-// on randomly generated small graphs and random 1-3 pattern BGPs.
+// on randomly generated small graphs and random 1-3 pattern BGPs, over
+// both store backends.
 func TestEngineMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(20250706))
 	for trial := 0; trial < 60; trial++ {
@@ -103,43 +133,52 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 			})
 		}
 		nPatterns := 1 + rng.Intn(3)
-		patterns := make([]TriplePattern, nPatterns)
+		patterns := make([]sparql.TriplePattern, nPatterns)
 		varNames := []string{"a", "b", "c"}
-		node := func(kind int, pool string, n int) Node {
+		node := func(kind int, pool string, n int) sparql.Node {
 			if rng.Intn(2) == 0 {
-				return VarNode(varNames[rng.Intn(len(varNames))])
+				return sparql.VarNode(varNames[rng.Intn(len(varNames))])
 			}
 			switch kind {
 			case 0:
-				return TermNode(rdf.IRI(fmt.Sprintf("http://%s/%d", pool, rng.Intn(n))))
+				return sparql.TermNode(rdf.IRI(fmt.Sprintf("http://%s/%d", pool, rng.Intn(n))))
 			default:
-				return TermNode(rdf.Literal(fmt.Sprintf("o%d", rng.Intn(n))))
+				return sparql.TermNode(rdf.Literal(fmt.Sprintf("o%d", rng.Intn(n))))
 			}
 		}
 		for i := range patterns {
-			patterns[i] = TriplePattern{
+			patterns[i] = sparql.TriplePattern{
 				S: node(0, "s", 4),
 				P: node(0, "p", 3),
 				O: node(1, "o", 4),
 			}
 		}
 
-		q := &Query{Limit: -1, Where: &GroupGraphPattern{Triples: patterns}}
-		got, err := Eval(g, q)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		q := &sparql.Query{Limit: -1, Where: &sparql.GroupGraphPattern{Triples: patterns}}
 		want := bruteForceBGP(g, patterns)
+		for backend, src := range map[string]store.TripleStore{"mem": g, "disk": segmentedTwin(t, g)} {
+			got, err := federation.Single(src).Eval(q)
+			if err != nil {
+				t.Fatalf("trial %d (%s): %v", trial, backend, err)
+			}
+			rows := make([]sparql.Binding, len(got.Rows))
+			for i, r := range got.Rows {
+				if r.Used.Len() != 0 {
+					t.Fatalf("trial %d (%s): single-source row carries provenance %v", trial, backend, r.Used.Slice())
+				}
+				rows[i] = r.Binding
+			}
 
-		gotC := canonicalize(got.Vars, got.Rows)
-		wantC := canonicalize(got.Vars, want)
-		if len(gotC) != len(wantC) {
-			t.Fatalf("trial %d: engine %d rows, brute force %d rows\npatterns: %+v",
-				trial, len(gotC), len(wantC), patterns)
-		}
-		for i := range gotC {
-			if gotC[i] != wantC[i] {
-				t.Fatalf("trial %d: row %d differs:\n engine %s\n brute  %s", trial, i, gotC[i], wantC[i])
+			gotC := canonicalize(got.Vars, rows)
+			wantC := canonicalize(got.Vars, want)
+			if len(gotC) != len(wantC) {
+				t.Fatalf("trial %d (%s): engine %d rows, brute force %d rows\npatterns: %+v",
+					trial, backend, len(gotC), len(wantC), patterns)
+			}
+			for i := range gotC {
+				if gotC[i] != wantC[i] {
+					t.Fatalf("trial %d (%s): row %d differs:\n engine %s\n brute  %s", trial, backend, i, gotC[i], wantC[i])
+				}
 			}
 		}
 	}
@@ -152,7 +191,7 @@ func BenchmarkBGPJoin(b *testing.B) {
 		g.Insert(rdf.Triple{S: s, P: rdf.IRI("http://p/knows"), O: rdf.IRI(fmt.Sprintf("http://e/%d", (i+1)%2000))})
 		g.Insert(rdf.Triple{S: s, P: rdf.IRI("http://p/name"), O: rdf.Literal(fmt.Sprintf("entity-%d", i))})
 	}
-	q, err := Parse(`SELECT ?n WHERE {
+	q, err := sparql.Parse(`SELECT ?n WHERE {
 		?a <http://p/name> "entity-500" .
 		?a <http://p/knows> ?b .
 		?b <http://p/knows> ?c .
@@ -161,9 +200,10 @@ func BenchmarkBGPJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fed := federation.Single(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Eval(g, q)
+		res, err := fed.Eval(q)
 		if err != nil || len(res.Rows) != 1 {
 			b.Fatalf("rows=%d err=%v", len(res.Rows), err)
 		}
@@ -176,7 +216,7 @@ func BenchmarkParse(b *testing.B) {
 		OPTIONAL { ?x ex:q ?z . }
 	} ORDER BY DESC(?y) LIMIT 10`
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse(q); err != nil {
+		if _, err := sparql.Parse(q); err != nil {
 			b.Fatal(err)
 		}
 	}
