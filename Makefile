@@ -71,12 +71,13 @@ bench-space:
 		$(GO) run ./cmd/benchjson -out BENCH_space.json
 
 # bench-query runs the federated query read-path benchmarks: cold vs
-# pre-warmed plan cache, plus static vs adaptive execution on the
-# skewed-hub profile, across -cpu worker counts. Results land in
+# pre-warmed plan cache and bench/e2e's three join shapes, static vs
+# adaptive execution on the skewed-hub profile, and the finalizer's
+# ORDER BY alone, across -cpu worker counts. Results land in
 # BENCH_query.json (with delta_vs_prev against the previous run's file).
 bench-query:
-	$(GO) test -run '^$$' -bench '^(BenchmarkFederatedQuery|BenchmarkAdaptiveQuery)$$' -benchmem \
-		-cpu=$(BENCH_CPUS) ./internal/federation | \
+	$(GO) test -run '^$$' -bench '^(BenchmarkFederatedQuery|BenchmarkAdaptiveQuery|BenchmarkFinalizeOrderBy)$$' -benchmem \
+		-cpu=$(BENCH_CPUS) ./internal/federation ./internal/sparql | \
 		$(GO) run ./cmd/benchjson -out BENCH_query.json
 
 # bench-store runs the segment-store lifecycle benchmark at the

@@ -142,16 +142,24 @@ type Space struct {
 // buildSet computes the similarity matrix between the two attribute
 // lists, discards entries below θ, and reduces to the state feature set
 // by keeping the maximum per row if the first entity has more attributes
-// than the second, otherwise the maximum per column (§4.1).
-func buildSet(a1, a2 []rdf.Attribute, theta float64, sim func(o1, o2 rdf.ID) float64) Set {
+// than the second, otherwise the maximum per column (§4.1). A score is
+// read from the worker's memo (see simMemo) — rows[i] is the memo row of
+// a1[i]'s value, cols[j] the column of a2[j]'s — and computed by sim
+// only when the memo does not hold it yet.
+func buildSet(a1, a2 []rdf.Attribute, rows [][]float64, cols []int32, theta float64, sim func(o1, o2 rdf.ID) float64) Set {
 	type cell struct {
 		key   Key
 		score float64
 	}
 	var cells []cell
-	for _, x := range a1 {
-		for _, y := range a2 {
-			s := sim(x.Obj, y.Obj)
+	for i, x := range a1 {
+		row := rows[i]
+		for j, y := range a2 {
+			s := row[cols[j]]
+			if s < 0 {
+				s = sim(x.Obj, y.Obj)
+				row[cols[j]] = s
+			}
 			if s < theta {
 				continue
 			}

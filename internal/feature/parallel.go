@@ -26,10 +26,23 @@ func Build(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, opts Options
 	}
 	d := g1.Dict()
 
-	// Pre-materialize entity attribute lists once.
+	// Pre-materialize entity attribute lists once, and number the
+	// distinct dataset-2 object values densely: cols2[i][j] is the memo
+	// column (see simMemo) of attrs2[i][j]'s value.
 	attrs2 := make([][]rdf.Attribute, len(entities2))
+	cols2 := make([][]int32, len(entities2))
+	colOf := make(map[rdf.ID]int32)
 	for i, e2 := range entities2 {
 		attrs2[i] = g2.Entity(e2)
+		cols2[i] = make([]int32, len(attrs2[i]))
+		for j, a := range attrs2[i] {
+			c, ok := colOf[a.Obj]
+			if !ok {
+				c = int32(len(colOf))
+				colOf[a.Obj] = c
+			}
+			cols2[i][j] = c
+		}
 	}
 
 	sigs := opts.Sigs
@@ -69,23 +82,16 @@ func Build(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, opts Options
 			}
 
 			// The default similarity reads the shared table; a custom
-			// Sim gets a worker-local memoization cache (the function
-			// itself must tolerate concurrent calls).
+			// Sim is called on the terms (and must tolerate concurrent
+			// calls). Either is memoised per pair of values, per worker.
 			var sim func(o1, o2 rdf.ID) float64
 			if opts.Sim == nil {
 				sim = sigs.sim
 			} else {
-				cache := make(map[[2]rdf.ID]float64)
-				sim = func(o1, o2 rdf.ID) float64 {
-					k := [2]rdf.ID{o1, o2}
-					if v, ok := cache[k]; ok {
-						return v
-					}
-					v := opts.Sim(d.Term(o1), d.Term(o2))
-					cache[k] = v
-					return v
-				}
+				sim = func(o1, o2 rdf.ID) float64 { return opts.Sim(d.Term(o1), d.Term(o2)) }
 			}
+			memo := simMemo{ncols: len(colOf), rows: make(map[rdf.ID][]float64)}
+			var rows1 [][]float64
 
 			var probe *blockProbe
 			if blk != nil {
@@ -100,13 +106,28 @@ func Build(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, opts Options
 				if len(a1) == 0 {
 					continue
 				}
+				rows1 = rows1[:0]
+				for _, x := range a1 {
+					rows1 = append(rows1, memo.row(x.Obj))
+				}
+				pair := func(i2 int) {
+					set := buildSet(a1, attrs2[i2], rows1, cols2[i2], opts.Theta, sim)
+					if len(set) == 0 {
+						return
+					}
+					l := links.Link{E1: e1, E2: entities2[i2]}
+					res.sets[l] = set
+					for _, f := range set {
+						res.index[f.Key] = append(res.index[f.Key], scoredPair{score: f.Score, link: l})
+					}
+				}
 				if probe != nil {
 					for _, i2 := range probe.candidates(a1) {
-						buildPair(res.sets, res.index, e1, entities2[i2], a1, attrs2[i2], opts.Theta, sim)
+						pair(int(i2))
 					}
 				} else {
-					for i2, e2 := range entities2 {
-						buildPair(res.sets, res.index, e1, e2, a1, attrs2[i2], opts.Theta, sim)
+					for i2 := range entities2 {
+						pair(i2)
 					}
 				}
 			}
@@ -132,19 +153,31 @@ func Build(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, opts Options
 	return sp
 }
 
-// buildPair scores one (e1, e2) pair and records it if any feature
-// survives θ-filtering.
-func buildPair(sets map[links.Link]Set, index map[Key][]scoredPair, e1, e2 rdf.ID, a1, a2 []rdf.Attribute, theta float64, sim func(o1, o2 rdf.ID) float64) {
-	if len(a2) == 0 {
-		return
+// simMemo is one Build worker's similarity cache. sim(o1, o2) is a
+// pure function of two object values, and attribute values repeat —
+// categories, types, places and dates are shared by many entities — so
+// scoring every entity pair attribute by attribute asks for the same
+// pair of values over and over. The memo holds one row of scores per
+// distinct dataset-1 value the worker has met, with one column per
+// distinct dataset-2 value of the Build (numbered once, up front) and
+// -1 for "not computed yet"; rows are made on first use. It pays off to
+// the degree values repeat and costs rows×columns floats while Build
+// runs; it is garbage when Build returns. Scores are stored as
+// computed, so the space is the one an unmemoised build produces.
+type simMemo struct {
+	ncols int
+	rows  map[rdf.ID][]float64
+}
+
+// row returns the memo row of dataset-1 value o1.
+func (m *simMemo) row(o1 rdf.ID) []float64 {
+	r := m.rows[o1]
+	if r == nil {
+		r = make([]float64, m.ncols)
+		for i := range r {
+			r[i] = -1
+		}
+		m.rows[o1] = r
 	}
-	set := buildSet(a1, a2, theta, sim)
-	if len(set) == 0 {
-		return
-	}
-	l := links.Link{E1: e1, E2: e2}
-	sets[l] = set
-	for _, f := range set {
-		index[f.Key] = append(index[f.Key], scoredPair{score: f.Score, link: l})
-	}
+	return r
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"alex/internal/links"
 	"alex/internal/rdf"
 	"alex/internal/similarity"
 	"alex/internal/synth"
@@ -133,6 +134,56 @@ func TestCustomSimParallel(t *testing.T) {
 		t.Fatal("space is empty; test proves nothing")
 	}
 	sameSpace(t, "custom sim workers=8 blocking=true", parallel, serial)
+}
+
+// TestMemoisedScoresAreTheSimilarity checks the similarity memo against
+// the function it caches: every feature set of a built space — scored
+// through a memo that thousands of earlier pairs have filled — equals
+// the set scored for that pair alone from an empty memo, and a custom
+// Sim is asked for each pair of values at most once per worker.
+func TestMemoisedScoresAreTheSimilarity(t *testing.T) {
+	prof, _ := synth.ProfileByName("dbpedia-opencyc")
+	ds := synth.Generate(prof.Scale(testScale))
+	sigs := NewSigTable(ds.Dict)
+	sp := Build(ds.G1, ds.G2, ds.Entities1, ds.Entities2, Options{Theta: DefaultTheta, Workers: 1, Sigs: sigs})
+	if sp.Len() == 0 {
+		t.Fatal("space is empty; test proves nothing")
+	}
+	for _, e1 := range ds.Entities1 {
+		for _, e2 := range ds.Entities2 {
+			a1, a2 := ds.G1.Entity(e1), ds.G2.Entity(e2)
+			// An empty memo: one row per attribute, one column per
+			// attribute, nothing computed.
+			rows := make([][]float64, len(a1))
+			for i := range rows {
+				rows[i] = make([]float64, len(a2))
+				for j := range rows[i] {
+					rows[i][j] = -1
+				}
+			}
+			cols := make([]int32, len(a2))
+			for j := range cols {
+				cols[j] = int32(j)
+			}
+			want := buildSet(a1, a2, rows, cols, DefaultTheta, sigs.sim)
+			l := links.Link{E1: e1, E2: e2}
+			if got := sp.FeatureSet(l); !reflect.DeepEqual(got, want) {
+				t.Fatalf("link %v: memoised set %v, direct set %v", l, got, want)
+			}
+		}
+	}
+
+	asked := map[[2]rdf.Term]int{}
+	Build(ds.G1, ds.G2, ds.Entities1, ds.Entities2, Options{Theta: DefaultTheta, Workers: 1,
+		Sim: func(a, b rdf.Term) float64 {
+			asked[[2]rdf.Term{a, b}]++
+			return similarity.SpaceSim(a, b)
+		}})
+	for pair, n := range asked {
+		if n > 1 {
+			t.Fatalf("Sim was asked %d times for %v", n, pair)
+		}
+	}
 }
 
 func TestPrefixLen(t *testing.T) {

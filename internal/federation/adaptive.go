@@ -19,10 +19,6 @@
 // order-dependent on scheduling; see DESIGN.md decision 15.
 package federation
 
-import (
-	"alex/internal/sparql"
-)
-
 // latencyWeightMillis scales observed per-source probe latency into a
 // cost multiplier: a pattern whose candidate sources took
 // latencyWeightMillis to probe doubles its estimated cost. Local
@@ -40,19 +36,19 @@ const latencyWeightMillis = 100
 // point: a stage that looked cheap statically but fanned out 8× per
 // row is re-costed against reality. Slow sources surcharge every
 // pattern that must touch them, by observed probe latency.
-func (f *Federator) adaptiveCost(ec *evalCtx, p *plan, grp *sparql.GroupGraphPattern, i, nrows int, bound map[string]bool) float64 {
-	sid := p.stageOf[grp][i]
-	tp := grp.Triples[i]
+func (f *Federator) adaptiveCost(ec *evalCtx, g *cgroup, i, nrows int, bound []bool) float64 {
+	sid := g.first + i
+	pat := &ec.pats[sid]
 	var cost float64
 	if per, ok := ec.stats.stages[sid].expansion(); ok {
 		cost = float64(nrows) * per
 	} else if per, ok := ec.learnedExpansion(sid); ok {
 		cost = float64(nrows) * per
 	} else {
-		cost = float64(f.estimatePattern(tp, bound))
+		cost = float64(f.estimatePattern(pat, bound))
 	}
 	var maxMs int64
-	for _, si := range f.candidateSources(tp) {
+	for _, si := range f.candidateSources(pat) {
 		if ms := ec.stats.probeMillis(si); ms > maxMs {
 			maxMs = ms
 		}

@@ -74,8 +74,8 @@ func TestReplanZeroIsStaticPlan(t *testing.T) {
 	if len(rs.Rows) == 0 {
 		t.Fatal("query returned no rows")
 	}
-	if len(*traces) != 1 || !reflect.DeepEqual((*traces)[0], p.order[q.Where]) {
-		t.Fatalf("executed order %v != static plan order %v", *traces, p.order[q.Where])
+	if len(*traces) != 1 || !reflect.DeepEqual((*traces)[0], p.root.order) {
+		t.Fatalf("executed order %v != static plan order %v", *traces, p.root.order)
 	}
 	for i := range p.obs.stages {
 		if p.obs.stages[i].runs.Load() != 0 {

@@ -8,22 +8,33 @@
 // links — the feedback signal ALEX consumes.
 //
 // This is the repository's one query executor. Queries are compiled
-// into link-independent plans whose join orders come from one ranker
-// (rankPatterns, plan.go) and which an LRU cache shares across
-// WithLinks snapshots (plancache.go); one stage loop (evalTriples)
-// walks a group's patterns — in plan-time order, or re-ranked from
-// observed cardinalities under Options.ReplanEvery (adaptive.go) —
-// fanning intermediate rows out across workers with an order-preserving
-// merge (parallel.go); per-row provenance is a persistent links.Frozen
-// chain materialized only at emit time. A single-graph query is a
-// federation of one source with no links (single.go). Answers, and the
-// join orders executed without re-planning, are pinned by the golden
-// files under testdata/golden.
+// into link-independent plans (plan.go): every variable of the WHERE
+// tree gets a slot, every triple pattern becomes slots and constant
+// dictionary IDs, join orders come from one ranker (rankPatterns), and
+// an LRU cache shares plans across WithLinks snapshots (plancache.go).
+// One stage loop (evalTriples) walks a group's patterns — in plan-time
+// order, or re-ranked from observed cardinalities under
+// Options.ReplanEvery (adaptive.go) — fanning intermediate rows out
+// across workers with an order-preserving merge (parallel.go).
+//
+// From scan to LIMIT a row is dictionary IDs: a fixed-width run of
+// rdf.ID in a worker's block (rowset), extended by copying those few
+// words and writing the slots a match binds, plus a persistent
+// links.Frozen chain for the sameAs links crossed. The stores hand out
+// IDs and take IDs, so matching never hashes a term; a FILTER is shown
+// a scratch binding of just the variables it reads. sparql.Finalize
+// projects, orders and cuts on the same IDs, and only the rows that
+// survive are decoded into the public ResultSet, their provenance
+// chains materialized then. A single-graph query is a federation of one
+// source with no links (single.go). Answers, and the join orders
+// executed without re-planning, are pinned by the golden files under
+// testdata/golden.
 package federation
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"alex/internal/links"
@@ -49,14 +60,6 @@ type Row struct {
 	Used    links.Set
 }
 
-// irow is an intermediate row during evaluation: bindings plus the
-// sameAs links its derivation has crossed so far, as a persistent
-// chain that extending never copies.
-type irow struct {
-	b    sparql.Binding
-	used *links.Frozen
-}
-
 // ResultSet holds federated query solutions. For ASK queries Rows is
 // empty and Ask carries the answer. Degraded lists the sources that
 // were skipped during evaluation (open circuit, access failure or
@@ -79,8 +82,10 @@ type FeedbackSink interface {
 type Federator struct {
 	dict    *rdf.Dict
 	sources []Source
-	// same maps an entity to its sameAs edges. Each edge keeps the
-	// canonical Link (E1 from the first dataset) for provenance.
+	// same maps an entity IRI's ID to its sameAs edges. Each edge keeps
+	// the canonical Link (E1 from the first dataset) for provenance.
+	// Immutable once installed: rows under evaluation point into the
+	// edge slices.
 	same map[rdf.ID][]edge
 	// linkCount is the number of distinct installed links, maintained
 	// on SetLinks/WithLinks so LinkCount is O(1) on the /links path.
@@ -188,7 +193,7 @@ func (f *Federator) Sources() []Source { return f.sources }
 // Federator across goroutines must not call it concurrently with Query —
 // use WithLinks to publish an immutable snapshot instead.
 func (f *Federator) SetLinks(ls links.Set) {
-	f.same = buildSameAs(ls)
+	f.same = buildSameAs(f.dict, ls)
 	f.linkCount = ls.Len()
 }
 
@@ -205,7 +210,7 @@ func (f *Federator) WithLinks(ls links.Set) *Federator {
 	return &Federator{
 		dict:        f.dict,
 		sources:     f.sources,
-		same:        buildSameAs(ls),
+		same:        buildSameAs(f.dict, ls),
 		linkCount:   ls.Len(),
 		predSources: f.predSources,
 		res:         f.res,
@@ -217,11 +222,22 @@ func (f *Federator) WithLinks(ls links.Set) *Federator {
 	}
 }
 
-func buildSameAs(ls links.Set) map[rdf.ID][]edge {
+// buildSameAs indexes the link set by endpoint. Only IRIs resolve
+// through sameAs, so only endpoints that are IRIs get an entry; that
+// is decided here, once per link set, so that evaluation can go from a
+// bound ID to its equivalents without looking at the term.
+func buildSameAs(d *rdf.Dict, ls links.Set) map[rdf.ID][]edge {
+	isIRI := func(id rdf.ID) bool {
+		return id != rdf.NoID && int(id) <= d.Len() && d.Term(id).IsIRI()
+	}
 	same := make(map[rdf.ID][]edge, 2*ls.Len())
 	for _, l := range ls.Slice() {
-		same[l.E1] = append(same[l.E1], edge{other: l.E2, link: l})
-		same[l.E2] = append(same[l.E2], edge{other: l.E1, link: l})
+		if isIRI(l.E1) {
+			same[l.E1] = append(same[l.E1], edge{other: l.E2, link: l})
+		}
+		if isIRI(l.E2) {
+			same[l.E2] = append(same[l.E2], edge{other: l.E1, link: l})
+		}
 	}
 	return same
 }
@@ -287,21 +303,26 @@ func (f *Federator) EvalContext(ctx context.Context, q *sparql.Query) (*ResultSe
 // evalPlan runs a compiled plan: probe the plan's sources (in
 // parallel, so Degraded is decided before evaluation and independent
 // of join order), evaluate the pattern tree with the configured worker
-// count, then finalize through the sparql engine and re-associate
-// per-row provenance. Under adaptive execution a RuntimeStats table
-// rides along: probes and stages record into it, ranking consults it,
-// and it is folded into the plan's learned table at the end so the
-// next query over a cached plan starts from real cardinalities.
+// count, finalize through the sparql engine — still on IDs — and attach
+// each surviving row's provenance. Under adaptive execution a
+// RuntimeStats table rides along: probes and stages record into it,
+// ranking consults it, and it is folded into the plan's learned table
+// at the end so the next query over a cached plan starts from real
+// cardinalities.
 func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 	if len(f.sources) == 0 {
 		return nil, fmt.Errorf("federation: no sources registered")
 	}
 	var stats *RuntimeStats
-	if f.opts.ReplanEvery > 0 && p.nstages > 0 {
-		stats = newRuntimeStats(p.nstages, len(f.sources))
+	if f.opts.ReplanEvery > 0 && len(p.pats) > 0 {
+		stats = newRuntimeStats(len(p.pats), len(f.sources))
 	}
 	ec := f.newEvalCtx(ctx, p.probe, stats)
-	if stats != nil && p.obs != nil {
+	ec.pats = p.pats
+	if p.unresolved {
+		ec.pats = f.resolveConstants(p)
+	}
+	if stats != nil {
 		if p.obs.validate(f.linkCount) {
 			ec.learned = p.obs
 			if f.ametrics != nil {
@@ -309,18 +330,17 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 			}
 		}
 	}
-	rows := f.evalGroup(ec, p, p.q.Where, []irow{{b: sparql.Binding{}}}, f.opts.workerCount())
+	// Evaluation starts from one row with every slot unbound.
+	w := len(p.vars)
+	rows := rowset{w: w, ids: make([]rdf.ID, w), used: []*links.Frozen{nil}}
+	if p.root != nil {
+		rows = f.evalGroup(ec, p.root, rows, f.opts.workerCount())
+	}
 	if stats != nil {
 		stats.foldInto(p.obs)
 	}
 
-	// Project/sort/limit via the sparql engine, keeping provenance
-	// aligned by evaluating on indices.
-	bindings := make([]sparql.Binding, len(rows))
-	for i, r := range rows {
-		bindings[i] = r.b
-	}
-	res, err := sparql.Finalize(p.q, bindings)
+	res, err := sparql.Finalize(p.q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
 	if err != nil {
 		return nil, err
 	}
@@ -328,6 +348,10 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 		return &ResultSet{Ask: res.Ask, Degraded: ec.degradedNames(f)}, nil
 	}
 	out := &ResultSet{Vars: res.Vars, Degraded: ec.degradedNames(f)}
+	if len(res.Rows) == 0 {
+		return out, nil
+	}
+	out.Rows = make([]Row, len(res.Rows))
 	if len(p.q.Aggregates) > 0 {
 		// An aggregate row depends on every solution that fed its
 		// group; attributing provenance per group would need the
@@ -335,66 +359,31 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 		// feedback on an aggregate answer concerns all links that
 		// contributed to it.
 		all := links.NewSet()
-		for _, r := range rows {
-			for l := range r.used.Set() {
-				all.Add(l)
-			}
+		for _, u := range rows.used {
+			u.AddTo(all)
 		}
-		for _, b := range res.Rows {
-			out.Rows = append(out.Rows, Row{Binding: b, Used: all.Clone()})
+		for k, b := range res.Rows {
+			out.Rows[k] = Row{Binding: b, Used: all.Clone()}
 		}
 		return out, nil
 	}
-	// Re-associate provenance: Finalize may reorder, deduplicate and
-	// slice; match rows by identity of the projected bindings.
-	used := make(map[string]links.Set)
-	for i, b := range bindings {
-		k := f.projectionKey(res.Vars, b)
-		if prev, ok := used[k]; ok {
-			// merge provenance of duplicate solutions
-			for l := range rows[i].used.Set() {
-				prev.Add(l)
+	// A row answers for every solution that projects onto its ID tuple,
+	// kept or not: their provenance is merged, and rows with one tuple
+	// share one set.
+	sets := make([]links.Set, len(res.Members))
+	for k, b := range res.Rows {
+		g := res.Group[k]
+		if sets[g] == nil {
+			members := res.Members[g]
+			u := rows.used[members[0]].Set()
+			for _, i := range members[1:] {
+				rows.used[i].AddTo(u)
 			}
-		} else {
-			used[k] = rows[i].used.Set()
+			sets[g] = u
 		}
-	}
-	for _, b := range res.Rows {
-		k := f.projectionKey(res.Vars, b)
-		u := used[k]
-		if u == nil {
-			u = links.NewSet()
-		}
-		out.Rows = append(out.Rows, Row{Binding: b, Used: u})
+		out.Rows[k] = Row{Binding: b, Used: sets[g]}
 	}
 	return out, nil
-}
-
-// projectionKey encodes the projected bindings of a row as a map key.
-// Terms are encoded by dictionary ID, with distinct tags for an
-// unbound variable (0x00), a known term (0x01 + little-endian ID) and
-// the defensive fallback of a term missing from the dictionary (0x02 +
-// length-prefixed rendering), so an unbound variable can never collide
-// with any bound value — including literals containing NUL bytes,
-// which the old Term.String()+"\x00" concatenation could not separate.
-func (f *Federator) projectionKey(vars []string, b sparql.Binding) string {
-	buf := make([]byte, 0, 5*len(vars))
-	for _, v := range vars {
-		t, ok := b[v]
-		if !ok {
-			buf = append(buf, 0x00)
-			continue
-		}
-		if id, ok := f.dict.Lookup(t); ok {
-			buf = append(buf, 0x01, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-			continue
-		}
-		s := t.String()
-		n := len(s)
-		buf = append(buf, 0x02, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-		buf = append(buf, s...)
-	}
-	return string(buf)
 }
 
 // evalGroup evaluates one group pattern over the input rows: triple
@@ -403,42 +392,59 @@ func (f *Federator) projectionKey(vars []string, b sparql.Binding) string {
 // output row order equals a serial evaluation's. Nested groups reached
 // through OPTIONAL run serially (workers=1): the per-row fan-out
 // already saturates the workers, and nesting parallelism would only
-// multiply goroutines.
-func (f *Federator) evalGroup(ec *evalCtx, p *plan, grp *sparql.GroupGraphPattern, input []irow, workers int) []irow {
-	rows := f.evalTriples(ec, p, grp, input, workers)
+// multiply goroutines. The input is never modified; the result may be
+// the input itself.
+func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset, workers int) rowset {
+	rows = f.evalTriples(ec, g, rows, workers)
 
-	for _, alts := range grp.Unions {
-		var merged []irow
+	for _, alts := range g.unions {
+		merged := rowset{w: rows.w}
 		for _, alt := range alts {
-			merged = append(merged, f.evalGroup(ec, p, alt, rows, workers)...)
+			merged.addAll(f.evalGroup(ec, alt, rows, workers))
 		}
 		rows = merged
 	}
 
-	for _, opt := range grp.Optionals {
+	for _, opt := range g.optionals {
 		opt := opt
-		rows = mapRows(workers, rows, func(r irow, emit func(irow)) {
-			sub := f.evalGroup(ec, p, opt, []irow{r}, 1)
-			if len(sub) == 0 {
-				emit(r)
-				return
+		rows = mapRows(workers, rows, func(chunk rowset) rowset {
+			out := rowset{w: chunk.w}
+			for i := 0; i < chunk.len(); i++ {
+				sub := f.evalGroup(ec, opt, chunk.slice(i, i+1), 1)
+				if sub.len() == 0 {
+					out.add(chunk.row(i), chunk.used[i])
+					continue
+				}
+				out.addAll(sub)
 			}
-			for _, nr := range sub {
-				emit(nr)
-			}
+			return out
 		})
 	}
 
-	for _, flt := range grp.Filters {
+	for _, flt := range g.filters {
 		flt := flt
-		rows = mapRows(workers, rows, func(r irow, emit func(irow)) {
-			v, err := flt.Eval(r.b)
-			if err != nil {
-				return // SPARQL expression error: filter is false
+		rows = mapRows(workers, rows, func(chunk rowset) rowset {
+			out := rowset{w: chunk.w}
+			// The expression sees a binding of just the variables it
+			// reads, decoded per row into one reused map.
+			b := make(sparql.Binding, len(flt.vars))
+			for i := 0; i < chunk.len(); i++ {
+				row := chunk.row(i)
+				clear(b)
+				for k, slot := range flt.slots {
+					if id := row[slot]; id != rdf.NoID {
+						b[flt.vars[k]] = f.dict.Term(id)
+					}
+				}
+				v, err := flt.expr.Eval(b)
+				if err != nil {
+					continue // SPARQL expression error: filter is false
+				}
+				if ok, err := sparql.EffectiveBool(v); err == nil && ok {
+					out.add(row, chunk.used[i])
+				}
 			}
-			if ok, err := sparql.EffectiveBool(v); err == nil && ok {
-				emit(r)
-			}
+			return out
 		})
 	}
 	return rows
@@ -446,28 +452,26 @@ func (f *Federator) evalGroup(ec *evalCtx, p *plan, grp *sparql.GroupGraphPatter
 
 // evalTriples is the one stage loop: it runs a group's triple patterns
 // over rows, one mapRows stage per pattern, until the patterns or the
-// rows run out. Without re-planning it walks the plan-time order and
-// allocates nothing of its own — OPTIONAL groups re-enter it once per
-// input row. Under adaptive execution (ec.stats non-nil) it records
-// every stage's row counts and, every Options.ReplanEvery stages,
-// re-ranks the patterns still to run against the live row count.
-func (f *Federator) evalTriples(ec *evalCtx, p *plan, grp *sparql.GroupGraphPattern, rows []irow, workers int) []irow {
-	tps := grp.Triples
-	order := p.order[grp]
+// rows run out. Without re-planning it walks the plan-time order.
+// Under adaptive execution (ec.stats non-nil) it records every stage's
+// row counts and, every Options.ReplanEvery stages, re-ranks the
+// patterns still to run against the live row count.
+func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset, workers int) rowset {
+	pats := ec.pats[g.first : g.first+len(g.src.Triples)]
+	order := g.order
 	adaptive := ec.stats != nil
-	var bound map[string]bool
-	var scheduled []bool
+	var bound, scheduled []bool
 	if adaptive {
-		bound = copyBound(p.baseBound[grp])
-		scheduled = make([]bool, len(tps))
+		bound = slices.Clone(g.bound)
+		scheduled = make([]bool, len(pats))
 	}
 	var executed []int
 	pos := 0
-	for done := 0; done < len(tps); done++ {
+	for done := 0; done < len(pats); done++ {
 		if adaptive && done%f.opts.ReplanEvery == 0 {
-			nrows := len(rows)
-			order = f.rankPatterns(tps, bound, scheduled, func(i int, b map[string]bool) float64 {
-				return f.adaptiveCost(ec, p, grp, i, nrows, b)
+			nrows := rows.len()
+			order = f.rankPatterns(pats, bound, scheduled, func(i int, b []bool) float64 {
+				return f.adaptiveCost(ec, g, i, nrows, b)
 			})
 			pos = 0
 			if done > 0 && f.ametrics != nil {
@@ -476,161 +480,203 @@ func (f *Federator) evalTriples(ec *evalCtx, p *plan, grp *sparql.GroupGraphPatt
 		}
 		ti := order[pos]
 		pos++
-		tp := tps[ti]
-		in := len(rows)
-		rows = mapRows(workers, rows, func(r irow, emit func(irow)) {
-			f.matchPattern(ec, tp, r, emit)
+		in := rows.len()
+		rows = mapRows(workers, rows, func(chunk rowset) rowset {
+			m := f.newMatcher(ec, pats[ti], chunk.w)
+			for i := 0; i < chunk.len(); i++ {
+				m.match(chunk.row(i), chunk.used[i])
+			}
+			return m.out
 		})
 		if adaptive {
-			ec.stats.record(p.stageOf[grp][ti], in, len(rows))
+			ec.stats.record(g.first+ti, in, rows.len())
 			scheduled[ti] = true
-			for _, v := range tp.Vars() {
-				bound[v] = true
-			}
+			pats[ti].bind(bound)
 		}
 		if f.traceExec != nil {
 			executed = append(executed, ti)
 		}
-		if len(rows) == 0 {
+		if rows.len() == 0 {
 			break
 		}
 	}
 	if f.traceExec != nil {
-		f.traceExec(grp, executed)
+		f.traceExec(g.src, executed)
 	}
 	return rows
 }
 
-// matchPattern matches tp against the relevant sources, extending row.
-// When a bound entity does not occur in a source, its sameAs
+// binding is how a pattern position reads under one row: unbound
+// (have false: a wildcard), or bound to id — by the row or by the
+// pattern's constant — and then also reachable through each of id's
+// sameAs edges.
+type binding struct {
+	id    rdf.ID
+	have  bool
+	edges []edge
+}
+
+// bindingOf reads a position holding id; rdf.NoID is an unbound slot.
+func (f *Federator) bindingOf(id rdf.ID) binding {
+	if id == rdf.NoID {
+		return binding{}
+	}
+	return binding{id: id, have: true, edges: f.same[id]}
+}
+
+// resolved is one way of matching a bound position: as the ID itself
+// (link nil), or as a sameAs equivalent, pointing at the link crossed.
+type resolved struct {
+	id   rdf.ID
+	have bool
+	link *links.Link
+}
+
+// resolution returns the k-th way of matching b: k == -1 is b itself,
+// k >= 0 its k-th sameAs equivalent. The link is addressed inside the
+// federator's immutable edge slice, not copied.
+func (b *binding) resolution(k int) resolved {
+	if k < 0 {
+		return resolved{id: b.id, have: b.have}
+	}
+	return resolved{id: b.edges[k].other, have: true, link: &b.edges[k].link}
+}
+
+// matcher runs one pattern stage for one worker: it extends input rows
+// by the pattern's matches into its own output block. It exists so that
+// the store callback is one method value made once per stage, not a
+// closure per probe.
+type matcher struct {
+	f     *Federator
+	ec    *evalCtx
+	pat   cpattern
+	out   rowset
+	visit func(s, p, o rdf.ID) bool
+	// dead: the pattern holds a constant the dictionary lacks, which
+	// nothing can match.
+	dead bool
+
+	// The probe in flight: the row being extended, how its three
+	// positions read (constants are read once, when the matcher is made)
+	// and how each is resolved.
+	row        []rdf.ID
+	used       *links.Frozen
+	s, p, o    binding
+	rs, rp, ro resolved
+	// ext is used extended by the links rs, rp and ro crossed, built on
+	// the probe's first match and shared by the rest.
+	ext    *links.Frozen
+	extSet bool
+}
+
+func (f *Federator) newMatcher(ec *evalCtx, pat cpattern, width int) *matcher {
+	m := &matcher{f: f, ec: ec, pat: pat, out: rowset{w: width}}
+	m.visit = m.emit
+	for _, n := range pat.nodes() {
+		m.dead = m.dead || n.slot < 0 && n.id == rdf.NoID
+	}
+	m.s, m.p, m.o = f.bindingOf(pat.s.id), f.bindingOf(pat.p.id), f.bindingOf(pat.o.id)
+	return m
+}
+
+// match matches the pattern against the relevant sources, extending
+// row. When a bound entity does not occur in a source, its sameAs
 // equivalents are tried, and any equivalence used is recorded in the
 // row's provenance. Source selection: a pattern whose predicate is a
 // constant (or a variable already bound) only visits sources holding
 // that predicate. Sources that failed their upfront availability probe
 // are skipped (the evaluation degrades instead of failing).
-func (f *Federator) matchPattern(ec *evalCtx, tp sparql.TriplePattern, row irow, emit func(irow)) {
-	if srcs, ok := f.selectSources(tp.P, row.b); ok {
-		for _, si := range srcs {
-			if !ec.available(si) {
-				continue
+func (m *matcher) match(row []rdf.ID, used *links.Frozen) {
+	if m.dead {
+		return
+	}
+	f := m.f
+	if slot := m.pat.s.slot; slot >= 0 {
+		m.s = f.bindingOf(row[slot])
+	}
+	if slot := m.pat.p.slot; slot >= 0 {
+		m.p = f.bindingOf(row[slot])
+	}
+	if slot := m.pat.o.slot; slot >= 0 {
+		m.o = f.bindingOf(row[slot])
+	}
+	m.row, m.used = row, used
+	if m.p.have {
+		for _, si := range f.predSources[m.p.id] {
+			if m.ec.available(si) {
+				m.matchInSource(f.sources[si].Graph)
 			}
-			f.matchInSource(f.sources[si].Graph, tp, row, emit)
 		}
 		return
 	}
 	for si, src := range f.sources {
-		if !ec.available(si) {
-			continue
+		if m.ec.available(si) {
+			m.matchInSource(src.Graph)
 		}
-		f.matchInSource(src.Graph, tp, row, emit)
 	}
 }
 
-// selectSources returns the candidate source indexes for a predicate
-// node; ok is false when the predicate is unbound (all sources apply).
-func (f *Federator) selectSources(p sparql.Node, b sparql.Binding) ([]int, bool) {
-	var t rdf.Term
-	if p.IsVar {
-		bound, isBound := b[p.Var]
-		if !isBound {
-			return nil, false
-		}
-		t = bound
-	} else {
-		t = p.Term
-	}
-	id, ok := f.dict.Lookup(t)
-	if !ok {
-		return nil, true // unknown predicate: no source can match
-	}
-	return f.predSources[id], true
-}
-
-type resolved struct {
-	id   rdf.ID
-	have bool
-	link *links.Link // non-nil when resolving crossed a sameAs edge
-}
-
-// resolutions returns the ways a pattern node can be bound in graph g
-// under the row's bindings: directly, or through each sameAs equivalent
-// present in g. An unbound node yields a single wildcard resolution.
-func (f *Federator) resolutions(g store.TripleStore, n sparql.Node, b sparql.Binding) []resolved {
-	var t rdf.Term
-	if n.IsVar {
-		bound, ok := b[n.Var]
-		if !ok {
-			return []resolved{{have: false}}
-		}
-		t = bound
-	} else {
-		t = n.Term
-	}
-	var out []resolved
-	if id, ok := g.Dict().Lookup(t); ok {
-		// The term is known to the shared dictionary; it may still not
-		// occur in this source, but direct matching will simply find
-		// nothing, which is correct.
-		out = append(out, resolved{id: id, have: true})
-		// Entity terms additionally resolve through sameAs links.
-		if t.IsIRI() {
-			for _, e := range f.same[id] {
-				e := e
-				out = append(out, resolved{id: e.other, have: true, link: &e.link})
-			}
-		}
-	}
-	if len(out) == 0 {
-		// Unknown term: no resolution matches anything.
-		return nil
-	}
-	return out
-}
-
-func (f *Federator) matchInSource(g store.TripleStore, tp sparql.TriplePattern, row irow, emit func(irow)) {
-	ss := f.resolutions(g, tp.S, row.b)
-	ps := f.resolutions(g, tp.P, row.b)
-	os := f.resolutions(g, tp.O, row.b)
-	for _, rs := range ss {
-		for _, rp := range ps {
-			for _, ro := range os {
-				f.matchResolved(g, tp, row, rs, rp, ro, emit)
+// matchInSource probes g once per combination of resolutions of the
+// three positions: the bound ID itself first, then each sameAs
+// equivalent.
+func (m *matcher) matchInSource(g store.TripleStore) {
+	for ks := -1; ks < len(m.s.edges); ks++ {
+		m.rs = m.s.resolution(ks)
+		for kp := -1; kp < len(m.p.edges); kp++ {
+			m.rp = m.p.resolution(kp)
+			for ko := -1; ko < len(m.o.edges); ko++ {
+				m.ro = m.o.resolution(ko)
+				m.extSet = false
+				g.ForEachMatchIDs(m.rs.id, m.rp.id, m.ro.id, m.rs.have, m.rp.have, m.ro.have, m.visit)
 			}
 		}
 	}
 }
 
-func (f *Federator) matchResolved(g store.TripleStore, tp sparql.TriplePattern, row irow, rs, rp, ro resolved, emit func(irow)) {
-	g.ForEachMatchIDs(rs.id, rp.id, ro.id, rs.have, rp.have, ro.have, func(ms, mp, mo rdf.ID) bool {
-		// Repeated-variable consistency before paying for the copy.
-		if tp.S.IsVar && tp.O.IsVar && tp.S.Var == tp.O.Var && ms != mo {
-			return true
-		}
-		if tp.S.IsVar && tp.P.IsVar && tp.S.Var == tp.P.Var && ms != mp {
-			return true
-		}
-		if tp.P.IsVar && tp.O.IsVar && tp.P.Var == tp.O.Var && mp != mo {
-			return true
-		}
-		nb := row.b.Copy()
-		if tp.S.IsVar && !rs.have {
-			nb[tp.S.Var] = g.Dict().Term(ms)
-		}
-		if tp.P.IsVar && !rp.have {
-			nb[tp.P.Var] = g.Dict().Term(mp)
-		}
-		if tp.O.IsVar && !ro.have {
-			nb[tp.O.Var] = g.Dict().Term(mo)
-		}
-		var crossed []links.Link
-		for _, r := range []resolved{rs, rp, ro} {
-			if r.link != nil {
-				crossed = append(crossed, *r.link)
-			}
-		}
-		emit(irow{b: nb, used: row.used.With(crossed...)})
+// emit receives one matching triple of the probe in flight and appends
+// the extended row: the input row's IDs with the pattern's unbound
+// variables set to what the triple holds in their position. A variable
+// that was bound keeps its value (the queried alias, not the
+// equivalent that matched).
+func (m *matcher) emit(ms, mp, mo rdf.ID) bool {
+	s, p, o := m.pat.s.slot, m.pat.p.slot, m.pat.o.slot
+	// Repeated-variable consistency before paying for the copy.
+	if s >= 0 && (s == o && ms != mo || s == p && ms != mp) || p >= 0 && p == o && mp != mo {
 		return true
-	})
+	}
+	if !m.extSet {
+		m.ext, m.extSet = m.extend(), true
+	}
+	out := &m.out
+	base := len(out.ids)
+	out.add(m.row, m.ext)
+	if s >= 0 && !m.rs.have {
+		out.ids[base+int(s)] = ms
+	}
+	if p >= 0 && !m.rp.have {
+		out.ids[base+int(p)] = mp
+	}
+	if o >= 0 && !m.ro.have {
+		out.ids[base+int(o)] = mo
+	}
+	return true
+}
+
+// extend returns the input row's provenance plus the links the probe in
+// flight crossed.
+func (m *matcher) extend() *links.Frozen {
+	var crossed [3]links.Link
+	n := 0
+	for _, l := range [3]*links.Link{m.rs.link, m.rp.link, m.ro.link} {
+		if l != nil {
+			crossed[n] = *l
+			n++
+		}
+	}
+	if n == 0 {
+		return m.used
+	}
+	return m.used.With(crossed[:n]...)
 }
 
 // Approve reports positive feedback on an answer row: every sameAs link

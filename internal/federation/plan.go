@@ -1,15 +1,17 @@
 // Query planning for the federated read path. A plan is everything
 // about a query that does not depend on the current sameAs link set:
-// the parsed AST, a selectivity-based join order for every group
-// pattern (from rankPatterns, the one ranker, priced by static
-// CountMatch estimates), and the set of sources the query may touch
-// (the probe set).
+// the parsed AST, the row layout (one slot per WHERE-tree variable),
+// the triple patterns compiled to slots and constant dictionary IDs, a
+// selectivity-based join order for every group pattern (from
+// rankPatterns, the one ranker, priced by static CountMatch estimates),
+// and the set of sources the query may touch (the probe set).
 // Plans are immutable after construction, which makes them safe to
 // share across concurrent queries and across WithLinks snapshots, and
 // therefore cacheable (see plancache.go).
 package federation
 
 import (
+	"slices"
 	"sort"
 
 	"alex/internal/rdf"
@@ -37,34 +39,36 @@ func (f *Federator) SetOptions(o Options) { f.opts = o }
 // Opts returns the evaluator options in effect.
 func (f *Federator) Opts() Options { return f.opts }
 
-// plan is a compiled query: the AST plus per-group join orders and the
-// probe set. The AST itself is never mutated — join order lives in a
-// side table keyed by group identity — so planning works on
-// caller-owned queries and a cached plan can serve concurrent readers.
-// The one mutable field is obs, the learned cardinality table fed by
-// adaptive executions; it is internally synchronized and only ever
-// steers ordering, never answers, so sharing a cached plan remains
-// safe (see runtimestats.go).
+// plan is a compiled query: the AST, a slot for every variable of the
+// WHERE tree, the tree compiled against those slots with a plan-time
+// join order per group, and the probe set. The AST itself is never
+// mutated, so planning works on caller-owned queries and a cached plan
+// can serve concurrent readers. The one mutable field is obs, the
+// learned cardinality table fed by adaptive executions; it is
+// internally synchronized and only ever steers ordering, never answers,
+// so sharing a cached plan remains safe (see runtimestats.go).
 type plan struct {
 	q *sparql.Query
-	// order maps each group pattern of q to the plan-time evaluation
-	// order of its Triples, as indices into grp.Triples.
-	order map[*sparql.GroupGraphPattern][]int
-	// stageOf assigns every triple pattern a plan-global stage id
-	// (stageOf[grp][i] is the id of grp.Triples[i]), indexing the
-	// RuntimeStats and obsTable counters. Ids follow the deterministic
-	// planning walk, so a cached plan's ids are stable across queries.
-	stageOf map[*sparql.GroupGraphPattern][]int
-	// baseBound is the set of variables guaranteed bound when a group
-	// starts evaluating (the planning-time bound set), the starting
-	// point for binding-safety checks during adaptive re-ranking.
-	baseBound map[*sparql.GroupGraphPattern]map[string]bool
-	// nstages is the total number of triple-pattern stages in the plan.
-	nstages int
+	// vars names the slots of an intermediate row: slot i holds the
+	// dictionary ID bound to vars[i]. The order is sparql.WhereVars',
+	// which is also SELECT *'s projection order.
+	vars []string
+	// root is the compiled WHERE group; nil when the query has none.
+	root *cgroup
+	// pats holds every triple pattern of the tree, compiled, indexed by
+	// its plan-global stage id — the id that also indexes the
+	// RuntimeStats and obsTable counters. A group's patterns are
+	// contiguous and ids follow the deterministic planning walk, so a
+	// cached plan's ids are stable across queries.
+	pats []cpattern
+	// unresolved reports that some pattern constant was not in the
+	// dictionary when the plan was compiled (its cnode.id is rdf.NoID).
+	// Such a plan looks its constants up again on every evaluation, so a
+	// cached plan never pins a miss the dictionary has since filled.
+	unresolved bool
 	// obs accumulates observed per-stage cardinalities across adaptive
-	// executions of this plan; nil until first planned. Cached plans
-	// keep it, which is what makes hot queries converge to the best
-	// order across requests.
+	// executions of this plan. Cached plans keep it, which is what makes
+	// hot queries converge to the best order across requests.
 	obs *obsTable
 	// probe lists the indexes of guarded sources this query may touch;
 	// they are probed in parallel before evaluation starts, which makes
@@ -72,19 +76,68 @@ type plan struct {
 	probe []int
 }
 
+// cnode is one position of a compiled triple pattern: a variable's row
+// slot, or a constant's dictionary ID.
+type cnode struct {
+	slot int32  // >= 0: a variable; -1: a constant
+	id   rdf.ID // the constant; rdf.NoID while the dictionary lacks it
+}
+
+// cpattern is a triple pattern compiled against the plan's slots.
+type cpattern struct {
+	s, p, o cnode
+}
+
+func (c *cpattern) nodes() [3]cnode { return [3]cnode{c.s, c.p, c.o} }
+
+// uses reports whether the pattern mentions the variable in slot.
+func (c *cpattern) uses(slot int32) bool {
+	return c.s.slot == slot || c.p.slot == slot || c.o.slot == slot
+}
+
+// bind marks the pattern's variables in bound.
+func (c *cpattern) bind(bound []bool) {
+	for _, n := range c.nodes() {
+		if n.slot >= 0 {
+			bound[n.slot] = true
+		}
+	}
+}
+
+// cfilter is a FILTER with the slots of the variables it reads, so a
+// row can be shown to the expression as a binding of just those.
+type cfilter struct {
+	expr  sparql.Expr
+	vars  []string
+	slots []int32
+}
+
+// cgroup is a compiled group pattern. Its triple patterns are
+// plan.pats[first : first+len(src.Triples)].
+type cgroup struct {
+	src   *sparql.GroupGraphPattern
+	first int
+	// order is the plan-time evaluation order of the group's triples, as
+	// indices into src.Triples.
+	order []int
+	// bound marks, by slot, the variables guaranteed bound when the
+	// group starts evaluating: the starting point for binding-safety
+	// checks during adaptive re-ranking.
+	bound     []bool
+	filters   []cfilter
+	optionals []*cgroup
+	unions    [][]*cgroup
+}
+
 // planQuery compiles q against the federator's source statistics.
 func (f *Federator) planQuery(q *sparql.Query) *plan {
-	p := &plan{
-		q:         q,
-		order:     make(map[*sparql.GroupGraphPattern][]int),
-		stageOf:   make(map[*sparql.GroupGraphPattern][]int),
-		baseBound: make(map[*sparql.GroupGraphPattern]map[string]bool),
-	}
+	p := &plan{q: q}
 	probe := make(map[int]bool)
 	if q.Where != nil {
-		f.planGroup(q.Where, map[string]bool{}, p, probe)
+		p.vars = sparql.WhereVars(q.Where)
+		p.root = f.planGroup(q.Where, make([]bool, len(p.vars)), p, probe)
 	}
-	p.obs = newObsTable(p.nstages)
+	p.obs = newObsTable(len(p.pats))
 	for si := range probe {
 		p.probe = append(p.probe, si)
 	}
@@ -92,55 +145,113 @@ func (f *Federator) planQuery(q *sparql.Query) *plan {
 	return p
 }
 
-// planGroup orders one group's triples and recurses into its nested
-// groups. bound is the set of variables guaranteed bound when the
-// group starts evaluating; it is extended with the group's own triple
-// variables before recursing, because nested groups see those
-// bindings. Union alternatives do not extend bound for each other.
-func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound map[string]bool, p *plan, probe map[int]bool) {
-	p.baseBound[grp] = copyBound(bound)
-	ids := make([]int, len(grp.Triples))
-	for i := range ids {
-		ids[i] = p.nstages + i
-	}
-	p.nstages += len(grp.Triples)
-	p.stageOf[grp] = ids
-	for _, tp := range grp.Triples {
-		f.probeSet(tp, probe)
-	}
-	p.order[grp] = f.rankPatterns(grp.Triples, bound, nil, func(i int, b map[string]bool) float64 {
-		return float64(f.estimatePattern(grp.Triples[i], b))
-	})
+// slot returns the row slot of a WHERE-tree variable, or -1 for a name
+// no triple pattern mentions (a FILTER may: it then reads as unbound).
+func (p *plan) slot(name string) int32 { return int32(slices.Index(p.vars, name)) }
 
-	inner := copyBound(bound)
+// compileNode resolves one pattern position: variables to slots,
+// constants to dictionary IDs.
+func (f *Federator) compileNode(p *plan, n sparql.Node) cnode {
+	if n.IsVar {
+		return cnode{slot: p.slot(n.Var)}
+	}
+	id, ok := f.dict.Lookup(n.Term)
+	if !ok {
+		p.unresolved = true
+	}
+	return cnode{slot: -1, id: id}
+}
+
+// planGroup compiles and orders one group's triples and recurses into
+// its nested groups. bound marks the variables guaranteed bound when
+// the group starts evaluating; it is extended with the group's own
+// triple variables before recursing, because nested groups see those
+// bindings. Union alternatives do not extend bound for each other.
+func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *plan, probe map[int]bool) *cgroup {
+	g := &cgroup{src: grp, first: len(p.pats), bound: bound}
 	for _, tp := range grp.Triples {
-		for _, v := range tp.Vars() {
-			inner[v] = true
+		p.pats = append(p.pats, cpattern{
+			s: f.compileNode(p, tp.S),
+			p: f.compileNode(p, tp.P),
+			o: f.compileNode(p, tp.O),
+		})
+	}
+	pats := p.pats[g.first:]
+	for i := range pats {
+		for _, si := range f.candidateSources(&pats[i]) {
+			if f.guards[si] != nil {
+				probe[si] = true
+			}
 		}
+	}
+	g.order = f.rankPatterns(pats, bound, nil, func(i int, b []bool) float64 {
+		return float64(f.estimatePattern(&pats[i], b))
+	})
+	for _, flt := range grp.Filters {
+		cf := cfilter{expr: flt}
+		for _, v := range flt.ExprVars() {
+			if s := p.slot(v); s >= 0 && !slices.Contains(cf.slots, s) {
+				cf.vars = append(cf.vars, v)
+				cf.slots = append(cf.slots, s)
+			}
+		}
+		g.filters = append(g.filters, cf)
+	}
+
+	inner := slices.Clone(bound)
+	for i := range pats {
+		pats[i].bind(inner)
 	}
 	for _, alts := range grp.Unions {
-		for _, alt := range alts {
-			f.planGroup(alt, copyBound(inner), p, probe)
+		calts := make([]*cgroup, len(alts))
+		for i, alt := range alts {
+			calts[i] = f.planGroup(alt, slices.Clone(inner), p, probe)
 		}
+		g.unions = append(g.unions, calts)
 		// After a UNION construct, only variables bound in every
 		// alternative are guaranteed bound. Tracking the intersection
 		// buys little for ordering, so conservatively keep inner as-is.
 	}
 	for _, opt := range grp.Optionals {
-		f.planGroup(opt, copyBound(inner), p, probe)
+		g.optionals = append(g.optionals, f.planGroup(opt, slices.Clone(inner), p, probe))
 	}
+	return g
 }
 
-func copyBound(b map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(b))
-	for k := range b {
-		out[k] = true
+// resolveConstants returns p.pats with every constant looked up afresh:
+// the per-evaluation pattern table of a plan compiled while the
+// dictionary lacked one of its constants. A term still absent keeps
+// rdf.NoID and matches nothing.
+func (f *Federator) resolveConstants(p *plan) []cpattern {
+	pats := slices.Clone(p.pats)
+	fill := func(c *cnode, n sparql.Node) {
+		if c.slot < 0 && c.id == rdf.NoID {
+			c.id, _ = f.dict.Lookup(n.Term)
+		}
 	}
-	return out
+	var walk func(g *cgroup)
+	walk = func(g *cgroup) {
+		for i, tp := range g.src.Triples {
+			c := &pats[g.first+i]
+			fill(&c.s, tp.S)
+			fill(&c.p, tp.P)
+			fill(&c.o, tp.O)
+		}
+		for _, alts := range g.unions {
+			for _, alt := range alts {
+				walk(alt)
+			}
+		}
+		for _, opt := range g.optionals {
+			walk(opt)
+		}
+	}
+	walk(p.root)
+	return pats
 }
 
 // rankPatterns is the one join-order ranker: it returns a greedy
-// lowest-cost-first order over the patterns of tps not yet marked in
+// lowest-cost-first order over the patterns of pats not yet marked in
 // scheduled (nil: none are), constrained so that every variable is
 // first bound by the same pattern as in written order. The constraint
 // matters for answer identity, not just determinism: a variable's
@@ -155,21 +266,21 @@ func copyBound(b map[string]bool) map[string]bool {
 // to any other. Ties break toward written order, so the result is a
 // pure function of the patterns and of cost.
 //
-// cost prices running pattern i next, given the variables bound by
-// then: the static CountMatch estimate at plan time (estimatePattern),
-// observed and learned expansions during adaptive execution
-// (adaptiveCost). The returned order stays valid as its prefix
-// executes: each entry was chosen schedulable given the ones before it.
-// bound and scheduled are not modified.
-func (f *Federator) rankPatterns(tps []sparql.TriplePattern, bound map[string]bool, scheduled []bool, cost func(i int, bound map[string]bool) float64) []int {
-	bound = copyBound(bound)
-	sched := make([]bool, len(tps))
+// cost prices running pattern i next, given the variables (by slot)
+// bound by then: the static CountMatch estimate at plan time
+// (estimatePattern), observed and learned expansions during adaptive
+// execution (adaptiveCost). The returned order stays valid as its
+// prefix executes: each entry was chosen schedulable given the ones
+// before it. bound and scheduled are not modified.
+func (f *Federator) rankPatterns(pats []cpattern, bound []bool, scheduled []bool, cost func(i int, bound []bool) float64) []int {
+	bound = slices.Clone(bound)
+	sched := make([]bool, len(pats))
 	copy(sched, scheduled)
-	order := make([]int, 0, len(tps))
+	order := make([]int, 0, len(pats))
 	for {
 		best, bestCost := -1, 0.0
-		for i := range tps {
-			if sched[i] || !f.schedulable(tps, sched, i, bound) {
+		for i := range pats {
+			if sched[i] || !schedulable(pats, sched, i, bound) {
 				continue
 			}
 			if c := cost(i, bound); best == -1 || c < bestCost {
@@ -181,27 +292,20 @@ func (f *Federator) rankPatterns(tps []sparql.TriplePattern, bound map[string]bo
 		}
 		order = append(order, best)
 		sched[best] = true
-		for _, v := range tps[best].Vars() {
-			bound[v] = true
-		}
+		pats[best].bind(bound)
 	}
 }
 
 // schedulable reports whether pattern i may run next without stealing
 // a variable's first binding from an earlier-written pattern.
-func (f *Federator) schedulable(tps []sparql.TriplePattern, scheduled []bool, i int, bound map[string]bool) bool {
-	for _, v := range tps[i].Vars() {
-		if bound[v] {
+func schedulable(pats []cpattern, scheduled []bool, i int, bound []bool) bool {
+	for _, n := range pats[i].nodes() {
+		if n.slot < 0 || bound[n.slot] {
 			continue
 		}
 		for j := 0; j < i; j++ {
-			if scheduled[j] {
-				continue
-			}
-			for _, w := range tps[j].Vars() {
-				if w == v {
-					return false
-				}
+			if !scheduled[j] && pats[j].uses(n.slot) {
+				return false
 			}
 		}
 	}
@@ -215,34 +319,18 @@ func (f *Federator) schedulable(tps []sparql.TriplePattern, scheduled []bool, i 
 // unknown at planning time, but a bound position joins rather than
 // scans). Estimates only steer ordering, so being cheap matters more
 // than being exact — CountMatch is O(1)-ish per source.
-func (f *Federator) estimatePattern(tp sparql.TriplePattern, bound map[string]bool) int {
-	var s, p, o rdf.ID
-	var haveS, haveP, haveO bool
-	known := true
-	resolve := func(n sparql.Node) (rdf.ID, bool) {
-		if n.IsVar {
-			return 0, false
+func (f *Federator) estimatePattern(pat *cpattern, bound []bool) int {
+	for _, n := range pat.nodes() {
+		if n.slot < 0 && n.id == rdf.NoID {
+			return 0 // constant absent from every source
 		}
-		id, ok := f.dict.Lookup(n.Term)
-		if !ok {
-			known = false // constant absent from every source
-		}
-		return id, ok
 	}
-	s, haveS = resolve(tp.S)
-	p, haveP = resolve(tp.P)
-	o, haveO = resolve(tp.O)
-	if !known {
-		return 0
-	}
-
-	srcs := f.candidateSources(tp)
 	total := 0
-	for _, si := range srcs {
-		total += f.sources[si].Graph.CountMatch(s, p, o, haveS, haveP, haveO)
+	for _, si := range f.candidateSources(pat) {
+		total += f.sources[si].Graph.CountMatch(pat.s.id, pat.p.id, pat.o.id, pat.s.slot < 0, pat.p.slot < 0, pat.o.slot < 0)
 	}
-	for _, n := range []sparql.Node{tp.S, tp.P, tp.O} {
-		if n.IsVar && bound[n.Var] {
+	for _, n := range pat.nodes() {
+		if n.slot >= 0 && bound[n.slot] {
 			total /= 8
 		}
 	}
@@ -254,26 +342,13 @@ func (f *Federator) estimatePattern(tp sparql.TriplePattern, bound map[string]bo
 // holding it (the FedX-style source-selection index); a variable
 // predicate may touch every source, even if a runtime binding later
 // narrows it.
-func (f *Federator) candidateSources(tp sparql.TriplePattern) []int {
-	if !tp.P.IsVar {
-		id, ok := f.dict.Lookup(tp.P.Term)
-		if !ok {
-			return nil
-		}
-		return f.predSources[id]
+func (f *Federator) candidateSources(pat *cpattern) []int {
+	if pat.p.slot < 0 {
+		return f.predSources[pat.p.id] // rdf.NoID is no predicate's ID
 	}
 	all := make([]int, len(f.sources))
 	for i := range all {
 		all[i] = i
 	}
 	return all
-}
-
-// probeSet folds the pattern's candidate guarded sources into probe.
-func (f *Federator) probeSet(tp sparql.TriplePattern, probe map[int]bool) {
-	for _, si := range f.candidateSources(tp) {
-		if f.guards[si] != nil {
-			probe[si] = true
-		}
-	}
 }

@@ -11,47 +11,6 @@ import (
 	"alex/internal/sparql"
 )
 
-// --- projectionKey (satellite: unbound vs bound ambiguity) ---
-
-// TestProjectionKeyDistinguishes feeds the key function binding shapes
-// that the old Term.String()+"\x00" concatenation could conflate and
-// requires pairwise-distinct keys. The last two cases are an actual
-// collision under the old scheme: a NUL byte inside an IRI is rendered
-// verbatim, so {a: <x>.<y>, b: <z>} and {a: <x>, b: <y>.<z>} (with "."
-// standing for NUL) concatenated to identical byte strings, silently
-// merging the provenance of distinct solutions.
-func TestProjectionKeyDistinguishes(t *testing.T) {
-	f := New(rdf.NewDict())
-	nulIRI := func(s string) rdf.Term { return rdf.IRI(s) }
-	vars := []string{"a", "b"}
-	cases := map[string]sparql.Binding{
-		"both-unbound":      {},
-		"a-empty-literal":   {"a": rdf.Literal("")},
-		"b-empty-literal":   {"b": rdf.Literal("")},
-		"a-empty-iri":       {"a": rdf.IRI("")},
-		"a-literal-b-empty": {"a": rdf.Literal(""), "b": rdf.Literal("")},
-		"nul-split-left":    {"a": nulIRI("x>\x00<y"), "b": rdf.IRI("z")},
-		"nul-split-right":   {"a": rdf.IRI("x"), "b": nulIRI("y>\x00<z")},
-	}
-	// Intern every term so keys use the ID encoding.
-	for _, b := range cases {
-		for _, term := range b {
-			f.dict.Intern(term)
-		}
-	}
-	keys := map[string]string{}
-	for name, b := range cases {
-		keys[name] = f.projectionKey(vars, b)
-	}
-	for n1, k1 := range keys {
-		for n2, k2 := range keys {
-			if n1 != n2 && k1 == k2 {
-				t.Errorf("projectionKey conflates %s and %s (key %q)", n1, n2, k1)
-			}
-		}
-	}
-}
-
 // TestOptionalUnboundProvenanceDistinct is the end-to-end regression:
 // an OPTIONAL leaves ?name unbound for one solution and binds it (via
 // a sameAs-crossing match carrying provenance) for another. The two
@@ -112,6 +71,41 @@ func TestOptionalUnboundProvenanceDistinct(t *testing.T) {
 	if !sawBound || !sawUnbound {
 		t.Fatalf("expected one bound-empty and one unbound row, got bound=%v unbound=%v", sawBound, sawUnbound)
 	}
+
+	// Two solutions whose rendered terms concatenate to the same bytes
+	// around a NUL (an IRI may contain one): {a: <x>.<y>, b: <z>} and
+	// {a: <x>, b: <y>.<z>}, "." standing for NUL. Only the first crosses
+	// the link. A provenance key built by joining renderings with a
+	// separator merged them; a fixed-width ID tuple cannot.
+	left, right := rdf.IRI("http://kb/left"), rdf.IRI("http://news/right")
+	kb.Insert(rdf.Triple{S: e1, P: left, O: rdf.IRI("x>\x00<y")})
+	kb.Insert(rdf.Triple{S: e2, P: left, O: rdf.IRI("x")})
+	news.Insert(rdf.Triple{S: n1, P: right, O: rdf.IRI("z")})
+	news.Insert(rdf.Triple{S: e2, P: right, O: rdf.IRI("y>\x00<z")})
+	f = New(d) // re-register: the source-selection index predates the new predicates
+	if err := f.AddSource("kb", kb); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddSource("news", news); err != nil {
+		t.Fatal(err)
+	}
+	f.SetLinks(links.NewSet(link))
+	res, err = f.Query(`SELECT ?a ?b WHERE {
+		?p <http://kb/left> ?a .
+		?p <http://news/right> ?b .
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("NUL-split rows = %d, want 2", len(res.Rows))
+	}
+	for _, r := range res.Rows {
+		crossed := r.Binding["b"] == rdf.IRI("z")
+		if crossed != r.Used.Has(link) || r.Used.Len() > 1 {
+			t.Errorf("row %v carries provenance %v; only the <z> row crossed the link", r.Binding, r.Used.Slice())
+		}
+	}
 }
 
 // --- join ordering (tentpole layer 1) ---
@@ -123,7 +117,7 @@ func planOrder(f *Federator, query string) []int {
 		panic(err)
 	}
 	p := f.planQuery(q)
-	return p.order[q.Where]
+	return p.root.order
 }
 
 func TestReorderHoistsSelectivePattern(t *testing.T) {

@@ -2,10 +2,13 @@ package federation
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"alex/internal/links"
+	"alex/internal/rdf"
+	"alex/internal/sparql"
 )
 
 func TestPlanCacheHitMissCounters(t *testing.T) {
@@ -199,5 +202,59 @@ func TestPlanCacheCapacityChurn(t *testing.T) {
 	}
 	if ev := pc.Evictions(); ev != 17 {
 		t.Fatalf("Evictions = %d, want 17 (20 distinct plans through capacity 3)", ev)
+	}
+}
+
+// TestCachedPlanReResolvesConstants: a plan compiled while the
+// dictionary lacks one of the query's constants must not pin that miss.
+// The same cached plan, asked again once the term exists and a triple
+// matches it, answers with the row — in subject and in object position.
+func TestCachedPlanReResolvesConstants(t *testing.T) {
+	d := rdf.NewDict()
+	g := rdf.NewGraphWithDict(d)
+	p := rdf.IRI("http://x/p")
+	g.Insert(rdf.Triple{S: rdf.IRI("http://x/early"), P: p, O: rdf.Literal("old")})
+	f := New(d)
+	if err := f.AddSource("g", g); err != nil {
+		t.Fatal(err)
+	}
+	f.SetPlanCache(NewPlanCache(4))
+
+	queries := []string{
+		`SELECT ?s WHERE { ?s <http://x/p> "new" . }`,
+		`SELECT ?o WHERE { <http://x/late> <http://x/p> ?o . }`,
+		`SELECT ?s ?o WHERE { ?s <http://x/p> "old" . OPTIONAL { <http://x/late> <http://x/p> ?o . } }`,
+	}
+	for _, q := range queries[:2] {
+		rs, err := f.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Rows) != 0 {
+			t.Fatalf("%s: %d rows before the term exists", q, len(rs.Rows))
+		}
+	}
+	if rs, err := f.Query(queries[2]); err != nil || len(rs.Rows) != 1 || len(rs.Rows[0].Binding) != 1 {
+		t.Fatalf("%s: rows %v, err %v; want one row with ?o unbound", queries[2], rs, err)
+	}
+
+	late := rdf.IRI("http://x/late")
+	g.Insert(rdf.Triple{S: late, P: p, O: rdf.Literal("new")})
+	hits, _ := f.PlanCacheStats()
+	for i, want := range []sparql.Binding{
+		{"s": late},
+		{"o": rdf.Literal("new")},
+		{"s": rdf.IRI("http://x/early"), "o": rdf.Literal("new")},
+	} {
+		rs, err := f.Query(queries[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Rows) != 1 || !reflect.DeepEqual(rs.Rows[0].Binding, want) {
+			t.Fatalf("%s: rows %v after the term was interned, want %v", queries[i], rs.Rows, want)
+		}
+	}
+	if after, _ := f.PlanCacheStats(); after != hits+3 {
+		t.Fatalf("plan cache hits %d -> %d: the answers did not come from the cached plans", hits, after)
 	}
 }

@@ -2,8 +2,12 @@ package federation
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
+	"alex/internal/links"
+	"alex/internal/paris"
 	"alex/internal/rdf"
 	"alex/internal/synth"
 )
@@ -74,19 +78,93 @@ func benchFederation(b *testing.B) (*Federator, string) {
 	return f, query
 }
 
-// BenchmarkFederatedQuery measures end-to-end query latency in two
-// configurations:
+// joinShapeWorld builds what bench/e2e's join_disk workload queries —
+// the dbpedia-opencyc synth pair at the given scale (the benchmark runs
+// 0.5) with PARIS's links installed, on the mem backend — and one text
+// of each of that workload's three shapes. The texts are bench/e2e's
+// (ops.go, joinTexts, i = 0), copied because the benchmark is a module
+// of its own:
+//
+//   - sel: one category's entities with label, cross-source name and
+//     birth date and an OPTIONAL hometown; five patterns, few rows.
+//   - filter: the shared "Thing" type joined to labels and cross-source
+//     birth dates after a threshold; FILTER, ORDER BY, LIMIT.
+//   - wide: every label joined to the cross-source hometown, top LIMIT
+//     by a three-key ORDER BY; the shape that owns join_disk's mean.
+func joinShapeWorld(tb testing.TB, scale float64) (*Federator, map[string]string) {
+	tb.Helper()
+	prof, ok := synth.ProfileByName("dbpedia-opencyc")
+	if !ok {
+		tb.Fatal("missing profile")
+	}
+	ds := synth.Generate(prof.Scale(scale))
+	f := New(ds.Dict)
+	if err := f.AddSource("ds1", ds.G1); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.AddSource("ds2", ds.G2); err != nil {
+		tb.Fatal(err)
+	}
+	ls := links.NewSet()
+	for _, s := range paris.Link(ds.G1, ds.G2, ds.Entities1, ds.Entities2, paris.NewOptions()) {
+		ls.Add(s.Link)
+	}
+	f.SetLinks(ls)
+
+	// The first category and birth date present, in lexical order.
+	first := func(pred rdf.Term) string {
+		pid, ok := ds.Dict.Lookup(pred)
+		if !ok {
+			tb.Fatalf("predicate %v missing from dictionary", pred)
+		}
+		var vals []string
+		ds.G1.ForEachMatchIDs(0, pid, 0, false, true, false, func(_, _, o rdf.ID) bool {
+			vals = append(vals, ds.Dict.Term(o).Value)
+			return true
+		})
+		sort.Strings(vals)
+		return vals[0]
+	}
+	texts := map[string]string{
+		"sel": fmt.Sprintf(
+			"SELECT ?e ?l ?n ?b ?h WHERE { ?e <%s> %q . ?e <%s> ?l . ?e <%s> ?n . ?e <%s> ?b . OPTIONAL { ?e <%s> ?h . } } ORDER BY ?l ?e ?n ?b ?h",
+			synth.P1Cat.Value, first(synth.P1Cat), synth.P1Label.Value, synth.P2Name.Value, synth.P2Born.Value, synth.P2Place.Value),
+		"filter": fmt.Sprintf(
+			"SELECT ?e ?l ?b WHERE { ?e <%s> \"Thing\" . ?e <%s> ?l . ?e <%s> ?b . FILTER(?b > \"%s\"^^<%s>) } ORDER BY ?b ?e ?l LIMIT 20",
+			synth.P1Type.Value, synth.P1Label.Value, synth.P2Born.Value, first(synth.P1Birth), rdf.XSDDate),
+		"wide": fmt.Sprintf(
+			"SELECT ?e ?l ?h WHERE { ?e <%s> ?l . ?e <%s> ?h . } ORDER BY ?l ?e ?h LIMIT 50",
+			synth.P1Label.Value, synth.P2Place.Value),
+	}
+	for name, q := range texts {
+		rs, err := f.Query(q)
+		if err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		if len(rs.Rows) == 0 {
+			tb.Fatalf("%s returned no rows", name)
+		}
+	}
+	return f, texts
+}
+
+// BenchmarkFederatedQuery measures query latency inside the process:
 //
 //   - cold: parsing and planning on every call.
 //   - warm: a pre-warmed plan cache, the steady state of alexd's
 //     /query loop.
+//   - sel, filter, wide: bench/e2e's three join_disk shapes, parsed and
+//     planned on every call as that workload's cyclic walk makes them
+//     (see joinShapeWorld). These rows explain the end-to-end
+//     federation.query_us.{sel,filter,wide}; they are not a figure of
+//     their own.
 //
-// `make bench-query` records both as BENCH_query.json, at every -cpu
+// `make bench-query` records them as BENCH_query.json, at every -cpu
 // value the host has cores for.
 func BenchmarkFederatedQuery(b *testing.B) {
 	f, query := benchFederation(b)
 
-	run := func(b *testing.B, fed *Federator) {
+	run := func(b *testing.B, fed *Federator, query string) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -98,7 +176,7 @@ func BenchmarkFederatedQuery(b *testing.B) {
 	}
 
 	b.Run("cold", func(b *testing.B) {
-		run(b, withOptions(f, Options{}))
+		run(b, withOptions(f, Options{}), query)
 	})
 	b.Run("warm", func(b *testing.B) {
 		fed := withOptions(f, Options{})
@@ -106,6 +184,65 @@ func BenchmarkFederatedQuery(b *testing.B) {
 		if _, err := fed.Query(query); err != nil { // prime the cache
 			b.Fatal(err)
 		}
-		run(b, fed)
+		run(b, fed, query)
 	})
+
+	scale := 0.5
+	if testing.Short() {
+		scale = 0.1
+	}
+	shapes, texts := joinShapeWorld(b, scale)
+	for _, name := range []string{"sel", "filter", "wide"} {
+		b.Run(name, func(b *testing.B) {
+			run(b, shapes, texts[name])
+		})
+	}
+}
+
+// TestWideQueryAllocationsFollowSurvivors guards the row representation
+// where it matters most, bench/e2e's wide shape: the label scan emits a
+// row per dataset-1 entity, a few of which reach a hometown across a
+// sameAs link, and LIMIT keeps five. A warm evaluation may allocate
+// for what it returns (bindings, provenance sets), one provenance node
+// per row that crossed a link, and a fixed handful of blocks, sort keys
+// and bookkeeping — not per intermediate row. A map per row, or a
+// decoded term per row, is one allocation or more for each of them and
+// fails the bound several times over.
+func TestWideQueryAllocationsFollowSurvivors(t *testing.T) {
+	f, texts := joinShapeWorld(t, 0.1)
+	fed := withOptions(f, Options{Workers: 1})
+	fed.SetPlanCache(NewPlanCache(4))
+
+	all, err := fed.Query(strings.Replace(texts["wide"], "LIMIT 50", "", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	label, _ := f.dict.Lookup(synth.P1Label)
+	scanned := f.sources[0].Graph.CountMatch(0, label, 0, false, true, false)
+	crossed := len(all.Rows)
+	const survivors = 5
+	if crossed <= survivors || scanned < 5*crossed {
+		t.Fatalf("world changed shape (%d labels, %d joined rows); the bound below proves nothing", scanned, crossed)
+	}
+
+	query := strings.Replace(texts["wide"], "LIMIT 50", fmt.Sprintf("LIMIT %d", survivors), 1)
+	if rs, err := fed.Query(query); err != nil || len(rs.Rows) != survivors { // also warms the plan cache
+		t.Fatalf("rows %v, err %v", rs, err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := fed.Query(query); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 8 per returned row: its binding and provenance set (a map header
+	// and a bucket each), its grouping key, its share of the result
+	// slices. 64 fixed: evaluation context, two matchers, the doubling
+	// of two blocks' backing arrays, order keys, Finalize's index slices.
+	bound := float64(crossed + 8*survivors + 64)
+	if bound >= float64(scanned) {
+		t.Fatalf("bound %v is not below the %d intermediate rows; it would pass a per-row allocation", bound, scanned)
+	}
+	if allocs > bound {
+		t.Errorf("%v allocations for %d scanned rows, %d joined, %d returned; bound %v", allocs, scanned, crossed, survivors, bound)
+	}
 }

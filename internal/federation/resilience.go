@@ -136,6 +136,10 @@ type evalCtx struct {
 	// learned is the plan's validated cross-query observation table, or
 	// nil when it holds no usable (or only stale) data.
 	learned *obsTable
+	// pats is the plan's compiled pattern table by stage id: plan.pats
+	// itself, or a copy with constants resolved afresh when the plan was
+	// compiled before the dictionary held them all.
+	pats []cpattern
 }
 
 // learnedExpansion returns the learned per-row multiplier of a stage

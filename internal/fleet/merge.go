@@ -17,8 +17,8 @@
 //     (never the sum) means N agreeing shards contribute each row
 //     exactly as many times as any one of them did.
 //   - Row identity is an injective encoding of the bindings AND the
-//     provenance links (PR-5's projectionKey discipline: every field
-//     length-prefixed, so no concatenation of distinct rows collides).
+//     provenance links (every field length-prefixed, so no
+//     concatenation of distinct rows collides).
 //   - DegradedSources keeps first-response order, filtered to sources
 //     degraded in EVERY response — a source only the slowest shard saw
 //     as down is not reported down fleet-wide. Equal responses pass

@@ -19,6 +19,9 @@ package links
 type Frozen struct {
 	parent *Frozen
 	delta  []Link
+	// one backs delta when a node adds a single link — one sameAs hop,
+	// the common case — so that such a node is one allocation.
+	one [1]Link
 }
 
 // NewFrozen returns a frozen set holding the given links.
@@ -30,7 +33,8 @@ func NewFrozen(ls ...Link) *Frozen {
 // is unchanged. When every link in ls is already present the receiver
 // itself is returned, so no-op extensions are free.
 func (f *Frozen) With(ls ...Link) *Frozen {
-	var add []Link
+	var buf [3]Link // a triple pattern crosses at most three links
+	add := buf[:0]
 	for _, l := range ls {
 		if !f.Has(l) && !linkIn(add, l) {
 			add = append(add, l)
@@ -39,7 +43,14 @@ func (f *Frozen) With(ls ...Link) *Frozen {
 	if len(add) == 0 {
 		return f
 	}
-	return &Frozen{parent: f, delta: add}
+	n := &Frozen{parent: f}
+	if len(add) == 1 {
+		n.one[0] = add[0]
+		n.delta = n.one[:]
+	} else {
+		n.delta = append([]Link(nil), add...)
+	}
+	return n
 }
 
 func linkIn(ls []Link, l Link) bool {
@@ -80,10 +91,15 @@ func (f *Frozen) Empty() bool { return f.Len() == 0 }
 // The result is owned by the caller.
 func (f *Frozen) Set() Set {
 	out := make(Set, f.Len())
+	f.AddTo(out)
+	return out
+}
+
+// AddTo inserts every link of the frozen set into s.
+func (f *Frozen) AddTo(s Set) {
 	for node := f; node != nil; node = node.parent {
 		for _, l := range node.delta {
-			out[l] = struct{}{}
+			s[l] = struct{}{}
 		}
 	}
-	return out
 }

@@ -111,6 +111,21 @@ func waitForSnapshotEpisode(t *testing.T, s *Server, n int) {
 	}
 }
 
+// waitForCheckpoints polls until the writer has completed n journal
+// checkpoints. The counter moves at the very end of the post-episode
+// work, so once it reads n the writer touches neither the engine nor
+// the store until the next feedback item arrives.
+func waitForCheckpoints(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.metrics.checkpoints.Value() < uint64(n) {
+		if time.Now().After(deadline) {
+			t.Fatalf("writer never completed checkpoint %d (at %d)", n, s.metrics.checkpoints.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func getHealth(t *testing.T, url string) HealthResponse {
 	t.Helper()
 	resp, err := http.Get(url + "/healthz")
@@ -334,15 +349,22 @@ func TestCrashDuringStoreCompaction(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 
-	// Ack a prefix of feedback while the store is clean.
+	// Ack a prefix of feedback while the store is clean, one episode at
+	// a time, each through to its journal checkpoint: that is the last
+	// thing the writer does after an episode (the snapshot is published
+	// before it compacts and checkpoints the store), and with nothing
+	// queued behind the item it is never skipped.
 	script := feedbackScript(5)
 	for i := 0; i < 4; i++ {
 		if code := postFeedback(t, ts.URL, script[i]); code != http.StatusAccepted {
 			t.Fatalf("feedback %d: status %d", i, code)
 		}
+		waitForCheckpoints(t, s, i+1)
 	}
-	waitForSnapshotEpisode(t, s, 4)
 
+	// The writer is idle, so this goroutine may stand in for the
+	// store's single writer (rdf.Dict and the delta are not safe for
+	// concurrent mutation, and alexd never mutates them while serving).
 	// Dirty the store (an inert triple on a fresh subject, so link
 	// inference is unaffected), then fail every rename: the compaction
 	// triggered by the next episode tears before its commit point.

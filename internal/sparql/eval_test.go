@@ -97,6 +97,43 @@ func TestExecuteOptional(t *testing.T) {
 	}
 }
 
+// TestExecuteOrderByUnboundOptional: a variable an OPTIONAL left unbound
+// is absent from the projected row and orders as the empty string —
+// before every bound value ascending, after them descending.
+func TestExecuteOrderByUnboundOptional(t *testing.T) {
+	g := testGraph()
+	const where = `WHERE {
+		?p <http://ex/name> ?n .
+		OPTIONAL { ?p <http://ex/knows> ?f . }
+	}`
+	for _, tc := range []struct {
+		order string
+		names []string
+	}{
+		{"ORDER BY ?f ?n", []string{"Bob", "Carol", "Alice"}},
+		{"ORDER BY DESC(?f) DESC(?n)", []string{"Alice", "Carol", "Bob"}},
+	} {
+		res := mustExec(t, g, "SELECT ?n ?f "+where+" "+tc.order)
+		if len(res.Rows) != len(tc.names) {
+			t.Fatalf("%s: rows = %d, want %d", tc.order, len(res.Rows), len(tc.names))
+		}
+		for i, r := range res.Rows {
+			if r["n"].Value != tc.names[i] {
+				t.Fatalf("%s: row %d is %v, want %s", tc.order, i, r, tc.names[i])
+			}
+			f, bound := r["f"]
+			if want := tc.names[i] == "Alice"; bound != want || bound && f != rdf.IRI("http://ex/bob") {
+				t.Fatalf("%s: row %d binds ?f to %v (bound %v)", tc.order, i, f, bound)
+			}
+		}
+	}
+	// SELECT * lists the group's own variables before the OPTIONAL's.
+	res := mustExec(t, g, "SELECT * "+where)
+	if fmt.Sprint(res.Vars) != "[p n f]" {
+		t.Fatalf("SELECT * vars = %v, want [p n f]", res.Vars)
+	}
+}
+
 func TestExecuteUnion(t *testing.T) {
 	g := testGraph()
 	res := mustExec(t, g, `SELECT ?p WHERE {

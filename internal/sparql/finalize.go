@@ -2,12 +2,31 @@ package sparql
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"alex/internal/rdf"
 )
+
+// Solutions is the raw solution sequence of a WHERE clause in
+// dictionary-ID form, as internal/federation produces it: N rows of
+// len(Vars) IDs each, row-major in IDs. IDs[i*len(Vars)+j] is what row
+// i binds Vars[j] to; rdf.NoID leaves it unbound. Vars is the clause's
+// variables in WhereVars order.
+type Solutions struct {
+	Vars []string
+	IDs  []rdf.ID
+	N    int
+}
+
+func (s Solutions) row(i int) []rdf.ID {
+	w := len(s.Vars)
+	return s.IDs[i*w : (i+1)*w]
+}
+
+// column returns the index of v in Vars, or -1: a variable the WHERE
+// clause never mentions is unbound in every solution.
+func (s Solutions) column(v string) int { return slices.Index(s.Vars, v) }
 
 // Result holds finalized query solutions in projection order. For ASK
 // queries Rows is empty and Ask carries the answer.
@@ -15,90 +34,260 @@ type Result struct {
 	Vars []string
 	Rows []Binding
 	Ask  bool
+	// Group and Members say which input solutions each row stands for,
+	// so that a caller holding per-solution data (the federation's link
+	// provenance) can carry it across projection, DISTINCT and LIMIT.
+	// Rows[k] belongs to group Group[k]; rows share a group exactly when
+	// they project onto the same ID tuple, and Members[g] lists, in
+	// ascending order, every input solution with that tuple — including
+	// the ones DISTINCT, OFFSET or LIMIT dropped. Both are nil for
+	// aggregate queries, whose rows stand for whole GROUP BY groups.
+	Group   []int32
+	Members [][]int32
 }
 
 // Finalize applies aggregation, projection, DISTINCT, ORDER BY, OFFSET,
-// and LIMIT to the raw solutions of q's WHERE clause. Producing those
-// solutions is internal/federation's job: this package is the query
-// language only and never touches a store.
-func Finalize(q *Query, rows []Binding) (*Result, error) {
+// and LIMIT to the raw solutions of q's WHERE clause, and decodes the
+// rows that survive through d. Producing the solutions is
+// internal/federation's job: this package is the query language only
+// and never touches a store. Everything up to LIMIT works on row
+// indices and dictionary IDs; a term is looked up only where the
+// language compares lexical forms (DISTINCT on literals that render
+// alike, ORDER BY keys, aggregates) and when a surviving row is decoded.
+func Finalize(q *Query, d *rdf.Dict, sols Solutions) (*Result, error) {
 	if q.Form == FormAsk {
-		return &Result{Ask: len(rows) > 0}, nil
+		return &Result{Ask: sols.N > 0}, nil
 	}
 	vars := append([]string(nil), q.Vars...)
-	if len(q.Aggregates) > 0 {
-		agg, err := aggregate(q, rows)
+	grouped := len(q.Aggregates) > 0
+	if grouped {
+		agg, err := aggregate(q, sols.bindings(d))
 		if err != nil {
 			return nil, err
 		}
-		rows = agg
 		// Projection: the grouped variables that were projected, then
-		// the aggregate result names.
+		// the aggregate result names. Aggregate values are computed, not
+		// stored, terms: the grouped rows continue as ID rows over a
+		// private dictionary.
+		names := append([]string(nil), q.GroupBy...)
 		for _, spec := range q.Aggregates {
+			names = append(names, spec.As)
 			vars = append(vars, spec.As)
 		}
+		d = rdf.NewDict()
+		sols = encodeBindings(d, names, agg)
 	}
 	if len(vars) == 0 {
-		seen := map[string]bool{}
-		collectVars(q.Where, func(v string) {
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
-		})
+		vars = append(vars, sols.Vars...)
+	}
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		cols[i] = sols.column(v)
 	}
 
-	projected := make([]Binding, 0, len(rows))
-	for _, row := range rows {
-		pr := make(Binding, len(vars))
-		for _, v := range vars {
-			if t, ok := row[v]; ok {
-				pr[v] = t
-			}
-		}
-		projected = append(projected, pr)
-	}
-
+	// keep holds the surviving input rows, in output order.
+	keep := make([]int32, 0, sols.N)
 	if q.Distinct {
-		seen := map[string]bool{}
-		uniq := projected[:0]
-		for _, row := range projected {
-			k := bindingKey(vars, row)
-			if !seen[k] {
-				seen[k] = true
-				uniq = append(uniq, row)
+		canon := canonicalIDs{d: d}
+		seen := make(map[string]struct{})
+		var key []byte
+		for i := 0; i < sols.N; i++ {
+			key = appendTupleKey(key[:0], sols.row(i), cols, canon.of)
+			if _, dup := seen[string(key)]; !dup {
+				seen[string(key)] = struct{}{}
+				keep = append(keep, int32(i))
 			}
 		}
-		projected = uniq
+	} else {
+		for i := 0; i < sols.N; i++ {
+			keep = append(keep, int32(i))
+		}
 	}
 
 	if len(q.OrderBy) > 0 {
-		sort.SliceStable(projected, func(i, j int) bool {
-			for _, key := range q.OrderBy {
-				c := compareTermsForOrder(projected[i][key.Var], projected[j][key.Var])
-				if c == 0 {
-					continue
-				}
-				if key.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+		sortRows(q.OrderBy, vars, d, sols, keep)
 	}
 
 	if q.Offset > 0 {
-		if q.Offset >= len(projected) {
-			projected = nil
+		if q.Offset >= len(keep) {
+			keep = nil
 		} else {
-			projected = projected[q.Offset:]
+			keep = keep[q.Offset:]
 		}
 	}
-	if q.Limit >= 0 && q.Limit < len(projected) {
-		projected = projected[:q.Limit]
+	if q.Limit >= 0 && q.Limit < len(keep) {
+		keep = keep[:q.Limit]
 	}
-	return &Result{Vars: vars, Rows: projected}, nil
+
+	res := &Result{Vars: vars, Rows: make([]Binding, len(keep))}
+	for k, i := range keep {
+		row := sols.row(int(i))
+		b := make(Binding, len(vars))
+		for j, v := range vars {
+			if c := cols[j]; c >= 0 && row[c] != rdf.NoID {
+				b[v] = d.Term(row[c])
+			}
+		}
+		res.Rows[k] = b
+	}
+	if !grouped {
+		res.Group, res.Members = groupByTuple(sols, cols, keep)
+	}
+	return res, nil
+}
+
+// bindings decodes every solution; only aggregation needs that.
+func (s Solutions) bindings(d *rdf.Dict) []Binding {
+	out := make([]Binding, s.N)
+	for i := range out {
+		b := make(Binding, len(s.Vars))
+		for j, id := range s.row(i) {
+			if id != rdf.NoID {
+				b[s.Vars[j]] = d.Term(id)
+			}
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// encodeBindings is the inverse of Solutions.bindings, interning the
+// rows' terms into d.
+func encodeBindings(d *rdf.Dict, vars []string, rows []Binding) Solutions {
+	s := Solutions{Vars: vars, N: len(rows), IDs: make([]rdf.ID, 0, len(rows)*len(vars))}
+	for _, b := range rows {
+		for _, v := range vars {
+			id := rdf.NoID
+			if t, ok := b[v]; ok {
+				id = d.Intern(t)
+			}
+			s.IDs = append(s.IDs, id)
+		}
+	}
+	return s
+}
+
+// appendTupleKey appends the map-key encoding of a row's projection:
+// four bytes per projected variable, rdf.NoID for an unbound one. The
+// width is fixed, so distinct tuples cannot collide.
+func appendTupleKey(key []byte, row []rdf.ID, cols []int, id func(rdf.ID) rdf.ID) []byte {
+	for _, c := range cols {
+		v := rdf.NoID
+		if c >= 0 {
+			v = id(row[c])
+		}
+		key = binary.LittleEndian.AppendUint32(key, uint32(v))
+	}
+	return key
+}
+
+func sameID(id rdf.ID) rdf.ID { return id }
+
+// canonicalIDs maps dictionary IDs to representatives of DISTINCT's
+// equality, which is equality of the N-Triples rendering
+// (Term.String()). The rendering leaves fields out — the datatype of a
+// literal that is xsd:string or language-tagged, datatype and language
+// of anything but a literal — so several IDs can be one value. A term
+// with those fields empty is its own representative, and that, the
+// common case, does no hashing.
+type canonicalIDs struct {
+	d    *rdf.Dict
+	memo map[rdf.Term]rdf.ID // rendered forms absent from d → first ID seen
+}
+
+func (c *canonicalIDs) of(id rdf.ID) rdf.ID {
+	if id == rdf.NoID {
+		return id
+	}
+	t := c.d.Term(id)
+	n := t
+	switch {
+	case !t.IsLiteral():
+		n.Datatype, n.Lang = "", ""
+	case t.Lang != "" || t.Datatype == rdf.XSDString:
+		n.Datatype = ""
+	}
+	if n == t {
+		return id
+	}
+	if nid, ok := c.d.Lookup(n); ok {
+		return nid
+	}
+	if first, ok := c.memo[n]; ok {
+		return first
+	}
+	if c.memo == nil {
+		c.memo = make(map[rdf.Term]rdf.ID)
+	}
+	c.memo[n] = id
+	return id
+}
+
+// groupByTuple computes Result.Group and Result.Members: the surviving
+// rows are numbered by projected ID tuple in order of first appearance,
+// then every input row is probed against those tuples.
+func groupByTuple(sols Solutions, cols []int, keep []int32) (group []int32, members [][]int32) {
+	if len(keep) == 0 {
+		return nil, nil
+	}
+	group = make([]int32, len(keep))
+	if sols.N == 1 {
+		return group, [][]int32{{0}}
+	}
+	index := make(map[string]int32, len(keep))
+	var key []byte
+	for k, i := range keep {
+		key = appendTupleKey(key[:0], sols.row(int(i)), cols, sameID)
+		g, ok := index[string(key)]
+		if !ok {
+			g = int32(len(index))
+			index[string(key)] = g
+		}
+		group[k] = g
+	}
+	// Members in one backing array: count, then fill.
+	of := make([]int32, sols.N)
+	start := make([]int32, len(index)+1)
+	for i := range of {
+		key = appendTupleKey(key[:0], sols.row(i), cols, sameID)
+		g, ok := index[string(key)]
+		if !ok {
+			g = -1
+		} else {
+			start[g+1]++
+		}
+		of[i] = g
+	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	flat := make([]int32, start[len(index)])
+	members = make([][]int32, len(index))
+	for g := range members {
+		members[g] = flat[start[g]:start[g]:start[g+1]]
+	}
+	for i, g := range of {
+		if g >= 0 {
+			members[g] = append(members[g], int32(i))
+		}
+	}
+	return group, members
+}
+
+// WhereVars returns the variables of a WHERE clause's triple patterns
+// in order of first appearance — a group's own triples, then its
+// OPTIONALs, then its UNIONs. This is the order SELECT * projects in
+// and the column order of Solutions.
+func WhereVars(g *GroupGraphPattern) []string {
+	var vars []string
+	seen := map[string]bool{}
+	collectVars(g, func(v string) {
+		if !seen[v] {
+			seen[v] = true
+			vars = append(vars, v)
+		}
+	})
+	return vars
 }
 
 func collectVars(g *GroupGraphPattern, fn func(string)) {
@@ -120,7 +309,7 @@ func collectVars(g *GroupGraphPattern, fn func(string)) {
 	}
 }
 
-// bindingKey encodes a projected row as a DISTINCT map key: per
+// bindingKey encodes the vars of a decoded row as a grouping key: per
 // variable, 0x00 when unbound, else 0x01 and the length-prefixed
 // rendering of the term. A separator alone cannot tell rows apart when
 // a term contains the separator byte.
@@ -139,23 +328,4 @@ func bindingKey(vars []string, b Binding) string {
 		sb.WriteString(s)
 	}
 	return sb.String()
-}
-
-func compareTermsForOrder(a, b rdf.Term) int {
-	as, bs := a.Value, b.Value
-	// numeric-aware ordering
-	var af, bf float64
-	if _, errA := fmt.Sscanf(as, "%g", &af); errA == nil {
-		if _, errB := fmt.Sscanf(bs, "%g", &bf); errB == nil {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
-		}
-	}
-	return strings.Compare(as, bs)
 }

@@ -3,6 +3,7 @@ package sparql_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -117,19 +118,45 @@ func segmentedTwin(t *testing.T, g *rdf.Graph) *store.Segmented {
 	return seg
 }
 
+// firstAppearance lists the patterns' variables in order of first
+// appearance, reading each pattern S, P, O: the order SELECT * must
+// project in.
+func firstAppearance(patterns []sparql.TriplePattern) []string {
+	var vars []string
+	for _, tp := range patterns {
+		for _, n := range []sparql.Node{tp.S, tp.P, tp.O} {
+			if n.IsVar && !slices.Contains(vars, n.Var) {
+				vars = append(vars, n.Var)
+			}
+		}
+	}
+	return vars
+}
+
 // TestEngineMatchesBruteForce compares the engine against the reference
 // on randomly generated small graphs and random 1-3 pattern BGPs, over
-// both store backends.
+// both store backends, serially and with four workers (graphs reach 30
+// triples, past the fan-out threshold, so workers fill blocks of their
+// own that are merged in order). Objects are literals or subject IRIs,
+// and the three variable names land in any position, so patterns that
+// repeat a variable (?a ?b ?a) and joins from object to subject occur
+// and can match. SELECT * must list the variables in order of first
+// appearance.
 func TestEngineMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(20250706))
+	repeated := 0
 	for trial := 0; trial < 60; trial++ {
 		g := rdf.NewGraph()
-		nTriples := 3 + rng.Intn(10)
+		nTriples := 3 + rng.Intn(28)
 		for i := 0; i < nTriples; i++ {
+			o := rdf.Literal(fmt.Sprintf("o%d", rng.Intn(4)))
+			if rng.Intn(3) == 0 {
+				o = rdf.IRI(fmt.Sprintf("http://s/%d", rng.Intn(4)))
+			}
 			g.Insert(rdf.Triple{
 				S: rdf.IRI(fmt.Sprintf("http://s/%d", rng.Intn(4))),
 				P: rdf.IRI(fmt.Sprintf("http://p/%d", rng.Intn(3))),
-				O: rdf.Literal(fmt.Sprintf("o%d", rng.Intn(4))),
+				O: o,
 			})
 		}
 		nPatterns := 1 + rng.Intn(3)
@@ -152,35 +179,49 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 				P: node(0, "p", 3),
 				O: node(1, "o", 4),
 			}
+			if tp := patterns[i]; tp.S.IsVar && tp.O.IsVar && tp.S.Var == tp.O.Var {
+				repeated++
+			}
 		}
 
 		q := &sparql.Query{Limit: -1, Where: &sparql.GroupGraphPattern{Triples: patterns}}
 		want := bruteForceBGP(g, patterns)
 		for backend, src := range map[string]store.TripleStore{"mem": g, "disk": segmentedTwin(t, g)} {
-			got, err := federation.Single(src).Eval(q)
-			if err != nil {
-				t.Fatalf("trial %d (%s): %v", trial, backend, err)
-			}
-			rows := make([]sparql.Binding, len(got.Rows))
-			for i, r := range got.Rows {
-				if r.Used.Len() != 0 {
-					t.Fatalf("trial %d (%s): single-source row carries provenance %v", trial, backend, r.Used.Slice())
+			for _, workers := range []int{1, 4} {
+				label := fmt.Sprintf("trial %d (%s, %d workers)", trial, backend, workers)
+				fed := federation.Single(src)
+				fed.SetOptions(federation.Options{Workers: workers})
+				got, err := fed.Eval(q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				rows[i] = r.Binding
-			}
+				if order := firstAppearance(patterns); !slices.Equal(got.Vars, order) {
+					t.Fatalf("%s: SELECT * projects %v, first appearance is %v\npatterns: %+v", label, got.Vars, order, patterns)
+				}
+				rows := make([]sparql.Binding, len(got.Rows))
+				for i, r := range got.Rows {
+					if r.Used.Len() != 0 {
+						t.Fatalf("%s: single-source row carries provenance %v", label, r.Used.Slice())
+					}
+					rows[i] = r.Binding
+				}
 
-			gotC := canonicalize(got.Vars, rows)
-			wantC := canonicalize(got.Vars, want)
-			if len(gotC) != len(wantC) {
-				t.Fatalf("trial %d (%s): engine %d rows, brute force %d rows\npatterns: %+v",
-					trial, backend, len(gotC), len(wantC), patterns)
-			}
-			for i := range gotC {
-				if gotC[i] != wantC[i] {
-					t.Fatalf("trial %d (%s): row %d differs:\n engine %s\n brute  %s", trial, backend, i, gotC[i], wantC[i])
+				gotC := canonicalize(got.Vars, rows)
+				wantC := canonicalize(got.Vars, want)
+				if len(gotC) != len(wantC) {
+					t.Fatalf("%s: engine %d rows, brute force %d rows\npatterns: %+v",
+						label, len(gotC), len(wantC), patterns)
+				}
+				for i := range gotC {
+					if gotC[i] != wantC[i] {
+						t.Fatalf("%s: row %d differs:\n engine %s\n brute  %s", label, i, gotC[i], wantC[i])
+					}
 				}
 			}
 		}
+	}
+	if repeated == 0 {
+		t.Fatal("no pattern repeated a variable across subject and object; the seed no longer covers that case")
 	}
 }
 
