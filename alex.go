@@ -26,9 +26,7 @@ package alex
 
 import (
 	"math/rand"
-	"net"
 
-	"alex/internal/cluster"
 	"alex/internal/core"
 	"alex/internal/eval"
 	"alex/internal/federation"
@@ -244,18 +242,3 @@ type FeatureStat = core.FeatureStat
 func FormatFeatureStats(d *Dict, stats []FeatureStat) string {
 	return core.FormatFeatureStats(d, stats)
 }
-
-// Distributed execution (paper §6.2, multi-machine setting).
-type (
-	// ClusterCoordinator drives remote workers through episodes.
-	ClusterCoordinator = cluster.Coordinator
-	// ClusterWorker serves one dataset shard over RPC.
-	ClusterWorker = cluster.Worker
-)
-
-// ServeWorker serves ALEX shards on a listener; it blocks until the
-// listener closes. Pair with DialCluster on the coordinator side.
-func ServeWorker(l net.Listener) error { return cluster.Serve(l) }
-
-// DialCluster connects a coordinator to worker addresses.
-func DialCluster(addrs []string) (*ClusterCoordinator, error) { return cluster.Dial(addrs) }

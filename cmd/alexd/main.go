@@ -65,8 +65,6 @@ func main() {
 	ds2Path := flag.String("ds2", "", "N-Triples file of dataset 2")
 	linksPath := flag.String("links", "", "N-Triples file of initial owl:sameAs links (default: run the PARIS linker)")
 	partitions := flag.Int("partitions", 0, "ALEX partitions (0 = profile default or 1)")
-	spaceWorkers := flag.Int("space-workers", 0, "goroutines per feature-space build (0 = GOMAXPROCS)")
-	blocking := flag.Bool("block", false, "enable candidate blocking during space construction")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 	episodeSize := flag.Int("episode-size", 100, "link-level feedback items per serving episode")
 	queueSize := flag.Int("queue", 1024, "feedback queue capacity (full queue -> 429)")
@@ -308,9 +306,7 @@ func main() {
 	if *partitions > 0 {
 		cfg.Partitions = *partitions
 	}
-	cfg.SpaceWorkers = *spaceWorkers
-	cfg.SpaceBlocking = *blocking
-	log.Printf("building ALEX system (%d partitions, blocking %v)...", cfg.Partitions, *blocking)
+	log.Printf("building ALEX system (%d partitions)...", cfg.Partitions)
 	sys := core.New(t1, t2, e1, e2, initial, cfg)
 
 	srv, err := server.New(sys, dict, []federation.Source{

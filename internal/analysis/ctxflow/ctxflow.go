@@ -1,8 +1,7 @@
 // Package ctxflow enforces deadline propagation on the fleet's request
-// paths: every outbound request made from internal/server,
-// internal/cluster or internal/fleet must be scopeable by the caller's
-// context, and no request path may manufacture an unbounded
-// context.Background().
+// paths: every outbound request made from internal/server or
+// internal/fleet must be scopeable by the caller's context, and no
+// request path may manufacture an unbounded context.Background().
 //
 // The fleet's availability story (hedged reads, circuit breakers,
 // scatter-gather deadlines — DESIGN.md) assumes a slow shard can always
@@ -52,7 +51,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc:  "flags outbound requests that cannot be scoped by the caller's context",
 	Match: func(p string) bool {
-		return analysis.PathHasAny(p, "alex/internal/server", "alex/internal/cluster", "alex/internal/fleet")
+		return analysis.PathHasAny(p, "alex/internal/server", "alex/internal/fleet")
 	},
 	Run: run,
 }

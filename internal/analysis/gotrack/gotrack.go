@@ -1,6 +1,6 @@
 // Package gotrack forbids orphan goroutines in the daemon packages:
-// every goroutine launched in internal/server, internal/cluster,
-// internal/fleet and internal/faultnet must be tied to a shutdown or
+// every goroutine launched in internal/server, internal/fleet,
+// internal/faultnet and internal/store must be tied to a shutdown or
 // completion path.
 //
 // alexd's graceful drain (Server.Close) and the chaos tests' crash
@@ -25,8 +25,8 @@
 // Launched named functions and methods of the same package are checked
 // by their declared body; for functions of other packages only the
 // launch-site WaitGroup rule can vouch, so `go srv.ServeConn(conn)`
-// with no Add is a finding — the shape internal/cluster shipped before
-// this PR.
+// with no Add is a finding — the shape the net/rpc worker (deleted
+// since) first shipped with.
 package gotrack
 
 import (
@@ -44,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "gotrack",
 	Doc:  "flags goroutines not tied to a WaitGroup, done-channel, context, or stop-channel",
 	Match: func(p string) bool {
-		return analysis.PathHasAny(p, "alex/internal/server", "alex/internal/cluster", "alex/internal/fleet", "alex/internal/faultnet", "alex/internal/store", "alex/cmd")
+		return analysis.PathHasAny(p, "alex/internal/server", "alex/internal/fleet", "alex/internal/faultnet", "alex/internal/store", "alex/cmd")
 	},
 	Run: run,
 }

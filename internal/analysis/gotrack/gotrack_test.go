@@ -9,7 +9,7 @@ import (
 
 func TestGotrack(t *testing.T) {
 	analysistest.Run(t, gotrack.Analyzer,
-		"testdata/src/a", // orphan launches (pre-fix cluster.Serve shape)
+		"testdata/src/a", // orphan launches (an accept loop serving untracked connections)
 		"testdata/src/b", // done-channel, WaitGroup, context, stop-channel ties
 	)
 }

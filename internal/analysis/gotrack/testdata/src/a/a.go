@@ -1,6 +1,6 @@
-// Fixture a: orphan launches. The first is the exact shape
-// internal/cluster's Serve loop shipped before this PR: RPC connections
-// served by goroutines nothing waits for.
+// Fixture a: orphan launches. The first is the exact shape the (since
+// deleted) net/rpc worker's Serve loop first shipped with: RPC
+// connections served by goroutines nothing waits for.
 package a
 
 import (

@@ -40,7 +40,7 @@ func addDone(work func()) *sync.WaitGroup {
 	return &wg
 }
 
-// serveTracked is cluster.Serve after the fix: every connection
+// serveTracked is that Serve loop after the fix: every connection
 // goroutine registered before launch, drained before return.
 func serveTracked(l net.Listener, srv *rpc.Server) error {
 	var wg sync.WaitGroup

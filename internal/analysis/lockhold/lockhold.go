@@ -21,8 +21,8 @@
 //   - a syntactic blocking channel operation: a send, a receive, a
 //     range over a channel, or a select with no default clause.
 //     Channel facts are deliberately not propagated through calls: a
-//     callee using channels for bounded internal parallelism (the
-//     core build under cluster's worker lock) does not block the
+//     callee using channels for bounded internal parallelism (a
+//     feature-space build under a caller's lock) does not block the
 //     caller indefinitely, and propagating would drown the analyzer
 //     in false positives (DESIGN.md decision 14).
 //

@@ -1,14 +1,20 @@
-// Fleet wire types: the partition and snapshot vocabulary shared by a
-// sharded alexd deployment (internal/fleet, internal/server and the
-// cmd/alexd / cmd/alexrouter binaries).
+// Package cluster is the wire contract of a sharded alexd fleet: the
+// partition, snapshot and transaction vocabulary shared by
+// internal/fleet, internal/server and the cmd/alexd / cmd/alexrouter
+// binaries. It holds types and pure functions only — it opens no
+// connection and starts no goroutine; the transport is the shards' and
+// the router's HTTP+JSON. (The name predates the fleet: the package
+// once also held a net/rpc coordinator/worker pair. The import path
+// stayed because bench/e2e imports FleetRanges and OwnerOf from it; a
+// fleet-named package waits for a PR that may touch the benchmark.)
 //
 // A fleet of N shards divides the 64-bit hash space into N contiguous
 // ranges; a dataset-1 entity belongs to the shard whose range contains
 // the FNV-1a hash of its IRI. Hashing the IRI (never the dictionary ID)
 // keeps ownership stable across nodes: every shard interns terms into
-// its own dictionary, exactly as the RPC cluster does, so only the
-// textual identity is comparable fleet-wide. The same ranges drive
-// three decisions that must agree or links are silently lost:
+// its own dictionary, so only the textual identity is comparable
+// fleet-wide. The same ranges drive three decisions that must agree or
+// links are silently lost:
 //
 //   - which entities a shard builds its ALEX partition over (cmd/alexd),
 //   - which shard the router sends a feedback link to (internal/fleet),
@@ -128,6 +134,13 @@ type ShardInfo struct {
 	ID    int       `json:"id"`
 	Addr  string    `json:"addr,omitempty"`
 	Range HashRange `json:"range"`
+}
+
+// LinkWire is a link as IRI strings, the form in which links cross the
+// fleet's JSON wire (SnapshotManifest, TxnPrepare).
+type LinkWire struct {
+	E1 string `json:"e1"`
+	E2 string `json:"e2"`
 }
 
 // SnapshotManifest is a shard's published link-set snapshot: the links

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"alex/internal/feature"
 	"alex/internal/links"
 	"alex/internal/rl"
@@ -29,7 +27,7 @@ type candInfo struct {
 type partition struct {
 	space *feature.Space
 	ctrl  *rl.Controller[links.Link, feature.Key]
-	rng   *rand.Rand
+	rng   *stream // shared with ctrl: action picks, ε-greedy draws, sampling
 
 	cands     map[links.Link]candInfo
 	order     []links.Link // append-only sampling order; lazily compacted
@@ -68,10 +66,10 @@ type partition struct {
 	rollbacks int
 }
 
-func newPartition(space *feature.Space, epsilon float64, rng *rand.Rand) *partition {
+func newPartition(space *feature.Space, epsilon float64, rng *stream) *partition {
 	return &partition{
 		space:      space,
-		ctrl:       rl.New[links.Link, feature.Key](epsilon, rng),
+		ctrl:       rl.New[links.Link, feature.Key](epsilon, rng.Rand),
 		rng:        rng,
 		cands:      make(map[links.Link]candInfo),
 		blacklist:  links.NewSet(),

@@ -18,11 +18,21 @@ const snapshotVersion = 1
 // service provider, §7.2) checkpoint everything ALEX has learned —
 // candidate links with their generation provenance, the blacklist,
 // feedback vote tallies, rollback state, and the per-partition
-// action-value tables and policies — and resume later.
+// action-value tables and policies — and resume later, exactly: the
+// snapshot also carries how far every random stream has been read,
+// each partition's sampling order and its annealed ε, so a restored
+// system given the same feedback makes the choices the saved one would
+// have made (TestResumeIsExact).
 //
 // A snapshot is only valid against a System built over the same
 // datasets with the same configuration and partition count: dictionary
 // IDs are positional, so the graphs must be loaded identically.
+//
+// Stream positions, Order and Epsilon are optional within
+// snapshotVersion 1: a snapshot written without them (gob decodes the
+// missing fields as zero) restores to streams at their seed, candidates
+// sampled in link order and the configured ε
+// (TestRestoreSnapshotWithoutPositions).
 
 type provWire struct {
 	State  links.Link
@@ -62,13 +72,20 @@ type partitionWire struct {
 	RolledBack []provWire
 	QTable     []rl.TableEntry[links.Link, feature.Key]
 	Policy     []rl.PolicyEntry[links.Link, feature.Key]
+	// Order is the sampling order verbatim, removed links included:
+	// sample draws an index into it, so its length and stale slots
+	// decide which link a given draw lands on.
+	Order   []links.Link
+	Epsilon float64
+	RandPos uint64
 }
 
 type systemWire struct {
-	Version   int
-	Episode   int
-	RelaxedAt int
-	Parts     []partitionWire
+	Version    int
+	Episode    int
+	RelaxedAt  int
+	SamplerPos uint64
+	Parts      []partitionWire
 }
 
 // Save writes a snapshot of the system's learned state. Take snapshots
@@ -76,9 +93,10 @@ type systemWire struct {
 // not persisted).
 func (s *System) Save(w io.Writer) error {
 	wire := systemWire{
-		Version:   snapshotVersion,
-		Episode:   s.ep,
-		RelaxedAt: s.relaxedAt,
+		Version:    snapshotVersion,
+		Episode:    s.ep,
+		RelaxedAt:  s.relaxedAt,
+		SamplerPos: s.rng.pos(),
 	}
 	for _, p := range s.parts {
 		wire.Parts = append(wire.Parts, exportPartition(p))
@@ -104,6 +122,7 @@ func (s *System) Restore(r io.Reader) error {
 	}
 	s.ep = wire.Episode
 	s.relaxedAt = wire.RelaxedAt
+	s.rng.seek(wire.SamplerPos)
 	s.prevCands = nil
 	return nil
 }
@@ -141,21 +160,28 @@ func exportPartition(p *partition) partitionWire {
 	}
 	sortProv(w.RolledBack)
 	w.QTable, w.Policy = p.ctrl.Export()
+	w.Order = p.order // encoded before Save returns, so no copy
+	w.Epsilon = p.ctrl.Epsilon()
+	w.RandPos = p.rng.pos()
 	return w
 }
 
 func importPartition(p *partition, w partitionWire) {
 	p.cands = make(map[links.Link]candInfo, len(w.Cands))
-	p.order = p.order[:0]
-	p.dead = 0
+	p.order = append(p.order[:0], w.Order...)
 	for _, cw := range w.Cands {
 		var gen *provKey
 		if cw.HasGen {
 			gen = &provKey{state: cw.Gen.State, action: cw.Gen.Action}
 		}
 		p.cands[cw.Link] = candInfo{gen: gen}
-		p.order = append(p.order, cw.Link)
+		if len(w.Order) == 0 {
+			p.order = append(p.order, cw.Link)
+		}
 	}
+	// Every add appends to order and every removal leaves its slot
+	// behind, so the stale slots are the difference in length.
+	p.dead = len(p.order) - len(p.cands)
 	p.blacklist = links.NewSet(w.Blacklist...)
 	p.approved = links.NewSet(w.Approved...)
 	p.posVotes = importVotes(w.PosVotes)
@@ -171,6 +197,10 @@ func importPartition(p *partition, w partitionWire) {
 		p.rolledBack[provKey{state: pk.State, action: pk.Action}] = true
 	}
 	p.ctrl.Import(w.QTable, w.Policy)
+	if w.Epsilon > 0 {
+		p.ctrl.SetEpsilon(w.Epsilon)
+	}
+	p.rng.seek(w.RandPos)
 	p.resetEpisodeCounters()
 }
 

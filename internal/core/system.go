@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"alex/internal/feature"
 	"alex/internal/feedback"
@@ -16,7 +15,7 @@ type System struct {
 	cfg    Config
 	parts  []*partition
 	partOf map[rdf.ID]int // dataset-1 entity → partition index
-	rng    *rand.Rand
+	rng    *stream        // the feedback sampler's draws
 	ep     int
 
 	relaxedAt int       // first episode with <RelaxedDelta change; 0 = not yet
@@ -64,7 +63,7 @@ func New(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, initial []link
 	s := &System{
 		cfg:    cfg,
 		partOf: make(map[rdf.ID]int, len(entities1)),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    newStream(cfg.Seed),
 	}
 	partEnts := feature.PartitionRoundRobin(entities1, cfg.Partitions)
 	for pi, ents := range partEnts {
@@ -74,17 +73,11 @@ func New(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, initial []link
 	}
 
 	// Build partition spaces. Build parallelizes internally across
-	// SpaceWorkers goroutines, so the partitions are constructed one
+	// GOMAXPROCS goroutines, so the partitions are constructed one
 	// after another against a single shared signature table instead of
-	// each recomputing its own (which the pre-signature-table code did
-	// by building partitions concurrently).
+	// each recomputing its own.
 	spaces := make([]*feature.Space, len(partEnts))
-	fopts := feature.Options{
-		Theta:    cfg.Theta,
-		Sim:      cfg.Sim,
-		Workers:  cfg.SpaceWorkers,
-		Blocking: cfg.SpaceBlocking,
-	}
+	fopts := feature.Options{Theta: cfg.Theta, Sim: cfg.Sim}
 	if cfg.Sim == nil {
 		fopts.Sigs = feature.NewSigTable(g1.Dict())
 	}
@@ -94,8 +87,7 @@ func New(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, initial []link
 
 	s.parts = make([]*partition, len(partEnts))
 	for pi := range partEnts {
-		prng := rand.New(rand.NewSource(cfg.Seed + int64(pi) + 1))
-		s.parts[pi] = newPartition(spaces[pi], cfg.Epsilon, prng)
+		s.parts[pi] = newPartition(spaces[pi], cfg.Epsilon, newStream(cfg.Seed+int64(pi)+1))
 	}
 	for _, l := range initial {
 		s.parts[s.partitionOf(l)].addCandidate(l, nil)
@@ -186,8 +178,8 @@ func (s *System) sampleCandidate() (links.Link, int, bool) {
 
 // BeginEpisode snapshots the candidate set for convergence accounting
 // and resets the per-episode counters. RunEpisode calls it implicitly;
-// distributed drivers (internal/cluster) call the episode phases
-// explicitly.
+// a driver whose feedback arrives from outside (internal/server's
+// writer) calls the episode phases explicitly.
 func (s *System) BeginEpisode() {
 	s.prevCands = s.Candidates()
 	for _, p := range s.parts {

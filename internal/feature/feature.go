@@ -11,10 +11,8 @@
 // by a per-feature sorted index in O(log n + answers).
 //
 // Construction is parallel (Options.Workers) over a shared, read-only
-// signature table (SigTable), with optional candidate blocking
-// (Options.Blocking) that prunes entity pairs unable to reach θ on any
-// feature. Both are transparent: the constructed space is identical to
-// a serial, unblocked build. See DESIGN.md "Space construction".
+// signature table (SigTable); the constructed space is identical to a
+// serial build. See DESIGN.md "Space construction".
 package feature
 
 import (
@@ -83,15 +81,6 @@ type Options struct {
 	// for every worker count: shard results are merged with a total
 	// (score, link) order, so scheduling cannot leak into the output.
 	Workers int
-	// Blocking enables candidate blocking: an inverted index over
-	// dataset-2 attribute values (token/trigram hashes, numeric and
-	// date buckets) restricts each dataset-1 entity to candidates that
-	// could reach Theta on at least one feature. The constructed space
-	// is provably identical to the unblocked one (see DESIGN.md for the
-	// θ-unreachability argument); only build time changes. Blocking
-	// requires the built-in similarity (Sim nil) and Theta > 0, and is
-	// ignored otherwise.
-	Blocking bool
 	// Sigs optionally supplies a precomputed signature table covering
 	// the shared dictionary, letting several Builds (e.g. one per
 	// partition) reuse one table. When nil, Build computes its own.

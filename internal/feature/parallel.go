@@ -50,14 +50,6 @@ func Build(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, opts Options
 		sigs = NewSigTable(d)
 	}
 
-	// Blocking needs the built-in similarity (the θ-unreachability
-	// argument is about SpaceSim's structure) and a positive θ (θ≤0
-	// keeps zero-score features, so no pair is prunable).
-	var blk *blockIndex
-	if opts.Blocking && opts.Sim == nil && opts.Theta > 0 {
-		blk = newBlockIndex(sigs, opts.Theta, attrs2)
-	}
-
 	workers := opts.Workers
 	if workers > len(entities1) {
 		workers = len(entities1)
@@ -93,11 +85,6 @@ func Build(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, opts Options
 			memo := simMemo{ncols: len(colOf), rows: make(map[rdf.ID][]float64)}
 			var rows1 [][]float64
 
-			var probe *blockProbe
-			if blk != nil {
-				probe = blk.newProbe()
-			}
-
 			// Round-robin sharding keeps workers balanced when entity
 			// cost varies systematically along entities1.
 			for i := w; i < len(entities1); i += workers {
@@ -110,24 +97,15 @@ func Build(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, opts Options
 				for _, x := range a1 {
 					rows1 = append(rows1, memo.row(x.Obj))
 				}
-				pair := func(i2 int) {
+				for i2, e2 := range entities2 {
 					set := buildSet(a1, attrs2[i2], rows1, cols2[i2], opts.Theta, sim)
 					if len(set) == 0 {
-						return
+						continue
 					}
-					l := links.Link{E1: e1, E2: entities2[i2]}
+					l := links.Link{E1: e1, E2: e2}
 					res.sets[l] = set
 					for _, f := range set {
 						res.index[f.Key] = append(res.index[f.Key], scoredPair{score: f.Score, link: l})
-					}
-				}
-				if probe != nil {
-					for _, i2 := range probe.candidates(a1) {
-						pair(int(i2))
-					}
-				} else {
-					for i2 := range entities2 {
-						pair(i2)
 					}
 				}
 			}

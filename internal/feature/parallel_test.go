@@ -1,7 +1,6 @@
 package feature
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -66,23 +65,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBlockedMatchesUnblocked checks the θ-unreachability argument
-// exhaustively: on every synth profile and several thresholds, the
-// blocked space is identical to the unblocked one.
-func TestBlockedMatchesUnblocked(t *testing.T) {
-	for _, prof := range synth.Profiles() {
-		prof := prof
-		t.Run(prof.Name, func(t *testing.T) {
-			ds := synth.Generate(prof.Scale(testScale))
-			for _, theta := range []float64{DefaultTheta, 0.6, 0.9} {
-				open := Build(ds.G1, ds.G2, ds.Entities1, ds.Entities2, Options{Theta: theta, Workers: 2})
-				blocked := Build(ds.G1, ds.G2, ds.Entities1, ds.Entities2, Options{Theta: theta, Workers: 2, Blocking: true})
-				sameSpace(t, fmt.Sprintf("blocked θ=%g", theta), blocked, open)
-			}
-		})
-	}
-}
-
 // TestSharedSigTable checks that supplying a precomputed table (as
 // core.New does, one table across all partitions) changes nothing.
 func TestSharedSigTable(t *testing.T) {
@@ -119,9 +101,7 @@ func TestThetaSentinel(t *testing.T) {
 }
 
 // TestCustomSimParallel checks that a user-supplied Sim function is
-// deterministic across worker counts and that Blocking is ignored with
-// it (the θ-unreachability argument only holds for the built-in
-// similarity).
+// deterministic across worker counts.
 func TestCustomSimParallel(t *testing.T) {
 	prof, _ := synth.ProfileByName("dbpedia-dogfood")
 	ds := synth.Generate(prof.Scale(testScale))
@@ -129,11 +109,11 @@ func TestCustomSimParallel(t *testing.T) {
 	serial := Build(ds.G1, ds.G2, ds.Entities1, ds.Entities2,
 		Options{Theta: DefaultTheta, Workers: 1, Sim: sim})
 	parallel := Build(ds.G1, ds.G2, ds.Entities1, ds.Entities2,
-		Options{Theta: DefaultTheta, Workers: 8, Sim: sim, Blocking: true})
+		Options{Theta: DefaultTheta, Workers: 8, Sim: sim})
 	if serial.Len() == 0 {
 		t.Fatal("space is empty; test proves nothing")
 	}
-	sameSpace(t, "custom sim workers=8 blocking=true", parallel, serial)
+	sameSpace(t, "custom sim workers=8", parallel, serial)
 }
 
 // TestMemoisedScoresAreTheSimilarity checks the similarity memo against
@@ -182,42 +162,6 @@ func TestMemoisedScoresAreTheSimilarity(t *testing.T) {
 	for pair, n := range asked {
 		if n > 1 {
 			t.Fatalf("Sim was asked %d times for %v", n, pair)
-		}
-	}
-}
-
-func TestPrefixLen(t *testing.T) {
-	for _, tc := range []struct {
-		n     int
-		theta float64
-		want  int
-	}{
-		{0, 0.3, 0},
-		{1, 0.3, 1},
-		{10, 0.3, 8},
-		{10, 0.9, 2},
-		{10, 1.0, 1},
-		{10, 1.5, 0},
-		{40, 0.3, 29},
-	} {
-		if got := prefixLen(tc.n, tc.theta); got != tc.want {
-			t.Errorf("prefixLen(%d, %g) = %d, want %d", tc.n, tc.theta, got, tc.want)
-		}
-	}
-}
-
-func TestBucketOfMonotone(t *testing.T) {
-	vals := []float64{-1e300, -12345.6, -10, -0.1, 0, 0.1, 9.99, 10, 123456.7, 1e300}
-	for i := 1; i < len(vals); i++ {
-		if bucketOf(vals[i-1], 10) > bucketOf(vals[i], 10) {
-			t.Errorf("bucketOf not monotone at %g vs %g", vals[i-1], vals[i])
-		}
-	}
-	// Values within one window land in adjacent buckets.
-	for _, d := range []float64{0, 1, 4.9, 9.9} {
-		a, b := bucketOf(100, 10), bucketOf(100+d, 10)
-		if b-a > 1 {
-			t.Errorf("Δ=%g spans %d buckets", d, b-a)
 		}
 	}
 }

@@ -22,7 +22,9 @@ import (
 	"alex/internal/faultfs"
 	"alex/internal/federation"
 	"alex/internal/links"
+	"alex/internal/paris"
 	"alex/internal/rdf"
+	"alex/internal/synth"
 )
 
 // durableCfg is the deterministic configuration the recovery tests
@@ -165,6 +167,140 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				t.Fatalf("recovered episodes = %d, uninterrupted run = %d", got, wantEpisodes)
 			}
 		})
+	}
+}
+
+// exploringWorld is a synthetic pair small enough to build four times
+// under the race detector and large enough that approvals explore:
+// tinyWorld's two one-feature links never reach a choice that depends
+// on a random draw, so it cannot tell a checkpoint that restores the
+// exploration streams from one that does not.
+type exploringWorld struct {
+	ds      *synth.Dataset
+	initial []links.Link
+}
+
+func newExploringWorld() exploringWorld {
+	ds := synth.Generate(synth.Profile{
+		Name: "recovery-world", N1: 40, N2: 35, Matched: 20,
+		ExactFrac: 0.4, Traps: 4, AmbiguousFrac: 0.4, SharedTypeFrac: 0.5,
+		EpisodeSize: 50, Partitions: 2, Seed: 7,
+	})
+	var initial []links.Link
+	for _, sc := range paris.Link(ds.G1, ds.G2, ds.Entities1, ds.Entities2, paris.NewOptions()) {
+		initial = append(initial, sc.Link)
+	}
+	return exploringWorld{ds: ds, initial: initial}
+}
+
+// system builds a fresh engine over the (read-only, shared) graphs.
+func (w exploringWorld) system() *core.System {
+	cfg := core.DefaultConfig()
+	cfg.Partitions = 2
+	return core.New(w.ds.G1, w.ds.G2, w.ds.Entities1, w.ds.Entities2, w.initial, cfg)
+}
+
+func (w exploringWorld) server(t *testing.T, cfg Config) (*Server, *core.System) {
+	t.Helper()
+	sys := w.system()
+	sources := []federation.Source{{Name: "ds1", Graph: w.ds.G1}, {Name: "ds2", Graph: w.ds.G2}}
+	s, err := New(sys, w.ds.Dict, sources, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, sys
+}
+
+// script walks a scout engine through the given number of episodes of
+// ground-truth verdicts on its first candidates, one link per request,
+// and returns the requests: a fixed sequence that keeps hitting live
+// candidates on any engine that evolves as the scout did.
+func (w exploringWorld) script(episodes, perEpisode int) []FeedbackRequest {
+	scout := w.system()
+	var out []FeedbackRequest
+	for ep := 0; ep < episodes; ep++ {
+		cands := scout.Candidates().Slice()
+		scout.BeginEpisode()
+		for i := 0; i < perEpisode; i++ {
+			l := cands[i%len(cands)]
+			ok := w.ds.GroundTruth.Has(l)
+			scout.Feedback(l, ok)
+			out = append(out, FeedbackRequest{Approve: ok, Links: []LinkJSON{{
+				E1: w.ds.Dict.Term(l.E1).Value, E2: w.ds.Dict.Term(l.E2).Value,
+			}}})
+		}
+		scout.FinishEpisode()
+	}
+	return out
+}
+
+func postAll(t *testing.T, s *Server, script []FeedbackRequest) {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i, req := range script {
+		if code := postFeedback(t, ts.URL, req); code != http.StatusAccepted {
+			t.Fatalf("feedback %d: status %d, want 202", i, code)
+		}
+	}
+}
+
+// TestCrashRecoveryEquivalenceAfterCheckpoint is the half of the
+// durability contract TestCrashRecoveryEquivalence cannot see: a crash
+// AFTER a checkpoint, on an engine that explores. Recovery restores
+// the checkpoint, replays a tail that ends mid-episode, and then keeps
+// serving; link for link and episode for episode it must end where an
+// uninterrupted twin ends. The checkpoint has to carry the position of
+// the exploration streams for that (core.TestResumeIsExact): the
+// replayed approvals draw from them.
+func TestCrashRecoveryEquivalenceAfterCheckpoint(t *testing.T) {
+	const perEpisode, episodes = 40, 9
+	world := newExploringWorld()
+	script := world.script(episodes, perEpisode)
+	cfg := func(dir string) Config {
+		c := durableCfg(dir)
+		c.EpisodeSize = perEpisode
+		c.CheckpointEvery = 4
+		return c
+	}
+
+	twin, twinSys := world.server(t, cfg(""))
+	postAll(t, twin, script)
+	if err := twin.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if twinSys.Candidates().SymmetricDiff(links.NewSet(world.initial...)) == 0 {
+		t.Fatal("the twin explored nothing; the test proves nothing")
+	}
+
+	// The checkpoint falls after episode 4 — the only boundary so far at
+	// which CheckpointEvery has elapsed, reached with the queue drained —
+	// and the crash a further episode and a half in.
+	dir := t.TempDir()
+	ckpt, crash := 4*perEpisode, 5*perEpisode+perEpisode/2
+	s, _ := world.server(t, cfg(dir))
+	postAll(t, s, script[:ckpt])
+	waitForCheckpoints(t, s, 1)
+	postAll(t, s, script[ckpt:crash])
+	s.abort()
+	s.Close() //nolint:errcheck // releases the journal fd
+
+	rec, recSys := world.server(t, cfg(dir))
+	if st := rec.Recovery(); st.CheckpointSeq != uint64(ckpt) || st.Replayed != crash-ckpt {
+		t.Fatalf("recovery restored a checkpoint at %d and replayed %d records, want %d and %d",
+			st.CheckpointSeq, st.Replayed, ckpt, crash-ckpt)
+	}
+	postAll(t, rec, script[crash:])
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if d := recSys.Candidates().SymmetricDiff(twinSys.Candidates()); d != 0 {
+		t.Fatalf("recovered engine ends %d links from the uninterrupted twin (%d vs %d candidates)",
+			d, recSys.CandidateCount(), twinSys.CandidateCount())
+	}
+	if got, want := recSys.Episode(), twinSys.Episode(); got != want {
+		t.Fatalf("recovered engine closed %d episodes, the twin %d", got, want)
 	}
 }
 

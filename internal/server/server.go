@@ -393,11 +393,11 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 // recover opens the journal and rebuilds the acknowledged state:
 // checkpoint restore plus journal-tail replay through the exact episode
 // batching the writer uses, so a recovered system converges to the same
-// state as one that never crashed. That equality is guaranteed for
-// journal-only recovery, not yet after a restored checkpoint: the
-// partitions' exploration RNG position is not checkpointed, so replayed
-// ε-greedy choices can differ (no acked record is lost either way;
-// bench/e2e README, Findings 1).
+// state as one that never crashed — from the journal alone or from a
+// checkpoint and its tail: a checkpoint carries the engine's random
+// stream positions along with what it learned, so replayed approvals
+// explore as they did the first time
+// (TestCrashRecoveryEquivalenceAfterCheckpoint).
 func (s *Server) recover() error {
 	log, err := wal.Open(s.cfg.DataDir, s.cfg.FS)
 	if err != nil {
