@@ -71,9 +71,9 @@ bench-space:
 		$(GO) run ./cmd/benchjson -out BENCH_space.json
 
 # bench-query runs the federated query read-path benchmarks: cold vs
-# pre-warmed plan cache and bench/e2e's three join shapes, static vs
-# adaptive execution on the skewed-hub profile, and the finalizer's
-# ORDER BY alone, across -cpu worker counts. Results land in
+# pre-warmed plan cache and bench/e2e's three join shapes, a fresh vs a
+# learned plan on the skewed-hub profile, and the finalizer's ORDER BY
+# alone, across -cpu worker counts. Results land in
 # BENCH_query.json (with delta_vs_prev against the previous run's file).
 bench-query:
 	$(GO) test -run '^$$' -bench '^(BenchmarkFederatedQuery|BenchmarkAdaptiveQuery|BenchmarkFinalizeOrderBy)$$' -benchmem \
@@ -91,9 +91,8 @@ bench-store:
 		./internal/store | \
 		$(GO) run ./cmd/benchjson -out BENCH_store.json
 
-# bench-fleet runs the sharded-fleet scatter-gather benchmark: router
-# query throughput over 1, 2 and 4 alexd shards with simulated
-# I/O-bound sources. Acceptance is queries/s growing with the shard
+# bench-fleet runs the sharded-fleet benchmark: router query throughput
+# over 1, 2 and 4 alexd shards with simulated I/O-bound sources. Acceptance is queries/s growing with the shard
 # count; results land in BENCH_fleet.json.
 bench-fleet:
 	$(GO) test -run '^$$' -bench '^BenchmarkFleetQuery$$' -benchmem \

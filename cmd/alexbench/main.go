@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"alex/internal/core"
 	"alex/internal/experiments"
 	"alex/internal/pprofserve"
 )
@@ -56,9 +55,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "entity-count scale factor for quicker runs")
 	seed := flag.Int64("seed", 42, "feedback oracle seed")
 	csvDir := flag.String("csv", "", "also write per-episode series as CSV files into this directory")
-	queryWorkers := flag.Int("query-workers", 0, "per-query federation parallelism (0 = GOMAXPROCS)")
-	adaptive := flag.Bool("adaptive", false, "adaptive query execution: re-rank remaining join patterns from observed cardinalities (shorthand for -replan-every 1)")
-	replanEvery := flag.Int("replan-every", 0, "re-rank remaining patterns every N executed stages (0 = static plans)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 	storeBackend := flag.String("store", "mem", "triple store backend: mem (in-memory graphs) or disk (temporary mmap'd segment store)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -81,13 +77,7 @@ func main() {
 	if *exp == "all" {
 		ids = experimentOrder
 	}
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Store: *storeBackend, Mutate: func(c *core.Config) {
-		c.QueryWorkers = *queryWorkers
-		c.QueryReplanEvery = *replanEvery
-		if c.QueryReplanEvery == 0 && *adaptive {
-			c.QueryReplanEvery = 1
-		}
-	}}
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Store: *storeBackend}
 	for _, id := range ids {
 		start := time.Now()
 		fmt.Printf("==================== %s ====================\n", id)

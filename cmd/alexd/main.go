@@ -25,6 +25,11 @@
 // stay full. Writes for entities it does not own are refused with 400 —
 // front the fleet with alexrouter.
 //
+// The read path has two settings, -query-workers and -plan-cache; no
+// flag chooses a join order (every cached plan learns its own from the
+// row counts its executions observe) and none tunes source breakers
+// (the two sources are local stores, which cannot fail).
+//
 // Endpoints: POST /query, POST /feedback, GET /links, GET /healthz,
 // GET /metrics. See the README "Serving" section for curl examples.
 package main
@@ -74,15 +79,8 @@ func main() {
 	dataDir := flag.String("data", "", "durability directory (feedback journal + checkpoints); empty disables durability")
 	checkpointEvery := flag.Int("checkpoint-every", 16, "episodes between state checkpoints (with -data)")
 	storeBackend := flag.String("store", "mem", "triple store backend: mem (rebuild graphs at startup) or disk (persistent mmap'd segment store under <data>/store; requires -data)")
-	sourceTimeout := flag.Duration("source-timeout", 2*time.Second, "per-attempt deadline for a federated source access")
-	sourceRetries := flag.Int("source-retries", 2, "retries after a failed source access (jittered exponential backoff)")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive source failures that open its circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe")
-	breakerSuccesses := flag.Int("breaker-successes", 2, "half-open successes required to close the breaker")
 	queryWorkers := flag.Int("query-workers", 0, "per-query evaluation parallelism (0 = GOMAXPROCS)")
 	planCache := flag.Int("plan-cache", 0, "compiled query plans kept in the LRU cache (0 = default)")
-	adaptive := flag.Bool("adaptive", false, "adaptive query execution: re-rank remaining join patterns from observed cardinalities (shorthand for -replan-every 1)")
-	replanEvery := flag.Int("replan-every", 0, "re-rank remaining patterns every N executed stages (0 = static plans)")
 	maxQueries := flag.Int("max-queries", 0, "concurrent /query evaluations admitted (0 = unlimited; excess waits, then 503)")
 	shardID := flag.Int("shard-id", -1, "this shard's ID within -fleet (-1 = standalone)")
 	fleetList := flag.String("fleet", "", "comma-separated addresses of ALL fleet shards in shard-ID order (requires -shard-id)")
@@ -324,18 +322,8 @@ func main() {
 		StoreLoadSeconds:     storeLoadSeconds,
 		QueryWorkers:         *queryWorkers,
 		PlanCacheSize:        *planCache,
-		ReplanEvery:          resolveReplanEvery(*adaptive, *replanEvery),
 		MaxConcurrentQueries: *maxQueries,
 		Fleet:                fleetCfg,
-		Resilience: federation.Resilience{
-			SourceTimeout: *sourceTimeout,
-			Retries:       *sourceRetries,
-			Breaker: federation.BreakerConfig{
-				Failures:  *breakerFailures,
-				Cooldown:  *breakerCooldown,
-				Successes: *breakerSuccesses,
-			},
-		},
 	})
 	if err != nil {
 		fatal(err)
@@ -389,16 +377,6 @@ func main() {
 	if gt != nil {
 		log.Printf("final quality vs ground truth: %v", eval.Compute(snap.Links, gt))
 	}
-}
-
-// resolveReplanEvery folds the -adaptive shorthand into the
-// -replan-every knob: -adaptive alone means "re-rank at every stage
-// boundary", while an explicit -replan-every wins either way.
-func resolveReplanEvery(adaptive bool, every int) int {
-	if every == 0 && adaptive {
-		return 1
-	}
-	return every
 }
 
 func loadGraph(path string, dict *rdf.Dict) *rdf.Graph {

@@ -51,7 +51,6 @@ import (
 
 func main() {
 	servers := flag.String("server", "", "comma-separated alexd/alexrouter addresses (empty: self-contained in-process server)")
-	addr := flag.String("addr", "", "alias for -server (kept for old scripts)")
 	profile := flag.String("profile", "dbpedia-drugbank", "synthetic profile for self-contained mode")
 	scale := flag.Float64("scale", 0.5, "profile scale for self-contained mode")
 	duration := flag.Duration("duration", 10*time.Second, "load duration")
@@ -62,17 +61,13 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
-	spec := *servers
-	if spec == "" {
-		spec = *addr
-	}
 	var (
 		names   []string
 		clients []*server.Client
 		gt      map[server.LinkJSON]bool // self-contained mode only
 	)
-	if spec != "" {
-		for _, a := range strings.Split(spec, ",") {
+	if *servers != "" {
+		for _, a := range strings.Split(*servers, ",") {
 			a = strings.TrimSpace(a)
 			names = append(names, a)
 			clients = append(clients, server.NewClient(a))

@@ -1,9 +1,10 @@
 // Command alexrouter fronts a fleet of alexd shards: it consistent-
 // hashes /feedback writes to the shard owning each link's dataset-1
-// entity and scatter-gathers /query across the fleet, merging answers
-// so clients see exactly what a single alexd over the same data would
-// return. The router is stateless — all durable state lives in the
-// shards' journals — so any number of routers can front one fleet.
+// entity and sends each /query to one shard — every shard holds a full
+// read replica — relaying that shard's answer byte for byte, so clients
+// see exactly what a single alexd over the same data would return. The
+// router is stateless — all durable state lives in the shards'
+// journals — so any number of routers can front one fleet.
 //
 // Route a three-shard fleet (same address list the shards were given
 // via -fleet, in shard-ID order):
@@ -13,8 +14,9 @@
 //
 // A health loop probes every shard's /healthz; dead shards are routed
 // around behind a circuit breaker (reads keep working off any live
-// shard's replicated full view, writes for a dead shard's range get
-// 503 + Retry-After until it recovers).
+// shard's replicated full view, and a query whose shard fails or stalls
+// is hedged to a peer; writes for a dead shard's range get 503 +
+// Retry-After until it recovers).
 //
 // Endpoints: POST /query, POST /feedback, GET /links, GET /healthz,
 // GET /metrics — the same wire contract as alexd, so fedquery and
@@ -42,10 +44,9 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.String("shards", "", "comma-separated alexd shard addresses, in shard-ID order (required)")
 	healthInterval := flag.Duration("health-interval", time.Second, "shard /healthz poll interval")
-	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "scatter-gather deadline per /query")
-	fanout := flag.Int("fanout", 0, "shards each /query scatters to (0 = all routable shards)")
+	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "deadline per /query, failover included")
 	healthProbeTimeout := flag.Duration("health-probe-timeout", 0, "deadline per shard /healthz probe (0 = 2s default)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed delay before hedging a slow sub-query to a peer (0 = adaptive p95)")
+	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed delay before hedging a slow query to a peer (0 = adaptive p95)")
 	noHedge := flag.Bool("no-hedge", false, "disable hedged failover reads")
 	breakerFailures := flag.Int("breaker-failures", 5, "consecutive shard failures that open its circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe")
@@ -73,7 +74,6 @@ func main() {
 		Shards:             addrs,
 		HealthInterval:     *healthInterval,
 		QueryTimeout:       *queryTimeout,
-		QueryFanout:        *fanout,
 		HealthProbeTimeout: *healthProbeTimeout,
 		Hedge:              fleet.HedgeConfig{Disabled: *noHedge, Delay: *hedgeDelay},
 		Breaker: federation.BreakerConfig{

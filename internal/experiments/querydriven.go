@@ -64,7 +64,6 @@ func RunQueryDriven(profileName string, opts Options) (*QualityRun, error) {
 	run.Series.Append(run.Initial)
 
 	fed := federation.New(ds.Dict)
-	fed.SetOptions(federation.Options{Workers: cfg.QueryWorkers, ReplanEvery: cfg.QueryReplanEvery})
 	fed.SetPlanCache(federation.NewPlanCache(0))
 	if err := fed.AddSource("ds1", t1); err != nil {
 		return nil, err

@@ -4,19 +4,19 @@ import (
 	"testing"
 )
 
-// BenchmarkAdaptiveQuery measures what mid-query re-planning is worth
-// on the skewed-hub profile, where the static planner provably picks
-// the wrong join order (it schedules the 8×-fan-out connectedWith
-// pattern before the 10×-shrinking type filter; see synth.runSkewed).
-// Both configurations run with a pre-warmed plan cache so the
-// comparison isolates execution order, not parsing:
+// BenchmarkAdaptiveQuery measures what learned cardinalities are worth
+// on the skewed-hub profile, where static estimates provably pick the
+// wrong join order (they schedule the 8×-fan-out connectedWith pattern
+// before the 10×-shrinking type filter; see synth.runSkewed):
 //
-//   - static: ReplanEvery=0, the plan-time order executed as compiled.
-//   - adaptive: ReplanEvery=1 with the plan's learned cardinalities
-//     already primed — the steady state of a hot query under alexd.
+//   - fresh: no plan cache, so every iteration parses, compiles and
+//     runs a plan that has learned nothing — the static order.
+//   - learned: a plan cache whose plan has already folded in the
+//     fan-out — the steady state of a hot query under alexd.
 //
-// `make bench-query` records both rows in BENCH_query.json; the
-// adaptive row's throughput over static is the headline win.
+// `make bench-query` records both rows in BENCH_query.json; the learned
+// row's throughput over fresh is the headline win (parsing and
+// compiling this text is microseconds of fresh's figure).
 func BenchmarkAdaptiveQuery(b *testing.B) {
 	scale := 1.0
 	if testing.Short() {
@@ -35,16 +35,11 @@ func BenchmarkAdaptiveQuery(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	}
 
-	b.Run("static", func(b *testing.B) {
-		fed := withOptions(f, Options{})
-		fed.SetPlanCache(NewPlanCache(16))
-		if _, err := fed.Query(query); err != nil { // prime the plan cache
-			b.Fatal(err)
-		}
-		run(b, fed)
+	b.Run("fresh", func(b *testing.B) {
+		run(b, withOptions(f, Options{}))
 	})
-	b.Run("adaptive", func(b *testing.B) {
-		fed := withOptions(f, Options{ReplanEvery: 1})
+	b.Run("learned", func(b *testing.B) {
+		fed := withOptions(f, Options{})
 		fed.SetPlanCache(NewPlanCache(16))
 		// Two priming queries: the first compiles the plan and observes
 		// the fan-out, the second already executes the learned order.

@@ -14,20 +14,18 @@ import (
 // matrix every frozen answer is asserted under, and the canonical
 // serialization answers are compared in.
 
-// evalConfigs enumerates the configuration matrix under test: worker
-// count × adaptive re-planning = 8 configs.
+// evalConfigs enumerates the configurations under test: the worker
+// counts, the one setting the evaluator has.
 func evalConfigs() []Options {
 	var out []Options
 	for _, w := range []int{1, 2, 3, 8} {
-		for _, replan := range []int{0, 1} {
-			out = append(out, Options{Workers: w, ReplanEvery: replan})
-		}
+		out = append(out, Options{Workers: w})
 	}
 	return out
 }
 
 func optionsLabel(o Options) string {
-	return fmt.Sprintf("w%d_replan=%d", o.Workers, o.ReplanEvery)
+	return fmt.Sprintf("w%d", o.Workers)
 }
 
 // withOptions returns a shallow copy of f running under o, so one

@@ -10,12 +10,14 @@
 // This is the repository's one query executor. Queries are compiled
 // into link-independent plans (plan.go): every variable of the WHERE
 // tree gets a slot, every triple pattern becomes slots and constant
-// dictionary IDs, join orders come from one ranker (rankPatterns), and
-// an LRU cache shares plans across WithLinks snapshots (plancache.go).
-// One stage loop (evalTriples) walks a group's patterns — in plan-time
-// order, or re-ranked from observed cardinalities under
-// Options.ReplanEvery (adaptive.go) — fanning intermediate rows out
-// across workers with an order-preserving merge (parallel.go).
+// dictionary IDs, and an LRU cache shares plans across WithLinks
+// snapshots (plancache.go). One stage loop (evalTriples) runs a group's
+// patterns, asking one ranker (nextPattern) at every stage boundary
+// which goes next: it prices a pattern by the cardinalities this and
+// earlier executions of the plan observed and, while there are none, by
+// a static CountMatch estimate (adaptive.go). Every stage fans its
+// intermediate rows out across workers with an order-preserving merge
+// (parallel.go).
 //
 // From scan to LIMIT a row is dictionary IDs: a fixed-width run of
 // rdf.ID in a worker's block (rowset), extended by copying those few
@@ -26,9 +28,9 @@
 // projects, orders and cuts on the same IDs, and only the rows that
 // survive are decoded into the public ResultSet, their provenance
 // chains materialized then. A single-graph query is a federation of one
-// source with no links (single.go). Answers, and the join orders
-// executed without re-planning, are pinned by the golden files under
-// testdata/golden.
+// source with no links (single.go). Answers, and the join orders a
+// plan that has learned nothing executes, are pinned by the golden
+// files under testdata/golden.
 package federation
 
 import (
@@ -101,19 +103,19 @@ type Federator struct {
 	// breaker state survives snapshot publication.
 	res    Resilience
 	guards []*guard
-	// opts tunes the evaluator (workers, re-planning); see plan.go.
+	// opts tunes the evaluator (workers); see plan.go.
 	opts Options
 	// plans, when non-nil, caches compiled plans by query text; shared
 	// with WithLinks snapshots because plans are link-independent.
 	plans *PlanCache
-	// ametrics counts adaptive-execution events (see runtimestats.go);
+	// ametrics counts the ranker's events (see runtimestats.go);
 	// shared with WithLinks snapshots like guards, so the counters are
 	// monotone across snapshot publications.
 	ametrics *adaptiveMetrics
 	// traceExec, when non-nil, observes the executed stage order of
 	// every group (indices into grp.Triples, in execution order). Test
-	// hook for the golden and re-planning determinism suites; never set
-	// in production.
+	// hook for the golden and ranking determinism suites; never set in
+	// production.
 	traceExec func(grp *sparql.GroupGraphPattern, order []int)
 }
 
@@ -254,8 +256,8 @@ func (f *Federator) Query(query string) (*ResultSet, error) {
 
 // QueryContext parses and evaluates a federated query; ctx bounds the
 // per-source access probes (and their retries). When a plan cache is
-// installed (SetPlanCache), the parse and join-ordering work is served
-// from the cache for repeated query texts.
+// installed (SetPlanCache), a repeated query text skips the parser and
+// the compiler and ranks by what its earlier evaluations observed.
 func (f *Federator) QueryContext(ctx context.Context, query string) (*ResultSet, error) {
 	p, err := f.planFor(query)
 	if err != nil {
@@ -304,17 +306,17 @@ func (f *Federator) EvalContext(ctx context.Context, q *sparql.Query) (*ResultSe
 // parallel, so Degraded is decided before evaluation and independent
 // of join order), evaluate the pattern tree with the configured worker
 // count, finalize through the sparql engine — still on IDs — and attach
-// each surviving row's provenance. Under adaptive execution a
-// RuntimeStats table rides along: probes and stages record into it,
-// ranking consults it, and it is folded into the plan's learned table
-// at the end so the next query over a cached plan starts from real
-// cardinalities.
+// each surviving row's provenance. A plan with an order to choose
+// (p.obs non-nil) takes a RuntimeStats table along: probes and stages
+// record into it, ranking consults it, and it is folded into the plan's
+// learned table at the end so the next query over a cached plan starts
+// from real cardinalities.
 func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 	if len(f.sources) == 0 {
 		return nil, fmt.Errorf("federation: no sources registered")
 	}
 	var stats *RuntimeStats
-	if f.opts.ReplanEvery > 0 && len(p.pats) > 0 {
+	if p.obs != nil {
 		stats = newRuntimeStats(len(p.pats), len(f.sources))
 	}
 	ec := f.newEvalCtx(ctx, p.probe, stats)
@@ -322,13 +324,9 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 	if p.unresolved {
 		ec.pats = f.resolveConstants(p)
 	}
-	if stats != nil {
-		if p.obs.validate(f.linkCount) {
-			ec.learned = p.obs
-			if f.ametrics != nil {
-				f.ametrics.learnedHits.Add(1)
-			}
-		}
+	if stats != nil && p.obs.validate(f.linkCount) {
+		ec.learned = p.obs
+		f.ametrics.learnedHits.Add(1)
 	}
 	// Evaluation starts from one row with every slot unbound.
 	w := len(p.vars)
@@ -451,59 +449,57 @@ func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset, workers int) 
 }
 
 // evalTriples is the one stage loop: it runs a group's triple patterns
-// over rows, one mapRows stage per pattern, until the patterns or the
-// rows run out. Without re-planning it walks the plan-time order.
-// Under adaptive execution (ec.stats non-nil) it records every stage's
-// row counts and, every Options.ReplanEvery stages, re-ranks the
-// patterns still to run against the live row count.
+// over rows, one stage per pattern, until the patterns or the rows run
+// out. At every stage boundary the ranker picks the pattern to run next
+// against the live row count, and every stage's row counts are recorded
+// for the rankings to come. A group of fewer than two patterns has
+// nothing to rank: it allocates no ranking state and records nothing.
 func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset, workers int) rowset {
 	pats := ec.pats[g.first : g.first+len(g.src.Triples)]
-	order := g.order
-	adaptive := ec.stats != nil
-	var bound, scheduled []bool
-	if adaptive {
-		bound = slices.Clone(g.bound)
-		scheduled = make([]bool, len(pats))
-	}
 	var executed []int
-	pos := 0
-	for done := 0; done < len(pats); done++ {
-		if adaptive && done%f.opts.ReplanEvery == 0 {
-			nrows := rows.len()
-			order = f.rankPatterns(pats, bound, scheduled, func(i int, b []bool) float64 {
-				return f.adaptiveCost(ec, g, i, nrows, b)
-			})
-			pos = 0
-			if done > 0 && f.ametrics != nil {
+	switch {
+	case len(pats) == 1:
+		rows = f.evalPattern(ec, pats[0], rows, workers)
+		if f.traceExec != nil {
+			executed = []int{0}
+		}
+	case len(pats) > 1:
+		bound := slices.Clone(g.bound)
+		scheduled := make([]bool, len(pats))
+		for done := 0; done < len(pats); done++ {
+			in := rows.len()
+			ti := f.nextPattern(ec, g, bound, scheduled, in)
+			if done > 0 {
 				f.ametrics.replans.Add(1)
 			}
-		}
-		ti := order[pos]
-		pos++
-		in := rows.len()
-		rows = mapRows(workers, rows, func(chunk rowset) rowset {
-			m := f.newMatcher(ec, pats[ti], chunk.w)
-			for i := 0; i < chunk.len(); i++ {
-				m.match(chunk.row(i), chunk.used[i])
-			}
-			return m.out
-		})
-		if adaptive {
+			rows = f.evalPattern(ec, pats[ti], rows, workers)
 			ec.stats.record(g.first+ti, in, rows.len())
 			scheduled[ti] = true
 			pats[ti].bind(bound)
-		}
-		if f.traceExec != nil {
-			executed = append(executed, ti)
-		}
-		if rows.len() == 0 {
-			break
+			if f.traceExec != nil {
+				executed = append(executed, ti)
+			}
+			if rows.len() == 0 {
+				break
+			}
 		}
 	}
 	if f.traceExec != nil {
 		f.traceExec(g.src, executed)
 	}
 	return rows
+}
+
+// evalPattern runs one pattern stage: every input row extended by the
+// pattern's matches, fanned out across workers.
+func (f *Federator) evalPattern(ec *evalCtx, pat cpattern, rows rowset, workers int) rowset {
+	return mapRows(workers, rows, func(chunk rowset) rowset {
+		m := f.newMatcher(ec, pat, chunk.w)
+		for i := 0; i < chunk.len(); i++ {
+			m.match(chunk.row(i), chunk.used[i])
+		}
+		return m.out
+	})
 }
 
 // binding is how a pattern position reads under one row: unbound

@@ -1,12 +1,15 @@
 // Query planning for the federated read path. A plan is everything
 // about a query that does not depend on the current sameAs link set:
 // the parsed AST, the row layout (one slot per WHERE-tree variable),
-// the triple patterns compiled to slots and constant dictionary IDs, a
-// selectivity-based join order for every group pattern (from
-// rankPatterns, the one ranker, priced by static CountMatch estimates),
-// and the set of sources the query may touch (the probe set).
-// Plans are immutable after construction, which makes them safe to
-// share across concurrent queries and across WithLinks snapshots, and
+// the triple patterns compiled to slots and constant dictionary IDs,
+// the set of sources the query may touch (the probe set), and the
+// cardinalities its executions have observed. A plan holds no join
+// order: the stage loop asks the one ranker (nextPattern) for the next
+// pattern at every stage boundary, and the ranker prices a pattern by
+// what the plan has learned, or by a static CountMatch estimate while it
+// has learned nothing (adaptive.go). Apart from that learned table a
+// plan is immutable after construction, which makes it safe to share
+// across concurrent queries and across WithLinks snapshots, and
 // therefore cacheable (see plancache.go).
 package federation
 
@@ -19,17 +22,11 @@ import (
 )
 
 // Options tunes the federated evaluator. The zero value is one worker
-// per CPU executing each plan's static join order.
+// per CPU.
 type Options struct {
 	// Workers is the number of goroutines sharding intermediate rows in
 	// each evaluation stage. 0 means GOMAXPROCS; 1 is serial.
 	Workers int
-	// ReplanEvery enables adaptive execution (see adaptive.go): after
-	// every ReplanEvery executed pattern stages, the remaining patterns
-	// of the group are re-ranked using observed cardinalities instead of
-	// static estimates. 0 disables re-planning: the plan-time order is
-	// executed as compiled.
-	ReplanEvery int
 }
 
 // SetOptions replaces the evaluator options. Not safe concurrently
@@ -40,13 +37,13 @@ func (f *Federator) SetOptions(o Options) { f.opts = o }
 func (f *Federator) Opts() Options { return f.opts }
 
 // plan is a compiled query: the AST, a slot for every variable of the
-// WHERE tree, the tree compiled against those slots with a plan-time
-// join order per group, and the probe set. The AST itself is never
-// mutated, so planning works on caller-owned queries and a cached plan
-// can serve concurrent readers. The one mutable field is obs, the
-// learned cardinality table fed by adaptive executions; it is
-// internally synchronized and only ever steers ordering, never answers,
-// so sharing a cached plan remains safe (see runtimestats.go).
+// WHERE tree, the tree compiled against those slots, and the probe set.
+// The AST itself is never mutated, so planning works on caller-owned
+// queries and a cached plan can serve concurrent readers. The one
+// mutable field is obs, the learned cardinality table every execution
+// folds into; it is internally synchronized and only ever steers
+// ordering, never answers, so sharing a cached plan remains safe (see
+// runtimestats.go).
 type plan struct {
 	q *sparql.Query
 	// vars names the slots of an intermediate row: slot i holds the
@@ -66,9 +63,11 @@ type plan struct {
 	// Such a plan looks its constants up again on every evaluation, so a
 	// cached plan never pins a miss the dictionary has since filled.
 	unresolved bool
-	// obs accumulates observed per-stage cardinalities across adaptive
+	// obs accumulates observed per-stage cardinalities across the
 	// executions of this plan. Cached plans keep it, which is what makes
-	// hot queries converge to the best order across requests.
+	// hot queries converge to the best order across requests. nil when
+	// no group of the plan holds two patterns: there is no order to
+	// choose, so such a plan observes nothing.
 	obs *obsTable
 	// probe lists the indexes of guarded sources this query may touch;
 	// they are probed in parallel before evaluation starts, which makes
@@ -117,19 +116,32 @@ type cfilter struct {
 type cgroup struct {
 	src   *sparql.GroupGraphPattern
 	first int
-	// order is the plan-time evaluation order of the group's triples, as
-	// indices into src.Triples.
-	order []int
 	// bound marks, by slot, the variables guaranteed bound when the
-	// group starts evaluating: the starting point for binding-safety
-	// checks during adaptive re-ranking.
+	// group starts evaluating: the starting point of the ranker's
+	// binding-safety checks.
 	bound     []bool
 	filters   []cfilter
 	optionals []*cgroup
 	unions    [][]*cgroup
 }
 
-// planQuery compiles q against the federator's source statistics.
+// ranks reports whether the group, or one nested in it, holds at least
+// two triple patterns, that is, whether its evaluation has an order to
+// choose.
+func (g *cgroup) ranks() bool {
+	if len(g.src.Triples) > 1 || slices.ContainsFunc(g.optionals, (*cgroup).ranks) {
+		return true
+	}
+	for _, alts := range g.unions {
+		if slices.ContainsFunc(alts, (*cgroup).ranks) {
+			return true
+		}
+	}
+	return false
+}
+
+// planQuery compiles q against the federator's dictionary and
+// source-selection index.
 func (f *Federator) planQuery(q *sparql.Query) *plan {
 	p := &plan{q: q}
 	probe := make(map[int]bool)
@@ -137,7 +149,9 @@ func (f *Federator) planQuery(q *sparql.Query) *plan {
 		p.vars = sparql.WhereVars(q.Where)
 		p.root = f.planGroup(q.Where, make([]bool, len(p.vars)), p, probe)
 	}
-	p.obs = newObsTable(len(p.pats))
+	if p.root != nil && p.root.ranks() {
+		p.obs = newObsTable(len(p.pats))
+	}
 	for si := range probe {
 		p.probe = append(p.probe, si)
 	}
@@ -162,8 +176,8 @@ func (f *Federator) compileNode(p *plan, n sparql.Node) cnode {
 	return cnode{slot: -1, id: id}
 }
 
-// planGroup compiles and orders one group's triples and recurses into
-// its nested groups. bound marks the variables guaranteed bound when
+// planGroup compiles one group's triples and recurses into its nested
+// groups. bound marks the variables guaranteed bound when
 // the group starts evaluating; it is extended with the group's own
 // triple variables before recursing, because nested groups see those
 // bindings. Union alternatives do not extend bound for each other.
@@ -184,9 +198,6 @@ func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *pl
 			}
 		}
 	}
-	g.order = f.rankPatterns(pats, bound, nil, func(i int, b []bool) float64 {
-		return float64(f.estimatePattern(&pats[i], b))
-	})
 	for _, flt := range grp.Filters {
 		cf := cfilter{expr: flt}
 		for _, v := range flt.ExprVars() {
@@ -250,50 +261,36 @@ func (f *Federator) resolveConstants(p *plan) []cpattern {
 	return pats
 }
 
-// rankPatterns is the one join-order ranker: it returns a greedy
-// lowest-cost-first order over the patterns of pats not yet marked in
-// scheduled (nil: none are), constrained so that every variable is
-// first bound by the same pattern as in written order. The constraint
-// matters for answer identity, not just determinism: a variable's
-// bound value can differ depending on which pattern binds it first (a
-// direct match binds the source's own IRI, a sameAs-resolved match
-// binds the queried alias), so reordering may only move a pattern
-// ahead of another when doing so cannot steal a variable's first
-// binding. Formally: pattern i is schedulable iff each of its
-// not-yet-bound variables appears in no unscheduled pattern j < i. The
-// earliest unscheduled pattern is always schedulable, so the greedy
-// loop cannot deadlock, and any order it produces is answer-identical
-// to any other. Ties break toward written order, so the result is a
-// pure function of the patterns and of cost.
-//
-// cost prices running pattern i next, given the variables (by slot)
-// bound by then: the static CountMatch estimate at plan time
-// (estimatePattern), observed and learned expansions during adaptive
-// execution (adaptiveCost). The returned order stays valid as its
-// prefix executes: each entry was chosen schedulable given the ones
-// before it. bound and scheduled are not modified.
-func (f *Federator) rankPatterns(pats []cpattern, bound []bool, scheduled []bool, cost func(i int, bound []bool) float64) []int {
-	bound = slices.Clone(bound)
-	sched := make([]bool, len(pats))
-	copy(sched, scheduled)
-	order := make([]int, 0, len(pats))
-	for {
-		best, bestCost := -1, 0.0
-		for i := range pats {
-			if sched[i] || !schedulable(pats, sched, i, bound) {
-				continue
-			}
-			if c := cost(i, bound); best == -1 || c < bestCost {
-				best, bestCost = i, c
-			}
+// nextPattern is the one join-order ranker: of the group's patterns not
+// yet marked in scheduled it returns the cheapest that may run next, -1
+// when none is left. The stage loop calls it at every stage boundary
+// with the live row count, so the order a group executes in is greedy
+// lowest-cost-first, constrained so that every variable is first bound
+// by the same pattern as in written order. The constraint matters for
+// answer identity, not just determinism: a variable's bound value can
+// differ depending on which pattern binds it first (a direct match
+// binds the source's own IRI, a sameAs-resolved match binds the queried
+// alias), so a pattern may only move ahead of another when doing so
+// cannot steal a variable's first binding. Formally: pattern i is
+// schedulable iff each of its not-yet-bound variables appears in no
+// unscheduled pattern j < i. The earliest unscheduled pattern is always
+// schedulable, so the loop cannot deadlock, and any order it produces
+// is answer-identical to any other. Ties break toward written order, so
+// the choice is a pure function of the patterns and of adaptiveCost,
+// which prices running pattern i next given the variables (by slot)
+// bound by then.
+func (f *Federator) nextPattern(ec *evalCtx, g *cgroup, bound, scheduled []bool, nrows int) int {
+	pats := ec.pats[g.first : g.first+len(scheduled)]
+	best, bestCost := -1, 0.0
+	for i := range pats {
+		if scheduled[i] || !schedulable(pats, scheduled, i, bound) {
+			continue
 		}
-		if best == -1 {
-			return order
+		if c := f.adaptiveCost(ec, g, i, nrows, bound); best == -1 || c < bestCost {
+			best, bestCost = i, c
 		}
-		order = append(order, best)
-		sched[best] = true
-		pats[best].bind(bound)
 	}
+	return best
 }
 
 // schedulable reports whether pattern i may run next without stealing

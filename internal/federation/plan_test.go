@@ -110,14 +110,18 @@ func TestOptionalUnboundProvenanceDistinct(t *testing.T) {
 
 // --- join ordering (tentpole layer 1) ---
 
-// planOrder extracts the computed order of the top-level group.
+// planOrder returns the order a fresh plan of query executes its
+// top-level group in: the ranker's choice from static estimates alone.
 func planOrder(f *Federator, query string) []int {
 	q, err := sparql.Parse(query)
 	if err != nil {
 		panic(err)
 	}
-	p := f.planQuery(q)
-	return p.root.order
+	fed, traces := traceOf(f, Options{Workers: 1})
+	if _, err := fed.EvalContext(context.Background(), q); err != nil {
+		panic(err)
+	}
+	return (*traces)[0] // the root group's patterns run before its nested groups
 }
 
 func TestReorderHoistsSelectivePattern(t *testing.T) {

@@ -124,14 +124,14 @@ func (f *Federator) SourceStatuses() []SourceStatus {
 // join order, worker count or how early the row stream runs dry, which
 // the golden harness relies on. After construction the evalCtx's
 // fields are read-only and therefore safe to share across evaluation
-// workers; stats (non-nil only under adaptive execution) is internally
-// atomic and mutated through it.
+// workers; stats (nil when the plan has no order to choose) is
+// internally atomic and mutated through it.
 type evalCtx struct {
 	ctx      context.Context
 	avail    []bool // per source index; true = usable by this query
 	degraded []int  // probed sources that failed, ascending
-	// stats is this query's observation table; nil unless the evaluator
-	// runs adaptively (Options.ReplanEvery > 0).
+	// stats is this query's observation table; nil when no group of the
+	// plan holds two patterns, so nothing is ranked (see plan.obs).
 	stats *RuntimeStats
 	// learned is the plan's validated cross-query observation table, or
 	// nil when it holds no usable (or only stale) data.
@@ -154,8 +154,8 @@ func (ec *evalCtx) learnedExpansion(stage int) (float64, bool) {
 // newEvalCtx probes the plan's guarded sources concurrently and
 // records the availability verdicts. probe holds guarded source
 // indexes only (see plan.probe); unguarded local sources are always
-// available. Under adaptive execution (stats non-nil) each probe's
-// latency is recorded as the source's observed round-trip cost.
+// available. With stats non-nil each probe's latency is recorded as the
+// source's observed round-trip cost.
 func (f *Federator) newEvalCtx(ctx context.Context, probe []int, stats *RuntimeStats) *evalCtx {
 	if ctx == nil {
 		ctx = context.Background()

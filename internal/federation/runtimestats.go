@@ -1,6 +1,7 @@
 // Runtime cardinality observation for adaptive query execution. Layer
-// 1 of the adaptive read path (see adaptive.go): every executed
-// pattern stage records how many rows went in and how many came out,
+// 1 of the adaptive read path (see adaptive.go): every executed stage
+// of a group with an order to choose records how many rows went in and
+// how many came out,
 // and every source probe records its latency. Counters are plain
 // atomics — two adds per stage execution, measured at the chunk
 // fan-out boundary rather than per emitted row, so observation cost is
@@ -106,9 +107,9 @@ const (
 )
 
 // obsTable is the learned cardinality store attached to a plan. It
-// outlives individual queries via the plan cache; adaptive executions
-// fold their RuntimeStats in and later executions rank patterns by
-// what earlier ones observed. links remembers the sameAs link count
+// outlives individual queries via the plan cache; every execution
+// folds its RuntimeStats in and later executions rank patterns by what
+// earlier ones observed. links remembers the sameAs link count
 // the observations were learned under (-1 before the first
 // validation): cardinalities across sources depend on the link set, so
 // when ALEX's episodes move the count far enough the table resets and
@@ -177,7 +178,7 @@ func (o *obsTable) expansion(stage int) (float64, bool) {
 	return o.stages[stage].expansion()
 }
 
-// adaptiveMetrics are process-lifetime adaptive-execution counters,
+// adaptiveMetrics are process-lifetime counters of the ranker,
 // shared by a base Federator and all its WithLinks snapshots (like
 // guards) so /metrics sees one monotone series across snapshot
 // publications.
@@ -186,8 +187,9 @@ type adaptiveMetrics struct {
 	learnedHits atomic.Uint64
 }
 
-// AdaptiveStats returns the cumulative count of mid-query re-rankings
-// and of queries that started with usable learned cardinalities.
+// AdaptiveStats returns the cumulative count of rankings made after a
+// group's first stage and of queries that started with usable learned
+// cardinalities.
 func (f *Federator) AdaptiveStats() (replans, learnedHits uint64) {
 	if f.ametrics == nil {
 		return 0, 0

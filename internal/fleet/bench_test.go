@@ -25,10 +25,10 @@ const (
 )
 
 // BenchmarkFleetQuery drives SELECT queries through an alexrouter over
-// 1, 2 and 4 shards with QueryFanout 1 (each query answered by one
-// shard's full read — the converged-fleet fast path) and I/O-bound
-// sources. make bench-fleet records the result as BENCH_fleet.json;
-// acceptance is queries/s growing with the shard count.
+// 1, 2 and 4 shards (each query answered by one shard's full read and
+// relayed) with I/O-bound sources. make bench-fleet records the result
+// as BENCH_fleet.json; acceptance is queries/s growing with the shard
+// count.
 func BenchmarkFleetQuery(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
@@ -46,12 +46,11 @@ func BenchmarkFleetQuery(b *testing.B) {
 			f := startFleet(b, w, n, server.Config{MaxConcurrentQueries: benchShardSlots})
 			f.waitConverged(b, len(w.initial))
 
-			// A fanout-1 router over the same shards: the equivalence
-			// suite covers scatter-all, the bench measures capacity.
+			// A router of its own over the same shards, with a breaker
+			// that does not trip on one slow probe under load.
 			r, err := New(Config{
 				Shards:         f.addrs,
 				HealthInterval: 50 * time.Millisecond,
-				QueryFanout:    1,
 				Breaker:        federation.BreakerConfig{Failures: 3, Cooldown: time.Second, Successes: 1},
 			})
 			if err != nil {

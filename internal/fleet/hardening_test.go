@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -121,6 +122,92 @@ func TestRouterAllShardsDownFastFail(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("all-down 503 missing Retry-After")
+	}
+}
+
+// Hedging is the read failover: when the shard a query was routed to
+// answers 5xx, refuses the connection or hangs past the hedge delay, the
+// peer is asked and ITS bytes are relayed — a plain 200, with no
+// X-Alex-Fleet-Degraded, because one replica's answer is the full
+// answer. The health interval is an hour, so the first query of each
+// fleet goes to shard 0 and only the data path changes what is routable.
+func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
+	cases := []struct {
+		name  string
+		fault faultnet.Faults
+		// down: the failure marks shard 0 unroutable (a hang does not:
+		// the hedge answers first and the slow request is cancelled).
+		down bool
+	}{
+		{"5xx", faultnet.Faults{ErrProb: 1}, true},
+		{"refused", faultnet.Faults{Partition: true}, true},
+		{"hangs", faultnet.Faults{Latency: 5 * time.Second}, false},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			w := tinyWorld(t)
+			tp := &tap{} // behind the faults: it sees what a shard really answered
+			tr := faultnet.New(7, tp)
+			f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
+				c.HealthInterval = time.Hour
+				c.Transport = tr
+				c.Hedge = HedgeConfig{Delay: 20 * time.Millisecond}
+			})
+			f.waitConverged(t, len(w.initial))
+			hosts := []string{strings.TrimPrefix(f.addrs[0], "http://"), strings.TrimPrefix(f.addrs[1], "http://")}
+			tr.SetFaults(hosts[0], tc.fault)
+
+			body := queryBody(t, server.QueryRequest{Query: w.queries[0]})
+			start := time.Now()
+			status, hdr, got := postQuery(t, f.rts.URL, body)
+			seen := tp.take()
+			if len(seen) != 1 || seen[0].host != hosts[1] {
+				t.Fatalf("shards that answered: %+v, want the peer alone", seen)
+			}
+			if status != http.StatusOK || !bytes.Equal(got, seen[0].resp) {
+				t.Fatalf("router answered %d %s, the peer answered %s", status, got, seen[0].resp)
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Fatalf("failover took %s", elapsed)
+			}
+			if d := hdr.Get("X-Alex-Fleet-Degraded"); d != "" {
+				t.Fatalf("a failed-over 200 carries X-Alex-Fleet-Degraded: %s", d)
+			}
+			if tr.Requests(hosts[0], "/query") != 1 || tr.Requests(hosts[1], "/query") != 1 {
+				t.Fatalf("upstream /query attempts %v, want one on each shard", tr.Stats())
+			}
+			m := &f.router.metrics
+			if m.hedges.Value() != 1 || m.hedgeWins.Value() != 1 || m.queryFanouts.Sum() != 2 {
+				t.Fatalf("hedges %d, hedge wins %d, shards asked %v; want 1, 1, 2",
+					m.hedges.Value(), m.hedgeWins.Value(), m.queryFanouts.Sum())
+			}
+			h, err := f.router.healthView()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Shards[0].Routable == tc.down || !h.Shards[1].Routable {
+				t.Fatalf("routable after the failover: %+v", h.Shards)
+			}
+			if !tc.down {
+				return
+			}
+
+			// The peer fails the same way: nothing is left to ask, and the
+			// refusal names the whole fleet.
+			tr.SetFaults(hosts[1], tc.fault)
+			if status, _, got := postQuery(t, f.rts.URL, body); status != http.StatusBadGateway {
+				t.Fatalf("query with every shard failing got %d %s, want 502", status, got)
+			}
+			status, hdr, _ = postQuery(t, f.rts.URL, body)
+			if status != http.StatusServiceUnavailable || hdr.Get("X-Alex-Fleet-Degraded") != "shard-0,shard-1" {
+				t.Fatalf("all-down query got %d, X-Alex-Fleet-Degraded %q; want 503 naming both shards",
+					status, hdr.Get("X-Alex-Fleet-Degraded"))
+			}
+			if got := m.fleetDegraded.Value(); got != 1 {
+				t.Fatalf("alexrouter_fleet_degraded_total = %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -294,7 +381,6 @@ func TestRouterHedgedReadsBoundedAmplification(t *testing.T) {
 	w := splitWorld(t)
 	tr := faultnet.New(11, nil)
 	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
-		c.QueryFanout = 1
 		c.Transport = tr
 		c.Hedge = HedgeConfig{Delay: 10 * time.Millisecond}
 	})

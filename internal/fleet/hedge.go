@@ -1,12 +1,14 @@
-// Hedged failover reads: because every shard serves full reads off the
-// replicated snapshots, a slow shard's sub-query can be re-issued to
-// any healthy peer and the first answer wins. The hedge fires after an
-// adaptive delay (a percentile of recently observed sub-query
-// latencies, so only genuine stragglers pay it) and is limited by a
-// token-bucket retry budget: every primary sub-query earns a fraction
-// of a token, every hedge spends one, so hedging can never multiply
-// the upstream request rate into a brownout — under a 100% slow fleet
-// the extra load is bounded by BudgetRatio, not by the timeout.
+// Hedged failover reads: a query goes to one shard, and because every
+// shard serves full reads off the replicated snapshots, a slow or
+// failed shard's query can be re-issued to any healthy peer and the
+// first answer wins — this is the read path's failover. The hedge fires
+// after an adaptive delay (a percentile of recently observed shard
+// latencies, so only genuine stragglers pay it), or at once when the
+// shard fails outright, and is limited by a token-bucket retry budget:
+// every routed query earns a fraction of a token, every hedge spends
+// one, so hedging can never multiply the upstream request rate into a
+// brownout — under a 100% slow fleet the extra load is bounded by
+// BudgetRatio, not by the timeout.
 package fleet
 
 import (
@@ -20,7 +22,7 @@ type HedgeConfig struct {
 	// Disabled turns hedging off entirely.
 	Disabled bool
 	// Delay, when > 0, is a fixed hedge delay. 0 selects the adaptive
-	// delay: the Percentile of recent sub-query latencies, clamped to
+	// delay: the Percentile of recent shard latencies, clamped to
 	// [MinDelay, MaxDelay].
 	Delay time.Duration
 	// Percentile of observed latency after which a hedge fires
@@ -30,7 +32,7 @@ type HedgeConfig struct {
 	// Before any latency is observed the delay is MaxDelay.
 	MinDelay time.Duration
 	MaxDelay time.Duration
-	// BudgetRatio is the hedge tokens earned per primary sub-query
+	// BudgetRatio is the hedge tokens earned per routed query
 	// (0 means 0.1: at most ~10% extra upstream load from hedging).
 	BudgetRatio float64
 	// BudgetBurst caps the token bucket (0 means 8).
@@ -60,7 +62,7 @@ func (c HedgeConfig) withDefaults() HedgeConfig {
 // stable percentile, small enough to track load shifts.
 const hedgeWindow = 128
 
-// hedger tracks sub-query latencies and meters hedges. Safe for
+// hedger tracks shard latencies and meters hedges. Safe for
 // concurrent use.
 type hedger struct {
 	cfg HedgeConfig
@@ -77,7 +79,7 @@ func newHedger(cfg HedgeConfig) *hedger {
 	return &hedger{cfg: c, tokens: c.BudgetBurst}
 }
 
-// observe records a successful primary sub-query latency.
+// observe records how long a primary shard took to answer.
 func (h *hedger) observe(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -88,7 +90,7 @@ func (h *hedger) observe(d time.Duration) {
 	}
 }
 
-// delay returns how long to wait before hedging the current sub-query.
+// delay returns how long to wait before hedging the current query.
 func (h *hedger) delay() time.Duration {
 	if h.cfg.Delay > 0 {
 		return h.cfg.Delay
@@ -115,7 +117,7 @@ func (h *hedger) delay() time.Duration {
 	return d
 }
 
-// earn credits the budget for one primary sub-query.
+// earn credits the budget for one routed query.
 func (h *hedger) earn() {
 	h.mu.Lock()
 	defer h.mu.Unlock()

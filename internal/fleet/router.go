@@ -1,6 +1,6 @@
-// Package fleet is the scatter-gather router in front of a sharded
-// alexd fleet (ISSUE 6; the multi-machine reading of paper §6.2's
-// independent partitions).
+// Package fleet is the router in front of a sharded alexd fleet
+// (ISSUE 6; the multi-machine reading of paper §6.2's independent
+// partitions).
 //
 // N shards each own a contiguous range of the entity-hash space
 // (cluster.FleetRanges) and replicate their link snapshots to each
@@ -12,11 +12,16 @@
 //     group goes to its owner, which journals and fsyncs before acking
 //     — the fleet ack is as durable as the single-node one. Delivery
 //     is at-least-once per group; ALEX feedback tolerates duplicates.
-//   - /query scatters to the routable shards and gathers with the
-//     canonical merge in merge.go, which returns exactly one shard's
-//     answer when the fleet is converged. Shards that failed or were
-//     routed around are reported in the X-Alex-Fleet-Degraded header;
-//     the body stays wire-identical to a single-node answer.
+//   - /query goes to ONE routable shard, picked round-robin, and the
+//     shard's status, X-Alex-Degraded header and body are relayed as
+//     received, the client's request body as sent: the answer is one
+//     replica's snapshot, byte for byte what that alexd would have
+//     told the client directly. A shard's 4xx is such an answer. A
+//     transport error, a 5xx or the hedge delay (hedge.go) sends the
+//     query to a peer instead. The router answers in its own words only
+//     when it has no shard's answer to relay: 503 with every shard
+//     named in X-Alex-Fleet-Degraded when none is routable, 502 when
+//     those it asked all failed, 504 at the deadline.
 //   - Failover: a health loop polls every shard's /healthz behind a
 //     per-shard circuit breaker (the PR-2 machinery, reused from
 //     internal/federation). A dead shard is routed around — reads
@@ -37,6 +42,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -56,14 +62,9 @@ type Config struct {
 	Shards []string
 	// HealthInterval is the /healthz polling period. 0 means 1s.
 	HealthInterval time.Duration
-	// QueryTimeout caps a fan-out round; requests may lower it via
-	// timeout_ms. 0 means 10s.
+	// QueryTimeout caps one routed query, failover included; requests
+	// may lower it via timeout_ms. 0 means 10s.
 	QueryTimeout time.Duration
-	// QueryFanout is how many routable shards each /query scatters to:
-	// 0 means all of them (the gather then cross-checks every replica),
-	// K >= 1 picks K round-robin — with full replicas one is enough for
-	// a correct answer, so fanout 1 is the throughput mode.
-	QueryFanout int
 	// Breaker tunes the per-shard circuit breakers. Zero values take
 	// the federation defaults.
 	Breaker federation.BreakerConfig
@@ -106,13 +107,13 @@ type shard struct {
 	health   atomic.Pointer[server.HealthResponse]
 }
 
-// Router scatter-gathers queries and hash-routes feedback across the
-// fleet.
+// Router routes each query to one replica and hash-routes feedback to
+// its owners across the fleet.
 type Router struct {
 	cfg    Config
 	ranges []cluster.HashRange
 	shards []*shard
-	rr     atomic.Uint64 // round-robin cursor for QueryFanout > 0
+	rr     atomic.Uint64 // round-robin cursor of the /query shard pick
 	hedge  *hedger
 
 	mux  http.Handler
@@ -202,17 +203,17 @@ func New(cfg Config) (*Router, error) {
 
 func (r *Router) registerMetrics() {
 	m := &r.metrics
-	m.queries = r.reg.Counter("alexrouter_queries_total", "Queries scattered across the fleet.")
-	m.queryErrors = r.reg.Counter("alexrouter_query_errors_total", "Queries that failed on every targeted shard.")
-	m.queryFanouts = r.reg.Histogram("alexrouter_query_fanout", "Shards targeted per query.", []float64{1, 2, 4, 8, 16})
-	m.fleetDegraded = r.reg.Counter("alexrouter_fleet_degraded_total", "Queries answered with at least one shard routed around.")
+	m.queries = r.reg.Counter("alexrouter_queries_total", "Queries answered by a shard and relayed.")
+	m.queryErrors = r.reg.Counter("alexrouter_query_errors_total", "Queries no shard could be asked or none answered.")
+	m.queryFanouts = r.reg.Histogram("alexrouter_query_fanout", "Shards asked per query: 1, or 2 when hedged.", []float64{1, 2, 4, 8, 16})
+	m.fleetDegraded = r.reg.Counter("alexrouter_fleet_degraded_total", "Queries refused with 503 because no shard was routable.")
 	m.feedback = r.reg.Counter("alexrouter_feedback_total", "Feedback requests routed to owning shards.")
 	m.feedbackErrors = r.reg.Counter("alexrouter_feedback_errors_total", "Feedback requests refused (owner down, backpressure, bad links).")
 	m.feedbackSplits = r.reg.Histogram("alexrouter_feedback_split", "Owner groups per feedback request.", []float64{1, 2, 4, 8})
 	m.feedbackTxns = r.reg.Counter("alexrouter_feedback_txns_total", "Cross-shard feedback batches acked via prepare/commit.")
 	m.txnCommitRetry = r.reg.Counter("alexrouter_txn_commit_retries_total", "Async commit attempts that had to be retried.")
-	m.hedges = r.reg.Counter("alexrouter_hedged_queries_total", "Sub-queries hedged to a peer shard.")
-	m.hedgeWins = r.reg.Counter("alexrouter_hedge_wins_total", "Hedged sub-queries where the peer answered first.")
+	m.hedges = r.reg.Counter("alexrouter_hedged_queries_total", "Queries hedged to a peer shard.")
+	m.hedgeWins = r.reg.Counter("alexrouter_hedge_wins_total", "Hedged queries where the peer answered first.")
 	m.hedgeBudgetDeny = r.reg.Counter("alexrouter_hedge_budget_denied_total", "Hedges suppressed by the retry budget.")
 	m.healthPolls = r.reg.Counter("alexrouter_health_polls_total", "Shard health probes issued.")
 	m.healthFailures = r.reg.Counter("alexrouter_health_failures_total", "Shard health probes that failed.")
@@ -359,21 +360,14 @@ func (r *Router) routableShards() []*shard {
 	return out
 }
 
-// queryTargets picks the shards one query scatters to: all routable
-// shards, or QueryFanout of them round-robin.
-func (r *Router) queryTargets() []*shard {
+// pickShard returns the shard the next query goes to: the routable
+// shards in turn, nil when there is none.
+func (r *Router) pickShard() *shard {
 	avail := r.routableShards()
-	k := r.cfg.QueryFanout
-	if k <= 0 || k >= len(avail) {
-		return avail
+	if len(avail) == 0 {
+		return nil
 	}
-	start := int(r.rr.Add(1)-1) % len(avail)
-	out := make([]*shard, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, avail[(start+i)%len(avail)])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	return avail[int((r.rr.Add(1)-1)%uint64(len(avail)))]
 }
 
 // Handler returns the router's root HTTP handler.
@@ -439,15 +433,16 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return
 	}
-	var qr server.QueryRequest
-	if err := json.NewDecoder(req.Body).Decode(&qr); err != nil {
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	if qr.Query == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty query"})
-		return
-	}
+	// The body goes to the shard as sent, and the shard validates it; the
+	// router reads only the deadline the client asked for. A body that
+	// does not decode gets the default one and the shard's 400.
+	var qr server.QueryRequest
+	_ = json.Unmarshal(body, &qr)
 	timeout := r.cfg.QueryTimeout
 	if qr.TimeoutMillis > 0 {
 		if t := time.Duration(qr.TimeoutMillis) * time.Millisecond; t < timeout {
@@ -457,12 +452,13 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := context.WithTimeout(req.Context(), timeout)
 	defer cancel()
 
-	targets := r.queryTargets()
-	if len(targets) == 0 {
+	primary := r.pickShard()
+	if primary == nil {
 		// All shards down: fail fast with the full degraded set rather
 		// than burn the query timeout — the client can tell "fleet is
 		// down, retry later" from "query is slow".
 		r.metrics.queryErrors.Inc()
+		r.metrics.fleetDegraded.Inc()
 		all := make([]string, 0, len(r.shards))
 		for _, sh := range r.shards {
 			all = append(all, fmt.Sprintf("shard-%d", sh.id))
@@ -472,119 +468,66 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no routable shard"})
 		return
 	}
-	r.metrics.queryFanouts.Observe(float64(len(targets)))
-
-	// Scatter: one goroutine per target, results slotted by position so
-	// the gather keeps shard-ID order (the merge's first-seen order and
-	// therefore the answer's row order is deterministic). Each slot is a
-	// hedged sub-query: a slow or failing primary is raced against a
-	// healthy peer, and either answer fills the slot.
-	resps := make([]*server.QueryResponse, len(targets))
-	errs := make([]error, len(targets))
-	answeredBy := make([]*shard, len(targets))
-	var wg sync.WaitGroup
-	for i, sh := range targets {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			resps[i], answeredBy[i], errs[i] = r.subQuery(ctx, sh, targets, qr.Query)
-		}(i, sh)
-	}
-	wg.Wait()
-
-	answered := 0
-	var missed []string
-	var firstErr error
-	for i, sh := range targets {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-			missed = append(missed, fmt.Sprintf("shard-%d", sh.id))
-			continue
-		}
-		if answeredBy[i] != sh {
-			// A peer answered for this slot: the answer is full, but the
-			// primary's replica went uncross-checked.
-			missed = append(missed, fmt.Sprintf("shard-%d", sh.id))
-		}
-		answered++
-	}
-	if answered == 0 {
+	reply, err := r.subQuery(ctx, primary, body)
+	if err != nil {
 		r.metrics.queryErrors.Inc()
 		if ctx.Err() != nil {
 			writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "query deadline exceeded"})
 			return
 		}
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: fmt.Sprintf("no shard answered: %v", firstErr)})
+		writeJSON(w, http.StatusBadGateway, errorResponse{Error: fmt.Sprintf("no shard answered: %v", err)})
 		return
 	}
-	// Shards routed around before the scatter are degraded too: the
-	// answer is still full (replicas are), but cross-checking was
-	// narrower than the fleet.
-	for _, sh := range r.shards {
-		if !sh.routable.Load() && !contains(missed, fmt.Sprintf("shard-%d", sh.id)) && !inTargets(targets, sh) {
-			missed = append(missed, fmt.Sprintf("shard-%d", sh.id))
-		}
-	}
-	out := mergeResponses(resps)
 	r.metrics.queries.Inc()
-	if len(out.DegradedSources) > 0 {
-		w.Header().Set("X-Alex-Degraded", strings.Join(out.DegradedSources, ","))
-	}
-	if len(missed) > 0 && r.cfg.QueryFanout <= 0 {
-		// Only meaningful in scatter-to-all mode: with a deliberate
-		// fanout K, untargeted shards are load balancing, not damage.
-		sort.Strings(missed)
-		r.metrics.fleetDegraded.Inc()
-		w.Header().Set("X-Alex-Fleet-Degraded", strings.Join(missed, ","))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
+	for _, h := range []string{"Content-Type", "X-Alex-Degraded"} {
+		if v := reply.header.Get(h); v != "" {
+			w.Header().Set(h, v)
 		}
 	}
-	return false
+	w.WriteHeader(reply.status)
+	w.Write(reply.body) //nolint:errcheck // client gone; nothing to do
 }
 
-func inTargets(targets []*shard, sh *shard) bool {
-	for _, t := range targets {
-		if t == sh {
-			return true
-		}
-	}
-	return false
+// shardReply is a shard's /query response as received.
+type shardReply struct {
+	status int
+	header http.Header
+	body   []byte
 }
 
-// subQuery runs one scatter slot: the primary's query, raced against a
-// hedge to a healthy peer when the primary is slow (after the hedger's
-// adaptive delay) or fails fast — replicas are full, so any peer's
-// answer is the full answer. It returns the winning response and the
-// shard that produced it. At most one hedge per slot, and only if the
-// retry budget allows it, so hedging cannot amplify a brownout.
-func (r *Router) subQuery(ctx context.Context, primary *shard, targets []*shard, query string) (*server.QueryResponse, *shard, error) {
+// subQuery asks primary, and a healthy peer too when the primary is slow
+// (after the hedger's adaptive delay) or fails fast — replicas are full,
+// so any peer's answer is the full answer — and returns the first reply
+// that is an answer: any status below 500, a 4xx included (the shard
+// judged the request, which says nothing about the shard). A transport
+// error or a 5xx marks its shard down. At most one hedge per query, and
+// only if the retry budget allows it, so hedging cannot amplify a
+// brownout.
+func (r *Router) subQuery(ctx context.Context, primary *shard, body []byte) (shardReply, error) {
 	type subResult struct {
-		resp *server.QueryResponse
-		sh   *shard
-		err  error
+		reply shardReply
+		sh    *shard
+		err   error
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the loser; its send fits the buffer
 	results := make(chan subResult, 2)
+	asked := 0
 	launch := func(sh *shard) {
+		asked++
 		go func() {
 			start := time.Now()
-			res, err := sh.client.QueryContext(cctx, query)
+			status, header, data, err := sh.client.QueryRaw(cctx, body)
+			if err == nil && status >= http.StatusInternalServerError {
+				err = fmt.Errorf("shard %d: HTTP %d", sh.id, status)
+			}
 			if err == nil && sh == primary {
 				r.hedge.observe(time.Since(start))
 			}
-			results <- subResult{res, sh, err}
+			results <- subResult{shardReply{status, header, data}, sh, err}
 		}()
 	}
+	defer func() { r.metrics.queryFanouts.Observe(float64(asked)) }()
 	r.hedge.earn()
 	launch(primary)
 
@@ -594,18 +537,15 @@ func (r *Router) subQuery(ctx context.Context, primary *shard, targets []*shard,
 		defer t.Stop()
 		hedgeC = t.C
 	}
-	hedged := false
-	outstanding := 1
+	failed := 0
 	var firstErr error
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return shardReply{}, ctx.Err()
 		case <-hedgeC:
 			hedgeC = nil
-			if sh := r.tryHedge(primary, targets); sh != nil {
-				hedged = true
-				outstanding++
+			if sh := r.tryHedge(primary); sh != nil {
 				launch(sh)
 			}
 		case res := <-results:
@@ -613,7 +553,7 @@ func (r *Router) subQuery(ctx context.Context, primary *shard, targets []*shard,
 				if res.sh != primary {
 					r.metrics.hedgeWins.Inc()
 				}
-				return res.resp, res.sh, nil
+				return res.reply, nil
 			}
 			if firstErr == nil {
 				firstErr = res.err
@@ -621,19 +561,17 @@ func (r *Router) subQuery(ctx context.Context, primary *shard, targets []*shard,
 			if ctx.Err() == nil {
 				r.markDown(res.sh)
 			}
-			outstanding--
-			if !hedged && ctx.Err() == nil {
+			failed++
+			if asked == 1 && ctx.Err() == nil {
 				// The primary failed outright before the hedge delay: hedge
 				// immediately, the delay has nothing left to protect.
 				hedgeC = nil
-				if sh := r.tryHedge(primary, targets); sh != nil {
-					hedged = true
-					outstanding++
+				if sh := r.tryHedge(primary); sh != nil {
 					launch(sh)
 				}
 			}
-			if outstanding == 0 {
-				return nil, nil, firstErr
+			if failed == asked {
+				return shardReply{}, firstErr
 			}
 		}
 	}
@@ -641,11 +579,11 @@ func (r *Router) subQuery(ctx context.Context, primary *shard, targets []*shard,
 
 // tryHedge picks a hedge destination and spends a budget token;
 // nil means no peer is available or the budget is exhausted.
-func (r *Router) tryHedge(primary *shard, targets []*shard) *shard {
+func (r *Router) tryHedge(primary *shard) *shard {
 	if r.cfg.Hedge.Disabled {
 		return nil
 	}
-	sh := r.hedgePeer(primary, targets)
+	sh := r.hedgePeer(primary)
 	if sh == nil {
 		return nil
 	}
@@ -657,29 +595,16 @@ func (r *Router) tryHedge(primary *shard, targets []*shard) *shard {
 	return sh
 }
 
-// hedgePeer picks the hedge destination: a routable shard other than
-// the primary, preferring one outside the scatter set (it duplicates
-// no in-flight work).
-func (r *Router) hedgePeer(primary *shard, targets []*shard) *shard {
-	avail := r.routableShards()
-	if len(avail) == 0 {
-		return nil
-	}
-	var fallback *shard
-	start := int(r.rr.Add(1)-1) % len(avail)
-	for i := 0; i < len(avail); i++ {
-		sh := avail[(start+i)%len(avail)]
-		if sh == primary {
-			continue
-		}
-		if !inTargets(targets, sh) {
+// hedgePeer picks the hedge destination: the next routable shard after
+// the primary in ID order, nil when the primary is the only one.
+func (r *Router) hedgePeer(primary *shard) *shard {
+	n := len(r.shards)
+	for i := 1; i < n; i++ {
+		if sh := r.shards[(primary.id+i)%n]; sh.routable.Load() {
 			return sh
 		}
-		if fallback == nil {
-			fallback = sh
-		}
 	}
-	return fallback
+	return nil
 }
 
 func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {

@@ -1,13 +1,17 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -245,6 +249,86 @@ func (f *testFleet) waitConverged(t testing.TB, want int) {
 	}
 }
 
+// writeField appends one length-prefixed string, making the
+// concatenation of any field sequence injective.
+func writeField(b *strings.Builder, s string) {
+	b.WriteString(strconv.Itoa(len(s)))
+	b.WriteByte(':')
+	b.WriteString(s)
+}
+
+// rowKey is the injective identity of an answer row: sorted variable
+// bindings (kind, value, datatype, lang) plus sorted provenance links.
+func rowKey(row server.RowJSON) string {
+	vars := make([]string, 0, len(row.Binding))
+	for v := range row.Binding {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	var b strings.Builder
+	for _, v := range vars {
+		t := row.Binding[v]
+		writeField(&b, v)
+		writeField(&b, t.Kind)
+		writeField(&b, t.Value)
+		writeField(&b, t.Datatype)
+		writeField(&b, t.Lang)
+	}
+	b.WriteByte('|')
+	ls := append([]server.LinkJSON(nil), row.Links...)
+	sort.Slice(ls, func(i, j int) bool {
+		if ls[i].E1 != ls[j].E1 {
+			return ls[i].E1 < ls[j].E1
+		}
+		return ls[i].E2 < ls[j].E2
+	})
+	for _, l := range ls {
+		writeField(&b, l.E1)
+		writeField(&b, l.E2)
+	}
+	return b.String()
+}
+
+func row(v, val string, ls ...server.LinkJSON) server.RowJSON {
+	return server.RowJSON{
+		Binding: map[string]server.TermJSON{v: {Kind: "literal", Value: val}},
+		Links:   ls,
+	}
+}
+
+// rowKey must never collide across distinct rows: differing values,
+// link lists, datatypes and adversarial field contents (separators
+// inside values) all key apart, while link order keys together.
+func TestRowKeyInjective(t *testing.T) {
+	l1 := server.LinkJSON{E1: "a", E2: "b"}
+	l2 := server.LinkJSON{E1: "c", E2: "d"}
+	distinct := []server.RowJSON{
+		row("n", "x"),
+		row("n", "y"),
+		row("m", "x"),
+		row("n", "x", l1),
+		row("n", "x", l1, l2),
+		row("n", "x", server.LinkJSON{E1: "ab", E2: ""}),
+		{Binding: map[string]server.TermJSON{"n": {Kind: "literal", Value: "x", Lang: "en"}}},
+		{Binding: map[string]server.TermJSON{"n": {Kind: "literal", Value: "x", Datatype: "en"}}},
+		{Binding: map[string]server.TermJSON{"n": {Kind: "iri", Value: "x"}}},
+		{Binding: map[string]server.TermJSON{"n": {Kind: "literal", Value: "3:a"}}},
+		{Binding: map[string]server.TermJSON{"n": {Kind: "literal", Value: ""}, "3:a": {Kind: "literal"}}},
+	}
+	seen := map[string]int{}
+	for i, r := range distinct {
+		k := rowKey(r)
+		if j, ok := seen[k]; ok {
+			t.Fatalf("rows %d and %d collide on key %q", j, i, k)
+		}
+		seen[k] = i
+	}
+	// Link ORDER is not identity: provenance is a set.
+	if rowKey(row("n", "x", l1, l2)) != rowKey(row("n", "x", l2, l1)) {
+		t.Fatal("link order changed the row key")
+	}
+}
+
 // canon renders a response canonically: sorted injective row keys plus
 // the sorted degradation marker and the ASK verdict. Two responses
 // over the same data must canonicalize identically (acceptance:
@@ -264,9 +348,86 @@ func canon(res *server.QueryResponse) string {
 	return strings.Join(keys, "\n") + "\n|deg:" + strings.Join(deg, ",") + "|ask:" + ask
 }
 
+// postQuery posts body to url's /query and returns what came back.
+func postQuery(t testing.TB, url string, body []byte) (int, http.Header, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header, data
+}
+
+func queryBody(t testing.TB, req server.QueryRequest) []byte {
+	t.Helper()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// exchange is one /query round trip between the router and a shard.
+type exchange struct {
+	host      string
+	req, resp []byte
+}
+
+// tap is a transport recording the router's /query exchanges, so a
+// test can hold what the router relayed to what it was given.
+type tap struct {
+	mu   sync.Mutex
+	seen []exchange
+}
+
+func (tp *tap) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/query" {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	sent, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	req.Body = io.NopCloser(bytes.NewReader(sent))
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	got, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(got))
+	tp.mu.Lock()
+	tp.seen = append(tp.seen, exchange{host: req.URL.Host, req: sent, resp: got})
+	tp.mu.Unlock()
+	return resp, nil
+}
+
+// take returns the exchanges recorded since the last call.
+func (tp *tap) take() []exchange {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	out := tp.seen
+	tp.seen = nil
+	return out
+}
+
 // The tentpole acceptance: a router over 1, 2 and 4 shards answers
-// every test-world query canonically identically to a single-node
-// alexd over the same data.
+// every test-world query with exactly the bytes of the one shard it
+// asked, having sent that shard exactly the bytes the client sent
+// (timeout_ms included), and those bytes are canonically a single-node
+// alexd's answer over the same data.
 func TestRouterEquivalenceWithSingleNode(t *testing.T) {
 	worlds := map[string]func(testing.TB) *world{
 		"tiny":  tinyWorld,
@@ -299,20 +460,131 @@ func TestRouterEquivalenceWithSingleNode(t *testing.T) {
 			for _, n := range []int{1, 2, 4} {
 				n := n
 				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-					f := startFleet(t, w, n, server.Config{})
+					tp := &tap{}
+					f := startFleetWith(t, w, n, server.Config{}, func(c *Config) {
+						c.Transport = tp
+						c.Hedge.Disabled = true // one shard asked per query, so one exchange to compare with
+					})
 					f.waitConverged(t, len(w.initial))
+					asked := map[string]bool{}
 					for i, q := range w.queries {
-						res, err := f.rclient.Query(q)
-						if err != nil {
-							t.Fatalf("router query %q: %v", q, err)
+						sent := queryBody(t, server.QueryRequest{Query: q, TimeoutMillis: 9000})
+						status, _, got := postQuery(t, f.rts.URL, sent)
+						if status != http.StatusOK {
+							t.Fatalf("router query %q: status %d: %s", q, status, got)
 						}
-						if got := canon(res); got != want[i] {
-							t.Fatalf("router answer diverges from single node for %q:\nrouter:\n%s\nsingle:\n%s", q, got, want[i])
+						seen := tp.take()
+						if len(seen) != 1 {
+							t.Fatalf("router asked %d shards for %q, want 1", len(seen), q)
 						}
+						asked[seen[0].host] = true
+						if !bytes.Equal(seen[0].req, sent) {
+							t.Fatalf("shard was sent\n%s\nthe client sent\n%s", seen[0].req, sent)
+						}
+						if !bytes.Equal(got, seen[0].resp) {
+							t.Fatalf("router relayed\n%s\nthe shard answered\n%s", got, seen[0].resp)
+						}
+						var res server.QueryResponse
+						if err := json.Unmarshal(got, &res); err != nil {
+							t.Fatalf("router answer to %q: %v", q, err)
+						}
+						if c := canon(&res); c != want[i] {
+							t.Fatalf("router answer diverges from single node for %q:\nrouter:\n%s\nsingle:\n%s", q, c, want[i])
+						}
+					}
+					if len(asked) != n {
+						t.Fatalf("%d of %d shards were asked", len(asked), n)
 					}
 				})
 			}
 		})
+	}
+}
+
+// shardQueries reads shard i's alexd_queries_total off its /metrics.
+func (f *testFleet) shardQueries(t testing.TB, i int) int {
+	t.Helper()
+	text, err := f.clients[i].MetricsText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, "alexd_queries_total "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("alexd_queries_total missing from /metrics")
+	return 0
+}
+
+// Queries go to the routable shards in turn: 3·N queries through a
+// healthy 3-shard fleet are N evaluations on each shard.
+func TestRouterSpreadsQueriesRoundRobin(t *testing.T) {
+	w := tinyWorld(t)
+	const n, perShard = 3, 8
+	f := startFleetWith(t, w, n, server.Config{}, func(c *Config) {
+		c.HealthInterval = time.Hour // no poll can take a shard out of the rotation
+		c.Hedge.Disabled = true      // a hedge is a second evaluation
+	})
+	f.waitConverged(t, len(w.initial))
+	before := make([]int, n)
+	for i := range before {
+		before[i] = f.shardQueries(t, i)
+	}
+	for i := 0; i < n*perShard; i++ {
+		if _, err := f.rclient.Query(w.queries[i%len(w.queries)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range before {
+		if got := f.shardQueries(t, i) - before[i]; got != perShard {
+			t.Errorf("shard %d evaluated %d of %d queries, want %d", i, got, n*perShard, perShard)
+		}
+	}
+	if got := f.router.metrics.queryFanouts.Sum(); got != n*perShard {
+		t.Errorf("alexrouter_query_fanout sums to %v shards asked, want %d", got, n*perShard)
+	}
+}
+
+// The satellite bug: a shard's 4xx is an answer about the request, not
+// a failure of the shard. One malformed query used to be "no shard
+// answered" (502), mark the primary and the hedge peer down, and turn
+// the next valid query into a 503 until the health loop came round. The
+// health interval is an hour here, so only the data path can change
+// what is routable.
+func TestRouterRelaysClientErrors(t *testing.T) {
+	w := tinyWorld(t)
+	const n = 3
+	f := startFleetWith(t, w, n, server.Config{}, func(c *Config) {
+		c.HealthInterval = time.Hour
+	})
+	f.waitConverged(t, len(w.initial))
+
+	typo := []byte(`{"query":"SELEKT nonsense"}`)
+	wantStatus, _, wantBody := postQuery(t, f.addrs[0], typo)
+	if wantStatus != http.StatusBadRequest {
+		t.Fatalf("a shard asked directly answers %d, want 400", wantStatus)
+	}
+	status, hdr, body := postQuery(t, f.rts.URL, typo)
+	if status != wantStatus || !bytes.Equal(body, wantBody) {
+		t.Fatalf("router answered %d %s, the shard answers %d %s", status, body, wantStatus, wantBody)
+	}
+	if d := hdr.Get("X-Alex-Fleet-Degraded"); d != "" {
+		t.Fatalf("a client error degraded the fleet: %s", d)
+	}
+	h, err := f.router.healthView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Routable != n {
+		t.Fatalf("%d of %d shards routable after a client error: %+v", h.Routable, n, h)
+	}
+	if status, _, body := postQuery(t, f.rts.URL, queryBody(t, server.QueryRequest{Query: w.queries[0]})); status != http.StatusOK {
+		t.Fatalf("the next valid query got %d: %s", status, body)
 	}
 }
 

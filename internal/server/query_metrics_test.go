@@ -60,15 +60,14 @@ func TestQueryMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMetricsExposition drives /query with adaptive execution
-// enabled and asserts the adaptive observability surface: mid-query
-// re-rankings, learned-plan hits, and plan-cache evictions.
+// TestAdaptiveMetricsExposition drives /query and asserts the ranker's
+// observability surface: mid-query re-rankings, learned-plan hits, and
+// plan-cache evictions.
 func TestAdaptiveMetricsExposition(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
 	_, ts, client := newTestServer(t, sys, dict, sources, Config{
 		FlushInterval: 20 * time.Millisecond,
 		PlanCacheSize: 1,
-		ReplanEvery:   1,
 	})
 
 	// Two stages => one re-ranking per evaluation; the second run of

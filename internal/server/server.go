@@ -124,12 +124,6 @@ type Config struct {
 	// by all published snapshots; 0 or negative means
 	// federation.DefaultPlanCacheSize.
 	PlanCacheSize int
-	// ReplanEvery enables adaptive query execution: after every
-	// ReplanEvery executed pattern stages the evaluator re-ranks the
-	// remaining patterns using observed cardinalities, and cached plans
-	// learn cardinalities across requests. 0 keeps the static planner
-	// (see federation.Options.ReplanEvery).
-	ReplanEvery int
 	// MaxConcurrentQueries caps in-flight /query evaluations; excess
 	// requests wait for a slot until their deadline, then get 503 +
 	// Retry-After. 0 means unlimited. Fleet routers use this so one
@@ -341,7 +335,7 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 	cfg = cfg.withDefaults()
 	base := federation.New(dict)
 	base.SetResilience(cfg.Resilience)
-	base.SetOptions(federation.Options{Workers: cfg.QueryWorkers, ReplanEvery: cfg.ReplanEvery})
+	base.SetOptions(federation.Options{Workers: cfg.QueryWorkers})
 	plans := federation.NewPlanCache(cfg.PlanCacheSize)
 	base.SetPlanCache(plans)
 	for _, src := range sources {
@@ -486,7 +480,7 @@ func (s *Server) registerMetrics() {
 	s.reg.GaugeFunc("alexd_plan_cache_entries", "Compiled plans currently cached.", func() float64 {
 		return float64(s.plans.Len())
 	})
-	s.reg.CounterFunc("alexd_replans_total", "Mid-query re-rankings performed by the adaptive evaluator.", func() uint64 {
+	s.reg.CounterFunc("alexd_replans_total", "Mid-query re-rankings of the patterns a group had still to run.", func() uint64 {
 		replans, _ := s.base.AdaptiveStats()
 		return replans
 	})
