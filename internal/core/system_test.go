@@ -281,8 +281,10 @@ func TestRollbackSparesApprovedLinks(t *testing.T) {
 	}
 	state := ls[0]
 	pk := provKey{state: state, action: feature.Key{P1: 1, P2: 2}}
-	for _, l := range ls[1:5] {
-		if p.addCandidate(l, &pk) {
+	// Links comes in map order: take the first four that are not
+	// candidates already, whichever they are.
+	for _, l := range ls[1:] {
+		if len(group) < 4 && p.addCandidate(l, &pk) {
 			p.generated[pk] = append(p.generated[pk], l)
 			group = append(group, l)
 		}

@@ -168,28 +168,30 @@ func dedupSorted(xs []uint32) []uint32 {
 	return out
 }
 
-// jaccardSorted computes |a∩b| / |a∪b| over sorted unique slices.
+// jaccardSorted computes |a∩b| / |a∪b| over sorted unique slices. The
+// merge has no data-dependent branch — which side advances is summed
+// from comparisons (b2i compiles to SETcc), not jumped on — because it
+// dominates feature-space construction and a branchy loop's speed
+// swung 10-15 % with where the linker happened to place it.
 func jaccardSorted(a, b []uint32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
 	i, j, inter := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
+		x, y := a[i], b[j]
+		inter += b2i(x == y)
+		i += b2i(x <= y)
+		j += b2i(y <= x)
 	}
 	return float64(inter) / float64(len(a)+len(b)-inter)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sim mirrors similarity.SpaceSim over precomputed signatures.

@@ -3,6 +3,7 @@ package feature
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -86,6 +87,57 @@ func TestJaccardSorted(t *testing.T) {
 	for _, c := range cases {
 		if got := jaccardSorted(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("jaccardSorted(%v,%v) = %f, want %f", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestJaccardSortedMatchesMapReference holds the branch-free merge to a
+// map-based intersection/union on random sorted-unique pairs and on the
+// shapes a merge loop gets wrong: empty, equal, disjoint, nested, and
+// either side running out first.
+func TestJaccardSortedMatchesMapReference(t *testing.T) {
+	reference := func(a, b []uint32) float64 {
+		in := make(map[uint32]bool, len(a))
+		for _, x := range a {
+			in[x] = true
+		}
+		inter := 0
+		for _, y := range b {
+			if in[y] {
+				inter++
+			}
+		}
+		if union := len(a) + len(b) - inter; inter > 0 {
+			return float64(inter) / float64(union)
+		}
+		return 0
+	}
+	rng := rand.New(rand.NewSource(21))
+	// draw returns n distinct values below span, ascending.
+	draw := func(n, span int) []uint32 {
+		out := make([]uint32, 0, n)
+		for _, v := range rng.Perm(span)[:n] {
+			out = append(out, uint32(v))
+		}
+		return dedupSorted(out)
+	}
+	evens := []uint32{0, 2, 4, 6, 8}
+	pairs := [][2][]uint32{
+		{nil, nil}, {nil, evens}, {evens, nil},
+		{evens, evens},
+		{evens, {1, 3, 5, 7}},            // disjoint, interleaved
+		{{1, 2, 3}, {10, 11}},            // a exhausted first
+		{{10, 11}, {1, 2, 3}},            // b exhausted first
+		{evens, {2, 4}}, {{2, 4}, evens}, // nested
+		{{0, math.MaxUint32}, {math.MaxUint32}}, // the extremes
+	}
+	for i := 0; i < 2000; i++ {
+		span := 1 + rng.Intn(40)
+		pairs = append(pairs, [2][]uint32{draw(rng.Intn(span+1), span), draw(rng.Intn(span+1), span)})
+	}
+	for _, p := range pairs {
+		if got, want := jaccardSorted(p[0], p[1]), reference(p[0], p[1]); got != want {
+			t.Fatalf("jaccardSorted(%v, %v) = %v, map reference %v", p[0], p[1], got, want)
 		}
 	}
 }

@@ -25,12 +25,16 @@
 // links.Frozen chain for the sameAs links crossed. The stores hand out
 // IDs and take IDs, so matching never hashes a term; a FILTER is shown
 // a scratch binding of just the variables it reads. sparql.Finalize
-// projects, orders and cuts on the same IDs, and only the rows that
-// survive are decoded into the public ResultSet, their provenance
-// chains materialized then. A single-graph query is a federation of one
-// source with no links (single.go). Answers, and the join orders a
-// plan that has learned nothing executes, are pinned by the golden
-// files under testdata/golden.
+// projects, orders and cuts on the same IDs, and the evaluation ends
+// there, in an Answer (answer.go): the surviving rows as a projection
+// over the ID rows, and every solution's provenance chain. Decoding is
+// the renderer's business. A library caller gets the public ResultSet —
+// a Binding map and a links.Set per row — from Answer.ResultSet;
+// internal/server writes its JSON from Answer.Term and Answer.Links and
+// decodes nothing. A single-graph query is a federation of one source
+// with no links (single.go). Answers, and the join orders a plan that
+// has learned nothing executes, are pinned by the golden files under
+// testdata/golden.
 package federation
 
 import (
@@ -259,9 +263,28 @@ func (f *Federator) Query(query string) (*ResultSet, error) {
 // installed (SetPlanCache), a repeated query text skips the parser and
 // the compiler and ranks by what its earlier evaluations observed.
 func (f *Federator) QueryContext(ctx context.Context, query string) (*ResultSet, error) {
-	p, err := f.planFor(query)
+	a, err := f.evalText(ctx, query)
 	if err != nil {
 		return nil, err
+	}
+	return a.ResultSet(), nil
+}
+
+// Evaluate is QueryContext stopping short of the decode: the answer
+// stays in dictionary-ID form for a caller that renders it itself.
+func (f *Federator) Evaluate(ctx context.Context, query string) (*Answer, error) {
+	a, err := f.evalText(ctx, query)
+	if err != nil {
+		return nil, err
+	}
+	return &a, nil
+}
+
+// evalText plans (or finds the cached plan of) a query text and runs it.
+func (f *Federator) evalText(ctx context.Context, query string) (Answer, error) {
+	p, err := f.planFor(query)
+	if err != nil {
+		return Answer{}, err
 	}
 	return f.evalPlan(ctx, p)
 }
@@ -299,21 +322,24 @@ func (f *Federator) Eval(q *sparql.Query) (*ResultSet, error) {
 // call — the plan cache only applies to QueryContext, which has the
 // query text to key it by.
 func (f *Federator) EvalContext(ctx context.Context, q *sparql.Query) (*ResultSet, error) {
-	return f.evalPlan(ctx, f.planQuery(q))
+	a, err := f.evalPlan(ctx, f.planQuery(q))
+	if err != nil {
+		return nil, err
+	}
+	return a.ResultSet(), nil
 }
 
 // evalPlan runs a compiled plan: probe the plan's sources (in
 // parallel, so Degraded is decided before evaluation and independent
 // of join order), evaluate the pattern tree with the configured worker
-// count, finalize through the sparql engine — still on IDs — and attach
-// each surviving row's provenance. A plan with an order to choose
-// (p.obs non-nil) takes a RuntimeStats table along: probes and stages
-// record into it, ranking consults it, and it is folded into the plan's
-// learned table at the end so the next query over a cached plan starts
-// from real cardinalities.
-func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
+// count and finalize through the sparql engine — still on IDs. A plan
+// with an order to choose (p.obs non-nil) takes a RuntimeStats table
+// along: probes and stages record into it, ranking consults it, and it
+// is folded into the plan's learned table at the end so the next query
+// over a cached plan starts from real cardinalities.
+func (f *Federator) evalPlan(ctx context.Context, p *plan) (Answer, error) {
 	if len(f.sources) == 0 {
-		return nil, fmt.Errorf("federation: no sources registered")
+		return Answer{}, fmt.Errorf("federation: no sources registered")
 	}
 	var stats *RuntimeStats
 	if p.obs != nil {
@@ -338,50 +364,11 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (*ResultSet, error) {
 		stats.foldInto(p.obs)
 	}
 
-	res, err := sparql.Finalize(p.q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
+	proj, err := sparql.Finalize(p.q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
 	if err != nil {
-		return nil, err
+		return Answer{}, err
 	}
-	if p.q.Form == sparql.FormAsk {
-		return &ResultSet{Ask: res.Ask, Degraded: ec.degradedNames(f)}, nil
-	}
-	out := &ResultSet{Vars: res.Vars, Degraded: ec.degradedNames(f)}
-	if len(res.Rows) == 0 {
-		return out, nil
-	}
-	out.Rows = make([]Row, len(res.Rows))
-	if len(p.q.Aggregates) > 0 {
-		// An aggregate row depends on every solution that fed its
-		// group; attributing provenance per group would need the
-		// grouping keys of each input row, so attach the union — any
-		// feedback on an aggregate answer concerns all links that
-		// contributed to it.
-		all := links.NewSet()
-		for _, u := range rows.used {
-			u.AddTo(all)
-		}
-		for k, b := range res.Rows {
-			out.Rows[k] = Row{Binding: b, Used: all.Clone()}
-		}
-		return out, nil
-	}
-	// A row answers for every solution that projects onto its ID tuple,
-	// kept or not: their provenance is merged, and rows with one tuple
-	// share one set.
-	sets := make([]links.Set, len(res.Members))
-	for k, b := range res.Rows {
-		g := res.Group[k]
-		if sets[g] == nil {
-			members := res.Members[g]
-			u := rows.used[members[0]].Set()
-			for _, i := range members[1:] {
-				rows.used[i].AddTo(u)
-			}
-			sets[g] = u
-		}
-		out.Rows[k] = Row{Binding: b, Used: sets[g]}
-	}
-	return out, nil
+	return Answer{Projection: proj, Degraded: ec.degradedNames(f), used: rows.used}, nil
 }
 
 // evalGroup evaluates one group pattern over the input rows: triple

@@ -397,14 +397,18 @@ func TestGoldenChainWorld(t *testing.T) {
 	assertGolden(t, "chain", f, goldenChainQueries())
 }
 
-func TestGoldenDegradedWorld(t *testing.T) {
-	assertGolden(t, "degraded", goldenDegradedWorld(t), map[string]string{
+func goldenDegradedQueries() map[string]string {
+	return map[string]string{
 		"degraded-join": `SELECT ?s ?o ?w WHERE {
 			?s <http://x/p> ?o .
 			?s <http://x/q> ?w .
 		}`,
 		"degraded-scan": `SELECT ?s ?o WHERE { ?s <http://x/p> ?o . }`,
-	})
+	}
+}
+
+func TestGoldenDegradedWorld(t *testing.T) {
+	assertGolden(t, "degraded", goldenDegradedWorld(t), goldenDegradedQueries())
 }
 
 // TestGoldenSynthProfiles covers every built-in synth profile; short

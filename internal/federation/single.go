@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"context"
+
 	"alex/internal/rdf"
 	"alex/internal/sparql"
 	"alex/internal/store"
@@ -19,15 +21,11 @@ func Single(g store.TripleStore) *Federator {
 
 // Execute parses and evaluates a SELECT or ASK query against one store.
 func Execute(g store.TripleStore, query string) (*sparql.Result, error) {
-	rs, err := Single(g).Query(query)
+	a, err := Single(g).evalText(context.Background(), query)
 	if err != nil {
 		return nil, err
 	}
-	res := &sparql.Result{Vars: rs.Vars, Ask: rs.Ask, Rows: make([]sparql.Binding, len(rs.Rows))}
-	for i, r := range rs.Rows {
-		res.Rows[i] = r.Binding
-	}
-	return res, nil
+	return a.Result(), nil
 }
 
 // Construct evaluates a CONSTRUCT query against one store and returns

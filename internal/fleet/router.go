@@ -42,7 +42,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -433,9 +432,9 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return
 	}
-	body, err := io.ReadAll(req.Body)
+	body, status, err := server.ReadQueryBody(w, req, nil)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		writeJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	// The body goes to the shard as sent, and the shard validates it; the

@@ -564,17 +564,31 @@ func TestRouterRelaysClientErrors(t *testing.T) {
 	})
 	f.waitConverged(t, len(w.initial))
 
-	typo := []byte(`{"query":"SELEKT nonsense"}`)
-	wantStatus, _, wantBody := postQuery(t, f.addrs[0], typo)
-	if wantStatus != http.StatusBadRequest {
-		t.Fatalf("a shard asked directly answers %d, want 400", wantStatus)
-	}
-	status, hdr, body := postQuery(t, f.rts.URL, typo)
-	if status != wantStatus || !bytes.Equal(body, wantBody) {
-		t.Fatalf("router answered %d %s, the shard answers %d %s", status, body, wantStatus, wantBody)
-	}
-	if d := hdr.Get("X-Alex-Fleet-Degraded"); d != "" {
-		t.Fatalf("a client error degraded the fleet: %s", d)
+	valid := queryBody(t, server.QueryRequest{Query: w.queries[0]})
+	for _, c := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"malformed query", []byte(`{"query":"SELEKT nonsense"}`), http.StatusBadRequest},
+		// The shard reads one JSON value and nothing after it; the router
+		// passes the bytes on and the verdict back.
+		{"trailing bytes", append(bytes.Clone(valid), "trailing-bytes"...), http.StatusBadRequest},
+		// Neither reads past server.MaxQueryBodyBytes: the router refuses
+		// this one itself, in the shard's words.
+		{"oversized body", append(bytes.Clone(valid), bytes.Repeat([]byte(" "), server.MaxQueryBodyBytes)...), http.StatusRequestEntityTooLarge},
+	} {
+		wantStatus, _, wantBody := postQuery(t, f.addrs[0], c.body)
+		if wantStatus != c.want {
+			t.Fatalf("%s: a shard asked directly answers %d, want %d", c.name, wantStatus, c.want)
+		}
+		status, hdr, body := postQuery(t, f.rts.URL, c.body)
+		if status != wantStatus || !bytes.Equal(body, wantBody) {
+			t.Fatalf("%s: router answered %d %s, the shard answers %d %s", c.name, status, body, wantStatus, wantBody)
+		}
+		if d := hdr.Get("X-Alex-Fleet-Degraded"); d != "" {
+			t.Fatalf("%s: a client error degraded the fleet: %s", c.name, d)
+		}
 	}
 	h, err := f.router.healthView()
 	if err != nil {
@@ -583,7 +597,7 @@ func TestRouterRelaysClientErrors(t *testing.T) {
 	if h.Routable != n {
 		t.Fatalf("%d of %d shards routable after a client error: %+v", h.Routable, n, h)
 	}
-	if status, _, body := postQuery(t, f.rts.URL, queryBody(t, server.QueryRequest{Query: w.queries[0]})); status != http.StatusOK {
+	if status, _, body := postQuery(t, f.rts.URL, valid); status != http.StatusOK {
 		t.Fatalf("the next valid query got %d: %s", status, body)
 	}
 }

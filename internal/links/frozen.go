@@ -95,6 +95,15 @@ func (f *Frozen) Set() Set {
 	return out
 }
 
+// AppendTo appends every link of the frozen set to dst, in no
+// particular order.
+func (f *Frozen) AppendTo(dst []Link) []Link {
+	for node := f; node != nil; node = node.parent {
+		dst = append(dst, node.delta...)
+	}
+	return dst
+}
+
 // AddTo inserts every link of the frozen set into s.
 func (f *Frozen) AddTo(s Set) {
 	for node := f; node != nil; node = node.parent {

@@ -101,6 +101,15 @@ func TestFrozenSetMaterialization(t *testing.T) {
 		}
 	}
 
+	// AppendTo lists the same links, once each, after what dst held.
+	flat := f.AppendTo([]Link{frozenLink(7)})
+	if len(flat) != 4 || flat[0] != frozenLink(7) || NewSet(flat[1:]...).SymmetricDiff(want) != 0 {
+		t.Fatalf("AppendTo = %v, want %v after %v", flat, want, frozenLink(7))
+	}
+	if got := (*Frozen)(nil).AppendTo(nil); got != nil {
+		t.Fatalf("nil.AppendTo(nil) = %v", got)
+	}
+
 	// The materialized set is caller-owned: mutating it must not leak
 	// back into the frozen chain or other materializations.
 	s.Add(frozenLink(9))

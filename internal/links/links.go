@@ -5,7 +5,8 @@
 package links
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"alex/internal/rdf"
 )
@@ -72,18 +73,21 @@ func (s Set) Clone() Set {
 	return out
 }
 
+// Compare orders links by (E1, E2).
+func (l Link) Compare(o Link) int {
+	if c := cmp.Compare(l.E1, o.E1); c != 0 {
+		return c
+	}
+	return cmp.Compare(l.E2, o.E2)
+}
+
 // Slice returns the links in deterministic (E1, E2) order.
 func (s Set) Slice() []Link {
 	out := make([]Link, 0, len(s))
 	for l := range s {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].E1 != out[j].E1 {
-			return out[i].E1 < out[j].E1
-		}
-		return out[i].E2 < out[j].E2
-	})
+	slices.SortFunc(out, Link.Compare)
 	return out
 }
 

@@ -1,5 +1,7 @@
 // HTTP surface of alexd: JSON wire types, the four endpoints, and the
-// recovery/metrics middleware.
+// recovery/metrics middleware. The wire types are what every endpoint
+// but one encodes and what clients decode; a /query answer is written
+// from dictionary IDs by wire.go, which QueryResponse only describes.
 package server
 
 import (
@@ -7,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -14,7 +17,6 @@ import (
 	"alex/internal/federation"
 	"alex/internal/links"
 	"alex/internal/rdf"
-	"alex/internal/sparql"
 )
 
 // TermJSON is an RDF term on the wire.
@@ -24,17 +26,6 @@ type TermJSON struct {
 	Value    string `json:"value"`
 	Datatype string `json:"datatype,omitempty"`
 	Lang     string `json:"lang,omitempty"`
-}
-
-func termJSON(t rdf.Term) TermJSON {
-	kind := "iri"
-	switch t.Kind {
-	case rdf.KindLiteral:
-		kind = "literal"
-	case rdf.KindBlank:
-		kind = "blank"
-	}
-	return TermJSON{Kind: kind, Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
 }
 
 // LinkJSON is a sameAs link as entity IRIs.
@@ -225,8 +216,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return
 	}
+	// The body is read whole into the buffer the response is later
+	// written from, and must be one JSON value: trailing bytes are a 400.
+	wb := wireBufs.Get().(*wireBuf)
+	defer putWireBuf(wb)
+	var status int
+	var err error
+	if wb.b, status, err = ReadQueryBody(w, r, wb.b); err != nil {
+		writeJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
+		return
+	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(wb.b, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -264,7 +265,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// never touch this one.
 	snap := s.Snapshot()
 	start := time.Now()
-	res, err := evalWithContext(ctx, snap.Fed, req.Query)
+	ans, err := evalWithContext(ctx, snap.Fed, req.Query)
 	s.metrics.queryDuration.Observe(time.Since(start).Seconds())
 	if err != nil {
 		if ctx.Err() != nil {
@@ -277,47 +278,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.queries.Inc()
-	s.metrics.queryRows.Add(uint64(len(res.Rows)))
+	s.metrics.queryRows.Add(uint64(ans.Len()))
 
-	out := QueryResponse{
-		Vars:            res.Vars,
-		Rows:            make([]RowJSON, 0, len(res.Rows)),
-		SnapshotVersion: snap.Version,
-		DegradedSources: res.Degraded,
-	}
-	if len(res.Degraded) > 0 {
+	h := w.Header()
+	if len(ans.Degraded) > 0 {
 		s.metrics.degradedQueries.Inc()
-		w.Header().Set("X-Alex-Degraded", strings.Join(res.Degraded, ","))
+		h.Set("X-Alex-Degraded", strings.Join(ans.Degraded, ","))
 	}
-	if isAsk(req.Query, res) {
-		ask := res.Ask
-		out.Ask = &ask
-	}
-	for _, row := range res.Rows {
-		out.Rows = append(out.Rows, s.rowJSON(row))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// isAsk reports whether the result set came from an ASK form (no
-// variables and no rows is how the federation layer signals it).
-func isAsk(query string, res *federation.ResultSet) bool {
-	if len(res.Vars) > 0 || len(res.Rows) > 0 {
-		return false
-	}
-	q, err := sparql.Parse(query)
-	return err == nil && q.Form == sparql.FormAsk
-}
-
-func (s *Server) rowJSON(row federation.Row) RowJSON {
-	rj := RowJSON{Binding: make(map[string]TermJSON, len(row.Binding))}
-	for v, t := range row.Binding {
-		rj.Binding[v] = termJSON(t)
-	}
-	for _, l := range row.Used.Slice() {
-		rj.Links = append(rj.Links, LinkJSON{E1: s.dict.Term(l.E1).Value, E2: s.dict.Term(l.E2).Value})
-	}
-	return rj
+	wb.b = wb.b[:0]
+	s.appendQueryResponse(wb, ans, snap.Version)
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(wb.b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(wb.b) //nolint:errcheck // client gone; nothing to do
 }
 
 // evalWithContext runs the query in a helper goroutine so the handler
@@ -326,19 +299,19 @@ func (s *Server) rowJSON(row federation.Row) RowJSON {
 // cancels any in-flight retries. An abandoned evaluation finishes in
 // the background against its snapshot (which stays valid) and is
 // discarded.
-func evalWithContext(ctx context.Context, fed *federation.Federator, query string) (*federation.ResultSet, error) {
+func evalWithContext(ctx context.Context, fed *federation.Federator, query string) (*federation.Answer, error) {
 	type out struct {
-		res *federation.ResultSet
+		ans *federation.Answer
 		err error
 	}
 	ch := make(chan out, 1)
 	go func() {
-		res, err := fed.QueryContext(ctx, query)
-		ch <- out{res, err}
+		ans, err := fed.Evaluate(ctx, query)
+		ch <- out{ans, err}
 	}()
 	select {
 	case o := <-ch:
-		return o.res, o.err
+		return o.ans, o.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

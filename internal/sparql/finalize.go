@@ -28,42 +28,99 @@ func (s Solutions) row(i int) []rdf.ID {
 // clause never mentions is unbound in every solution.
 func (s Solutions) column(v string) int { return slices.Index(s.Vars, v) }
 
-// Result holds finalized query solutions in projection order. For ASK
-// queries Rows is empty and Ask carries the answer.
+// Result holds finalized query solutions in projection order, decoded.
+// For ASK queries Rows is empty and Ask carries the answer.
 type Result struct {
 	Vars []string
 	Rows []Binding
 	Ask  bool
+}
+
+// Projection is a finalized solution sequence still in dictionary-ID
+// form: which input solutions survive, in output order, and which
+// columns of them are projected. Nothing in it is decoded; a renderer
+// reads the cells it needs through Term, or all of them through Result.
+// For ASK queries it has no rows and Ask carries the answer.
+type Projection struct {
+	Form QueryForm
+	Vars []string
+	Ask  bool
 	// Group and Members say which input solutions each row stands for,
 	// so that a caller holding per-solution data (the federation's link
 	// provenance) can carry it across projection, DISTINCT and LIMIT.
-	// Rows[k] belongs to group Group[k]; rows share a group exactly when
+	// Row k belongs to group Group[k]; rows share a group exactly when
 	// they project onto the same ID tuple, and Members[g] lists, in
 	// ascending order, every input solution with that tuple — including
 	// the ones DISTINCT, OFFSET or LIMIT dropped. Both are nil for
 	// aggregate queries, whose rows stand for whole GROUP BY groups.
 	Group   []int32
 	Members [][]int32
+
+	// Row k is solution keep[k] of sols, read through cols (-1: a
+	// variable the WHERE clause never mentions); dict resolves its IDs —
+	// the caller's dictionary, or a private one holding the computed
+	// terms of an aggregate query.
+	dict *rdf.Dict
+	sols Solutions
+	cols []int
+	keep []int32
+}
+
+// Len returns the number of rows.
+func (p *Projection) Len() int { return len(p.keep) }
+
+// Term returns what row k binds Vars[j] to; ok is false when the row
+// leaves it unbound.
+func (p *Projection) Term(k, j int) (t rdf.Term, ok bool) {
+	c := p.cols[j]
+	if c < 0 {
+		return rdf.Term{}, false
+	}
+	id := p.sols.row(int(p.keep[k]))[c]
+	if id == rdf.NoID {
+		return rdf.Term{}, false
+	}
+	return p.dict.Term(id), true
+}
+
+// Binding decodes row k.
+func (p *Projection) Binding(k int) Binding {
+	b := make(Binding, len(p.Vars))
+	for j, v := range p.Vars {
+		if t, ok := p.Term(k, j); ok {
+			b[v] = t
+		}
+	}
+	return b
+}
+
+// Result decodes every row.
+func (p *Projection) Result() *Result {
+	res := &Result{Vars: p.Vars, Ask: p.Ask, Rows: make([]Binding, p.Len())}
+	for k := range res.Rows {
+		res.Rows[k] = p.Binding(k)
+	}
+	return res
 }
 
 // Finalize applies aggregation, projection, DISTINCT, ORDER BY, OFFSET,
-// and LIMIT to the raw solutions of q's WHERE clause, and decodes the
-// rows that survive through d. Producing the solutions is
+// and LIMIT to the raw solutions of q's WHERE clause and returns the
+// surviving rows as a Projection over them. Producing the solutions is
 // internal/federation's job: this package is the query language only
-// and never touches a store. Everything up to LIMIT works on row
-// indices and dictionary IDs; a term is looked up only where the
-// language compares lexical forms (DISTINCT on literals that render
-// alike, ORDER BY keys, aggregates) and when a surviving row is decoded.
-func Finalize(q *Query, d *rdf.Dict, sols Solutions) (*Result, error) {
+// and never touches a store. Everything works on row indices and
+// dictionary IDs; a term is looked up in d only where the language
+// compares lexical forms (DISTINCT on literals that render alike, ORDER
+// BY keys, aggregates). Decoding the answer is the renderer's decision.
+func Finalize(q *Query, d *rdf.Dict, sols Solutions) (Projection, error) {
 	if q.Form == FormAsk {
-		return &Result{Ask: sols.N > 0}, nil
+		return Projection{Form: FormAsk, Ask: sols.N > 0}, nil
 	}
 	vars := append([]string(nil), q.Vars...)
 	grouped := len(q.Aggregates) > 0
 	if grouped {
 		agg, err := aggregate(q, sols.bindings(d))
 		if err != nil {
-			return nil, err
+			return Projection{}, err
 		}
 		// Projection: the grouped variables that were projected, then
 		// the aggregate result names. Aggregate values are computed, not
@@ -119,21 +176,11 @@ func Finalize(q *Query, d *rdf.Dict, sols Solutions) (*Result, error) {
 		keep = keep[:q.Limit]
 	}
 
-	res := &Result{Vars: vars, Rows: make([]Binding, len(keep))}
-	for k, i := range keep {
-		row := sols.row(int(i))
-		b := make(Binding, len(vars))
-		for j, v := range vars {
-			if c := cols[j]; c >= 0 && row[c] != rdf.NoID {
-				b[v] = d.Term(row[c])
-			}
-		}
-		res.Rows[k] = b
-	}
+	p := Projection{Form: q.Form, Vars: vars, dict: d, sols: sols, cols: cols, keep: keep}
 	if !grouped {
-		res.Group, res.Members = groupByTuple(sols, cols, keep)
+		p.Group, p.Members = groupByTuple(sols, cols, keep)
 	}
-	return res, nil
+	return p, nil
 }
 
 // bindings decodes every solution; only aggregation needs that.
@@ -223,7 +270,7 @@ func (c *canonicalIDs) of(id rdf.ID) rdf.ID {
 	return id
 }
 
-// groupByTuple computes Result.Group and Result.Members: the surviving
+// groupByTuple computes Projection.Group and Projection.Members: the surviving
 // rows are numbered by projected ID tuple in order of first appearance,
 // then every input row is probed against those tuples.
 func groupByTuple(sols Solutions, cols []int, keep []int32) (group []int32, members [][]int32) {

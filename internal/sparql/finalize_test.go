@@ -15,10 +15,11 @@ func TestDistinctSeparatesNULSplitRows(t *testing.T) {
 	left := Binding{"a": rdf.IRI("x"), "b": rdf.IRI("y>\x00<z")}
 	right := Binding{"a": rdf.IRI("x>\x00<y"), "b": rdf.IRI("z")}
 	d := rdf.NewDict()
-	res, err := Finalize(q, d, encodeBindings(d, q.Vars, []Binding{left, right, left}))
+	proj, err := Finalize(q, d, encodeBindings(d, q.Vars, []Binding{left, right, left}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := proj.Result()
 	if len(res.Rows) != 2 {
 		t.Fatalf("DISTINCT kept %d rows, want 2: %v", len(res.Rows), res.Rows)
 	}
@@ -46,10 +47,11 @@ func TestDistinctComparesRenderedTerms(t *testing.T) {
 		{{"v": typed}, {"v": typed}, {"v": taggedTyped}, {"v": rdf.IRI("a")}, {"v": taggedTyped}},
 	} {
 		d := rdf.NewDict()
-		res, err := Finalize(q, d, encodeBindings(d, q.Vars, rows))
+		proj, err := Finalize(q, d, encodeBindings(d, q.Vars, rows))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := proj.Result()
 		seen := map[string]bool{}
 		for _, r := range rows {
 			seen[r["v"].String()] = true

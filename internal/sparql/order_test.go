@@ -119,10 +119,11 @@ func TestOrderByPermutationMatchesReference(t *testing.T) {
 		rng.Shuffle(len(q.OrderBy), func(i, j int) { q.OrderBy[i], q.OrderBy[j] = q.OrderBy[j], q.OrderBy[i] })
 
 		d := rdf.NewDict()
-		res, err := Finalize(q, d, encodeBindings(d, vars, rows))
+		proj, err := Finalize(q, d, encodeBindings(d, vars, rows))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := proj.Result()
 
 		want := make([]Binding, n)
 		for i, r := range rows {
@@ -183,8 +184,8 @@ func BenchmarkFinalizeOrderBy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Finalize(q, d, sols)
-		if err != nil || len(res.Rows) != 50 {
-			b.Fatalf("rows=%d err=%v", len(res.Rows), err)
+		if err != nil || res.Len() != 50 {
+			b.Fatalf("rows=%d err=%v", res.Len(), err)
 		}
 	}
 }
