@@ -305,7 +305,11 @@ func main() {
 		cfg.Partitions = *partitions
 	}
 	log.Printf("building ALEX system (%d partitions)...", cfg.Partitions)
+	buildStart := time.Now()
 	sys := core.New(t1, t2, e1, e2, initial, cfg)
+	kept, total := sys.SpaceSize()
+	log.Printf("feature space: %d of %d pairs kept at θ=%.2f in %.1fs",
+		kept, total, cfg.Theta, time.Since(buildStart).Seconds())
 
 	srv, err := server.New(sys, dict, []federation.Source{
 		{Name: sourceName[0], Graph: t1},

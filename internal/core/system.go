@@ -72,18 +72,10 @@ func New(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, initial []link
 		}
 	}
 
-	// Build partition spaces. Build parallelizes internally across
-	// GOMAXPROCS goroutines, so the partitions are constructed one
-	// after another against a single shared signature table instead of
-	// each recomputing its own.
-	spaces := make([]*feature.Space, len(partEnts))
-	fopts := feature.Options{Theta: cfg.Theta, Sim: cfg.Sim}
-	if cfg.Sim == nil {
-		fopts.Sigs = feature.NewSigTable(g1.Dict())
-	}
-	for pi := range partEnts {
-		spaces[pi] = feature.Build(g1, g2, partEnts[pi], entities2, fopts)
-	}
+	// The partitions' spaces are built one after another — each build
+	// parallelizes internally across GOMAXPROCS goroutines — against one
+	// preparation of the dataset-2 side.
+	spaces := feature.BuildPartitions(g1, g2, partEnts, entities2, feature.Options{Theta: cfg.Theta, Sim: cfg.Sim})
 
 	s.parts = make([]*partition, len(partEnts))
 	for pi := range partEnts {

@@ -2,31 +2,15 @@ package feature
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"alex/internal/rdf"
 	"alex/internal/similarity"
 )
 
-// SigTable is a precomputed term-signature table: a dense array indexed
-// by rdf.ID (the dictionary assigns dense IDs) holding, for every
-// interned term, its classification and tokenization. It is the fast
-// path behind space construction when Options.Sim is nil: every term is
-// classified and tokenized exactly once, so the per-pair cost during
-// construction is two sorted array intersections instead of repeated
-// string processing, with no map lookups in the inner loop.
-//
-// A SigTable is read-only after construction and therefore safe to
-// share between the worker goroutines of one Build and across the
-// Builds of several partitions, as long as they all use the dictionary
-// the table was built from. Terms interned after construction are not
-// covered; Build panics (index out of range) rather than silently
-// degrading.
-type SigTable struct {
-	sigs []termSig
-}
-
+// termKind is how a value is compared: numbers and dates by proximity
+// within a window, strings and IRIs (by local name) by the overlap of
+// their trigram and token sets, and nothing across kinds.
 type termKind uint8
 
 const (
@@ -36,6 +20,9 @@ const (
 	sigIRI
 )
 
+// termSig is a term classified and tokenized once, so that scoring it
+// against another never touches a string again. The built-in similarity
+// (similarity.SpaceSim's rules) is a function of two signatures.
 type termSig struct {
 	kind termKind
 	num  float64  // numeric value, or date as fractional days
@@ -44,63 +31,39 @@ type termSig struct {
 	tok  []uint32 // sorted unique token hashes
 }
 
-// NewSigTable classifies and tokenizes every term currently interned in
-// d in one pass. Cost is linear in the dictionary; see DESIGN.md
-// "Shared signature table".
-func NewSigTable(d *rdf.Dict) *SigTable {
-	n := d.Len()
-	t := &SigTable{sigs: make([]termSig, n+1)} // slot 0 reserved for NoID
-	for id := 1; id <= n; id++ {
-		buildSig(d.Term(rdf.ID(id)), &t.sigs[id])
-	}
-	return t
-}
-
-// Len returns the number of signatures in the table.
-func (t *SigTable) Len() int { return len(t.sigs) - 1 }
-
-func (t *SigTable) sig(id rdf.ID) *termSig { return &t.sigs[id] }
-
 var dateLayouts = []string{"2006-01-02", "2006-01-02T15:04:05", "2006"}
 
-// buildSig fills s with the signature of t. Writing into caller-owned
-// storage keeps the dense table a single allocation.
-func buildSig(t rdf.Term, s *termSig) {
+// sigOf returns the signature of t. A literal is a number only if its
+// lexical form is a finite one (similarity.ParseNumber): "Nan" and
+// "Infinity" are strings, typed or not.
+func sigOf(t rdf.Term) termSig {
 	raw := t.Value
+	kind := sigString
 	if t.IsIRI() || t.IsBlank() {
-		s.kind = sigIRI
+		kind = sigIRI
 		raw = t.LocalName()
 	} else {
 		switch t.EffectiveDatatype() {
 		case rdf.XSDInteger, rdf.XSDDecimal, rdf.XSDDouble:
-			if v, err := strconv.ParseFloat(raw, 64); err == nil {
-				s.kind = sigNumber
-				s.num = v
-				return
+			if v, ok := similarity.ParseNumber(raw); ok {
+				return termSig{kind: sigNumber, num: v}
 			}
 		case rdf.XSDDate, rdf.XSDDateTime:
 			if d, ok := parseAnyDate(raw); ok {
-				s.kind = sigDate
-				s.num = float64(d.Unix()) / 86400
-				return
+				return termSig{kind: sigDate, num: float64(d.Unix()) / 86400}
 			}
 		case rdf.XSDString:
 			// plain literal: sniff the lexical form
-			if v, err := strconv.ParseFloat(raw, 64); err == nil {
-				s.kind = sigNumber
-				s.num = v
-				return
+			if v, ok := similarity.ParseNumber(raw); ok {
+				return termSig{kind: sigNumber, num: v}
 			}
 			if d, ok := parseAnyDate(raw); ok {
-				s.kind = sigDate
-				s.num = float64(d.Unix()) / 86400
-				return
+				return termSig{kind: sigDate, num: float64(d.Unix()) / 86400}
 			}
 		}
 	}
-	s.norm = similarity.Normalize(raw)
-	s.tri = trigramHashes(s.norm)
-	s.tok = tokenHashes(s.norm)
+	norm := similarity.Normalize(raw)
+	return termSig{kind: kind, norm: norm, tri: trigramHashes(norm), tok: tokenHashes(norm)}
 }
 
 func parseAnyDate(v string) (time.Time, bool) {
@@ -168,73 +131,130 @@ func dedupSorted(xs []uint32) []uint32 {
 	return out
 }
 
-// jaccardSorted computes |a∩b| / |a∪b| over sorted unique slices. The
-// merge has no data-dependent branch — which side advances is summed
-// from comparisons (b2i compiles to SETcc), not jumped on — because it
-// dominates feature-space construction and a branchy loop's speed
-// swung 10-15 % with where the linker happened to place it.
-func jaccardSorted(a, b []uint32) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	i, j, inter := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		inter += b2i(x == y)
-		i += b2i(x <= y)
-		j += b2i(y <= x)
-	}
-	return float64(inter) / float64(len(a)+len(b)-inter)
+// The proximity windows (similarity.NumericWindow) of the two kinds that
+// are not compared as sets.
+const (
+	numberWindow = 10  // numbers: absolute difference
+	dateWindow   = 365 // dates: days
+)
+
+// valueIndex is an inverted index over the signatures of a build's
+// distinct dataset-2 values, which are numbered densely as columns. It
+// turns "score this dataset-1 value against every column" from one pair
+// of sorted-set merges per column — nearly all of which find nothing in
+// common — into a walk over the posting lists of the value's own
+// hashes: a column that shares no trigram and no token with the value is
+// never visited and scores the 0 its row was allocated with. It is the
+// overlap count of an exact set-similarity join (ScanCount), with no
+// threshold inside: every score, including those below θ, is the one a
+// pairwise comparison gives, bit for bit.
+//
+// Read-only once built, so shared without locks by every worker of
+// every partition build.
+type valueIndex struct {
+	cols []termSig // the signature of each column's value
+	// tri and tok map a hash to the ascending columns whose value has
+	// it; postingKey keeps IRIs and strings, which never match each
+	// other, in separate key spaces.
+	tri, tok map[uint64][]int32
+	// numbers and dates list the columns of those kinds: a number or
+	// date is compared with all of its kind, no index needed.
+	numbers, dates []int32
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+func postingKey(kind termKind, hash uint32) uint64 {
+	return uint64(kind)<<32 | uint64(hash)
 }
 
-// sim mirrors similarity.SpaceSim over precomputed signatures.
-func (t *SigTable) sim(o1, o2 rdf.ID) float64 {
-	if o1 == o2 {
-		return 1
+// newValueIndex indexes vals, column c holding the value vals[c].
+func newValueIndex(d *rdf.Dict, vals []rdf.ID) *valueIndex {
+	ix := &valueIndex{
+		cols: make([]termSig, len(vals)),
+		tri:  make(map[uint64][]int32),
+		tok:  make(map[uint64][]int32),
 	}
-	a, b := t.sig(o1), t.sig(o2)
-	switch {
-	case a.kind == sigDate && b.kind == sigDate:
-		d := a.num - b.num
-		if d < 0 {
-			d = -d
-		}
-		if d >= 365 {
-			return 0
-		}
-		return 1 - d/365
-	case a.kind == sigNumber && b.kind == sigNumber:
-		d := a.num - b.num
-		if d < 0 {
-			d = -d
-		}
-		if d >= 10 {
-			return 0
-		}
-		return 1 - d/10
-	case a.kind == sigDate || b.kind == sigDate || a.kind == sigNumber || b.kind == sigNumber:
-		return 0
-	case a.kind == sigIRI != (b.kind == sigIRI):
-		return 0
-	default:
-		if a.norm == b.norm {
-			if a.norm == "" {
-				return 0
+	for i, v := range vals {
+		c := int32(i)
+		s := sigOf(d.Term(v))
+		ix.cols[c] = s
+		switch s.kind {
+		case sigNumber:
+			ix.numbers = append(ix.numbers, c)
+		case sigDate:
+			ix.dates = append(ix.dates, c)
+		default:
+			for _, h := range s.tri {
+				k := postingKey(s.kind, h)
+				ix.tri[k] = append(ix.tri[k], c)
 			}
-			return 1
+			for _, h := range s.tok {
+				k := postingKey(s.kind, h)
+				ix.tok[k] = append(ix.tok[k], c)
+			}
 		}
-		tg := jaccardSorted(a.tri, b.tri)
-		tk := jaccardSorted(a.tok, b.tok)
-		if tk > tg {
-			return tk
-		}
-		return tg
 	}
+	return ix
+}
+
+// overlap counts the trigram and token hashes a column's value shares
+// with the value being scored.
+type overlap struct{ tri, tok int32 }
+
+// scanCount is one worker's scratch for scoring values against a
+// valueIndex: a counter per column, all zero between calls, and the
+// columns the current call has touched. The zero value is ready to use.
+type scanCount struct {
+	n       []overlap
+	touched []int32
+}
+
+// jaccard is |a∩b| / |a∪b| from the intersection and the two set sizes;
+// two empty sets score 0.
+func jaccard(inter int32, na, nb int) float64 {
+	if inter == 0 {
+		return 0
+	}
+	return float64(inter) / float64(na+nb-int(inter))
+}
+
+// score writes the similarity of the value with signature s to every
+// column's value into row, which must arrive zeroed.
+func (ix *valueIndex) score(s *termSig, row []float64, sc *scanCount) {
+	switch s.kind {
+	case sigNumber:
+		for _, c := range ix.numbers {
+			row[c] = similarity.NumericWindow(s.num, ix.cols[c].num, numberWindow)
+		}
+		return
+	case sigDate:
+		for _, c := range ix.dates {
+			row[c] = similarity.NumericWindow(s.num, ix.cols[c].num, dateWindow)
+		}
+		return
+	}
+	if sc.n == nil {
+		sc.n = make([]overlap, len(ix.cols))
+	}
+	for _, h := range s.tri {
+		for _, c := range ix.tri[postingKey(s.kind, h)] {
+			if sc.n[c] == (overlap{}) {
+				sc.touched = append(sc.touched, c)
+			}
+			sc.n[c].tri++
+		}
+	}
+	for _, h := range s.tok {
+		for _, c := range ix.tok[postingKey(s.kind, h)] {
+			if sc.n[c] == (overlap{}) {
+				sc.touched = append(sc.touched, c)
+			}
+			sc.n[c].tok++
+		}
+	}
+	for _, c := range sc.touched {
+		n, col := sc.n[c], &ix.cols[c]
+		sc.n[c] = overlap{}
+		row[c] = max(jaccard(n.tri, len(s.tri), len(col.tri)), jaccard(n.tok, len(s.tok), len(col.tok)))
+	}
+	sc.touched = sc.touched[:0]
 }

@@ -11,8 +11,8 @@
 // by a per-feature sorted index in O(log n + answers).
 //
 // Construction is parallel (Options.Workers) over a shared, read-only
-// signature table (SigTable); the constructed space is identical to a
-// serial build. See DESIGN.md "Space construction".
+// index of the dataset-2 values (valueIndex); the constructed space is
+// identical to a serial build. See DESIGN.md "Space construction".
 package feature
 
 import (
@@ -70,22 +70,18 @@ type Options struct {
 	// every pair is kept, including zero-score ones. A negative Theta
 	// means "unset" and is replaced by DefaultTheta.
 	Theta float64
-	// Sim compares two attribute values. When nil, the precomputed
-	// signature table (SigTable) implementation of similarity.SpaceSim
-	// is used, which is substantially faster for large cross products.
-	// A non-nil Sim must be safe for concurrent calls when Workers > 1;
-	// results are cached per worker.
+	// Sim compares two attribute values. When nil, similarity.SpaceSim's
+	// rules are used, scored from an inverted index over the dataset-2
+	// values (valueIndex), which is substantially faster for large cross
+	// products. A non-nil Sim must be safe for concurrent calls when
+	// Workers > 1; it is asked once per pair of distinct values per
+	// worker.
 	Sim func(a, b rdf.Term) float64
 	// Workers is the number of goroutines Build uses (0 or negative =
 	// runtime.GOMAXPROCS(0)). The constructed space is byte-identical
 	// for every worker count: shard results are merged with a total
 	// (score, link) order, so scheduling cannot leak into the output.
 	Workers int
-	// Sigs optionally supplies a precomputed signature table covering
-	// the shared dictionary, letting several Builds (e.g. one per
-	// partition) reuse one table. When nil, Build computes its own.
-	// Ignored when Sim is non-nil.
-	Sigs *SigTable
 }
 
 func (o *Options) fill() {
@@ -128,14 +124,13 @@ type Space struct {
 	TotalPairs int
 }
 
-// buildSet computes the similarity matrix between the two attribute
-// lists, discards entries below θ, and reduces to the state feature set
-// by keeping the maximum per row if the first entity has more attributes
-// than the second, otherwise the maximum per column (§4.1). A score is
-// read from the worker's memo (see simMemo) — rows[i] is the memo row of
-// a1[i]'s value, cols[j] the column of a2[j]'s — and computed by sim
-// only when the memo does not hold it yet.
-func buildSet(a1, a2 []rdf.Attribute, rows [][]float64, cols []int32, theta float64, sim func(o1, o2 rdf.ID) float64) Set {
+// buildSet reads the similarity matrix between the two attribute lists
+// off the worker's memo (see simMemo) — rows[i] is the memo row of
+// a1[i]'s value, cols[j] the column of a2[j]'s — discards entries below
+// θ, and reduces to the state feature set by keeping the maximum per row
+// if the first entity has more attributes than the second, otherwise the
+// maximum per column (§4.1).
+func buildSet(a1, a2 []rdf.Attribute, rows [][]float64, cols []int32, theta float64) Set {
 	type cell struct {
 		key   Key
 		score float64
@@ -145,10 +140,6 @@ func buildSet(a1, a2 []rdf.Attribute, rows [][]float64, cols []int32, theta floa
 		row := rows[i]
 		for j, y := range a2 {
 			s := row[cols[j]]
-			if s < 0 {
-				s = sim(x.Obj, y.Obj)
-				row[cols[j]] = s
-			}
 			if s < theta {
 				continue
 			}

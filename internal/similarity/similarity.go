@@ -29,16 +29,36 @@ const (
 	KindIRI
 )
 
+// ParseNumber parses a lexical form as a finite number.
+// strconv.ParseFloat also accepts "NaN", "Inf" and "Infinity", signed
+// and in any case — the given name "Nan" among them — and a proximity
+// window over those is NaN, which is no score. Such a form is not a
+// number here, whatever datatype it declares: it is compared as the
+// string it is.
+func ParseNumber(lex string) (float64, bool) {
+	v, err := strconv.ParseFloat(lex, 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, false
+	}
+	return v, true
+}
+
 // InferKind determines the value kind of a term, preferring the declared
 // XSD datatype and falling back to lexical sniffing for plain literals.
+// A declared number whose lexical form is not one (see ParseNumber) is
+// a string.
 func InferKind(t rdf.Term) ValueKind {
 	if t.IsIRI() || t.IsBlank() {
 		return KindIRI
 	}
-	switch t.EffectiveDatatype() {
-	case rdf.XSDInteger:
-		return KindInteger
-	case rdf.XSDDecimal, rdf.XSDDouble:
+	switch dt := t.EffectiveDatatype(); dt {
+	case rdf.XSDInteger, rdf.XSDDecimal, rdf.XSDDouble:
+		if _, ok := ParseNumber(t.Value); !ok {
+			return KindString
+		}
+		if dt == rdf.XSDInteger {
+			return KindInteger
+		}
 		return KindFloat
 	case rdf.XSDDate, rdf.XSDDateTime:
 		return KindDate
@@ -49,7 +69,7 @@ func InferKind(t rdf.Term) ValueKind {
 	if _, err := strconv.ParseInt(lex, 10, 64); err == nil {
 		return KindInteger
 	}
-	if _, err := strconv.ParseFloat(lex, 64); err == nil {
+	if _, ok := ParseNumber(lex); ok {
 		return KindFloat
 	}
 	if _, ok := parseDate(lex); ok {
@@ -96,8 +116,8 @@ func Compare(a, b rdf.Term) float64 {
 func numericKind(k ValueKind) bool { return k == KindInteger || k == KindFloat }
 
 func mustFloat(s string) float64 {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	v, ok := ParseNumber(s)
+	if !ok {
 		return math.NaN()
 	}
 	return v

@@ -26,6 +26,12 @@ func TestInferKind(t *testing.T) {
 		{rdf.Literal("3.14"), KindFloat},
 		{rdf.Literal("1984-12-30"), KindDate},
 		{rdf.Literal("LeBron James"), KindString},
+		// What strconv.ParseFloat takes for NaN and ±Inf is not a number.
+		{rdf.Literal("Nan"), KindString},
+		{rdf.Literal("inf"), KindString},
+		{rdf.Literal("-Infinity"), KindString},
+		{rdf.TypedLiteral("NaN", rdf.XSDDouble), KindString},
+		{rdf.TypedLiteral("seven", rdf.XSDInteger), KindString},
 	}
 	for _, c := range cases {
 		if got := InferKind(c.term); got != c.want {

@@ -63,6 +63,31 @@ func TestSpaceSimNumbers(t *testing.T) {
 	}
 }
 
+// TestSpaceSimNonFiniteLexicalForms: "Nan" is a given name and
+// "Infinity" a word. Read as numbers, Inf − Inf made SpaceSim — and
+// Compare — return NaN.
+func TestSpaceSimNonFiniteLexicalForms(t *testing.T) {
+	forms := []rdf.Term{
+		rdf.Literal("Nan"), rdf.Literal("inf"), rdf.Literal("Infinity"), rdf.Literal("-Inf"),
+		rdf.TypedLiteral("NaN", rdf.XSDDouble), rdf.TypedLiteral("INF", rdf.XSDDouble), rdf.Literal("7"),
+	}
+	for _, a := range forms {
+		for _, b := range forms {
+			for name, sim := range map[string]func(a, b rdf.Term) float64{"SpaceSim": SpaceSim, "Compare": Compare} {
+				if got := sim(a, b); !(got >= 0 && got <= 1) {
+					t.Errorf("%s(%v, %v) = %v, want a score in [0, 1]", name, a, b, got)
+				}
+			}
+		}
+	}
+	if got := SpaceSim(rdf.Literal("Nan"), rdf.TypedLiteral("NaN", rdf.XSDDouble)); got != 1 {
+		t.Errorf(`"Nan" against "NaN"^^xsd:double = %v, want 1: the same string`, got)
+	}
+	if got := SpaceSim(rdf.Literal("Nan"), rdf.Literal("7")); got != 0 {
+		t.Errorf(`"Nan" against "7" = %v, want 0: a string against a number`, got)
+	}
+}
+
 func TestSpaceSimKindMismatch(t *testing.T) {
 	if got := SpaceSim(rdf.Literal("1984-12-30"), rdf.Literal("hello there world")); got != 0 {
 		t.Errorf("date vs string = %f, want 0", got)
