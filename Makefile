@@ -73,19 +73,18 @@ bench-space:
 # bench-query runs the federated query read-path benchmarks: cold vs
 # pre-warmed plan cache and bench/e2e's three join shapes, a fresh vs a
 # learned plan on the skewed-hub profile, and the finalizer's ORDER BY
-# alone, across -cpu worker counts. Results land in
-# BENCH_query.json (with delta_vs_prev against the previous run's file).
+# alone. A query is one goroutine, so there is no -cpu axis: a second P
+# only moves the garbage collector. Results land in BENCH_query.json.
 bench-query:
 	$(GO) test -run '^$$' -bench '^(BenchmarkFederatedQuery|BenchmarkAdaptiveQuery|BenchmarkFinalizeOrderBy)$$' -benchmem \
-		-cpu=$(BENCH_CPUS) ./internal/federation ./internal/sparql | \
+		./internal/federation ./internal/sparql | \
 		$(GO) run ./cmd/benchjson -out BENCH_query.json
 
 # bench-store runs the segment-store lifecycle benchmark at the
 # largest synth profile: segment build, mmap'd full scan, the O(delta)
 # disk checkpoint vs the mem backend's full serialization (acceptance:
 # >=10x faster), and mmap cold start vs N-Triples re-parse (acceptance:
-# faster). Results land in BENCH_store.json (delta_vs_prev against the
-# previous run).
+# faster). Results land in BENCH_store.json.
 bench-store:
 	$(GO) test -run '^$$' -bench '^BenchmarkSegmentStore$$' -benchmem \
 		./internal/store | \

@@ -25,10 +25,11 @@
 // stay full. Writes for entities it does not own are refused with 400 —
 // front the fleet with alexrouter.
 //
-// The read path has two settings, -query-workers and -plan-cache; no
-// flag chooses a join order (every cached plan learns its own from the
-// row counts its executions observe) and none tunes source breakers
-// (the two sources are local stores, which cannot fail).
+// The read path has one setting, -plan-cache; no flag chooses a join
+// order (every cached plan learns its own from the row counts its
+// executions observe), none spreads a query over goroutines (it runs on
+// its handler's, and stops at -query-timeout) and none tunes source
+// breakers (the two sources are local stores, which cannot fail).
 //
 // Endpoints: POST /query, POST /feedback, GET /links, GET /healthz,
 // GET /metrics. See the README "Serving" section for curl examples.
@@ -74,12 +75,11 @@ func main() {
 	episodeSize := flag.Int("episode-size", 100, "link-level feedback items per serving episode")
 	queueSize := flag.Int("queue", 1024, "feedback queue capacity (full queue -> 429)")
 	flush := flag.Duration("flush", 250*time.Millisecond, "finish a partial episode after this much idle time")
-	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-request query deadline")
+	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-request query deadline (the evaluation stops at it; the client gets 504)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "shutdown budget for draining feedback")
 	dataDir := flag.String("data", "", "durability directory (feedback journal + checkpoints); empty disables durability")
 	checkpointEvery := flag.Int("checkpoint-every", 16, "episodes between state checkpoints (with -data)")
 	storeBackend := flag.String("store", "mem", "triple store backend: mem (rebuild graphs at startup) or disk (persistent mmap'd segment store under <data>/store; requires -data)")
-	queryWorkers := flag.Int("query-workers", 0, "per-query evaluation parallelism (0 = GOMAXPROCS)")
 	planCache := flag.Int("plan-cache", 0, "compiled query plans kept in the LRU cache (0 = default)")
 	maxQueries := flag.Int("max-queries", 0, "concurrent /query evaluations admitted (0 = unlimited; excess waits, then 503)")
 	shardID := flag.Int("shard-id", -1, "this shard's ID within -fleet (-1 = standalone)")
@@ -324,7 +324,6 @@ func main() {
 		CheckpointEvery:      *checkpointEvery,
 		Stores:               stores,
 		StoreLoadSeconds:     storeLoadSeconds,
-		QueryWorkers:         *queryWorkers,
 		PlanCacheSize:        *planCache,
 		MaxConcurrentQueries: *maxQueries,
 		Fleet:                fleetCfg,

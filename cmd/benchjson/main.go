@@ -67,10 +67,6 @@ type Row struct {
 	QueriesPerSec float64 `json:"queries_per_sec,omitempty"`
 	BytesPerOp    float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp   float64 `json:"allocs_per_op,omitempty"`
-	// DeltaVsPrev is the ns/op change relative to the same (name, cpus)
-	// row in the JSON file being overwritten, e.g. "-12.3%". Absent
-	// when there is no previous file or no matching row.
-	DeltaVsPrev string `json:"delta_vs_prev,omitempty"`
 }
 
 func main() {
@@ -98,7 +94,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark result lines on stdin")
 		os.Exit(1)
 	}
-	annotateDeltas(rows, *out)
 	data, err := json.MarshalIndent(File{Host: host, Rows: rows}, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
@@ -109,53 +104,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d rows to %s\n", len(rows), *out)
-}
-
-// annotateDeltas reads the JSON file about to be overwritten (if any)
-// and fills each row's DeltaVsPrev with the ns/op change against the
-// previous row of the same (name, cpus), so successive `make bench-*`
-// runs show regressions inline without a separate diff tool.
-func annotateDeltas(rows []Row, path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return // first run, or unreadable — nothing to compare against
-	}
-	prev, err := parseRows(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: ignoring unparsable previous %s: %v\n", path, err)
-		return
-	}
-	type key struct {
-		name string
-		cpus int
-	}
-	old := make(map[key]float64, len(prev))
-	for _, r := range prev {
-		if r.NsPerOp > 0 {
-			old[key{r.Name, r.CPUs}] = r.NsPerOp
-		}
-	}
-	for i := range rows {
-		base, ok := old[key{rows[i].Name, rows[i].CPUs}]
-		if !ok || rows[i].NsPerOp == 0 {
-			continue
-		}
-		rows[i].DeltaVsPrev = fmt.Sprintf("%+.1f%%", 100*(rows[i].NsPerOp-base)/base)
-		fmt.Fprintf(os.Stderr, "benchjson: %s-%d ns/op %s vs previous run\n",
-			rows[i].Name, rows[i].CPUs, rows[i].DeltaVsPrev)
-	}
-}
-
-// parseRows reads the rows of a BENCH file: a File, or the bare row
-// array written before files carried a host stamp.
-func parseRows(data []byte) ([]Row, error) {
-	var f File
-	if err := json.Unmarshal(data, &f); err == nil {
-		return f.Rows, nil
-	}
-	var rows []Row
-	err := json.Unmarshal(data, &rows)
-	return rows, err
 }
 
 // parseLine recognizes a result line such as

@@ -19,7 +19,7 @@
 //     which also covers launches of functions defined elsewhere;
 //   - the launched body is context-scoped: it uses a context.Context
 //     value (selects on Done or passes it to its callees, which is how
-//     evalWithContext's helper is cancelled); or
+//     the router's hedged shard requests are cancelled); or
 //   - the launched body receives from a struct{} stop-channel.
 //
 // Launched named functions and methods of the same package are checked
@@ -191,8 +191,8 @@ func bodyTracked(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, call 
 			}
 		case *ast.Ident:
 			// Any use of a context.Context value: the goroutine's work is
-			// cancel-scoped through it (evalWithContext's helper passes
-			// ctx to the federator, which honors the deadline).
+			// cancel-scoped through it (the router's hedged shard request
+			// passes its ctx to the shard client, which honors it).
 			if obj := pass.TypesInfo.ObjectOf(n); obj != nil && isContextType(obj.Type()) {
 				tracked = true
 			}

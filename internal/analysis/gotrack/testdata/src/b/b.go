@@ -58,8 +58,9 @@ func serveTracked(l net.Listener, srv *rpc.Server) error {
 	}
 }
 
-// evalShape is handlers.evalWithContext: the helper's work is scoped to
-// the request context, which cancels its callees.
+// evalShape is a request-scoped helper (fleet's hedged shard request has
+// this shape): its work is scoped to the request context, which cancels
+// its callees.
 func evalShape(ctx context.Context, eval func(context.Context) int) int {
 	ch := make(chan int, 1)
 	go func() {

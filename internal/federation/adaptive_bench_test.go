@@ -36,10 +36,10 @@ func BenchmarkAdaptiveQuery(b *testing.B) {
 	}
 
 	b.Run("fresh", func(b *testing.B) {
-		run(b, withOptions(f, Options{}))
+		run(b, copyOf(f))
 	})
 	b.Run("learned", func(b *testing.B) {
-		fed := withOptions(f, Options{})
+		fed := copyOf(f)
 		fed.SetPlanCache(NewPlanCache(16))
 		// Two priming queries: the first compiles the plan and observes
 		// the fan-out, the second already executes the learned order.

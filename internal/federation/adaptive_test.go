@@ -48,8 +48,8 @@ func skewedWorld(t testing.TB) (*Federator, *synth.Dataset, string) {
 // traceOf installs a traceExec hook on a shallow copy of f and returns
 // the copy plus the captured executed-order sequence (one entry per
 // evaluated group, in evaluation order).
-func traceOf(f *Federator, o Options) (*Federator, *[][]int) {
-	cp := withOptions(f, o)
+func traceOf(f *Federator) (*Federator, *[][]int) {
+	cp := copyOf(f)
 	var traces [][]int
 	cp.traceExec = func(_ *sparql.GroupGraphPattern, order []int) {
 		traces = append(traces, append([]int(nil), order...))
@@ -68,7 +68,7 @@ func TestFreshPlanRunsPlanTimeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := f.planQuery(q)
-	fed, traces := traceOf(f, Options{Workers: 1})
+	fed, traces := traceOf(f)
 	rs, err := fed.evalPlan(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +91,12 @@ func TestFreshPlanRunsPlanTimeOrder(t *testing.T) {
 // pattern, so there is no order to choose — its plan carries no learned
 // table, and a warm evaluation allocates exactly what it did before the
 // stage loop ranked anything, less the two the decoded sparql.Result
-// cost before Finalize stopped at ID rows (26 at ba58ad9 with this
-// test's body, 24 now).
+// cost before Finalize stopped at ID rows and the closure a stage
+// handed to the row fan-out (26 at ba58ad9 with this test's body, 23
+// now).
 func TestSinglePatternGroupObservesNothing(t *testing.T) {
 	f, _ := joinShapeWorld(t, 0.1)
-	fed := withOptions(f, Options{})
+	fed := copyOf(f)
 	fed.SetPlanCache(NewPlanCache(4))
 	query := "SELECT ?n WHERE { <http://ds1.example.org/resource/E0> <" + synth.P2Name.Value + "> ?n . }"
 	// joinShapeWorld ran the join shapes through the same counters.
@@ -109,8 +110,8 @@ func TestSinglePatternGroupObservesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 24 {
-		t.Errorf("a warm lookup allocates %v times, want 24", allocs)
+	if allocs != 23 {
+		t.Errorf("a warm lookup allocates %v times, want 23", allocs)
 	}
 	p, err := fed.planFor(query)
 	if err != nil {
@@ -151,7 +152,7 @@ func TestReenteredGroupRanksByItsOwnCounters(t *testing.T) {
 	if !rerunsRankedGroup(q.Where, false) {
 		t.Fatal("rerunsRankedGroup misses a two-pattern OPTIONAL")
 	}
-	fed, traces := traceOf(f, Options{Workers: 1})
+	fed, traces := traceOf(f)
 	rs, err := fed.EvalContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +169,8 @@ func TestReenteredGroupRanksByItsOwnCounters(t *testing.T) {
 }
 
 // TestReplanDeterminism: same query + same injected observation
-// sequence ⇒ identical executed plan sequence, across repetitions and
-// worker counts, with no wall-clock dependence. Each case rebuilds a
+// sequence ⇒ identical executed plan sequence, across repetitions,
+// with no wall-clock dependence. Each case rebuilds a
 // fresh plan, injects the observations, evaluates once, and compares
 // the full group-by-group executed order against the expectation and
 // against every other repetition.
@@ -215,17 +216,15 @@ func TestReplanDeterminism(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				for rep := 0; rep < 20; rep++ {
-					p := f.planQuery(q)
-					tc.inject(p.obs)
-					fed, traces := traceOf(f, Options{Workers: workers})
-					if _, err := fed.evalPlan(context.Background(), p); err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(*traces, tc.want) {
-						t.Fatalf("w%d rep %d: executed %v, want %v", workers, rep, *traces, tc.want)
-					}
+			for rep := 0; rep < 20; rep++ {
+				p := f.planQuery(q)
+				tc.inject(p.obs)
+				fed, traces := traceOf(f)
+				if _, err := fed.evalPlan(context.Background(), p); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(*traces, tc.want) {
+					t.Fatalf("rep %d: executed %v, want %v", rep, *traces, tc.want)
 				}
 			}
 		})
@@ -240,7 +239,7 @@ func TestReplanDeterminism(t *testing.T) {
 func TestAdaptiveLearnsSkewedOrder(t *testing.T) {
 	f, _, query := skewedWorld(t)
 	f.SetPlanCache(NewPlanCache(8))
-	fed, traces := traceOf(f, Options{Workers: 1})
+	fed, traces := traceOf(f)
 
 	first, err := fed.Query(query)
 	if err != nil {
@@ -280,7 +279,7 @@ func TestAdaptiveLearnsSkewedOrder(t *testing.T) {
 func TestObsEpochInvalidation(t *testing.T) {
 	f, ds, query := skewedWorld(t)
 	f.SetPlanCache(NewPlanCache(8))
-	fed, traces := traceOf(f, Options{Workers: 1})
+	fed, traces := traceOf(f)
 
 	for i := 0; i < 2; i++ { // learn under the full link set
 		if _, err := fed.Query(query); err != nil {

@@ -10,29 +10,13 @@ import (
 	"alex/internal/rdf"
 )
 
-// Helpers of the golden harness (golden_test.go): the configuration
-// matrix every frozen answer is asserted under, and the canonical
-// serialization answers are compared in.
+// Helpers of the golden harness (golden_test.go): the canonical
+// serialization answers are compared in, and the news world's queries.
 
-// evalConfigs enumerates the configurations under test: the worker
-// counts, the one setting the evaluator has.
-func evalConfigs() []Options {
-	var out []Options
-	for _, w := range []int{1, 2, 3, 8} {
-		out = append(out, Options{Workers: w})
-	}
-	return out
-}
-
-func optionsLabel(o Options) string {
-	return fmt.Sprintf("w%d", o.Workers)
-}
-
-// withOptions returns a shallow copy of f running under o, so one
-// world can be queried under every configuration without rebuilding.
-func withOptions(f *Federator, o Options) *Federator {
+// copyOf returns a shallow copy of f, so that a test can hang a plan
+// cache or a trace hook of its own on a world without rebuilding it.
+func copyOf(f *Federator) *Federator {
 	cp := *f
-	cp.opts = o
 	return &cp
 }
 

@@ -15,12 +15,12 @@
 // patterns, asking one ranker (nextPattern) at every stage boundary
 // which goes next: it prices a pattern by the cardinalities this and
 // earlier executions of the plan observed and, while there are none, by
-// a static CountMatch estimate (adaptive.go). Every stage fans its
-// intermediate rows out across workers with an order-preserving merge
-// (parallel.go).
+// a static CountMatch estimate (adaptive.go). A query is evaluated by
+// the goroutine that asked for it, start to finish, and stops at its
+// context's deadline (evalCtx.cancelled).
 //
 // From scan to LIMIT a row is dictionary IDs: a fixed-width run of
-// rdf.ID in a worker's block (rowset), extended by copying those few
+// rdf.ID in a stage's block (rowset), extended by copying those few
 // words and writing the slots a match binds, plus a persistent
 // links.Frozen chain for the sameAs links crossed. The stores hand out
 // IDs and take IDs, so matching never hashes a term; a FILTER is shown
@@ -107,8 +107,6 @@ type Federator struct {
 	// breaker state survives snapshot publication.
 	res    Resilience
 	guards []*guard
-	// opts tunes the evaluator (workers); see plan.go.
-	opts Options
 	// plans, when non-nil, caches compiled plans by query text; shared
 	// with WithLinks snapshots because plans are link-independent.
 	plans *PlanCache
@@ -221,7 +219,6 @@ func (f *Federator) WithLinks(ls links.Set) *Federator {
 		predSources: f.predSources,
 		res:         f.res,
 		guards:      f.guards,
-		opts:        f.opts,
 		plans:       f.plans,
 		ametrics:    f.ametrics,
 		traceExec:   f.traceExec,
@@ -259,7 +256,9 @@ func (f *Federator) Query(query string) (*ResultSet, error) {
 }
 
 // QueryContext parses and evaluates a federated query; ctx bounds the
-// per-source access probes (and their retries). When a plan cache is
+// per-source access probes (and their retries) and the evaluation
+// itself, which returns ctx's error, and no answer, within one check
+// interval of ctx being done (evalCtx.cancelled). When a plan cache is
 // installed (SetPlanCache), a repeated query text skips the parser and
 // the compiler and ranks by what its earlier evaluations observed.
 func (f *Federator) QueryContext(ctx context.Context, query string) (*ResultSet, error) {
@@ -331,12 +330,14 @@ func (f *Federator) EvalContext(ctx context.Context, q *sparql.Query) (*ResultSe
 
 // evalPlan runs a compiled plan: probe the plan's sources (in
 // parallel, so Degraded is decided before evaluation and independent
-// of join order), evaluate the pattern tree with the configured worker
-// count and finalize through the sparql engine — still on IDs. A plan
-// with an order to choose (p.obs non-nil) takes a RuntimeStats table
-// along: probes and stages record into it, ranking consults it, and it
-// is folded into the plan's learned table at the end so the next query
-// over a cached plan starts from real cardinalities.
+// of join order), evaluate the pattern tree and finalize through the
+// sparql engine — still on IDs. A plan with an order to choose (p.obs
+// non-nil) takes a RuntimeStats table along: probes and stages record
+// into it, ranking consults it, and it is folded into the plan's
+// learned table at the end so the next query over a cached plan starts
+// from real cardinalities. An evaluation whose context is done by then
+// returns the context's error instead: it folds nothing, so a half-run
+// stage never steers a later query's order, and finalizes nothing.
 func (f *Federator) evalPlan(ctx context.Context, p *plan) (Answer, error) {
 	if len(f.sources) == 0 {
 		return Answer{}, fmt.Errorf("federation: no sources registered")
@@ -358,7 +359,10 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (Answer, error) {
 	w := len(p.vars)
 	rows := rowset{w: w, ids: make([]rdf.ID, w), used: []*links.Frozen{nil}}
 	if p.root != nil {
-		rows = f.evalGroup(ec, p.root, rows, f.opts.workerCount())
+		rows = f.evalGroup(ec, p.root, rows)
+	}
+	if err := ec.ctx.Err(); err != nil {
+		return Answer{}, err
 	}
 	if stats != nil {
 		stats.foldInto(p.obs)
@@ -372,65 +376,57 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (Answer, error) {
 }
 
 // evalGroup evaluates one group pattern over the input rows: triple
-// patterns, then union constructs, optionals and filters — each stage
-// fanned out across workers with an order-preserving merge, so the
-// output row order equals a serial evaluation's. Nested groups reached
-// through OPTIONAL run serially (workers=1): the per-row fan-out
-// already saturates the workers, and nesting parallelism would only
-// multiply goroutines. The input is never modified; the result may be
-// the input itself.
-func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset, workers int) rowset {
-	rows = f.evalTriples(ec, g, rows, workers)
+// patterns, then union constructs, optionals and filters, each stage a
+// loop over its input rows filling one block. The input is never
+// modified; the result may be the input itself. A stage that finds the
+// evaluation cancelled stops where it is; what it returns is then
+// discarded by evalPlan.
+func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset) rowset {
+	rows = f.evalTriples(ec, g, rows)
 
 	for _, alts := range g.unions {
 		merged := rowset{w: rows.w}
 		for _, alt := range alts {
-			merged.addAll(f.evalGroup(ec, alt, rows, workers))
+			merged.addAll(f.evalGroup(ec, alt, rows))
 		}
 		rows = merged
 	}
 
 	for _, opt := range g.optionals {
-		opt := opt
-		rows = mapRows(workers, rows, func(chunk rowset) rowset {
-			out := rowset{w: chunk.w}
-			for i := 0; i < chunk.len(); i++ {
-				sub := f.evalGroup(ec, opt, chunk.slice(i, i+1), 1)
-				if sub.len() == 0 {
-					out.add(chunk.row(i), chunk.used[i])
-					continue
-				}
-				out.addAll(sub)
+		out := rowset{w: rows.w}
+		for i := 0; i < rows.len() && !ec.cancelled(); i++ {
+			sub := f.evalGroup(ec, opt, rows.slice(i, i+1))
+			if sub.len() == 0 {
+				out.add(rows.row(i), rows.used[i])
+				continue
 			}
-			return out
-		})
+			out.addAll(sub)
+		}
+		rows = out
 	}
 
 	for _, flt := range g.filters {
-		flt := flt
-		rows = mapRows(workers, rows, func(chunk rowset) rowset {
-			out := rowset{w: chunk.w}
-			// The expression sees a binding of just the variables it
-			// reads, decoded per row into one reused map.
-			b := make(sparql.Binding, len(flt.vars))
-			for i := 0; i < chunk.len(); i++ {
-				row := chunk.row(i)
-				clear(b)
-				for k, slot := range flt.slots {
-					if id := row[slot]; id != rdf.NoID {
-						b[flt.vars[k]] = f.dict.Term(id)
-					}
-				}
-				v, err := flt.expr.Eval(b)
-				if err != nil {
-					continue // SPARQL expression error: filter is false
-				}
-				if ok, err := sparql.EffectiveBool(v); err == nil && ok {
-					out.add(row, chunk.used[i])
+		out := rowset{w: rows.w}
+		// The expression sees a binding of just the variables it
+		// reads, decoded per row into one reused map.
+		b := make(sparql.Binding, len(flt.vars))
+		for i := 0; i < rows.len() && !ec.cancelled(); i++ {
+			row := rows.row(i)
+			clear(b)
+			for k, slot := range flt.slots {
+				if id := row[slot]; id != rdf.NoID {
+					b[flt.vars[k]] = f.dict.Term(id)
 				}
 			}
-			return out
-		})
+			v, err := flt.expr.Eval(b)
+			if err != nil {
+				continue // SPARQL expression error: filter is false
+			}
+			if ok, err := sparql.EffectiveBool(v); err == nil && ok {
+				out.add(row, rows.used[i])
+			}
+		}
+		rows = out
 	}
 	return rows
 }
@@ -441,25 +437,25 @@ func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset, workers int) 
 // against the live row count, and every stage's row counts are recorded
 // for the rankings to come. A group of fewer than two patterns has
 // nothing to rank: it allocates no ranking state and records nothing.
-func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset, workers int) rowset {
+func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset) rowset {
 	pats := ec.pats[g.first : g.first+len(g.src.Triples)]
 	var executed []int
 	switch {
 	case len(pats) == 1:
-		rows = f.evalPattern(ec, pats[0], rows, workers)
+		rows = f.evalPattern(ec, pats[0], rows)
 		if f.traceExec != nil {
 			executed = []int{0}
 		}
 	case len(pats) > 1:
 		bound := slices.Clone(g.bound)
 		scheduled := make([]bool, len(pats))
-		for done := 0; done < len(pats); done++ {
+		for done := 0; done < len(pats) && !ec.cancelled(); done++ {
 			in := rows.len()
 			ti := f.nextPattern(ec, g, bound, scheduled, in)
 			if done > 0 {
 				f.ametrics.replans.Add(1)
 			}
-			rows = f.evalPattern(ec, pats[ti], rows, workers)
+			rows = f.evalPattern(ec, pats[ti], rows)
 			ec.stats.record(g.first+ti, in, rows.len())
 			scheduled[ti] = true
 			pats[ti].bind(bound)
@@ -478,15 +474,47 @@ func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset, workers int
 }
 
 // evalPattern runs one pattern stage: every input row extended by the
-// pattern's matches, fanned out across workers.
-func (f *Federator) evalPattern(ec *evalCtx, pat cpattern, rows rowset, workers int) rowset {
-	return mapRows(workers, rows, func(chunk rowset) rowset {
-		m := f.newMatcher(ec, pat, chunk.w)
-		for i := 0; i < chunk.len(); i++ {
-			m.match(chunk.row(i), chunk.used[i])
-		}
-		return m.out
-	})
+// pattern's matches.
+func (f *Federator) evalPattern(ec *evalCtx, pat cpattern, rows rowset) rowset {
+	m := f.newMatcher(ec, pat, rows.w)
+	for i := 0; i < rows.len() && !ec.cancelled(); i++ {
+		m.match(rows.row(i), rows.used[i])
+	}
+	return m.out
+}
+
+// rowset is a block of intermediate rows: len(used) rows of w
+// dictionary IDs each, row-major in ids (row i is ids[i*w:(i+1)*w], its
+// slots laid out as plan.vars; rdf.NoID is unbound), and per row the
+// sameAs links its derivation has crossed so far, as a persistent chain
+// that extending never copies. A block is filled by the stage that
+// makes it and read-only once handed on, so it doubles as the arena its
+// rows live in: one backing array of IDs per block, no allocation per
+// row.
+type rowset struct {
+	w    int
+	ids  []rdf.ID
+	used []*links.Frozen
+}
+
+func (r *rowset) len() int { return len(r.used) }
+
+func (r *rowset) row(i int) []rdf.ID { return r.ids[i*r.w : (i+1)*r.w] }
+
+// slice returns rows [lo, hi) as a read-only view.
+func (r *rowset) slice(lo, hi int) rowset {
+	return rowset{w: r.w, ids: r.ids[lo*r.w : hi*r.w : hi*r.w], used: r.used[lo:hi:hi]}
+}
+
+// add appends a copy of row.
+func (r *rowset) add(row []rdf.ID, used *links.Frozen) {
+	r.ids = append(r.ids, row...)
+	r.used = append(r.used, used)
+}
+
+func (r *rowset) addAll(o rowset) {
+	r.ids = append(r.ids, o.ids...)
+	r.used = append(r.used, o.used...)
 }
 
 // binding is how a pattern position reads under one row: unbound
@@ -525,8 +553,8 @@ func (b *binding) resolution(k int) resolved {
 	return resolved{id: b.edges[k].other, have: true, link: &b.edges[k].link}
 }
 
-// matcher runs one pattern stage for one worker: it extends input rows
-// by the pattern's matches into its own output block. It exists so that
+// matcher runs one pattern stage: it extends input rows by the
+// pattern's matches into the stage's output block. It exists so that
 // the store callback is one method value made once per stage, not a
 // closure per probe.
 type matcher struct {
@@ -620,8 +648,13 @@ func (m *matcher) matchInSource(g store.TripleStore) {
 // the extended row: the input row's IDs with the pattern's unbound
 // variables set to what the triple holds in their position. A variable
 // that was bound keeps its value (the queried alias, not the
-// equivalent that matched).
+// equivalent that matched). It counts towards the deadline check, and
+// stops the store's scan when that fails: one input row may fan out
+// over a whole store.
 func (m *matcher) emit(ms, mp, mo rdf.ID) bool {
+	if m.ec.cancelled() {
+		return false
+	}
 	s, p, o := m.pat.s.slot, m.pat.p.slot, m.pat.o.slot
 	// Repeated-variable consistency before paying for the copy.
 	if s >= 0 && (s == o && ms != mo || s == p && ms != mp) || p >= 0 && p == o && mp != mo {

@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,12 +22,11 @@ import (
 	"alex/internal/synth"
 )
 
-// The golden harness is the proof obligation of the read path: at every
-// worker count, on both store backends, a plan that has learned nothing
-// (cold), one that has seen one execution (learned) and one that has
-// seen two (refined) must produce exactly the answers frozen under
-// testdata/golden, and the cold one must execute exactly the frozen
-// join orders. The files were written by the evaluator this package
+// The golden harness is the proof obligation of the read path: on both
+// store backends, a plan that has learned nothing (cold), one that has
+// seen one execution (learned) and one that has seen two (refined) must
+// produce exactly the answers frozen under testdata/golden, and the
+// cold one must execute exactly the frozen join orders. The files were written by the evaluator this package
 // used to carry as a baseline (written-order joins, a cloned links.Set
 // per intermediate row, one worker) and by its plan-time planner, at
 // the last commit that had them; testdata/golden/README.md gives the
@@ -39,13 +37,10 @@ import (
 // multiset, per-solution provenance, Ask and Degraded. The engine has
 // never guaranteed a row order beyond ORDER BY.
 
+// The committed files were not written by this evaluator; see
+// testdata/golden/README.md before using the flag.
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden from goldenReference instead of asserting against it")
-
-// goldenReference is the configuration -update-golden freezes answers
-// from. The committed files were generated with this set to the
-// parent commit's legacy options; see testdata/golden/README.md.
-var goldenReference = Options{Workers: 1}
+	"rewrite testdata/golden from this evaluator's answers instead of asserting against it")
 
 // goldenEntry is the frozen reference for one world × query.
 type goldenEntry struct {
@@ -83,20 +78,14 @@ func orderCounts(traces []string) []string {
 	return out
 }
 
-// traced returns f under o with a recorder of executed join orders.
-// The hook fires from worker goroutines at Workers > 1.
-func traced(f *Federator, o Options) (*Federator, func() []string) {
-	fo := withOptions(f, o)
-	var mu sync.Mutex
+// traced returns a copy of f with a recorder of executed join orders.
+func traced(f *Federator) (*Federator, func() []string) {
+	fo := copyOf(f)
 	var traces []string
 	fo.SetExecTrace(func(_ *sparql.GroupGraphPattern, order []int) {
-		mu.Lock()
 		traces = append(traces, fmt.Sprint(order))
-		mu.Unlock()
 	})
 	return fo, func() []string {
-		mu.Lock()
-		defer mu.Unlock()
 		out := orderCounts(traces)
 		traces = nil
 		return out
@@ -124,13 +113,10 @@ func writeGolden(t *testing.T, world string, f *Federator, queries map[string]st
 	t.Helper()
 	entries := map[string]goldenEntry{}
 	for name, q := range queries {
-		ref, err := withOptions(f, goldenReference).Query(q)
+		fresh, orders := traced(f) // no plan cache: nothing learned
+		ref, err := fresh.Query(q)
 		if err != nil {
-			t.Fatalf("%s: reference evaluator: %v", name, err)
-		}
-		fresh, orders := traced(f, Options{Workers: 1}) // no plan cache: nothing learned
-		if _, err := fresh.Query(q); err != nil {
-			t.Fatalf("%s: fresh plan: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		entries[name] = goldenEntry{Result: goldenLines(canonicalResult(ref)), StaticOrders: orders()}
 	}
@@ -184,10 +170,9 @@ func rerunsRankedGroup(g *sparql.GroupGraphPattern, reentered bool) bool {
 // learned nothing, has folded in one execution, has folded in two.
 var goldenRuns = []string{"cold", "learned", "refined"}
 
-// assertGolden is the harness core. For every query and worker count,
-// both backends (the federator as built, and its twin over mmap'd
-// segments) get a plan cache of their own and run cold, learned and
-// refined. Every run must answer as frozen; the cold run must also
+// assertGolden is the harness core. For every query, both backends (the
+// federator as built, and its twin over mmap'd segments) get a plan
+// cache of their own and run cold, learned and refined. Every run must answer as frozen; the cold run must also
 // execute the frozen join orders, unless the query re-enters a ranked
 // group (rerunsRankedGroup), and every run must execute the same orders
 // on both backends.
@@ -217,33 +202,31 @@ func assertGolden(t *testing.T, world string, fmem *Federator, queries map[strin
 				t.Fatal(err)
 			}
 			frozenOrders := !rerunsRankedGroup(parsed.Where, false)
-			for _, o := range evalConfigs() {
-				var memOrders [][]string // per run, to hold the disk twin to
-				for _, b := range []struct {
-					name string
-					fed  *Federator
-				}{{"mem", fmem}, {"disk", fdisk}} {
-					fo, orders := traced(b.fed, o)
-					fo.SetPlanCache(NewPlanCache(16))
-					for r, run := range goldenRuns {
-						label := fmt.Sprintf("%s %s %s", b.name, optionsLabel(o), run)
-						got, err := fo.Query(q)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if lines := goldenLines(canonicalResult(got)); !slices.Equal(lines, want.Result) {
-							t.Errorf("%s diverges from golden:\n--- golden ---\n%s\n--- got ---\n%s",
-								label, strings.Join(want.Result, "\n"), strings.Join(lines, "\n"))
-						}
-						ran := orders()
-						if r == 0 && frozenOrders && !slices.Equal(ran, want.StaticOrders) {
-							t.Errorf("%s executed join orders %v, golden %v", label, ran, want.StaticOrders)
-						}
-						if b.fed == fmem {
-							memOrders = append(memOrders, ran)
-						} else if !slices.Equal(ran, memOrders[r]) {
-							t.Errorf("%s executed join orders %v, the mem backend %v", label, ran, memOrders[r])
-						}
+			var memOrders [][]string // per run, to hold the disk twin to
+			for _, b := range []struct {
+				name string
+				fed  *Federator
+			}{{"mem", fmem}, {"disk", fdisk}} {
+				fo, orders := traced(b.fed)
+				fo.SetPlanCache(NewPlanCache(16))
+				for r, run := range goldenRuns {
+					label := b.name + " " + run
+					got, err := fo.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if lines := goldenLines(canonicalResult(got)); !slices.Equal(lines, want.Result) {
+						t.Errorf("%s diverges from golden:\n--- golden ---\n%s\n--- got ---\n%s",
+							label, strings.Join(want.Result, "\n"), strings.Join(lines, "\n"))
+					}
+					ran := orders()
+					if r == 0 && frozenOrders && !slices.Equal(ran, want.StaticOrders) {
+						t.Errorf("%s executed join orders %v, golden %v", label, ran, want.StaticOrders)
+					}
+					if b.fed == fmem {
+						memOrders = append(memOrders, ran)
+					} else if !slices.Equal(ran, memOrders[r]) {
+						t.Errorf("%s executed join orders %v, the mem backend %v", label, ran, memOrders[r])
 					}
 				}
 			}
@@ -284,7 +267,7 @@ func goldenChainQueries() map[string]string {
 // always fails its access probe, with the breaker already tripped:
 // Degraded reporting is a plan-level decision, so every configuration
 // must report the same Degraded list and the same partial rows,
-// regardless of join order or worker count.
+// regardless of join order.
 func goldenDegradedWorld(t *testing.T) *Federator {
 	t.Helper()
 	dict := rdf.NewDict()

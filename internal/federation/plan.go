@@ -21,21 +21,6 @@ import (
 	"alex/internal/sparql"
 )
 
-// Options tunes the federated evaluator. The zero value is one worker
-// per CPU.
-type Options struct {
-	// Workers is the number of goroutines sharding intermediate rows in
-	// each evaluation stage. 0 means GOMAXPROCS; 1 is serial.
-	Workers int
-}
-
-// SetOptions replaces the evaluator options. Not safe concurrently
-// with queries; set options before publishing a snapshot.
-func (f *Federator) SetOptions(o Options) { f.opts = o }
-
-// Opts returns the evaluator options in effect.
-func (f *Federator) Opts() Options { return f.opts }
-
 // plan is a compiled query: the AST, a slot for every variable of the
 // WHERE tree, the tree compiled against those slots, and the probe set.
 // The AST itself is never mutated, so planning works on caller-owned
@@ -71,7 +56,7 @@ type plan struct {
 	obs *obsTable
 	// probe lists the indexes of guarded sources this query may touch;
 	// they are probed in parallel before evaluation starts, which makes
-	// Degraded reporting independent of join order and worker count.
+	// Degraded reporting independent of join order.
 	probe []int
 }
 

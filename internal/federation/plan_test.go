@@ -117,7 +117,7 @@ func planOrder(f *Federator, query string) []int {
 	if err != nil {
 		panic(err)
 	}
-	fed, traces := traceOf(f, Options{Workers: 1})
+	fed, traces := traceOf(f)
 	if _, err := fed.EvalContext(context.Background(), q); err != nil {
 		panic(err)
 	}
@@ -201,34 +201,31 @@ func TestReorderIsDeterministic(t *testing.T) {
 // TestUnboundPredicateVisitsAllSourcesUnderReordering joins an
 // unbound-predicate pattern with a selective one. However the planner
 // orders them, the unbound-predicate pattern must still visit every
-// source; that the rows are the frozen ones under every configuration
+// source; that the rows are the frozen ones, cold, learned and refined,
 // is the golden harness's "unbound-predicate-reordered" case.
 func TestUnboundPredicateVisitsAllSourcesUnderReordering(t *testing.T) {
 	f, _ := chainWorld(t)
-	query := goldenChainQueries()["unbound-predicate-reordered"]
-	for _, o := range evalConfigs() {
-		rs, err := withOptions(f, o).Query(query)
-		if err != nil {
-			t.Fatalf("%s: %v", optionsLabel(o), err)
-		}
-		// The entity participates in all three sources via the link
-		// chain: the unbound-predicate scan must surface a row from each.
-		preds := map[string]bool{}
-		for _, r := range rs.Rows {
-			preds[r.Binding["rel"].Value] = true
-		}
-		for _, want := range []string{"http://a/name", "http://b/label", "http://c/price"} {
-			if !preds[want] {
-				t.Fatalf("%s: rows missing predicate %s: %v", optionsLabel(o), want, preds)
-			}
+	rs, err := f.Query(goldenChainQueries()["unbound-predicate-reordered"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The entity participates in all three sources via the link
+	// chain: the unbound-predicate scan must surface a row from each.
+	preds := map[string]bool{}
+	for _, r := range rs.Rows {
+		preds[r.Binding["rel"].Value] = true
+	}
+	for _, want := range []string{"http://a/name", "http://b/label", "http://c/price"} {
+		if !preds[want] {
+			t.Fatalf("rows missing predicate %s: %v", want, preds)
 		}
 	}
 }
 
 // TestDegradedOrderIndependent opens a guarded source's breaker and
-// checks that the Degraded report is identical whichever join order or
-// worker count evaluates the query — availability is decided from the
-// plan's probe set before evaluation, not during it.
+// checks that the Degraded report is identical whichever join order
+// evaluates the query — availability is decided from the plan's probe
+// set before evaluation, not during it.
 func TestDegradedOrderIndependent(t *testing.T) {
 	d := rdf.NewDict()
 	g1 := rdf.NewGraphWithDict(d)
@@ -269,14 +266,12 @@ func TestDegradedOrderIndependent(t *testing.T) {
 		`SELECT ?s WHERE { ?s <http://x/p> "no-such-value" . }`,
 	}
 	for _, q := range queries {
-		for _, o := range evalConfigs() {
-			rs, err := withOptions(f, o).Query(q)
-			if err != nil {
-				t.Fatalf("%s: %v", optionsLabel(o), err)
-			}
-			if len(rs.Degraded) != 1 || rs.Degraded[0] != "down" {
-				t.Errorf("%s on %q: Degraded = %v, want [down]", optionsLabel(o), q, rs.Degraded)
-			}
+		rs, err := f.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Degraded) != 1 || rs.Degraded[0] != "down" {
+			t.Errorf("%q: Degraded = %v, want [down]", q, rs.Degraded)
 		}
 	}
 }

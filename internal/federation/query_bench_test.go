@@ -16,8 +16,7 @@ import (
 // synth pair with ground-truth sameAs links installed, queried by a
 // three-pattern join written in pessimal order (broad label scan first,
 // cross-source join second, selective category constant last). The
-// planner's job is to hoist the category pattern; the workers' job is
-// to fan out the cross-source join.
+// planner's job is to hoist the category pattern.
 func benchFederation(b *testing.B) (*Federator, string) {
 	b.Helper()
 	prof, ok := synth.ProfileByName("dbpedia-nytimes")
@@ -159,8 +158,7 @@ func joinShapeWorld(tb testing.TB, scale float64) (*Federator, map[string]string
 //     federation.query_us.{sel,filter,wide}; they are not a figure of
 //     their own.
 //
-// `make bench-query` records them as BENCH_query.json, at every -cpu
-// value the host has cores for.
+// `make bench-query` records them as BENCH_query.json.
 func BenchmarkFederatedQuery(b *testing.B) {
 	f, query := benchFederation(b)
 
@@ -176,10 +174,10 @@ func BenchmarkFederatedQuery(b *testing.B) {
 	}
 
 	b.Run("cold", func(b *testing.B) {
-		run(b, withOptions(f, Options{}), query)
+		run(b, copyOf(f), query)
 	})
 	b.Run("warm", func(b *testing.B) {
-		fed := withOptions(f, Options{})
+		fed := copyOf(f)
 		fed.SetPlanCache(NewPlanCache(16))
 		if _, err := fed.Query(query); err != nil { // prime the cache
 			b.Fatal(err)
@@ -210,7 +208,7 @@ func BenchmarkFederatedQuery(b *testing.B) {
 // fails the bound several times over.
 func TestWideQueryAllocationsFollowSurvivors(t *testing.T) {
 	f, texts := joinShapeWorld(t, 0.1)
-	fed := withOptions(f, Options{Workers: 1})
+	fed := copyOf(f)
 	fed.SetPlanCache(NewPlanCache(4))
 
 	all, err := fed.Query(strings.Replace(texts["wide"], "LIMIT 50", "", 1))

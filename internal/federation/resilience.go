@@ -121,13 +121,12 @@ func (f *Federator) SourceStatuses() []SourceStatus {
 // deadline, retries and breaker), before any pattern is evaluated.
 // Deciding availability ahead of evaluation makes Degraded a pure
 // function of the plan and the sources' health: it cannot vary with
-// join order, worker count or how early the row stream runs dry, which
-// the golden harness relies on. After construction the evalCtx's
-// fields are read-only and therefore safe to share across evaluation
-// workers; stats (nil when the plan has no order to choose) is
-// internally atomic and mutated through it.
+// join order or how early the row stream runs dry, which the golden
+// harness relies on. Once the probes are in, an evalCtx belongs to the
+// one goroutine that evaluates the query.
 type evalCtx struct {
 	ctx      context.Context
+	left     int    // steps until cancelled next looks at ctx
 	avail    []bool // per source index; true = usable by this query
 	degraded []int  // probed sources that failed, ascending
 	// stats is this query's observation table; nil when no group of the
@@ -140,6 +139,27 @@ type evalCtx struct {
 	// itself, or a copy with constants resolved afresh when the plan was
 	// compiled before the dictionary held them all.
 	pats []cpattern
+}
+
+// checkInterval is how many steps of evaluation — input rows entering a
+// stage, rows a pattern emits — pass between two looks at the context.
+const checkInterval = 1024
+
+// cancelled counts one step of evaluation and reports whether the
+// query's context is done, looking at it on the first step and then once
+// per checkInterval: an evaluation outlives its deadline by at most
+// that many steps, and a query that is never cancelled pays a decrement
+// per step. Once the context is done the countdown is left run out, so
+// every later step finds it done too.
+func (ec *evalCtx) cancelled() bool {
+	if ec.left--; ec.left > 0 {
+		return false
+	}
+	if ec.ctx.Err() != nil {
+		return true
+	}
+	ec.left = checkInterval
+	return false
 }
 
 // learnedExpansion returns the learned per-row multiplier of a stage

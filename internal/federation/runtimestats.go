@@ -1,13 +1,13 @@
 // Runtime cardinality observation for adaptive query execution. Layer
 // 1 of the adaptive read path (see adaptive.go): every executed stage
 // of a group with an order to choose records how many rows went in and
-// how many came out,
-// and every source probe records its latency. Counters are plain
-// atomics — two adds per stage execution, measured at the chunk
-// fan-out boundary rather than per emitted row, so observation cost is
-// independent of result size. A query's RuntimeStats are folded into
-// the plan's obsTable when evaluation ends, which is how the plan
-// cache learns real cardinalities across requests.
+// how many came out, and every source probe records its latency. A
+// stage is counted once, at its boundary, rather than per emitted row,
+// so observation cost is independent of result size. A query's
+// RuntimeStats belong to the goroutine evaluating it and are plain
+// integers; they are folded into the plan's obsTable when evaluation
+// ends, which is how the plan cache learns real cardinalities across
+// requests, and that table, shared by concurrent queries, is atomics.
 package federation
 
 import (
@@ -16,41 +16,49 @@ import (
 	"time"
 )
 
-// stageObs is one stage's cumulative observation: input rows, emitted
-// rows, and how many executions contributed. Always address a stageObs
-// through a pointer or index — it embeds atomics and must not be
-// copied.
+// stageCount is one stage's cumulative observation: input rows, emitted
+// rows, and how many executions contributed.
+type stageCount struct {
+	in, out, runs uint64
+}
+
+// expansion returns the observed per-input-row output multiplier, or
+// ok=false when the stage has never run with a non-empty input (an
+// empty input observes nothing about selectivity).
+func (s stageCount) expansion() (perRow float64, ok bool) {
+	if s.runs == 0 || s.in == 0 {
+		return 0, false
+	}
+	return float64(s.out) / float64(s.in), true
+}
+
+// stageObs is a stageCount that concurrent queries add to and read.
+// Always address a stageObs through a pointer or index — it embeds
+// atomics and must not be copied.
 type stageObs struct {
 	in   atomic.Uint64
 	out  atomic.Uint64
 	runs atomic.Uint64
 }
 
-// expansion returns the observed per-input-row output multiplier, or
-// ok=false when the stage has never run with a non-empty input (an
-// empty input observes nothing about selectivity).
-func (s *stageObs) expansion() (perRow float64, ok bool) {
-	in := s.in.Load()
-	if s.runs.Load() == 0 || in == 0 {
-		return 0, false
-	}
-	return float64(s.out.Load()) / float64(in), true
+func (s *stageObs) load() stageCount {
+	return stageCount{in: s.in.Load(), out: s.out.Load(), runs: s.runs.Load()}
 }
 
 // RuntimeStats collects the observations of one query evaluation:
 // per-stage row counters (indexed by the plan's stage ids) and
-// per-source probe latencies. Safe for concurrent use — per-row
-// OPTIONAL sub-evaluations running on different workers record into
-// the same table.
+// per-source probe latencies. Only newEvalCtx's probes write it from
+// other goroutines, each its own source's entry, and they are waited
+// for before anything is read.
 type RuntimeStats struct {
-	stages  []stageObs
-	probeNs []atomic.Int64
+	stages  []stageCount
+	probeNs []int64
 }
 
 func newRuntimeStats(nstages, nsources int) *RuntimeStats {
 	return &RuntimeStats{
-		stages:  make([]stageObs, nstages),
-		probeNs: make([]atomic.Int64, nsources),
+		stages:  make([]stageCount, nstages),
+		probeNs: make([]int64, nsources),
 	}
 }
 
@@ -58,15 +66,15 @@ func newRuntimeStats(nstages, nsources int) *RuntimeStats {
 // were emitted.
 func (rs *RuntimeStats) record(stage, in, out int) {
 	s := &rs.stages[stage]
-	s.in.Add(uint64(in))
-	s.out.Add(uint64(out))
-	s.runs.Add(1)
+	s.in += uint64(in)
+	s.out += uint64(out)
+	s.runs++
 }
 
 // recordProbe notes the observed availability-probe latency of source
 // si, the stand-in for a remote endpoint's round-trip time.
 func (rs *RuntimeStats) recordProbe(si int, d time.Duration) {
-	rs.probeNs[si].Store(int64(d))
+	rs.probeNs[si] = int64(d)
 }
 
 // probeMillis returns the probe latency of source si in whole
@@ -74,7 +82,7 @@ func (rs *RuntimeStats) recordProbe(si int, d time.Duration) {
 // probes (microseconds) at exactly zero, so latency weighting cannot
 // perturb plans on all-local federations.
 func (rs *RuntimeStats) probeMillis(si int) int64 {
-	return rs.probeNs[si].Load() / int64(time.Millisecond)
+	return rs.probeNs[si] / int64(time.Millisecond)
 }
 
 // foldInto merges this query's stage observations into the plan's
@@ -83,16 +91,14 @@ func (rs *RuntimeStats) foldInto(o *obsTable) {
 	if o == nil {
 		return
 	}
-	for i := range rs.stages {
-		s := &rs.stages[i]
-		runs := s.runs.Load()
-		if runs == 0 {
+	for i, s := range rs.stages {
+		if s.runs == 0 {
 			continue
 		}
 		t := &o.stages[i]
-		t.in.Add(s.in.Load())
-		t.out.Add(s.out.Load())
-		t.runs.Add(runs)
+		t.in.Add(s.in)
+		t.out.Add(s.out)
+		t.runs.Add(s.runs)
 	}
 }
 
@@ -175,7 +181,7 @@ func (o *obsTable) Epoch() uint64 {
 // counters, which may pick a slower (never a wrong) order — any
 // binding-safe order is answer-identical.
 func (o *obsTable) expansion(stage int) (float64, bool) {
-	return o.stages[stage].expansion()
+	return o.stages[stage].load().expansion()
 }
 
 // adaptiveMetrics are process-lifetime counters of the ranker,

@@ -8,7 +8,7 @@
 // every routed query earns a fraction of a token, every hedge spends
 // one, so hedging can never multiply the upstream request rate into a
 // brownout — under a 100% slow fleet the extra load is bounded by
-// BudgetRatio, not by the timeout.
+// 1/hedgeEvery, not by the timeout.
 package fleet
 
 import (
@@ -17,46 +17,28 @@ import (
 	"time"
 )
 
-// HedgeConfig tunes hedged failover reads.
+// HedgeConfig holds what a deployment says about hedged failover reads.
 type HedgeConfig struct {
 	// Disabled turns hedging off entirely.
 	Disabled bool
 	// Delay, when > 0, is a fixed hedge delay. 0 selects the adaptive
-	// delay: the Percentile of recent shard latencies, clamped to
-	// [MinDelay, MaxDelay].
+	// delay: the hedgePercentile of recent shard latencies, clamped to
+	// [hedgeMinDelay, hedgeMaxDelay].
 	Delay time.Duration
-	// Percentile of observed latency after which a hedge fires
-	// (0 means 0.95).
-	Percentile float64
-	// MinDelay/MaxDelay clamp the adaptive delay (defaults 10ms / 2s).
-	// Before any latency is observed the delay is MaxDelay.
-	MinDelay time.Duration
-	MaxDelay time.Duration
-	// BudgetRatio is the hedge tokens earned per routed query
-	// (0 means 0.1: at most ~10% extra upstream load from hedging).
-	BudgetRatio float64
-	// BudgetBurst caps the token bucket (0 means 8).
-	BudgetBurst float64
 }
 
-func (c HedgeConfig) withDefaults() HedgeConfig {
-	if c.Percentile <= 0 || c.Percentile > 1 {
-		c.Percentile = 0.95
-	}
-	if c.MinDelay <= 0 {
-		c.MinDelay = 10 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Second
-	}
-	if c.BudgetRatio <= 0 {
-		c.BudgetRatio = 0.1
-	}
-	if c.BudgetBurst <= 0 {
-		c.BudgetBurst = 8
-	}
-	return c
-}
+const (
+	// hedgePercentile of observed latency is when an adaptive hedge fires.
+	hedgePercentile = 0.95
+	// hedgeMinDelay and hedgeMaxDelay clamp the adaptive delay. Before
+	// any latency is observed the delay is hedgeMaxDelay.
+	hedgeMinDelay = 10 * time.Millisecond
+	hedgeMaxDelay = 2 * time.Second
+	// hedgeEvery routed queries earn one hedge: at most ~10% extra
+	// upstream load from hedging. hedgeBurst caps the hedges saved up.
+	hedgeEvery = 10
+	hedgeBurst = 8
+)
 
 // hedgeWindow is the latency ring-buffer size; enough history for a
 // stable percentile, small enough to track load shifts.
@@ -71,12 +53,11 @@ type hedger struct {
 	samples [hedgeWindow]time.Duration
 	n       int // filled entries (caps at hedgeWindow)
 	idx     int // next write position
-	tokens  float64
+	credit  int // routed queries not yet spent on a hedge
 }
 
 func newHedger(cfg HedgeConfig) *hedger {
-	c := cfg.withDefaults()
-	return &hedger{cfg: c, tokens: c.BudgetBurst}
+	return &hedger{cfg: cfg, credit: hedgeBurst * hedgeEvery}
 }
 
 // observe records how long a primary shard took to answer.
@@ -98,43 +79,33 @@ func (h *hedger) delay() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.n == 0 {
-		return h.cfg.MaxDelay
+		return hedgeMaxDelay
 	}
 	tmp := make([]time.Duration, h.n)
 	copy(tmp, h.samples[:h.n])
 	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(float64(h.n) * h.cfg.Percentile)
+	i := int(float64(h.n) * hedgePercentile)
 	if i >= h.n {
 		i = h.n - 1
 	}
-	d := tmp[i]
-	if d < h.cfg.MinDelay {
-		d = h.cfg.MinDelay
-	}
-	if d > h.cfg.MaxDelay {
-		d = h.cfg.MaxDelay
-	}
-	return d
+	return min(max(tmp[i], hedgeMinDelay), hedgeMaxDelay)
 }
 
 // earn credits the budget for one routed query.
 func (h *hedger) earn() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.tokens += h.cfg.BudgetRatio
-	if h.tokens > h.cfg.BudgetBurst {
-		h.tokens = h.cfg.BudgetBurst
-	}
+	h.credit = min(h.credit+1, hedgeBurst*hedgeEvery)
 }
 
-// take spends one token; false means the budget is exhausted and the
-// hedge must not fire.
+// take spends one hedge's worth of credit; false means the budget is
+// exhausted and the hedge must not fire.
 func (h *hedger) take() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.tokens < 1 {
+	if h.credit < hedgeEvery {
 		return false
 	}
-	h.tokens--
+	h.credit -= hedgeEvery
 	return true
 }

@@ -16,8 +16,8 @@ func TestHedgerFixedDelay(t *testing.T) {
 func TestHedgerAdaptiveDelay(t *testing.T) {
 	h := newHedger(HedgeConfig{})
 	// Before any observation the hedger must be maximally conservative.
-	if got := h.delay(); got != 2*time.Second {
-		t.Fatalf("cold delay = %s, want MaxDelay 2s", got)
+	if got := h.delay(); got != hedgeMaxDelay {
+		t.Fatalf("cold delay = %s, want %s", got, hedgeMaxDelay)
 	}
 	for i := 1; i <= 100; i++ {
 		h.observe(time.Duration(i) * time.Millisecond)
@@ -28,40 +28,46 @@ func TestHedgerAdaptiveDelay(t *testing.T) {
 	if got < 90*time.Millisecond || got > 100*time.Millisecond {
 		t.Fatalf("p95 delay = %s, want ~95ms", got)
 	}
-	// Uniformly tiny latencies clamp up to MinDelay.
+	// Uniformly tiny latencies clamp up to hedgeMinDelay.
 	h2 := newHedger(HedgeConfig{})
 	for i := 0; i < hedgeWindow; i++ {
 		h2.observe(time.Microsecond)
 	}
-	if got := h2.delay(); got != 10*time.Millisecond {
-		t.Fatalf("clamped delay = %s, want MinDelay 10ms", got)
+	if got := h2.delay(); got != hedgeMinDelay {
+		t.Fatalf("clamped delay = %s, want %s", got, hedgeMinDelay)
 	}
 }
 
 func TestHedgerBudget(t *testing.T) {
-	h := newHedger(HedgeConfig{BudgetRatio: 0.5, BudgetBurst: 2})
-	if !h.take() || !h.take() {
-		t.Fatal("burst tokens missing")
+	h := newHedger(HedgeConfig{})
+	for i := 0; i < hedgeBurst; i++ {
+		if !h.take() {
+			t.Fatalf("burst hedge %d of %d missing", i+1, hedgeBurst)
+		}
 	}
 	if h.take() {
 		t.Fatal("budget exhausted but take succeeded")
 	}
-	h.earn() // +0.5 — still under one whole token
-	if h.take() {
-		t.Fatal("half a token must not buy a hedge")
-	}
-	h.earn() // +0.5 — one whole token now
-	if !h.take() {
-		t.Fatal("earned token not spendable")
-	}
-	// The bucket caps at BudgetBurst.
-	for i := 0; i < 100; i++ {
+	for i := 1; i < hedgeEvery; i++ {
 		h.earn()
 	}
-	if !h.take() || !h.take() {
-		t.Fatal("bucket refill missing")
+	if h.take() {
+		t.Fatalf("%d routed queries must not buy a hedge", hedgeEvery-1)
+	}
+	h.earn()
+	if !h.take() {
+		t.Fatalf("%d routed queries earned no hedge", hedgeEvery)
+	}
+	// The bucket caps at hedgeBurst.
+	for i := 0; i < 2*hedgeBurst*hedgeEvery; i++ {
+		h.earn()
+	}
+	for i := 0; i < hedgeBurst; i++ {
+		if !h.take() {
+			t.Fatal("bucket refill missing")
+		}
 	}
 	if h.take() {
-		t.Fatal("bucket exceeded BudgetBurst")
+		t.Fatal("bucket exceeded hedgeBurst")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"alex/internal/cluster"
-	"alex/internal/federation"
 	"alex/internal/links"
 	"alex/internal/rdf"
 )
@@ -261,11 +260,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Lock-free read path: load the current snapshot once and evaluate
-	// entirely against it. Concurrent episodes publish new snapshots but
-	// never touch this one.
+	// entirely against it, on this goroutine. Concurrent episodes publish
+	// new snapshots but never touch this one. The evaluator stops itself
+	// when ctx is done, so the slot taken above covers all the work.
 	snap := s.Snapshot()
 	start := time.Now()
-	ans, err := evalWithContext(ctx, snap.Fed, req.Query)
+	ans, err := snap.Fed.Evaluate(ctx, req.Query)
 	s.metrics.queryDuration.Observe(time.Since(start).Seconds())
 	if err != nil {
 		if ctx.Err() != nil {
@@ -291,30 +291,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Length", strconv.Itoa(len(wb.b)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(wb.b) //nolint:errcheck // client gone; nothing to do
-}
-
-// evalWithContext runs the query in a helper goroutine so the handler
-// can honor the deadline even mid-evaluation. The context also flows
-// into the federator's per-source access probes, so an expiring request
-// cancels any in-flight retries. An abandoned evaluation finishes in
-// the background against its snapshot (which stays valid) and is
-// discarded.
-func evalWithContext(ctx context.Context, fed *federation.Federator, query string) (*federation.Answer, error) {
-	type out struct {
-		ans *federation.Answer
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		ans, err := fed.Evaluate(ctx, query)
-		ch <- out{ans, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.ans, o.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {

@@ -653,8 +653,8 @@ func TestDegradedQueryMarkedOnWire(t *testing.T) {
 
 // TestNoGoroutineLeaks cycles full server lifetimes (start, serve
 // queries and feedback, shut down) and requires the goroutine count to
-// return to its baseline: neither the writer, nor abandoned query
-// evaluations, nor the journal may leak.
+// return to its baseline: neither the writer nor the journal may leak
+// (a query has no goroutine of its own to leak).
 func TestNoGoroutineLeaks(t *testing.T) {
 	dir := t.TempDir()
 	cycle := func() {

@@ -37,11 +37,17 @@
 // partial results with a degradation marker rather than failing, and
 // /healthz reports per-source breaker state.
 //
-// Also: per-request timeouts via context, backpressure (HTTP 429 +
-// Retry-After when the feedback queue is full), panic-recovery
-// middleware, graceful shutdown that drains queued feedback and
-// finishes the open episode, and a built-in metrics registry exported
-// at /metrics in Prometheus text format.
+// A /query is evaluated on its handler's goroutine, start to finish,
+// under the request's deadline: the evaluator looks at the context as
+// it goes and stops within one check interval of the deadline (or of
+// the client going away), the handler answers 504, and only then does
+// it give back its MaxConcurrentQueries slot — so admission bounds the
+// evaluations running, their CPU and their memory, not just handlers.
+//
+// Also: backpressure (HTTP 429 + Retry-After when the feedback queue is
+// full), panic-recovery middleware, graceful shutdown that drains queued
+// feedback and finishes the open episode, and a built-in metrics
+// registry exported at /metrics in Prometheus text format.
 package server
 
 import (
@@ -117,17 +123,16 @@ type Config struct {
 	// (per-source deadlines, retries, circuit breakers). The zero value
 	// means federation.DefaultResilience.
 	Resilience federation.Resilience
-	// QueryWorkers is the per-query evaluation parallelism; 0 means
-	// GOMAXPROCS (see federation.Options.Workers).
-	QueryWorkers int
 	// PlanCacheSize bounds the LRU cache of compiled query plans shared
 	// by all published snapshots; 0 or negative means
 	// federation.DefaultPlanCacheSize.
 	PlanCacheSize int
 	// MaxConcurrentQueries caps in-flight /query evaluations; excess
 	// requests wait for a slot until their deadline, then get 503 +
-	// Retry-After. 0 means unlimited. Fleet routers use this so one
-	// shard's overload surfaces as backpressure instead of timeouts.
+	// Retry-After. A slot is held until its evaluation has finished or
+	// stopped at its deadline. 0 means unlimited. Fleet routers use this
+	// so one shard's overload surfaces as backpressure instead of
+	// timeouts.
 	MaxConcurrentQueries int
 	// Fleet, when non-nil, runs this server as one shard of a
 	// partitioned fleet (see fleet.go). It owns a contiguous range of
@@ -335,7 +340,6 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 	cfg = cfg.withDefaults()
 	base := federation.New(dict)
 	base.SetResilience(cfg.Resilience)
-	base.SetOptions(federation.Options{Workers: cfg.QueryWorkers})
 	plans := federation.NewPlanCache(cfg.PlanCacheSize)
 	base.SetPlanCache(plans)
 	for _, src := range sources {
@@ -461,10 +465,10 @@ func (s *Server) registerMetrics() {
 	m := &s.metrics
 	m.queries = s.reg.Counter("alexd_queries_total", "Federated queries served.")
 	m.queryErrors = s.reg.Counter("alexd_query_errors_total", "Queries rejected or failed (parse/eval errors).")
-	m.queryTimeouts = s.reg.Counter("alexd_query_timeouts_total", "Queries abandoned on deadline.")
+	m.queryTimeouts = s.reg.Counter("alexd_query_timeouts_total", "Queries stopped at their deadline.")
 	m.queryAdmissionDrops = s.reg.Counter("alexd_query_admission_drops_total", "Queries refused with 503 because no evaluation slot freed up in time.")
 	m.queryRows = s.reg.Counter("alexd_query_rows_total", "Answer rows returned across all queries.")
-	m.queryDuration = s.reg.Histogram("alexd_query_duration_seconds", "Query evaluation latency.", nil)
+	m.queryDuration = s.reg.Histogram("alexd_query_duration_seconds", "Query evaluation latency; a query stopped at its deadline counts with the time at which it stopped.", nil)
 	m.degradedQueries = s.reg.Counter("alexd_degraded_queries_total", "Queries that returned partial results because a source was unavailable.")
 	s.reg.CounterFunc("alexd_plan_cache_hits_total", "Queries served from a cached plan.", func() uint64 {
 		hits, _ := s.plans.Stats()

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -315,20 +318,73 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestQueryTimeout: a query that overruns its deadline is stopped, not
+// abandoned. The cross product below is 9 × 10⁶ rows — seconds of work
+// and a gigabyte of rows if nothing stops it — over a source that cannot
+// fail, so only the evaluator's own look at its context ends it. The
+// client gets its 504 when the work has stopped, and the one admission
+// slot is free again because it has.
 func TestQueryTimeout(t *testing.T) {
-	dict, sources, sys, _ := tinyWorld(t)
-	_, ts, _ := newTestServer(t, sys, dict, sources, Config{})
-	// An unbounded triple-cross-product is slow enough on any machine to
-	// overrun a 1ms budget (the tiny graph keeps the abandoned
-	// background evaluation cheap).
-	body := `{"query":"SELECT ?a WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i . ?j ?k ?l . ?m ?n ?o . }","timeout_ms":1}`
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
-	if err != nil {
+	dict, _, sys, _ := tinyWorld(t)
+	big := rdf.NewGraphWithDict(dict)
+	for i := 0; i < 3001; i++ {
+		big.Insert(rdf.Triple{S: rdf.IRI(fmt.Sprintf("http://big/s%d", i)), P: rdf.IRI("http://big/p"), O: rdf.Literal(fmt.Sprint(i))})
+	}
+	_, ts, _ := newTestServer(t, sys, dict, []federation.Source{{Name: "big", Graph: big}}, Config{MaxConcurrentQueries: 1})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+
+	before := heap()
+	start := time.Now()
+	status := post(`{"query":"SELECT ?a WHERE { ?a ?b ?c . ?d ?e ?f . }","timeout_ms":20}`)
+	if took := time.Since(start); status != http.StatusGatewayTimeout || took > 250*time.Millisecond {
+		t.Fatalf("status %d after %v, want 504 within 250ms of a 20ms deadline", status, took)
+	}
+
+	time.Sleep(50 * time.Millisecond)
+	var stacks bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&stacks, 2); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 504 (or 200 on a very fast machine)", resp.StatusCode)
+	if strings.Contains(stacks.String(), "alex/internal/federation.") {
+		t.Errorf("an evaluation is still running 50ms after its 504:\n%s", &stacks)
+	}
+	if grew := heap() - before; grew > 64<<20 {
+		t.Errorf("heap grew by %d MB across a stopped query", grew>>20)
+	}
+	if status := post(`{"query":"SELECT ?o WHERE { <http://big/s7> <http://big/p> ?o . }"}`); status != http.StatusOK {
+		t.Errorf("lookup after the timeout: status %d, want 200", status)
+	}
+
+	// The stopped query is counted, and is in the histogram with the
+	// time it ran for, beside the lookup.
+	metrics := getMetricsText(t, ts.URL)
+	if sum := metricValue(t, metrics, "alexd_query_duration_seconds_sum"); sum < 0.020 {
+		t.Errorf("alexd_query_duration_seconds_sum = %v, want at least the 20ms deadline", sum)
+	}
+	for _, want := range []string{
+		"# HELP alexd_query_timeouts_total Queries stopped at their deadline.",
+		"alexd_query_timeouts_total 1",
+		"# HELP alexd_query_duration_seconds Query evaluation latency; a query stopped at its deadline counts with the time at which it stopped.",
+		"alexd_query_duration_seconds_count 2",
+		"alexd_queries_total 1",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics exposition missing %q:\n%s", want, metrics)
+		}
 	}
 }
 

@@ -8,11 +8,10 @@ import (
 )
 
 // SpaceSim is the similarity function used to build ALEX's feature
-// spaces. Compared to Compare it is tuned for *discrimination*: scores
-// of unrelated values concentrate near 0 so that θ-filtering (paper
-// §6.1) removes most of the cross product, while perturbed variants of
-// the same value land on a dense continuum below 1.0 that exploration
-// can walk.
+// spaces. It is tuned for *discrimination*: scores of unrelated values
+// concentrate near 0 so that θ-filtering (paper §6.1) removes most of
+// the cross product, while perturbed variants of the same value land on
+// a dense continuum below 1.0 that exploration can walk.
 //
 //   - identical terms score 1;
 //   - dates use proximity with a 1-year window;

@@ -135,9 +135,7 @@ func firstAppearance(patterns []sparql.TriplePattern) []string {
 
 // TestEngineMatchesBruteForce compares the engine against the reference
 // on randomly generated small graphs and random 1-3 pattern BGPs, over
-// both store backends, serially and with four workers (graphs reach 30
-// triples, past the fan-out threshold, so workers fill blocks of their
-// own that are merged in order). Objects are literals or subject IRIs,
+// both store backends. Objects are literals or subject IRIs,
 // and the three variable names land in any position, so patterns that
 // repeat a variable (?a ?b ?a) and joins from object to subject occur
 // and can match. SELECT * must list the variables in order of first
@@ -187,35 +185,31 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 		q := &sparql.Query{Limit: -1, Where: &sparql.GroupGraphPattern{Triples: patterns}}
 		want := bruteForceBGP(g, patterns)
 		for backend, src := range map[string]store.TripleStore{"mem": g, "disk": segmentedTwin(t, g)} {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("trial %d (%s, %d workers)", trial, backend, workers)
-				fed := federation.Single(src)
-				fed.SetOptions(federation.Options{Workers: workers})
-				got, err := fed.Eval(q)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+			label := fmt.Sprintf("trial %d (%s)", trial, backend)
+			got, err := federation.Single(src).Eval(q)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if order := firstAppearance(patterns); !slices.Equal(got.Vars, order) {
+				t.Fatalf("%s: SELECT * projects %v, first appearance is %v\npatterns: %+v", label, got.Vars, order, patterns)
+			}
+			rows := make([]sparql.Binding, len(got.Rows))
+			for i, r := range got.Rows {
+				if r.Used.Len() != 0 {
+					t.Fatalf("%s: single-source row carries provenance %v", label, r.Used.Slice())
 				}
-				if order := firstAppearance(patterns); !slices.Equal(got.Vars, order) {
-					t.Fatalf("%s: SELECT * projects %v, first appearance is %v\npatterns: %+v", label, got.Vars, order, patterns)
-				}
-				rows := make([]sparql.Binding, len(got.Rows))
-				for i, r := range got.Rows {
-					if r.Used.Len() != 0 {
-						t.Fatalf("%s: single-source row carries provenance %v", label, r.Used.Slice())
-					}
-					rows[i] = r.Binding
-				}
+				rows[i] = r.Binding
+			}
 
-				gotC := canonicalize(got.Vars, rows)
-				wantC := canonicalize(got.Vars, want)
-				if len(gotC) != len(wantC) {
-					t.Fatalf("%s: engine %d rows, brute force %d rows\npatterns: %+v",
-						label, len(gotC), len(wantC), patterns)
-				}
-				for i := range gotC {
-					if gotC[i] != wantC[i] {
-						t.Fatalf("%s: row %d differs:\n engine %s\n brute  %s", label, i, gotC[i], wantC[i])
-					}
+			gotC := canonicalize(got.Vars, rows)
+			wantC := canonicalize(got.Vars, want)
+			if len(gotC) != len(wantC) {
+				t.Fatalf("%s: engine %d rows, brute force %d rows\npatterns: %+v",
+					label, len(gotC), len(wantC), patterns)
+			}
+			for i := range gotC {
+				if gotC[i] != wantC[i] {
+					t.Fatalf("%s: row %d differs:\n engine %s\n brute  %s", label, i, gotC[i], wantC[i])
 				}
 			}
 		}
