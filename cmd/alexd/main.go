@@ -86,7 +86,6 @@ func main() {
 	fleetList := flag.String("fleet", "", "comma-separated addresses of ALL fleet shards in shard-ID order (requires -shard-id)")
 	replicateEvery := flag.Duration("replicate-every", 2*time.Second, "fleet anti-entropy pull interval (with -fleet)")
 	routersList := flag.String("routers", "", "comma-separated router addresses to push health transitions to (with -fleet)")
-	txnResolveAfter := flag.Duration("txn-resolve-after", 0, "grace period before consulting peers about an unresolved prepare (0 = 10s; must exceed the router prepare deadline)")
 	flag.Parse()
 
 	if addr, err := pprofserve.Start(*pprofAddr); err != nil {
@@ -290,11 +289,10 @@ func main() {
 			}
 		}
 		fleetCfg = &server.FleetConfig{
-			ShardID:         *shardID,
-			Shards:          len(peers),
-			ReplicateEvery:  *replicateEvery,
-			Routers:         routers,
-			TxnResolveAfter: *txnResolveAfter,
+			ShardID:        *shardID,
+			Shards:         len(peers),
+			ReplicateEvery: *replicateEvery,
+			Routers:        routers,
 		}
 		log.Printf("shard %d/%d owns range %s: %d/%d entities, %d/%d initial links",
 			*shardID, len(peers), own, len(e1), allE1, len(initial), allInit)

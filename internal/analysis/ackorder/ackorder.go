@@ -32,7 +32,7 @@
 // count — exactly the shapes that reorder acks ahead of appends.
 // Before the facts framework both closures were computed per package;
 // facts now carry them across package boundaries, which is what lets
-// txnorder extend this contract to the cross-shard prepare path.
+// txnorder extend this contract to the router's fan-out path.
 package ackorder
 
 import (

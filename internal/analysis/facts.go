@@ -60,7 +60,7 @@ type FuncFacts struct {
 	// Journals: the function transitively reaches a durable write that
 	// backs an ack — (*wal.Log).Append locally, or a Client RPC whose
 	// non-error return means the remote shard journaled and fsynced
-	// (Feedback, TxnPrepare). txnorder and ackorder treat such calls as
+	// (Feedback, FeedbackResult). txnorder and ackorder treat such calls as
 	// barriers that must dominate a 202.
 	Journals    bool   `json:"journals,omitempty"`
 	JournalsVia string `json:"journals_via,omitempty"`
@@ -351,8 +351,7 @@ func seedFacts(fn *types.Func) (FuncFacts, bool) {
 		switch name {
 		// A non-error return from these RPCs means the remote shard
 		// journaled and fsynced before acking — durable by contract.
-		case "Feedback", "FeedbackContext", "FeedbackResult",
-			"TxnPrepare", "TxnPrepareContext":
+		case "Feedback", "FeedbackContext", "FeedbackResult":
 			return FuncFacts{Journals: true}, true
 		}
 	}

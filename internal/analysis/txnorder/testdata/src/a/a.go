@@ -1,5 +1,5 @@
-// Fixture a: PR 7's bug shape — the cross-shard prepare path acks 202
-// while the durable prepare is still in flight. Kill the process right
+// Fixture a: PR 7's bug shape — the router's fan-out path acks 202
+// while the durable write is still in flight. Kill the process right
 // after the ack and a shard that never journaled its slice forgets the
 // batch the client was just promised.
 package a
@@ -29,7 +29,7 @@ func (r *router) ackBeforeFanout(w http.ResponseWriter, slices [][]byte) {
 			r.log.Append(p)
 		}()
 	}
-	writeJSON(w, http.StatusAccepted, nil) // want `202 Accepted on the prepare path without a dominating durable prepare`
+	writeJSON(w, http.StatusAccepted, nil) // want `202 Accepted on the fan-out path without a dominating durable write`
 }
 
 // waitAfterAck: the Wait exists but runs after the client already has
@@ -44,21 +44,21 @@ func (r *router) waitAfterAck(w http.ResponseWriter, slices [][]byte) {
 			r.log.Append(p)
 		}()
 	}
-	writeJSON(w, http.StatusAccepted, nil) // want `202 Accepted on the prepare path without a dominating durable prepare`
+	writeJSON(w, http.StatusAccepted, nil) // want `202 Accepted on the fan-out path without a dominating durable write`
 	wg.Wait()
 }
 
-// conditionalPrepare journals on one branch and acks on all of them.
-func (r *router) conditionalPrepare(w http.ResponseWriter, p []byte, durable bool) {
+// conditionalAppend journals on one branch and acks on all of them.
+func (r *router) conditionalAppend(w http.ResponseWriter, p []byte, durable bool) {
 	if durable {
 		r.log.Append(p)
 	}
-	writeJSON(w, http.StatusAccepted, nil) // want `202 Accepted on the prepare path without a dominating durable prepare`
+	writeJSON(w, http.StatusAccepted, nil) // want `202 Accepted on the fan-out path without a dominating durable write`
 }
 
 // bareWait: a Wait with no journaling goroutine behind it vouches for
 // nothing.
 func (r *router) bareWait(w http.ResponseWriter, wg *sync.WaitGroup) {
 	wg.Wait()
-	writeJSON(w, http.StatusAccepted, nil) // want `202 Accepted on the prepare path without a dominating durable prepare`
+	writeJSON(w, http.StatusAccepted, nil) // want `202 Accepted on the fan-out path without a dominating durable write`
 }

@@ -1,7 +1,7 @@
-// Fixture b: compliant prepare paths — the 202 is dominated by a
-// durable prepare, either a direct journal append, a scatter-gather
-// whose WaitGroup.Wait collects every shard's prepare, or a remote
-// prepare RPC whose contract is journal-before-ack.
+// Fixture b: compliant fan-out paths — the 202 is dominated by a
+// durable write, either a direct journal append, a scatter-gather
+// whose WaitGroup.Wait collects every owner's ack, or a remote
+// /feedback RPC whose contract is journal-before-ack.
 package b
 
 import (
@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sync"
 
-	"alex/internal/cluster"
 	"alex/internal/server"
 	"alex/internal/wal"
 )
@@ -24,8 +23,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 }
 
-// directPrepare journals synchronously before the ack.
-func (r *router) directPrepare(w http.ResponseWriter, p []byte) {
+// directAppend journals synchronously before the ack.
+func (r *router) directAppend(w http.ResponseWriter, p []byte) {
 	if _, err := r.log.Append(p); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, nil)
 		return
@@ -33,27 +32,27 @@ func (r *router) directPrepare(w http.ResponseWriter, p []byte) {
 	writeJSON(w, http.StatusAccepted, nil)
 }
 
-// gatheredFanout is PR 7's fix: the Wait is the point where every
-// asynchronous prepare has provably completed, and it dominates the
-// ack.
-func (r *router) gatheredFanout(w http.ResponseWriter, slices [][]byte) {
+// gatheredFanout is PR 7's fix and the router's /feedback handler: each
+// owner is posted its slice, the Wait is the point where every post has
+// provably completed, and it dominates the ack.
+func (r *router) gatheredFanout(w http.ResponseWriter, ctx context.Context, slices [][]server.LinkJSON) {
 	var wg sync.WaitGroup
 	for _, p := range slices {
 		p := p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.log.Append(p)
+			r.client.FeedbackResult(ctx, p, false)
 		}()
 	}
 	wg.Wait()
 	writeJSON(w, http.StatusAccepted, nil)
 }
 
-// remotePrepare relies on the RPC contract: a non-error TxnPrepare
+// remoteFeedback relies on the RPC contract: a non-error FeedbackResult
 // return means the remote shard journaled and fsynced before acking.
-func (r *router) remotePrepare(w http.ResponseWriter, ctx context.Context, p cluster.TxnPrepare) {
-	if _, err := r.client.TxnPrepare(ctx, p); err != nil {
+func (r *router) remoteFeedback(w http.ResponseWriter, ctx context.Context, p []server.LinkJSON) {
+	if _, err := r.client.FeedbackResult(ctx, p, false); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, nil)
 		return
 	}

@@ -1,15 +1,15 @@
 // Package txnorder extends ackorder's fsync-before-ack contract across
-// functions and across the fleet: on the cross-shard prepare path, the
-// durable prepared-WAL record must dominate the 202 ack — whether the
-// journal write happens in this function, in a callee two packages
-// away, or on a remote shard behind a prepare RPC.
+// functions and across the fleet: on the router's fan-out path, every
+// owner's durable journal record must dominate the 202 ack — whether
+// the journal write happens in this function, in a callee two packages
+// away, or on a remote shard behind a /feedback RPC.
 //
 // PR 7's bug shape: the router's cross-shard feedback handler acked 202
 // after fanning the batch out, but the fan-out was asynchronous — kill
-// the router right after the ack and a shard that never got its
-// TxnPrepare forgets the batch. The fix journals (or collects every
-// shard's prepare ack) strictly before the 202. This analyzer replays
-// that shape mechanically, on top of the facts framework:
+// the router right after the ack and a shard that never got its slice
+// forgets the batch. The fix journals (or collects every owner's ack)
+// strictly before the 202. This analyzer replays that shape
+// mechanically, on top of the facts framework:
 //
 //   - an "ack" is any call carrying a constant 202 argument whose
 //     callee's facts say it writes an HTTP status (AcksHTTP) —
@@ -18,19 +18,19 @@
 //   - a "barrier" is a call whose facts say Journals: (*wal.Log).Append
 //     or anything that transitively reaches it, and the Client RPCs
 //     whose non-error return means a remote shard journaled and fsynced
-//     (Feedback, TxnPrepare);
+//     (Feedback, FeedbackResult);
 //   - additionally — the fleet's scatter-gather idiom — a
 //     sync.WaitGroup.Wait() call counts as a barrier when some `go`
 //     statement earlier in the same function launches a body containing
 //     a Journals call: the Wait is the point where the asynchronous
-//     prepares have provably completed. A `go` launch with no
+//     posts have provably completed. A `go` launch with no
 //     dominating Wait before the ack is exactly the PR-7 bug and stays
 //     a finding, because facts never credit a goroutine's effects to
 //     its launcher (see ComputeFacts).
 //
 // Dominance is the same structural test ackorder uses: the barrier must
-// execute on every path into the ack, so a prepare inside an `if` body,
-// a select case or a closure does not count.
+// execute on every path into the ack, so a post inside an `if` body, a
+// select case or a closure does not count.
 package txnorder
 
 import (
@@ -42,10 +42,10 @@ import (
 )
 
 // Analyzer is the txnorder checker, scoped to the serving layer and the
-// fleet router — both ends of the cross-shard prepare path.
+// fleet router — both ends of the router's fan-out path.
 var Analyzer = &analysis.Analyzer{
 	Name: "txnorder",
-	Doc:  "flags cross-shard 202 acks not dominated by a durable prepare",
+	Doc:  "flags fan-out 202 acks not dominated by every owner's durable journal write",
 	Match: func(p string) bool {
 		return analysis.PathHasAny(p, "alex/internal/server", "alex/internal/fleet")
 	},
@@ -112,7 +112,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 		}
 		if !dominated {
-			pass.Reportf(ack.Node().Pos(), "202 Accepted on the prepare path without a dominating durable prepare; journal the prepared record (or collect every shard's prepare ack via WaitGroup.Wait) before acking")
+			pass.Reportf(ack.Node().Pos(), "202 Accepted on the fan-out path without a dominating durable write; journal the record (or collect every owner's ack via WaitGroup.Wait) before acking")
 		}
 	}
 }

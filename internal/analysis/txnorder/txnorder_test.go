@@ -13,56 +13,56 @@ import (
 
 func TestTxnorder(t *testing.T) {
 	analysistest.Run(t, txnorder.Analyzer,
-		"testdata/src/a", // acks racing their asynchronous prepares (the PR-7 shape)
-		"testdata/src/b", // prepares that dominate the ack
+		"testdata/src/a", // acks racing their asynchronous fan-out (the PR-7 shape)
+		"testdata/src/b", // durable writes that dominate the ack
 	)
 }
 
-// TestCatchesPrepareAckMutation is the analyzer's reason to exist,
-// demonstrated on the production source: take the real internal/server
-// package, move the prepare path's 202 ahead of the journaling
-// prepareTxn call, and the analyzer must flag exactly that regression —
-// while staying silent on the pristine copy.
-func TestCatchesPrepareAckMutation(t *testing.T) {
-	pristine := copyServerPackage(t, nil)
+// TestCatchesFanoutAckMutation is the analyzer's reason to exist,
+// demonstrated on the production source: take the real internal/fleet
+// package, move handleFeedback's 202 ahead of the wg.Wait() that
+// collects every owner's ack, and the analyzer must flag exactly that
+// regression — while staying silent on the pristine copy.
+func TestCatchesFanoutAckMutation(t *testing.T) {
+	pristine := copyFleetPackage(t, nil)
 	if findings := runTxnorder(t, pristine); len(findings) != 0 {
-		t.Fatalf("pristine internal/server copy has %d txnorder findings, want 0: %v", len(findings), findings)
+		t.Fatalf("pristine internal/fleet copy has %d txnorder findings, want 0: %v", len(findings), findings)
 	}
 
-	const prepareCall = "st, code, err := s.prepareTxn(req, item)"
-	const earlyAck = "writeJSON(w, http.StatusAccepted, cluster.TxnStatusReply{ID: req.ID, Status: cluster.TxnPrepared})\n\t" + prepareCall
-	mutated := copyServerPackage(t, func(name, src string) string {
-		if name != "txn.go" {
+	const gather = "\twg.Wait()\n"
+	const earlyAck = "\twriteJSON(w, http.StatusAccepted, server.FeedbackResponse{Queued: true, Links: len(fr.Links)})\n" + gather
+	mutated := copyFleetPackage(t, func(name, src string) string {
+		if name != "router.go" {
 			return src
 		}
-		if !strings.Contains(src, prepareCall) {
-			t.Fatalf("txn.go no longer contains %q; update the mutation", prepareCall)
+		if strings.Count(src, gather) != 1 {
+			t.Fatalf("router.go no longer contains exactly one %q; update the mutation", gather)
 		}
-		return strings.Replace(src, prepareCall, earlyAck, 1)
+		return strings.Replace(src, gather, earlyAck, 1)
 	})
 	findings := runTxnorder(t, mutated)
 	if len(findings) != 1 {
-		t.Fatalf("mutated internal/server copy has %d txnorder findings, want exactly the early ack: %v", len(findings), findings)
+		t.Fatalf("mutated internal/fleet copy has %d txnorder findings, want exactly the early ack: %v", len(findings), findings)
 	}
 	f := findings[0]
-	if filepath.Base(f.Pos.Filename) != "txn.go" || !strings.Contains(f.Message, "202 Accepted on the prepare path") {
+	if filepath.Base(f.Pos.Filename) != "router.go" || !strings.Contains(f.Message, "202 Accepted on the fan-out path") {
 		t.Fatalf("unexpected finding for the early-ack mutation: %s: %s", f.Pos, f.Message)
 	}
 }
 
-// copyServerPackage clones internal/server's non-test sources into a
+// copyFleetPackage clones internal/fleet's non-test sources into a
 // fresh package directory under testdata (inside the module, so the
 // loader resolves its alex/ imports), applying mutate to each file.
-func copyServerPackage(t *testing.T, mutate func(name, src string) string) string {
+func copyFleetPackage(t *testing.T, mutate func(name, src string) string) string {
 	t.Helper()
-	dir, err := os.MkdirTemp("testdata", "servercopy-")
+	dir, err := os.MkdirTemp("testdata", "fleetcopy-")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.RemoveAll(dir) })
 
-	const serverDir = "../../server"
-	entries, err := os.ReadDir(serverDir)
+	const fleetDir = "../../fleet"
+	entries, err := os.ReadDir(fleetDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func copyServerPackage(t *testing.T, mutate func(name, src string) string) strin
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(serverDir, name))
+		data, err := os.ReadFile(filepath.Join(fleetDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}

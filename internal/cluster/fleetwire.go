@@ -1,5 +1,5 @@
 // Package cluster is the wire contract of a sharded alexd fleet: the
-// partition, snapshot and transaction vocabulary shared by
+// partition and snapshot vocabulary shared by
 // internal/fleet, internal/server and the cmd/alexd / cmd/alexrouter
 // binaries. It holds types and pure functions only — it opens no
 // connection and starts no goroutine; the transport is the shards' and
@@ -137,7 +137,7 @@ type ShardInfo struct {
 }
 
 // LinkWire is a link as IRI strings, the form in which links cross the
-// fleet's JSON wire (SnapshotManifest, TxnPrepare).
+// fleet's JSON wire (SnapshotManifest).
 type LinkWire struct {
 	E1 string `json:"e1"`
 	E2 string `json:"e2"`

@@ -38,7 +38,6 @@ type FS struct {
 	failCloseAll  bool
 	failRenameAt  int // fail the nth rename (1-based); 0 = never
 	failRenameAll bool
-	failLinks     bool
 	failMmaps     bool
 	shortAt       int // tear the nth write in half (1-based); 0 = never
 	crashAfter    int // crash once this many writes have completed; -1 = never
@@ -84,11 +83,6 @@ func (f *FS) FailRenameAt(n int) { f.mu.Lock(); f.failRenameAt = n; f.mu.Unlock(
 // Revive clears it.
 func (f *FS) FailRenames(fail bool) { f.mu.Lock(); f.failRenameAll = fail; f.mu.Unlock() }
 
-// FailLinks makes every subsequent Link return ErrInjected, forcing
-// the store's hardlink checkpoints onto the copy fallback. Revive
-// clears it.
-func (f *FS) FailLinks(fail bool) { f.mu.Lock(); f.failLinks = fail; f.mu.Unlock() }
-
 // FailMmaps makes every subsequent segment mmap fail with ErrInjected
 // (surfaced through the MmapFault hook the store probes before
 // mapping). Revive clears it.
@@ -117,7 +111,6 @@ func (f *FS) Revive() {
 	f.failCloseAll = false
 	f.failRenameAt = 0
 	f.failRenameAll = false
-	f.failLinks = false
 	f.failMmaps = false
 	f.shortAt = 0
 	f.mu.Unlock()
@@ -178,29 +171,6 @@ func (f *FS) Rename(oldname, newname string) error {
 		return ErrInjected
 	}
 	return f.inner.Rename(oldname, newname)
-}
-
-// Link hardlinks through to the inner FS (the real OS unless the inner
-// FS provides its own), honoring crash state and the FailLinks fault.
-// The store falls back to copying when Link errors, so an injected
-// failure here exercises the copy path, not data loss.
-func (f *FS) Link(oldname, newname string) error {
-	f.mu.Lock()
-	fail := f.failLinks
-	dead := f.crashed
-	f.mu.Unlock()
-	if dead {
-		return ErrCrashed
-	}
-	if fail {
-		return ErrInjected
-	}
-	if l, ok := f.inner.(interface {
-		Link(oldname, newname string) error
-	}); ok {
-		return l.Link(oldname, newname)
-	}
-	return errors.New("faultfs: inner FS does not support Link")
 }
 
 // MmapFault is the store's pre-mmap hook: it vetoes the mapping when a

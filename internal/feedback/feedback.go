@@ -86,12 +86,9 @@ func (c *Crowd) Judge(l links.Link) bool {
 	return approvals*2 > c.voters
 }
 
-// AsOracle adapts the crowd to the Oracle-shaped Judge API used by the
-// episode drivers: it returns an Oracle whose effective error rate is
-// the crowd's majority-vote error.
-//
-// Deprecated shim note: core's drivers take *Oracle; Crowd exposes the
-// same Judge method for callers that accept an interface.
+// EffectiveErrRate returns the probability that the crowd's majority
+// verdict on a link is wrong: the error rate a single Oracle would need
+// to be as unreliable as the vote.
 func (c *Crowd) EffectiveErrRate() float64 {
 	// P(majority wrong) for n voters each wrong with probability p:
 	// sum over k > n/2 of C(n,k) p^k (1-p)^(n-k).

@@ -38,8 +38,6 @@ package fleet
 
 import (
 	"context"
-	cryptorand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -85,14 +83,6 @@ const (
 	defaultHealthInterval     = time.Second
 	defaultQueryTimeout       = 10 * time.Second
 	defaultHealthProbeTimeout = 2 * time.Second
-	// prepareTimeout bounds the prepare round of a cross-shard feedback
-	// batch. It must stay well under the shards' TxnResolveAfter grace
-	// period: a shard resolver reading a peer's "unknown" as
-	// never-prepared is only sound once no prepare is still in flight.
-	prepareTimeout = 5 * time.Second
-	// commitAttempts bounds the async commit worker's retries per owner
-	// before it hands the transaction over to the owners' resolvers.
-	commitAttempts = 5
 )
 
 // shard is the router's view of one fleet member.
@@ -119,9 +109,9 @@ type Router struct {
 	reg  *server.Registry
 	stop chan struct{}
 	done chan struct{}
-	// baseCtx scopes every background request the router issues (health
-	// probes, async commits): Close cancels it, so shutdown never waits
-	// out a probe timeout, and wg tracks the goroutines doing that work.
+	// baseCtx scopes every background request the router issues (the
+	// health probes): Close cancels it, so shutdown never waits out a
+	// probe timeout, and wg tracks the goroutines doing that work.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -138,8 +128,6 @@ type routerMetrics struct {
 	feedback        *server.Counter
 	feedbackErrors  *server.Counter
 	feedbackSplits  *server.Histogram
-	feedbackTxns    *server.Counter
-	txnCommitRetry  *server.Counter
 	hedges          *server.Counter
 	hedgeWins       *server.Counter
 	hedgeBudgetDeny *server.Counter
@@ -209,8 +197,6 @@ func (r *Router) registerMetrics() {
 	m.feedback = r.reg.Counter("alexrouter_feedback_total", "Feedback requests routed to owning shards.")
 	m.feedbackErrors = r.reg.Counter("alexrouter_feedback_errors_total", "Feedback requests refused (owner down, backpressure, bad links).")
 	m.feedbackSplits = r.reg.Histogram("alexrouter_feedback_split", "Owner groups per feedback request.", []float64{1, 2, 4, 8})
-	m.feedbackTxns = r.reg.Counter("alexrouter_feedback_txns_total", "Cross-shard feedback batches acked via prepare/commit.")
-	m.txnCommitRetry = r.reg.Counter("alexrouter_txn_commit_retries_total", "Async commit attempts that had to be retried.")
 	m.hedges = r.reg.Counter("alexrouter_hedged_queries_total", "Queries hedged to a peer shard.")
 	m.hedgeWins = r.reg.Counter("alexrouter_hedge_wins_total", "Hedged queries where the peer answered first.")
 	m.hedgeBudgetDeny = r.reg.Counter("alexrouter_hedge_budget_denied_total", "Hedges suppressed by the retry budget.")
@@ -375,10 +361,9 @@ func (r *Router) Handler() http.Handler { return r.mux }
 // Registry exposes the router's metrics registry.
 func (r *Router) Registry() *server.Registry { return r.reg }
 
-// Close stops the health loop, aborts in-flight background probes and
-// waits for async commit workers. In-flight client requests finish;
-// the router holds no state to drain. Pending commits it abandons are
-// settled by the owners' resolvers (the prepares are durable).
+// Close stops the health loop and aborts in-flight background probes.
+// In-flight client requests finish; the router holds no state to
+// drain.
 func (r *Router) Close() error {
 	r.closing.Do(func() {
 		close(r.stop)
@@ -629,10 +614,8 @@ func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		groups[owner] = append(groups[owner], lj)
 	}
 	r.metrics.feedbackSplits.Observe(float64(len(groups)))
-	// All owners must be routable up front: a partial delivery would
-	// ack what landed and silently drop the rest. (Partial delivery can
-	// still happen if an owner dies mid-flight — then the client gets a
-	// retryable error and at-least-once semantics apply.)
+	// All owners must be routable up front: nothing is sent when an owner
+	// is known to be down, so the common refusal delivers no slice at all.
 	for owner := range groups {
 		if !r.shards[owner].routable.Load() {
 			r.metrics.feedbackErrors.Inc()
@@ -649,12 +632,14 @@ func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		owners = append(owners, owner)
 	}
 	sort.Ints(owners)
-	if len(owners) > 1 {
-		// A batch spanning owners cannot be acked group by group: a crash
-		// between two acks would half-apply it. Run prepare/commit instead.
-		r.feedbackTxn(w, req, owners, groups, fr.Approve, len(fr.Links))
-		return
-	}
+	// Every owner gets its slice as a plain /feedback, in parallel. A
+	// shard's 202 means its slice is journaled, fsync'd and queued for its
+	// writer, and nothing else has to happen for it to apply: a link has
+	// one owner and a verdict is per link (§3.2), so the slices are
+	// independent. The client sees 202 only when every owner said 202.
+	// Any other outcome is the worst status, and promises nothing about
+	// the slices that did land — they are applied; the client retries the
+	// whole batch and delivery is at-least-once, as for every /feedback.
 	statuses := make([]int, len(owners))
 	errs := make([]error, len(owners))
 	var wg sync.WaitGroup
@@ -668,7 +653,7 @@ func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
 	wg.Wait()
 
 	worst := http.StatusAccepted
-	var msg string
+	outcomes := make([]string, len(owners))
 	for i, owner := range owners {
 		status, err := statuses[i], errs[i]
 		if err != nil && status == 0 {
@@ -679,11 +664,14 @@ func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		}
 		if status > worst {
 			worst = status
-			if err != nil {
-				msg = fmt.Sprintf("shard %d: %v", owner, err)
-			} else {
-				msg = fmt.Sprintf("shard %d: HTTP %d", owner, status)
-			}
+		}
+		switch {
+		case status == http.StatusAccepted:
+			outcomes[i] = fmt.Sprintf("shard %d accepted %d link(s)", owner, len(groups[owner]))
+		case err != nil:
+			outcomes[i] = fmt.Sprintf("shard %d refused %d link(s): %v", owner, len(groups[owner]), err)
+		default:
+			outcomes[i] = fmt.Sprintf("shard %d refused %d link(s): HTTP %d", owner, len(groups[owner]), status)
 		}
 	}
 	if worst != http.StatusAccepted {
@@ -691,123 +679,11 @@ func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		if worst == http.StatusTooManyRequests || worst >= 500 {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeJSON(w, worst, errorResponse{Error: msg})
+		writeJSON(w, worst, errorResponse{Error: strings.Join(outcomes, "; ")})
 		return
 	}
 	r.metrics.feedback.Inc()
 	writeJSON(w, http.StatusAccepted, server.FeedbackResponse{Queued: true, Links: len(fr.Links)})
-}
-
-// newTxnID draws a random 128-bit batch ID. Randomness (not a counter)
-// keeps the router stateless: a restarted router can never reuse an ID
-// whose outcome the owners still remember.
-func newTxnID() (string, error) {
-	var b [16]byte
-	if _, err := cryptorand.Read(b[:]); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(b[:]), nil
-}
-
-// feedbackTxn acks a multi-owner feedback batch via prepare/commit:
-// every owner journals an fsynced prepare before the client sees the
-// 202, then the commit marks flow asynchronously. The router never
-// sends aborts — when a prepare fails, the client gets a retryable
-// error and the owners that DID prepare settle the outcome among
-// themselves after the grace period (cluster.DecideTxn): an owner that
-// never prepared answers "unknown" to their probes, which decides
-// abort. A crash on either side between prepare and commit therefore
-// never half-applies the batch.
-func (r *Router) feedbackTxn(w http.ResponseWriter, req *http.Request, owners []int, groups map[int][]server.LinkJSON, approve bool, total int) {
-	id, err := newTxnID()
-	if err != nil {
-		r.metrics.feedbackErrors.Inc()
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "txn id: " + err.Error()})
-		return
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), prepareTimeout)
-	defer cancel()
-	statuses := make([]int, len(owners))
-	errs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for i, owner := range owners {
-		wg.Add(1)
-		go func(i, owner int) {
-			defer wg.Done()
-			links := make([]cluster.LinkWire, 0, len(groups[owner]))
-			for _, lj := range groups[owner] {
-				links = append(links, cluster.LinkWire{E1: lj.E1, E2: lj.E2})
-			}
-			statuses[i], errs[i] = r.shards[owner].client.TxnPrepare(ctx, cluster.TxnPrepare{
-				ID:      id,
-				Owners:  owners,
-				Approve: approve,
-				Links:   links,
-			})
-		}(i, owner)
-	}
-	wg.Wait()
-
-	for i, owner := range owners {
-		status, err := statuses[i], errs[i]
-		if err != nil && status == 0 {
-			// Transport failure: this owner may or may not hold the
-			// prepare. Surface a retryable error; the resolvers decide.
-			r.markDown(r.shards[owner])
-			r.metrics.feedbackErrors.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: fmt.Sprintf("shard %d: prepare failed: %v", owner, err)})
-			return
-		}
-		if status != http.StatusAccepted && status != http.StatusOK {
-			r.metrics.feedbackErrors.Inc()
-			if status == http.StatusTooManyRequests || status >= 500 {
-				w.Header().Set("Retry-After", "1")
-			}
-			writeJSON(w, status, errorResponse{Error: fmt.Sprintf("shard %d: prepare refused: %v", owner, err)})
-			return
-		}
-	}
-
-	// Every owner's prepare is on stable storage: the outcome is decided
-	// and the ack is as durable as a single-node one. Commits flow in the
-	// background; an owner that misses its mark resolves via peers.
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		// baseCtx: the commit marks must keep flowing after this
-		// handler's 202 — only Close abandons them.
-		r.commitAll(r.baseCtx, id, owners)
-	}()
-	r.metrics.feedbackTxns.Inc()
-	r.metrics.feedback.Inc()
-	writeJSON(w, http.StatusAccepted, server.FeedbackResponse{Queued: true, Links: total})
-}
-
-// commitAll delivers the commit mark to every owner, retrying briefly
-// on retryable failures. Giving up is safe: the prepares are durable
-// everywhere, so an owner that never hears its commit learns the
-// outcome from its peers after the grace period.
-func (r *Router) commitAll(ctx context.Context, id string, owners []int) {
-	for _, owner := range owners {
-		for attempt := 0; ; attempt++ {
-			tryCtx, cancel := context.WithTimeout(ctx, prepareTimeout)
-			status, err := r.shards[owner].client.TxnCommit(tryCtx, id)
-			cancel()
-			if err == nil || (status != 0 && status != http.StatusTooManyRequests && status < 500) {
-				break
-			}
-			if attempt+1 >= commitAttempts {
-				break
-			}
-			r.metrics.txnCommitRetry.Inc()
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Duration(attempt+1) * 100 * time.Millisecond):
-			}
-		}
-	}
 }
 
 // handleLinks proxies the full link set from the freshest routable

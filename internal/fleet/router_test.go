@@ -17,6 +17,7 @@ import (
 
 	"alex/internal/cluster"
 	"alex/internal/core"
+	"alex/internal/faultnet"
 	"alex/internal/federation"
 	"alex/internal/links"
 	"alex/internal/paris"
@@ -167,9 +168,6 @@ func startFleetWith(t testing.TB, w *world, n int, scfg server.Config, mut func(
 	for id := 0; id < n; id++ {
 		cfg := scfg
 		cfg.Fleet = &server.FleetConfig{ShardID: id, Shards: n, ReplicateEvery: 25 * time.Millisecond}
-		if scfg.Fleet != nil {
-			cfg.Fleet.TxnResolveAfter = scfg.Fleet.TxnResolveAfter
-		}
 		if cfg.FlushInterval == 0 {
 			cfg.FlushInterval = 20 * time.Millisecond
 		}
@@ -351,7 +349,13 @@ func canon(res *server.QueryResponse) string {
 // postQuery posts body to url's /query and returns what came back.
 func postQuery(t testing.TB, url string, body []byte) (int, http.Header, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	return post(t, url+"/query", body)
+}
+
+// post posts a JSON body to url and returns what came back.
+func post(t testing.TB, url string, body []byte) (int, http.Header, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,40 +609,81 @@ func TestRouterRelaysClientErrors(t *testing.T) {
 // One answer row can use links owned by different shards; the router
 // must split the feedback so each group lands on (only) its owner.
 func TestRouterFeedbackSplitRouting(t *testing.T) {
-	w := tinyWorld(t)
-	n := 2
-	f := startFleet(t, w, n, server.Config{})
-	f.waitConverged(t, len(w.initial))
+	for _, tc := range []struct {
+		name string
+		// refuse makes the second owner's /feedback answer 503 the first
+		// time the batch is sent.
+		refuse bool
+	}{
+		{name: "every owner accepts"},
+		{name: "one owner refuses", refuse: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tinyWorld(t)
+			n := 2
+			tr := faultnet.New(1, nil)
+			f := startFleetWith(t, w, n, server.Config{}, func(c *Config) {
+				c.Transport = tr
+				// One probe at start and no more: the injected 503s are the
+				// owner's answer to /feedback, not a shard going unroutable.
+				c.HealthInterval = time.Hour
+			})
+			f.waitConverged(t, len(w.initial))
 
-	// Reject two links with different owners in ONE feedback request.
-	ranges := cluster.FleetRanges(n)
-	byOwner := map[int]server.LinkJSON{}
-	for _, l := range w.initial {
-		e1 := w.dict.Term(l.E1).Value
-		owner := cluster.OwnerOf(ranges, e1)
-		if _, ok := byOwner[owner]; !ok {
-			byOwner[owner] = server.LinkJSON{E1: e1, E2: w.dict.Term(l.E2).Value}
-		}
-	}
-	if len(byOwner) != 2 {
-		t.Skipf("tiny world hashed onto one shard (owners: %v)", byOwner)
-	}
-	var reject []server.LinkJSON
-	for _, lj := range byOwner {
-		reject = append(reject, lj)
-	}
-	if err := f.rclient.Feedback(reject, false); err != nil {
-		t.Fatal(err)
-	}
-	// Both removals must propagate to every shard's served set.
-	f.waitConverged(t, len(w.initial)-2)
-	ls := waitServed(t, f.rclient, len(w.initial)-2)
-	for _, l := range ls.Links {
-		for _, r := range reject {
-			if l == r {
-				t.Fatalf("rejected link %v still served", r)
+			// Reject two links with different owners in ONE feedback request.
+			ranges := cluster.FleetRanges(n)
+			reject := make([]server.LinkJSON, n)
+			seen := 0
+			for _, l := range w.initial {
+				e1 := w.dict.Term(l.E1).Value
+				if owner := cluster.OwnerOf(ranges, e1); reject[owner].E1 == "" {
+					reject[owner] = server.LinkJSON{E1: e1, E2: w.dict.Term(l.E2).Value}
+					seen++
+				}
 			}
-		}
+			if seen != n {
+				t.Skipf("tiny world hashed onto one shard (owners: %v)", reject)
+			}
+			body, err := json.Marshal(server.FeedbackRequest{Approve: false, Links: reject})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.refuse {
+				host := strings.TrimPrefix(f.addrs[1], "http://")
+				tr.SetFaults(host, faultnet.Faults{ErrProb: 1})
+				status, hdr, data := post(t, f.rts.URL+"/feedback", body)
+				if status != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+					t.Fatalf("refused batch: status %d, Retry-After %q, body %s; want 503 with Retry-After",
+						status, hdr.Get("Retry-After"), data)
+				}
+				for _, want := range []string{"shard 0 accepted 1 link(s)", "shard 1 refused 1 link(s)"} {
+					if !strings.Contains(string(data), want) {
+						t.Fatalf("refusal body %s does not say %q", data, want)
+					}
+				}
+				// Nothing is promised about the slice that landed: it is
+				// applied, and the client's retry of the whole batch is the
+				// at-least-once delivery every /feedback has.
+				ls := waitServed(t, f.clients[0], len(w.initial)-1)
+				if servesLink(ls, reject[0]) || !servesLink(ls, reject[1]) {
+					t.Fatalf("after the refusal: accepted slice served=%v, refused slice served=%v; want false, true",
+						servesLink(ls, reject[0]), servesLink(ls, reject[1]))
+				}
+				tr.ClearFaults(host)
+			}
+
+			if status, _, data := post(t, f.rts.URL+"/feedback", body); status != http.StatusAccepted {
+				t.Fatalf("batch: status %d, body %s; want 202", status, data)
+			}
+			// Both removals must propagate to every shard's served set.
+			f.waitConverged(t, len(w.initial)-2)
+			ls := waitServed(t, f.rclient, len(w.initial)-2)
+			for _, r := range reject {
+				if servesLink(ls, r) {
+					t.Fatalf("rejected link %v still served", r)
+				}
+			}
+		})
 	}
 }
 
@@ -648,9 +693,6 @@ func (f *testFleet) restartShard(t *testing.T, w *world, id int, scfg server.Con
 	t.Helper()
 	cfg := scfg
 	cfg.Fleet = &server.FleetConfig{ShardID: id, Shards: f.n, ReplicateEvery: 25 * time.Millisecond}
-	if scfg.Fleet != nil {
-		cfg.Fleet.TxnResolveAfter = scfg.Fleet.TxnResolveAfter
-	}
 	if cfg.FlushInterval == 0 {
 		cfg.FlushInterval = 20 * time.Millisecond
 	}

@@ -26,7 +26,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -367,36 +366,6 @@ func (c *Client) ReplicaPush(ctx context.Context, m cluster.SnapshotManifest) (a
 		return false, err
 	}
 	return out.Applied, nil
-}
-
-// TxnPrepare offers one owner its slice of a cross-shard feedback
-// batch. The returned status is the final HTTP status: 202 means the
-// prepare is journaled and fsynced, 200 means the transaction already
-// committed, 409 means it already aborted.
-func (c *Client) TxnPrepare(ctx context.Context, p cluster.TxnPrepare) (int, error) {
-	return c.postJSON(ctx, "/txn/prepare", p, nil)
-}
-
-// TxnCommit marks a prepared transaction committed on one owner.
-// 404 means the owner has no record of it.
-func (c *Client) TxnCommit(ctx context.Context, id string) (int, error) {
-	return c.postJSON(ctx, "/txn/commit", cluster.TxnMark{ID: id}, nil)
-}
-
-// TxnAbort marks a prepared transaction aborted on one owner.
-func (c *Client) TxnAbort(ctx context.Context, id string) (int, error) {
-	return c.postJSON(ctx, "/txn/abort", cluster.TxnMark{ID: id}, nil)
-}
-
-// TxnStatus asks one owner for a transaction's status as it knows it
-// (prepared, committed, aborted or unknown). Shard resolvers use it to
-// settle prepares whose router died between prepare and commit.
-func (c *Client) TxnStatus(ctx context.Context, id string) (*cluster.TxnStatusReply, error) {
-	var out cluster.TxnStatusReply
-	if err := c.getJSON(ctx, "/txn/status?id="+url.QueryEscape(id), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // Addr returns the client's normalized base URL.

@@ -22,8 +22,8 @@
 // the newest manifest from every peer; queries and /links never
 // distinguish a shard from a standalone server.
 //
-// The replicator is a second long-lived goroutine beside the writer.
-// It follows the same lifecycle discipline (defer close of its done
+// The replicator is the shard's only long-lived goroutine beside the
+// writer. It follows the same lifecycle discipline (defer close of its done
 // channel, select on stop/die), and it never touches the engine: it
 // reads published snapshots and the peer table, so the single-writer
 // invariant stands. When a manifest is applied outside an episode
@@ -61,10 +61,6 @@ type FleetConfig struct {
 	// failover reacts in milliseconds instead of a poll interval.
 	// Best-effort: an unreachable router just waits for its next poll.
 	Routers []string
-	// TxnResolveAfter is the grace period before an unresolved prepared
-	// transaction is settled by consulting its peer owners. It must
-	// exceed the router's prepare deadline (see txn.go); 0 means 10s.
-	TxnResolveAfter time.Duration
 }
 
 const defaultReplicateEvery = 2 * time.Second

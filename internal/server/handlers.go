@@ -180,10 +180,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/replica/snapshot", s.handleReplicaSnapshot)
 	mux.HandleFunc("/replica/push", s.handleReplicaPush)
-	mux.HandleFunc("/txn/prepare", s.handleTxnPrepare)
-	mux.HandleFunc("/txn/commit", s.handleTxnCommit)
-	mux.HandleFunc("/txn/abort", s.handleTxnAbort)
-	mux.HandleFunc("/txn/status", s.handleTxnStatus)
 	return s.recoverMiddleware(mux)
 }
 

@@ -25,6 +25,7 @@ import (
 	"alex/internal/paris"
 	"alex/internal/rdf"
 	"alex/internal/synth"
+	"alex/internal/wal"
 )
 
 // durableCfg is the deterministic configuration the recovery tests
@@ -538,6 +539,63 @@ func TestCleanShutdownNeedsNoReplay(t *testing.T) {
 	}
 	if got := linkIRIs(dict2, rec.Snapshot().Links); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("restart changed the link set:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestProtocolEraStateIsRefused: a data directory written by a build
+// that had the cross-shard prepare/commit protocol is refused by name —
+// the record or checkpoint sequence and who wrote it — never skipped
+// and never misread as feedback or engine state.
+func TestProtocolEraStateIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(t *testing.T, log *wal.Log)
+		want  string
+	}{
+		{
+			name: "journal record with the 0x00 envelope",
+			write: func(t *testing.T, log *wal.Log) {
+				if _, err := log.Append([]byte(`{"approve":true,"links":[{"e1":"http://ds1/a1","e2":"http://ds2/b1"}]}`)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := log.Append(append([]byte{0x00, 'P'}, `{"id":"t1","owners":[0,1]}`...)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: "journal record 2 ",
+		},
+		{
+			name: "checkpoint with the ALEXCKPT envelope",
+			write: func(t *testing.T, log *wal.Log) {
+				if err := log.Checkpoint(7, append([]byte("ALEXCKPT"), 2, 0, 0, 0, '{', '}')); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: "checkpoint (seq 7) ",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.write(t, log)
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dict, sources, sys, _ := tinyWorld(t)
+			s, err := New(sys, dict, sources, durableCfg(dir))
+			if err == nil {
+				s.Close()
+				t.Fatal("New accepted a data directory a build with the cross-shard protocol wrote")
+			}
+			for _, want := range []string{tc.want, "cross-shard prepare/commit protocol"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("New: %v; want an error containing %q", err, want)
+				}
+			}
+		})
 	}
 }
 

@@ -248,16 +248,6 @@ type Server struct {
 	logMu    sync.Mutex
 	recovery RecoveryStats
 
-	// Cross-shard transaction state (txn.go), guarded by logMu: the
-	// prepared-but-unresolved table, the bounded resolved-outcome table
-	// with its FIFO pruning order, and the resolver goroutine's done
-	// channel (nil when standalone).
-	txnPending     map[string]*txnEntry
-	txnDone        map[string]string
-	txnOrder       []string
-	txnResolveDone chan struct{}
-	txnMetrics     txnMetrics
-
 	snap     atomic.Pointer[Snapshot]
 	queue    chan feedbackItem
 	stop     chan struct{}
@@ -348,18 +338,16 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 		}
 	}
 	s := &Server{
-		cfg:        cfg,
-		eng:        eng,
-		dict:       dict,
-		base:       base,
-		plans:      plans,
-		queue:      make(chan feedbackItem, cfg.QueueSize),
-		stop:       make(chan struct{}),
-		die:        make(chan struct{}),
-		done:       make(chan struct{}),
-		reg:        NewRegistry(),
-		txnPending: make(map[string]*txnEntry),
-		txnDone:    make(map[string]string),
+		cfg:   cfg,
+		eng:   eng,
+		dict:  dict,
+		base:  base,
+		plans: plans,
+		queue: make(chan feedbackItem, cfg.QueueSize),
+		stop:  make(chan struct{}),
+		die:   make(chan struct{}),
+		done:  make(chan struct{}),
+		reg:   NewRegistry(),
 	}
 	if cfg.MaxConcurrentQueries > 0 {
 		s.querySem = make(chan struct{}, cfg.MaxConcurrentQueries)
@@ -381,12 +369,21 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 	go s.writer()
 	if s.fleet != nil {
 		go s.replicator()
-		s.txnResolveDone = make(chan struct{})
-		go s.txnResolver()
 		s.notifyRouters("up")
 	}
 	return s, nil
 }
+
+// Builds that had the cross-shard prepare/commit protocol began the
+// protocol's journal records with a 0x00 byte and every checkpoint with
+// an envelope magic. This build reads neither: a journal record is a
+// /feedback body and a checkpoint is the engine's bytes, so recover
+// refuses such a directory by name instead of misreading it.
+const (
+	protocolRecordSentinel  = 0x00
+	protocolCheckpointMagic = "ALEXCKPT"
+	protocolStateHint       = "was written by a build with the cross-shard prepare/commit protocol, which this build does not read; start from an empty data directory"
+)
 
 // recover opens the journal and rebuilds the acknowledged state:
 // checkpoint restore plus journal-tail replay through the exact episode
@@ -409,14 +406,10 @@ func (s *Server) recover() error {
 			return err
 		}
 		if found {
-			engineState, hdr, err := unwrapCheckpoint(state)
-			if err != nil {
-				return fmt.Errorf("server: checkpoint (seq %d): %w", seq, err)
+			if bytes.HasPrefix(state, []byte(protocolCheckpointMagic)) {
+				return fmt.Errorf("server: checkpoint (seq %d) %s", seq, protocolStateHint)
 			}
-			for _, r := range hdr.Resolved {
-				s.markResolved(r.ID, r.Status)
-			}
-			if err := ck.Restore(bytes.NewReader(engineState)); err != nil {
+			if err := ck.Restore(bytes.NewReader(state)); err != nil {
 				return fmt.Errorf("server: restore checkpoint (seq %d): %w", seq, err)
 			}
 			s.w.ckptSeq = seq
@@ -426,12 +419,11 @@ func (s *Server) recover() error {
 	}
 	s.w.replaying = true
 	n, err := log.Replay(s.w.ckptSeq, func(rec wal.Record) error {
-		kind, body := wal.DecodeTyped(rec.Data)
-		if kind != wal.KindFeedback {
-			return s.replayTxnRecord(kind, rec, body)
+		if len(rec.Data) > 0 && rec.Data[0] == protocolRecordSentinel {
+			return fmt.Errorf("server: journal record %d %s", rec.Seq, protocolStateHint)
 		}
 		var req FeedbackRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(rec.Data, &req); err != nil {
 			return fmt.Errorf("server: journal record %d: %w", rec.Seq, err)
 		}
 		it := feedbackItem{seq: rec.Seq, positive: req.Approve}
@@ -524,7 +516,6 @@ func (s *Server) registerMetrics() {
 	s.reg.GaugeFunc("alexd_replayed_records", "Journal records replayed by the last startup recovery.", func() float64 {
 		return float64(s.Recovery().Replayed)
 	})
-	s.registerTxnMetrics()
 	for i, st := range s.base.SourceStatuses() {
 		i := i
 		s.reg.LabeledGaugeFunc("alexd_source_breaker_state",
@@ -700,15 +691,7 @@ func (s *Server) checkpoint() {
 		s.logMu.Unlock()
 		return
 	}
-	if len(s.txnPending) > 0 {
-		// An unresolved prepare lives only in the journal; the reset
-		// below would silently discard a 202-acked batch. Keep the
-		// journal; the resolver settles the prepare within its grace
-		// period and the checkpoint retries next episode.
-		s.logMu.Unlock()
-		return
-	}
-	err := s.log.Checkpoint(s.w.applied, s.wrapCheckpoint(buf.Bytes()))
+	err := s.log.Checkpoint(s.w.applied, buf.Bytes())
 	s.logMu.Unlock()
 	if err != nil {
 		s.metrics.checkpointErrors.Inc()
@@ -830,9 +813,6 @@ func (s *Server) Close() error {
 	if s.repDone != nil {
 		<-s.repDone
 	}
-	if s.txnResolveDone != nil {
-		<-s.txnResolveDone
-	}
 	if s.log != nil {
 		s.logMu.Lock()
 		defer s.logMu.Unlock()
@@ -850,9 +830,6 @@ func (s *Server) abort() {
 	<-s.done
 	if s.repDone != nil {
 		<-s.repDone
-	}
-	if s.txnResolveDone != nil {
-		<-s.txnResolveDone
 	}
 }
 

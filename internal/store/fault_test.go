@@ -8,7 +8,6 @@ package store
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"alex/internal/faultfs"
@@ -120,45 +119,4 @@ func TestMmapFaultFallsBackToHeap(t *testing.T) {
 	defer re.Close()
 	assertStoreEqual(t, re.Source("ds1"), ref, 15)
 	_ = src
-}
-
-// TestCheckpointToCopyFallback: when hardlinks fail (cross-filesystem
-// snapshot targets), CheckpointTo degrades to copying and the snapshot
-// still opens bit-identical.
-func TestCheckpointToCopyFallback(t *testing.T) {
-	dir := t.TempDir()
-	ffs, set, _, ref := faultWorld(t, dir)
-	if err := set.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	ffs.FailLinks(true)
-	snap := t.TempDir()
-	if err := set.CheckpointTo(snap); err != nil {
-		t.Fatalf("CheckpointTo with links failing: %v", err)
-	}
-	re, err := Open(snap, Options{})
-	if err != nil {
-		t.Fatalf("open copied snapshot: %v", err)
-	}
-	defer re.Close()
-	assertStoreEqual(t, re.Source("ds1"), ref, 15)
-
-	// The segments really are copies, not links.
-	ents, err := os.ReadDir(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		n := e.Name()
-		if len(n) > 4 && n[len(n)-4:] == ".seg" {
-			hi, err1 := os.Stat(dir + "/" + n)
-			si, err2 := os.Stat(snap + "/" + n)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("stat: %v %v", err1, err2)
-			}
-			if os.SameFile(hi, si) {
-				t.Fatal("snapshot segment is a hardlink despite FailLinks")
-			}
-		}
-	}
 }

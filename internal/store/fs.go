@@ -7,23 +7,14 @@ import (
 	"alex/internal/wal"
 )
 
-// Optional wal.FS extensions the store probes for with type assertions,
-// so the FS interface itself stays unchanged for existing implementers.
-type (
-	// linker hardlinks files; wal.OS and faultfs.FS implement it.
-	// Checkpoints use it to share immutable segment bytes with zero
-	// copying, falling back to a copy when linking fails (different
-	// filesystem) or the FS does not support it.
-	linker interface {
-		Link(oldname, newname string) error
-	}
-	// mmapFaulter vetoes memory-mapping a file; faultfs implements it
-	// to inject mmap failures and to keep a crashed process from
-	// reading segments around the FS wrapper.
-	mmapFaulter interface {
-		MmapFault(path string) error
-	}
-)
+// mmapFaulter is an optional wal.FS extension the store probes for with
+// a type assertion, so the FS interface itself stays unchanged for
+// existing implementers. It vetoes memory-mapping a file; faultfs
+// implements it to inject mmap failures and to keep a crashed process
+// from reading segments around the FS wrapper.
+type mmapFaulter interface {
+	MmapFault(path string) error
+}
 
 // mapOrRead returns the segment file's bytes, preferring an OS mmap
 // (reported by the bool) and falling back to reading the file into
@@ -57,38 +48,4 @@ func mapOrRead(fsys wal.FS, path string, noMmap bool) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("store: close %s: %w", path, cerr)
 	}
 	return data, false, nil
-}
-
-// linkOrCopy makes newpath refer to oldpath's current content: a
-// hardlink when the FS supports it, a full copy otherwise. Only ever
-// applied to immutable files, where both are equivalent.
-func linkOrCopy(fsys wal.FS, oldpath, newpath string) error {
-	if l, ok := fsys.(linker); ok {
-		if err := l.Link(oldpath, newpath); err == nil {
-			return nil
-		}
-	}
-	r, err := fsys.Open(oldpath)
-	if err != nil {
-		return fmt.Errorf("store: copy %s: %w", oldpath, err)
-	}
-	w, err := fsys.Create(newpath)
-	if err != nil {
-		r.Close() //lint:ignore syncerr read-only handle released on the error path
-		return fmt.Errorf("store: copy to %s: %w", newpath, err)
-	}
-	_, cpErr := io.Copy(w, r)
-	if cpErr == nil {
-		cpErr = w.Sync()
-	}
-	if err := w.Close(); cpErr == nil {
-		cpErr = err
-	}
-	if err := r.Close(); cpErr == nil {
-		cpErr = err
-	}
-	if cpErr != nil {
-		return fmt.Errorf("store: copy %s -> %s: %w", oldpath, newpath, cpErr)
-	}
-	return nil
 }

@@ -481,97 +481,6 @@ func (s *Set) cleanup() {
 	}
 }
 
-// CheckpointTo snapshots the store into another directory: immutable
-// files (segments, dict, entities, links) are hardlinked — zero-copy
-// on any normal filesystem, falling back to a copy — and only the
-// delta files and manifest are written fresh. The target is a complete
-// store directory that Open can cold-start from.
-func (s *Set) CheckpointTo(dir string) error {
-	if dir == s.dir {
-		_, err := s.Checkpoint()
-		return err
-	}
-	if err := s.fs.MkdirAll(dir); err != nil {
-		return fmt.Errorf("store: mkdir %s: %w", dir, err)
-	}
-	existing := map[string]bool{}
-	if names, err := s.fs.ReadDir(dir); err == nil {
-		for _, n := range names {
-			existing[n] = true
-		}
-	}
-	// Immutable files are only ever linked/copied when absent — an
-	// existing name is the same content and must not be rewritten
-	// (Create would truncate through a hardlink).
-	share := func(name string) error {
-		if existing[name] {
-			return nil
-		}
-		return linkOrCopy(s.fs, s.dir+"/"+name, dir+"/"+name)
-	}
-	if err := s.appendDictTail(); err != nil {
-		return err
-	}
-	gen := s.gen.Load() + 1
-	m := manifest{
-		Version:    manifestVersion,
-		Meta:       s.opts.Meta,
-		Generation: gen,
-		Seq:        s.seq,
-		DictTerms:  s.dictTerms,
-		DictBytes:  s.dictBytes,
-	}
-	if s.dictBytes > 0 {
-		if err := share(dictName); err != nil {
-			return err
-		}
-	}
-	for _, src := range s.sources {
-		v := src.view.Load()
-		ms := manifestSource{Name: src.name}
-		for _, seg := range v.segs {
-			base := pathBase(seg.path)
-			if err := share(base); err != nil {
-				return err
-			}
-			ms.Segments = append(ms.Segments, base)
-		}
-		if v.delta.Size() > 0 {
-			dn := fmt.Sprintf("%s-delta-%06d.bin", src.name, gen)
-			target := &Set{dir: dir, fs: s.fs}
-			if err := target.writeDelta(dn, v.delta); err != nil {
-				return err
-			}
-			ms.Delta = dn
-		}
-		if _, ok := s.entities[src.name]; ok {
-			if err := share(src.name + ".ent"); err != nil {
-				return err
-			}
-			ms.Entities = src.name + ".ent"
-		}
-		m.Sources = append(m.Sources, ms)
-	}
-	if s.hasLinks {
-		if err := share(linksName); err != nil {
-			return err
-		}
-		m.Links = linksName
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: encode manifest: %w", err)
-	}
-	target := &Set{dir: dir, fs: s.fs}
-	if err := target.writeFileAtomic(manifestName, append(data, '\n')); err != nil {
-		return err
-	}
-	// The snapshot borrowed gen+1 for unique delta names; keep home's
-	// own next generation ahead of it.
-	s.gen.Store(gen)
-	return nil
-}
-
 // Close releases every mapped segment, including retired ones.
 func (s *Set) Close() error {
 	var first error

@@ -266,70 +266,3 @@ func TestOpenNoStore(t *testing.T) {
 		t.Fatalf("want ErrNoStore, got %v", err)
 	}
 }
-
-func TestCheckpointToHardlinks(t *testing.T) {
-	home := t.TempDir()
-	set, err := Create(home, nil, Options{Meta: "ck"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, _ := set.AddSource("ds1")
-	ts := randomTriples(rand.New(rand.NewSource(21)), 700, 20)
-	fillSource(t, set, src, ts)
-	ref := graphOf(ts)
-	if err := set.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Leave a small delta so the snapshot includes one.
-	set.Dict().Intern(rdf.IRI("urn:late"))
-	src.InsertIDs(1, 2, 3)
-	ref.InsertIDs(1, 2, 3)
-
-	snap := t.TempDir()
-	if err := set.CheckpointTo(snap); err != nil {
-		t.Fatalf("CheckpointTo: %v", err)
-	}
-	re, err := Open(snap, Options{Meta: "ck"})
-	if err != nil {
-		t.Fatalf("open snapshot: %v", err)
-	}
-	defer re.Close()
-	assertStoreEqual(t, re.Source("ds1"), ref, 20)
-
-	// The segment must be a hardlink (same inode), not a copy.
-	var segName string
-	ents, err := os.ReadDir(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if n := e.Name(); len(n) > 4 && n[len(n)-4:] == ".seg" {
-			segName = n
-		}
-	}
-	if segName == "" {
-		t.Fatal("no segment in snapshot")
-	}
-	hi, err1 := os.Stat(home + "/" + segName)
-	si, err2 := os.Stat(snap + "/" + segName)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("stat: %v %v", err1, err2)
-	}
-	if !os.SameFile(hi, si) {
-		t.Fatal("snapshot segment is a copy, want hardlink")
-	}
-
-	// A second snapshot into the same dir stays consistent after more
-	// writes at home.
-	src.InsertIDs(4, 5, 6)
-	ref.InsertIDs(4, 5, 6)
-	if err := set.CheckpointTo(snap); err != nil {
-		t.Fatalf("second CheckpointTo: %v", err)
-	}
-	re2, err := Open(snap, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	assertStoreEqual(t, re2.Source("ds1"), ref, 20)
-}

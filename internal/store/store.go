@@ -18,7 +18,7 @@
 //     dictionary) and are compacted into a new segment at episode
 //     boundaries. Checkpointing serializes only the delta and the
 //     manifest: the segments are immutable, so a checkpoint is
-//     O(delta), not O(dataset), and a backup is a hardlink per segment.
+//     O(delta), not O(dataset).
 //
 // Readers see a consistent (segments, delta) view through an atomic
 // pointer; compaction builds the new generation off to the side and

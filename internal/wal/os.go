@@ -30,11 +30,6 @@ func (OS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
 func (OS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 
-// Link hardlinks newname to oldname. Not part of the FS interface —
-// the store probes for it with a type assertion and falls back to
-// copying, so alternative FS implementations stay valid without it.
-func (OS) Link(oldname, newname string) error { return os.Link(oldname, newname) }
-
 func (OS) Remove(name string) error { return os.Remove(name) }
 
 func (OS) Truncate(name string, size int64) error { return os.Truncate(name, size) }

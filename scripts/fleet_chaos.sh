@@ -15,8 +15,8 @@
 #   4. partition another shard from the router (asymmetrically — the
 #      shard still reaches its peers), then heal;
 #   5. audit: no acked rejection is served by any shard or the router
-#      (zero acked-feedback loss), the cross-shard prepare/commit path
-#      actually ran, and the fleet's answers are canonically identical
+#      (zero acked-feedback loss), the batches really spanned shard
+#      owners, and the fleet's answers are canonically identical
 #      (via rowcanon) to a single-node alexd given the same verdicts.
 #
 # Deterministic per seed: synth data, PARIS and faultnetd all derive
@@ -77,7 +77,7 @@ router_routable() { # router_routable <n>: healthz reports n routable shards
 start_shard() { # start_shard <id> <addr>
   "$BIN/alexd" -profile "$PROFILE" -scale "$SCALE" -addr "$2" \
     -shard-id "$1" -fleet "$FLEET" -replicate-every 200ms \
-    -routers "$ROUTER" -txn-resolve-after 2s \
+    -routers "$ROUTER" \
     -flush 100ms -data "$DATA/shard-$1" \
     >"$DATA/shard-$1.log" 2>&1 &
   PIDS+=($!)
@@ -119,7 +119,7 @@ echo "== fleet healthy through the proxies"
 # Snapshot the link set while calm; pick probe queries (links 1..5)
 # and 36 rejection victims spread across the rest of the list — the
 # spread makes each 12-link batch span shard owners with near
-# certainty, so every ack exercises the prepare/commit path.
+# certainty, so every ack is several owners' acks.
 curl -fsS "http://$ROUTER/links" |
   grep -o '"e1":"[^"]*","e2":"[^"]*"' |
   sed 's/"e1":"\([^"]*\)","e2":"\([^"]*\)"/\1 \2/' >"$DATA/links.txt"
@@ -133,7 +133,7 @@ STEP=$(((TOTAL - 10) / 36))
 # batches 0..2 disjoint by construction. Each batch STRIDES across the
 # whole list (indices b, b+3·STEP, b+6·STEP, ...) because a shard's
 # full view groups links by owner — a contiguous block would land on a
-# single shard and never exercise the cross-shard prepare/commit path.
+# single shard and the router would have nothing to split.
 batch_json() {
   local batch=$1 out="" i line e1 e2
   for ((i = 0; i < 12; i++)); do
@@ -223,9 +223,14 @@ audit_links "shard 1" "http://$S1/links"
 audit_links "shard 2" "http://$S2/links"
 echo "== zero acked-feedback loss confirmed"
 
-TXNS=$(curl -fsS "http://$ROUTER/metrics" | grep '^alexrouter_feedback_txns_total' | awk '{print $2}')
-[ "${TXNS:-0}" -ge 1 ] || fail "no cross-shard prepare/commit ran (feedback_txns_total=$TXNS)"
-echo "== cross-shard prepare/commit batches acked: $TXNS"
+# Requests that split over more than one owner: all of them minus the
+# histogram's le="1" bucket. The three hand-built batches must be there.
+curl -fsS "http://$ROUTER/metrics" >"$DATA/router.metrics"
+SPLIT_ALL=$(awk '$1 == "alexrouter_feedback_split_count" {print $2}' "$DATA/router.metrics")
+SPLIT_ONE=$(awk '$1 == "alexrouter_feedback_split_bucket{le=\"1\"}" {print $2}' "$DATA/router.metrics")
+MULTI=$((${SPLIT_ALL:-0} - ${SPLIT_ONE:-0}))
+[ "$MULTI" -ge 3 ] || fail "the batches did not span owners (feedback_split: $SPLIT_ALL requests, $SPLIT_ONE of them single-owner)"
+echo "== multi-owner feedback requests routed: $MULTI"
 echo "== proxy stats (seeded, deterministic per seed $SEED):"
 for p in "$P0" "$P1" "$P2"; do
   echo "  $p: $(curl -fsS "http://$p/_faultnet/stats")"
