@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -129,8 +130,12 @@ func TestRouterAllShardsDownFastFail(t *testing.T) {
 // answers 5xx, refuses the connection or hangs past the hedge delay, the
 // peer is asked and ITS bytes are relayed — a plain 200, with no
 // X-Alex-Fleet-Degraded, because one replica's answer is the full
-// answer. The health interval is an hour, so the first query of each
-// fleet goes to shard 0 and only the data path changes what is routable.
+// answer. The router is configured as alexrouter configures it (no
+// retry policy of its own) with a 1 s hedge delay: a shard is asked
+// once, so a 5xx or a refused connection fails over at once, not after
+// retries or the delay. The health interval is an hour, so the first
+// query of each fleet goes to shard 0 and only the data path changes
+// what is routable.
 func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -138,10 +143,12 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 		// down: the failure marks shard 0 unroutable (a hang does not:
 		// the hedge answers first and the slow request is cancelled).
 		down bool
+		// within bounds the failover.
+		within time.Duration
 	}{
-		{"5xx", faultnet.Faults{ErrProb: 1}, true},
-		{"refused", faultnet.Faults{Partition: true}, true},
-		{"hangs", faultnet.Faults{Latency: 5 * time.Second}, false},
+		{"5xx", faultnet.Faults{ErrProb: 1}, true, 250 * time.Millisecond},
+		{"refused", faultnet.Faults{Partition: true}, true, 250 * time.Millisecond},
+		{"hangs", faultnet.Faults{Latency: 5 * time.Second}, false, 2 * time.Second},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -152,7 +159,8 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 			f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
 				c.HealthInterval = time.Hour
 				c.Transport = tr
-				c.Hedge = HedgeConfig{Delay: 20 * time.Millisecond}
+				c.Retry = nil // as alexrouter and bench/e2e build it
+				c.Hedge = HedgeConfig{Delay: time.Second}
 			})
 			f.waitConverged(t, len(w.initial))
 			hosts := []string{strings.TrimPrefix(f.addrs[0], "http://"), strings.TrimPrefix(f.addrs[1], "http://")}
@@ -168,8 +176,8 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 			if status != http.StatusOK || !bytes.Equal(got, seen[0].resp) {
 				t.Fatalf("router answered %d %s, the peer answered %s", status, got, seen[0].resp)
 			}
-			if elapsed := time.Since(start); elapsed > 2*time.Second {
-				t.Fatalf("failover took %s", elapsed)
+			if elapsed := time.Since(start); elapsed > tc.within {
+				t.Fatalf("failover took %s, want at most %s", elapsed, tc.within)
 			}
 			if d := hdr.Get("X-Alex-Fleet-Degraded"); d != "" {
 				t.Fatalf("a failed-over 200 carries X-Alex-Fleet-Degraded: %s", d)
@@ -206,6 +214,95 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 			}
 			if got := m.fleetDegraded.Value(); got != 1 {
 				t.Fatalf("alexrouter_fleet_degraded_total = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// queryFrames are the router's per-query stack frames: the handler, the
+// primary's request and the hedge's, whichever goroutine runs them.
+var queryFrames = []string{
+	"alex/internal/fleet.(*Router).handleQuery",
+	"alex/internal/fleet.(*Router).subQuery",
+	"alex/internal/fleet.(*Router).ask",
+	"alex/internal/fleet.(*routedQuery)",
+}
+
+// A hedged query leaves nothing running once it is answered, in either
+// order: when the peer wins, the hung primary's request is cancelled;
+// when the slow primary beats a slower peer, the peer's is. The metrics
+// count what happened: one hedge each time, a win only for the peer.
+func TestHedgedQueryStopsTheLoser(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		primary, peer time.Duration // latency each shard is given
+		peerWins      bool
+	}{
+		{"primary hangs, peer wins", 5 * time.Second, 0, true},
+		{"slow primary beats a slower peer", 100 * time.Millisecond, 5 * time.Second, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tinyWorld(t)
+			tp := &tap{}
+			tr := faultnet.New(3, tp)
+			f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
+				c.HealthInterval = time.Hour // the first query goes to shard 0
+				c.Transport = tr
+				c.Hedge = HedgeConfig{Delay: 20 * time.Millisecond}
+			})
+			f.waitConverged(t, len(w.initial))
+			hosts := []string{strings.TrimPrefix(f.addrs[0], "http://"), strings.TrimPrefix(f.addrs[1], "http://")}
+			tr.SetFaults(hosts[0], faultnet.Faults{Latency: tc.primary})
+			tr.SetFaults(hosts[1], faultnet.Faults{Latency: tc.peer})
+
+			start := time.Now()
+			status, _, got := postQuery(t, f.rts.URL, queryBody(t, server.QueryRequest{Query: w.queries[0]}))
+			elapsed := time.Since(start)
+			winner := hosts[0]
+			if tc.peerWins {
+				winner = hosts[1]
+			}
+			seen := tp.take()
+			if status != http.StatusOK || len(seen) != 1 || seen[0].host != winner || !bytes.Equal(got, seen[0].resp) {
+				t.Fatalf("router answered %d %s; shards that answered: %+v; want %s's answer", status, got, seen, winner)
+			}
+			if elapsed > time.Second {
+				t.Fatalf("answered after %s: the loser was waited for", elapsed)
+			}
+
+			deadline := time.Now().Add(500 * time.Millisecond)
+			for {
+				var stacks bytes.Buffer
+				if err := pprof.Lookup("goroutine").WriteTo(&stacks, 2); err != nil {
+					t.Fatal(err)
+				}
+				held := ""
+				for _, frame := range queryFrames {
+					if strings.Contains(stacks.String(), frame) {
+						held = frame
+						break
+					}
+				}
+				if held == "" {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("500ms after the answer a goroutine still holds %s:\n%s", held, stacks.String())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+
+			m := &f.router.metrics
+			wantWins := uint64(0)
+			if tc.peerWins {
+				wantWins = 1
+			}
+			if m.hedges.Value() != 1 || m.hedgeWins.Value() != wantWins || m.queryFanouts.Sum() != 2 {
+				t.Fatalf("hedges %d, hedge wins %d, shards asked %v; want 1, %d, 2",
+					m.hedges.Value(), m.hedgeWins.Value(), m.queryFanouts.Sum(), wantWins)
+			}
+			if h, err := f.router.healthView(); err != nil || h.Routable != 2 {
+				t.Fatalf("a slow shard was marked down: %+v (err %v)", h, err)
 			}
 		})
 	}

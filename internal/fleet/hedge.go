@@ -1,19 +1,24 @@
 // Hedged failover reads: a query goes to one shard, and because every
 // shard serves full reads off the replicated snapshots, a slow or
 // failed shard's query can be re-issued to any healthy peer and the
-// first answer wins — this is the read path's failover. The hedge fires
-// after an adaptive delay (a percentile of recently observed shard
-// latencies, so only genuine stragglers pay it), or at once when the
-// shard fails outright, and is limited by a token-bucket retry budget:
-// every routed query earns a fraction of a token, every hedge spends
-// one, so hedging can never multiply the upstream request rate into a
-// brownout — under a 100% slow fleet the extra load is bounded by
-// 1/hedgeEvery, not by the timeout.
+// first answer wins — this is the read path's failover, and the only
+// one: a shard is asked once per query, and the retry policy
+// (Config.Retry) covers /feedback, /links and /healthz only. The hedge
+// is a timer armed on the adaptive delay (a percentile of recently
+// observed shard latencies, so only genuine stragglers pay it) and
+// stopped when the shard answers first, so it costs nothing unless it
+// fires; a shard that fails outright is hedged at once. Hedges are
+// limited by a token-bucket retry budget: every routed query earns a
+// fraction of a token, every hedge spends one, so hedging can never
+// multiply the upstream request rate into a brownout — under a 100%
+// slow fleet the extra load is bounded by 1/hedgeEvery, not by the
+// timeout.
 package fleet
 
 import (
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -41,26 +46,39 @@ const (
 )
 
 // hedgeWindow is the latency ring-buffer size; enough history for a
-// stable percentile, small enough to track load shifts.
-const hedgeWindow = 128
+// stable percentile, small enough to track load shifts. Once the window
+// is full the delay is recomputed every hedgeRefresh observations, so a
+// latency shift moves it within that many queries.
+const (
+	hedgeWindow  = 128
+	hedgeRefresh = 16
+)
 
 // hedger tracks shard latencies and meters hedges. Safe for
 // concurrent use.
 type hedger struct {
 	cfg HedgeConfig
+	// adaptive is the current adaptive delay: written by observe, read
+	// lock-free by every query.
+	adaptive atomic.Int64
 
 	mu      sync.Mutex
 	samples [hedgeWindow]time.Duration
 	n       int // filled entries (caps at hedgeWindow)
 	idx     int // next write position
+	stale   int // observations since adaptive was recomputed
 	credit  int // routed queries not yet spent on a hedge
 }
 
 func newHedger(cfg HedgeConfig) *hedger {
-	return &hedger{cfg: cfg, credit: hedgeBurst * hedgeEvery}
+	h := &hedger{cfg: cfg, credit: hedgeBurst * hedgeEvery}
+	h.adaptive.Store(int64(hedgeMaxDelay)) // nothing observed yet
+	return h
 }
 
-// observe records how long a primary shard took to answer.
+// observe records how long a primary shard took to answer and keeps the
+// adaptive delay up to date: after every observation until the window
+// fills, then every hedgeRefresh.
 func (h *hedger) observe(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -68,7 +86,16 @@ func (h *hedger) observe(d time.Duration) {
 	h.idx = (h.idx + 1) % hedgeWindow
 	if h.n < hedgeWindow {
 		h.n++
+	} else if h.stale++; h.stale < hedgeRefresh {
+		return
 	}
+	h.stale = 0
+	var sorted [hedgeWindow]time.Duration
+	s := sorted[:h.n]
+	copy(s, h.samples[:h.n])
+	slices.Sort(s)
+	i := min(int(float64(h.n)*hedgePercentile), h.n-1)
+	h.adaptive.Store(int64(min(max(s[i], hedgeMinDelay), hedgeMaxDelay)))
 }
 
 // delay returns how long to wait before hedging the current query.
@@ -76,19 +103,7 @@ func (h *hedger) delay() time.Duration {
 	if h.cfg.Delay > 0 {
 		return h.cfg.Delay
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return hedgeMaxDelay
-	}
-	tmp := make([]time.Duration, h.n)
-	copy(tmp, h.samples[:h.n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(float64(h.n) * hedgePercentile)
-	if i >= h.n {
-		i = h.n - 1
-	}
-	return min(max(tmp[i], hedgeMinDelay), hedgeMaxDelay)
+	return time.Duration(h.adaptive.Load())
 }
 
 // earn credits the budget for one routed query.

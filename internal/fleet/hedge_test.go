@@ -36,6 +36,28 @@ func TestHedgerAdaptiveDelay(t *testing.T) {
 	if got := h2.delay(); got != hedgeMinDelay {
 		t.Fatalf("clamped delay = %s, want %s", got, hedgeMinDelay)
 	}
+	// Once the window is full the delay is recomputed every hedgeRefresh
+	// observations: a latency shift moves it within that many.
+	for i := 0; i < hedgeRefresh; i++ {
+		h2.observe(500 * time.Millisecond)
+	}
+	if got := h2.delay(); got != 500*time.Millisecond {
+		t.Fatalf("%d observations of 500ms left the delay at %s", hedgeRefresh, got)
+	}
+}
+
+// The delay is read on every routed query: a load, nothing allocated.
+func TestHedgerDelayAllocs(t *testing.T) {
+	h := newHedger(HedgeConfig{})
+	for i := 0; i < 2*hedgeWindow; i++ {
+		h.observe(time.Duration(i) * time.Millisecond)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = h.delay() }); n != 0 {
+		t.Fatalf("hedger.delay allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.observe(time.Millisecond) }); n != 0 {
+		t.Fatalf("hedger.observe allocates %v times", n)
+	}
 }
 
 func TestHedgerBudget(t *testing.T) {

@@ -17,11 +17,12 @@
 //     received, the client's request body as sent: the answer is one
 //     replica's snapshot, byte for byte what that alexd would have
 //     told the client directly. A shard's 4xx is such an answer. A
-//     transport error, a 5xx or the hedge delay (hedge.go) sends the
-//     query to a peer instead. The router answers in its own words only
-//     when it has no shard's answer to relay: 503 with every shard
-//     named in X-Alex-Fleet-Degraded when none is routable, 502 when
-//     those it asked all failed, 504 at the deadline.
+//     shard is asked once (relay.go): a transport error, a 5xx or the
+//     hedge delay (hedge.go) sends the query to a peer instead. The
+//     router answers in its own words only when it has no shard's
+//     answer to relay: 503 with every shard named in
+//     X-Alex-Fleet-Degraded when none is routable, 502 when those it
+//     asked all failed, 504 at the deadline.
 //   - Failover: a health loop polls every shard's /healthz behind a
 //     per-shard circuit breaker (the PR-2 machinery, reused from
 //     internal/federation). A dead shard is routed around — reads
@@ -65,8 +66,9 @@ type Config struct {
 	// Breaker tunes the per-shard circuit breakers. Zero values take
 	// the federation defaults.
 	Breaker federation.BreakerConfig
-	// Retry is the per-shard client retry policy. Zero means
-	// server.DefaultRetryPolicy.
+	// Retry is the per-shard client retry policy of /feedback, /links
+	// and /healthz. Nil means server.DefaultRetryPolicy. A /query is
+	// not retried: hedging to a peer is its failover (hedge.go).
 	Retry *server.RetryPolicy
 	// HealthProbeTimeout bounds one /healthz poll, so a hung shard
 	// cannot stall the loop past its interval. 0 means 2s.
@@ -74,8 +76,9 @@ type Config struct {
 	// Hedge tunes hedged failover reads (see hedge.go). The zero value
 	// enables hedging with adaptive delay and a 10% retry budget.
 	Hedge HedgeConfig
-	// Transport, when non-nil, replaces the HTTP transport of every
-	// shard client — the chaos tests inject a faultnet.Transport here.
+	// Transport, when non-nil, carries every request the router sends a
+	// shard — the chaos tests inject a faultnet.Transport here. Nil means
+	// one transport of the router's own.
 	Transport http.RoundTripper
 }
 
@@ -87,8 +90,11 @@ const (
 
 // shard is the router's view of one fleet member.
 type shard struct {
-	id      int
-	client  *server.Client
+	id     int
+	client *server.Client
+	// query is the template of every /query relayed to the shard
+	// (relay.go).
+	query   *http.Request
 	breaker *federation.Breaker
 	// routable is the health loop's verdict, read lock-free by the
 	// data path. health caches the last successful /healthz response.
@@ -104,6 +110,9 @@ type Router struct {
 	shards []*shard
 	rr     atomic.Uint64 // round-robin cursor of the /query shard pick
 	hedge  *hedger
+	// transport carries every request to a shard: Config.Transport, or
+	// one of the router's own that Close releases.
+	transport http.RoundTripper
 
 	mux  http.Handler
 	reg  *server.Registry
@@ -158,28 +167,38 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Retry != nil {
 		retry = *cfg.Retry
 	}
-	baseCtx, cancel := context.WithCancel(context.Background())
-	r := &Router{
-		cfg:     cfg,
-		ranges:  cluster.FleetRanges(len(cfg.Shards)),
-		hedge:   newHedger(cfg.Hedge),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		baseCtx: baseCtx,
-		cancel:  cancel,
-		reg:     server.NewRegistry(),
+	transport := cfg.Transport
+	if transport == nil {
+		transport = http.DefaultTransport.(*http.Transport).Clone()
 	}
+	var shards []*shard
 	for id, addr := range cfg.Shards {
 		c := server.NewClient(addr)
 		c.SetRetryPolicy(retry)
-		if cfg.Transport != nil {
-			c.SetTransport(cfg.Transport)
+		c.SetTransport(transport)
+		query, err := newQueryTemplate(c.Addr())
+		if err != nil {
+			return nil, err
 		}
-		r.shards = append(r.shards, &shard{
+		shards = append(shards, &shard{
 			id:      id,
 			client:  c,
+			query:   query,
 			breaker: federation.NewBreaker(cfg.Breaker),
 		})
+	}
+	baseCtx, cancel := context.WithCancel(context.Background())
+	r := &Router{
+		cfg:       cfg,
+		ranges:    cluster.FleetRanges(len(cfg.Shards)),
+		shards:    shards,
+		hedge:     newHedger(cfg.Hedge),
+		transport: transport,
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
+		baseCtx:   baseCtx,
+		cancel:    cancel,
+		reg:       server.NewRegistry(),
 	}
 	r.registerMetrics()
 	r.mux = r.routes()
@@ -334,21 +353,22 @@ func (r *Router) handleHealthPush(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// routableShards returns the currently routable shards in ID order.
-func (r *Router) routableShards() []*shard {
-	out := make([]*shard, 0, len(r.shards))
+// routableShards appends the currently routable shards to buf, in ID
+// order.
+func (r *Router) routableShards(buf []*shard) []*shard {
 	for _, sh := range r.shards {
 		if sh.routable.Load() {
-			out = append(out, sh)
+			buf = append(buf, sh)
 		}
 	}
-	return out
+	return buf
 }
 
 // pickShard returns the shard the next query goes to: the routable
 // shards in turn, nil when there is none.
 func (r *Router) pickShard() *shard {
-	avail := r.routableShards()
+	var buf [8]*shard
+	avail := r.routableShards(buf[:0])
 	if len(avail) == 0 {
 		return nil
 	}
@@ -371,8 +391,8 @@ func (r *Router) Close() error {
 	})
 	<-r.done
 	r.wg.Wait()
-	for _, sh := range r.shards {
-		sh.client.CloseIdleConnections()
+	if t, ok := r.transport.(interface{ CloseIdleConnections() }); ok {
+		t.CloseIdleConnections()
 	}
 	return nil
 }
@@ -425,7 +445,9 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// The body goes to the shard as sent, and the shard validates it; the
 	// router reads only the deadline the client asked for. A body that
 	// does not decode gets the default one and the shard's 400.
-	var qr server.QueryRequest
+	var qr struct {
+		TimeoutMillis int `json:"timeout_ms"`
+	}
 	_ = json.Unmarshal(body, &qr)
 	timeout := r.cfg.QueryTimeout
 	if qr.TimeoutMillis > 0 {
@@ -452,7 +474,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no routable shard"})
 		return
 	}
-	reply, err := r.subQuery(ctx, primary, body)
+	reply, err := r.subQuery(ctx, cancel, primary, body)
 	if err != nil {
 		r.metrics.queryErrors.Inc()
 		if ctx.Err() != nil {
@@ -472,92 +494,136 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	w.Write(reply.body) //nolint:errcheck // client gone; nothing to do
 }
 
-// shardReply is a shard's /query response as received.
-type shardReply struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-// subQuery asks primary, and a healthy peer too when the primary is slow
-// (after the hedger's adaptive delay) or fails fast — replicas are full,
-// so any peer's answer is the full answer — and returns the first reply
-// that is an answer: any status below 500, a 4xx included (the shard
-// judged the request, which says nothing about the shard). A transport
-// error or a 5xx marks its shard down. At most one hedge per query, and
-// only if the retry budget allows it, so hedging cannot amplify a
-// brownout.
-func (r *Router) subQuery(ctx context.Context, primary *shard, body []byte) (shardReply, error) {
-	type subResult struct {
-		reply shardReply
-		sh    *shard
-		err   error
+// subQuery asks primary on the caller's goroutine, and a healthy peer too
+// when the primary is slow (after the hedger's adaptive delay) or fails
+// fast — replicas are full, so any peer's answer is the full answer — and
+// returns the first reply that is an answer: any status below 500, a 4xx
+// included (the shard judged the request, which says nothing about the
+// shard). A transport error or a 5xx marks its shard down. At most one
+// hedge per query, and only if the retry budget allows it, so hedging
+// cannot amplify a brownout. The hedge is a timer stopped when the
+// primary answers first, so a query answered inside the delay starts no
+// goroutine. Whichever request wins, cancel stops the other.
+func (r *Router) subQuery(ctx context.Context, cancel context.CancelFunc, primary *shard, body []byte) (shardReply, error) {
+	q := &routedQuery{r: r, ctx: ctx, cancel: cancel, primary: primary, body: body}
+	r.hedge.earn()
+	var timer *time.Timer
+	if !r.cfg.Hedge.Disabled {
+		timer = time.AfterFunc(r.hedge.delay(), q.hedgeAfterDelay)
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the loser; its send fits the buffer
-	results := make(chan subResult, 2)
-	asked := 0
-	launch := func(sh *shard) {
-		asked++
-		go func() {
-			start := time.Now()
-			status, header, data, err := sh.client.QueryRaw(cctx, body)
-			if err == nil && status >= http.StatusInternalServerError {
-				err = fmt.Errorf("shard %d: HTTP %d", sh.id, status)
-			}
-			if err == nil && sh == primary {
-				r.hedge.observe(time.Since(start))
-			}
-			results <- subResult{shardReply{status, header, data}, sh, err}
-		}()
+	start := time.Now()
+	reply, err := r.ask(ctx, primary, body)
+	if err == nil {
+		r.hedge.observe(time.Since(start))
+	} else if ctx.Err() == nil {
+		r.markDown(primary)
+	}
+
+	q.mu.Lock()
+	if err != nil && q.peer != nil && !q.peerWon && ctx.Err() == nil {
+		// The primary failed with the hedge in flight: the peer's answer
+		// is the query's last chance.
+		q.mu.Unlock()
+		select {
+		case <-q.peerDone:
+		case <-ctx.Done():
+		}
+		q.mu.Lock()
+	}
+	q.settled = true // a hedge that has not asked its peer now never will
+	peer, won, peerReply := q.peer, q.peerWon, q.peerReply
+	q.mu.Unlock()
+	if timer != nil {
+		timer.Stop()
+	}
+
+	asked := 1
+	if peer != nil {
+		asked = 2
 	}
 	defer func() { r.metrics.queryFanouts.Observe(float64(asked)) }()
-	r.hedge.earn()
-	launch(primary)
-
-	var hedgeC <-chan time.Time
-	if !r.cfg.Hedge.Disabled {
-		t := time.NewTimer(r.hedge.delay())
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	failed := 0
-	var firstErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return shardReply{}, ctx.Err()
-		case <-hedgeC:
-			hedgeC = nil
-			if sh := r.tryHedge(primary); sh != nil {
-				launch(sh)
-			}
-		case res := <-results:
-			if res.err == nil {
-				if res.sh != primary {
-					r.metrics.hedgeWins.Inc()
-				}
-				return res.reply, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if ctx.Err() == nil {
-				r.markDown(res.sh)
-			}
-			failed++
-			if asked == 1 && ctx.Err() == nil {
-				// The primary failed outright before the hedge delay: hedge
-				// immediately, the delay has nothing left to protect.
-				hedgeC = nil
-				if sh := r.tryHedge(primary); sh != nil {
-					launch(sh)
-				}
-			}
-			if failed == asked {
-				return shardReply{}, firstErr
-			}
+	switch {
+	case won:
+		r.metrics.hedgeWins.Inc()
+		return peerReply, nil
+	case err == nil:
+		if peer != nil {
+			cancel() // the peer lost
 		}
+		return reply, nil
+	case peer != nil || ctx.Err() != nil:
+		return shardReply{}, err
+	}
+	// The primary failed outright before the hedge delay: hedge now, on
+	// this goroutine; the delay has nothing left to protect.
+	if peer = r.tryHedge(primary); peer == nil {
+		return shardReply{}, err
+	}
+	asked = 2
+	peerReply, peerErr := r.ask(ctx, peer, body)
+	if peerErr == nil {
+		r.metrics.hedgeWins.Inc()
+		return peerReply, nil
+	}
+	if ctx.Err() == nil {
+		r.markDown(peer)
+	}
+	return shardReply{}, err
+}
+
+// routedQuery is what a query's hedge timer shares with the handler
+// asking the primary.
+type routedQuery struct {
+	r       *Router
+	ctx     context.Context
+	cancel  context.CancelFunc
+	primary *shard
+	body    []byte
+
+	mu sync.Mutex
+	// settled: the handler has taken an answer or given up, so a hedge
+	// that has not asked its peer yet must not.
+	settled   bool
+	peer      *shard        // the shard the hedge asked, nil until it does
+	peerDone  chan struct{} // closed when the peer's request is over
+	peerWon   bool          // the peer answered first; peerReply is the answer
+	peerReply shardReply
+}
+
+// hedgeAfterDelay is the hedge timer's callback: the primary has not
+// answered within the delay, so a peer is asked, budget permitting. A
+// peer that answers first wins the query and cancels the primary's
+// request, which returns the handler to take the peer's answer.
+func (q *routedQuery) hedgeAfterDelay() {
+	q.mu.Lock()
+	if q.settled {
+		q.mu.Unlock()
+		return
+	}
+	sh := q.r.tryHedge(q.primary)
+	if sh == nil {
+		q.mu.Unlock()
+		return
+	}
+	q.peer, q.peerDone = sh, make(chan struct{})
+	q.mu.Unlock()
+	defer close(q.peerDone)
+
+	reply, err := q.r.ask(q.ctx, sh, q.body)
+	if err != nil {
+		if q.ctx.Err() == nil {
+			q.r.markDown(sh)
+		}
+		return
+	}
+	q.mu.Lock()
+	won := !q.settled
+	if won {
+		q.settled, q.peerWon, q.peerReply = true, true, reply
+	}
+	q.mu.Unlock()
+	if won {
+		q.cancel() // the primary lost
 	}
 }
 
@@ -695,7 +761,7 @@ func (r *Router) handleLinks(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
 		return
 	}
-	avail := r.routableShards()
+	avail := r.routableShards(nil)
 	sort.SliceStable(avail, func(i, j int) bool {
 		hi, hj := avail[i].health.Load(), avail[j].health.Load()
 		ei, ej := -1, -1

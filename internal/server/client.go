@@ -275,14 +275,6 @@ func (c *Client) QueryContext(ctx context.Context, query string) (*QueryResponse
 	return &out, nil
 }
 
-// QueryRaw posts body, a /query request as its client wrote it, and
-// returns the final attempt's status, headers and body undecoded — the
-// fleet router relays them. err is non-nil only when no response was
-// obtained at all, so a 4xx is a result here, not an error.
-func (c *Client) QueryRaw(ctx context.Context, body []byte) (int, http.Header, []byte, error) {
-	return c.do(ctx, http.MethodPost, "/query", body)
-}
-
 // Feedback reports an answer-level verdict on the links of a row.
 // Returns ErrQueueFull if the server is still backpressuring after the
 // policy's retries. Delivery is at-least-once: a retry after a lost
