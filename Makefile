@@ -26,7 +26,7 @@ vet:
 	$(GO) vet ./...
 
 # lint builds and runs alexlint, the ALEX invariant analyzer suite
-# (internal/analysis). Also usable as `go vet -vettool=bin/alexlint`.
+# (internal/analysis).
 # The wall-clock budget guards the two-phase loader: the repo-wide
 # typecheck + fact fixpoint must stay interactive, or the gate stops
 # being run before commits.

@@ -1,31 +1,15 @@
 // Command alexlint runs ALEX's invariant analyzers (see
-// internal/analysis/suite) over module packages.
-//
-// Standalone:
+// internal/analysis/suite) over module packages:
 //
 //	alexlint [packages]     # defaults to ./...
 //	alexlint -list          # describe the analyzers
-//	alexlint -json ./...    # one JSON finding per line
 //	alexlint -github ./...  # GitHub ::error annotations
-//
-// As a go vet tool:
-//
-//	go vet -vettool=$(pwd)/bin/alexlint ./...
-//
-// In vettool mode cmd/go drives the binary with the standard protocol:
-// `-V=full` prints a cacheable version line, `-flags` declares the
-// analyzer flag set, and a lone *.cfg argument selects unitchecker
-// mode, analyzing the single package the config describes. Facts
-// (interprocedural function summaries, internal/analysis/facts.go) are
-// exchanged between per-package runs through cmd/go's .vetx files.
 //
 // Exit status is 0 when the tree is clean, 2 when findings were
 // reported, and 1 on operational errors.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,67 +27,27 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("alexlint", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: alexlint [-list] [-json|-github] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "usage: alexlint [-list] [-github] [packages]\n\n")
 		fmt.Fprintf(fs.Output(), "Runs the ALEX invariant analyzers; packages default to ./...\n")
 		fs.PrintDefaults()
 	}
 	list := fs.Bool("list", false, "describe the analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON, one object per line")
 	githubOut := fs.Bool("github", false, "emit findings as GitHub ::error annotations")
-	version := fs.String("V", "", "if 'full', print version and exit (go vet protocol)")
-	printFlags := fs.Bool("flags", false, "print analyzer flags as JSON and exit (go vet protocol)")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
 
-	switch {
-	case *version == "full":
-		printVersion()
-		return 0
-	case *version != "":
-		fmt.Println("alexlint distributed with the alex module")
-		return 0
-	case *printFlags:
-		// The suite takes no analyzer flags.
-		fmt.Println("[]")
-		return 0
-	case *list:
+	if *list {
 		for _, a := range suite.Analyzers {
 			fmt.Printf("%s: %s\n", a.Name, firstLine(a.Doc))
 		}
 		return 0
 	}
-
 	emit := emitText
-	switch {
-	case *jsonOut && *githubOut:
-		fmt.Fprintln(os.Stderr, "alexlint: -json and -github are mutually exclusive")
-		return 1
-	case *jsonOut:
-		emit = emitJSON
-	case *githubOut:
+	if *githubOut {
 		emit = emitGitHub
 	}
-
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVet(rest[0])
-	}
 	return runStandalone(fs.Args(), emit)
-}
-
-// printVersion emits the `-V=full` line cmd/go hashes into its vet
-// cache key: "<name> version <id>". Hashing the executable itself makes
-// the cache invalidate whenever the analyzers change.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:12])
-		}
-	}
-	fmt.Printf("%s version devel buildID=%s\n", name, id)
 }
 
 func firstLine(s string) string {
@@ -118,27 +62,6 @@ func firstLine(s string) string {
 func emitText(rel func(string) string, f analysis.Finding) {
 	fmt.Printf("%s:%d:%d: %s (%s)\n",
 		rel(f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Message, f.Analyzer)
-}
-
-// jsonFinding is the -json wire shape: one finding per line, stable
-// field names for CI tooling.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func emitJSON(rel func(string) string, f analysis.Finding) {
-	out, _ := json.Marshal(jsonFinding{
-		File:     rel(f.Pos.Filename),
-		Line:     f.Pos.Line,
-		Column:   f.Pos.Column,
-		Analyzer: f.Analyzer,
-		Message:  f.Message,
-	})
-	fmt.Println(string(out))
 }
 
 // emitGitHub prints workflow-command annotations so findings render
@@ -176,53 +99,6 @@ func runStandalone(patterns []string, emit func(func(string) string, analysis.Fi
 		}
 	}
 	if found > 0 {
-		return 2
-	}
-	return 0
-}
-
-// runVet analyzes the one package described by a cmd/go vet config,
-// reading dependency facts from (and writing this package's facts to)
-// the .vetx files cmd/go manages.
-func runVet(cfgPath string) int {
-	cfg, err := analysis.ReadVetConfig(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "alexlint:", err)
-		return 1
-	}
-	pkg, facts, err := analysis.LoadVetPackage(cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "alexlint:", err)
-		return 1
-	}
-	if cfg.VetxOutput != "" {
-		data, err := facts.EncodeJSON()
-		if err == nil {
-			err = os.WriteFile(cfg.VetxOutput, data, 0o666)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "alexlint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		// Dependency pass, run only to produce facts.
-		return 0
-	}
-	findings, err := analysis.Run(pkg, facts, suite.Analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "alexlint:", err)
-		return 1
-	}
-	for _, f := range findings {
-		// go vet surfaces the tool's stderr as the diagnostic stream.
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n",
-			f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message, f.Analyzer)
-	}
-	if len(findings) > 0 {
 		return 2
 	}
 	return 0

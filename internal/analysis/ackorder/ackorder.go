@@ -31,8 +31,7 @@
 // goto), so a barrier inside an `if` body or a `select` case does not
 // count — exactly the shapes that reorder acks ahead of appends.
 // Before the facts framework both closures were computed per package;
-// facts now carry them across package boundaries, which is what lets
-// txnorder extend this contract to the router's fan-out path.
+// facts now carry them across package boundaries.
 package ackorder
 
 import (
@@ -81,7 +80,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		if facts.Journals {
 			barrierPaths = append(barrierPaths, path)
 		}
-		if facts.AcksHTTP && Writes202(pass, call) {
+		if facts.AcksHTTP && writes202(pass, call) {
 			ackPaths = append(ackPaths, path)
 		}
 	})
@@ -99,11 +98,11 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 }
 
-// Writes202 reports whether call carries a constant 202 status
+// writes202 reports whether call carries a constant 202 status
 // argument — the shape that, on a status-writing callee (AcksHTTP),
 // makes the call an ack: ResponseWriter.WriteHeader(202) directly, or
-// writeJSON(w, http.StatusAccepted, v). Shared with txnorder.
-func Writes202(pass *analysis.Pass, call *ast.CallExpr) bool {
+// writeJSON(w, http.StatusAccepted, v).
+func writes202(pass *analysis.Pass, call *ast.CallExpr) bool {
 	for _, arg := range call.Args {
 		tv, ok := pass.TypesInfo.Types[arg]
 		if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {

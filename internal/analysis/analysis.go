@@ -16,20 +16,17 @@
 //   - an analysistest-style fixture harness driven by `// want` comments
 //     (internal/analysis/analysistest).
 //
-// The nine shipped analyzers (snapmut, ackorder, syncerr, globalrand,
-// gotrack, lockhold, ctxflow, txnorder, mutcopy) encode the
-// concurrency, durability and determinism contracts of the serving
-// fleet; cmd/alexlint is the multichecker binary that runs them in
-// `make verify` and CI.
+// The six shipped analyzers (snapmut, ackorder, syncerr, globalrand,
+// gotrack, ctxflow) encode the concurrency, durability and determinism
+// contracts of the serving fleet; cmd/alexlint is the multichecker
+// binary that runs them in `make verify` and CI.
 //
 // Findings can be suppressed in place with a directive comment
 //
 //	//lint:ignore analyzer1,analyzer2 reason the invariant holds anyway
 //
 // which silences the named analyzers on its own line and the line
-// below it. lockhold additionally honors the directive at a mutex's
-// declaration, exempting every region of that one lock (the
-// journal-holds-logMu design in internal/server).
+// below it.
 package analysis
 
 import (
@@ -77,8 +74,6 @@ type Pass struct {
 	// intrinsic seeds when the table is absent.
 	Facts  *FactSet
 	Report func(Diagnostic)
-
-	ignores ignoreIndex
 }
 
 // Reportf reports a finding at pos.
@@ -102,15 +97,6 @@ func (p *Pass) CallFacts(call *ast.CallExpr) (*types.Func, FuncFacts) {
 	return fn, f
 }
 
-// IgnoredAt reports whether a `//lint:ignore` directive naming analyzer
-// covers pos: the directive sits on pos's line or the line above it.
-// Analyzers use it for declaration-scoped exemptions (lockhold consults
-// the mutex's declaration); Run applies it to every finding
-// automatically.
-func (p *Pass) IgnoredAt(pos token.Pos, analyzer string) bool {
-	return p.ignores.covers(p.Fset.Position(pos), analyzer)
-}
-
 // Finding is a diagnostic bound to its analyzer and resolved position,
 // as produced by Run.
 type Finding struct {
@@ -126,20 +112,10 @@ func (f Finding) String() string {
 // Run applies every analyzer whose Match accepts pkg's import path and
 // returns the findings sorted by position, minus any suppressed by
 // `//lint:ignore` directives. facts may be nil (seed-only lookups).
-// Analyzer errors (not findings) abort the run.
-//
-// Test files are excluded: the analyzers enforce production contracts
-// (durability, shutdown, determinism), and holding test cleanup to them
-// would only produce noise. Standalone loads never include test files;
-// this matters when cmd/go drives alexlint over test-variant packages.
+// Analyzer errors (not findings) abort the run. Test files are never
+// analyzed: Load reads a package's non-test files only.
 func Run(pkg *Package, facts *FactSet, analyzers []*Analyzer) ([]Finding, error) {
-	files := make([]*ast.File, 0, len(pkg.Files))
-	for _, f := range pkg.Files {
-		if !strings.HasSuffix(pkg.Fset.Position(f.Package).Filename, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	ignores := collectIgnores(pkg.Fset, files)
+	ignores := collectIgnores(pkg.Fset, pkg.Files)
 	var out []Finding
 	for _, a := range analyzers {
 		if a.Match != nil && !a.Match(pkg.Path) {
@@ -148,11 +124,10 @@ func Run(pkg *Package, facts *FactSet, analyzers []*Analyzer) ([]Finding, error)
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
-			Files:     files,
+			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			Facts:     facts,
-			ignores:   ignores,
 		}
 		pass.Report = func(d Diagnostic) {
 			pos := pkg.Fset.Position(d.Pos)

@@ -21,8 +21,7 @@
 // actual historical bug shapes against the real types. The loader
 // typechecks the fixture's whole module dependency graph from source
 // and computes interprocedural facts over it, so fact-driven analyzers
-// (lockhold, ctxflow, txnorder) see exactly what the production driver
-// sees.
+// (ackorder, ctxflow) see exactly what the production driver sees.
 package analysistest
 
 import (

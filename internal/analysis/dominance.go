@@ -1,7 +1,6 @@
-// Structural dominance over Go's AST: the machinery ackorder built for
-// the fsync-before-ack contract, promoted to the framework so txnorder
-// (and future ordering analyzers) share one definition of "this call
-// executes on every path into that one".
+// Structural dominance over Go's AST: one definition of "this call
+// executes on every path into that one", for ackorder's
+// fsync-before-ack contract and ctxflow's path walks.
 package analysis
 
 import (
@@ -58,16 +57,16 @@ func Dominates(b, a NodePath) bool {
 				continue // same clause: sequential for both nodes
 			}
 		}
-		if ConditionalEdge(parent, child) {
+		if conditionalEdge(parent, child) {
 			return false
 		}
 	}
 	return true
 }
 
-// ConditionalEdge reports whether child, as a direct AST child of
+// conditionalEdge reports whether child, as a direct AST child of
 // parent, only executes conditionally relative to code after parent.
-func ConditionalEdge(parent, child ast.Node) bool {
+func conditionalEdge(parent, child ast.Node) bool {
 	switch p := parent.(type) {
 	case *ast.IfStmt:
 		return child == p.Body || child == p.Else

@@ -30,27 +30,22 @@ func demoFacts(t *testing.T, facts *analysis.FactSet, fn string) analysis.FuncFa
 func TestFactPropagation(t *testing.T) {
 	facts := loadDemoFacts(t)
 
-	direct := demoFacts(t, facts, "writesFile")
-	if !direct.MayBlock || direct.BlockReason != "file I/O" {
-		t.Errorf("writesFile: got %+v, want MayBlock via file I/O", direct)
+	direct := demoFacts(t, facts, "fetches")
+	if !direct.Outbound {
+		t.Errorf("fetches: got %+v, want Outbound", direct)
 	}
 
-	transitive := demoFacts(t, facts, "callsWriter")
-	if !transitive.MayBlock {
-		t.Errorf("callsWriter: MayBlock did not propagate: %+v", transitive)
+	transitive := demoFacts(t, facts, "callsFetcher")
+	if !transitive.Outbound {
+		t.Errorf("callsFetcher: Outbound did not propagate: %+v", transitive)
 	}
-	if !strings.Contains(transitive.BlockVia, "writesFile") {
-		t.Errorf("callsWriter: BlockVia %q does not name the callee", transitive.BlockVia)
-	}
-
-	outbound := demoFacts(t, facts, "callsFetcher")
-	if !outbound.Outbound {
-		t.Errorf("callsFetcher: Outbound did not propagate: %+v", outbound)
+	if !strings.Contains(transitive.OutboundVia, "fetches") {
+		t.Errorf("callsFetcher: OutboundVia %q does not name the callee", transitive.OutboundVia)
 	}
 
 	j := demoFacts(t, facts, "journals")
-	if !j.Journals || !j.MayBlock {
-		t.Errorf("journals: got %+v, want Journals and MayBlock", j)
+	if !j.Journals || !strings.Contains(j.JournalsVia, "Append") {
+		t.Errorf("journals: got %+v, want Journals via (*wal.Log).Append", j)
 	}
 
 	a := demoFacts(t, facts, "callsAcks")
@@ -58,13 +53,13 @@ func TestFactPropagation(t *testing.T) {
 		t.Errorf("callsAcks: AcksHTTP did not propagate: %+v", a)
 	}
 
-	if f, ok := facts.Lookup(demoPath + ".pure"); ok && (f.MayBlock || f.Outbound || f.Journals || f.AcksHTTP) {
+	if f, ok := facts.Lookup(demoPath + ".pure"); ok && (f.Outbound || f.Journals || f.AcksHTTP) {
 		t.Errorf("pure: spurious facts %+v", f)
 	}
 }
 
 // TestGoroutineBoundary is the PR-7 lesson as a unit test: work behind
-// a `go` statement is asynchronous, so none of its effects — blocking,
+// a `go` statement is asynchronous, so none of its effects — fetching,
 // journaling — may be credited to the launcher.
 func TestGoroutineBoundary(t *testing.T) {
 	facts := loadDemoFacts(t)
@@ -72,8 +67,8 @@ func TestGoroutineBoundary(t *testing.T) {
 		if f.Journals {
 			t.Errorf("launches: goroutine journaling credited to the launcher: %+v", f)
 		}
-		if f.MayBlock {
-			t.Errorf("launches: goroutine blocking credited to the launcher: %+v", f)
+		if f.Outbound {
+			t.Errorf("launches: goroutine fetching credited to the launcher: %+v", f)
 		}
 	}
 }
@@ -86,47 +81,12 @@ func TestHasCtxSignatures(t *testing.T) {
 	if f := demoFacts(t, facts, "hasReq"); !f.HasCtx {
 		t.Errorf("hasReq: *http.Request parameter not detected: %+v", f)
 	}
-	if f, ok := facts.Lookup(demoPath + ".writesFile"); ok && f.HasCtx {
-		t.Errorf("writesFile: spurious HasCtx: %+v", f)
+	if f, ok := facts.Lookup(demoPath + ".pure"); ok && f.HasCtx {
+		t.Errorf("pure: spurious HasCtx: %+v", f)
 	}
-	// HasCtx is a signature property, never propagated: callsWriter
-	// calling nothing ctx-shaped must not inherit it.
-	if f, ok := facts.Lookup(demoPath + ".callsWriter"); ok && f.HasCtx {
-		t.Errorf("callsWriter: HasCtx wrongly propagated: %+v", f)
-	}
-}
-
-func TestFactJSONRoundTrip(t *testing.T) {
-	facts := loadDemoFacts(t)
-	data, err := facts.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded := analysis.NewFactSet()
-	if err := decoded.DecodeJSON(data); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range facts.Keys() {
-		want, _ := facts.Lookup(key)
-		if !want.MayBlock && !want.Outbound && !want.Journals && !want.AcksHTTP && !want.HasCtx {
-			continue // uninteresting entries need not survive encoding
-		}
-		got, ok := decoded.Lookup(key)
-		if !ok {
-			t.Errorf("round trip dropped %s", key)
-			continue
-		}
-		if got != want {
-			t.Errorf("round trip changed %s: got %+v, want %+v", key, got, want)
-		}
-	}
-	// Empty input decodes to a valid empty table (a dependency with no
-	// interesting functions writes an empty vetx file).
-	empty := analysis.NewFactSet()
-	if err := empty.DecodeJSON(nil); err != nil {
-		t.Fatalf("DecodeJSON(nil): %v", err)
-	}
-	if empty.Len() != 0 {
-		t.Fatalf("DecodeJSON(nil): %d entries, want 0", empty.Len())
+	// HasCtx is a signature property, never propagated: callsHasCtx
+	// calls hasCtx but must not inherit it.
+	if f, ok := facts.Lookup(demoPath + ".callsHasCtx"); ok && f.HasCtx {
+		t.Errorf("callsHasCtx: HasCtx wrongly propagated: %+v", f)
 	}
 }

@@ -143,7 +143,7 @@ func Load(dir string, patterns ...string) (*Result, error) {
 			res.Pkgs = append(res.Pkgs, pkg)
 		}
 	}
-	res.Facts = ComputeFacts(res.All, nil)
+	res.Facts = ComputeFacts(res.All)
 	return res, nil
 }
 
@@ -152,88 +152,10 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// VetConfig is the subset of cmd/go's vet configuration JSON that
-// alexlint's `go vet -vettool` mode consumes. cmd/go hands the tool one
-// such file per package, with export data for every dependency already
-// compiled and the dependencies' fact files listed in PackageVetx.
-type VetConfig struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	NonGoFiles  []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	Standard    map[string]bool
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// ReadVetConfig parses a cmd/go vet configuration file.
-func ReadVetConfig(path string) (*VetConfig, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg := new(VetConfig)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, fmt.Errorf("parsing vet config %s: %w", path, err)
-	}
-	return cfg, nil
-}
-
-// LoadVetPackage parses and typechecks the single package described by
-// a cmd/go vet configuration, importing dependencies from the export
-// data files cmd/go listed in PackageFile, then computes the package's
-// facts on top of the dependency facts deserialized from the PackageVetx
-// files (each written by an earlier alexlint invocation on that
-// dependency — cmd/go sequences the runs dependency-first and caches
-// them against the tool's -V=full hash).
-func LoadVetPackage(cfg *VetConfig) (*Package, *FactSet, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	pkg, err := typecheck(fset, imp, listedPkg{
-		Dir:        cfg.Dir,
-		ImportPath: cfg.ImportPath,
-		GoFiles:    cfg.GoFiles,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	imported := NewFactSet()
-	for path, vetx := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetx)
-		if err != nil {
-			return nil, nil, fmt.Errorf("reading facts for %s: %w", path, err)
-		}
-		if err := imported.DecodeJSON(data); err != nil {
-			return nil, nil, fmt.Errorf("decoding facts for %s: %w", path, err)
-		}
-	}
-	facts := ComputeFacts([]*Package{pkg}, imported)
-	return pkg, facts, nil
-}
-
 func typecheck(fset *token.FileSet, imp types.Importer, p listedPkg) (*Package, error) {
 	files := make([]*ast.File, 0, len(p.GoFiles))
 	for _, name := range p.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(p.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}

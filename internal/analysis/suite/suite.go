@@ -9,25 +9,19 @@ import (
 	"alex/internal/analysis/ctxflow"
 	"alex/internal/analysis/globalrand"
 	"alex/internal/analysis/gotrack"
-	"alex/internal/analysis/lockhold"
-	"alex/internal/analysis/mutcopy"
 	"alex/internal/analysis/snapmut"
 	"alex/internal/analysis/syncerr"
-	"alex/internal/analysis/txnorder"
 )
 
 // Analyzers is the full alexlint suite, in the order findings are
-// attributed. Each analyzer carries its own package scope (Match); the
-// fleet-era four (lockhold, ctxflow, txnorder, mutcopy) consume the
-// interprocedural facts the loader computes.
+// attributed. Each analyzer carries its own package scope (Match);
+// ackorder and ctxflow consume the interprocedural facts the loader
+// computes.
 var Analyzers = []*analysis.Analyzer{
 	snapmut.Analyzer,
 	ackorder.Analyzer,
 	syncerr.Analyzer,
 	globalrand.Analyzer,
 	gotrack.Analyzer,
-	lockhold.Analyzer,
 	ctxflow.Analyzer,
-	txnorder.Analyzer,
-	mutcopy.Analyzer,
 }

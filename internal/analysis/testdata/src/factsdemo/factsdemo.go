@@ -6,20 +6,9 @@ package factsdemo
 import (
 	"context"
 	"net/http"
-	"os"
 
 	"alex/internal/wal"
 )
-
-// writesFile blocks on file I/O directly (seeded stdlib callee).
-func writesFile() error {
-	return os.WriteFile("state", nil, 0o644)
-}
-
-// callsWriter blocks only transitively.
-func callsWriter() error {
-	return writesFile()
-}
 
 // fetches performs an outbound HTTP request, two frames down.
 func fetches(hc *http.Client, req *http.Request) error {
@@ -31,15 +20,16 @@ func callsFetcher(hc *http.Client, req *http.Request) error {
 	return fetches(hc, req)
 }
 
-// launches starts the blocking work asynchronously: the launch itself
-// does not block, journal or fetch, so no fact may credit it.
-func launches(l *wal.Log, p []byte) {
+// launches starts the work asynchronously: the launch itself does not
+// journal or fetch, so no fact may credit it.
+func launches(l *wal.Log, p []byte, hc *http.Client, req *http.Request) {
 	go func() {
 		l.Append(p)
 	}()
+	go fetches(hc, req)
 }
 
-// journals appends to the WAL: Journals and MayBlock.
+// journals appends to the WAL.
 func journals(l *wal.Log, p []byte) error {
 	_, err := l.Append(p)
 	return err
@@ -49,6 +39,9 @@ func journals(l *wal.Log, p []byte) error {
 func hasCtx(ctx context.Context) {}
 
 func hasReq(w http.ResponseWriter, r *http.Request) {}
+
+// callsHasCtx has no context of its own, whatever its callee takes.
+func callsHasCtx() { hasCtx(context.TODO()) }
 
 // acks writes an HTTP status.
 func acks(w http.ResponseWriter) {

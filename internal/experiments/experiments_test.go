@@ -102,19 +102,28 @@ func TestFig6Blacklist(t *testing.T) {
 	}
 }
 
+// TestFig7Rollback runs the figure's own profile at full scale, as
+// `alexbench -exp fig7` does: without rollback precision collapses
+// (EXPERIMENTS.md: F=0.157), with it F recovers to several times that
+// (F=0.629).
 func TestFig7Rollback(t *testing.T) {
-	r, err := Fig7Rollback("opencyc-lexvo", smallOpts())
+	if testing.Short() {
+		t.Skip("runs dbpedia-nytimes at full scale twice")
+	}
+	r, err := Fig7Rollback("dbpedia-nytimes", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.PartitionFinalF) == 0 {
 		t.Fatal("no per-partition data")
 	}
-	t.Logf("with rollback F=%.3f, without F=%.3f", r.WithRollback.Final.F1, r.WithoutRollback.Final.F1)
-	// The defining property: rollback should not be worse, and usually
-	// much better, than no rollback.
-	if r.WithoutRollback.Final.F1 > r.WithRollback.Final.F1+0.10 {
-		t.Errorf("rollback hurt quality: %.3f vs %.3f", r.WithRollback.Final.F1, r.WithoutRollback.Final.F1)
+	with, without := r.WithRollback.Final.F1, r.WithoutRollback.Final.F1
+	t.Logf("with rollback F=%.3f, without F=%.3f", with, without)
+	if without >= 0.3 {
+		t.Errorf("no collapse without rollback: F=%.3f, want < 0.3", without)
+	}
+	if with < 2*without {
+		t.Errorf("rollback did not recover: F=%.3f with vs %.3f without, want at least 2x", with, without)
 	}
 	if rep := r.Report(); !strings.Contains(rep, "per-partition final F") {
 		t.Fatal("report format wrong")

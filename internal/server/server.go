@@ -244,7 +244,6 @@ type Server struct {
 	// fsyncs behind one lock holder is the journal's group-commit. The
 	// queue send under logMu cannot block — the capacity check above it
 	// holds the reservation.
-	//lint:ignore lockhold journal append + queue send under logMu is the durability design (see field comment)
 	logMu    sync.Mutex
 	recovery RecoveryStats
 
