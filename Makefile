@@ -81,10 +81,9 @@ bench-query:
 		$(GO) run ./cmd/benchjson -out BENCH_query.json
 
 # bench-store runs the segment-store lifecycle benchmark at the
-# largest synth profile: segment build, mmap'd full scan, the O(delta)
-# disk checkpoint vs the mem backend's full serialization (acceptance:
-# >=10x faster), and mmap cold start vs N-Triples re-parse (acceptance:
-# faster). Results land in BENCH_store.json.
+# largest synth profile: the one-time store build, an mmap'd full scan,
+# and mmap cold start vs N-Triples re-parse (acceptance: faster).
+# Results land in BENCH_store.json.
 bench-store:
 	$(GO) test -run '^$$' -bench '^BenchmarkSegmentStore$$' -benchmem \
 		./internal/store | \

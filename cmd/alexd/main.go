@@ -176,8 +176,7 @@ func main() {
 			if t1 == nil || t2 == nil {
 				fatal(fmt.Errorf("store in %s is missing source %q or %q — rebuild with a fresh -data dir", dir, sourceName[0], sourceName[1]))
 			}
-			// Copies: fleet partitioning filters these in place, and the
-			// set's own slices must keep the full data for checkpoints.
+			// Copies: fleet partitioning filters these in place.
 			e1 = append([]rdf.ID(nil), set.Entities(sourceName[0])...)
 			e2 = append([]rdf.ID(nil), set.Entities(sourceName[1])...)
 			ls, ok := set.InitialLinks()
@@ -188,8 +187,8 @@ func main() {
 			if *linksPath != "" {
 				log.Printf("warm start: -links ignored, serving the store's persisted initial links")
 			}
-			log.Printf("warm start from %s: generation %d, %d + %d triples, %d initial links in %s",
-				dir, set.Generation(), t1.Size(), t2.Size(), len(initial), time.Since(loadStart).Round(time.Millisecond))
+			log.Printf("warm start from %s: %d + %d triples, %d initial links in %s",
+				dir, t1.Size(), t2.Size(), len(initial), time.Since(loadStart).Round(time.Millisecond))
 		case errors.Is(err, store.ErrNoStore):
 			// First boot over this -data dir: build in memory below,
 			// then persist the pair so the next start is warm.
@@ -253,7 +252,7 @@ func main() {
 			}
 			stores = set
 			t1, t2 = set.Source(sourceName[0]), set.Source(sourceName[1])
-			log.Printf("segment store built in %s: generation %d (the next start over this -data dir is a warm mmap open)", dir, set.Generation())
+			log.Printf("segment store built in %s (the next start over this -data dir is a warm mmap open)", dir)
 		}
 	}
 	if gt != nil {
@@ -366,9 +365,6 @@ func main() {
 		log.Printf("alexd: %v", err)
 	}
 	if stores != nil {
-		if _, err := stores.Checkpoint(); err != nil {
-			log.Printf("alexd: final store checkpoint: %v", err)
-		}
 		if err := stores.Close(); err != nil {
 			log.Printf("alexd: store close: %v", err)
 		}

@@ -66,7 +66,7 @@ func (o *Options) fill() {
 }
 
 // stores returns the dataset pair behind the configured backend. For
-// "disk" the graphs are compacted into a segment store under a
+// "disk" the graphs are committed into a segment store under a
 // temporary directory; cleanup unmaps and removes it (safe to call on
 // the mem path too).
 func (o *Options) stores(ds *synth.Dataset) (t1, t2 store.TripleStore, cleanup func(), err error) {

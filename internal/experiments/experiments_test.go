@@ -130,25 +130,34 @@ func TestFig7Rollback(t *testing.T) {
 	}
 }
 
+// TestFig9IncorrectFeedback runs Appendix C at `alexbench -exp fig9`'s
+// defaults: dbpedia-nytimes at full scale, seed 42, with clean and 10 %
+// wrong feedback. EXPERIMENTS.md records P 0.992, R 0.748, F 0.853
+// noisy against P = R = F = 1.000 clean: noise costs a little
+// precision and a quarter of the recall, and the candidate set does
+// not flood (at 20 % it does, with P 0.006).
 func TestFig9IncorrectFeedback(t *testing.T) {
-	// Keep per-link feedback exposure realistic (~1 judgment per link
-	// per episode); a tiny candidate set hammered by a large episode
-	// size would see every link mis-judged several times, which no
-	// system could survive. Full profile size with a modest episode
-	// keeps the noise statistics meaningful.
-	opts := Options{Scale: 1.0, Mutate: func(c *core.Config) {
-		c.EpisodeSize = 100
-		c.MaxEpisodes = 15
-	}}
-	c, err := Fig9IncorrectFeedback("opencyc-lexvo", opts)
+	if testing.Short() {
+		t.Skip("runs dbpedia-nytimes at full scale twice")
+	}
+	c, err := Fig9IncorrectFeedback("dbpedia-nytimes", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	correct, noisy := c.Runs[0], c.Runs[1]
-	t.Logf("correct F=%.3f, 10%% incorrect F=%.3f", correct.Final.F1, noisy.Final.F1)
-	// Recall must stay reasonably robust under noise (the paper's claim).
-	if noisy.Final.Recall < correct.Final.Recall-0.35 {
-		t.Errorf("recall collapsed under noise: %.3f vs %.3f", noisy.Final.Recall, correct.Final.Recall)
+	clean, noisy := c.Runs[0].Final, c.Runs[1].Final
+	t.Logf("clean P=%.3f R=%.3f F=%.3f; 10%% wrong P=%.3f R=%.3f F=%.3f",
+		clean.Precision, clean.Recall, clean.F1, noisy.Precision, noisy.Recall, noisy.F1)
+	if noisy.F1 >= clean.F1 {
+		t.Errorf("wrong feedback cost nothing: F=%.3f noisy vs %.3f clean", noisy.F1, clean.F1)
+	}
+	if noisy.Precision < 0.95 {
+		t.Errorf("precision under noise %.3f, want >= 0.95", noisy.Precision)
+	}
+	if noisy.Recall < 0.65 {
+		t.Errorf("recall under noise %.3f, want >= 0.65", noisy.Recall)
+	}
+	if noisy.F1 < 0.75 {
+		t.Errorf("F under noise %.3f, want >= 0.75", noisy.F1)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // CountMatch statistics (the planner's input) and identical executed
 // join orders (the planner's output) — on every world and under every
 // configuration. The disk twin is built by persisting the mem
-// federator's triples, then cold-starting from the manifest, so the
-// comparison also covers the write → compact → checkpoint → mmap-open
-// cycle, not just the in-process Segmented.
+// federator's triples, committing them once, then cold-starting from
+// the manifest, so the comparison also covers the build → commit →
+// mmap-open cycle, not just the in-process Segmented.
 
 // installedLinks reconstructs the link set a federator is running
 // with from its sameAs edge index (each edge carries the canonical
@@ -55,9 +55,6 @@ func diskTwin(t *testing.T, f *Federator) *Federator {
 		})
 	}
 	if err := set.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := set.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := set.Close(); err != nil {

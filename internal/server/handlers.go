@@ -130,23 +130,18 @@ type ShardHealth struct {
 	Peers    []PeerHealth `json:"peers,omitempty"`
 }
 
-// StoreSourceHealth reports one disk-backed source's segment/delta
-// split — how much of it is immutable on-disk pages versus the
-// in-memory write delta awaiting the next compaction.
+// StoreSourceHealth reports one disk-backed source's size.
 type StoreSourceHealth struct {
-	Name           string `json:"name"`
-	Segments       int    `json:"segments"`
-	SegmentTriples int    `json:"segment_triples"`
-	DeltaTriples   int    `json:"delta_triples"`
+	Name    string `json:"name"`
+	Triples int    `json:"triples"`
 }
 
 // StoreHealth surfaces the active triple-store backend. Backend is
-// "mem" (everything in rdf.Graph maps) or "disk" (mmap'd immutable
-// segments plus a write delta); Sources is only set for "disk".
+// "mem" (everything in rdf.Graph maps) or "disk" (one mmap'd immutable
+// segment per source); Sources is only set for "disk".
 type StoreHealth struct {
-	Backend    string              `json:"backend"`
-	Generation uint64              `json:"generation,omitempty"`
-	Sources    []StoreSourceHealth `json:"sources,omitempty"`
+	Backend string              `json:"backend"`
+	Sources []StoreSourceHealth `json:"sources,omitempty"`
 }
 
 // HealthResponse reports liveness, writer progress, per-source breaker
@@ -413,14 +408,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := s.cfg.Stores; st != nil {
 		out.Store.Backend = "disk"
-		out.Store.Generation = st.Generation()
 		for _, src := range st.Sources() {
-			out.Store.Sources = append(out.Store.Sources, StoreSourceHealth{
-				Name:           src.Name(),
-				Segments:       src.SegmentCount(),
-				SegmentTriples: src.SegmentTriples(),
-				DeltaTriples:   src.DeltaSize(),
-			})
+			out.Store.Sources = append(out.Store.Sources, StoreSourceHealth{Name: src.Name(), Triples: src.Size()})
 		}
 	}
 	if s.fleet != nil {

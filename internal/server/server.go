@@ -140,11 +140,10 @@ type Config struct {
 	// serves full reads from the union.
 	Fleet *FleetConfig
 	// Stores, when non-nil, is the disk-backed segment store set behind
-	// the federation sources (cmd/alexd -store=disk). The writer
-	// compacts its write deltas into immutable segments at episode
-	// boundaries and checkpoints it (delta + manifest only — segments
-	// never rewrite, so a store checkpoint is O(delta)) alongside the
-	// engine checkpoint. Both are skipped when the store is clean.
+	// the federation sources (cmd/alexd -store=disk), reported on
+	// /healthz. It is committed before the server starts, and the
+	// server never writes it: feedback changes the link set, not the
+	// triples.
 	Stores *store.Set
 	// StoreLoadSeconds records how long startup spent building or
 	// cold-starting the triple stores (set by cmd/alexd); exported as
@@ -312,9 +311,6 @@ type serverMetrics struct {
 	checkpoints         *Counter
 	checkpointErrors    *Counter
 	checkpointDuration  *Histogram
-	storeCheckpoints    *Counter
-	storeErrors         *Counter
-	storeCheckpointSecs *Gauge
 }
 
 // New builds a Server over an engine and the federation sources the
@@ -494,9 +490,6 @@ func (s *Server) registerMetrics() {
 	m.checkpoints = s.reg.Counter("alexd_checkpoints_total", "State checkpoints written.")
 	m.checkpointErrors = s.reg.Counter("alexd_checkpoint_errors_total", "State checkpoints that failed.")
 	m.checkpointDuration = s.reg.Histogram("alexd_checkpoint_seconds", "Checkpoint save+write duration.", nil)
-	m.storeCheckpoints = s.reg.Counter("alexd_store_checkpoints_total", "Segment-store checkpoints written (delta + manifest only).")
-	m.storeErrors = s.reg.Counter("alexd_store_errors_total", "Segment-store compactions or checkpoints that failed.")
-	m.storeCheckpointSecs = s.reg.Gauge("alexd_store_checkpoint_seconds", "Duration of the last segment-store checkpoint; O(delta), not O(dataset), because segments are immutable.")
 	s.reg.GaugeFunc("alexd_snapshot_load_seconds", "Startup time spent building or cold-starting the triple stores (mmap cold start vs full parse/build).", func() float64 {
 		return s.cfg.StoreLoadSeconds
 	})
@@ -597,59 +590,8 @@ func (s *Server) finishEpisode() {
 		// On a fleet shard, every published episode is replicated out.
 		s.kickReplicator()
 	}
-	if !s.w.replaying {
-		s.compactStores()
-	}
 	if s.w.sinceCkpt >= s.cfg.CheckpointEvery {
 		s.checkpoint()
-	}
-}
-
-// compactStores folds the disk backend's write deltas into fresh
-// immutable segments at an episode boundary. A no-op when the deltas
-// are empty (today's serving path never mutates triples, so this only
-// fires for dynamic-source setups and tests) and on the mem backend.
-// Writer-goroutine only; runs outside every lock — compaction does
-// file I/O and queries read through atomically swapped views, so
-// nothing here can stall a reader or a producer.
-func (s *Server) compactStores() {
-	st := s.cfg.Stores
-	if st == nil {
-		return
-	}
-	start := time.Now()
-	gen := st.Generation()
-	if err := st.Compact(); err != nil {
-		s.metrics.storeErrors.Inc()
-		return
-	}
-	if st.Generation() != gen {
-		// The compaction wrote a new generation (segments + manifest) —
-		// that IS the store checkpoint for this episode; the explicit
-		// checkpoint below will find the set clean and skip.
-		s.metrics.storeCheckpoints.Inc()
-		s.metrics.storeCheckpointSecs.Set(time.Since(start).Seconds())
-	}
-}
-
-// checkpointStores persists the disk backend: dictionary tail, per-
-// source delta files and a new manifest. The immutable segments are
-// untouched, so the cost is O(delta) — and when nothing changed since
-// the last store checkpoint it writes nothing at all (the skip-if-clean
-// contract, regression-tested). Writer-goroutine only, outside logMu.
-func (s *Server) checkpointStores() {
-	if s.cfg.Stores == nil {
-		return
-	}
-	start := time.Now()
-	wrote, err := s.cfg.Stores.Checkpoint()
-	if err != nil {
-		s.metrics.storeErrors.Inc()
-		return
-	}
-	if wrote {
-		s.metrics.storeCheckpoints.Inc()
-		s.metrics.storeCheckpointSecs.Set(time.Since(start).Seconds())
 	}
 }
 
@@ -665,11 +607,7 @@ func (s *Server) checkpointStores() {
 // everything since the last good checkpoint. Writer-goroutine only
 // (or New, strictly before the writer starts).
 func (s *Server) checkpoint() {
-	if s.w.replaying {
-		return
-	}
-	s.checkpointStores()
-	if s.log == nil || s.ckpt == nil {
+	if s.w.replaying || s.log == nil || s.ckpt == nil {
 		return
 	}
 	if s.w.applied == s.w.ckptSeq {

@@ -92,8 +92,8 @@ func canonicalize(vars []string, rows []sparql.Binding) []string {
 	return out
 }
 
-// segmentedTwin copies g into a disk-backed store, compacting halfway
-// so the twin answers from a sorted segment and the write delta both.
+// segmentedTwin copies g into a disk-backed store and commits it, so
+// the twin answers from a sorted, mmap'd segment.
 func segmentedTwin(t *testing.T, g *rdf.Graph) *store.Segmented {
 	t.Helper()
 	set, err := store.Create(t.TempDir(), g.Dict(), store.Options{})
@@ -105,16 +105,13 @@ func segmentedTwin(t *testing.T, g *rdf.Graph) *store.Segmented {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
 	g.ForEachMatchIDs(0, 0, 0, false, false, false, func(s, p, o rdf.ID) bool {
 		seg.InsertIDs(s, p, o)
-		if n++; n == g.Size()/2 {
-			if err := set.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		return true
 	})
+	if err := set.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	return seg
 }
 

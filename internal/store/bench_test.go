@@ -2,9 +2,6 @@ package store
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"alex/internal/rdf"
@@ -32,7 +29,7 @@ func benchDataset(b *testing.B) *synth.Dataset {
 }
 
 // buildBenchSet persists the dataset pair into dir and returns the
-// compacted set (clean: segments + manifest durable, empty deltas).
+// committed set.
 func buildBenchSet(b *testing.B, dir string) *Set {
 	b.Helper()
 	ds := benchDataset(b)
@@ -59,28 +56,13 @@ func buildBenchSet(b *testing.B, dir string) *Set {
 	return set
 }
 
-// dirtyDelta inserts a small batch of fresh triples — one episode's
-// worth of discovered facts — so checkpoints have an O(delta) payload.
-func dirtyDelta(b *testing.B, set *Set, n, salt int) {
-	b.Helper()
-	src := set.Source("ds1")
-	for i := 0; i < n; i++ {
-		id := set.Dict().Intern(rdf.IRI(fmt.Sprintf("urn:bench:delta-%d-%d", salt, i)))
-		src.InsertIDs(id, 1, id)
-	}
-}
-
-// BenchmarkSegmentStore measures the four lifecycle phases the disk
-// backend exists for, at the largest synth profile:
+// BenchmarkSegmentStore measures the lifecycle phases the disk backend
+// exists for, at the largest synth profile:
 //
-//   - build: sort + write + fsync of all segments from scratch;
-//   - scan: a full wildcard scan of the mmap'd segments (the query
+//   - build: sort + write + fsync of the whole store from scratch;
+//   - scan: a full wildcard scan of an mmap'd segment (the query
 //     path's worst case);
-//   - checkpoint/disk-delta: persisting a 100-triple delta with the
-//     segments untouched — the per-episode cost;
-//   - checkpoint/mem-serialize: what the mem backend would have to do
-//     instead: serialize the full dataset (the ≥10× acceptance foil);
-//   - coldstart/mmap: Open on a compacted directory (footers + dict);
+//   - coldstart/mmap: Open on a committed directory (footers + dict);
 //   - coldstart/parse: re-parsing the same triples from N-Triples text
 //     into a fresh rdf.Graph, the mem backend's cold start.
 func BenchmarkSegmentStore(b *testing.B) {
@@ -112,62 +94,6 @@ func BenchmarkSegmentStore(b *testing.B) {
 			})
 			if n != ds.G1.Size() {
 				b.Fatalf("scan saw %d triples, want %d", n, ds.G1.Size())
-			}
-		}
-	})
-
-	b.Run("checkpoint/disk-delta", func(b *testing.B) {
-		dir := b.TempDir()
-		set := buildBenchSet(b, dir)
-		defer set.Close() //nolint:errcheck // read-only teardown
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			// Fold the previous iteration's delta into segments so every
-			// timed checkpoint persists exactly one 100-triple delta.
-			if err := set.Compact(); err != nil {
-				b.Fatal(err)
-			}
-			dirtyDelta(b, set, 100, i)
-			b.StartTimer()
-			wrote, err := set.Checkpoint()
-			if err != nil || !wrote {
-				b.Fatalf("checkpoint: wrote=%v err=%v", wrote, err)
-			}
-		}
-	})
-
-	b.Run("checkpoint/mem-serialize", func(b *testing.B) {
-		// The mem backend has no incremental on-disk form: snapshotting
-		// it means serializing every triple. Same durability protocol
-		// (write + fsync + rename) over the full N-Triples dump.
-		dir := b.TempDir()
-		var buf bytes.Buffer
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := rdf.WriteNTriples(&buf, ds.G1); err != nil {
-				b.Fatal(err)
-			}
-			if err := rdf.WriteNTriples(&buf, ds.G2); err != nil {
-				b.Fatal(err)
-			}
-			path := filepath.Join(dir, "full.nt.tmp")
-			f, err := os.Create(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := f.Write(buf.Bytes()); err != nil {
-				b.Fatal(err)
-			}
-			if err := f.Sync(); err != nil {
-				b.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if err := os.Rename(path, filepath.Join(dir, "full.nt")); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

@@ -1,22 +1,25 @@
-// Fault-injection coverage of the segment write path: torn writes and
-// failed fsyncs abort a compaction without corrupting the in-memory
-// view or the on-disk generation; injected mmap failures drive the
-// heap-read fallback; injected link failures drive the checkpoint copy
-// fallback. Crash-during-compaction recovery at the serving layer
-// (with journal replay) lives in internal/server.
+// Fault-injection coverage of the store's one write: a commit hit by a
+// torn write, a failed fsync, a failed rename or a crash leaves no
+// store behind — Open reports ErrNoStore — and a fresh build over the
+// same directory opens whole. Injected mmap failures drive the
+// heap-read fallback. Crash recovery at the serving layer (journal
+// replay over a committed store) lives in internal/server.
 package store
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"alex/internal/faultfs"
+	"alex/internal/links"
 	"alex/internal/rdf"
 )
 
-// faultWorld builds a compacted single-source set over a faultfs so
-// each test starts from a durable generation with a dirty delta.
-func faultWorld(t *testing.T, dir string) (*faultfs.FS, *Set, *Segmented, *rdf.Graph) {
+// faultWorld builds an uncommitted single-source set in dir over a
+// fresh faultfs, with entities and initial links recorded, and returns
+// the reference graph its commit must read back as.
+func faultWorld(t *testing.T, dir string) (*faultfs.FS, *Set, *rdf.Graph) {
 	t.Helper()
 	ffs := faultfs.New(nil)
 	set, err := Create(dir, nil, Options{FS: ffs})
@@ -30,76 +33,74 @@ func faultWorld(t *testing.T, dir string) (*faultfs.FS, *Set, *Segmented, *rdf.G
 	}
 	ts := randomTriples(rand.New(rand.NewSource(8)), 400, 15)
 	fillSource(t, set, src, ts)
-	ref := graphOf(ts)
-	if err := set.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	extra := randomTriples(rand.New(rand.NewSource(9)), 60, 15)
-	for _, tr := range extra {
-		src.InsertIDs(tr.s, tr.p, tr.o)
-		ref.InsertIDs(tr.s, tr.p, tr.o)
-	}
-	return ffs, set, src, ref
+	set.SetEntities("ds1", []rdf.ID{1, 2, 3})
+	set.SetInitialLinks([]links.Link{{E1: 1, E2: 4}})
+	return ffs, set, graphOf(ts)
 }
 
-// assertTornCompaction injects a fault, requires Compact to fail
-// without losing a triple from the serving view, then simulates a
-// process death and requires a reopen to land on the previous
-// generation — the last state whose manifest committed.
-func assertTornCompaction(t *testing.T, inject func(*faultfs.FS)) {
+// assertTornBuild injects a fault, requires the commit to fail with the
+// source still reading as empty, then simulates a process death: the
+// reopen must find no store, and a fresh build over the same directory
+// — overwriting the torn build's files — must open equal to the
+// reference graph.
+func assertTornBuild(t *testing.T, inject func(*faultfs.FS)) {
 	t.Helper()
 	dir := t.TempDir()
-	ffs, set, src, ref := faultWorld(t, dir)
-	gen := set.Generation()
-	baseSegTriples := src.SegmentTriples()
-
+	ffs, set, ref := faultWorld(t, dir)
 	inject(ffs)
 	if err := set.Compact(); err == nil {
-		t.Fatal("compaction survived the injected fault")
+		t.Fatal("commit survived the injected fault")
 	}
-	// The serving view is untouched: every triple, including the delta
-	// that failed to flush, still answers.
-	assertStoreEqual(t, src, ref, 15)
-	if src.SegmentTriples() != baseSegTriples {
-		t.Fatalf("torn compaction swapped segments in: %d triples, want %d",
-			src.SegmentTriples(), baseSegTriples)
+	if n := set.Source("ds1").Size(); n != 0 {
+		t.Fatalf("failed commit left the source reading %d triples", n)
 	}
 
 	// Power cut, restart over the same directory.
 	ffs.Revive()
-	re, err := Open(dir, Options{FS: ffs})
+	if _, err := Open(dir, Options{FS: ffs}); !errors.Is(err, ErrNoStore) {
+		t.Fatalf("reopen after torn commit: %v, want ErrNoStore", err)
+	}
+	_, rebuild, _ := faultWorld(t, dir)
+	if err := rebuild.Compact(); err != nil {
+		t.Fatalf("rebuild over the torn build: %v", err)
+	}
+	re, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatalf("reopen after torn compaction: %v", err)
+		t.Fatalf("open the rebuilt store: %v", err)
 	}
 	defer re.Close()
-	if re.Generation() != gen {
-		t.Fatalf("reopened generation %d, want pre-tear %d", re.Generation(), gen)
-	}
-	rs := re.Source("ds1")
-	if rs == nil {
-		t.Fatal("reopened set lost ds1")
-	}
-	// Only the durable prefix survives: the compacted baseline, not the
-	// torn delta (it was never acknowledged as checkpointed).
-	if rs.Size() != baseSegTriples {
-		t.Fatalf("reopened size %d, want durable baseline %d", rs.Size(), baseSegTriples)
+	assertStoreEqual(t, re.Source("ds1"), ref, 15)
+	if ls, ok := re.InitialLinks(); !ok || len(ls) != 1 || len(re.Entities("ds1")) != 3 {
+		t.Fatalf("rebuilt store: links %v (%v), entities %v", ls, ok, re.Entities("ds1"))
 	}
 }
 
 func TestCompactionTornWrite(t *testing.T) {
-	assertTornCompaction(t, func(f *faultfs.FS) { f.ShortWriteAt(f.Writes() + 1) })
+	assertTornBuild(t, func(f *faultfs.FS) { f.ShortWriteAt(f.Writes() + 1) })
 }
 
 func TestCompactionFailedSync(t *testing.T) {
-	assertTornCompaction(t, func(f *faultfs.FS) { f.FailAllSyncs(true) })
+	assertTornBuild(t, func(f *faultfs.FS) { f.FailAllSyncs(true) })
 }
 
+// TestCompactionFailedRename fails the manifest's rename: every other
+// file of the store is durable, and still nothing is committed.
 func TestCompactionFailedRename(t *testing.T) {
-	assertTornCompaction(t, func(f *faultfs.FS) { f.FailRenames(true) })
+	// Rename 1 installs the one segment, rename 2 the manifest.
+	assertTornBuild(t, func(f *faultfs.FS) { f.FailRenameAt(2) })
 }
 
+// TestCompactionCrashMidWrite kills the process after each write a
+// commit makes in turn, the manifest's own included.
 func TestCompactionCrashMidWrite(t *testing.T) {
-	assertTornCompaction(t, func(f *faultfs.FS) { f.CrashAfterWrites(2) })
+	ffs, set, _ := faultWorld(t, t.TempDir())
+	before := ffs.Writes()
+	if err := set.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= ffs.Writes()-before; n++ {
+		assertTornBuild(t, func(f *faultfs.FS) { f.CrashAfterWrites(n) })
+	}
 }
 
 // TestMmapFaultFallsBackToHeap: a vetoed mmap must not fail the open —
@@ -107,7 +108,7 @@ func TestCompactionCrashMidWrite(t *testing.T) {
 // identically.
 func TestMmapFaultFallsBackToHeap(t *testing.T) {
 	dir := t.TempDir()
-	ffs, set, src, ref := faultWorld(t, dir)
+	ffs, set, ref := faultWorld(t, dir)
 	if err := set.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +118,8 @@ func TestMmapFaultFallsBackToHeap(t *testing.T) {
 		t.Fatalf("open with mmap fault: %v", err)
 	}
 	defer re.Close()
+	if re.Source("ds1").seg.mapped {
+		t.Fatal("segment mapped despite the injected mmap fault")
+	}
 	assertStoreEqual(t, re.Source("ds1"), ref, 15)
-	_ = src
 }

@@ -10,9 +10,8 @@ import (
 // mmapAvailable reports that this platform can memory-map segments.
 const mmapAvailable = true
 
-// mmapOpen maps the file at path read-only. The returned bytes stay
-// valid even after the file is unlinked (compaction removes superseded
-// segment files while retired readers may still hold the mapping).
+// mmapOpen maps the file at path read-only. The mapping outlives the
+// descriptor, which is closed before returning.
 func mmapOpen(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {

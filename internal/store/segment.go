@@ -311,9 +311,7 @@ func parseSegment(path string, data []byte, mapped bool) (*Segment, error) {
 	return seg, nil
 }
 
-// Close releases the mapping. The Segment must not be used afterwards;
-// the owning Set keeps retired segments alive until its own Close so
-// in-flight readers never touch an unmapped page.
+// Close releases the mapping. The Segment must not be used afterwards.
 func (seg *Segment) Close() error {
 	if !seg.mapped {
 		return nil

@@ -1,192 +1,70 @@
 package store
 
 import (
-	"sort"
-	"sync/atomic"
+	"fmt"
 
 	"alex/internal/rdf"
 )
 
-// Segmented is the disk-backed TripleStore: a stack of immutable
-// sorted segments plus an in-memory write delta. Reads resolve against
-// an atomically-published (segments, delta) view, so queries run
-// concurrently with compaction; writes follow the same single-writer
-// contract as rdf.Graph. Segmented stores are created and compacted by
-// a Set, which owns the on-disk files.
+// Segmented is the disk-backed TripleStore: one immutable sorted
+// segment, written once when its Set commits. Before the commit it
+// collects the triples to write and reads as empty; after it, it is
+// read-only and safe for concurrent use.
 type Segmented struct {
-	name string
-	dict *rdf.Dict
-	view atomic.Pointer[segView]
-}
-
-type segView struct {
-	segs  []*Segment
-	delta *rdf.Graph
-}
-
-func newSegmented(name string, dict *rdf.Dict) *Segmented {
-	s := &Segmented{name: name, dict: dict}
-	s.view.Store(&segView{delta: rdf.NewGraphWithDict(dict)})
-	return s
+	set   *Set
+	name  string
+	seg   *Segment // empty until the set commits
+	build []triple // inserted before the commit
 }
 
 // Name returns the source name the store was registered under.
 func (s *Segmented) Name() string { return s.name }
 
 // Dict returns the shared dictionary.
-func (s *Segmented) Dict() *rdf.Dict { return s.dict }
+func (s *Segmented) Dict() *rdf.Dict { return s.set.dict }
 
-// Size returns the number of distinct triples across segments and
-// delta. Segments never overlap each other or the delta (InsertIDs
-// dedupes against the whole view), so the sizes simply add.
-func (s *Segmented) Size() int {
-	v := s.view.Load()
-	n := v.delta.Size()
-	for _, seg := range v.segs {
-		n += seg.count
+// Size returns the number of distinct triples.
+func (s *Segmented) Size() int { return s.seg.count }
+
+// InsertIDs adds a triple to the build; duplicates are dropped when the
+// segment is written. It panics once the set has committed: a segment
+// store is written once.
+func (s *Segmented) InsertIDs(sub, p, o rdf.ID) {
+	if s.set.committed {
+		panic(fmt.Sprintf("store: InsertIDs on source %q of a committed store", s.name))
 	}
-	return n
+	s.build = append(s.build, triple{sub, p, o})
 }
 
-// DeltaSize returns the number of triples in the in-memory delta, i.e.
-// inserted since the last compaction.
-func (s *Segmented) DeltaSize() int { return s.view.Load().delta.Size() }
-
-// SegmentCount returns the number of on-disk segments in the current
-// view.
-func (s *Segmented) SegmentCount() int { return len(s.view.Load().segs) }
-
-// SegmentTriples returns the number of triples held in on-disk
-// segments (Size minus the delta).
-func (s *Segmented) SegmentTriples() int {
-	v := s.view.Load()
-	n := 0
-	for _, seg := range v.segs {
-		n += seg.count
-	}
-	return n
-}
-
-// InsertIDs adds a triple to the delta unless some segment (or the
-// delta itself) already holds it. Writer-only.
-func (s *Segmented) InsertIDs(sub, p, o rdf.ID) bool {
-	v := s.view.Load()
-	for _, seg := range v.segs {
-		if seg.has(sub, p, o) {
-			return false
-		}
-	}
-	return v.delta.InsertIDs(sub, p, o)
-}
-
-// ForEachMatchIDs enumerates matching triples over segments then
-// delta; fn returns false to stop.
+// ForEachMatchIDs enumerates matching triples; fn returns false to
+// stop.
 func (s *Segmented) ForEachMatchIDs(sub, p, o rdf.ID, haveS, haveP, haveO bool, fn func(s, p, o rdf.ID) bool) {
-	v := s.view.Load()
-	for _, seg := range v.segs {
-		if !seg.forEachMatch(sub, p, o, haveS, haveP, haveO, fn) {
-			return
-		}
-	}
-	v.delta.ForEachMatchIDs(sub, p, o, haveS, haveP, haveO, fn)
+	s.seg.forEachMatch(sub, p, o, haveS, haveP, haveO, fn)
 }
 
-// CountMatch sums the per-segment footer/range counts and the delta's
-// posting counts; exact because segments and delta never overlap.
+// CountMatch returns the number of matching triples from the segment's
+// footer counts and key ranges.
 func (s *Segmented) CountMatch(sub, p, o rdf.ID, haveS, haveP, haveO bool) int {
-	v := s.view.Load()
-	n := v.delta.CountMatch(sub, p, o, haveS, haveP, haveO)
-	for _, seg := range v.segs {
-		n += seg.countMatch(sub, p, o, haveS, haveP, haveO)
-	}
-	return n
+	return s.seg.countMatch(sub, p, o, haveS, haveP, haveO)
 }
 
 // SubjectIDs returns all distinct subject IDs in ascending order.
-func (s *Segmented) SubjectIDs() []rdf.ID {
-	v := s.view.Load()
-	lists := make([][]rdf.ID, 0, len(v.segs)+1)
-	for _, seg := range v.segs {
-		lists = append(lists, seg.postingIDs(posS))
-	}
-	lists = append(lists, v.delta.SubjectIDs())
-	return unionIDs(lists)
-}
+func (s *Segmented) SubjectIDs() []rdf.ID { return s.seg.postingIDs(posS) }
 
 // PredicateIDs returns all distinct predicate IDs in ascending order.
-func (s *Segmented) PredicateIDs() []rdf.ID {
-	v := s.view.Load()
-	lists := make([][]rdf.ID, 0, len(v.segs)+1)
-	for _, seg := range v.segs {
-		lists = append(lists, seg.postingIDs(posP))
-	}
-	lists = append(lists, v.delta.PredicateIDs())
-	return unionIDs(lists)
-}
+func (s *Segmented) PredicateIDs() []rdf.ID { return s.seg.postingIDs(posP) }
 
 // Entity returns subject sub's attributes ordered by (predicate,
-// object), matching rdf.Graph.Entity.
+// object), matching rdf.Graph.Entity: the SPO section's order.
 func (s *Segmented) Entity(sub rdf.ID) []rdf.Attribute {
-	v := s.view.Load()
-	var out []rdf.Attribute
-	for _, seg := range v.segs {
-		lo, hi := seg.bounds(secSPO, [3]uint32{uint32(sub)}, 1)
-		for i := lo; i < hi; i++ {
-			k := seg.key(secSPO, i)
-			out = append(out, rdf.Attribute{Pred: rdf.ID(k[1]), Obj: rdf.ID(k[2])})
-		}
-	}
-	out = append(out, v.delta.Entity(sub)...)
-	if len(out) == 0 {
+	lo, hi := s.seg.bounds(secSPO, [3]uint32{uint32(sub)}, 1)
+	if lo == hi {
 		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pred != out[j].Pred {
-			return out[i].Pred < out[j].Pred
-		}
-		return out[i].Obj < out[j].Obj
-	})
-	return out
-}
-
-// triples gathers the full view contents, sorted in SPO order, for
-// compaction into a single fresh segment.
-func (v *segView) triples() []triple {
-	n := v.delta.Size()
-	for _, seg := range v.segs {
-		n += seg.count
-	}
-	out := make([]triple, 0, n)
-	for _, seg := range v.segs {
-		seg.scan(secSPO, 0, seg.count, func(s, p, o rdf.ID) bool {
-			out = append(out, triple{s, p, o})
-			return true
-		})
-	}
-	v.delta.ForEachMatchIDs(0, 0, 0, false, false, false, func(s, p, o rdf.ID) bool {
-		out = append(out, triple{s, p, o})
-		return true
-	})
-	return out
-}
-
-// unionIDs merges ascending ID lists into one ascending deduplicated
-// list.
-func unionIDs(lists [][]rdf.ID) []rdf.ID {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	all := make([]rdf.ID, 0, n)
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	out := all[:0]
-	for i, id := range all {
-		if i == 0 || id != all[i-1] {
-			out = append(out, id)
-		}
+	out := make([]rdf.Attribute, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		k := s.seg.key(secSPO, i)
+		out = append(out, rdf.Attribute{Pred: rdf.ID(k[1]), Obj: rdf.ID(k[2])})
 	}
 	return out
 }

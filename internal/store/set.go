@@ -9,7 +9,6 @@ import (
 	"io"
 	"io/fs"
 	"strings"
-	"sync/atomic"
 
 	"alex/internal/links"
 	"alex/internal/rdf"
@@ -18,33 +17,24 @@ import (
 
 // On-disk layout of a store directory:
 //
-//	MANIFEST.json            the root of the generation (written last,
-//	                         atomically: tmp + fsync + rename + dirsync)
-//	dict.bin                 append-only dictionary terms in ID order;
-//	                         the manifest pins how many bytes/terms are
-//	                         valid, so a torn append is truncated away
-//	<src>-<seq>.seg          immutable sorted segments (see segment.go)
-//	<src>-delta-<gen>.bin    the in-memory delta serialized at checkpoint
-//	<src>.ent                the source's linkable-entity ID list
-//	links.bin                the initial candidate link set
+//	<src>.seg       the source's triples, one sorted segment (segment.go)
+//	<src>.ent       the source's linkable-entity ID list
+//	links.bin       the initial candidate link set
+//	dict.bin        the dictionary terms in ID order
+//	MANIFEST.json   the commit record (written last, atomically:
+//	                tmp + fsync + rename + dirsync)
 //
-// Every file except dict.bin and MANIFEST.json is immutable and
-// uniquely named, and the manifest is renamed into place only after
-// everything it references is durable. A crash at any point therefore
-// leaves the previous manifest and every file it references intact:
-// recovery falls back to the previous generation, and stray files from
-// the torn generation are removed at the next Open.
+// The directory is written once, by Compact. Every other file is
+// durable before the manifest is renamed into place, so a crash at
+// any point leaves either a complete store or no manifest at all —
+// Open reports ErrNoStore and the caller builds again over the same
+// directory, whose fixed file names overwrite the torn build's debris.
 const (
 	manifestName = "MANIFEST.json"
 	dictName     = "dict.bin"
 	linksName    = "links.bin"
 
-	manifestVersion = 1
-
-	// defaultMaxSegments is the flush-stack depth at which a compaction
-	// folds the whole stack into one segment instead of appending
-	// another delta segment.
-	defaultMaxSegments = 8
+	manifestVersion = 2
 )
 
 // ErrNoStore is wrapped by Open when dir holds no store manifest —
@@ -58,8 +48,6 @@ type Options struct {
 	FS wal.FS
 	// NoMmap forces segments to be read into memory instead of mmap'd.
 	NoMmap bool
-	// MaxSegments overrides defaultMaxSegments; 0 keeps the default.
-	MaxSegments int
 	// Meta is an identity stamp for the data the store was built from
 	// (dataset paths or synth profile). Open fails when it does not
 	// match, because dictionary IDs are only meaningful for the exact
@@ -68,38 +56,26 @@ type Options struct {
 }
 
 // Set is a directory of disk-backed triple stores sharing one
-// dictionary: the unit alexd persists. Mutation (AddSource, InsertIDs
-// on its stores, Compact, Checkpoint) is single-writer, like the rest
-// of the write path; reads through the stores are safe concurrently
-// with all of it.
+// dictionary: the unit alexd persists. A build is Create, AddSource,
+// InsertIDs on the sources, SetEntities/SetInitialLinks, then Compact —
+// single-writer, before anything reads. After the commit (or Open) the
+// set never changes and its stores are safe for concurrent reads.
 type Set struct {
 	dir  string
 	fs   wal.FS
 	opts Options
 
-	dict     *rdf.Dict
-	gen      atomic.Uint64 // manifest generation, bumped each durable write
-	seq      uint64        // unique file sequence number
-	sources  []*Segmented
-	byName   map[string]*Segmented
-	entities map[string][]rdf.ID
-	links    []links.Link
-
-	dictTerms  int   // terms persisted in dict.bin per the manifest
-	dictBytes  int64 // valid bytes of dict.bin per the manifest
-	deltaFiles map[string]string
-	hasLinks   bool
-
-	// retired holds segments replaced by compaction. They stay mapped
-	// until Close so readers holding an older view never fault.
-	retired []*Segment
-
-	lastFP string // fingerprint at the last manifest write
+	dict      *rdf.Dict
+	sources   []*Segmented
+	byName    map[string]*Segmented
+	entities  map[string][]rdf.ID
+	links     []links.Link
+	hasLinks  bool
+	committed bool
 }
 
-// Create starts an empty store set in dir. The caller adds sources,
-// loads triples, then calls Checkpoint (or Compact) to make it
-// durable.
+// Create starts an empty store set in dir. It refuses a directory that
+// already holds a committed store: a store is written once.
 func Create(dir string, dict *rdf.Dict, opts Options) (*Set, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -108,23 +84,29 @@ func Create(dir string, dict *rdf.Dict, opts Options) (*Set, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
 	}
+	if r, err := fsys.Open(dir + "/" + manifestName); err == nil {
+		r.Close() //lint:ignore syncerr read-only probe; the refusal is the result
+		return nil, fmt.Errorf("store: %s already holds a committed store", dir)
+	}
 	if dict == nil {
 		dict = rdf.NewDict()
 	}
 	return &Set{
-		dir:        dir,
-		fs:         fsys,
-		opts:       opts,
-		dict:       dict,
-		byName:     make(map[string]*Segmented),
-		entities:   make(map[string][]rdf.ID),
-		deltaFiles: make(map[string]string),
+		dir:      dir,
+		fs:       fsys,
+		opts:     opts,
+		dict:     dict,
+		byName:   make(map[string]*Segmented),
+		entities: make(map[string][]rdf.ID),
 	}, nil
 }
 
 // AddSource registers a new named store. Names become file name stems,
 // so they are restricted to [a-zA-Z0-9_-].
 func (s *Set) AddSource(name string) (*Segmented, error) {
+	if s.committed {
+		return nil, fmt.Errorf("store: AddSource %q on the committed store in %s", name, s.dir)
+	}
 	if name == "" || strings.IndexFunc(name, func(r rune) bool {
 		return !(r == '-' || r == '_' || (r >= '0' && r <= '9') ||
 			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z'))
@@ -134,7 +116,7 @@ func (s *Set) AddSource(name string) (*Segmented, error) {
 	if _, dup := s.byName[name]; dup {
 		return nil, fmt.Errorf("store: duplicate source %q", name)
 	}
-	src := newSegmented(name, s.dict)
+	src := &Segmented{set: s, name: name, seg: &Segment{}}
 	s.sources = append(s.sources, src)
 	s.byName[name] = src
 	return src, nil
@@ -148,16 +130,6 @@ func (s *Set) Sources() []*Segmented { return s.sources }
 
 // Dict returns the shared dictionary.
 func (s *Set) Dict() *rdf.Dict { return s.dict }
-
-// Meta returns the identity stamp the store was created or opened with.
-func (s *Set) Meta() string { return s.opts.Meta }
-
-// Generation returns the manifest generation (bumped by every
-// successful Compact/Checkpoint that wrote something).
-func (s *Set) Generation() uint64 { return s.gen.Load() }
-
-// Dir returns the store directory.
-func (s *Set) Dir() string { return s.dir }
 
 // SetEntities records the source's linkable-entity ID list, persisted
 // so cold start does not have to recompute it from the raw data.
@@ -179,244 +151,81 @@ func (s *Set) SetInitialLinks(ls []links.Link) {
 // was recorded.
 func (s *Set) InitialLinks() ([]links.Link, bool) { return s.links, s.hasLinks }
 
-// Dirty reports whether there is anything a Checkpoint would persist.
-func (s *Set) Dirty() bool { return s.fingerprint() != s.lastFP }
-
-// fingerprint captures everything a manifest write depends on. The
-// store is insert-only, so sizes and file names are a sound change
-// detector.
-func (s *Set) fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "d%d", s.dict.Len())
-	for _, src := range s.sources {
-		v := src.view.Load()
-		fmt.Fprintf(&b, "|%s=%d", src.name, v.delta.Size())
-		for _, seg := range v.segs {
-			b.WriteByte(',')
-			b.WriteString(seg.path)
-		}
-	}
-	return b.String()
-}
-
-func (s *Set) maxSegments() int {
-	if s.opts.MaxSegments > 0 {
-		return s.opts.MaxSegments
-	}
-	return defaultMaxSegments
-}
-
-func (s *Set) nextSeq() uint64 { s.seq++; return s.seq }
-
-// Compact folds each dirty source's delta into a new immutable segment
-// (a full merge of the whole stack once it is maxSegments deep) and
-// commits the new generation. Intended for episode boundaries. Clean
-// sources are untouched; a fully clean set is a no-op.
+// Compact commits the build: per source one segment file and the
+// entity list, then the initial links and the whole dictionary, then
+// MANIFEST.json last. It is the one write a store gets; afterwards the
+// sources read their segments and refuse further inserts. A failure
+// before the manifest is renamed into place commits nothing, and the
+// sources still read as empty.
 func (s *Set) Compact() error {
-	type swap struct {
-		src  *Segmented
-		prev *segView
-		next *segView
-		old  []*Segment
+	if s.committed {
+		return fmt.Errorf("store: %s is already committed", s.dir)
 	}
-	var swaps []swap
-	for _, src := range s.sources {
-		v := src.view.Load()
-		if v.delta.Size() == 0 {
-			continue
-		}
-		var ts []triple
-		var old []*Segment
-		if len(v.segs) >= s.maxSegments() {
-			ts = v.triples() // full merge
-			old = v.segs
-		} else {
-			ts = (&segView{delta: v.delta}).triples() // delta only
-		}
-		name := fmt.Sprintf("%s-%06d.seg", src.name, s.nextSeq())
-		if err := writeSegment(s.fs, s.dir, name, ts); err != nil {
-			return err
-		}
-		seg, err := openSegment(s.fs, s.dir+"/"+name, s.opts.NoMmap)
-		if err != nil {
-			return fmt.Errorf("store: reopen compacted segment: %w", err)
-		}
-		keep := v.segs
-		if old != nil {
-			keep = nil
-		}
-		next := &segView{
-			segs:  append(append([]*Segment(nil), keep...), seg),
-			delta: rdf.NewGraphWithDict(s.dict),
-		}
-		swaps = append(swaps, swap{src: src, prev: v, next: next, old: old})
-	}
-	if len(swaps) == 0 && s.fingerprint() == s.lastFP {
-		return nil
-	}
-	// Stage the new views so the manifest describes them, then commit.
-	// Only after the manifest is durable do readers see the new
-	// generation; a failure before that leaves the old views (and the
-	// old manifest) fully intact.
-	for _, sw := range swaps {
-		sw.src.view.Store(sw.next)
-	}
-	if err := s.writeManifest(); err != nil {
-		for _, sw := range swaps {
-			sw.src.view.Store(sw.prev)
-		}
+	if err := s.writeFiles(); err != nil {
 		return err
 	}
-	for _, sw := range swaps {
-		s.retired = append(s.retired, sw.old...)
+	s.committed = true
+	for _, src := range s.sources {
+		seg, err := openSegment(s.fs, s.dir+"/"+src.name+".seg", s.opts.NoMmap)
+		if err != nil {
+			return fmt.Errorf("store: open written segment: %w", err)
+		}
+		src.seg, src.build = seg, nil
 	}
-	s.cleanup()
 	return nil
 }
 
-// Checkpoint persists the current state in place: the dictionary tail
-// is appended, each dirty source's delta is serialized (small — the
-// segments are immutable and already on disk), and a new manifest
-// committed. Returns false without touching the disk when nothing
-// changed since the last manifest write — the skip-if-clean contract
-// the server's episode loop relies on.
+// Checkpoint commits an uncommitted set as Compact does and reports
+// true; a committed set has nothing to write and reports false.
 func (s *Set) Checkpoint() (bool, error) {
-	if s.fingerprint() == s.lastFP {
+	if s.committed {
 		return false, nil
 	}
-	if err := s.writeManifest(); err != nil {
+	if err := s.Compact(); err != nil {
 		return false, err
 	}
-	s.cleanup()
 	return true, nil
 }
 
-// writeManifest makes the current in-memory state durable: dict tail,
-// delta files, entity/link files, then the manifest itself, atomically
-// and in that order.
-func (s *Set) writeManifest() error {
-	if err := s.appendDictTail(); err != nil {
-		return err
-	}
-	gen := s.gen.Load() + 1
-	m := manifest{
-		Version:    manifestVersion,
-		Meta:       s.opts.Meta,
-		Generation: gen,
-		Seq:        s.seq,
-		DictTerms:  s.dictTerms,
-		DictBytes:  s.dictBytes,
-	}
-	newDeltas := make(map[string]string, len(s.sources))
+// writeFiles writes every file of the store, the manifest last.
+func (s *Set) writeFiles() error {
+	m := manifest{Version: manifestVersion, Meta: s.opts.Meta}
 	for _, src := range s.sources {
-		v := src.view.Load()
-		ms := manifestSource{Name: src.name}
-		for _, seg := range v.segs {
-			ms.Segments = append(ms.Segments, pathBase(seg.path))
-		}
-		if v.delta.Size() > 0 {
-			dn := fmt.Sprintf("%s-delta-%06d.bin", src.name, gen)
-			if err := s.writeDelta(dn, v.delta); err != nil {
-				return err
-			}
-			ms.Delta = dn
-			newDeltas[src.name] = dn
+		ms := manifestSource{Name: src.name, Segment: src.name + ".seg"}
+		if err := writeSegment(s.fs, s.dir, ms.Segment, src.build); err != nil {
+			return err
 		}
 		if ids, ok := s.entities[src.name]; ok {
-			en := src.name + ".ent"
-			if err := s.writeBlobOnce(en, encodeEntities(ids)); err != nil {
+			ms.Entities = src.name + ".ent"
+			if err := s.writeFileDurable(ms.Entities, encodeEntities(ids)); err != nil {
 				return err
 			}
-			ms.Entities = en
 		}
 		m.Sources = append(m.Sources, ms)
 	}
 	if s.hasLinks {
-		if err := s.writeBlobOnce(linksName, encodeLinks(s.links)); err != nil {
+		m.Links = linksName
+		if err := s.writeFileDurable(linksName, encodeLinks(s.links)); err != nil {
 			return err
 		}
-		m.Links = linksName
+	}
+	var dict []byte
+	for id := 1; id <= s.dict.Len(); id++ {
+		dict = appendTerm(dict, s.dict.Term(rdf.ID(id)))
+	}
+	m.DictTerms, m.DictBytes = s.dict.Len(), int64(len(dict))
+	if err := s.writeFileDurable(dictName, dict); err != nil {
+		return err
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: encode manifest: %w", err)
 	}
-	if err := s.writeFileAtomic(manifestName, append(data, '\n')); err != nil {
-		return err
-	}
-	s.gen.Store(gen)
-	s.deltaFiles = newDeltas
-	s.lastFP = s.fingerprint()
-	return nil
+	return s.writeFileAtomic(manifestName, append(data, '\n'))
 }
 
-// appendDictTail persists dictionary terms interned since the last
-// manifest. The file is append-only; the manifest pins the valid byte
-// count, so the tail of a failed append is truncated before the next
-// one.
-func (s *Set) appendDictTail() error {
-	if s.dict.Len() == s.dictTerms {
-		return nil
-	}
-	path := s.dir + "/" + dictName
-	if s.dictBytes > 0 {
-		if err := s.fs.Truncate(path, s.dictBytes); err != nil {
-			return fmt.Errorf("store: truncate dict: %w", err)
-		}
-	}
-	var buf []byte
-	for id := s.dictTerms + 1; id <= s.dict.Len(); id++ {
-		buf = appendTerm(buf, s.dict.Term(rdf.ID(id)))
-	}
-	f, err := s.fs.OpenAppend(path)
-	if err != nil {
-		return fmt.Errorf("store: open dict: %w", err)
-	}
-	_, werr := f.Write(buf)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if err := f.Close(); werr == nil {
-		werr = err
-	}
-	if werr != nil {
-		return fmt.Errorf("store: append dict: %w", werr)
-	}
-	s.dictTerms = s.dict.Len()
-	s.dictBytes += int64(len(buf))
-	return nil
-}
-
-// writeDelta serializes a delta graph to a fresh, uniquely named file.
-func (s *Set) writeDelta(name string, g *rdf.Graph) error {
-	payload := make([]byte, 0, 16+g.Size()*6)
-	payload = binary.AppendUvarint(payload, uint64(g.Size()))
-	g.ForEachMatchIDs(0, 0, 0, false, false, false, func(sub, p, o rdf.ID) bool {
-		payload = binary.AppendUvarint(payload, uint64(sub))
-		payload = binary.AppendUvarint(payload, uint64(p))
-		payload = binary.AppendUvarint(payload, uint64(o))
-		return true
-	})
-	return s.writeFileDurable(name, blobBytes("ALXDLT01", payload))
-}
-
-// writeBlobOnce writes an immutable file unless it already exists.
-func (s *Set) writeBlobOnce(name string, data []byte) error {
-	names, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: readdir %s: %w", s.dir, err)
-	}
-	for _, n := range names {
-		if n == name {
-			return nil
-		}
-	}
-	return s.writeFileDurable(name, data)
-}
-
-// writeFileDurable writes a uniquely named file and fsyncs it. No
-// rename dance: the file only becomes live when a later manifest
-// references it.
+// writeFileDurable writes name and fsyncs it. No rename dance: the
+// file only becomes live when the manifest references it.
 func (s *Set) writeFileDurable(name string, data []byte) error {
 	f, err := s.fs.Create(s.dir + "/" + name)
 	if err != nil {
@@ -451,61 +260,23 @@ func (s *Set) writeFileAtomic(name string, data []byte) error {
 	return nil
 }
 
-// cleanup removes files the current manifest does not reference: the
-// debris of superseded generations and torn compactions. Best-effort;
-// failures leave garbage, never break correctness.
-func (s *Set) cleanup() {
-	names, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	live := map[string]bool{manifestName: true, dictName: true, linksName: true}
-	for _, src := range s.sources {
-		for _, seg := range src.view.Load().segs {
-			live[pathBase(seg.path)] = true
-		}
-		live[src.name+".ent"] = true
-	}
-	for _, dn := range s.deltaFiles {
-		live[dn] = true
-	}
-	for _, n := range names {
-		if live[n] {
-			continue
-		}
-		if strings.HasSuffix(n, ".seg") || strings.HasSuffix(n, ".tmp") ||
-			strings.HasSuffix(n, ".ent") || strings.HasSuffix(n, "-delta.bin") ||
-			strings.Contains(n, "-delta-") {
-			s.fs.Remove(s.dir + "/" + n) //lint:ignore syncerr best-effort debris removal
-		}
-	}
-}
-
-// Close releases every mapped segment, including retired ones.
+// Close releases every mapped segment.
 func (s *Set) Close() error {
 	var first error
 	for _, src := range s.sources {
-		for _, seg := range src.view.Load().segs {
-			if err := seg.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	for _, seg := range s.retired {
-		if err := seg.Close(); err != nil && first == nil {
+		if err := src.seg.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	s.retired = nil
 	return first
 }
 
 // Open cold-starts a store set from dir: the manifest is read, the
-// dictionary loaded, every segment mmap'd (no parsing — the OS pages
-// data in on demand) and the small deltas replayed. Returns an error
-// wrapping ErrNoStore when dir has no manifest, and an error when
-// opts.Meta does not match the manifest's stamp (the store was built
-// from different data, so its IDs would be meaningless).
+// dictionary loaded and every segment mmap'd (no parsing — the OS pages
+// data in on demand). Returns an error wrapping ErrNoStore when dir has
+// no manifest, and an error when opts.Meta does not match the
+// manifest's stamp (the store was built from different data, so its
+// IDs would be meaningless).
 func Open(dir string, opts Options) (*Set, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -530,57 +301,47 @@ func Open(dir string, opts Options) (*Set, error) {
 		return nil, fmt.Errorf("store: parse manifest: %w", err)
 	}
 	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("store: manifest version %d not supported", m.Version)
+		return nil, fmt.Errorf("store: manifest version %d not supported — rebuild with a fresh -data dir", m.Version)
 	}
 	if opts.Meta != "" && m.Meta != opts.Meta {
 		return nil, fmt.Errorf("store: built from %q, want %q — rebuild with a fresh -data dir", m.Meta, opts.Meta)
 	}
 	opts.Meta = m.Meta
 	s := &Set{
-		dir:        dir,
-		fs:         fsys,
-		opts:       opts,
-		dict:       rdf.NewDict(),
-		seq:        m.Seq,
-		byName:     make(map[string]*Segmented),
-		entities:   make(map[string][]rdf.ID),
-		deltaFiles: make(map[string]string),
-		dictTerms:  m.DictTerms,
-		dictBytes:  m.DictBytes,
+		dir:      dir,
+		fs:       fsys,
+		opts:     opts,
+		dict:     rdf.NewDict(),
+		byName:   make(map[string]*Segmented),
+		entities: make(map[string][]rdf.ID),
 	}
-	s.gen.Store(m.Generation)
-	if m.DictBytes > 0 {
-		if err := s.loadDict(m); err != nil {
-			return nil, err
-		}
+	if err := s.load(m); err != nil {
+		s.Close() //lint:ignore syncerr the open error wins; close is best-effort cleanup
+		return nil, err
+	}
+	s.committed = true
+	return s, nil
+}
+
+// load reads everything the manifest references into s.
+func (s *Set) load(m manifest) error {
+	if err := s.loadDict(m); err != nil {
+		return err
 	}
 	for _, ms := range m.Sources {
 		src, err := s.AddSource(ms.Name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		v := &segView{delta: rdf.NewGraphWithDict(s.dict)}
-		for _, segName := range ms.Segments {
-			seg, err := openSegment(fsys, dir+"/"+segName, opts.NoMmap)
-			if err != nil {
-				s.Close() //lint:ignore syncerr the open error wins; close is best-effort cleanup
-				return nil, err
-			}
-			v.segs = append(v.segs, seg)
+		seg, err := openSegment(s.fs, s.dir+"/"+ms.Segment, s.opts.NoMmap)
+		if err != nil {
+			return err
 		}
-		if ms.Delta != "" {
-			if err := s.loadDelta(ms.Delta, v.delta); err != nil {
-				s.Close() //lint:ignore syncerr the open error wins; close is best-effort cleanup
-				return nil, err
-			}
-			s.deltaFiles[ms.Name] = ms.Delta
-		}
-		src.view.Store(v)
+		src.seg = seg
 		if ms.Entities != "" {
 			ids, err := s.readEntities(ms.Entities)
 			if err != nil {
-				s.Close() //lint:ignore syncerr the open error wins; close is best-effort cleanup
-				return nil, err
+				return err
 			}
 			s.entities[ms.Name] = ids
 		}
@@ -588,14 +349,11 @@ func Open(dir string, opts Options) (*Set, error) {
 	if m.Links != "" {
 		ls, err := s.readLinks(m.Links)
 		if err != nil {
-			s.Close() //lint:ignore syncerr the open error wins; close is best-effort cleanup
-			return nil, err
+			return err
 		}
 		s.links, s.hasLinks = ls, true
 	}
-	s.lastFP = s.fingerprint()
-	s.cleanup()
-	return s, nil
+	return nil
 }
 
 func (s *Set) loadDict(m manifest) error {
@@ -603,17 +361,16 @@ func (s *Set) loadDict(m manifest) error {
 	if err != nil {
 		return fmt.Errorf("store: open dict: %w", err)
 	}
-	data, rerr := io.ReadAll(r)
+	buf, rerr := io.ReadAll(r)
 	if cerr := r.Close(); rerr == nil {
 		rerr = cerr
 	}
 	if rerr != nil {
 		return fmt.Errorf("store: read dict: %w", rerr)
 	}
-	if int64(len(data)) < m.DictBytes {
-		return fmt.Errorf("store: dict file truncated: %d bytes, manifest says %d", len(data), m.DictBytes)
+	if int64(len(buf)) != m.DictBytes {
+		return fmt.Errorf("store: dict file is %d bytes, manifest says %d", len(buf), m.DictBytes)
 	}
-	buf := data[:m.DictBytes]
 	for i := 0; i < m.DictTerms; i++ {
 		t, rest, err := readTerm(buf)
 		if err != nil {
@@ -626,30 +383,6 @@ func (s *Set) loadDict(m manifest) error {
 	}
 	if len(buf) != 0 {
 		return fmt.Errorf("store: dict file has %d trailing bytes", len(buf))
-	}
-	return nil
-}
-
-func (s *Set) loadDelta(name string, g *rdf.Graph) error {
-	payload, err := s.readBlob(name, "ALXDLT01")
-	if err != nil {
-		return err
-	}
-	n, payload, err := readUvarint(payload)
-	if err != nil {
-		return fmt.Errorf("store: delta %s: %w", name, err)
-	}
-	for i := uint64(0); i < n; i++ {
-		var sub, p, o uint64
-		if sub, payload, err = readUvarint(payload); err == nil {
-			if p, payload, err = readUvarint(payload); err == nil {
-				o, payload, err = readUvarint(payload)
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("store: delta %s triple %d: %w", name, i, err)
-		}
-		g.InsertIDs(rdf.ID(sub), rdf.ID(p), rdf.ID(o))
 	}
 	return nil
 }
@@ -721,23 +454,20 @@ func (s *Set) readBlob(name, magic string) ([]byte, error) {
 	return payload, nil
 }
 
-// manifest is the JSON root of a store directory generation.
+// manifest is the JSON commit record of a store directory.
 type manifest struct {
-	Version    int              `json:"version"`
-	Meta       string           `json:"meta,omitempty"`
-	Generation uint64           `json:"generation"`
-	Seq        uint64           `json:"seq"`
-	DictTerms  int              `json:"dict_terms"`
-	DictBytes  int64            `json:"dict_bytes"`
-	Links      string           `json:"links,omitempty"`
-	Sources    []manifestSource `json:"sources"`
+	Version   int              `json:"version"`
+	Meta      string           `json:"meta,omitempty"`
+	DictTerms int              `json:"dict_terms"`
+	DictBytes int64            `json:"dict_bytes"`
+	Links     string           `json:"links,omitempty"`
+	Sources   []manifestSource `json:"sources"`
 }
 
 type manifestSource struct {
-	Name     string   `json:"name"`
-	Segments []string `json:"segments,omitempty"`
-	Delta    string   `json:"delta,omitempty"`
-	Entities string   `json:"entities,omitempty"`
+	Name     string `json:"name"`
+	Segment  string `json:"segment"`
+	Entities string `json:"entities,omitempty"`
 }
 
 func blobBytes(magic string, payload []byte) []byte {
@@ -806,11 +536,4 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 		return 0, nil, errors.New("bad uvarint")
 	}
 	return v, buf[n:], nil
-}
-
-func pathBase(p string) string {
-	if i := strings.LastIndexByte(p, '/'); i >= 0 {
-		return p[i+1:]
-	}
-	return p
 }

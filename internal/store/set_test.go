@@ -2,9 +2,11 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"alex/internal/links"
@@ -101,25 +103,10 @@ func TestSetRoundTrip(t *testing.T) {
 	set.SetEntities("ds1", []rdf.ID{3, 1, 9})
 	set.SetInitialLinks([]links.Link{{E1: 1, E2: 2}, {E1: 5, E2: 7}})
 
+	// Before the commit the source reads as empty.
+	assertStoreEqual(t, src, rdf.NewGraph(), 30)
 	if err := set.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
-	}
-	if src.DeltaSize() != 0 || src.SegmentCount() != 1 {
-		t.Fatalf("after compact: delta=%d segments=%d", src.DeltaSize(), src.SegmentCount())
-	}
-	assertStoreEqual(t, src, ref, 30)
-
-	// More inserts land in the delta; a checkpoint persists them
-	// without touching the segment.
-	extra := randomTriples(rand.New(rand.NewSource(7)), 40, 30)
-	for _, tr := range extra {
-		if src.InsertIDs(tr.s, tr.p, tr.o) != ref.InsertIDs(tr.s, tr.p, tr.o) {
-			t.Fatal("InsertIDs newness diverged from rdf.Graph")
-		}
-	}
-	wrote, err := set.Checkpoint()
-	if err != nil || !wrote {
-		t.Fatalf("checkpoint: wrote=%v err=%v", wrote, err)
 	}
 	assertStoreEqual(t, src, ref, 30)
 
@@ -150,6 +137,8 @@ func TestSetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSetCheckpointSkipsWhenClean: Checkpoint commits an uncommitted
+// set, and on a committed one — built here or opened — writes nothing.
 func TestSetCheckpointSkipsWhenClean(t *testing.T) {
 	dir := t.TempDir()
 	set, err := Create(dir, nil, Options{})
@@ -157,31 +146,60 @@ func TestSetCheckpointSkipsWhenClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := set.AddSource("ds1")
-	fillSource(t, set, src, randomTriples(rand.New(rand.NewSource(3)), 100, 10))
-	if err := set.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if set.Dirty() {
-		t.Fatal("set dirty right after compact")
-	}
-	before := dirState(t, dir)
-	gen := set.Generation()
+	ts := randomTriples(rand.New(rand.NewSource(3)), 100, 10)
+	fillSource(t, set, src, ts)
 	wrote, err := set.Checkpoint()
+	if err != nil || !wrote {
+		t.Fatalf("first checkpoint: wrote=%v err=%v, want a commit", wrote, err)
+	}
+	assertStoreEqual(t, src, graphOf(ts), 10)
+	before := dirState(t, dir)
+	if wrote, err := set.Checkpoint(); err != nil || wrote {
+		t.Fatalf("committed checkpoint: wrote=%v err=%v", wrote, err)
+	}
+	re, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wrote {
-		t.Fatal("clean checkpoint claimed to write")
+	defer re.Close()
+	if wrote, err := re.Checkpoint(); err != nil || wrote {
+		t.Fatalf("opened checkpoint: wrote=%v err=%v", wrote, err)
 	}
+	if got := dirState(t, dir); got != before {
+		t.Fatalf("checkpoint of a committed store touched the dir:\nbefore %s\nafter  %s", before, got)
+	}
+}
+
+// TestSetIsWrittenOnce: after the commit the set refuses every write,
+// and Create refuses a directory that holds a committed store.
+func TestSetIsWrittenOnce(t *testing.T) {
+	dir := t.TempDir()
+	set, err := Create(dir, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	src, _ := set.AddSource("ds1")
+	fillSource(t, set, src, randomTriples(rand.New(rand.NewSource(4)), 50, 8))
 	if err := set.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dirState(t, dir); got != before {
-		t.Fatalf("clean checkpoint/compact touched the dir:\nbefore %s\nafter  %s", before, got)
+	if _, err := Create(dir, nil, Options{}); err == nil {
+		t.Fatal("Create over a committed store succeeded")
 	}
-	if set.Generation() != gen {
-		t.Fatalf("generation moved %d -> %d without changes", gen, set.Generation())
+	if _, err := set.AddSource("ds2"); err == nil {
+		t.Fatal("AddSource after the commit succeeded")
 	}
+	if err := set.Compact(); err == nil {
+		t.Fatal("a second Compact succeeded")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"ds1"`) {
+			t.Fatalf("InsertIDs after the commit: panic %q, want one naming the source", msg)
+		}
+	}()
+	src.InsertIDs(1, 1, 1)
 }
 
 // dirState fingerprints a directory: sorted name:size:mtime.
@@ -197,46 +215,10 @@ func dirState(t *testing.T, dir string) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts = append(parts, fi.Name()+":"+fi.ModTime().String()+":"+string(rune(fi.Size())))
+		parts = append(parts, fmt.Sprintf("%s:%d:%s", fi.Name(), fi.Size(), fi.ModTime()))
 	}
 	sort.Strings(parts)
-	out := ""
-	for _, p := range parts {
-		out += p + "\n"
-	}
-	return out
-}
-
-func TestSetMergesAtMaxSegments(t *testing.T) {
-	dir := t.TempDir()
-	set, err := Create(dir, nil, Options{MaxSegments: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, _ := set.AddSource("ds1")
-	ref := rdf.NewGraph()
-	rng := rand.New(rand.NewSource(11))
-	for round := 0; round < 6; round++ {
-		ts := randomTriples(rng, 80, 12)
-		fillSource(t, set, src, ts)
-		for _, tr := range ts {
-			ref.InsertIDs(tr.s, tr.p, tr.o)
-		}
-		if err := set.Compact(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if got := src.SegmentCount(); got > 3 {
-			t.Fatalf("round %d: %d segments, cap 3", round, got)
-		}
-		assertStoreEqual(t, src, ref, 12)
-	}
-	// The merged view must survive a cold start too.
-	re, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	assertStoreEqual(t, re.Source("ds1"), ref, 12)
+	return strings.Join(parts, "\n")
 }
 
 func TestSetMetaMismatch(t *testing.T) {
