@@ -80,9 +80,11 @@ bench-query:
 		./internal/federation ./internal/sparql | \
 		$(GO) run ./cmd/benchjson -out BENCH_query.json
 
-# bench-store runs the segment-store lifecycle benchmark at the
-# largest synth profile: the one-time store build, an mmap'd full scan,
-# and mmap cold start vs N-Triples re-parse (acceptance: faster).
+# bench-store runs the segment-store benchmark at the largest synth
+# profile: the one-time store build, an mmap'd full scan, mmap cold
+# start vs N-Triples re-parse (acceptance: faster), and the probes a
+# bind join makes — S+P-bound point lookups and P+O-bound counts over
+# every pair of ds1, on rdf.Graph (mem) and the mmap'd segment (disk).
 # Results land in BENCH_store.json.
 bench-store:
 	$(GO) test -run '^$$' -bench '^BenchmarkSegmentStore$$' -benchmem \

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
 	"alex/internal/rdf"
@@ -64,7 +65,12 @@ func buildBenchSet(b *testing.B, dir string) *Set {
 //     path's worst case);
 //   - coldstart/mmap: Open on a committed directory (footers + dict);
 //   - coldstart/parse: re-parsing the same triples from N-Triples text
-//     into a fresh rdf.Graph, the mem backend's cold start.
+//     into a fresh rdf.Graph, the mem backend's cold start;
+//   - point/{mem,disk}: one S+P-bound ForEachMatchIDs per op, cycling
+//     over every (s,p) of ds1 — the probe a bind join makes per row —
+//     on rdf.Graph and on the mmap'd segment;
+//   - count/{mem,disk}: one P+O-bound CountMatch per op, cycling over
+//     every (p,o) of ds1 — the planner's statistic.
 func BenchmarkSegmentStore(b *testing.B) {
 	ds := benchDataset(b)
 	total := ds.G1.Size() + ds.G2.Size()
@@ -141,4 +147,64 @@ func BenchmarkSegmentStore(b *testing.B) {
 			}
 		}
 	})
+
+	b.Run("point", func(b *testing.B) {
+		benchBackends(b, func(b *testing.B, ts TripleStore) {
+			pairs := distinctPairs(ts, func(s, p, _ rdf.ID) [2]rdf.ID { return [2]rdf.ID{s, p} })
+			n := 0
+			fn := func(_, _, _ rdf.ID) bool { n++; return true }
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := pairs[i%len(pairs)]
+				ts.ForEachMatchIDs(k[0], k[1], 0, true, true, false, fn)
+			}
+			if n < b.N {
+				b.Fatalf("%d probes of present pairs matched %d triples", b.N, n)
+			}
+		})
+	})
+
+	b.Run("count", func(b *testing.B) {
+		benchBackends(b, func(b *testing.B, ts TripleStore) {
+			pairs := distinctPairs(ts, func(_, p, o rdf.ID) [2]rdf.ID { return [2]rdf.ID{p, o} })
+			n := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := pairs[i%len(pairs)]
+				n += ts.CountMatch(0, k[0], k[1], false, true, true)
+			}
+			if n < b.N {
+				b.Fatalf("%d counts of present pairs summed to %d", b.N, n)
+			}
+		})
+	})
+}
+
+// benchBackends runs fn on ds1 as rdf.Graph ("mem") and as the mmap'd
+// segment of a committed store ("disk").
+func benchBackends(b *testing.B, fn func(b *testing.B, ts TripleStore)) {
+	b.Run("mem", func(b *testing.B) { fn(b, benchDataset(b).G1) })
+	b.Run("disk", func(b *testing.B) {
+		set := buildBenchSet(b, b.TempDir())
+		defer set.Close() //nolint:errcheck // read-only teardown
+		fn(b, set.Source("ds1"))
+	})
+}
+
+// distinctPairs returns the distinct key(s, p, o) over ts's triples in
+// ascending order, so both backends probe in ID order.
+func distinctPairs(ts TripleStore, key func(s, p, o rdf.ID) [2]rdf.ID) [][2]rdf.ID {
+	seen := map[[2]rdf.ID]bool{}
+	var out [][2]rdf.ID
+	ts.ForEachMatchIDs(0, 0, 0, false, false, false, func(s, p, o rdf.ID) bool {
+		if k := key(s, p, o); !seen[k] {
+			seen[k] = true
+			out = append(out, k)
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool {
+		return out[i][0] < out[j][0] || out[i][0] == out[j][0] && out[i][1] < out[j][1]
+	})
+	return out
 }

@@ -10,7 +10,8 @@ import (
 // full segment cycle — sort, dedupe, write, reopen (alternating mmap
 // and heap reads on the input's parity) — and requires scan and
 // CountMatch identity against rdf.Graph, the reference TripleStore,
-// for every bound-position mask.
+// for every bound-position mask: at six fixed IDs, and at every
+// present triple's prefixes, so every non-empty range is checked.
 func FuzzSegmentRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
@@ -45,29 +46,10 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			t.Fatalf("count %d, graph %d", seg.Count(), g.Size())
 		}
 		for mask := 0; mask < 8; mask++ {
-			haveS, haveP, haveO := mask&1 != 0, mask&2 != 0, mask&4 != 0
 			for _, probe := range []rdf.ID{0, 1, 5, 16, 32, 33} {
-				s, p, o := probe, probe%9, 33-probe
-				if got, want := seg.countMatch(s, p, o, haveS, haveP, haveO), g.CountMatch(s, p, o, haveS, haveP, haveO); got != want {
-					t.Fatalf("countMatch mask=%03b (%d,%d,%d): %d want %d", mask, s, p, o, got, want)
-				}
-				want := map[triple]bool{}
-				g.ForEachMatchIDs(s, p, o, haveS, haveP, haveO, func(ts, tp, to rdf.ID) bool {
-					want[triple{ts, tp, to}] = true
-					return true
-				})
-				n := 0
-				seg.forEachMatch(s, p, o, haveS, haveP, haveO, func(ts, tp, to rdf.ID) bool {
-					if !want[triple{ts, tp, to}] {
-						t.Fatalf("mask=%03b: unexpected (%d,%d,%d)", mask, ts, tp, to)
-					}
-					n++
-					return true
-				})
-				if n != len(want) {
-					t.Fatalf("mask=%03b: scanned %d, want %d", mask, n, len(want))
-				}
+				assertProbe(t, seg, g, mask, probe, probe%9, 33-probe)
 			}
 		}
+		assertPresentPrefixes(t, seg, g)
 	})
 }

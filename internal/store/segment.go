@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -12,12 +13,12 @@ import (
 
 // Segment file layout (all integers little-endian):
 //
-//	page 0:    magic "ALXSEG01" | count uint64 | zero pad to 4096
+//	page 0:    magic "ALXSEG02" | count uint64 | zero pad to 4096
 //	section 0: SPO records, fixed-size pages
 //	section 1: POS records, fixed-size pages
 //	section 2: OSP records, fixed-size pages
-//	footer:    per-section page directories (first key of every page),
-//	           then per-position posting tables (id, count) sorted by id
+//	footer:    per-section posting tables: entries uint32, then
+//	           (id, first record) uint32 pairs sorted by id
 //	trailer:   footerOff uint64 | footerLen uint64 | crc32(footer) |
 //	           magic "ALXEND01"
 //
@@ -25,10 +26,13 @@ import (
 // (s,p,o), POS stores (p,o,s), OSP stores (o,s,p)), so every section is
 // simply a sorted array of 3×uint32 keys. Pages hold recsPerPage
 // records and are padded to pageSize, so record i of a section lives at
-// a fixed computable offset and lookups touch only the footer (page
-// directory binary search) plus one data page (in-page binary search).
-// The posting tables give O(log distinct) single-position counts and
-// the distinct subject/predicate lists without touching data pages.
+// a fixed computable offset. A section's posting table lists each
+// distinct leading ID (S in SPO, P in POS, O in OSP) with the first
+// record it leads, so the ID's records are [first, next entry's first):
+// a bound lookup is one binary search of the footer for that range,
+// then binary searches inside it on the remaining components only. The
+// tables also give the distinct subject/predicate lists without
+// touching data pages.
 //
 // The trailer CRC covers the footer only: validating a segment at open
 // reads metadata, not the data pages — that is what keeps cold start at
@@ -36,7 +40,7 @@ import (
 // protocol (tmp + fsync + rename + dirsync): a segment file either
 // appears complete under its final name or not at all.
 const (
-	segMagic    = "ALXSEG01"
+	segMagic    = "ALXSEG02"
 	segEndMagic = "ALXEND01"
 	pageSize    = 4096
 	recSize     = 12
@@ -50,13 +54,6 @@ const (
 	secSPO = 0
 	secPOS = 1
 	secOSP = 2
-)
-
-// Position indexes for posting tables.
-const (
-	posS = 0
-	posP = 1
-	posO = 2
 )
 
 type triple struct{ s, p, o rdf.ID }
@@ -85,28 +82,21 @@ func unpermute(k [3]uint32, sec int) triple {
 	}
 }
 
-func cmpKeys(a, b [3]uint32, k int) int {
-	for i := 0; i < k; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
 // sortSection sorts ts in section sec's key order.
 func sortSection(ts []triple, sec int) {
 	sort.Slice(ts, func(i, j int) bool {
-		return cmpKeys(permute(ts[i], sec), permute(ts[j], sec), 3) < 0
+		a, b := permute(ts[i], sec), permute(ts[j], sec)
+		if a[0] != b[0] {
+			return a[0] < b[0]
+		}
+		if a[1] != b[1] {
+			return a[1] < b[1]
+		}
+		return a[2] < b[2]
 	})
 }
 
-func sectionPages(n int) int { return (n + recsPerPage - 1) / recsPerPage }
-
-func sectionBytes(n int) int { return sectionPages(n) * pageSize }
+func sectionBytes(n int) int { return (n + recsPerPage - 1) / recsPerPage * pageSize }
 
 // writeSegment writes the triples as a segment file at dir/name using
 // the atomic tmp + fsync + rename + dirsync protocol. ts is sorted (and
@@ -124,49 +114,26 @@ func writeSegment(fsys wal.FS, dir, name string, ts []triple) (err error) {
 	// if segment builds ever need to run in constant memory.)
 	var footer []byte
 	sections := make([][]byte, 3)
-	counts := make([]map[rdf.ID]uint32, 3)
 	for sec := 0; sec < 3; sec++ {
 		if sec != secSPO {
 			sortSection(ts, sec)
 		}
 		img := make([]byte, sectionBytes(n))
-		dirEnt := make([]byte, 0, sectionPages(n)*recSize)
-		cnt := make(map[rdf.ID]uint32, 64)
+		var posts []byte
 		for i, t := range ts {
 			k := permute(t, sec)
 			off := (i/recsPerPage)*pageSize + (i%recsPerPage)*recSize
 			binary.LittleEndian.PutUint32(img[off:], k[0])
 			binary.LittleEndian.PutUint32(img[off+4:], k[1])
 			binary.LittleEndian.PutUint32(img[off+8:], k[2])
-			if i%recsPerPage == 0 {
-				var kb [recSize]byte
-				binary.LittleEndian.PutUint32(kb[0:], k[0])
-				binary.LittleEndian.PutUint32(kb[4:], k[1])
-				binary.LittleEndian.PutUint32(kb[8:], k[2])
-				dirEnt = append(dirEnt, kb[:]...)
+			if i == 0 || k[0] != permute(ts[i-1], sec)[0] { // a new leading ID: its posting entry
+				posts = binary.LittleEndian.AppendUint32(posts, k[0])
+				posts = binary.LittleEndian.AppendUint32(posts, uint32(i))
 			}
-			// The leading key component of each section is the position
-			// whose posting counts that pass accumulates: S from SPO,
-			// P from POS, O from OSP.
-			cnt[rdf.ID(k[0])]++
 		}
 		sections[sec] = img
-		counts[sec] = cnt
-		footer = binary.LittleEndian.AppendUint32(footer, uint32(sectionPages(n)))
-		footer = append(footer, dirEnt...)
-	}
-	for pos := 0; pos < 3; pos++ {
-		cnt := counts[pos]
-		ids := make([]rdf.ID, 0, len(cnt))
-		for id := range cnt {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		footer = binary.LittleEndian.AppendUint32(footer, uint32(len(ids)))
-		for _, id := range ids {
-			footer = binary.LittleEndian.AppendUint32(footer, uint32(id))
-			footer = binary.LittleEndian.AppendUint32(footer, cnt[id])
-		}
+		footer = binary.LittleEndian.AppendUint32(footer, uint32(len(posts)/8))
+		footer = append(footer, posts...)
 	}
 
 	header := make([]byte, pageSize)
@@ -229,9 +196,7 @@ type Segment struct {
 	mapped bool // data came from mmap and needs munmap on Close
 	count  int
 	secOff [3]int
-	pages  int
-	dirs   [3][]byte // page-directory first keys, recSize bytes per page
-	posts  [3][]byte // posting tables, 8 bytes per (id, count) entry
+	posts  [3][]byte // per-section posting tables, 8 bytes per (id, first record) entry
 }
 
 // openSegment validates and maps the segment at path. Reads go through
@@ -278,22 +243,10 @@ func parseSegment(path string, data []byte, mapped bool) (*Segment, error) {
 	if crc32.ChecksumIEEE(footer) != crc {
 		return nil, fmt.Errorf("store: segment %s: footer checksum mismatch", path)
 	}
-	seg := &Segment{path: path, data: data, mapped: mapped, count: n, pages: sectionPages(n)}
+	seg := &Segment{path: path, data: data, mapped: mapped, count: n}
 	off := 0
 	for sec := 0; sec < 3; sec++ {
 		seg.secOff[sec] = pageSize + sec*sectionBytes(n)
-		if off+4 > len(footer) {
-			return nil, fmt.Errorf("store: segment %s: short footer", path)
-		}
-		pages := int(binary.LittleEndian.Uint32(footer[off:]))
-		off += 4
-		if pages != seg.pages || off+pages*recSize > len(footer) {
-			return nil, fmt.Errorf("store: segment %s: bad page directory", path)
-		}
-		seg.dirs[sec] = footer[off : off+pages*recSize]
-		off += pages * recSize
-	}
-	for pos := 0; pos < 3; pos++ {
 		if off+4 > len(footer) {
 			return nil, fmt.Errorf("store: segment %s: short footer", path)
 		}
@@ -302,13 +255,38 @@ func parseSegment(path string, data []byte, mapped bool) (*Segment, error) {
 		if off+m*8 > len(footer) {
 			return nil, fmt.Errorf("store: segment %s: bad posting table", path)
 		}
-		seg.posts[pos] = footer[off : off+m*8]
+		seg.posts[sec] = footer[off : off+m*8]
 		off += m * 8
+		if err := checkPostings(seg.posts[sec], n); err != nil {
+			return nil, fmt.Errorf("store: segment %s: section %d: %v", path, sec, err)
+		}
 	}
 	if off != len(footer) {
 		return nil, fmt.Errorf("store: segment %s: trailing footer bytes", path)
 	}
 	return seg, nil
+}
+
+// checkPostings verifies that a posting table's record ranges tile the
+// section's n records: IDs strictly ascend, the first entry starts at
+// record 0, and first records strictly ascend below n, so no range is
+// empty or reaches past the section. bounds indexes data pages with
+// these offsets unchecked.
+func checkPostings(tbl []byte, n int) error {
+	m := len(tbl) / 8
+	if m == 0 && n > 0 {
+		return errors.New("empty posting table")
+	}
+	for i := 0; i < m; i++ {
+		id, first := binary.LittleEndian.Uint32(tbl[i*8:]), binary.LittleEndian.Uint32(tbl[i*8+4:])
+		if i > 0 && id <= binary.LittleEndian.Uint32(tbl[i*8-8:]) {
+			return fmt.Errorf("posting ID %d out of order at entry %d", id, i)
+		}
+		if i == 0 && first != 0 || i > 0 && first <= binary.LittleEndian.Uint32(tbl[i*8-4:]) || int(first) >= n {
+			return fmt.Errorf("first record %d of entry %d out of order or past %d records", first, i, n)
+		}
+	}
+	return nil
 }
 
 // Close releases the mapping. The Segment must not be used afterwards.
@@ -332,45 +310,68 @@ func (seg *Segment) key(sec, i int) [3]uint32 {
 	}
 }
 
-func (seg *Segment) dirKey(sec, page int) [3]uint32 {
-	d := seg.dirs[sec][page*recSize:]
-	return [3]uint32{
-		binary.LittleEndian.Uint32(d),
-		binary.LittleEndian.Uint32(d[4:]),
-		binary.LittleEndian.Uint32(d[8:]),
-	}
-}
-
 // bounds returns the half-open record range [lo, hi) of section sec
-// whose leading k key components equal key. The page directory narrows
-// the search to one page before any data page is touched.
-func (seg *Segment) bounds(sec int, key [3]uint32, k int) (int, int) {
-	lo := seg.search(sec, func(rk [3]uint32) bool { return cmpKeys(rk, key, k) >= 0 })
-	if lo == seg.count || cmpKeys(seg.key(sec, lo), key, k) != 0 {
-		return lo, lo
+// whose leading k key components equal key; k == 0 is the whole
+// section. The posting table gives the leading ID's range, and each
+// further component narrows it.
+func (seg *Segment) bounds(sec int, key [3]uint32, k int) (lo, hi int) {
+	if k == 0 {
+		return 0, seg.count
 	}
-	hi := seg.search(sec, func(rk [3]uint32) bool { return cmpKeys(rk, key, k) > 0 })
+	tbl := seg.posts[sec]
+	m := len(tbl) / 8
+	i, j := 0, m
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if binary.LittleEndian.Uint32(tbl[h*8:]) < key[0] {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i == m || binary.LittleEndian.Uint32(tbl[i*8:]) != key[0] {
+		return 0, 0
+	}
+	lo, hi = int(binary.LittleEndian.Uint32(tbl[i*8+4:])), seg.count
+	if i+1 < m {
+		hi = int(binary.LittleEndian.Uint32(tbl[i*8+12:]))
+	}
+	for c := 1; c < k && lo < hi; c++ {
+		lo, hi = seg.narrow(sec, c, key[c], lo, hi)
+	}
 	return lo, hi
 }
 
-// search returns the first record index where pred(key) is true, using
-// the footer page directory for the first level so only one data page
-// is faulted in. pred must be monotone over the section's sort order.
-func (seg *Segment) search(sec int, pred func([3]uint32) bool) int {
-	// First page whose first key satisfies pred; the answer lies in the
-	// page before it (or at its very first record).
-	pg := sort.Search(seg.pages, func(p int) bool { return pred(seg.dirKey(sec, p)) })
-	lo, hi := 0, seg.count
-	if pg > 0 {
-		lo = (pg - 1) * recsPerPage
-	}
-	if pg < seg.pages {
-		hi = pg*recsPerPage + 1
-		if hi > seg.count {
-			hi = seg.count
+// narrow returns the part of [lo, hi) whose key component c equals v.
+// The records in [lo, hi) agree on every component before c, so they
+// are sorted by component c.
+func (seg *Segment) narrow(sec, c int, v uint32, lo, hi int) (int, int) {
+	base := seg.secOff[sec] + 4*c
+	i, j := lo, hi
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if seg.component(base, h) < v {
+			i = h + 1
+		} else {
+			j = h
 		}
 	}
-	return lo + sort.Search(hi-lo, func(i int) bool { return pred(seg.key(sec, lo+i)) })
+	lo, j = i, hi
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if seg.component(base, h) <= v {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return lo, i
+}
+
+// component reads one key component of record i; base is the section's
+// offset plus the component's offset within a record.
+func (seg *Segment) component(base, i int) uint32 {
+	return binary.LittleEndian.Uint32(seg.data[base+(i/recsPerPage)*pageSize+(i%recsPerPage)*recSize:])
 }
 
 // scan calls fn with the reconstructed (s,p,o) of records [lo, hi) of
@@ -385,24 +386,10 @@ func (seg *Segment) scan(sec, lo, hi int, fn func(s, p, o rdf.ID) bool) bool {
 	return true
 }
 
-// postingCount returns the number of triples whose position pos is id,
-// via binary search of the footer posting table.
-func (seg *Segment) postingCount(pos int, id rdf.ID) int {
-	tbl := seg.posts[pos]
-	n := len(tbl) / 8
-	i := sort.Search(n, func(i int) bool {
-		return rdf.ID(binary.LittleEndian.Uint32(tbl[i*8:])) >= id
-	})
-	if i < n && rdf.ID(binary.LittleEndian.Uint32(tbl[i*8:])) == id {
-		return int(binary.LittleEndian.Uint32(tbl[i*8+4:]))
-	}
-	return 0
-}
-
-// postingIDs returns the distinct IDs at position pos in ascending
-// order.
-func (seg *Segment) postingIDs(pos int) []rdf.ID {
-	tbl := seg.posts[pos]
+// postingIDs returns the distinct leading IDs of section sec — its
+// subjects for SPO, predicates for POS — in ascending order.
+func (seg *Segment) postingIDs(sec int) []rdf.ID {
+	tbl := seg.posts[sec]
 	n := len(tbl) / 8
 	out := make([]rdf.ID, n)
 	for i := 0; i < n; i++ {
@@ -411,19 +398,10 @@ func (seg *Segment) postingIDs(pos int) []rdf.ID {
 	return out
 }
 
-// has reports whether the exact triple is present.
-func (seg *Segment) has(s, p, o rdf.ID) bool {
-	lo, hi := seg.bounds(secSPO, [3]uint32{uint32(s), uint32(p), uint32(o)}, 3)
-	return hi > lo
-}
-
 // forEachMatch enumerates matching triples; same contract as
 // rdf.Graph.ForEachMatchIDs. It returns false if fn stopped early.
 func (seg *Segment) forEachMatch(s, p, o rdf.ID, haveS, haveP, haveO bool, fn func(s, p, o rdf.ID) bool) bool {
 	sec, key, k := planMatch(s, p, o, haveS, haveP, haveO)
-	if k == 0 {
-		return seg.scan(secSPO, 0, seg.count, fn)
-	}
 	lo, hi := seg.bounds(sec, key, k)
 	return seg.scan(sec, lo, hi, fn)
 }
@@ -431,23 +409,7 @@ func (seg *Segment) forEachMatch(s, p, o rdf.ID, haveS, haveP, haveO bool, fn fu
 // countMatch counts matching triples; same contract as
 // rdf.Graph.CountMatch.
 func (seg *Segment) countMatch(s, p, o rdf.ID, haveS, haveP, haveO bool) int {
-	switch {
-	case haveS && haveP && haveO:
-		if seg.has(s, p, o) {
-			return 1
-		}
-		return 0
-	case !haveS && !haveP && !haveO:
-		return seg.count
-	case haveS && !haveP && !haveO:
-		return seg.postingCount(posS, s)
-	case haveP && !haveS && !haveO:
-		return seg.postingCount(posP, p)
-	case haveO && !haveS && !haveP:
-		return seg.postingCount(posO, o)
-	}
-	sec, key, k := planMatch(s, p, o, haveS, haveP, haveO)
-	lo, hi := seg.bounds(sec, key, k)
+	lo, hi := seg.bounds(planMatch(s, p, o, haveS, haveP, haveO))
 	return hi - lo
 }
 

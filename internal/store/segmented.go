@@ -42,17 +42,17 @@ func (s *Segmented) ForEachMatchIDs(sub, p, o rdf.ID, haveS, haveP, haveO bool, 
 	s.seg.forEachMatch(sub, p, o, haveS, haveP, haveO, fn)
 }
 
-// CountMatch returns the number of matching triples from the segment's
-// footer counts and key ranges.
+// CountMatch returns the number of matching triples: the size of their
+// record range, found without reading the records.
 func (s *Segmented) CountMatch(sub, p, o rdf.ID, haveS, haveP, haveO bool) int {
 	return s.seg.countMatch(sub, p, o, haveS, haveP, haveO)
 }
 
 // SubjectIDs returns all distinct subject IDs in ascending order.
-func (s *Segmented) SubjectIDs() []rdf.ID { return s.seg.postingIDs(posS) }
+func (s *Segmented) SubjectIDs() []rdf.ID { return s.seg.postingIDs(secSPO) }
 
 // PredicateIDs returns all distinct predicate IDs in ascending order.
-func (s *Segmented) PredicateIDs() []rdf.ID { return s.seg.postingIDs(posP) }
+func (s *Segmented) PredicateIDs() []rdf.ID { return s.seg.postingIDs(secPOS) }
 
 // Entity returns subject sub's attributes ordered by (predicate,
 // object), matching rdf.Graph.Entity: the SPO section's order.

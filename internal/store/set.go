@@ -34,7 +34,7 @@ const (
 	dictName     = "dict.bin"
 	linksName    = "links.bin"
 
-	manifestVersion = 2
+	manifestVersion = 3
 )
 
 // ErrNoStore is wrapped by Open when dir holds no store manifest —

@@ -8,9 +8,11 @@
 //
 //   - A segment file holds the SPO, POS and OSP orderings of the
 //     source's triples in fixed-size pages, with a footer carrying
-//     per-page first keys (two-level binary search touches only the
-//     footer and the target page) and per-(s|p|o) posting counts so
-//     CountMatch stays O(1)-ish for the planner on both backends.
+//     each ordering's posting table: every distinct leading ID (S, P,
+//     O) with the record range it leads. A bound lookup is one binary
+//     search of that table, then searches inside the range on the
+//     remaining components, and CountMatch is the range's size, so the
+//     planner's statistics cost no scan on either backend.
 //   - Segments are mmap'd at open, so cold start is a map, not a parse,
 //     and the OS pages data in on demand — the dataset no longer has to
 //     fit in RAM.
