@@ -221,18 +221,6 @@ func ProfileByName(name string) (Profile, bool) { return synth.ProfileByName(nam
 // GenerateDataset builds the synthetic dataset pair for a profile.
 func GenerateDataset(p Profile) *SynthDataset { return synth.Generate(p) }
 
-// ReadTurtle loads a Turtle document into a graph.
-var ReadTurtle = rdf.ReadTurtle
-
-// WriteTurtle serializes a graph as Turtle with the given prefix map.
-var WriteTurtle = rdf.WriteTurtle
-
-// ConstructQuery evaluates a SPARQL CONSTRUCT query against a graph and
-// returns the constructed triples as a new graph sharing the input's
-// dictionary — handy for materializing owl:sameAs links or mapping
-// vocabularies.
-func ConstructQuery(g *Graph, q string) (*Graph, error) { return federation.Construct(g, q) }
-
 // FeatureStat summarizes what ALEX learned about one feature (a pair of
 // predicates); see System.FeatureStats.
 type FeatureStat = core.FeatureStat

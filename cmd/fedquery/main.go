@@ -1,178 +1,252 @@
-// Command fedquery answers federated SPARQL queries over two N-Triples
-// datasets joined by owl:sameAs links, and optionally routes answer
-// feedback into an ALEX instance — the end-to-end loop of the paper's
-// Figure 1 on the command line.
+// Command fedquery is a command-line client of a running alexd daemon:
+// it sends federated SPARQL queries and routes feedback on their
+// answers back to the server — the end-to-end loop of the paper's
+// Figure 1. The server owns the datasets, the link set and the learning
+// loop, so several fedquery clients can share one evolving federation.
 //
 // One-shot:
 //
-//	fedquery -ds1 a.nt -ds2 b.nt -links links.nt \
-//	    -query 'SELECT ?x WHERE { ... }' [-approve 0] [-reject 1]
+//	fedquery -server localhost:8080 -query 'SELECT ?x WHERE { ... }' [-approve 0] [-reject 1]
 //
-// Interactive (a small REPL over the same state):
-//
-//	fedquery -ds1 a.nt -ds2 b.nt -links links.nt -repl
-//
-// -approve/-reject take answer row indices; the feedback is applied to
-// an ALEX system seeded with the given links, and the updated link set
-// is written to -links-out if provided.
-//
-// Remote mode — act as a thin client of a running alexd daemon instead
-// of loading datasets locally (the server owns the state and the
-// learning loop):
+// Interactive (a small REPL):
 //
 //	fedquery -server localhost:8080 -repl
-//	fedquery -server localhost:8080 -query 'SELECT ?x WHERE { ... }' [-approve 0]
+//
+// -approve/-reject take answer row indices. The server's current link
+// set is served as owl:sameAs N-Triples at /links?format=ntriples.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
+	"strconv"
+	"strings"
 
-	"alex"
+	"alex/internal/server"
 )
 
 func main() {
-	ds1Path := flag.String("ds1", "", "N-Triples file of dataset 1 (required)")
-	ds2Path := flag.String("ds2", "", "N-Triples file of dataset 2 (required)")
-	linksPath := flag.String("links", "", "N-Triples file of owl:sameAs links (required)")
+	addr := flag.String("server", "", "address of a running alexd (required)")
 	query := flag.String("query", "", "SPARQL SELECT or ASK query")
 	approve := flag.Int("approve", -1, "answer row index to approve")
 	reject := flag.Int("reject", -1, "answer row index to reject")
-	linksOut := flag.String("links-out", "", "write the post-feedback link set to this file")
 	repl := flag.Bool("repl", false, "interactive mode: queries and feedback from stdin")
-	serverAddr := flag.String("server", "", "act as a client of a running alexd at this address (no local datasets)")
 	flag.Parse()
 
-	if *serverAddr != "" {
-		if *ds1Path != "" || *ds2Path != "" || *linksPath != "" || *linksOut != "" {
-			fmt.Fprintln(os.Stderr, "fedquery: -server is exclusive with -ds1/-ds2/-links/-links-out (the server owns the state)")
-			flag.Usage()
-			os.Exit(2)
-		}
-		if *query == "" && !*repl {
-			fmt.Fprintln(os.Stderr, "fedquery: -server requires -query or -repl")
-			flag.Usage()
-			os.Exit(2)
-		}
-		runRemote(*serverAddr, *query, *approve, *reject, *repl)
-		return
-	}
-
-	if *ds1Path == "" || *ds2Path == "" || *linksPath == "" || (*query == "" && !*repl) {
-		fmt.Fprintln(os.Stderr, "fedquery: -ds1, -ds2, -links and either -query or -repl are required")
+	if *addr == "" || (*query == "" && !*repl) {
+		fmt.Fprintln(os.Stderr, "fedquery: -server and either -query or -repl are required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *repl {
-		runREPL(*ds1Path, *ds2Path, *linksPath, *linksOut)
+	if err := run(os.Stdin, os.Stdout, *addr, *query, *approve, *reject, *repl); err != nil {
+		fmt.Fprintf(os.Stderr, "fedquery: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+const replHelp = `commands:
+  <SPARQL>            run a SELECT or ASK query on the server (end lines with \ to continue)
+  approve <i>         approve answer row i of the last result
+  reject <i>          reject answer row i of the last result
+  links               show the server's published link count
+  health              show the server health report
+  help                this message
+  quit                exit`
+
+// run handles both one-shot (query) and interactive (repl, commands
+// read from in) use against the alexd at addr.
+func run(in io.Reader, out io.Writer, addr, query string, approve, reject int, repl bool) error {
+	c := server.NewClient(addr)
+	h, err := c.Healthz()
+	if err != nil {
+		return fmt.Errorf("cannot reach alexd at %s: %w", addr, err)
+	}
+	if repl {
+		return runREPL(in, out, c, h)
+	}
+
+	res, err := c.Query(query)
+	if err != nil {
+		return err
+	}
+	if res.Ask != nil {
+		fmt.Fprintf(out, "ASK -> %v\n", *res.Ask)
+	} else {
+		fmt.Fprintf(out, "%d answers (snapshot v%d):\n%s", len(res.Rows), res.SnapshotVersion, formatRows(res))
+	}
+	for _, fb := range []struct {
+		idx     int
+		approve bool
+		verb    string
+	}{{approve, true, "approve"}, {reject, false, "reject"}} {
+		if fb.idx < 0 {
+			continue
+		}
+		if fb.idx >= len(res.Rows) {
+			return fmt.Errorf("%s index %d out of range", fb.verb, fb.idx)
+		}
+		if err := sendFeedback(c, res.Rows[fb.idx], fb.approve); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "%s answer %d (%d links)\n", pastTense(fb.approve), fb.idx, len(res.Rows[fb.idx].Links))
+	}
+	return nil
+}
+
+func runREPL(in io.Reader, out io.Writer, c *server.Client, h *server.HealthResponse) error {
+	fmt.Fprintf(out, "fedquery -> alexd (snapshot v%d, %d candidate links). Type 'help'.\n",
+		h.SnapshotVersion, h.CandidateLinks)
+
+	var last *server.QueryResponse
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	var pending strings.Builder
+
+	prompt := func() {
+		if pending.Len() > 0 {
+			fmt.Fprint(out, "... ")
+		} else {
+			fmt.Fprint(out, "> ")
+		}
+	}
+	prompt()
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if strings.HasSuffix(line, "\\") {
+			pending.WriteString(strings.TrimSuffix(line, "\\"))
+			pending.WriteByte(' ')
+			prompt()
+			continue
+		}
+		if pending.Len() > 0 {
+			pending.WriteString(line)
+			line = pending.String()
+			pending.Reset()
+		}
+		if line == "" {
+			prompt()
+			continue
+		}
+		switch {
+		case line == "quit" || line == "exit":
+			return nil
+		case line == "help":
+			fmt.Fprintln(out, replHelp)
+		case line == "links":
+			ls, err := c.Links()
+			if err != nil {
+				fmt.Fprintf(out, "error: %v\n", err)
+				break
+			}
+			fmt.Fprintf(out, "%d candidate links (snapshot v%d, episode %d)\n", ls.Count, ls.SnapshotVersion, ls.Episode)
+		case line == "health":
+			h, err := c.Healthz()
+			if err != nil {
+				fmt.Fprintf(out, "error: %v\n", err)
+				break
+			}
+			fmt.Fprintf(out, "%s: snapshot v%d (%.1fs old), episode %d, %d links, queue %d/%d\n",
+				h.Status, h.SnapshotVersion, h.SnapshotAgeSecs, h.Episode,
+				h.CandidateLinks, h.QueueDepth, h.QueueCapacity)
+		case strings.HasPrefix(line, "approve ") || strings.HasPrefix(line, "reject "):
+			feedbackCommand(out, c, line, last)
+		default:
+			res, err := c.Query(line)
+			if err != nil {
+				fmt.Fprintf(out, "error: %v\n", err)
+				break
+			}
+			if res.Ask != nil {
+				fmt.Fprintf(out, "ASK -> %v\n", *res.Ask)
+				break
+			}
+			last = res
+			fmt.Fprintf(out, "%d answer(s) (snapshot v%d):\n%s", len(res.Rows), res.SnapshotVersion, formatRows(res))
+		}
+		prompt()
+	}
+	return sc.Err()
+}
+
+func feedbackCommand(out io.Writer, c *server.Client, line string, last *server.QueryResponse) {
+	fields := strings.Fields(line)
+	if len(fields) != 2 {
+		fmt.Fprintln(out, "usage: approve <row> | reject <row>")
 		return
 	}
-
-	dict := alex.NewDict()
-	g1 := loadGraph(*ds1Path, dict)
-	g2 := loadGraph(*ds2Path, dict)
-	linkSet := loadLinks(*linksPath, dict)
-
-	fed := alex.NewFederator(dict)
-	must(fed.AddSource("ds1", g1))
-	must(fed.AddSource("ds2", g2))
-	fed.SetLinks(linkSet)
-
-	res, err := fed.Query(*query)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%d answers:\n%s", len(res.Rows), res.String())
-
-	if *approve < 0 && *reject < 0 {
+	if last == nil {
+		fmt.Fprintln(out, "no previous query result")
 		return
 	}
-
-	cfg := alex.DefaultConfig()
-	sys := alex.NewSystem(g1, g2, g1.SubjectIDs(), g2.SubjectIDs(), linkSetSlice(linkSet), cfg)
-	if *approve >= 0 {
-		if *approve >= len(res.Rows) {
-			fatal(fmt.Errorf("approve index %d out of range", *approve))
-		}
-		alex.ApproveAnswer(res.Rows[*approve], sys)
-		fmt.Printf("approved answer %d (%d links)\n", *approve, res.Rows[*approve].Used.Len())
+	i, err := strconv.Atoi(fields[1])
+	if err != nil || i < 0 || i >= len(last.Rows) {
+		fmt.Fprintf(out, "row index out of range (0..%d)\n", len(last.Rows)-1)
+		return
 	}
-	if *reject >= 0 {
-		if *reject >= len(res.Rows) {
-			fatal(fmt.Errorf("reject index %d out of range", *reject))
-		}
-		alex.RejectAnswer(res.Rows[*reject], sys)
-		fmt.Printf("rejected answer %d (%d links)\n", *reject, res.Rows[*reject].Used.Len())
+	row := last.Rows[i]
+	if len(row.Links) == 0 {
+		fmt.Fprintln(out, "that answer used no sameAs links; nothing to learn from")
+		return
 	}
-	after := sys.Candidates()
-	fmt.Printf("link set: %d -> %d links\n", linkSet.Len(), after.Len())
-
-	if *linksOut != "" {
-		f, err := os.Create(*linksOut)
-		if err != nil {
-			fatal(err)
-		}
-		w := bufio.NewWriter(f)
-		sameAs := alex.IRI("http://www.w3.org/2002/07/owl#sameAs")
-		for _, l := range after.Slice() {
-			fmt.Fprintf(w, "%s\n", alex.Triple{S: dict.Term(l.E1), P: sameAs, O: dict.Term(l.E2)})
-		}
-		if err := w.Flush(); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	approve := fields[0] == "approve"
+	if err := sendFeedback(c, row, approve); err != nil {
+		fmt.Fprintf(out, "error: %v\n", err)
+		return
 	}
+	fmt.Fprintf(out, "%s %d link(s); the server will fold it into its next episode\n", pastTense(approve), len(row.Links))
 }
 
-func linkSetSlice(s alex.LinkSet) []alex.Link { return s.Slice() }
-
-func loadGraph(path string, dict *alex.Dict) *alex.Graph {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
+func pastTense(approve bool) string {
+	if approve {
+		return "approved"
 	}
-	//lint:ignore syncerr read-only handle opened with os.Open; Close has no buffered writes to lose
-	defer f.Close()
-	g := alex.NewGraphWithDict(dict)
-	if _, err := alex.ReadNTriples(f, g); err != nil {
-		fatal(err)
-	}
-	return g
+	return "rejected"
 }
 
-func loadLinks(path string, dict *alex.Dict) alex.LinkSet {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
+func sendFeedback(c *server.Client, row server.RowJSON, approve bool) error {
+	err := c.Feedback(row.Links, approve)
+	if err == server.ErrQueueFull {
+		return fmt.Errorf("server is backpressuring (feedback queue full); retry shortly")
 	}
-	//lint:ignore syncerr read-only handle opened with os.Open; Close has no buffered writes to lose
-	defer f.Close()
-	g := alex.NewGraphWithDict(dict)
-	if _, err := alex.ReadNTriples(f, g); err != nil {
-		fatal(err)
-	}
-	out := alex.NewLinkSet()
-	for _, t := range g.Triples() {
-		s, ok1 := dict.Lookup(t.S)
-		o, ok2 := dict.Lookup(t.O)
-		if ok1 && ok2 {
-			out.Add(alex.Link{E1: s, E2: o})
+	return err
+}
+
+func formatRows(res *server.QueryResponse) string {
+	vars := append([]string(nil), res.Vars...)
+	sort.Strings(vars)
+	var b strings.Builder
+	for i, r := range res.Rows {
+		fmt.Fprintf(&b, "[%d]", i)
+		for _, v := range vars {
+			if t, ok := r.Binding[v]; ok {
+				fmt.Fprintf(&b, " ?%s=%s", v, formatTerm(t))
+			}
 		}
+		if len(r.Links) > 0 {
+			fmt.Fprintf(&b, " (links used: %d)", len(r.Links))
+		}
+		b.WriteByte('\n')
 	}
-	return out
+	return b.String()
 }
 
-func must(err error) {
-	if err != nil {
-		fatal(err)
+func formatTerm(t server.TermJSON) string {
+	switch t.Kind {
+	case "iri":
+		return "<" + t.Value + ">"
+	case "blank":
+		return "_:" + t.Value
+	default:
+		s := strconv.Quote(t.Value)
+		if t.Lang != "" {
+			s += "@" + t.Lang
+		} else if t.Datatype != "" {
+			s += "^^<" + t.Datatype + ">"
+		}
+		return s
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "fedquery: %v\n", err)
-	os.Exit(1)
 }

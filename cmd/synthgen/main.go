@@ -1,5 +1,5 @@
 // Command synthgen materializes a built-in synthetic dataset-pair
-// profile as three N-Triples files, ready for alexlink and fedquery:
+// profile as three N-Triples files, ready for alexlink and alexd:
 //
 //	synthgen -profile dbpedia-nba-nytimes -dir /tmp/nba
 //

@@ -309,11 +309,6 @@ func (f *Federator) planFor(query string) (*plan, error) {
 	return p, nil
 }
 
-// Eval evaluates a parsed query across the federation.
-func (f *Federator) Eval(q *sparql.Query) (*ResultSet, error) {
-	return f.EvalContext(context.Background(), q)
-}
-
 // EvalContext evaluates a parsed query across the federation. Sources
 // whose access fails under the resilience policy are skipped and
 // reported in ResultSet.Degraded; the evaluation itself never fails

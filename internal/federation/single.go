@@ -3,7 +3,6 @@ package federation
 import (
 	"context"
 
-	"alex/internal/rdf"
 	"alex/internal/sparql"
 	"alex/internal/store"
 )
@@ -26,28 +25,4 @@ func Execute(g store.TripleStore, query string) (*sparql.Result, error) {
 		return nil, err
 	}
 	return a.Result(), nil
-}
-
-// Construct evaluates a CONSTRUCT query against one store and returns
-// the constructed triples as a new graph sharing the store's
-// dictionary; LIMIT bounds the number of distinct triples.
-func Construct(g store.TripleStore, query string) (*rdf.Graph, error) {
-	cq, err := sparql.ParseConstruct(query)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := Single(g).Eval(&sparql.Query{Where: cq.Where, Limit: -1})
-	if err != nil {
-		return nil, err
-	}
-	out := rdf.NewGraphWithDict(g.Dict())
-	for _, r := range rs.Rows {
-		for _, tri := range cq.Instantiate(r.Binding) {
-			if cq.Limit >= 0 && out.Size() >= cq.Limit {
-				return out, nil
-			}
-			out.Insert(tri)
-		}
-	}
-	return out, nil
 }

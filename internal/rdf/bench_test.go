@@ -72,24 +72,6 @@ func BenchmarkNTriplesParse(b *testing.B) {
 	}
 }
 
-func BenchmarkTurtleParse(b *testing.B) {
-	var sb strings.Builder
-	sb.WriteString("@prefix ex: <http://e/> .\n@prefix p: <http://p/> .\n")
-	for i := 0; i < 2000; i++ {
-		fmt.Fprintf(&sb, "ex:e%d p:name \"entity %d\" ; p:age %d ; a p:Thing .\n", i, i, i%100)
-	}
-	doc := sb.String()
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := NewGraph()
-		if _, err := ReadTurtle(strings.NewReader(doc), g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDictIntern(b *testing.B) {
 	d := NewDict()
 	terms := make([]Term, 4096)

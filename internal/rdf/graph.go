@@ -100,18 +100,6 @@ func (g *Graph) Objects(s, p ID) []ID { return g.spo[s][p] }
 // Subjects returns the subject IDs of triples (·, p, o).
 func (g *Graph) Subjects(p, o ID) []ID { return g.pos[p][o] }
 
-// PredicatesOf returns the distinct predicate IDs appearing on subject s,
-// in ascending ID order.
-func (g *Graph) PredicatesOf(s ID) []ID {
-	po := g.spo[s]
-	out := make([]ID, 0, len(po))
-	for p := range po {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SubjectIDs returns all distinct subject IDs in ascending order.
 func (g *Graph) SubjectIDs() []ID {
 	out := make([]ID, 0, len(g.spo))

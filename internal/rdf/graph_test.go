@@ -192,10 +192,6 @@ func TestGraphIDListings(t *testing.T) {
 	if got := len(g.PredicateIDs()); got != 2 {
 		t.Fatalf("PredicateIDs = %d, want 2", got)
 	}
-	s1, _ := g.Dict().Lookup(IRI("http://ex.org/s1"))
-	if got := len(g.PredicatesOf(s1)); got != 1 {
-		t.Fatalf("PredicatesOf = %d, want 1", got)
-	}
 }
 
 // TestCountMatchAgainstEnumeration cross-checks the index-based

@@ -109,6 +109,7 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	g.Insert(Triple{IRI("http://a"), IRI("http://q"), LangLiteral("salut", "fr")})
 	g.Insert(Triple{IRI("http://b"), IRI("http://p"), TypedLiteral("2024-01-02", XSDDate)})
 	g.Insert(Triple{Blank("n1"), IRI("http://p"), IRI("http://b")})
+	g.Insert(Triple{IRI("http://a"), IRI("http://r"), Blank("gen-1")})
 
 	var buf bytes.Buffer
 	if err := WriteNTriples(&buf, g); err != nil {

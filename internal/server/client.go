@@ -1,6 +1,5 @@
-// Client is the thin HTTP client of alexd used by cmd/fedquery's
-// --server mode and cmd/alexload. It speaks the JSON wire types defined
-// in handlers.go.
+// Client is the thin HTTP client of alexd used by cmd/fedquery and
+// cmd/alexload. It speaks the JSON wire types defined in handlers.go.
 //
 // Transient failures — transport errors, 429 backpressure and 5xx
 // responses (e.g. the 503 a journal outage produces) — are retried with

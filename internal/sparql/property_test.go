@@ -1,6 +1,7 @@
 package sparql_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -183,7 +184,7 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 		want := bruteForceBGP(g, patterns)
 		for backend, src := range map[string]store.TripleStore{"mem": g, "disk": segmentedTwin(t, g)} {
 			label := fmt.Sprintf("trial %d (%s)", trial, backend)
-			got, err := federation.Single(src).Eval(q)
+			got, err := federation.Single(src).EvalContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -235,7 +236,7 @@ func BenchmarkBGPJoin(b *testing.B) {
 	fed := federation.Single(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := fed.Eval(q)
+		res, err := fed.EvalContext(context.Background(), q)
 		if err != nil || len(res.Rows) != 1 {
 			b.Fatalf("rows=%d err=%v", len(res.Rows), err)
 		}
