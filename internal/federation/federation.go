@@ -41,7 +41,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"alex/internal/links"
 	"alex/internal/rdf"
@@ -88,11 +87,11 @@ type FeedbackSink interface {
 type Federator struct {
 	dict    *rdf.Dict
 	sources []Source
-	// same maps an entity IRI's ID to its sameAs edges. Each edge keeps
-	// the canonical Link (E1 from the first dataset) for provenance.
-	// Immutable once installed: rows under evaluation point into the
-	// edge slices.
-	same map[rdf.ID][]edge
+	// same indexes the installed link set by endpoint ID: an entity
+	// IRI's sameAs edges, each keeping the canonical Link (E1 from the
+	// first dataset) for provenance. Immutable once installed: rows under
+	// evaluation point into its edge array.
+	same sameAs
 	// linkCount is the number of distinct installed links, maintained
 	// on SetLinks/WithLinks so LinkCount is O(1) on the /links path.
 	linkCount int
@@ -135,11 +134,26 @@ type edge struct {
 	link  links.Link
 }
 
+// sameAs is a link set's edge index, dense by ID: the edges of ID i are
+// edges[off[i]:off[i+1]]. An ID past the table has none, and so does
+// rdf.NoID. The zero value is the index of no links.
+type sameAs struct {
+	off   []uint32
+	edges []edge
+}
+
+// of returns id's sameAs edges.
+func (s *sameAs) of(id rdf.ID) []edge {
+	if int(id) >= len(s.off)-1 {
+		return nil
+	}
+	return s.edges[s.off[id]:s.off[id+1]]
+}
+
 // New returns a federator over the given shared dictionary.
 func New(dict *rdf.Dict) *Federator {
 	return &Federator{
 		dict:        dict,
-		same:        make(map[rdf.ID][]edge),
 		predSources: make(map[rdf.ID][]int),
 		res:         DefaultResilience(),
 		ametrics:    &adaptiveMetrics{},
@@ -190,9 +204,9 @@ func (f *Federator) Add(src Source) error {
 func (f *Federator) Sources() []Source { return f.sources }
 
 // SetLinks replaces the sameAs link set. Call it again whenever ALEX's
-// candidate set changes. The replacement resolution map is built fully
+// candidate set changes. The replacement edge index is built fully
 // before it is installed, so a Query that started before SetLinks
-// returns sees either the old map or the new one, never a half-filled
+// returns sees either the old index or the new one, never a half-filled
 // one. SetLinks itself is still a write: callers that share one
 // Federator across goroutines must not call it concurrently with Query —
 // use WithLinks to publish an immutable snapshot instead.
@@ -205,7 +219,7 @@ func (f *Federator) SetLinks(ls links.Set) {
 // with the given sameAs link set installed. The sources, the
 // source-selection index and the plan cache are shared (sources and
 // index are immutable after registration; plans are link-independent);
-// only the resolution map is fresh. The returned Federator is a
+// only the sameAs edge index is fresh. The returned Federator is a
 // snapshot: treat it as immutable after publication — never call
 // SetLinks or AddSource on it — and concurrent Query calls are then
 // safe without locking. This is the read path of the alexd
@@ -225,24 +239,52 @@ func (f *Federator) WithLinks(ls links.Set) *Federator {
 	}
 }
 
-// buildSameAs indexes the link set by endpoint. Only IRIs resolve
-// through sameAs, so only endpoints that are IRIs get an entry; that
-// is decided here, once per link set, so that evaluation can go from a
-// bound ID to its equivalents without looking at the term.
-func buildSameAs(d *rdf.Dict, ls links.Set) map[rdf.ID][]edge {
+// buildSameAs indexes the link set by endpoint, in ls.Slice order, so
+// each ID's edges (and with them row and provenance order) follow the
+// sorted links. Only IRIs resolve through sameAs, so only endpoints that
+// are IRIs get edges; that is decided here, once per link set, so that
+// evaluation can go from a bound ID to its equivalents without looking
+// at the term. The offsets cost 4 bytes per ID up to the largest linked
+// one.
+func buildSameAs(d *rdf.Dict, ls links.Set) sameAs {
 	isIRI := func(id rdf.ID) bool {
 		return id != rdf.NoID && int(id) <= d.Len() && d.Term(id).IsIRI()
 	}
-	same := make(map[rdf.ID][]edge, 2*ls.Len())
-	for _, l := range ls.Slice() {
+	sorted := ls.Slice()
+	top := 0
+	for _, l := range sorted {
+		top = max(top, int(l.E1), int(l.E2))
+	}
+	top = min(top, d.Len())
+	// A counting sort: each ID's edge count goes to off[id+2]; after the
+	// prefix sum off[id+1] is where the ID's edges start, and it serves
+	// as the ID's fill cursor, which leaves it where ID id+1's start.
+	off := make([]uint32, top+3)
+	for _, l := range sorted {
 		if isIRI(l.E1) {
-			same[l.E1] = append(same[l.E1], edge{other: l.E2, link: l})
+			off[l.E1+2]++
 		}
 		if isIRI(l.E2) {
-			same[l.E2] = append(same[l.E2], edge{other: l.E1, link: l})
+			off[l.E2+2]++
 		}
 	}
-	return same
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	edges := make([]edge, off[len(off)-1])
+	place := func(id, other rdf.ID, l links.Link) {
+		edges[off[id+1]] = edge{other: other, link: l}
+		off[id+1]++
+	}
+	for _, l := range sorted {
+		if isIRI(l.E1) {
+			place(l.E1, l.E2, l)
+		}
+		if isIRI(l.E2) {
+			place(l.E2, l.E1, l)
+		}
+	}
+	return sameAs{off: off, edges: edges}
 }
 
 // LinkCount returns the number of distinct sameAs links installed.
@@ -469,9 +511,17 @@ func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset) rowset {
 }
 
 // evalPattern runs one pattern stage: every input row extended by the
-// pattern's matches.
+// pattern's matches. A scan — one input row, no bound slot read — knows
+// how many rows it makes before it runs, and its block is made at that
+// size; any other stage's block grows by append, so a cross product
+// never allocates up front.
 func (f *Federator) evalPattern(ec *evalCtx, pat cpattern, rows rowset) rowset {
 	m := f.newMatcher(ec, pat, rows.w)
+	if rows.len() == 1 && !m.dead && !pat.readsBound(rows.row(0)) {
+		n := m.count()
+		m.out.ids = make([]rdf.ID, 0, n*rows.w)
+		m.out.used = make([]*links.Frozen, 0, n)
+	}
 	for i := 0; i < rows.len() && !ec.cancelled(); i++ {
 		m.match(rows.row(i), rows.used[i])
 	}
@@ -527,7 +577,7 @@ func (f *Federator) bindingOf(id rdf.ID) binding {
 	if id == rdf.NoID {
 		return binding{}
 	}
-	return binding{id: id, have: true, edges: f.same[id]}
+	return binding{id: id, have: true, edges: f.same.of(id)}
 }
 
 // resolved is one way of matching a bound position: as the ID itself
@@ -540,7 +590,7 @@ type resolved struct {
 
 // resolution returns the k-th way of matching b: k == -1 is b itself,
 // k >= 0 its k-th sameAs equivalent. The link is addressed inside the
-// federator's immutable edge slice, not copied.
+// federator's immutable edge array, not copied.
 func (b *binding) resolution(k int) resolved {
 	if k < 0 {
 		return resolved{id: b.id, have: b.have}
@@ -558,9 +608,10 @@ type matcher struct {
 	pat   cpattern
 	out   rowset
 	visit func(s, p, o rdf.ID) bool
-	// dead: the pattern holds a constant the dictionary lacks, which
-	// nothing can match.
-	dead bool
+	// srcs are the sources a probe visits unless its row binds the
+	// pattern's variable predicate: those holding a constant predicate,
+	// read once per stage, or every source.
+	srcs []int
 
 	// The probe in flight: the row being extended, how its three
 	// positions read (constants are read once, when the matcher is made)
@@ -573,6 +624,11 @@ type matcher struct {
 	// the probe's first match and shared by the rest.
 	ext    *links.Frozen
 	extSet bool
+
+	// dead: the pattern holds a constant the dictionary lacks, which
+	// nothing can match. It sits beside extSet, where the two bools share
+	// a word, which keeps a matcher in the allocator's 320-byte class.
+	dead bool
 }
 
 func (f *Federator) newMatcher(ec *evalCtx, pat cpattern, width int) *matcher {
@@ -582,6 +638,7 @@ func (f *Federator) newMatcher(ec *evalCtx, pat cpattern, width int) *matcher {
 		m.dead = m.dead || n.slot < 0 && n.id == rdf.NoID
 	}
 	m.s, m.p, m.o = f.bindingOf(pat.s.id), f.bindingOf(pat.p.id), f.bindingOf(pat.o.id)
+	m.srcs = f.candidateSources(&pat)
 	return m
 }
 
@@ -597,29 +654,48 @@ func (m *matcher) match(row []rdf.ID, used *links.Frozen) {
 		return
 	}
 	f := m.f
+	srcs := m.srcs
 	if slot := m.pat.s.slot; slot >= 0 {
 		m.s = f.bindingOf(row[slot])
 	}
 	if slot := m.pat.p.slot; slot >= 0 {
-		m.p = f.bindingOf(row[slot])
+		if m.p = f.bindingOf(row[slot]); m.p.have {
+			srcs = f.predSources[m.p.id]
+		}
 	}
 	if slot := m.pat.o.slot; slot >= 0 {
 		m.o = f.bindingOf(row[slot])
 	}
 	m.row, m.used = row, used
-	if m.p.have {
-		for _, si := range f.predSources[m.p.id] {
-			if m.ec.available(si) {
-				m.matchInSource(f.sources[si].Graph)
+	for _, si := range srcs {
+		if m.ec.available(si) {
+			m.matchInSource(f.sources[si].Graph)
+		}
+	}
+}
+
+// count returns how many triples the probes of a row binding none of
+// the pattern's variables match: the rows the stage makes, unless a
+// repeated variable rejects some of them.
+func (m *matcher) count() int {
+	n := 0
+	for _, si := range m.srcs {
+		if !m.ec.available(si) {
+			continue
+		}
+		g := m.f.sources[si].Graph
+		for ks := -1; ks < len(m.s.edges); ks++ {
+			rs := m.s.resolution(ks)
+			for kp := -1; kp < len(m.p.edges); kp++ {
+				rp := m.p.resolution(kp)
+				for ko := -1; ko < len(m.o.edges); ko++ {
+					ro := m.o.resolution(ko)
+					n += g.CountMatch(rs.id, rp.id, ro.id, rs.have, rp.have, ro.have)
+				}
 			}
 		}
-		return
 	}
-	for si, src := range f.sources {
-		if m.ec.available(si) {
-			m.matchInSource(src.Graph)
-		}
-	}
+	return n
 }
 
 // matchInSource probes g once per combination of resolutions of the
@@ -705,24 +781,4 @@ func Reject(row Row, sink FeedbackSink) {
 	for _, l := range row.Used.Slice() {
 		sink.Feedback(l, false)
 	}
-}
-
-// String renders a result set compactly for CLI display.
-func (rs *ResultSet) String() string {
-	s := ""
-	for i, r := range rs.Rows {
-		s += fmt.Sprintf("[%d]", i)
-		vars := append([]string(nil), rs.Vars...)
-		sort.Strings(vars)
-		for _, v := range vars {
-			if t, ok := r.Binding[v]; ok {
-				s += fmt.Sprintf(" ?%s=%s", v, t)
-			}
-		}
-		if r.Used.Len() > 0 {
-			s += fmt.Sprintf(" (links used: %d)", r.Used.Len())
-		}
-		s += "\n"
-	}
-	return s
 }

@@ -79,6 +79,16 @@ func (c *cpattern) uses(slot int32) bool {
 	return c.s.slot == slot || c.p.slot == slot || c.o.slot == slot
 }
 
+// readsBound reports whether row binds one of the pattern's variables.
+func (c *cpattern) readsBound(row []rdf.ID) bool {
+	for _, n := range c.nodes() {
+		if n.slot >= 0 && row[n.slot] != rdf.NoID {
+			return true
+		}
+	}
+	return false
+}
+
 // bind marks the pattern's variables in bound.
 func (c *cpattern) bind(bound []bool) {
 	for _, n := range c.nodes() {

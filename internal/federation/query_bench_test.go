@@ -244,3 +244,39 @@ func TestWideQueryAllocationsFollowSurvivors(t *testing.T) {
 		t.Errorf("%v allocations for %d scanned rows, %d joined, %d returned; bound %v", allocs, scanned, crossed, survivors, bound)
 	}
 }
+
+// TestScanStageSizedBeforeItFills: a stage that scans from the one
+// starting row counts its rows before it runs, and makes its block once
+// at that size. So a query whose first stage scans n labels and whose
+// second keeps one row allocates the same for n = 100 and n = 10 000;
+// a block grown by append reallocates a number of times that grows
+// with n.
+func TestScanStageSizedBeforeItFills(t *testing.T) {
+	const query = `SELECT ?e ?l WHERE { ?e <http://x/label> ?l . ?e <http://x/kind> "first" . }`
+	allocs := func(n int) float64 {
+		d := rdf.NewDict()
+		g := rdf.NewGraphWithDict(d)
+		for i := 0; i < n; i++ {
+			g.Insert(rdf.Triple{S: rdf.IRI(fmt.Sprintf("http://x/e%d", i)), P: rdf.IRI("http://x/label"), O: rdf.Literal(fmt.Sprint(i))})
+		}
+		g.Insert(rdf.Triple{S: rdf.IRI("http://x/e0"), P: rdf.IRI("http://x/kind"), O: rdf.Literal("first")})
+		f := New(d)
+		if err := f.AddSource("x", g); err != nil {
+			t.Fatal(err)
+		}
+		f.SetPlanCache(NewPlanCache(1))
+		// The label pattern binds ?e first, so it runs first whatever it
+		// costs; this also warms the plan cache.
+		if rs, err := f.Query(query); err != nil || len(rs.Rows) != 1 {
+			t.Fatalf("n=%d: rows %v, err %v; want one", n, rs, err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := f.Query(query); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(100), allocs(10_000); small != large {
+		t.Errorf("scanning 100 rows allocates %v times, 10 000 rows %v", small, large)
+	}
+}

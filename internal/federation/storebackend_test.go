@@ -21,14 +21,12 @@ import (
 // mmap-open cycle, not just the in-process Segmented.
 
 // installedLinks reconstructs the link set a federator is running
-// with from its sameAs edge index (each edge carries the canonical
+// with from its sameAs edge array (each edge carries the canonical
 // link).
 func installedLinks(f *Federator) links.Set {
 	ls := links.NewSet()
-	for _, edges := range f.same {
-		for _, e := range edges {
-			ls.Add(e.link)
-		}
+	for _, e := range f.same.edges {
+		ls.Add(e.link)
 	}
 	return ls
 }
