@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint verify fmt fmt-check bench bench-space bench-query bench-fleet bench-store bench-e2e-check fleet-smoke fleet-chaos clean
+.PHONY: all build test race vet lint verify fmt fmt-check bench bench-space bench-query bench-store bench-e2e-check fleet-smoke clean
 
 # BENCH_CPUS is the -cpu list of the scaling benchmarks: 1,2,4,8 cut
 # off at the host's core count. A row above it measures goroutines
@@ -57,7 +57,7 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-bench: bench-space bench-query bench-store bench-fleet
+bench: bench-space bench-query bench-store
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-space runs the feature-space construction scaling benchmark
@@ -91,25 +91,12 @@ bench-store:
 		./internal/store | \
 		$(GO) run ./cmd/benchjson -out BENCH_store.json
 
-# bench-fleet runs the sharded-fleet benchmark: router query throughput
-# over 1, 2 and 4 alexd shards with simulated I/O-bound sources. Acceptance is queries/s growing with the shard
-# count; results land in BENCH_fleet.json.
-bench-fleet:
-	$(GO) test -run '^$$' -bench '^BenchmarkFleetQuery$$' -benchmem \
-		-benchtime=200x ./internal/fleet | \
-		$(GO) run ./cmd/benchjson -out BENCH_fleet.json
-
 # fleet-smoke boots 3 alexd shards plus an alexrouter out-of-process,
-# queries through the router, kills one shard, asserts
-# degraded-but-correct serving, restarts it and asserts recovery.
+# queries through the router, acks a rejection that spans every owner,
+# SIGKILLs one shard, asserts degraded-but-correct serving, restarts it
+# and asserts recovery with the acked rejection served nowhere.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
-
-# fleet-chaos is the seeded chaos drill: 3 shards behind faultnetd
-# proxies (latency, drops, 5xx, partition) plus a SIGKILL'd shard;
-# asserts zero acked-feedback loss and answer identity vs single-node.
-fleet-chaos:
-	./scripts/fleet_chaos.sh
 
 clean:
 	$(GO) clean ./...

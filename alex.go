@@ -34,7 +34,6 @@ import (
 	"alex/internal/links"
 	"alex/internal/paris"
 	"alex/internal/rdf"
-	"alex/internal/sparql"
 	"alex/internal/synth"
 )
 
@@ -79,10 +78,8 @@ type (
 	RunResult = core.Result
 	// Oracle simulates users answering from a ground truth.
 	Oracle = feedback.Oracle
-	// Crowd simulates majority-vote feedback from many noisy users.
-	Crowd = feedback.Crowd
-	// Judger is the feedback interface accepted by System.Run: Oracle,
-	// Crowd, or your own feedback channel.
+	// Judger is the feedback interface accepted by System.Run: Oracle or
+	// your own feedback channel.
 	Judger = feedback.Judger
 )
 
@@ -95,10 +92,6 @@ type (
 	AnswerRow = federation.Row
 	// AnswerSet holds federated query results.
 	AnswerSet = federation.ResultSet
-	// Query is a parsed SPARQL query.
-	Query = sparql.Query
-	// QueryResult holds single-graph SPARQL solutions.
-	QueryResult = sparql.Result
 )
 
 // Synthetic workloads (the paper's dataset-pair stand-ins).
@@ -115,26 +108,14 @@ var (
 	IRI = rdf.IRI
 	// Literal returns a plain string literal.
 	Literal = rdf.Literal
-	// TypedLiteral returns a literal with a datatype IRI.
-	TypedLiteral = rdf.TypedLiteral
-	// LangLiteral returns a language-tagged literal.
-	LangLiteral = rdf.LangLiteral
-	// Blank returns a blank-node term.
-	Blank = rdf.Blank
 )
 
-// Storage constructors and N-Triples I/O.
+// Storage constructors.
 var (
 	// NewDict returns an empty term dictionary.
 	NewDict = rdf.NewDict
-	// NewGraph returns a graph with a private dictionary.
-	NewGraph = rdf.NewGraph
 	// NewGraphWithDict returns a graph over a shared dictionary.
 	NewGraphWithDict = rdf.NewGraphWithDict
-	// ReadNTriples loads N-Triples into a graph.
-	ReadNTriples = rdf.ReadNTriples
-	// WriteNTriples serializes a graph as N-Triples.
-	WriteNTriples = rdf.WriteNTriples
 )
 
 // DefaultConfig returns the paper's default ALEX settings (§7.1).
@@ -185,12 +166,6 @@ func NewOracle(groundTruth LinkSet, errRate float64, rng *rand.Rand) *Oracle {
 	return feedback.NewOracle(groundTruth, errRate, rng)
 }
 
-// NewCrowd returns a majority-vote crowd of `voters` users, each erring
-// with probability errRate (§6.3's feedback-refinement idea).
-func NewCrowd(groundTruth LinkSet, errRate float64, voters int, rng *rand.Rand) *Crowd {
-	return feedback.NewCrowd(groundTruth, errRate, voters, rng)
-}
-
 // NewFederator returns a federated query processor over a shared
 // dictionary. Register sources with AddSource and install the current
 // candidate links with SetLinks.
@@ -199,17 +174,6 @@ func NewFederator(dict *Dict) *Federator { return federation.New(dict) }
 // ApproveAnswer routes positive feedback on a federated answer to ALEX:
 // every link the answer used is approved.
 func ApproveAnswer(row AnswerRow, sys *System) { federation.Approve(row, sys) }
-
-// RejectAnswer routes negative feedback on a federated answer to ALEX.
-func RejectAnswer(row AnswerRow, sys *System) { federation.Reject(row, sys) }
-
-// ParseQuery parses a SPARQL SELECT query (the supported subset covers
-// BGPs, FILTER, OPTIONAL, UNION, DISTINCT, ORDER BY, LIMIT, OFFSET).
-func ParseQuery(q string) (*Query, error) { return sparql.Parse(q) }
-
-// ExecuteQuery runs a SPARQL query against a single graph: a federation
-// of one source with no links.
-func ExecuteQuery(g *Graph, q string) (*QueryResult, error) { return federation.Execute(g, q) }
 
 // Profiles lists the built-in synthetic dataset-pair profiles, one per
 // pair in the paper's Table 1.

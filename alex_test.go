@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"alex"
+	"alex/internal/federation"
 )
 
 // TestEndToEndPipeline exercises the full public API: generate a pair,
@@ -96,26 +97,11 @@ func TestFederatedFeedbackLoop(t *testing.T) {
 			t.Fatal("approved link vanished")
 		}
 	}
-	alex.RejectAnswer(res.Rows[0], sys)
+	federation.Reject(res.Rows[0], sys)
 	for _, l := range res.Rows[0].Used.Slice() {
 		if sys.Candidates().Has(l) {
 			t.Fatal("rejected link survived")
 		}
-	}
-}
-
-func TestQueryHelpers(t *testing.T) {
-	g := alex.NewGraph()
-	g.Insert(alex.Triple{S: alex.IRI("http://e/a"), P: alex.IRI("http://p/name"), O: alex.Literal("A")})
-	res, err := alex.ExecuteQuery(g, `SELECT ?n WHERE { ?s <http://p/name> ?n . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	if _, err := alex.ParseQuery(`SELECT bogus`); err == nil {
-		t.Fatal("bad query parsed")
 	}
 }
 

@@ -5,6 +5,11 @@
 //	alexbench -exp fig2a
 //	alexbench -exp all -scale 0.5
 //
+// Or run the quality pipeline of Figures 2-4 (PARIS, then ALEX with a
+// ground-truth oracle) on N-Triples files, such as synthgen writes:
+//
+//	alexbench -ds1 a.nt -ds2 b.nt -truth truth.nt
+//
 // Experiment ids: table1, fig2a, fig2b, fig2c, fig3a, fig3b, fig3c,
 // fig4a, fig4b, fig4c, fig4d, fig5a, fig5b, fig6, fig7, fig8, fig9,
 // fig10, fig11, timing, ablation-policy, ablation-epsilon,
@@ -58,6 +63,9 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 	storeBackend := flag.String("store", "mem", "triple store backend: mem (in-memory graphs) or disk (temporary mmap'd segment store)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
+	ds1 := flag.String("ds1", "", "N-Triples file of dataset 1 (file mode, with -ds2 and -truth)")
+	ds2 := flag.String("ds2", "", "N-Triples file of dataset 2 (file mode)")
+	truth := flag.String("truth", "", "N-Triples file of ground-truth owl:sameAs links (file mode)")
 	flag.Parse()
 	csvOut = *csvDir
 
@@ -73,11 +81,26 @@ func main() {
 		return
 	}
 
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Store: *storeBackend}
+	if *ds1 != "" || *ds2 != "" || *truth != "" {
+		if *ds1 == "" || *ds2 == "" || *truth == "" {
+			fmt.Fprintln(os.Stderr, "alexbench: file mode needs all of -ds1, -ds2 and -truth")
+			flag.Usage()
+			os.Exit(2)
+		}
+		r, err := experiments.RunQualityFiles(*ds1, *ds2, *truth, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "alexbench: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Print(r.Report())
+		return
+	}
+
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experimentOrder
 	}
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Store: *storeBackend}
 	for _, id := range ids {
 		start := time.Now()
 		fmt.Printf("==================== %s ====================\n", id)

@@ -84,8 +84,7 @@ func main() {
 	maxQueries := flag.Int("max-queries", 0, "concurrent /query evaluations admitted (0 = unlimited; excess waits, then 503)")
 	shardID := flag.Int("shard-id", -1, "this shard's ID within -fleet (-1 = standalone)")
 	fleetList := flag.String("fleet", "", "comma-separated addresses of ALL fleet shards in shard-ID order (requires -shard-id)")
-	replicateEvery := flag.Duration("replicate-every", 2*time.Second, "fleet anti-entropy pull interval (with -fleet)")
-	routersList := flag.String("routers", "", "comma-separated router addresses to push health transitions to (with -fleet)")
+	replicateEvery := flag.Duration("replicate-every", 2*time.Second, "fleet anti-entropy interval: the shard pushes its snapshot to every peer and pulls theirs (with -fleet)")
 	flag.Parse()
 
 	if addr, err := pprofserve.Start(*pprofAddr); err != nil {
@@ -281,17 +280,10 @@ func main() {
 			}
 		}
 		initial = keptLinks
-		var routers []string
-		if *routersList != "" {
-			for _, a := range strings.Split(*routersList, ",") {
-				routers = append(routers, strings.TrimSpace(a))
-			}
-		}
 		fleetCfg = &server.FleetConfig{
 			ShardID:        *shardID,
 			Shards:         len(peers),
 			ReplicateEvery: *replicateEvery,
-			Routers:        routers,
 		}
 		log.Printf("shard %d/%d owns range %s: %d/%d entities, %d/%d initial links",
 			*shardID, len(peers), own, len(e1), allE1, len(initial), allInit)

@@ -1,5 +1,6 @@
 // Command synthgen materializes a built-in synthetic dataset-pair
-// profile as three N-Triples files, ready for alexlink and alexd:
+// profile as three N-Triples files, ready for alexbench's file mode and
+// alexd:
 //
 //	synthgen -profile dbpedia-nba-nytimes -dir /tmp/nba
 //
@@ -7,11 +8,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"alex"
@@ -41,46 +40,11 @@ func main() {
 		prof = prof.Scale(*scale)
 	}
 	ds := alex.GenerateDataset(prof)
-
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
+	if err := ds.WriteFiles(*dir); err != nil {
 		fatal(err)
 	}
-	writeGraph(filepath.Join(*dir, "ds1.nt"), ds.G1)
-	writeGraph(filepath.Join(*dir, "ds2.nt"), ds.G2)
-	writeTruth(filepath.Join(*dir, "truth.nt"), ds)
 	fmt.Printf("wrote %s/{ds1.nt (%d triples), ds2.nt (%d triples), truth.nt (%d links)}\n",
 		*dir, ds.G1.Size(), ds.G2.Size(), ds.GroundTruth.Len())
-}
-
-func writeGraph(path string, g *alex.Graph) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := alex.WriteNTriples(f, g); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-}
-
-func writeTruth(path string, ds *alex.SynthDataset) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	w := bufio.NewWriter(f)
-	sameAs := alex.IRI("http://www.w3.org/2002/07/owl#sameAs")
-	for _, l := range ds.GroundTruth.Slice() {
-		fmt.Fprintf(w, "%s\n", alex.Triple{S: ds.Dict.Term(l.E1), P: sameAs, O: ds.Dict.Term(l.E2)})
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

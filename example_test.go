@@ -25,24 +25,6 @@ func ExampleAutoLink() {
 	// http://a/ada == http://b/lovelace
 }
 
-// ExampleExecuteQuery runs a SPARQL query against a single graph.
-func ExampleExecuteQuery() {
-	g := alex.NewGraph()
-	g.Insert(alex.Triple{S: alex.IRI("http://e/1"), P: alex.IRI("http://p/name"), O: alex.Literal("Alice")})
-	g.Insert(alex.Triple{S: alex.IRI("http://e/2"), P: alex.IRI("http://p/name"), O: alex.Literal("Bob")})
-
-	res, err := alex.ExecuteQuery(g, `SELECT ?n WHERE { ?e <http://p/name> ?n . } ORDER BY ?n`)
-	if err != nil {
-		panic(err)
-	}
-	for _, row := range res.Rows {
-		fmt.Println(row["n"].Value)
-	}
-	// Output:
-	// Alice
-	// Bob
-}
-
 // ExampleNewSystem shows the ALEX loop: feedback on a correct link makes
 // the system explore around it and discover a similar link.
 func ExampleNewSystem() {

@@ -28,17 +28,18 @@ import (
 )
 
 // Analyzer is the syncerr checker, scoped to the write-ahead log, the
-// serving layer, the fleet router, the chaos proxy and the cmd/ tools —
-// the packages whose errors back durability promises (the router relays
-// acks whose meaning is "the owning shard fsynced"; faultnet sits on
-// that path in chaos drills, where a dropped error would fake a fault;
-// the tools write graph and link files whose silent truncation corrupts
+// serving layer, the fleet router, the fault-injecting transport, the
+// synthetic dataset writer and the cmd/ tools — the packages whose
+// errors back durability promises (the router relays acks whose meaning
+// is "the owning shard fsynced"; faultnet sits on that path in chaos
+// drills, where a dropped error would fake a fault; synth and the tools
+// write graph, link and result files whose silent truncation corrupts
 // every downstream run).
 var Analyzer = &analysis.Analyzer{
 	Name: "syncerr",
 	Doc:  "flags discarded Sync/Flush/Close errors on durability-relevant files",
 	Match: func(p string) bool {
-		return analysis.PathHasAny(p, "alex/internal/wal", "alex/internal/server", "alex/internal/fleet", "alex/internal/faultnet", "alex/internal/store", "alex/cmd")
+		return analysis.PathHasAny(p, "alex/internal/wal", "alex/internal/server", "alex/internal/fleet", "alex/internal/faultnet", "alex/internal/store", "alex/internal/synth", "alex/cmd")
 	},
 	Run: run,
 }

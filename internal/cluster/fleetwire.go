@@ -22,7 +22,8 @@
 //
 // SnapshotManifest is the replication unit: after every episode a shard
 // publishes its authoritative link partition (with its provenance — the
-// owning shard, the range it covers and the episode that produced it)
+// owning shard, the range it covers, the shard's boot and the episode
+// that produced it)
 // so every peer can serve full reads; see internal/server's replicator.
 package cluster
 
@@ -128,14 +129,6 @@ func OwnerOf(ranges []HashRange, iri string) int {
 	return i - 1
 }
 
-// ShardInfo identifies one shard of a fleet: its ID (index into the
-// fleet's range list), its advertised address and the range it owns.
-type ShardInfo struct {
-	ID    int       `json:"id"`
-	Addr  string    `json:"addr,omitempty"`
-	Range HashRange `json:"range"`
-}
-
 // LinkWire is a link as IRI strings, the form in which links cross the
 // fleet's JSON wire (SnapshotManifest).
 type LinkWire struct {
@@ -146,28 +139,23 @@ type LinkWire struct {
 // SnapshotManifest is a shard's published link-set snapshot: the links
 // of its authoritative partition plus the provenance needed to trust
 // and order it — which shard produced it, the range those links' E1
-// entities hash into, and the episode (and published snapshot version)
-// the set reflects. Links travel as IRI pairs, never dictionary IDs:
-// the receiver interns into its own dictionary.
+// entities hash into, the boot of the shard's process, and the episode
+// (and published snapshot version) the set reflects. Links travel as
+// IRI pairs, never dictionary IDs: the receiver interns into its own
+// dictionary.
 type SnapshotManifest struct {
 	ShardID int       `json:"shard_id"`
 	Range   HashRange `json:"range"`
-	// Episode orders manifests from the same shard: a receiver replaces
-	// its stored copy only when the incoming episode is newer.
-	Episode int `json:"episode"`
-	// Version is the shard's published snapshot version at manifest
-	// time, for observability (episode, not version, decides staleness).
-	Version uint64     `json:"version"`
+	// Boot (Unix nanoseconds at the shard's start), then Version (the
+	// shard's published snapshot version, which restarts at a boot),
+	// order manifests from the same shard: a receiver replaces its
+	// stored copy only with a newer one. Episode does not order them: a
+	// restart does not restore the episode count, because the journal
+	// replays in full episodes, not the shorter ones the flush timer
+	// closed.
+	Boot    int64  `json:"boot"`
+	Version uint64 `json:"version"`
+	// Episode is the shard's engine episode at manifest time.
+	Episode int        `json:"episode"`
 	Links   []LinkWire `json:"links"`
-}
-
-// HealthPush is the POST /router/health body: a shard telling a router
-// about its own health transition, so failover reacts in milliseconds
-// instead of waiting out the router's poll interval. "down" is pushed
-// on graceful shutdown and trusted immediately; "up" is pushed on
-// startup and only triggers a verification probe (a shard cannot vouch
-// for its own reachability from the router's side of the network).
-type HealthPush struct {
-	ShardID int    `json:"shard_id"`
-	Status  string `json:"status"` // "up" or "down"
 }

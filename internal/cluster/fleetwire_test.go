@@ -17,6 +17,7 @@ func TestFleetWireRoundTrip(t *testing.T) {
 		{
 			ShardID: 2,
 			Range:   HashRange{Lo: 0x4000000000000000, Hi: 0x8000000000000000},
+			Boot:    1760000000123456789,
 			Episode: 17,
 			Version: 43,
 			Links: []LinkWire{
@@ -41,19 +42,6 @@ func TestFleetWireRoundTrip(t *testing.T) {
 			t.Fatalf("manifest round trip lost fields:\n sent %+v\n got  %+v", m, back)
 		}
 	}
-
-	info := ShardInfo{ID: 1, Addr: "10.0.0.7:8081", Range: HashRange{Lo: 7, Hi: 11}}
-	data, err := json.Marshal(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ShardInfo
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(info, back) {
-		t.Fatalf("shard info round trip lost fields:\n sent %+v\n got  %+v", info, back)
-	}
 }
 
 // The wire keys are a cross-version contract: renaming one desyncs
@@ -67,7 +55,7 @@ func TestFleetWireKeys(t *testing.T) {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"shard_id", "range", "episode", "version", "links"} {
+	for _, key := range []string{"shard_id", "range", "boot", "episode", "version", "links"} {
 		if _, ok := raw[key]; !ok {
 			t.Fatalf("manifest JSON lost key %q: %s", key, data)
 		}

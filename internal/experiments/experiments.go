@@ -124,8 +124,35 @@ func RunQuality(profileName string, opts Options) (*QualityRun, error) {
 
 // RunQualityProfile is RunQuality for an explicit profile value.
 func RunQualityProfile(prof synth.Profile, opts Options) (*QualityRun, error) {
+	return runQuality(synth.Generate(prof), opts)
+}
+
+// RunQualityFiles is the same pipeline on a dataset pair and its ground
+// truth read from N-Triples files (see synth.ReadFiles), under
+// core.DefaultConfig seeded with opts.Seed.
+func RunQualityFiles(ds1, ds2, truth string, opts Options) (*QualityRun, error) {
 	opts.fill()
-	ds := synth.Generate(prof)
+	ds, err := synth.ReadFiles(ds1, ds2, truth)
+	if err != nil {
+		return nil, err
+	}
+	cfg := core.DefaultConfig()
+	ds.Profile = synth.Profile{
+		Name:        ds1 + " + " + ds2,
+		Description: "ground truth " + truth,
+		EpisodeSize: cfg.EpisodeSize,
+		Partitions:  cfg.Partitions,
+		Seed:        opts.Seed,
+	}
+	return runQuality(ds, opts)
+}
+
+// runQuality runs PARIS on ds, then ALEX from PARIS's links with a
+// ground-truth oracle until convergence, under core.DefaultConfig with
+// the profile's episode size, partitions and seed.
+func runQuality(ds *synth.Dataset, opts Options) (*QualityRun, error) {
+	opts.fill()
+	prof := ds.Profile
 	t1, t2, cleanup, err := opts.stores(ds)
 	if err != nil {
 		return nil, err

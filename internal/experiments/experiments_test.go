@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"alex/internal/core"
+	"alex/internal/synth"
 )
 
 // smallOpts keeps experiment tests fast on one core.
@@ -41,6 +45,36 @@ func TestRunQualityImprovesF(t *testing.T) {
 	if rep := r.Report(); !strings.Contains(rep, "profile opencyc-lexvo") {
 		t.Fatal("report missing profile header")
 	}
+}
+
+// TestRunQualityFiles is alexbench's file mode on the files synthgen
+// writes: a 0.1-scale profile read back from disk, linked by PARIS and
+// refined by ALEX against truth.nt.
+func TestRunQualityFiles(t *testing.T) {
+	prof, ok := synth.ProfileByName("dbpedia-nba-nytimes")
+	if !ok {
+		t.Fatal("missing profile")
+	}
+	dir := t.TempDir()
+	if err := synth.Generate(prof.Scale(0.1)).WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	truth := filepath.Join(dir, "truth.nt")
+	data, err := os.ReadFile(truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunQualityFiles(filepath.Join(dir, "ds1.nt"), filepath.Join(dir, "ds2.nt"), truth, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Count(data, []byte("\n")); r.GroundTruth != want {
+		t.Fatalf("ground truth %d links, truth.nt has %d", r.GroundTruth, want)
+	}
+	if r.Result.Episodes < 1 {
+		t.Fatalf("no episode ran: %+v", r.Result)
+	}
+	t.Logf("%d links, %d episodes: %v -> %v", r.GroundTruth, r.Result.Episodes, r.Initial, r.Final)
 }
 
 func TestTable1(t *testing.T) {

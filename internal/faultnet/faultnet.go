@@ -1,5 +1,6 @@
 // Package faultnet injects network faults between fleet components —
-// the network-layer sibling of internal/faultfs.
+// the network-layer sibling of internal/faultfs. It is an in-process
+// layer: the fleet tests put a Transport under the router.
 //
 // Transport wraps an http.RoundTripper and injects, per destination
 // host: added latency (with jitter), connection drops, synthesized 5xx
@@ -10,14 +11,10 @@
 // bounds (e.g. "hedging never exceeds 2× the baseline request rate")
 // against those counters.
 //
-// Proxy (proxy.go) lifts the same injection out of process: a reverse
-// proxy that sits between a router and a shard in shell drills, with
-// admin endpoints to reconfigure faults and read counters mid-run.
-//
 // Asymmetric partitions fall out of the shape: faults are keyed by
-// destination host and each component owns its own Transport (or has
-// its own Proxy in front), so "router cannot reach shard 2" leaves
-// "shard 2 reaches everyone" intact.
+// destination host and each component owns its own Transport, so
+// "router cannot reach shard 2" leaves "shard 2 reaches everyone"
+// intact.
 package faultnet
 
 import (
@@ -35,24 +32,24 @@ import (
 type Faults struct {
 	// Latency is added before the request is forwarded (or failed);
 	// Jitter adds a uniformly random extra on top.
-	Latency time.Duration `json:"latency"`
-	Jitter  time.Duration `json:"jitter"`
+	Latency time.Duration
+	Jitter  time.Duration
 	// DropProb is the probability the connection drops: the request
 	// fails with a transport error after the latency, no response. The
 	// caller cannot tell whether the server processed it — exactly the
 	// ambiguity real connection resets have.
-	DropProb float64 `json:"drop_prob"`
+	DropProb float64
 	// ErrProb is the probability the request is answered with a
 	// synthesized 503 burst instead of reaching the upstream.
-	ErrProb float64 `json:"err_prob"`
+	ErrProb float64
 	// SlowBody drips the response body out one chunk per interval
 	// (slow-loris): the status arrives promptly, the payload crawls.
-	SlowBody time.Duration `json:"slow_body"`
+	SlowBody time.Duration
 	// SlowChunk is the bytes released per SlowBody interval (0 = 256).
-	SlowChunk int `json:"slow_chunk"`
+	SlowChunk int
 	// Partition fails every request immediately: the destination is
 	// unreachable from this transport's side.
-	Partition bool `json:"partition"`
+	Partition bool
 }
 
 // ErrPartition is the transport error injected for partitioned hosts.

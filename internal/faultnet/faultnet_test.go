@@ -166,54 +166,3 @@ func TestTransportSlowBody(t *testing.T) {
 		t.Fatalf("slow body arrived in %s", elapsed)
 	}
 }
-
-func TestProxyInjectsAndReports(t *testing.T) {
-	ts := testServer(t)
-	p, err := NewProxy(11, "127.0.0.1:0", ts.URL)
-	if err != nil {
-		t.Fatalf("proxy: %v", err)
-	}
-	p.Start()
-	defer func() {
-		if err := p.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-
-	base := "http://" + p.Addr()
-	resp, err := http.Get(base + "/query")
-	if err != nil {
-		t.Fatalf("through proxy: %v", err)
-	}
-	if body := drain(t, resp); len(body) != 2048 {
-		t.Fatalf("proxied body length %d", len(body))
-	}
-
-	// Reconfigure to a full partition via the admin endpoint.
-	resp, err = http.Post(base+"/_faultnet/set", "application/json",
-		strings.NewReader(`{"partition":true}`))
-	if err != nil {
-		t.Fatalf("set: %v", err)
-	}
-	drain(t, resp)
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("set status %d", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/query")
-	if err != nil {
-		t.Fatalf("partitioned proxy get: %v", err)
-	}
-	drain(t, resp)
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("partitioned status %d, want 502", resp.StatusCode)
-	}
-
-	resp, err = http.Get(base + "/_faultnet/stats")
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	stats := drain(t, resp)
-	if !strings.Contains(stats, "/query") {
-		t.Fatalf("stats missing /query counter: %s", stats)
-	}
-}

@@ -22,23 +22,31 @@ import (
 	"alex/internal/server"
 )
 
-// splitWorld builds eight dataset-1 entities whose names are chosen so
-// a two-shard split puts four on each shard (tinyWorld's a0..a5 all
-// hash to one shard at n=2, which would make every cross-shard batch
-// degenerate). All eight initial links are crossed within their owner
-// group, so rejecting them is a pure removal — no exploration noise —
-// and a batch pairing one link from each group always spans owners.
-func splitWorld(t testing.TB) *world {
+// splitWorld builds a world whose dataset-1 entities cover every owner
+// of an n-shard fleet: four per owner, the first entities a1, a2, ...
+// that hash to it. Each owner's four initial links are crossed in pairs
+// between its own entities, so rejecting them is a pure removal — no
+// exploration noise — and spanningBatch, which takes one link from each
+// owner, always spans every owner.
+func splitWorld(t testing.TB, n int) *world {
 	t.Helper()
 	dict := rdf.NewDict()
 	g1 := rdf.NewGraphWithDict(dict)
 	g2 := rdf.NewGraphWithDict(dict)
 	label := rdf.IRI("http://ds1/label")
 	name := rdf.IRI("http://ds2/name")
-	nums := []int{1, 2, 3, 4, 10, 11, 12, 13}
+	ranges := cluster.FleetRanges(n)
+	owned := make([][]int, n)
 	var queries []string
-	for _, i := range nums {
+	for i, full := 1, 0; full < n; i++ {
 		a := rdf.IRI(fmt.Sprintf("http://ds1/a%d", i))
+		o := cluster.OwnerOf(ranges, a.Value)
+		if len(owned[o]) == 4 {
+			continue
+		}
+		if owned[o] = append(owned[o], i); len(owned[o]) == 4 {
+			full++
+		}
 		b := rdf.IRI(fmt.Sprintf("http://ds2/b%d", i))
 		g1.Insert(rdf.Triple{S: a, P: label, O: rdf.Literal(fmt.Sprintf("thing %d", i))})
 		g2.Insert(rdf.Triple{S: b, P: name, O: rdf.Literal(fmt.Sprintf("thing %d prime", i))})
@@ -54,19 +62,16 @@ func splitWorld(t testing.TB) *world {
 		}
 		return i
 	}
-	// Cross pairs within each owner group: (1,2)(3,4) and (10,11)(12,13).
+	// Owner o's entities (p, q, r, s) get the crossed links p→q, q→p,
+	// r→s, s→r.
 	var initial []links.Link
-	for _, p := range [][2]int{{1, 2}, {3, 4}, {10, 11}, {12, 13}} {
-		for k := 0; k < 2; k++ {
+	for _, nums := range owned {
+		for k, i := range nums {
 			initial = append(initial, links.Link{
-				E1: id(rdf.IRI(fmt.Sprintf("http://ds1/a%d", p[k]))),
-				E2: id(rdf.IRI(fmt.Sprintf("http://ds2/b%d", p[1-k]))),
+				E1: id(rdf.IRI(fmt.Sprintf("http://ds1/a%d", i))),
+				E2: id(rdf.IRI(fmt.Sprintf("http://ds2/b%d", nums[k^1]))),
 			})
 		}
-	}
-	ranges := cluster.FleetRanges(2)
-	if cluster.OwnerOf(ranges, "http://ds1/a1") == cluster.OwnerOf(ranges, "http://ds1/a10") {
-		t.Fatal("splitWorld invariant broken: a1 and a10 hash to the same 2-shard owner")
 	}
 	return &world{
 		dict: dict, g1: g1, g2: g2,
@@ -384,98 +389,12 @@ func TestRouterCloseDuringInflightPollNoLeak(t *testing.T) {
 	}
 }
 
-// pushHealth posts one shard health transition to the router and
-// returns the HTTP status.
-func pushHealth(t testing.TB, routerURL string, shardID int, status string) int {
-	t.Helper()
-	body := fmt.Sprintf(`{"shard_id":%d,"status":%q}`, shardID, status)
-	resp, err := http.Post(routerURL+"/router/health", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resp.Body.Close(); err != nil {
-		t.Fatalf("close response body: %v", err)
-	}
-	return resp.StatusCode
-}
-
-// Tentpole: shard-pushed health transitions. "down" is trusted and
-// immediate; "up" only triggers a verification probe, so a push for a
-// live shard restores it instantly while a spoofed push for a dead
-// shard cannot resurrect it. The poll interval is an hour, so any
-// transition observed here came from the push path alone.
-func TestRouterHealthPush(t *testing.T) {
-	w := tinyWorld(t)
-	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
-		c.HealthInterval = time.Hour
-		c.Breaker = federation.BreakerConfig{Failures: 5, Cooldown: 100 * time.Millisecond, Successes: 1}
-	})
-	f.waitConverged(t, len(w.initial))
-
-	if st := pushHealth(t, f.rts.URL, 0, "down"); st != http.StatusNoContent {
-		t.Fatalf("down push status = %d, want 204", st)
-	}
-	h, err := f.router.healthView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Routable != 1 || h.Shards[0].Routable {
-		t.Fatalf("down push not immediate: %+v", h)
-	}
-
-	// The shard is actually healthy, so an "up" push (which probes
-	// before believing) restores it without waiting for a poll.
-	if st := pushHealth(t, f.rts.URL, 0, "up"); st != http.StatusNoContent {
-		t.Fatalf("up push status = %d, want 204", st)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		h, err := f.router.healthView()
-		if err == nil && h.Routable == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("up push never restored the live shard: %+v", h)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Kill shard 1 for real: a spoofed "up" push must NOT make it
-	// routable — the verification probe fails against the corpse.
-	f.https[1].Close()
-	f.shards[1].Abort()
-	if st := pushHealth(t, f.rts.URL, 1, "down"); st != http.StatusNoContent {
-		t.Fatalf("down push status = %d, want 204", st)
-	}
-	for i := 0; i < 5; i++ {
-		if st := pushHealth(t, f.rts.URL, 1, "up"); st != http.StatusNoContent {
-			t.Fatalf("spoofed up push status = %d, want 204", st)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	h, err = f.router.healthView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Shards[1].Routable {
-		t.Fatal("spoofed up push resurrected a dead shard")
-	}
-
-	// Malformed pushes are rejected.
-	if st := pushHealth(t, f.rts.URL, 99, "down"); st != http.StatusBadRequest {
-		t.Fatalf("unknown-shard push status = %d, want 400", st)
-	}
-	if st := pushHealth(t, f.rts.URL, 0, "sideways"); st != http.StatusBadRequest {
-		t.Fatalf("unknown-status push status = %d, want 400", st)
-	}
-}
-
 // Tentpole acceptance: under a 100% slow fleet the hedging budget caps
 // upstream amplification — total /query sub-requests stay at most 2×
 // the client query count, while at least one hedge actually fires.
 // faultnet's per-(host,path) counters are the measurement.
 func TestRouterHedgedReadsBoundedAmplification(t *testing.T) {
-	w := splitWorld(t)
+	w := splitWorld(t, 2)
 	tr := faultnet.New(11, nil)
 	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
 		c.Transport = tr
@@ -516,14 +435,25 @@ func TestRouterHedgedReadsBoundedAmplification(t *testing.T) {
 	}
 }
 
-// The chaos drill acceptance, in-process: under seeded latency, drops,
-// 5xx bursts, an asymmetric partition and a SIGKILL'd shard, every
-// acked cross-shard feedback batch survives (journal audit) and the
-// fleet's answers stay canonically identical to a single node that saw
-// the same verdicts.
+// The chaos drill acceptance, in-process, at two shards and at three:
+// under seeded latency, drops, 5xx bursts, an asymmetric partition and
+// a SIGKILL'd shard, every acked feedback batch spanning every owner
+// survives (journal audit) and the fleet's answers stay canonically
+// identical to a single node that saw the same verdicts. The
+// partitioned shard is never the killed one.
 func TestRouterChaosDrillZeroAckedLoss(t *testing.T) {
-	w := splitWorld(t)
-	n := 2
+	for _, tc := range []struct{ n, kill, partition int }{
+		{n: 2, kill: 1, partition: 0},
+		{n: 3, kill: 1, partition: 2},
+	} {
+		t.Run(fmt.Sprintf("%d shards", tc.n), func(t *testing.T) {
+			chaosDrill(t, tc.n, tc.kill, tc.partition)
+		})
+	}
+}
+
+func chaosDrill(t *testing.T, n, kill, partition int) {
+	w := splitWorld(t, n)
 	tr := faultnet.New(20260808, nil)
 	base := server.Config{
 		DataDir:       t.TempDir(),
@@ -546,13 +476,6 @@ func TestRouterChaosDrillZeroAckedLoss(t *testing.T) {
 	}
 	tr.SetFaults("", chaos)
 
-	// Three batches, each pairing one link from each owner group, so
-	// every ack is two owners' acks under fire.
-	batches := [][]server.LinkJSON{
-		{{E1: "http://ds1/a1", E2: "http://ds2/b2"}, {E1: "http://ds1/a10", E2: "http://ds2/b11"}},
-		{{E1: "http://ds1/a2", E2: "http://ds2/b1"}, {E1: "http://ds1/a11", E2: "http://ds2/b10"}},
-		{{E1: "http://ds1/a3", E2: "http://ds2/b4"}, {E1: "http://ds1/a12", E2: "http://ds2/b13"}},
-	}
 	var acked []server.LinkJSON
 	sendBatch := func(b []server.LinkJSON) {
 		t.Helper()
@@ -572,25 +495,26 @@ func TestRouterChaosDrillZeroAckedLoss(t *testing.T) {
 		}
 	}
 
-	sendBatch(batches[0])
+	// Three batches, each one link from every owner, so every ack is n
+	// owners' acks under fire.
+	sendBatch(spanningBatch(t, w, n, 0))
 
-	// SIGKILL shard 1 right after the ack — its slice of batch 0 may
-	// still be queued for the writer, so recovery must finish the job
-	// from the journal alone.
-	f.https[1].Close()
-	f.shards[1].Abort()
-	f.restartShard(t, w, 1, base)
-	newClient := server.NewClient(f.addrs[1])
+	// SIGKILL a shard right after the ack — its slice may still be
+	// queued for the writer, so recovery must finish the job from the
+	// journal alone.
+	f.kill(kill)
+	f.restartShard(t, w, kill, base)
+	newClient := server.NewClient(f.addrs[kill])
 	newClient.SetRetryPolicy(server.RetryPolicy{MaxAttempts: 1})
-	f.clients[1] = newClient
-	sendBatch(batches[1])
+	f.clients[kill] = newClient
+	sendBatch(spanningBatch(t, w, n, 1))
 
-	// Asymmetric partition: the router loses shard 0 while shard 0
+	// Asymmetric partition: the router loses a shard while that shard
 	// still reaches everyone. The batch retries until the heal lands.
-	tr.SetFaults(hosts[0], faultnet.Faults{Partition: true})
-	heal := time.AfterFunc(400*time.Millisecond, func() { tr.SetFaults(hosts[0], chaos) })
+	tr.SetFaults(hosts[partition], faultnet.Faults{Partition: true})
+	heal := time.AfterFunc(400*time.Millisecond, func() { tr.SetFaults(hosts[partition], chaos) })
 	defer heal.Stop()
-	sendBatch(batches[2])
+	sendBatch(spanningBatch(t, w, n, 2))
 
 	// Quiet the network and let the fleet settle.
 	tr.SetFaults("", faultnet.Faults{})
@@ -602,7 +526,7 @@ func TestRouterChaosDrillZeroAckedLoss(t *testing.T) {
 
 	// Journal audit: the killed shard rebuilt its state from disk, and
 	// every acked rejection is gone from every shard and the router.
-	if rec := f.shards[1].Recovery(); rec.CheckpointSeq == 0 && rec.Replayed == 0 {
+	if rec := f.shards[kill].Recovery(); rec.CheckpointSeq == 0 && rec.Replayed == 0 {
 		t.Fatal("restarted shard recovered nothing — acked feedback at risk")
 	}
 	audit := func(c *server.Client) {
@@ -655,16 +579,57 @@ func TestRouterChaosDrillZeroAckedLoss(t *testing.T) {
 	}
 }
 
-// twoOwnerRejection is one rejection whose two links have different
-// owners in splitWorld's two-shard split, indexed by owning shard.
-func twoOwnerRejection() []server.LinkJSON {
-	batch := make([]server.LinkJSON, 2)
-	ranges := cluster.FleetRanges(2)
-	for _, lj := range []server.LinkJSON{
-		{E1: "http://ds1/a1", E2: "http://ds2/b2"},
-		{E1: "http://ds1/a10", E2: "http://ds2/b11"},
-	} {
-		batch[cluster.OwnerOf(ranges, lj.E1)] = lj
+// A restarted shard replays its journal tail in full episodes, so it
+// comes back with fewer episodes than the flush timer had closed before
+// the crash. Its peers must still take its manifests; held to its old
+// episode count, they would serve its pre-crash partition — links it
+// has since acked as rejected — until it caught up.
+func TestRestartedShardReplicatesBelowItsOldEpisode(t *testing.T) {
+	w := splitWorld(t, 2)
+	base := server.Config{DataDir: t.TempDir(), FlushInterval: 20 * time.Millisecond}
+	f := startFleet(t, w, 2, base)
+	f.waitConverged(t, len(w.initial))
+	reject := func(k int) {
+		t.Helper()
+		if err := f.clients[1].Feedback(spanningBatch(t, w, 2, k)[1:], false); err != nil {
+			t.Fatal(err)
+		}
+		f.waitConverged(t, len(w.initial)-k-1)
+	}
+	// Three rejections on shard 1, each closed as its own episode and
+	// replicated before the next.
+	for k := 0; k < 3; k++ {
+		reject(k)
+	}
+	f.kill(1)
+	f.restartShard(t, w, 1, base)
+	f.clients[1] = server.NewClient(f.addrs[1])
+	f.clients[1].SetRetryPolicy(server.RetryPolicy{MaxAttempts: 1})
+	if rec := f.shards[1].Recovery(); rec.Replayed != 3 {
+		t.Fatalf("restarted shard replayed %d journal records, want 3", rec.Replayed)
+	}
+	reject(3)
+}
+
+// spanningBatch is a rejection of the k-th initial link of every owner
+// in an n-shard split of w, indexed by owning shard.
+func spanningBatch(t testing.TB, w *world, n, k int) []server.LinkJSON {
+	t.Helper()
+	ranges := cluster.FleetRanges(n)
+	batch := make([]server.LinkJSON, n)
+	seen := make([]int, n)
+	for _, l := range w.initial {
+		lj := server.LinkJSON{E1: w.dict.Term(l.E1).Value, E2: w.dict.Term(l.E2).Value}
+		o := cluster.OwnerOf(ranges, lj.E1)
+		if seen[o] == k {
+			batch[o] = lj
+		}
+		seen[o]++
+	}
+	for o, lj := range batch {
+		if lj.E1 == "" {
+			t.Fatalf("shard %d of %d owns no initial link #%d", o, n, k)
+		}
 	}
 	return batch
 }
@@ -689,14 +654,14 @@ func (f *testFleet) kill(id int) {
 // its own would: one POST to /feedback, one journal record. Nothing
 // else is said between router and shard, and nothing else is replayed.
 func TestMultiOwnerFeedbackIsOneRecordPerOwner(t *testing.T) {
-	w := splitWorld(t)
+	w := splitWorld(t, 2)
 	n := 2
 	tr := faultnet.New(1, nil)
 	base := server.Config{DataDir: t.TempDir(), FlushInterval: 20 * time.Millisecond}
 	f := startFleetWith(t, w, n, base, func(c *Config) { c.Transport = tr })
 	f.waitConverged(t, len(w.initial))
 
-	batch := twoOwnerRejection()
+	batch := spanningBatch(t, w, 2, 0)
 	status, err := f.rclient.FeedbackResult(context.Background(), batch, false)
 	if err != nil || status != http.StatusAccepted {
 		t.Fatalf("two-owner rejection: status %d, err %v; want 202", status, err)
@@ -740,7 +705,7 @@ func TestMultiOwnerFeedbackIsOneRecordPerOwner(t *testing.T) {
 // slice a shard acknowledged applies and can be checkpointed with the
 // router gone and the other owner dead.
 func TestAckedSliceAppliesWithoutPeers(t *testing.T) {
-	w := splitWorld(t)
+	w := splitWorld(t, 2)
 	n := 2
 	tr := faultnet.New(1, nil)
 	base := server.Config{DataDir: t.TempDir(), FlushInterval: 20 * time.Millisecond}
@@ -750,7 +715,7 @@ func TestAckedSliceAppliesWithoutPeers(t *testing.T) {
 	// Everything the router says to shard 0 arrives late, so whatever it
 	// might still owe shard 0 after the ack is in flight when it dies.
 	tr.SetFaults(strings.TrimPrefix(f.addrs[0], "http://"), faultnet.Faults{Latency: 200 * time.Millisecond})
-	batch := twoOwnerRejection()
+	batch := spanningBatch(t, w, 2, 0)
 	status, err := f.rclient.FeedbackResult(context.Background(), batch, false)
 	if err != nil || status != http.StatusAccepted {
 		t.Fatalf("two-owner rejection: status %d, err %v; want 202", status, err)

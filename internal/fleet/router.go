@@ -120,10 +120,9 @@ type Router struct {
 	done chan struct{}
 	// baseCtx scopes every background request the router issues (the
 	// health probes): Close cancels it, so shutdown never waits out a
-	// probe timeout, and wg tracks the goroutines doing that work.
+	// probe timeout.
 	baseCtx context.Context
 	cancel  context.CancelFunc
-	wg      sync.WaitGroup
 
 	closing sync.Once
 	metrics routerMetrics
@@ -142,7 +141,6 @@ type routerMetrics struct {
 	hedgeBudgetDeny *server.Counter
 	healthPolls     *server.Counter
 	healthFailures  *server.Counter
-	healthPushes    *server.Counter
 	panics          *server.Counter
 }
 
@@ -221,7 +219,6 @@ func (r *Router) registerMetrics() {
 	m.hedgeBudgetDeny = r.reg.Counter("alexrouter_hedge_budget_denied_total", "Hedges suppressed by the retry budget.")
 	m.healthPolls = r.reg.Counter("alexrouter_health_polls_total", "Shard health probes issued.")
 	m.healthFailures = r.reg.Counter("alexrouter_health_failures_total", "Shard health probes that failed.")
-	m.healthPushes = r.reg.Counter("alexrouter_health_pushes_total", "Health transitions pushed by shards.")
 	m.panics = r.reg.Counter("alexrouter_http_panics_total", "Handler panics recovered.")
 	r.reg.GaugeFunc("alexrouter_shards", "Fleet size.", func() float64 {
 		return float64(len(r.shards))
@@ -284,9 +281,8 @@ func (r *Router) pollAll() {
 }
 
 // probeShard issues one /healthz probe within ctx and applies the
-// verdict. It is both the polling loop's body and the verification
-// step for pushed "up" transitions; both pass baseCtx, so Close
-// aborts in-flight probes instead of waiting out their timeout.
+// verdict. The polling loop passes baseCtx, so Close aborts an
+// in-flight probe instead of waiting out its timeout.
 func (r *Router) probeShard(ctx context.Context, sh *shard) {
 	r.metrics.healthPolls.Inc()
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.HealthProbeTimeout)
@@ -308,49 +304,6 @@ func (r *Router) probeShard(ctx context.Context, sh *shard) {
 func (r *Router) markDown(sh *shard) {
 	sh.breaker.Record(false)
 	sh.routable.Store(false)
-}
-
-// handleHealthPush is the shard-initiated health transition endpoint:
-// a draining shard announces "down" before it stops serving, and a
-// freshly started one announces "up", so failover reacts in
-// milliseconds instead of a polling interval. "down" is trusted — a
-// push can only make the router stop using a shard. "up" is merely a
-// hint to probe now: the routable verdict still comes from a verified
-// /healthz answer, so a spoofed push cannot resurrect a dead shard.
-func (r *Router) handleHealthPush(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
-		return
-	}
-	var hp cluster.HealthPush
-	if err := json.NewDecoder(req.Body).Decode(&hp); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if hp.ShardID < 0 || hp.ShardID >= len(r.shards) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown shard %d", hp.ShardID)})
-		return
-	}
-	sh := r.shards[hp.ShardID]
-	switch hp.Status {
-	case "down":
-		r.markDown(sh)
-	case "up":
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			if sh.breaker.Allow() {
-				// baseCtx, not the push request's ctx: the probe
-				// deliberately outlives the 204 this handler returns.
-				r.probeShard(r.baseCtx, sh)
-			}
-		}()
-	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown status %q", hp.Status)})
-		return
-	}
-	r.metrics.healthPushes.Inc()
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // routableShards appends the currently routable shards to buf, in ID
@@ -390,7 +343,6 @@ func (r *Router) Close() error {
 		r.cancel()
 	})
 	<-r.done
-	r.wg.Wait()
 	if t, ok := r.transport.(interface{ CloseIdleConnections() }); ok {
 		t.CloseIdleConnections()
 	}
@@ -402,7 +354,6 @@ func (r *Router) routes() http.Handler {
 	mux.HandleFunc("/query", r.handleQuery)
 	mux.HandleFunc("/feedback", r.handleFeedback)
 	mux.HandleFunc("/links", r.handleLinks)
-	mux.HandleFunc("/router/health", r.handleHealthPush)
 	mux.HandleFunc("/healthz", r.handleHealthz)
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	return r.recoverMiddleware(mux)

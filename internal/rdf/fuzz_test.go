@@ -1,5 +1,6 @@
 // Native fuzz target for the N-Triples parser. It consumes untrusted
-// dataset files (cmd/alexd -ds1/-ds2/-links, cmd/alexlink), so it must
+// dataset files (cmd/alexd -ds1/-ds2/-links, cmd/alexbench's file
+// mode), so it must
 // never panic, whatever the input. The target also checks the
 // serializer round-trip: every triple a valid document yields must
 // re-serialize to a line the parser accepts and maps to the same

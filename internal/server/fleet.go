@@ -16,8 +16,11 @@
 // cluster.SnapshotManifest carrying the episode that produced it — to
 // every peer, and pulls the peers' manifests back (the pull doubles as
 // catch-up after a restart and as anti-entropy on a timer). A received
-// manifest replaces the stored copy only when its episode is newer, so
-// replays and reordered deliveries cannot roll a peer's links back.
+// manifest replaces the stored copy only when it is newer — a later
+// boot of the shard's process, or the same boot and a later snapshot
+// version — so replays and reordered deliveries cannot roll a peer's
+// links back, and a restarted shard is not held to its old episode
+// count.
 // The served snapshot is the union of the shard's own candidates and
 // the newest manifest from every peer; queries and /links never
 // distinguish a shard from a standalone server.
@@ -32,13 +35,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"alex/internal/cluster"
@@ -56,11 +56,6 @@ type FleetConfig struct {
 	// replicator pushes/pulls snapshots absent episode activity.
 	// 0 means 2s.
 	ReplicateEvery time.Duration
-	// Routers lists router addresses to push health transitions to
-	// (POST /router/health on startup and graceful shutdown), so
-	// failover reacts in milliseconds instead of a poll interval.
-	// Best-effort: an unreachable router just waits for its next poll.
-	Routers []string
 }
 
 const defaultReplicateEvery = 2 * time.Second
@@ -83,6 +78,7 @@ func (fc *FleetConfig) validate() error {
 // links resolved into this shard's dictionary. The set is frozen at
 // acceptance; publish unions it into served snapshots without copying.
 type peerState struct {
+	boot    int64
 	episode int
 	version uint64
 	links   links.Set
@@ -99,6 +95,7 @@ func (s *Server) initFleet(fc *FleetConfig) error {
 		c.ReplicateEvery = defaultReplicateEvery
 	}
 	s.fleet = &c
+	s.boot = time.Now().UnixNano()
 	s.ranges = cluster.FleetRanges(c.Shards)
 	s.peerSets = make(map[int]peerState)
 	s.peerClients = make(map[int]*Client)
@@ -115,7 +112,7 @@ func (s *Server) registerFleetMetrics() {
 	m.pushErrors = s.reg.Counter("alexd_replica_push_errors_total", "Manifest pushes that failed.")
 	m.pulls = s.reg.Counter("alexd_replica_pulls_total", "Snapshot manifests pulled from peers.")
 	m.pullErrors = s.reg.Counter("alexd_replica_pull_errors_total", "Manifest pulls that failed.")
-	m.applied = s.reg.Counter("alexd_replica_applied_total", "Peer manifests accepted (newer episode than the stored copy).")
+	m.applied = s.reg.Counter("alexd_replica_applied_total", "Peer manifests accepted (newer than the stored copy).")
 	m.rejected = s.reg.Counter("alexd_replica_rejected_total", "Peer manifests refused (bad shard, unknown entity).")
 	s.reg.GaugeFunc("alexd_shard_id", "This shard's ID within the fleet.", func() float64 {
 		return float64(s.fleet.ShardID)
@@ -172,44 +169,6 @@ func (s *Server) SetPeers(addrs []string) error {
 	s.peerMu.Unlock()
 	s.kickReplicator()
 	return nil
-}
-
-// healthPushTimeout bounds one router health notification; the push is
-// an optimization over polling, never worth stalling startup/shutdown.
-const healthPushTimeout = 500 * time.Millisecond
-
-// notifyRouters pushes a health transition ("up" or "down") to every
-// configured router. Best-effort and synchronous: failures are dropped
-// (the router's poll loop remains the source of truth) and the short
-// per-router timeout bounds the total cost.
-func (s *Server) notifyRouters(status string) {
-	if s.fleet == nil || len(s.fleet.Routers) == 0 {
-		return
-	}
-	body, err := json.Marshal(cluster.HealthPush{ShardID: s.fleet.ShardID, Status: status})
-	if err != nil {
-		return
-	}
-	for _, addr := range s.fleet.Routers {
-		base := addr
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), healthPushTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			strings.TrimRight(base, "/")+"/router/health", bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close() // response body fully drained; nothing useful in the error
-		}
-		cancel()
-	}
 }
 
 // kickReplicator asks the replicator for an immediate round; a pending
@@ -287,6 +246,7 @@ func (s *Server) Manifest() cluster.SnapshotManifest {
 	m := cluster.SnapshotManifest{
 		ShardID: s.fleet.ShardID,
 		Range:   s.ranges[s.fleet.ShardID],
+		Boot:    s.boot,
 		Episode: snap.Episode,
 		Version: snap.Version,
 	}
@@ -333,10 +293,9 @@ func (s *Server) applyManifest(m cluster.SnapshotManifest) (bool, error) {
 	}
 	s.peerMu.Lock()
 	held, ok := s.peerSets[m.ShardID]
-	newer := !ok || m.Episode > held.episode ||
-		(m.Episode == held.episode && m.Version > held.version)
+	newer := !ok || m.Boot > held.boot || m.Boot == held.boot && m.Version > held.version
 	if newer {
-		s.peerSets[m.ShardID] = peerState{episode: m.Episode, version: m.Version, links: set}
+		s.peerSets[m.ShardID] = peerState{boot: m.Boot, episode: m.Episode, version: m.Version, links: set}
 	}
 	s.peerMu.Unlock()
 	if !newer {

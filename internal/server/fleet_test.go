@@ -207,9 +207,11 @@ func TestFleetFeedbackOwnershipRejected(t *testing.T) {
 	}
 }
 
-// Stale manifests (older episode than the held copy) must not roll a
-// peer's replicated links back — replays and reordered deliveries are
-// normal under retry.
+// Stale manifests (an older snapshot of the held copy's boot, or an
+// older boot) must not roll a peer's replicated links back — replays and
+// reordered deliveries are normal under retry. A later boot is not
+// stale at any episode: a restarted shard replays its journal into
+// fewer episodes than it had closed.
 func TestFleetStaleManifestIgnored(t *testing.T) {
 	shards, clients, _, initial := fleetWorld(t, 2)
 	waitLinks(t, clients[0], initial.Len())
@@ -217,28 +219,31 @@ func TestFleetStaleManifestIgnored(t *testing.T) {
 	s := shards[0]
 	from := 1
 	s.peerMu.Lock()
-	heldEp := s.peerSets[from].episode
-	heldLinks := s.peerSets[from].links.Len()
+	held := s.peerSets[from]
 	s.peerMu.Unlock()
 
-	stale := cluster.SnapshotManifest{
-		ShardID: from,
-		Range:   cluster.FleetRanges(2)[from],
-		Episode: heldEp - 1,
-		Links:   nil, // an empty, older set must not erase anything
+	for _, stale := range []cluster.SnapshotManifest{
+		// An empty, older set must not erase anything.
+		{ShardID: from, Boot: held.boot, Episode: held.episode - 1},
+		{ShardID: from, Boot: held.boot - 1, Episode: held.episode + 100},
+	} {
+		applied, err := s.applyManifest(stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied {
+			t.Fatalf("stale manifest applied: %+v", stale)
+		}
+		s.peerMu.Lock()
+		if s.peerSets[from].links.Len() != held.links.Len() || s.peerSets[from].episode != held.episode {
+			t.Fatalf("stale manifest mutated peer state: %+v", s.peerSets[from])
+		}
+		s.peerMu.Unlock()
 	}
-	applied, err := s.applyManifest(stale)
-	if err != nil {
-		t.Fatal(err)
+	restarted := cluster.SnapshotManifest{ShardID: from, Boot: held.boot + 1, Episode: held.episode - 1}
+	if applied, err := s.applyManifest(restarted); err != nil || !applied {
+		t.Fatalf("a later boot's manifest at an earlier episode: applied %v, err %v; want applied", applied, err)
 	}
-	if applied {
-		t.Fatal("stale manifest applied")
-	}
-	s.peerMu.Lock()
-	if s.peerSets[from].links.Len() != heldLinks || s.peerSets[from].episode != heldEp {
-		t.Fatalf("stale manifest mutated peer state: %+v", s.peerSets[from])
-	}
-	s.peerMu.Unlock()
 
 	// Garbage manifests are refused loudly.
 	if _, err := s.applyManifest(cluster.SnapshotManifest{ShardID: 99}); err == nil {
@@ -248,7 +253,7 @@ func TestFleetStaleManifestIgnored(t *testing.T) {
 		t.Fatal("self manifest accepted")
 	}
 	if _, err := s.applyManifest(cluster.SnapshotManifest{
-		ShardID: from, Episode: heldEp + 100,
+		ShardID: from, Episode: held.episode + 100,
 		Links: []cluster.LinkWire{{E1: "http://nowhere/x", E2: "http://nowhere/y"}},
 	}); err == nil {
 		t.Fatal("manifest with unknown entities accepted")

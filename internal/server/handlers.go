@@ -381,8 +381,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		srcs[i] = SourceHealth{Name: st.Name, Guarded: st.Guarded, Breaker: st.Breaker.String()}
 	}
 	// A draining server still answers reads but must not be offered new
-	// writes; "closing" tells a router's poll the same thing the push
-	// notification said, so the two signals cannot disagree.
+	// writes; "closing" takes it out of a router's rotation at the next
+	// poll.
 	status := "ok"
 	select {
 	case <-s.stop:

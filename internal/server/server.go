@@ -257,11 +257,13 @@ type Server struct {
 	// querySem is the /query admission semaphore (nil = unlimited).
 	querySem chan struct{}
 
-	// Fleet role (all nil/zero when standalone; see fleet.go). peerMu
-	// guards peerSets and peerClients; kick wakes the replicator, repub
-	// asks the writer to republish after a peer manifest lands, repDone
-	// closes when the replicator goroutine exits.
+	// Fleet role (all nil/zero when standalone; see fleet.go). boot
+	// stamps this process's manifests; peerMu guards peerSets and
+	// peerClients; kick wakes the replicator, repub asks the writer to
+	// republish after a peer manifest lands, repDone closes when the
+	// replicator goroutine exits.
 	fleet        *FleetConfig
+	boot         int64
 	ranges       []cluster.HashRange
 	peerMu       sync.Mutex
 	peerSets     map[int]peerState
@@ -364,7 +366,6 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 	go s.writer()
 	if s.fleet != nil {
 		go s.replicator()
-		s.notifyRouters("up")
 	}
 	return s, nil
 }
@@ -735,13 +736,10 @@ func (s *Server) enqueue(it feedbackItem) bool {
 // is no longer processed (the HTTP handlers keep serving reads from the
 // last snapshot).
 func (s *Server) Close() error {
-	s.closing.Do(func() {
-		// Close stop first — /healthz reports "closing" from that moment,
-		// so a poll racing the push cannot flip the shard back up — then
-		// push "down" so router failover reacts before the next poll.
-		close(s.stop)
-		s.notifyRouters("down")
-	})
+	// /healthz reports "closing" from here on, so a router's next poll
+	// takes the shard out of rotation; its data path already has, once
+	// the listener in front of the shard refuses connections.
+	s.closing.Do(func() { close(s.stop) })
 	select {
 	case <-s.done:
 	case <-time.After(s.cfg.DrainTimeout):

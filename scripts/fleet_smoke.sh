@@ -5,11 +5,14 @@
 # alexrouter, then asserts the failover contract from DESIGN.md:
 #
 #   1. the router serves queries and accepts feedback while healthy;
-#   2. after SIGKILLing one shard the router reports degraded but keeps
+#   2. right before one shard is SIGKILLed, the router acks (202) a
+#      rejection that spans every owner, the killed shard included;
+#   3. with the shard dead the router reports degraded but keeps
 #      answering queries with the same rows as before the kill;
-#   3. the restarted shard recovers from its journal, catches up from
+#   4. the restarted shard recovers from its journal, catches up from
 #      its peers, and the fleet returns to full health with answers
-#      unchanged.
+#      unchanged and the acked rejection served by no shard and not
+#      by the router.
 #
 # Used by `make fleet-smoke` and the CI fleet-smoke job. Requires only
 # bash, curl and the go toolchain.
@@ -101,12 +104,30 @@ query_rows() {
 }
 
 echo "== load through the router (queries + feedback)"
-"$BIN/alexload" -server "http://$ROUTER" -duration 3s -concurrency 4 -seed 7
+# alexload's verdicts are random. At its default feedback fraction they
+# reject a shard's whole partition within seconds, and the rejection
+# below needs a link on every owner.
+"$BIN/alexload" -server "http://$ROUTER" -duration 3s -concurrency 4 -seed 7 -feedback-frac 0.02
 sleep 1 # let the final episodes flush + replicate before baselining
 BASELINE=$(query_rows)
 [ -n "$BASELINE" ] || fail "baseline query returned no rows payload"
 
-echo "== killing shard 1 (SIGKILL, mid-fleet)"
+# One link per owner, off each shard's own partition and never the probe
+# entity's, so the baseline rows stay what they are. LinkJSON marshals
+# as {"e1":"...","e2":"..."} without spaces, so each acked.txt line is
+# greppable verbatim in any /links payload.
+for s in "$S0" "$S1" "$S2"; do
+  curl -fsS "http://$s/replica/snapshot" | grep -o '"e1":"[^"]*","e2":"[^"]*"' |
+    grep -vF "\"e1\":\"$E1\"" | sed -n 1p || true
+done >"$DATA/acked.txt"
+[ "$(grep -c . "$DATA/acked.txt")" = 3 ] || fail "a shard owns no link to reject: $(cat "$DATA/acked.txt")"
+CODE=$(curl -s -o "$DATA/fb.out" -w '%{http_code}' -X POST "http://$ROUTER/feedback" \
+  -H 'Content-Type: application/json' \
+  -d "{\"approve\":false,\"links\":[$(sed 's/.*/{&}/' "$DATA/acked.txt" | paste -sd,)]}")
+[ "$CODE" = 202 ] || fail "rejection spanning every owner not acked: $CODE $(cat "$DATA/fb.out")"
+echo "== acked a rejection spanning all 3 owners"
+
+echo "== killing shard 1 (SIGKILL, mid-fleet, right after the ack)"
 kill -9 "$PID_SHARD1"
 wait_until 30 "router to route around the dead shard" router_routable 2
 curl -fsS "http://$ROUTER/healthz" | grep -q '"status":"degraded"' ||
@@ -130,5 +151,15 @@ grep -q "durability on" "$DATA/shard-1.log" ||
 # The restarted shard answers too; poll until its view converges.
 recovered_matches() { [ "$(query_rows)" = "$BASELINE" ]; }
 wait_until 30 "recovered fleet to answer like the baseline" recovered_matches
-echo "== recovery: fleet healthy, answers unchanged"
+
+# serves_none <url>: the /links payload at url holds no acked link (a
+# fetch failure is not clean).
+serves_none() {
+  curl -fsS "$1" >"$DATA/links.json" || return 1
+  ! grep -qFf "$DATA/acked.txt" "$DATA/links.json"
+}
+for url in "http://$ROUTER/links" "http://$S0/links" "http://$S1/links" "http://$S2/links"; do
+  wait_until 30 "$url to stop serving the acked rejection" serves_none "$url"
+done
+echo "== recovery: fleet healthy, answers unchanged, acked rejection served nowhere"
 echo "fleet-smoke: PASS"
