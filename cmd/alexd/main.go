@@ -29,7 +29,8 @@
 // order (every cached plan learns its own from the row counts its
 // executions observe), none spreads a query over goroutines (it runs on
 // its handler's, and stops at -query-timeout) and none tunes source
-// breakers (the two sources are local stores, which cannot fail).
+// breakers: the two sources are local stores, read directly, and a
+// query's one failure is its deadline.
 //
 // Endpoints: POST /query, POST /feedback, GET /links, GET /healthz,
 // GET /metrics. See the README "Serving" section for curl examples.

@@ -15,7 +15,7 @@
 // A health loop probes every shard's /healthz; dead shards are routed
 // around behind a circuit breaker (reads keep working off any live
 // shard's replicated full view, and a query whose shard fails or stalls
-// is hedged to a peer; writes for a dead shard's range get 503 +
+// past the p95 of recent shard latencies is hedged to a peer; writes for a dead shard's range get 503 +
 // Retry-After until it recovers).
 //
 // Endpoints: POST /query, POST /feedback, GET /links, GET /healthz,
@@ -46,8 +46,6 @@ func main() {
 	healthInterval := flag.Duration("health-interval", time.Second, "shard /healthz poll interval")
 	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "deadline per /query, failover included")
 	healthProbeTimeout := flag.Duration("health-probe-timeout", 0, "deadline per shard /healthz probe (0 = 2s default)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed delay before hedging a slow query to a peer (0 = adaptive p95)")
-	noHedge := flag.Bool("no-hedge", false, "disable hedged failover reads")
 	breakerFailures := flag.Int("breaker-failures", 5, "consecutive shard failures that open its circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe")
 	breakerSuccesses := flag.Int("breaker-successes", 2, "half-open successes required to close the breaker")
@@ -75,7 +73,6 @@ func main() {
 		HealthInterval:     *healthInterval,
 		QueryTimeout:       *queryTimeout,
 		HealthProbeTimeout: *healthProbeTimeout,
-		Hedge:              fleet.HedgeConfig{Disabled: *noHedge, Delay: *hedgeDelay},
 		Breaker: federation.BreakerConfig{
 			Failures:  *breakerFailures,
 			Cooldown:  *breakerCooldown,

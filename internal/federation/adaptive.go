@@ -24,13 +24,6 @@
 // see DESIGN.md decision 15.
 package federation
 
-// latencyWeightMillis scales observed per-source probe latency into a
-// cost multiplier: a pattern whose candidate sources took
-// latencyWeightMillis to probe doubles its estimated cost. Local
-// in-memory sources probe in microseconds, which quantizes to zero and
-// leaves their costs untouched.
-const latencyWeightMillis = 100
-
 // adaptiveCost estimates what executing pattern i next would cost, in
 // rows. Preference order: this query's own observation of the stage
 // (only available when the group re-runs per row, e.g. under
@@ -39,27 +32,14 @@ const latencyWeightMillis = 100
 // plan runs the greedy order of the static estimates. Observed
 // expansions are per-input-row and scale with the live row count, which
 // is the whole point: a stage that looked cheap statically but fanned
-// out 8× per row is re-costed against reality. Slow sources surcharge
-// every pattern that must touch them, by observed probe latency.
+// out 8× per row is re-costed against reality.
 func (f *Federator) adaptiveCost(ec *evalCtx, g *cgroup, i, nrows int, bound []bool) float64 {
 	sid := g.first + i
-	pat := &ec.pats[sid]
-	var cost float64
 	if per, ok := ec.stats.stages[sid].expansion(); ok {
-		cost = float64(nrows) * per
-	} else if per, ok := ec.learnedExpansion(sid); ok {
-		cost = float64(nrows) * per
-	} else {
-		cost = float64(f.estimatePattern(pat, bound))
+		return float64(nrows) * per
 	}
-	var maxMs int64
-	for _, si := range f.candidateSources(pat) {
-		if ms := ec.stats.probeMillis(si); ms > maxMs {
-			maxMs = ms
-		}
+	if per, ok := ec.learnedExpansion(sid); ok {
+		return float64(nrows) * per
 	}
-	if maxMs > 0 {
-		cost *= 1 + float64(maxMs)/latencyWeightMillis
-	}
-	return cost
+	return float64(f.estimatePattern(&ec.pats[sid], bound))
 }

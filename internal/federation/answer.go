@@ -15,9 +15,6 @@ import (
 // either. An Answer is not safe for concurrent use.
 type Answer struct {
 	sparql.Projection
-	// Degraded lists the sources skipped during evaluation, as
-	// ResultSet.Degraded does.
-	Degraded []string
 
 	// used[i] is the provenance of input solution i — the index space
 	// of Projection.Members, not of the surviving rows.
@@ -32,7 +29,7 @@ type Answer struct {
 // projects onto its ID tuple, kept or not: their provenance is merged,
 // and rows with one tuple share one set.
 func (a *Answer) ResultSet() *ResultSet {
-	out := &ResultSet{Vars: a.Vars, Ask: a.Ask, Degraded: a.Degraded}
+	out := &ResultSet{Vars: a.Vars, Ask: a.Ask}
 	if a.Len() == 0 {
 		return out
 	}

@@ -1,3 +1,5 @@
+// The circuit breaker of the fleet router's shards (internal/fleet).
+// Federated sources are local stores and have none.
 package federation
 
 import (
@@ -5,17 +7,17 @@ import (
 	"time"
 )
 
-// BreakerState is the circuit state of one federated source.
+// BreakerState is the circuit state of one remote peer.
 type BreakerState int32
 
 const (
-	// BreakerClosed: the source is healthy; requests flow normally.
+	// BreakerClosed: the peer is healthy; requests flow normally.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen: the source failed repeatedly; requests are skipped
-	// (the query degrades) until the cooldown elapses.
+	// BreakerOpen: the peer failed repeatedly; requests are skipped
+	// until the cooldown elapses.
 	BreakerOpen
 	// BreakerHalfOpen: the cooldown elapsed; probe requests are allowed
-	// through to test whether the source recovered.
+	// through to test whether the peer recovered.
 	BreakerHalfOpen
 )
 
@@ -30,7 +32,7 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes a per-source circuit breaker.
+// BreakerConfig tunes a circuit breaker.
 type BreakerConfig struct {
 	// Failures is the number of consecutive failures that opens the
 	// circuit.
@@ -77,9 +79,9 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // Allow reports whether a request may proceed, transitioning open →
 // half-open when the cooldown has elapsed. While half-open, only a
 // single probe may be in flight: the first caller takes the probe
-// token and the rest are rejected (their queries degrade) until that
-// probe's outcome is recorded, so N concurrent queries never hammer a
-// barely-recovered source at once.
+// token and the rest are rejected until that probe's outcome is
+// recorded, so N concurrent requests never hammer a barely-recovered
+// peer at once.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -147,4 +149,15 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
+}
+
+// Resilience is what tuned the per-source deadline, retries and
+// breakers federated sources no longer have.
+//
+// Deprecated: nothing reads it. It remains until the end-to-end
+// benchmark, which sets server.Config.Resilience, stops naming it.
+type Resilience struct {
+	SourceTimeout time.Duration
+	Retries       int
+	Breaker       BreakerConfig
 }

@@ -27,8 +27,8 @@ func crossWorld() *Federator {
 const crossProduct = `SELECT ?a WHERE { ?a ?b ?c . ?d ?e ?f . }`
 
 // stepContext is a context that is done, with err, from its n-th Err
-// call on. The evaluator of an unguarded federation only ever polls its
-// context, so this stops an evaluation at an exact step.
+// call on. The evaluator only ever polls its context, so this stops an
+// evaluation at an exact step.
 type stepContext struct {
 	context.Context
 	n   int

@@ -13,12 +13,11 @@ import (
 // another front end: wire_test.go serves it through internal/server,
 // which imports this package and so cannot be imported from inside it.
 type GoldenWorld struct {
-	Name       string // "<world>/<backend>"
-	Dict       *rdf.Dict
-	Sources    []Source
-	Links      links.Set
-	Resilience Resilience
-	Queries    map[string]string
+	Name    string // "<world>/<backend>"
+	Dict    *rdf.Dict
+	Sources []Source
+	Links   links.Set
+	Queries map[string]string
 }
 
 // GoldenWorlds returns every world the golden harness asserts (the
@@ -36,7 +35,6 @@ func GoldenWorlds(t *testing.T) []GoldenWorld {
 	worlds := []world{
 		{"news", news, newsQueries()},
 		{"chain", chain, goldenChainQueries()},
-		{"degraded", goldenDegradedWorld(t), goldenDegradedQueries()},
 	}
 	for _, p := range synth.Profiles() {
 		if testing.Short() && p.Name != "dbpedia-nytimes" && p.Name != "skewed-hub" {
@@ -48,12 +46,11 @@ func GoldenWorlds(t *testing.T) []GoldenWorld {
 	for _, w := range worlds {
 		for backend, f := range map[string]*Federator{"mem": w.fed, "disk": diskTwin(t, w.fed)} {
 			out = append(out, GoldenWorld{
-				Name:       w.name + "/" + backend,
-				Dict:       f.dict,
-				Sources:    f.sources,
-				Links:      installedLinks(f),
-				Resilience: f.res,
-				Queries:    w.queries,
+				Name:    w.name + "/" + backend,
+				Dict:    f.dict,
+				Sources: f.sources,
+				Links:   installedLinks(f),
+				Queries: w.queries,
 			})
 		}
 	}

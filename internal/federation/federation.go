@@ -17,7 +17,8 @@
 // earlier executions of the plan observed and, while there are none, by
 // a static CountMatch estimate (adaptive.go). A query is evaluated by
 // the goroutine that asked for it, start to finish, and stops at its
-// context's deadline (evalCtx.cancelled).
+// context's deadline (evalCtx.cancelled). Every source is a local store,
+// read directly, so that deadline is the one way an evaluation fails.
 //
 // From scan to LIMIT a row is dictionary IDs: a fixed-width run of
 // rdf.ID in a stage's block (rowset), extended by copying those few
@@ -48,14 +49,13 @@ import (
 	"alex/internal/store"
 )
 
-// Source is a named dataset participating in the federation. Access, if
-// non-nil, is consulted before the source's data is used by a query
-// (see AccessFunc): it makes the source fallible, which activates the
-// per-source deadline, retry and circuit-breaker machinery.
+// Source is a named dataset participating in the federation: a local
+// store, in memory or on mmap'd segments. A query reads it directly;
+// nothing about a source can fail, and the only way an evaluation fails
+// is its context's deadline.
 type Source struct {
-	Name   string
-	Graph  store.TripleStore
-	Access AccessFunc
+	Name  string
+	Graph store.TripleStore
 }
 
 // Row is one federated answer: variable bindings plus the sameAs links
@@ -66,15 +66,11 @@ type Row struct {
 }
 
 // ResultSet holds federated query solutions. For ASK queries Rows is
-// empty and Ask carries the answer. Degraded lists the sources that
-// were skipped during evaluation (open circuit, access failure or
-// timeout): when non-empty the results are partial, not wrong — rows
-// that the degraded sources would have contributed are simply missing.
+// empty and Ask carries the answer.
 type ResultSet struct {
-	Vars     []string
-	Rows     []Row
-	Ask      bool
-	Degraded []string
+	Vars []string
+	Rows []Row
+	Ask  bool
 }
 
 // FeedbackSink receives link-level feedback derived from answer-level
@@ -100,18 +96,12 @@ type Federator struct {
 	// least one triple with it. Patterns with a bound predicate are
 	// only evaluated against relevant sources.
 	predSources map[rdf.ID][]int
-	// res and guards implement the fault-tolerant read path (see
-	// resilience.go). guards[i] is nil for sources without an Access
-	// hook; non-nil guards are shared with WithLinks snapshots so
-	// breaker state survives snapshot publication.
-	res    Resilience
-	guards []*guard
 	// plans, when non-nil, caches compiled plans by query text; shared
 	// with WithLinks snapshots because plans are link-independent.
 	plans *PlanCache
 	// ametrics counts the ranker's events (see runtimestats.go);
-	// shared with WithLinks snapshots like guards, so the counters are
-	// monotone across snapshot publications.
+	// shared with WithLinks snapshots, so the counters are monotone
+	// across snapshot publications.
 	ametrics *adaptiveMetrics
 	// traceExec, when non-nil, observes the executed stage order of
 	// every group (indices into grp.Triples, in execution order). Test
@@ -155,20 +145,7 @@ func New(dict *rdf.Dict) *Federator {
 	return &Federator{
 		dict:        dict,
 		predSources: make(map[rdf.ID][]int),
-		res:         DefaultResilience(),
 		ametrics:    &adaptiveMetrics{},
-	}
-}
-
-// SetResilience replaces the fault-tolerance policy. Breakers of
-// already registered sources are rebuilt with the new configuration
-// (and therefore reset to closed). Not safe concurrently with queries.
-func (f *Federator) SetResilience(r Resilience) {
-	f.res = r.withDefaults()
-	for i, src := range f.sources {
-		if src.Access != nil {
-			f.guards[i] = newGuard(f.res.Breaker, int64(i)+1)
-		}
 	}
 }
 
@@ -181,19 +158,13 @@ func (f *Federator) AddSource(name string, g store.TripleStore) error {
 // dictionary so that term IDs are comparable. The source's predicates
 // are indexed for source selection; triples inserted into the graph
 // after registration with previously unseen predicates are not visible
-// to the index (re-register to refresh). A source with an Access hook
-// gets a circuit breaker under the current resilience policy.
+// to the index (re-register to refresh).
 func (f *Federator) Add(src Source) error {
 	if src.Graph.Dict() != f.dict {
 		return fmt.Errorf("federation: source %q does not share the federator dictionary", src.Name)
 	}
 	idx := len(f.sources)
 	f.sources = append(f.sources, src)
-	var g *guard
-	if src.Access != nil {
-		g = newGuard(f.res.Breaker, int64(idx)+1)
-	}
-	f.guards = append(f.guards, g)
 	for _, p := range src.Graph.PredicateIDs() {
 		f.predSources[p] = append(f.predSources[p], idx)
 	}
@@ -231,8 +202,6 @@ func (f *Federator) WithLinks(ls links.Set) *Federator {
 		same:        buildSameAs(f.dict, ls),
 		linkCount:   ls.Len(),
 		predSources: f.predSources,
-		res:         f.res,
-		guards:      f.guards,
 		plans:       f.plans,
 		ametrics:    f.ametrics,
 		traceExec:   f.traceExec,
@@ -298,11 +267,11 @@ func (f *Federator) Query(query string) (*ResultSet, error) {
 }
 
 // QueryContext parses and evaluates a federated query; ctx bounds the
-// per-source access probes (and their retries) and the evaluation
-// itself, which returns ctx's error, and no answer, within one check
-// interval of ctx being done (evalCtx.cancelled). When a plan cache is
-// installed (SetPlanCache), a repeated query text skips the parser and
-// the compiler and ranks by what its earlier evaluations observed.
+// evaluation, which returns ctx's error, and no answer, within one
+// check interval of ctx being done (evalCtx.cancelled). When a plan
+// cache is installed (SetPlanCache), a repeated query text skips the
+// parser and the compiler and ranks by what its earlier evaluations
+// observed.
 func (f *Federator) QueryContext(ctx context.Context, query string) (*ResultSet, error) {
 	a, err := f.evalText(ctx, query)
 	if err != nil {
@@ -351,12 +320,9 @@ func (f *Federator) planFor(query string) (*plan, error) {
 	return p, nil
 }
 
-// EvalContext evaluates a parsed query across the federation. Sources
-// whose access fails under the resilience policy are skipped and
-// reported in ResultSet.Degraded; the evaluation itself never fails
-// because of an unavailable source. The query is planned on every
-// call — the plan cache only applies to QueryContext, which has the
-// query text to key it by.
+// EvalContext evaluates a parsed query across the federation. The
+// query is planned on every call — the plan cache only applies to
+// QueryContext, which has the query text to key it by.
 func (f *Federator) EvalContext(ctx context.Context, q *sparql.Query) (*ResultSet, error) {
 	a, err := f.evalPlan(ctx, f.planQuery(q))
 	if err != nil {
@@ -365,11 +331,9 @@ func (f *Federator) EvalContext(ctx context.Context, q *sparql.Query) (*ResultSe
 	return a.ResultSet(), nil
 }
 
-// evalPlan runs a compiled plan: probe the plan's sources (in
-// parallel, so Degraded is decided before evaluation and independent
-// of join order), evaluate the pattern tree and finalize through the
-// sparql engine — still on IDs. A plan with an order to choose (p.obs
-// non-nil) takes a RuntimeStats table along: probes and stages record
+// evalPlan runs a compiled plan: evaluate the pattern tree and finalize
+// through the sparql engine — still on IDs. A plan with an order to
+// choose (p.obs non-nil) takes a RuntimeStats table along: stages record
 // into it, ranking consults it, and it is folded into the plan's
 // learned table at the end so the next query over a cached plan starts
 // from real cardinalities. An evaluation whose context is done by then
@@ -379,16 +343,14 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (Answer, error) {
 	if len(f.sources) == 0 {
 		return Answer{}, fmt.Errorf("federation: no sources registered")
 	}
-	var stats *RuntimeStats
+	ec := &evalCtx{ctx: ctx, pats: p.pats}
 	if p.obs != nil {
-		stats = newRuntimeStats(len(p.pats), len(f.sources))
+		ec.stats = newRuntimeStats(len(p.pats))
 	}
-	ec := f.newEvalCtx(ctx, p.probe, stats)
-	ec.pats = p.pats
 	if p.unresolved {
 		ec.pats = f.resolveConstants(p)
 	}
-	if stats != nil && p.obs.validate(f.linkCount) {
+	if ec.stats != nil && p.obs.validate(f.linkCount) {
 		ec.learned = p.obs
 		f.ametrics.learnedHits.Add(1)
 	}
@@ -401,15 +363,15 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (Answer, error) {
 	if err := ec.ctx.Err(); err != nil {
 		return Answer{}, err
 	}
-	if stats != nil {
-		stats.foldInto(p.obs)
+	if ec.stats != nil {
+		ec.stats.foldInto(p.obs)
 	}
 
 	proj, err := sparql.Finalize(p.q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
 	if err != nil {
 		return Answer{}, err
 	}
-	return Answer{Projection: proj, Degraded: ec.degradedNames(f), used: rows.used}, nil
+	return Answer{Projection: proj, used: rows.used}, nil
 }
 
 // evalGroup evaluates one group pattern over the input rows: triple
@@ -647,8 +609,7 @@ func (f *Federator) newMatcher(ec *evalCtx, pat cpattern, width int) *matcher {
 // equivalents are tried, and any equivalence used is recorded in the
 // row's provenance. Source selection: a pattern whose predicate is a
 // constant (or a variable already bound) only visits sources holding
-// that predicate. Sources that failed their upfront availability probe
-// are skipped (the evaluation degrades instead of failing).
+// that predicate.
 func (m *matcher) match(row []rdf.ID, used *links.Frozen) {
 	if m.dead {
 		return
@@ -668,9 +629,7 @@ func (m *matcher) match(row []rdf.ID, used *links.Frozen) {
 	}
 	m.row, m.used = row, used
 	for _, si := range srcs {
-		if m.ec.available(si) {
-			m.matchInSource(f.sources[si].Graph)
-		}
+		m.matchInSource(f.sources[si].Graph)
 	}
 }
 
@@ -680,9 +639,6 @@ func (m *matcher) match(row []rdf.ID, used *links.Frozen) {
 func (m *matcher) count() int {
 	n := 0
 	for _, si := range m.srcs {
-		if !m.ec.available(si) {
-			continue
-		}
 		g := m.f.sources[si].Graph
 		for ks := -1; ks < len(m.s.edges); ks++ {
 			rs := m.s.resolution(ks)

@@ -2,10 +2,8 @@ package federation
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -14,10 +12,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
-	"alex/internal/links"
-	"alex/internal/rdf"
 	"alex/internal/sparql"
 	"alex/internal/synth"
 )
@@ -34,8 +29,8 @@ import (
 // second implementation kept alive for the purpose.
 //
 // "Exactly the answers" is judged on canonicalResult: the solution
-// multiset, per-solution provenance, Ask and Degraded. The engine has
-// never guaranteed a row order beyond ORDER BY.
+// multiset, per-solution provenance and Ask. The engine has never
+// guaranteed a row order beyond ORDER BY.
 
 // The committed files were not written by this evaluator; see
 // testdata/golden/README.md before using the flag.
@@ -263,49 +258,6 @@ func goldenChainQueries() map[string]string {
 	}
 }
 
-// goldenDegradedWorld is a two-source federation whose second source
-// always fails its access probe, with the breaker already tripped:
-// Degraded reporting is a plan-level decision, so every configuration
-// must report the same Degraded list and the same partial rows,
-// regardless of join order.
-func goldenDegradedWorld(t *testing.T) *Federator {
-	t.Helper()
-	dict := rdf.NewDict()
-	g1 := rdf.NewGraphWithDict(dict)
-	g2 := rdf.NewGraphWithDict(dict)
-	p := rdf.IRI("http://x/p")
-	q := rdf.IRI("http://x/q")
-	g1.Insert(rdf.Triple{S: rdf.IRI("http://ds1/a"), P: p, O: rdf.Literal("v1")})
-	g1.Insert(rdf.Triple{S: rdf.IRI("http://ds1/a"), P: q, O: rdf.Literal("w1")})
-	g2.Insert(rdf.Triple{S: rdf.IRI("http://ds2/b"), P: p, O: rdf.Literal("v2")})
-
-	f := New(dict)
-	f.SetResilience(Resilience{
-		SourceTimeout: 20 * time.Millisecond,
-		Retries:       0,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    time.Millisecond,
-		Breaker:       BreakerConfig{Failures: 1, Cooldown: time.Hour, Successes: 1},
-	})
-	if err := f.AddSource("ds1", g1); err != nil {
-		t.Fatal(err)
-	}
-	err := f.Add(Source{Name: "ds2", Graph: g2, Access: func(context.Context) error {
-		return errors.New("down")
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetLinks(links.NewSet())
-
-	// One failing query trips the breaker (threshold 1, long cooldown),
-	// so every later run sees a stably open circuit.
-	if _, err := f.Query(`SELECT ?s WHERE { ?s <http://x/p> ?o . }`); err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // goldenSynthWorld is a down-scaled synth dataset pair with the
 // ground-truth links installed: dense sameAs fan-out, realistic value
 // distributions and multi-segment stores.
@@ -378,20 +330,6 @@ func TestGoldenNewsWorld(t *testing.T) {
 func TestGoldenChainWorld(t *testing.T) {
 	f, _ := chainWorld(t)
 	assertGolden(t, "chain", f, goldenChainQueries())
-}
-
-func goldenDegradedQueries() map[string]string {
-	return map[string]string{
-		"degraded-join": `SELECT ?s ?o ?w WHERE {
-			?s <http://x/p> ?o .
-			?s <http://x/q> ?w .
-		}`,
-		"degraded-scan": `SELECT ?s ?o WHERE { ?s <http://x/p> ?o . }`,
-	}
-}
-
-func TestGoldenDegradedWorld(t *testing.T) {
-	assertGolden(t, "degraded", goldenDegradedWorld(t), goldenDegradedQueries())
 }
 
 // TestGoldenSynthProfiles covers every built-in synth profile; short

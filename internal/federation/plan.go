@@ -2,12 +2,11 @@
 // about a query that does not depend on the current sameAs link set:
 // the parsed AST, the row layout (one slot per WHERE-tree variable),
 // the triple patterns compiled to slots and constant dictionary IDs,
-// the set of sources the query may touch (the probe set), and the
-// cardinalities its executions have observed. A plan holds no join
-// order: the stage loop asks the one ranker (nextPattern) for the next
-// pattern at every stage boundary, and the ranker prices a pattern by
-// what the plan has learned, or by a static CountMatch estimate while it
-// has learned nothing (adaptive.go). Apart from that learned table a
+// and the cardinalities its executions have observed. A plan holds no
+// join order: the stage loop asks the one ranker (nextPattern) for the
+// next pattern at every stage boundary, and the ranker prices a pattern
+// by what the plan has learned, or by a static CountMatch estimate while
+// it has learned nothing (adaptive.go). Apart from that learned table a
 // plan is immutable after construction, which makes it safe to share
 // across concurrent queries and across WithLinks snapshots, and
 // therefore cacheable (see plancache.go).
@@ -15,14 +14,13 @@ package federation
 
 import (
 	"slices"
-	"sort"
 
 	"alex/internal/rdf"
 	"alex/internal/sparql"
 )
 
 // plan is a compiled query: the AST, a slot for every variable of the
-// WHERE tree, the tree compiled against those slots, and the probe set.
+// WHERE tree, and the tree compiled against those slots.
 // The AST itself is never mutated, so planning works on caller-owned
 // queries and a cached plan can serve concurrent readers. The one
 // mutable field is obs, the learned cardinality table every execution
@@ -54,10 +52,6 @@ type plan struct {
 	// no group of the plan holds two patterns: there is no order to
 	// choose, so such a plan observes nothing.
 	obs *obsTable
-	// probe lists the indexes of guarded sources this query may touch;
-	// they are probed in parallel before evaluation starts, which makes
-	// Degraded reporting independent of join order.
-	probe []int
 }
 
 // cnode is one position of a compiled triple pattern: a variable's row
@@ -139,18 +133,13 @@ func (g *cgroup) ranks() bool {
 // source-selection index.
 func (f *Federator) planQuery(q *sparql.Query) *plan {
 	p := &plan{q: q}
-	probe := make(map[int]bool)
 	if q.Where != nil {
 		p.vars = sparql.WhereVars(q.Where)
-		p.root = f.planGroup(q.Where, make([]bool, len(p.vars)), p, probe)
+		p.root = f.planGroup(q.Where, make([]bool, len(p.vars)), p)
 	}
 	if p.root != nil && p.root.ranks() {
 		p.obs = newObsTable(len(p.pats))
 	}
-	for si := range probe {
-		p.probe = append(p.probe, si)
-	}
-	sort.Ints(p.probe)
 	return p
 }
 
@@ -176,7 +165,7 @@ func (f *Federator) compileNode(p *plan, n sparql.Node) cnode {
 // the group starts evaluating; it is extended with the group's own
 // triple variables before recursing, because nested groups see those
 // bindings. Union alternatives do not extend bound for each other.
-func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *plan, probe map[int]bool) *cgroup {
+func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *plan) *cgroup {
 	g := &cgroup{src: grp, first: len(p.pats), bound: bound}
 	for _, tp := range grp.Triples {
 		p.pats = append(p.pats, cpattern{
@@ -184,14 +173,6 @@ func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *pl
 			p: f.compileNode(p, tp.P),
 			o: f.compileNode(p, tp.O),
 		})
-	}
-	pats := p.pats[g.first:]
-	for i := range pats {
-		for _, si := range f.candidateSources(&pats[i]) {
-			if f.guards[si] != nil {
-				probe[si] = true
-			}
-		}
 	}
 	for _, flt := range grp.Filters {
 		cf := cfilter{expr: flt}
@@ -205,13 +186,14 @@ func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *pl
 	}
 
 	inner := slices.Clone(bound)
+	pats := p.pats[g.first:]
 	for i := range pats {
 		pats[i].bind(inner)
 	}
 	for _, alts := range grp.Unions {
 		calts := make([]*cgroup, len(alts))
 		for i, alt := range alts {
-			calts[i] = f.planGroup(alt, slices.Clone(inner), p, probe)
+			calts[i] = f.planGroup(alt, slices.Clone(inner), p)
 		}
 		g.unions = append(g.unions, calts)
 		// After a UNION construct, only variables bound in every
@@ -219,7 +201,7 @@ func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *pl
 		// buys little for ordering, so conservatively keep inner as-is.
 	}
 	for _, opt := range grp.Optionals {
-		g.optionals = append(g.optionals, f.planGroup(opt, slices.Clone(inner), p, probe))
+		g.optionals = append(g.optionals, f.planGroup(opt, slices.Clone(inner), p))
 	}
 	return g
 }

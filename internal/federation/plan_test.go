@@ -2,9 +2,7 @@ package federation
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 
 	"alex/internal/links"
 	"alex/internal/rdf"
@@ -219,99 +217,6 @@ func TestUnboundPredicateVisitsAllSourcesUnderReordering(t *testing.T) {
 		if !preds[want] {
 			t.Fatalf("rows missing predicate %s: %v", want, preds)
 		}
-	}
-}
-
-// TestDegradedOrderIndependent opens a guarded source's breaker and
-// checks that the Degraded report is identical whichever join order
-// evaluates the query — availability is decided from the plan's probe
-// set before evaluation, not during it.
-func TestDegradedOrderIndependent(t *testing.T) {
-	d := rdf.NewDict()
-	g1 := rdf.NewGraphWithDict(d)
-	g2 := rdf.NewGraphWithDict(d)
-	g1.Insert(rdf.Triple{S: rdf.IRI("http://a/s"), P: rdf.IRI("http://x/p"), O: rdf.Literal("v")})
-	g2.Insert(rdf.Triple{S: rdf.IRI("http://b/s"), P: rdf.IRI("http://x/p"), O: rdf.Literal("w")})
-
-	f := New(d)
-	f.SetResilience(Resilience{
-		SourceTimeout: 20 * time.Millisecond,
-		Retries:       0,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    time.Millisecond,
-		Breaker:       BreakerConfig{Failures: 1, Cooldown: time.Hour, Successes: 1},
-	})
-	if err := f.AddSource("up", g1); err != nil {
-		t.Fatal(err)
-	}
-	err := f.Add(Source{Name: "down", Graph: g2, Access: func(context.Context) error {
-		return errors.New("refused")
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetLinks(links.NewSet())
-
-	// Trip the breaker so its open state, not probe timing, decides.
-	if _, err := f.Query(`SELECT ?s WHERE { ?s <http://x/p> ?o . }`); err != nil {
-		t.Fatal(err)
-	}
-
-	queries := []string{
-		// Selective pattern written last: reordering changes which
-		// pattern touches the degraded source first.
-		`SELECT ?s ?o WHERE { ?s <http://x/p> ?o . ?s ?any ?o . }`,
-		// A query whose row stream dries up immediately: upfront
-		// probing must still report the degraded source.
-		`SELECT ?s WHERE { ?s <http://x/p> "no-such-value" . }`,
-	}
-	for _, q := range queries {
-		rs, err := f.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rs.Degraded) != 1 || rs.Degraded[0] != "down" {
-			t.Errorf("%q: Degraded = %v, want [down]", q, rs.Degraded)
-		}
-	}
-}
-
-// TestProbeSetSparesUnreachableSources: a query whose predicates never
-// select the guarded source must not probe it at all — no Access
-// calls, no Degraded marker — even though the source is down.
-func TestProbeSetSparesUnreachableSources(t *testing.T) {
-	d := rdf.NewDict()
-	g1 := rdf.NewGraphWithDict(d)
-	g2 := rdf.NewGraphWithDict(d)
-	g1.Insert(rdf.Triple{S: rdf.IRI("http://a/s"), P: rdf.IRI("http://only1/p"), O: rdf.Literal("v")})
-	g2.Insert(rdf.Triple{S: rdf.IRI("http://b/s"), P: rdf.IRI("http://only2/p"), O: rdf.Literal("w")})
-
-	f := New(d)
-	if err := f.AddSource("up", g1); err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	err := f.Add(Source{Name: "down", Graph: g2, Access: func(context.Context) error {
-		calls++
-		return errors.New("refused")
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetLinks(links.NewSet())
-
-	rs, err := f.Query(`SELECT ?s WHERE { ?s <http://only1/p> ?v . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 {
-		t.Fatalf("query over ds1-only predicate probed the guarded source %d times", calls)
-	}
-	if len(rs.Degraded) != 0 {
-		t.Fatalf("Degraded = %v, want none for an untouched source", rs.Degraded)
-	}
-	if len(rs.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(rs.Rows))
 	}
 }
 

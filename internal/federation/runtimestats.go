@@ -1,8 +1,7 @@
 // Runtime cardinality observation for adaptive query execution. Layer
 // 1 of the adaptive read path (see adaptive.go): every executed stage
 // of a group with an order to choose records how many rows went in and
-// how many came out, and every source probe records its latency. A
-// stage is counted once, at its boundary, rather than per emitted row,
+// how many came out. A stage is counted once, at its boundary, rather than per emitted row,
 // so observation cost is independent of result size. A query's
 // RuntimeStats belong to the goroutine evaluating it and are plain
 // integers; they are folded into the plan's obsTable when evaluation
@@ -13,7 +12,6 @@ package federation
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // stageCount is one stage's cumulative observation: input rows, emitted
@@ -46,20 +44,13 @@ func (s *stageObs) load() stageCount {
 }
 
 // RuntimeStats collects the observations of one query evaluation:
-// per-stage row counters (indexed by the plan's stage ids) and
-// per-source probe latencies. Only newEvalCtx's probes write it from
-// other goroutines, each its own source's entry, and they are waited
-// for before anything is read.
+// per-stage row counters, indexed by the plan's stage ids.
 type RuntimeStats struct {
-	stages  []stageCount
-	probeNs []int64
+	stages []stageCount
 }
 
-func newRuntimeStats(nstages, nsources int) *RuntimeStats {
-	return &RuntimeStats{
-		stages:  make([]stageCount, nstages),
-		probeNs: make([]int64, nsources),
-	}
+func newRuntimeStats(nstages int) *RuntimeStats {
+	return &RuntimeStats{stages: make([]stageCount, nstages)}
 }
 
 // record notes one execution of a stage: in rows entered, out rows
@@ -69,20 +60,6 @@ func (rs *RuntimeStats) record(stage, in, out int) {
 	s.in += uint64(in)
 	s.out += uint64(out)
 	s.runs++
-}
-
-// recordProbe notes the observed availability-probe latency of source
-// si, the stand-in for a remote endpoint's round-trip time.
-func (rs *RuntimeStats) recordProbe(si int, d time.Duration) {
-	rs.probeNs[si] = int64(d)
-}
-
-// probeMillis returns the probe latency of source si in whole
-// milliseconds. Quantizing to milliseconds keeps local in-memory
-// probes (microseconds) at exactly zero, so latency weighting cannot
-// perturb plans on all-local federations.
-func (rs *RuntimeStats) probeMillis(si int) int64 {
-	return rs.probeNs[si] / int64(time.Millisecond)
 }
 
 // foldInto merges this query's stage observations into the plan's
@@ -185,8 +162,7 @@ func (o *obsTable) expansion(stage int) (float64, bool) {
 }
 
 // adaptiveMetrics are process-lifetime counters of the ranker,
-// shared by a base Federator and all its WithLinks snapshots (like
-// guards) so /metrics sees one monotone series across snapshot
+// shared by a base Federator and all its WithLinks snapshots so /metrics sees one monotone series across snapshot
 // publications.
 type adaptiveMetrics struct {
 	replans     atomic.Uint64

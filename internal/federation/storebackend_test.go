@@ -12,7 +12,7 @@ import (
 // The cross-backend half of the golden harness (golden_test.go): a
 // federator whose sources are mmap'd immutable segments must be
 // indistinguishable from one over in-memory rdf.Graphs — the same
-// frozen answer rows, provenance and Degraded lists, identical
+// frozen answer rows and provenance, identical
 // CountMatch statistics (the planner's input) and identical executed
 // join orders (the planner's output) — on every world and under every
 // configuration. The disk twin is built by persisting the mem
@@ -33,8 +33,7 @@ func installedLinks(f *Federator) links.Set {
 
 // diskTwin persists every source of f into a fresh segment store,
 // cold-starts the store from disk, and returns a federator over the
-// reopened (mmap-backed) sources with the same links, access hooks and
-// resilience policy installed.
+// reopened (mmap-backed) sources with the same links installed.
 func diskTwin(t *testing.T, f *Federator) *Federator {
 	t.Helper()
 	dir := t.TempDir()
@@ -65,15 +64,13 @@ func diskTwin(t *testing.T, f *Federator) *Federator {
 	t.Cleanup(func() { re.Close() }) //nolint:errcheck // read-only teardown
 
 	fd := New(re.Dict())
-	fd.SetResilience(f.res)
 	for i, src := range f.sources {
 		seg := re.Source(fmt.Sprintf("s%d", i))
 		if seg == nil {
 			t.Fatalf("cold start lost source %d", i)
 		}
-		// Keep the mem federator's source names so Degraded lists and
-		// source-selection behave identically.
-		if err := fd.Add(Source{Name: src.Name, Graph: seg, Access: src.Access}); err != nil {
+		// Keep the mem federator's source names.
+		if err := fd.AddSource(src.Name, seg); err != nil {
 			t.Fatal(err)
 		}
 	}

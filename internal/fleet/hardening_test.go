@@ -161,11 +161,10 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 			w := tinyWorld(t)
 			tp := &tap{} // behind the faults: it sees what a shard really answered
 			tr := faultnet.New(7, tp)
-			f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
+			f := startFleetHedged(t, w, 2, server.Config{}, time.Second, func(c *Config) {
 				c.HealthInterval = time.Hour
 				c.Transport = tr
 				c.Retry = nil // as alexrouter and bench/e2e build it
-				c.Hedge = HedgeConfig{Delay: time.Second}
 			})
 			f.waitConverged(t, len(w.initial))
 			hosts := []string{strings.TrimPrefix(f.addrs[0], "http://"), strings.TrimPrefix(f.addrs[1], "http://")}
@@ -250,10 +249,9 @@ func TestHedgedQueryStopsTheLoser(t *testing.T) {
 			w := tinyWorld(t)
 			tp := &tap{}
 			tr := faultnet.New(3, tp)
-			f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
+			f := startFleetHedged(t, w, 2, server.Config{}, 20*time.Millisecond, func(c *Config) {
 				c.HealthInterval = time.Hour // the first query goes to shard 0
 				c.Transport = tr
-				c.Hedge = HedgeConfig{Delay: 20 * time.Millisecond}
 			})
 			f.waitConverged(t, len(w.initial))
 			hosts := []string{strings.TrimPrefix(f.addrs[0], "http://"), strings.TrimPrefix(f.addrs[1], "http://")}
@@ -396,9 +394,8 @@ func TestRouterCloseDuringInflightPollNoLeak(t *testing.T) {
 func TestRouterHedgedReadsBoundedAmplification(t *testing.T) {
 	w := splitWorld(t, 2)
 	tr := faultnet.New(11, nil)
-	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
+	f := startFleetHedged(t, w, 2, server.Config{}, 10*time.Millisecond, func(c *Config) {
 		c.Transport = tr
-		c.Hedge = HedgeConfig{Delay: 10 * time.Millisecond}
 	})
 	f.waitConverged(t, len(w.initial))
 	hosts := make([]string, f.n)

@@ -22,16 +22,6 @@ import (
 	"time"
 )
 
-// HedgeConfig holds what a deployment says about hedged failover reads.
-type HedgeConfig struct {
-	// Disabled turns hedging off entirely.
-	Disabled bool
-	// Delay, when > 0, is a fixed hedge delay. 0 selects the adaptive
-	// delay: the hedgePercentile of recent shard latencies, clamped to
-	// [hedgeMinDelay, hedgeMaxDelay].
-	Delay time.Duration
-}
-
 const (
 	// hedgePercentile of observed latency is when an adaptive hedge fires.
 	hedgePercentile = 0.95
@@ -57,9 +47,13 @@ const (
 // hedger tracks shard latencies and meters hedges. Safe for
 // concurrent use.
 type hedger struct {
-	cfg HedgeConfig
-	// adaptive is the current adaptive delay: written by observe, read
-	// lock-free by every query.
+	// fixed, when > 0, replaces the adaptive delay. Tests that need a
+	// hedge to fire at a known moment set it before the router serves.
+	fixed time.Duration
+	// adaptive is the delay a query waits before it is hedged: the
+	// hedgePercentile of recent shard latencies, clamped to
+	// [hedgeMinDelay, hedgeMaxDelay]. Written by observe, read lock-free
+	// by every query.
 	adaptive atomic.Int64
 
 	mu      sync.Mutex
@@ -70,8 +64,8 @@ type hedger struct {
 	credit  int // routed queries not yet spent on a hedge
 }
 
-func newHedger(cfg HedgeConfig) *hedger {
-	h := &hedger{cfg: cfg, credit: hedgeBurst * hedgeEvery}
+func newHedger() *hedger {
+	h := &hedger{credit: hedgeBurst * hedgeEvery}
 	h.adaptive.Store(int64(hedgeMaxDelay)) // nothing observed yet
 	return h
 }
@@ -100,8 +94,8 @@ func (h *hedger) observe(d time.Duration) {
 
 // delay returns how long to wait before hedging the current query.
 func (h *hedger) delay() time.Duration {
-	if h.cfg.Delay > 0 {
-		return h.cfg.Delay
+	if h.fixed > 0 {
+		return h.fixed
 	}
 	return time.Duration(h.adaptive.Load())
 }

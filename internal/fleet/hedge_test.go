@@ -6,7 +6,8 @@ import (
 )
 
 func TestHedgerFixedDelay(t *testing.T) {
-	h := newHedger(HedgeConfig{Delay: 5 * time.Millisecond})
+	h := newHedger()
+	h.fixed = 5 * time.Millisecond
 	h.observe(time.Second) // samples must not override a fixed delay
 	if got := h.delay(); got != 5*time.Millisecond {
 		t.Fatalf("fixed delay = %s, want 5ms", got)
@@ -14,7 +15,7 @@ func TestHedgerFixedDelay(t *testing.T) {
 }
 
 func TestHedgerAdaptiveDelay(t *testing.T) {
-	h := newHedger(HedgeConfig{})
+	h := newHedger()
 	// Before any observation the hedger must be maximally conservative.
 	if got := h.delay(); got != hedgeMaxDelay {
 		t.Fatalf("cold delay = %s, want %s", got, hedgeMaxDelay)
@@ -29,7 +30,7 @@ func TestHedgerAdaptiveDelay(t *testing.T) {
 		t.Fatalf("p95 delay = %s, want ~95ms", got)
 	}
 	// Uniformly tiny latencies clamp up to hedgeMinDelay.
-	h2 := newHedger(HedgeConfig{})
+	h2 := newHedger()
 	for i := 0; i < hedgeWindow; i++ {
 		h2.observe(time.Microsecond)
 	}
@@ -48,7 +49,7 @@ func TestHedgerAdaptiveDelay(t *testing.T) {
 
 // The delay is read on every routed query: a load, nothing allocated.
 func TestHedgerDelayAllocs(t *testing.T) {
-	h := newHedger(HedgeConfig{})
+	h := newHedger()
 	for i := 0; i < 2*hedgeWindow; i++ {
 		h.observe(time.Duration(i) * time.Millisecond)
 	}
@@ -61,7 +62,7 @@ func TestHedgerDelayAllocs(t *testing.T) {
 }
 
 func TestHedgerBudget(t *testing.T) {
-	h := newHedger(HedgeConfig{})
+	h := newHedger()
 	for i := 0; i < hedgeBurst; i++ {
 		if !h.take() {
 			t.Fatalf("burst hedge %d of %d missing", i+1, hedgeBurst)

@@ -13,8 +13,7 @@
 //     — the fleet ack is as durable as the single-node one. Delivery
 //     is at-least-once per group; ALEX feedback tolerates duplicates.
 //   - /query goes to ONE routable shard, picked round-robin, and the
-//     shard's status, X-Alex-Degraded header and body are relayed as
-//     received, the client's request body as sent: the answer is one
+//     shard's status, Content-Type and body are relayed as received, the client's request body as sent: the answer is one
 //     replica's snapshot, byte for byte what that alexd would have
 //     told the client directly. A shard's 4xx is such an answer. A
 //     shard is asked once (relay.go): a transport error, a 5xx or the
@@ -73,9 +72,6 @@ type Config struct {
 	// HealthProbeTimeout bounds one /healthz poll, so a hung shard
 	// cannot stall the loop past its interval. 0 means 2s.
 	HealthProbeTimeout time.Duration
-	// Hedge tunes hedged failover reads (see hedge.go). The zero value
-	// enables hedging with adaptive delay and a 10% retry budget.
-	Hedge HedgeConfig
 	// Transport, when non-nil, carries every request the router sends a
 	// shard — the chaos tests inject a faultnet.Transport here. Nil means
 	// one transport of the router's own.
@@ -190,7 +186,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:       cfg,
 		ranges:    cluster.FleetRanges(len(cfg.Shards)),
 		shards:    shards,
-		hedge:     newHedger(cfg.Hedge),
+		hedge:     newHedger(),
 		transport: transport,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -436,10 +432,8 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.metrics.queries.Inc()
-	for _, h := range []string{"Content-Type", "X-Alex-Degraded"} {
-		if v := reply.header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
+	if v := reply.header.Get("Content-Type"); v != "" {
+		w.Header().Set("Content-Type", v)
 	}
 	w.WriteHeader(reply.status)
 	w.Write(reply.body) //nolint:errcheck // client gone; nothing to do
@@ -458,10 +452,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 func (r *Router) subQuery(ctx context.Context, cancel context.CancelFunc, primary *shard, body []byte) (shardReply, error) {
 	q := &routedQuery{r: r, ctx: ctx, cancel: cancel, primary: primary, body: body}
 	r.hedge.earn()
-	var timer *time.Timer
-	if !r.cfg.Hedge.Disabled {
-		timer = time.AfterFunc(r.hedge.delay(), q.hedgeAfterDelay)
-	}
+	timer := time.AfterFunc(r.hedge.delay(), q.hedgeAfterDelay)
 	start := time.Now()
 	reply, err := r.ask(ctx, primary, body)
 	if err == nil {
@@ -484,9 +475,7 @@ func (r *Router) subQuery(ctx context.Context, cancel context.CancelFunc, primar
 	q.settled = true // a hedge that has not asked its peer now never will
 	peer, won, peerReply := q.peer, q.peerWon, q.peerReply
 	q.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
+	timer.Stop()
 
 	asked := 1
 	if peer != nil {
@@ -581,9 +570,6 @@ func (q *routedQuery) hedgeAfterDelay() {
 // tryHedge picks a hedge destination and spends a budget token;
 // nil means no peer is available or the budget is exhausted.
 func (r *Router) tryHedge(primary *shard) *shard {
-	if r.cfg.Hedge.Disabled {
-		return nil
-	}
 	sh := r.hedgePeer(primary)
 	if sh == nil {
 		return nil
@@ -613,8 +599,15 @@ func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return
 	}
+	// Bounded as on the shard: a body no owner would take is refused
+	// before any owner is asked.
+	body, status, err := server.ReadQueryBody(w, req, nil)
+	if err != nil {
+		writeJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
+		return
+	}
 	var fr server.FeedbackRequest
-	if err := json.NewDecoder(req.Body).Decode(&fr); err != nil {
+	if err := json.Unmarshal(body, &fr); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}

@@ -160,9 +160,18 @@ func startFleet(t testing.TB, w *world, n int, scfg server.Config) *testFleet {
 }
 
 // startFleetWith is startFleet with a router-config hook: the hardening
-// tests use it to inject a faultnet transport, tune hedging or shrink
-// probe timeouts without duplicating the harness.
+// tests use it to inject a faultnet transport or shrink probe timeouts
+// without duplicating the harness.
 func startFleetWith(t testing.TB, w *world, n int, scfg server.Config, mut func(*Config)) *testFleet {
+	t.Helper()
+	return startFleetHedged(t, w, n, scfg, 0, mut)
+}
+
+// startFleetHedged is startFleetWith with the router's hedge delay fixed
+// at hedge (0 keeps the adaptive one), set before the router serves. A
+// delay longer than any test means no query is hedged unless its shard
+// fails.
+func startFleetHedged(t testing.TB, w *world, n int, scfg server.Config, hedge time.Duration, mut func(*Config)) *testFleet {
 	t.Helper()
 	f := &testFleet{n: n}
 	for id := 0; id < n; id++ {
@@ -204,6 +213,7 @@ func startFleetWith(t testing.TB, w *world, n int, scfg server.Config, mut func(
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.hedge.fixed = hedge
 	f.router = r
 	f.rts = httptest.NewServer(r.Handler())
 	f.rclient = server.NewClient(f.rts.URL)
@@ -328,22 +338,19 @@ func TestRowKeyInjective(t *testing.T) {
 }
 
 // canon renders a response canonically: sorted injective row keys plus
-// the sorted degradation marker and the ASK verdict. Two responses
-// over the same data must canonicalize identically (acceptance:
-// rows + provenance + Degraded).
+// the ASK verdict. Two responses over the same data must canonicalize
+// identically (acceptance: rows + provenance).
 func canon(res *server.QueryResponse) string {
 	keys := make([]string, 0, len(res.Rows))
 	for _, r := range res.Rows {
 		keys = append(keys, rowKey(r))
 	}
 	sort.Strings(keys)
-	deg := append([]string(nil), res.DegradedSources...)
-	sort.Strings(deg)
 	ask := "-"
 	if res.Ask != nil {
 		ask = fmt.Sprint(*res.Ask)
 	}
-	return strings.Join(keys, "\n") + "\n|deg:" + strings.Join(deg, ",") + "|ask:" + ask
+	return strings.Join(keys, "\n") + "\n|ask:" + ask
 }
 
 // postQuery posts body to url's /query and returns what came back.
@@ -465,9 +472,10 @@ func TestRouterEquivalenceWithSingleNode(t *testing.T) {
 				n := n
 				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 					tp := &tap{}
-					f := startFleetWith(t, w, n, server.Config{}, func(c *Config) {
+					// No hedge: one shard asked per query, so one exchange to
+					// compare with.
+					f := startFleetHedged(t, w, n, server.Config{}, time.Hour, func(c *Config) {
 						c.Transport = tp
-						c.Hedge.Disabled = true // one shard asked per query, so one exchange to compare with
 					})
 					f.waitConverged(t, len(w.initial))
 					asked := map[string]bool{}
@@ -530,9 +538,9 @@ func (f *testFleet) shardQueries(t testing.TB, i int) int {
 func TestRouterSpreadsQueriesRoundRobin(t *testing.T) {
 	w := tinyWorld(t)
 	const n, perShard = 3, 8
-	f := startFleetWith(t, w, n, server.Config{}, func(c *Config) {
+	// No hedge: a hedge is a second evaluation.
+	f := startFleetHedged(t, w, n, server.Config{}, time.Hour, func(c *Config) {
 		c.HealthInterval = time.Hour // no poll can take a shard out of the rotation
-		c.Hedge.Disabled = true      // a hedge is a second evaluation
 	})
 	f.waitConverged(t, len(w.initial))
 	before := make([]int, n)
@@ -603,6 +611,32 @@ func TestRouterRelaysClientErrors(t *testing.T) {
 	}
 	if status, _, body := postQuery(t, f.rts.URL, valid); status != http.StatusOK {
 		t.Fatalf("the next valid query got %d: %s", status, body)
+	}
+}
+
+// A /feedback body past server.MaxQueryBodyBytes is refused with 413 by
+// the router itself, before any owner is asked: a shard would refuse it
+// too, after the router had split it.
+func TestRouterFeedbackBodyBounded(t *testing.T) {
+	w := tinyWorld(t)
+	tr := faultnet.New(1, nil)
+	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) { c.Transport = tr })
+	f.waitConverged(t, len(w.initial))
+	l := w.initial[0]
+	body, err := json.Marshal(server.FeedbackRequest{Links: []server.LinkJSON{
+		{E1: w.dict.Term(l.E1).Value, E2: w.dict.Term(l.E2).Value},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, bytes.Repeat([]byte(" "), server.MaxQueryBodyBytes)...)
+	if status, _, data := post(t, f.rts.URL+"/feedback", body); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized feedback: status %d, body %s; want 413", status, data)
+	}
+	for _, a := range f.addrs {
+		if n := tr.Requests(strings.TrimPrefix(a, "http://"), "/feedback"); n != 0 {
+			t.Fatalf("an oversized feedback reached %s %d times", a, n)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"alex/internal/cluster"
@@ -49,16 +48,18 @@ type QueryRequest struct {
 }
 
 // QueryResponse carries the result set and the snapshot it was computed
-// against. A non-empty DegradedSources means the answer is partial: the
-// named sources were unavailable (open circuit, access failure or
-// timeout) and their rows are missing. The same marker travels in the
-// X-Alex-Degraded response header.
+// against.
 type QueryResponse struct {
 	Vars            []string  `json:"vars,omitempty"`
 	Rows            []RowJSON `json:"rows"`
 	Ask             *bool     `json:"ask,omitempty"`
 	SnapshotVersion uint64    `json:"snapshot_version"`
-	DegradedSources []string  `json:"degraded_sources,omitempty"`
+	// DegradedSources is never set: the federated sources are local
+	// stores, and an answer is never partial.
+	//
+	// Deprecated: nothing writes it. It remains until the end-to-end
+	// benchmark stops reading it.
+	DegradedSources []string `json:"degraded_sources,omitempty"`
 }
 
 // FeedbackRequest reports an answer-level verdict: the links of the
@@ -82,15 +83,6 @@ type LinksResponse struct {
 	Episode         int        `json:"episode"`
 	Count           int        `json:"count"`
 	Links           []LinkJSON `json:"links"`
-}
-
-// SourceHealth reports one federated source's circuit state.
-type SourceHealth struct {
-	Name string `json:"name"`
-	// Guarded is false for local in-memory sources that cannot fail.
-	Guarded bool `json:"guarded"`
-	// Breaker is "closed", "open" or "half-open".
-	Breaker string `json:"breaker"`
 }
 
 // JournalHealth reports the durability layer's state.
@@ -144,22 +136,21 @@ type StoreHealth struct {
 	Sources []StoreSourceHealth `json:"sources,omitempty"`
 }
 
-// HealthResponse reports liveness, writer progress, per-source breaker
-// state and the durability layer. Role is "standalone" or "shard";
-// Shard is set only for fleet members.
+// HealthResponse reports liveness, writer progress, the durability
+// layer and the store backend. Role is "standalone" or "shard"; Shard
+// is set only for fleet members.
 type HealthResponse struct {
-	Status          string         `json:"status"`
-	Role            string         `json:"role"`
-	SnapshotVersion uint64         `json:"snapshot_version"`
-	SnapshotAgeSecs float64        `json:"snapshot_age_seconds"`
-	Episode         int            `json:"episode"`
-	CandidateLinks  int            `json:"candidate_links"`
-	QueueDepth      int            `json:"queue_depth"`
-	QueueCapacity   int            `json:"queue_capacity"`
-	Sources         []SourceHealth `json:"sources"`
-	Journal         JournalHealth  `json:"journal"`
-	Store           StoreHealth    `json:"store"`
-	Shard           *ShardHealth   `json:"shard,omitempty"`
+	Status          string        `json:"status"`
+	Role            string        `json:"role"`
+	SnapshotVersion uint64        `json:"snapshot_version"`
+	SnapshotAgeSecs float64       `json:"snapshot_age_seconds"`
+	Episode         int           `json:"episode"`
+	CandidateLinks  int           `json:"candidate_links"`
+	QueueDepth      int           `json:"queue_depth"`
+	QueueCapacity   int           `json:"queue_capacity"`
+	Journal         JournalHealth `json:"journal"`
+	Store           StoreHealth   `json:"store"`
+	Shard           *ShardHealth  `json:"shard,omitempty"`
 }
 
 type errorResponse struct {
@@ -272,10 +263,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.queryRows.Add(uint64(ans.Len()))
 
 	h := w.Header()
-	if len(ans.Degraded) > 0 {
-		s.metrics.degradedQueries.Inc()
-		h.Set("X-Alex-Degraded", strings.Join(ans.Degraded, ","))
-	}
 	wb.b = wb.b[:0]
 	s.appendQueryResponse(wb, ans, snap.Version)
 	h.Set("Content-Type", "application/json")
@@ -289,8 +276,15 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return
 	}
+	// Bounded like a /query body: the journal takes no record it could
+	// not read back.
+	body, status, err := ReadQueryBody(w, r, nil)
+	if err != nil {
+		writeJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
+		return
+	}
 	var req FeedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -326,7 +320,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	status, err := s.accept(item, payload)
+	status, err = s.accept(item, payload)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, status, errorResponse{Error: err.Error()})
@@ -375,11 +369,6 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.Snapshot()
-	statuses := s.base.SourceStatuses()
-	srcs := make([]SourceHealth, len(statuses))
-	for i, st := range statuses {
-		srcs[i] = SourceHealth{Name: st.Name, Guarded: st.Guarded, Breaker: st.Breaker.String()}
-	}
 	// A draining server still answers reads but must not be offered new
 	// writes; "closing" takes it out of a router's rotation at the next
 	// poll.
@@ -398,7 +387,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		CandidateLinks:  snap.Links.Len(),
 		QueueDepth:      len(s.queue),
 		QueueCapacity:   cap(s.queue),
-		Sources:         srcs,
 		Journal: JournalHealth{
 			Enabled:       s.log != nil,
 			CheckpointSeq: s.recovery.CheckpointSeq,

@@ -5,7 +5,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -638,75 +637,39 @@ func TestFeedbackNotAckedWhenJournalFails(t *testing.T) {
 	}
 }
 
-// TestDegradedQueryMarkedOnWire: a query over a federation with a dead
-// source answers partially, with the degradation marker in both the
-// JSON body and the X-Alex-Degraded header, and /healthz names the
-// open breaker.
-func TestDegradedQueryMarkedOnWire(t *testing.T) {
+// TestFeedbackBodyBounded: a /feedback body past MaxQueryBodyBytes is
+// refused with 413 before anything is journaled or queued, and the next
+// feedback is acked as usual. Decoded unbounded, such a body was acked,
+// and a journal record longer than the scanner reads back would have
+// cut every record acked after it at the next start.
+func TestFeedbackBodyBounded(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
-	sources[1].Access = func(ctx context.Context) error {
-		return fmt.Errorf("connection refused")
-	}
-	cfg := Config{Resilience: federation.Resilience{
-		SourceTimeout: 50 * time.Millisecond,
-		Retries:       0,
-		BackoffBase:   time.Millisecond,
-		Breaker:       federation.BreakerConfig{Failures: 1, Cooldown: time.Hour, Successes: 1},
-	}}
-	s, ts, client := newTestServer(t, sys, dict, sources, cfg)
-
-	// Unbound predicate: source selection cannot exclude ds2, so the
-	// query probes it and must degrade.
-	body := `{"query":"SELECT ?s ?o WHERE { ?s ?p ?o . }"}`
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+	s, ts, client := newTestServer(t, sys, dict, sources, durableCfg(t.TempDir()))
+	body := mustJSON(t, feedbackScript(1)[0]) + strings.Repeat(" ", MaxQueryBodyBytes)
+	resp, err := http.Post(ts.URL+"/feedback", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded query status = %d, want 200 (partial results)", resp.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized feedback: status %d, want 413", resp.StatusCode)
 	}
-	if got := resp.Header.Get("X-Alex-Degraded"); got != "ds2" {
-		t.Fatalf("X-Alex-Degraded = %q, want \"ds2\"", got)
+	s.logMu.Lock()
+	journaled := s.log.LastSeq()
+	s.logMu.Unlock()
+	if journaled != 0 {
+		t.Fatalf("an oversized feedback was journaled (last seq %d)", journaled)
 	}
-	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	if len(qr.DegradedSources) != 1 || qr.DegradedSources[0] != "ds2" {
-		t.Fatalf("degraded_sources = %v", qr.DegradedSources)
-	}
-	if len(qr.Rows) != 2 {
-		t.Fatalf("rows = %d, want ds1's 2 label rows", len(qr.Rows))
-	}
-
-	// The failure tripped the breaker (threshold 1); /healthz reports it.
-	h, err := client.Healthz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Sources) != 2 {
-		t.Fatalf("healthz sources = %+v", h.Sources)
-	}
-	if h.Sources[0].Breaker != "closed" || h.Sources[0].Guarded {
-		t.Fatalf("ds1 health = %+v, want unguarded closed", h.Sources[0])
-	}
-	if h.Sources[1].Breaker != "open" || !h.Sources[1].Guarded {
-		t.Fatalf("ds2 health = %+v, want guarded open", h.Sources[1])
-	}
-
-	// /metrics exposes the labeled breaker gauge and the degraded counter.
 	m, err := client.MetricsText()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(m, `alexd_source_breaker_state{source="ds2"} 1`) {
-		t.Fatalf("breaker gauge missing or wrong:\n%s", m)
+	if v := metricValue(t, m, "alexd_feedback_total"); v != 0 {
+		t.Fatalf("alexd_feedback_total = %v after an oversized feedback, want 0", v)
 	}
-	if v := metricValue(t, m, "alexd_degraded_queries_total"); v != 1 {
-		t.Fatalf("alexd_degraded_queries_total = %v, want 1", v)
+	if code := postFeedback(t, ts.URL, feedbackScript(1)[0]); code != http.StatusAccepted {
+		t.Fatalf("feedback after the refusal: status %d", code)
 	}
-	_ = s
 }
 
 // TestNoGoroutineLeaks cycles full server lifetimes (start, serve

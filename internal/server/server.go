@@ -15,34 +15,27 @@
 // never mutated after publication (federation.Federator.WithLinks
 // enforces the frozen read path).
 //
-// Robustness is part of the design, on both the write and read paths:
+// Durability: with a data directory configured, every accepted feedback
+// item is appended to a write-ahead journal and fsynced BEFORE the 202
+// ack leaves the server, so the ack is a real durability promise — an
+// acknowledged item survives any crash. The writer checkpoints full
+// ALEX state (candidate links, policy returns, blacklist, rollback log)
+// every CheckpointEvery episodes and again on graceful shutdown — but
+// only once every journaled record has been applied, since a checkpoint
+// resets the journal and must never strand a queued, already-acked
+// item; restart loads the newest valid checkpoint and replays only the
+// journal tail, idempotently (a clean shutdown needs no replay at all).
+// Torn or corrupt journal tails are truncated on open. When the journal
+// cannot be written, /feedback returns 503 instead of lying with a 202.
 //
-// Durability (write path): with a data directory configured, every
-// accepted feedback item is appended to a write-ahead journal and
-// fsynced BEFORE the 202 ack leaves the server, so the ack is a real
-// durability promise — an acknowledged item survives any crash. The
-// writer checkpoints full ALEX state (candidate links, policy returns,
-// blacklist, rollback log) every CheckpointEvery episodes and again on
-// graceful shutdown — but only once every journaled record has been
-// applied, since a checkpoint resets the journal and must never strand
-// a queued, already-acked item; restart loads the newest valid checkpoint and
-// replays only the journal tail, idempotently (a clean shutdown needs
-// no replay at all). Torn or corrupt journal tails are truncated on
-// open. When the journal cannot be written, /feedback returns 503
-// instead of lying with a 202.
-//
-// Fault tolerance (read path): each federated source runs behind a
-// per-source deadline, bounded jittered retries and a circuit breaker
-// (see internal/federation). Queries over a degraded federation return
-// partial results with a degradation marker rather than failing, and
-// /healthz reports per-source breaker state.
-//
-// A /query is evaluated on its handler's goroutine, start to finish,
-// under the request's deadline: the evaluator looks at the context as
-// it goes and stops within one check interval of the deadline (or of
-// the client going away), the handler answers 504, and only then does
-// it give back its MaxConcurrentQueries slot — so admission bounds the
-// evaluations running, their CPU and their memory, not just handlers.
+// The federated sources are local stores, which cannot fail: the one
+// failure a query has is its deadline. A /query is evaluated on its
+// handler's goroutine, start to finish, under the request's deadline:
+// the evaluator looks at the context as it goes and stops within one
+// check interval of the deadline (or of the client going away), the
+// handler answers 504, and only then does it give back its
+// MaxConcurrentQueries slot — so admission bounds the evaluations
+// running, their CPU and their memory, not just handlers.
 //
 // Also: backpressure (HTTP 429 + Retry-After when the feedback queue is
 // full), panic-recovery middleware, graceful shutdown that drains queued
@@ -119,9 +112,11 @@ type Config struct {
 	// FS overrides the journal's file operations; nil uses the real
 	// file system. Fault-injection tests pass a faultfs.FS.
 	FS wal.FS
-	// Resilience tunes the fault-tolerant federation read path
-	// (per-source deadlines, retries, circuit breakers). The zero value
-	// means federation.DefaultResilience.
+	// Resilience is ignored: the federated sources are local stores,
+	// with no deadline, retry or breaker of their own.
+	//
+	// Deprecated: nothing reads it. It remains until the end-to-end
+	// benchmark stops setting it.
 	Resilience federation.Resilience
 	// PlanCacheSize bounds the LRU cache of compiled query plans shared
 	// by all published snapshots; 0 or negative means
@@ -301,7 +296,6 @@ type serverMetrics struct {
 	queryAdmissionDrops *Counter
 	queryRows           *Counter
 	queryDuration       *Histogram
-	degradedQueries     *Counter
 	feedbackQueued      *Counter
 	feedbackThrottled   *Counter
 	feedbackLinks       *Counter
@@ -326,7 +320,6 @@ type serverMetrics struct {
 func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	base := federation.New(dict)
-	base.SetResilience(cfg.Resilience)
 	plans := federation.NewPlanCache(cfg.PlanCacheSize)
 	base.SetPlanCache(plans)
 	for _, src := range sources {
@@ -457,7 +450,6 @@ func (s *Server) registerMetrics() {
 	m.queryAdmissionDrops = s.reg.Counter("alexd_query_admission_drops_total", "Queries refused with 503 because no evaluation slot freed up in time.")
 	m.queryRows = s.reg.Counter("alexd_query_rows_total", "Answer rows returned across all queries.")
 	m.queryDuration = s.reg.Histogram("alexd_query_duration_seconds", "Query evaluation latency; a query stopped at its deadline counts with the time at which it stopped.", nil)
-	m.degradedQueries = s.reg.Counter("alexd_degraded_queries_total", "Queries that returned partial results because a source was unavailable.")
 	s.reg.CounterFunc("alexd_plan_cache_hits_total", "Queries served from a cached plan.", func() uint64 {
 		hits, _ := s.plans.Stats()
 		return hits
@@ -509,13 +501,6 @@ func (s *Server) registerMetrics() {
 	s.reg.GaugeFunc("alexd_replayed_records", "Journal records replayed by the last startup recovery.", func() float64 {
 		return float64(s.Recovery().Replayed)
 	})
-	for i, st := range s.base.SourceStatuses() {
-		i := i
-		s.reg.LabeledGaugeFunc("alexd_source_breaker_state",
-			fmt.Sprintf("source=%q", st.Name),
-			"Per-source circuit state: 0 closed, 1 open, 2 half-open.",
-			func() float64 { return float64(s.base.SourceStatuses()[i].Breaker) })
-	}
 }
 
 // Snapshot returns the currently published snapshot. The result is

@@ -22,8 +22,9 @@ import (
 	"alex/internal/sparql"
 )
 
-// MaxQueryBodyBytes bounds a /query request body, on a shard and on the
-// router in front of it; a longer one is refused with 413.
+// MaxQueryBodyBytes bounds a /query or /feedback request body, on a
+// shard and on the router in front of it; a longer one is refused with
+// 413.
 const MaxQueryBodyBytes = 1 << 20
 
 // wireBuf is the per-request scratch of handleQuery: b holds the request
@@ -45,7 +46,7 @@ func putWireBuf(wb *wireBuf) {
 	}
 }
 
-// ReadQueryBody reads a /query request body of at most
+// ReadQueryBody reads a /query or /feedback request body of at most
 // MaxQueryBodyBytes into buf[:0], growing it as io.ReadAll would. When
 // it fails, status is what to refuse the request with: 413 for a body
 // past the limit, 400 for one that could not be read.
@@ -142,16 +143,6 @@ func (s *Server) appendQueryResponse(wb *wireBuf, ans *federation.Answer, versio
 	}
 	b = append(b, `,"snapshot_version":`...)
 	b = strconv.AppendUint(b, version, 10)
-	if len(ans.Degraded) > 0 {
-		b = append(b, `,"degraded_sources":[`...)
-		for i, name := range ans.Degraded {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, name)
-		}
-		b = append(b, ']')
-	}
 	wb.b = append(b, '}', '\n')
 }
 

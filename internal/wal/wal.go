@@ -72,7 +72,9 @@ const (
 	// headerSize is len(uint32) | crc(uint32) | seq(uint64).
 	headerSize = 16
 	// maxRecord guards the scanner against absurd length prefixes from
-	// corrupt headers.
+	// corrupt headers, and so bounds what Append accepts: the scanner
+	// would read a longer record as a torn tail and truncate the journal
+	// there, records acked after it included.
 	maxRecord = 64 << 20
 )
 
@@ -215,13 +217,17 @@ func encodeRecord(seq uint64, payload []byte) []byte {
 }
 
 // Append writes payload as the next record and fsyncs before returning:
-// when Append returns nil the record is durable. On a write or sync
-// failure the journal is rolled back to the previous record boundary so
-// later appends stay readable; if that repair fails the log refuses
-// further appends with ErrBroken.
+// when Append returns nil the record is durable. A payload longer than
+// maxRecord is refused before anything is written, and the journal stays
+// appendable. On a write or sync failure the journal is rolled back to
+// the previous record boundary so later appends stay readable; if that
+// repair fails the log refuses further appends with ErrBroken.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.broken {
 		return 0, ErrBroken
+	}
+	if len(payload) > maxRecord {
+		return 0, fmt.Errorf("wal: append: a %d-byte record exceeds the %d-byte limit", len(payload), maxRecord)
 	}
 	seq := l.seq + 1
 	buf := encodeRecord(seq, payload)

@@ -74,6 +74,41 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	appendN(t, l2, 6, 6)
 }
 
+// TestAppendRefusesOversizedRecord: a record the scanner would read as
+// a torn tail is refused, not acked, and the journal takes the next
+// record: everything acked around the refusal replays after a reopen.
+func TestAppendRefusesOversizedRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(make([]byte, maxRecord+1)); err == nil {
+		t.Fatal("an oversized record was acked")
+	}
+	if seq, err := l.Append([]byte("after")); err != nil || seq != 2 {
+		t.Fatalf("append after the refusal: seq %d, err %v; want 2, nil", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var got []string
+	for _, r := range replayAll(t, l2, 0) {
+		got = append(got, fmt.Sprintf("%d:%s", r.Seq, r.Data))
+	}
+	if fmt.Sprint(got) != "[1:first 2:after]" {
+		t.Fatalf("replayed %v, want [1:first 2:after]", got)
+	}
+}
+
 func TestTornTailTruncated(t *testing.T) {
 	for _, cut := range []string{"garbage", "partial-header", "partial-record", "bad-crc"} {
 		t.Run(cut, func(t *testing.T) {
