@@ -90,6 +90,83 @@ func TestChainDepthBounded(t *testing.T) {
 	p.handle(prev, true, &sys.cfg)
 }
 
+// TestRewardWalkCreditsEachPairOnce: under noisy feedback a generation
+// chain can loop — A admitted by (B, a), B admitted by (A, b) — when a
+// rejected link is re-admitted by a group that descends from it.
+// Algorithm 1 line 14 appends a feedback value once to each pair that
+// led to the state. A walk that follows the loop to its depth bound
+// appends it 32 times to each, and one approval then outweighs every
+// earlier rejection: Q(A, b) would read (−1 + 32) / 33 ≈ 0.939.
+func TestRewardWalkCreditsEachPairOnce(t *testing.T) {
+	ds := smallWorld(t)
+	sys := newTestSystem(t, ds, nil)
+	p := sys.parts[0]
+	A := links.Link{E1: 900001, E2: 900002}
+	B := links.Link{E1: 900003, E2: 900004}
+	a := feature.Key{P1: 1, P2: 2}
+	b := feature.Key{P1: 3, P2: 4}
+	p.addCandidate(A, &provKey{state: B, action: a})
+	p.addCandidate(B, &provKey{state: A, action: b})
+	p.ctrl.RecordReturn(A, b, -1)
+
+	p.handle(A, true, &sys.cfg)
+	if got := p.ctrl.Q(A, b); got != 0 {
+		t.Fatalf("Q(A,b) = %.3f, want 0: one -1 and one +1", got)
+	}
+	if got := p.ctrl.Q(B, a); got != 1 {
+		t.Fatalf("Q(B,a) = %.3f, want 1", got)
+	}
+}
+
+// TestEpisodeStatsCountExplorationsAndSpared drives one partition by
+// hand: a state-action pair has admitted five links, the user approves
+// one of them twice and rejects three. The first approval explores once
+// (the second is not a first visit); the third rejection rolls the
+// group back, which keeps the approved link and removes the other.
+func TestEpisodeStatsCountExplorationsAndSpared(t *testing.T) {
+	ds := smallWorld(t)
+	sys := newTestSystem(t, ds, func(c *Config) { c.Partitions = 1 })
+	p := sys.parts[0]
+	var group []links.Link
+	for _, l := range links.NewSet(p.space.Links()...).Slice() {
+		if _, seeded := p.cands[l]; !seeded && len(p.space.FeatureSet(l)) > 0 {
+			group = append(group, l)
+		}
+	}
+	if len(group) < 5 {
+		t.Skip("space too small")
+	}
+	group = group[:5]
+	pk := provKey{state: links.Link{E1: 900001, E2: 900002}, action: feature.Key{P1: 1, P2: 2}}
+	for _, l := range group {
+		p.addCandidate(l, &pk)
+		p.generated[pk] = append(p.generated[pk], l)
+	}
+
+	sys.BeginEpisode()
+	sys.Feedback(group[0], true)
+	sys.Feedback(group[0], true)
+	for _, l := range group[1:4] {
+		sys.Feedback(l, false)
+	}
+	st := sys.FinishEpisode()
+	if st.Explorations != 1 || st.Rollbacks != 1 || st.Spared != 1 {
+		t.Fatalf("explorations %d, rollbacks %d, spared %d; want 1, 1, 1", st.Explorations, st.Rollbacks, st.Spared)
+	}
+	if _, ok := p.cands[group[0]]; !ok {
+		t.Fatal("the approved link did not survive the rollback")
+	}
+	if _, ok := p.cands[group[4]]; ok {
+		t.Fatal("the unjudged link survived the rollback")
+	}
+
+	sys.BeginEpisode()
+	st = sys.FinishEpisode()
+	if st.Explorations != 0 || st.Spared != 0 {
+		t.Fatalf("an empty episode counted %d explorations, %d spared", st.Explorations, st.Spared)
+	}
+}
+
 // TestExploreOncePerEpisode: the first-visit rule also gates the
 // exploration action, so repeated approvals within one episode do not
 // multiply ε-greedy draws.

@@ -9,10 +9,6 @@
 // and rollback optimizations (§6.3).
 package core
 
-import (
-	"alex/internal/rdf"
-)
-
 // Config holds every tunable of the system, with defaults matching the
 // paper's experimental setup (§7.1 "Default Settings").
 type Config struct {
@@ -23,26 +19,15 @@ type Config struct {
 	// §6.1). Zero is an explicit θ=0 — every feature is kept, which
 	// makes spaces enormous; use DefaultConfig for the paper value.
 	Theta float64
-	// Epsilon is the ε of the ε-greedy policy.
+	// Epsilon is the ε of the ε-greedy policy, fixed for the whole run
+	// (§4.4.1).
 	Epsilon float64
-	// EpsilonDecay, when in (0, 1), multiplies ε after every policy
-	// improvement, annealing exploration as the value estimates mature
-	// — an extension beyond the paper (which keeps ε fixed) that trades
-	// late-run discovery for faster strict convergence. 0 disables.
-	EpsilonDecay float64
-	// EpsilonMin floors the decayed ε so exploration never fully stops,
-	// preserving the π(s,a) > 0 requirement of §4.4.1 (default 0.01
-	// when decay is enabled).
-	EpsilonMin float64
 	// EpisodeSize is the number of feedback items per episode (paper
 	// default 1000 in batch mode, 10 for specific domains).
 	EpisodeSize int
 	// MaxEpisodes bounds the policy evaluation/improvement iterations
 	// (the paper caps at 100).
 	MaxEpisodes int
-	// RelaxedDelta is the fraction of changed links below which the
-	// relaxed convergence rule fires (paper: 5%).
-	RelaxedDelta float64
 	// ConvergenceEpisodes is the number of consecutive episodes with no
 	// change in the candidate set required for strict convergence
 	// (default 2). With small episode sizes a single unchanged episode
@@ -64,22 +49,27 @@ type Config struct {
 	// RollbackThreshold is the number of negative feedback items on
 	// links generated by one state-action pair that triggers rollback.
 	RollbackThreshold int
-	// PositiveReward and NegativePenalty are the reward magnitudes for
-	// approved and rejected links (§4.3 allows penalizing errors more).
-	PositiveReward  float64
-	NegativePenalty float64
 	// Partitions is the number of equal-size partitions of dataset 1
 	// (§6.2). Partitions are explored independently.
 	Partitions int
 	// Seed drives all randomness in the system.
 	Seed int64
-	// Sim overrides the space similarity function (nil = fast SpaceSim).
-	Sim func(a, b rdf.Term) float64
 	// UniformPolicy disables learning: actions are drawn uniformly at
 	// random regardless of collected rewards. This is the ablation
 	// baseline showing the value of the RL component.
 	UniformPolicy bool
 }
+
+// relaxedDelta is the fraction of changed links below which the
+// relaxed convergence rule fires (paper: 5%).
+const relaxedDelta = 0.05
+
+// The rewards of Algorithm 1 line 14: an approved link is worth +1 to
+// every state-action pair that led to it, a rejected one −1 (§4.3).
+const (
+	approveReward = 1.0
+	rejectReward  = -1.0
+)
 
 // DefaultConfig returns the paper's default settings.
 func DefaultConfig() Config {
@@ -89,14 +79,11 @@ func DefaultConfig() Config {
 		Epsilon:             0.1,
 		EpisodeSize:         1000,
 		MaxEpisodes:         100,
-		RelaxedDelta:        0.05,
 		ConvergenceEpisodes: 2,
 		UseBlacklist:        true,
 		BlacklistMargin:     2,
 		UseRollback:         true,
 		RollbackThreshold:   3,
-		PositiveReward:      1,
-		NegativePenalty:     1,
 		Partitions:          1,
 		Seed:                1,
 	}

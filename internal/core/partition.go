@@ -61,9 +61,11 @@ type partition struct {
 	negVotes map[links.Link]int
 
 	// episode counters
-	explored  int
-	removed   int
-	rollbacks int
+	explored     int
+	explorations int
+	removed      int
+	rollbacks    int
+	spared       int
 }
 
 func newPartition(space *feature.Space, epsilon float64, rng *stream) *partition {
@@ -150,19 +152,11 @@ func (p *partition) handle(l links.Link, positive bool, cfg *Config) {
 	// per item and flood the candidate set.
 	firstVisit := p.ctrl.Visit(l)
 	if firstVisit {
-		reward := cfg.PositiveReward
+		reward := approveReward
 		if !positive {
-			reward = -cfg.NegativePenalty
+			reward = rejectReward
 		}
-		gen := info.gen
-		for depth := 0; gen != nil && depth < 64; depth++ {
-			p.ctrl.RecordReturn(gen.state, gen.action, reward)
-			parent, ok := p.cands[gen.state]
-			if !ok {
-				break
-			}
-			gen = parent.gen
-		}
+		p.credit(info.gen, reward)
 	}
 
 	if positive {
@@ -211,6 +205,33 @@ func (p *partition) handle(l links.Link, positive bool, cfg *Config) {
 	}
 }
 
+// maxChainDepth bounds the reward walk up a generation chain.
+const maxChainDepth = 64
+
+// credit appends reward to the returns of every state-action pair that
+// led to a link (Algorithm 1 line 14): the pair that admitted it, the
+// pair that admitted that pair's state, and so on. Under noisy feedback
+// a chain can loop — a rejected link re-admitted by a group descending
+// from it — so the walk credits each pair once and stops at the first
+// one it has already credited, and in any case after maxChainDepth.
+func (p *partition) credit(gen *provKey, reward float64) {
+	var seen [maxChainDepth]provKey
+	for n := 0; gen != nil && n < maxChainDepth; n++ {
+		for _, pk := range seen[:n] {
+			if pk == *gen {
+				return
+			}
+		}
+		seen[n] = *gen
+		p.ctrl.RecordReturn(gen.state, gen.action, reward)
+		parent, ok := p.cands[gen.state]
+		if !ok {
+			return
+		}
+		gen = parent.gen
+	}
+}
+
 // explore performs the action for an approved link: choose a feature of
 // its feature set by the current policy and admit every link in the
 // space whose score on that feature is within ±step (§4.2).
@@ -235,6 +256,7 @@ func (p *partition) explore(l links.Link, cfg *Config) {
 		return
 	}
 	score := fs.Score(action)
+	p.explorations++
 	found := p.space.FindInRange(action, score-cfg.StepSize, score+cfg.StepSize)
 	for _, nl := range found {
 		if p.blacklist.Has(nl) {
@@ -258,6 +280,9 @@ func (p *partition) rollback(pk provKey) {
 		// Spare links the user has vouched for at least as often as
 		// rejected: their own negatives will remove them if wrong.
 		if p.posVotes[l] > 0 && p.posVotes[l] >= p.negVotes[l] {
+			if _, ok := p.cands[l]; ok {
+				p.spared++
+			}
 			continue
 		}
 		if p.removeCandidate(l) {
@@ -272,5 +297,5 @@ func (p *partition) rollback(pk provKey) {
 }
 
 func (p *partition) resetEpisodeCounters() {
-	p.explored, p.removed, p.rollbacks = 0, 0, 0
+	p.explored, p.explorations, p.removed, p.rollbacks, p.spared = 0, 0, 0, 0, 0
 }

@@ -62,11 +62,6 @@ func sameState(t *testing.T, when string, got, want *System) {
 	if got.Episode() != want.Episode() {
 		t.Fatalf("%s: episode %d, want %d", when, got.Episode(), want.Episode())
 	}
-	for pi := range want.parts {
-		if g, w := got.parts[pi].ctrl.Epsilon(), want.parts[pi].ctrl.Epsilon(); g != w {
-			t.Fatalf("%s: partition %d epsilon %g, want %g", when, pi, g, w)
-		}
-	}
 }
 
 var resumeConfigs = []struct {
@@ -74,7 +69,7 @@ var resumeConfigs = []struct {
 	mutate func(*Config)
 }{
 	{"fixed-epsilon", func(*Config) {}},
-	{"epsilon-decay", func(c *Config) { c.Epsilon = 0.5; c.EpsilonDecay = 0.8; c.EpsilonMin = 0.05 }},
+	{"high-epsilon", func(c *Config) { c.Epsilon = 0.5 }},
 }
 
 // TestResumeIsExact is the contract a checkpoint has to keep for crash
@@ -82,7 +77,7 @@ var resumeConfigs = []struct {
 // system that wrote it, given the same feedback from then on, stay
 // link for link the same. That needs more than the learned tables —
 // the position of each partition's random stream (action picks and
-// ε-greedy draws) and the annealed ε are state too.
+// ε-greedy draws) is state too.
 func TestResumeIsExact(t *testing.T) {
 	ds := smallWorld(t)
 	for _, rc := range resumeConfigs {
@@ -137,14 +132,12 @@ func TestResumeIsExactUnderRun(t *testing.T) {
 }
 
 // TestRestoreSnapshotWithoutPositions: a snapshot written before the
-// stream positions, Order and Epsilon existed carries none of them (gob
-// omits what it does not know, and zero values alike). It must still
-// load, as it always did: streams at their seed, candidates sampled in
-// link order, ε as configured.
+// stream positions and Order existed carries neither (gob omits what it
+// does not know, and zero values alike). It must still load, as it
+// always did: streams at their seed, candidates sampled in link order.
 func TestRestoreSnapshotWithoutPositions(t *testing.T) {
 	ds := smallWorld(t)
-	mutate := func(c *Config) { c.EpsilonDecay = 0.8 }
-	sys := newTestSystem(t, ds, mutate)
+	sys := newTestSystem(t, ds, nil)
 	oracle := feedback.NewOracle(ds.GroundTruth, 0, rand.New(rand.NewSource(3)))
 	for ep := 0; ep < 4; ep++ {
 		sys.RunEpisode(oracle)
@@ -159,14 +152,14 @@ func TestRestoreSnapshotWithoutPositions(t *testing.T) {
 	}
 	wire.SamplerPos = 0
 	for i := range wire.Parts {
-		wire.Parts[i].Order, wire.Parts[i].Epsilon, wire.Parts[i].RandPos = nil, 0, 0
+		wire.Parts[i].Order, wire.Parts[i].RandPos = nil, 0
 	}
 	buf.Reset()
 	if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
 		t.Fatal(err)
 	}
 
-	restored := newTestSystem(t, ds, mutate)
+	restored := newTestSystem(t, ds, nil)
 	if err := restored.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +168,9 @@ func TestRestoreSnapshotWithoutPositions(t *testing.T) {
 			restored.CandidateCount(), restored.Episode(), d, sys.CandidateCount(), sys.Episode())
 	}
 	for pi, p := range restored.parts {
-		if p.rng.pos() != 0 || p.dead != 0 || len(p.order) != len(p.cands) || p.ctrl.Epsilon() != restored.cfg.Epsilon {
-			t.Fatalf("partition %d: stream at %d, %d stale of %d sampling slots for %d candidates, ε %g",
-				pi, p.rng.pos(), p.dead, len(p.order), len(p.cands), p.ctrl.Epsilon())
+		if p.rng.pos() != 0 || p.dead != 0 || len(p.order) != len(p.cands) {
+			t.Fatalf("partition %d: stream at %d, %d stale of %d sampling slots for %d candidates",
+				pi, p.rng.pos(), p.dead, len(p.order), len(p.cands))
 		}
 	}
 	restored.RunEpisode(oracle) // and it keeps going

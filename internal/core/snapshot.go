@@ -19,20 +19,22 @@ const snapshotVersion = 1
 // candidate links with their generation provenance, the blacklist,
 // feedback vote tallies, rollback state, and the per-partition
 // action-value tables and policies — and resume later, exactly: the
-// snapshot also carries how far every random stream has been read,
-// each partition's sampling order and its annealed ε, so a restored
-// system given the same feedback makes the choices the saved one would
-// have made (TestResumeIsExact).
+// snapshot also carries how far every random stream has been read and
+// each partition's sampling order, so a restored system given the same
+// feedback makes the choices the saved one would have made
+// (TestResumeIsExact). ε is fixed (§4.4.1) and comes from the
+// configuration, not the snapshot.
 //
 // A snapshot is only valid against a System built over the same
 // datasets with the same configuration and partition count: dictionary
 // IDs are positional, so the graphs must be loaded identically.
 //
-// Stream positions, Order and Epsilon are optional within
-// snapshotVersion 1: a snapshot written without them (gob decodes the
-// missing fields as zero) restores to streams at their seed, candidates
-// sampled in link order and the configured ε
-// (TestRestoreSnapshotWithoutPositions).
+// Stream positions and Order are optional within snapshotVersion 1: a
+// snapshot written without them (gob decodes the missing fields as
+// zero) restores to streams at their seed and candidates sampled in
+// link order (TestRestoreSnapshotWithoutPositions). A snapshot that
+// still carries a partition's ε, written when ε could decay, loads
+// too: gob skips the field.
 
 type provWire struct {
 	State  links.Link
@@ -76,7 +78,6 @@ type partitionWire struct {
 	// sample draws an index into it, so its length and stale slots
 	// decide which link a given draw lands on.
 	Order   []links.Link
-	Epsilon float64
 	RandPos uint64
 }
 
@@ -161,7 +162,6 @@ func exportPartition(p *partition) partitionWire {
 	sortProv(w.RolledBack)
 	w.QTable, w.Policy = p.ctrl.Export()
 	w.Order = p.order // encoded before Save returns, so no copy
-	w.Epsilon = p.ctrl.Epsilon()
 	w.RandPos = p.rng.pos()
 	return w
 }
@@ -197,9 +197,6 @@ func importPartition(p *partition, w partitionWire) {
 		p.rolledBack[provKey{state: pk.State, action: pk.Action}] = true
 	}
 	p.ctrl.Import(w.QTable, w.Policy)
-	if w.Epsilon > 0 {
-		p.ctrl.SetEpsilon(w.Epsilon)
-	}
 	p.rng.seek(w.RandPos)
 	p.resetEpisodeCounters()
 }

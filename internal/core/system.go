@@ -18,18 +18,25 @@ type System struct {
 	rng    *stream        // the feedback sampler's draws
 	ep     int
 
-	relaxedAt int       // first episode with <RelaxedDelta change; 0 = not yet
+	relaxedAt int       // first episode with <relaxedDelta change; 0 = not yet
 	prevCands links.Set // candidate snapshot from BeginEpisode
 }
 
 // EpisodeStats summarizes one feedback episode.
 type EpisodeStats struct {
-	Episode   int
-	Feedback  int
-	Negative  int
-	Explored  int
-	Removed   int
-	Rollbacks int
+	Episode  int
+	Feedback int
+	Negative int
+	// Explored counts the links explorations admitted; Explorations
+	// counts the explorations that searched the space for them, so
+	// Explored/Explorations is the links one exploration admits.
+	Explored     int
+	Explorations int
+	Removed      int
+	Rollbacks    int
+	// Spared counts the links rollbacks kept as candidates because the
+	// user approved them at least as often as rejected them.
+	Spared int
 	// Blacklisted is the cumulative blacklist size after the episode.
 	Blacklisted int
 	// ChangedFrac is |C_now Δ C_prev| / max(1, |C_prev|).
@@ -75,7 +82,7 @@ func New(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, initial []link
 	// The partitions' spaces are built one after another — each build
 	// parallelizes internally across GOMAXPROCS goroutines — against one
 	// preparation of the dataset-2 side.
-	spaces := feature.BuildPartitions(g1, g2, partEnts, entities2, feature.Options{Theta: cfg.Theta, Sim: cfg.Sim})
+	spaces := feature.BuildPartitions(g1, g2, partEnts, entities2, feature.Options{Theta: cfg.Theta})
 
 	s.parts = make([]*partition, len(partEnts))
 	for pi := range partEnts {
@@ -194,22 +201,11 @@ func (s *System) FinishEpisode() EpisodeStats {
 	for _, p := range s.parts {
 		p.ctrl.EndEpisode()
 		st.Explored += p.explored
+		st.Explorations += p.explorations
 		st.Removed += p.removed
 		st.Rollbacks += p.rollbacks
+		st.Spared += p.spared
 		st.Blacklisted += p.blacklist.Len()
-	}
-	if d := s.cfg.EpsilonDecay; d > 0 && d < 1 {
-		floor := s.cfg.EpsilonMin
-		if floor <= 0 {
-			floor = 0.01
-		}
-		for _, p := range s.parts {
-			eps := p.ctrl.Epsilon() * d
-			if eps < floor {
-				eps = floor
-			}
-			p.ctrl.SetEpsilon(eps)
-		}
 	}
 	s.ep++
 
@@ -223,7 +219,7 @@ func (s *System) FinishEpisode() EpisodeStats {
 		denom = 1
 	}
 	st.ChangedFrac = float64(prev.SymmetricDiff(now)) / float64(denom)
-	if s.relaxedAt == 0 && st.ChangedFrac < s.cfg.RelaxedDelta {
+	if s.relaxedAt == 0 && st.ChangedFrac < relaxedDelta {
 		s.relaxedAt = s.ep
 	}
 	return st
@@ -256,7 +252,7 @@ func (s *System) RunEpisode(oracle feedback.Judger) EpisodeStats {
 type Result struct {
 	Episodes       int
 	Converged      bool
-	RelaxedEpisode int // first episode with <RelaxedDelta change (0 = never)
+	RelaxedEpisode int // first episode with <5% change (relaxed convergence; 0 = never)
 	Stats          []EpisodeStats
 }
 

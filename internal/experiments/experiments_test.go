@@ -166,9 +166,9 @@ func TestFig7Rollback(t *testing.T) {
 
 // TestFig9IncorrectFeedback runs Appendix C at `alexbench -exp fig9`'s
 // defaults: dbpedia-nytimes at full scale, seed 42, with clean and 10 %
-// wrong feedback. EXPERIMENTS.md records P 0.992, R 0.748, F 0.853
+// wrong feedback. EXPERIMENTS.md records P 0.991, R 0.858, F 0.920
 // noisy against P = R = F = 1.000 clean: noise costs a little
-// precision and a quarter of the recall, and the candidate set does
+// precision and a seventh of the recall, and the candidate set does
 // not flood (at 20 % it does, with P 0.006).
 func TestFig9IncorrectFeedback(t *testing.T) {
 	if testing.Short() {

@@ -34,21 +34,6 @@ func (a *Answer) ResultSet() *ResultSet {
 		return out
 	}
 	out.Rows = make([]Row, a.Len())
-	if a.Group == nil {
-		// An aggregate row depends on every solution that fed its
-		// group; attributing provenance per group would need the
-		// grouping keys of each input row, so attach the union — any
-		// feedback on an aggregate answer concerns all links that
-		// contributed to it.
-		all := links.NewSet()
-		for _, u := range a.used {
-			u.AddTo(all)
-		}
-		for k := range out.Rows {
-			out.Rows[k] = Row{Binding: a.Binding(k), Used: all.Clone()}
-		}
-		return out
-	}
 	sets := make([]links.Set, len(a.Members))
 	for k := range out.Rows {
 		g := a.Group[k]
@@ -72,31 +57,17 @@ func (a *Answer) Links(k int) []links.Link {
 	if a.groupStart == nil {
 		a.buildGroupLinks()
 	}
-	g := 0
-	if a.Group != nil {
-		g = int(a.Group[k])
-	}
+	g := a.Group[k]
 	return a.groupLinks[a.groupStart[g]:a.groupStart[g+1]]
 }
 
-// buildGroupLinks flattens every group's chains into one array. An
-// aggregate answer is one group of all solutions (see ResultSet).
+// buildGroupLinks flattens every group's chains into one array.
 func (a *Answer) buildGroupLinks() {
-	groups := len(a.Members)
-	if a.Group == nil {
-		groups = 1
-	}
-	a.groupStart = make([]int32, groups+1)
-	for g := 0; g < groups; g++ {
+	a.groupStart = make([]int32, len(a.Members)+1)
+	for g, members := range a.Members {
 		base := len(a.groupLinks)
-		if a.Group == nil {
-			for _, u := range a.used {
-				a.groupLinks = u.AppendTo(a.groupLinks)
-			}
-		} else {
-			for _, i := range a.Members[g] {
-				a.groupLinks = a.used[i].AppendTo(a.groupLinks)
-			}
+		for _, i := range members {
+			a.groupLinks = a.used[i].AppendTo(a.groupLinks)
 		}
 		seg := a.groupLinks[base:]
 		slices.SortFunc(seg, links.Link.Compare)

@@ -82,12 +82,8 @@ func newsQueries() map[string]string {
 			?p <http://kb/award> "NBA MVP 2013" .
 			?article <http://news/about> ?p .
 		}`,
-		"order-by": `SELECT ?p ?a WHERE { ?p <http://kb/award> ?a . } ORDER BY ?a`,
-		"ask":      `ASK { ?a <http://news/about> ?p . ?p <http://kb/award> "NBA MVP 2013" . }`,
-		"aggregate-count": `SELECT ?p (COUNT(?article) AS ?n) WHERE {
-			?p <http://kb/award> "NBA MVP 2013" .
-			?article <http://news/about> ?p .
-		} GROUP BY ?p`,
+		"order-by":          `SELECT ?p ?a WHERE { ?p <http://kb/award> ?a . } ORDER BY ?a`,
+		"ask":               `ASK { ?a <http://news/about> ?p . ?p <http://kb/award> "NBA MVP 2013" . }`,
 		"unbound-predicate": `SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`,
 		"unbound-predicate-join": `SELECT ?p ?o ?article WHERE {
 			?p <http://kb/award> "NBA MVP 2013" .

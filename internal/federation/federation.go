@@ -367,10 +367,7 @@ func (f *Federator) evalPlan(ctx context.Context, p *plan) (Answer, error) {
 		ec.stats.foldInto(p.obs)
 	}
 
-	proj, err := sparql.Finalize(p.q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
-	if err != nil {
-		return Answer{}, err
-	}
+	proj := sparql.Finalize(p.q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
 	return Answer{Projection: proj, used: rows.used}, nil
 }
 

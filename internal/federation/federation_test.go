@@ -454,21 +454,3 @@ func TestFederatedAsk(t *testing.T) {
 		t.Fatal("federated ASK without links = true, want false")
 	}
 }
-
-func TestFederatedAggregate(t *testing.T) {
-	f, _, _ := newsWorld(t)
-	res, err := f.Query(`SELECT (COUNT(?article) AS ?n) WHERE {
-		?p <http://kb/award> "NBA MVP 2013" .
-		?article <http://news/about> ?p .
-	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0].Binding["n"].Value != "2" {
-		t.Fatalf("count = %+v", res.Rows)
-	}
-	// The aggregate answer carries the union of contributing links.
-	if res.Rows[0].Used.Len() != 1 {
-		t.Fatalf("aggregate provenance = %d links, want 1", res.Rows[0].Used.Len())
-	}
-}

@@ -303,10 +303,6 @@ func goldenSynthQueries(profile string) map[string]string {
 			?e <http://ds1.example.org/onto/label> ?n .
 			?e <http://ds2.example.org/prop/group> ?g .
 		} ORDER BY ?g`,
-		"count-per-group": `SELECT ?g (COUNT(?e) AS ?n) WHERE {
-			?e <http://ds1.example.org/onto/type> ?ty .
-			?e <http://ds2.example.org/prop/group> ?g .
-		} GROUP BY ?g`,
 	}
 	if profile == "skewed-hub" {
 		// The query shape the profile is built to mislead: static

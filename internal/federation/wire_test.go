@@ -137,7 +137,6 @@ func awkwardWorld(t *testing.T) federation.GoldenWorld {
 			"ask-true":        `ASK { ?s <http://x/p> "plain" . ?s <http://y/q> "across" . }`,
 			"ask-false":       `ASK { ?s <http://y/q> "nowhere" . }`,
 			"empty-select":    `SELECT ?s WHERE { ?s <http://y/q> "nowhere" . }`,
-			"aggregate-union": `SELECT (COUNT(?o) AS ?n) WHERE { ?s <http://x/p> ?o . ?s <http://y/q> ?v . }`,
 			"limit-offset":    `SELECT ?o WHERE { ?s <http://x/p> ?o . } ORDER BY ?o LIMIT 3 OFFSET 2`,
 		},
 	}

@@ -31,17 +31,3 @@ func BenchmarkLink(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkLinkWithAlignment(b *testing.B) {
-	w := benchWorld(500)
-	e1, e2 := w.g1.SubjectIDs(), w.g2.SubjectIDs()
-	opts := NewOptions()
-	opts.AlignRelations = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got := Link(w.g1, w.g2, e1, e2, opts)
-		if len(got) == 0 {
-			b.Fatal("no links")
-		}
-	}
-}

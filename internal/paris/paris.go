@@ -36,13 +36,6 @@ type Options struct {
 	// Greedy11, when true (default behaviour of NewOptions), reduces
 	// the scored pairs to a one-to-one matching greedily by score.
 	Greedy11 bool
-	// AlignRelations enables the schema-alignment stage: relation-pair
-	// alignment probabilities are estimated from the first round of
-	// entity matches and used to re-weight value evidence, suppressing
-	// coincidental value sharing between unrelated relations. Off by
-	// default to keep the baseline minimal; the experiments use the
-	// default configuration.
-	AlignRelations bool
 }
 
 // NewOptions returns the defaults used in the paper's experiments.
@@ -70,11 +63,6 @@ func Link(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, opts Options)
 	}
 	a.prepare(entities1, entities2)
 	scores := a.literalEvidence()
-	if opts.AlignRelations {
-		if align := a.relationAlignment(scores); align != nil {
-			scores = a.literalEvidenceAligned(align)
-		}
-	}
 	for i := 1; i < opts.Iterations; i++ {
 		next := a.propagate(scores)
 		if !changed(scores, next) {

@@ -50,21 +50,6 @@ func New[S comparable, A comparable](epsilon float64, rng *rand.Rand) *Controlle
 	}
 }
 
-// Epsilon returns the exploration rate.
-func (c *Controller[S, A]) Epsilon() float64 { return c.epsilon }
-
-// SetEpsilon adjusts the exploration rate; ALEX uses it to anneal ε
-// between episodes when epsilon decay is configured.
-func (c *Controller[S, A]) SetEpsilon(eps float64) {
-	if eps < 0 {
-		eps = 0
-	}
-	if eps > 1 {
-		eps = 1
-	}
-	c.epsilon = eps
-}
-
 // Visit marks state s as visited in the current episode and reports
 // whether this was the first visit. Per the first-visit MC rule
 // (Algorithm 1 line 13), only feedback from a state's first visit in an

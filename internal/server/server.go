@@ -301,6 +301,10 @@ type serverMetrics struct {
 	feedbackLinks       *Counter
 	episodes            *Counter
 	episodeDuration     *Histogram
+	explorations        *Counter
+	exploredLinks       *Counter
+	rollbacks           *Counter
+	sparedLinks         *Counter
 	panics              *Counter
 	journalFsync        *Histogram
 	journalErrors       *Counter
@@ -477,6 +481,10 @@ func (s *Server) registerMetrics() {
 	m.feedbackLinks = s.reg.Counter("alexd_feedback_links_total", "Link-level feedback items applied by the writer.")
 	m.episodes = s.reg.Counter("alexd_episodes_total", "Feedback episodes completed.")
 	m.episodeDuration = s.reg.Histogram("alexd_episode_duration_seconds", "Episode duration from first feedback to policy improvement.", nil)
+	m.explorations = s.reg.Counter("alexd_explorations_total", "Explorations that searched the feature space around an approved link.")
+	m.exploredLinks = s.reg.Counter("alexd_explored_links_total", "Candidate links admitted by explorations.")
+	m.rollbacks = s.reg.Counter("alexd_rollbacks_total", "Rollbacks that removed the links one exploration admitted.")
+	m.sparedLinks = s.reg.Counter("alexd_rollback_spared_links_total", "Links a rollback kept because they were approved at least as often as rejected.")
 	m.panics = s.reg.Counter("alexd_http_panics_total", "Handler panics recovered.")
 	m.journalFsync = s.reg.Histogram("alexd_journal_fsync_seconds", "Feedback journal append+fsync latency.", nil)
 	m.journalErrors = s.reg.Counter("alexd_journal_errors_total", "Journal appends that failed (feedback refused with 503).")
@@ -565,8 +573,12 @@ func (s *Server) finishEpisode() {
 	if s.w.pending == 0 {
 		return
 	}
-	s.eng.FinishEpisode()
+	st := s.eng.FinishEpisode()
 	s.metrics.episodes.Inc()
+	s.metrics.explorations.Add(uint64(st.Explorations))
+	s.metrics.exploredLinks.Add(uint64(st.Explored))
+	s.metrics.rollbacks.Add(uint64(st.Rollbacks))
+	s.metrics.sparedLinks.Add(uint64(st.Spared))
 	s.metrics.episodeDuration.Observe(time.Since(s.w.epStart).Seconds())
 	s.w.pending = 0
 	s.w.sinceCkpt++

@@ -566,6 +566,61 @@ func metricValue(t *testing.T, exposition, name string) float64 {
 	return 0
 }
 
+// statsEngine is a core.System that reports scripted episode stats, so
+// a test knows what the writer has to add to /metrics.
+type statsEngine struct {
+	*core.System
+	closed int
+}
+
+func scriptedStats(n int) core.EpisodeStats {
+	return core.EpisodeStats{Episode: n, Explorations: n, Explored: 10 * n, Rollbacks: n % 2, Spared: 3 * n}
+}
+
+func (e *statsEngine) FinishEpisode() core.EpisodeStats {
+	e.System.FinishEpisode()
+	e.closed++
+	return scriptedStats(e.closed)
+}
+
+// TestExplorationCounters: the writer adds every episode's exploration
+// and rollback stats to their /metrics series, so links per exploration
+// can be read off a running alexd.
+func TestExplorationCounters(t *testing.T) {
+	dict, sources, sys, _ := tinyWorld(t)
+	eng := &statsEngine{System: sys}
+	s, ts, client := newTestServer(t, eng, dict, sources, Config{EpisodeSize: 1, FlushInterval: time.Hour})
+	const episodes = 4
+	for i, req := range feedbackScript(episodes) {
+		if code := postFeedback(t, ts.URL, req); code != http.StatusAccepted {
+			t.Fatalf("feedback %d: status %d", i, code)
+		}
+	}
+	waitForSnapshotEpisode(t, s, episodes)
+	var want core.EpisodeStats
+	for n := 1; n <= episodes; n++ {
+		st := scriptedStats(n)
+		want.Explorations += st.Explorations
+		want.Explored += st.Explored
+		want.Rollbacks += st.Rollbacks
+		want.Spared += st.Spared
+	}
+	metrics, err := client.MetricsText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]int{
+		"alexd_explorations_total":          want.Explorations,
+		"alexd_explored_links_total":        want.Explored,
+		"alexd_rollbacks_total":             want.Rollbacks,
+		"alexd_rollback_spared_links_total": want.Spared,
+	} {
+		if got := metricValue(t, metrics, name); got != float64(v) {
+			t.Errorf("%s = %v, want %d", name, got, v)
+		}
+	}
+}
+
 // TestConcurrentQueriesDuringFeedback races many readers against a
 // steady feedback stream; run under -race this is the data-race proof
 // for the snapshot-isolation design.

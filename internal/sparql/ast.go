@@ -53,20 +53,25 @@ type OrderKey struct {
 	Desc bool
 }
 
+// QueryForm distinguishes SELECT from ASK queries.
+type QueryForm uint8
+
+// Supported query forms.
+const (
+	FormSelect QueryForm = iota
+	FormAsk
+)
+
 // Query is a parsed SELECT or ASK query.
 type Query struct {
 	Form     QueryForm
 	Vars     []string // empty means SELECT * (ignored for ASK)
 	Distinct bool
-	// Aggregates holds (FUNC(?v) AS ?name) projections; when non-empty
-	// the solution is grouped by GroupBy before the other modifiers.
-	Aggregates []AggSpec
-	GroupBy    []string
-	Where      *GroupGraphPattern
-	OrderBy    []OrderKey
-	Limit      int // -1 when absent
-	Offset     int
-	Prefixes   map[string]string
+	Where    *GroupGraphPattern
+	OrderBy  []OrderKey
+	Limit    int // -1 when absent
+	Offset   int
+	Prefixes map[string]string
 }
 
 // Expr is a FILTER expression.

@@ -252,3 +252,23 @@ func TestExecuteLargerJoinOrder(t *testing.T) {
 		t.Fatalf("rows = %+v", res.Rows)
 	}
 }
+
+func TestAskQuery(t *testing.T) {
+	g := testGraph()
+	res := mustExec(t, g, `ASK { ?p <http://ex/name> "Alice" . }`)
+	if !res.Ask {
+		t.Fatal("ASK = false, want true")
+	}
+	res = mustExec(t, g, `ASK { ?p <http://ex/name> "Dave" . }`)
+	if res.Ask {
+		t.Fatal("ASK = true, want false")
+	}
+}
+
+func TestAskWithWhereKeyword(t *testing.T) {
+	g := testGraph()
+	res := mustExec(t, g, `ASK WHERE { ?p <http://ex/name> "Alice" . }`)
+	if !res.Ask {
+		t.Fatal("ASK WHERE failed")
+	}
+}

@@ -3,7 +3,6 @@ package sparql
 import (
 	"encoding/binary"
 	"slices"
-	"strings"
 
 	"alex/internal/rdf"
 )
@@ -51,15 +50,14 @@ type Projection struct {
 	// Row k belongs to group Group[k]; rows share a group exactly when
 	// they project onto the same ID tuple, and Members[g] lists, in
 	// ascending order, every input solution with that tuple — including
-	// the ones DISTINCT, OFFSET or LIMIT dropped. Both are nil for
-	// aggregate queries, whose rows stand for whole GROUP BY groups.
+	// the ones DISTINCT, OFFSET or LIMIT dropped. Every row has a group;
+	// both are nil only when there are no rows.
 	Group   []int32
 	Members [][]int32
 
 	// Row k is solution keep[k] of sols, read through cols (-1: a
-	// variable the WHERE clause never mentions); dict resolves its IDs —
-	// the caller's dictionary, or a private one holding the computed
-	// terms of an aggregate query.
+	// variable the WHERE clause never mentions); dict, the caller's
+	// dictionary, resolves its IDs.
 	dict *rdf.Dict
 	sols Solutions
 	cols []int
@@ -103,37 +101,19 @@ func (p *Projection) Result() *Result {
 	return res
 }
 
-// Finalize applies aggregation, projection, DISTINCT, ORDER BY, OFFSET,
-// and LIMIT to the raw solutions of q's WHERE clause and returns the
-// surviving rows as a Projection over them. Producing the solutions is
+// Finalize applies projection, DISTINCT, ORDER BY, OFFSET and LIMIT to
+// the raw solutions of q's WHERE clause and returns the surviving rows
+// as a Projection over them. Producing the solutions is
 // internal/federation's job: this package is the query language only
 // and never touches a store. Everything works on row indices and
 // dictionary IDs; a term is looked up in d only where the language
 // compares lexical forms (DISTINCT on literals that render alike, ORDER
-// BY keys, aggregates). Decoding the answer is the renderer's decision.
-func Finalize(q *Query, d *rdf.Dict, sols Solutions) (Projection, error) {
+// BY keys). Decoding the answer is the renderer's decision.
+func Finalize(q *Query, d *rdf.Dict, sols Solutions) Projection {
 	if q.Form == FormAsk {
-		return Projection{Form: FormAsk, Ask: sols.N > 0}, nil
+		return Projection{Form: FormAsk, Ask: sols.N > 0}
 	}
 	vars := append([]string(nil), q.Vars...)
-	grouped := len(q.Aggregates) > 0
-	if grouped {
-		agg, err := aggregate(q, sols.bindings(d))
-		if err != nil {
-			return Projection{}, err
-		}
-		// Projection: the grouped variables that were projected, then
-		// the aggregate result names. Aggregate values are computed, not
-		// stored, terms: the grouped rows continue as ID rows over a
-		// private dictionary.
-		names := append([]string(nil), q.GroupBy...)
-		for _, spec := range q.Aggregates {
-			names = append(names, spec.As)
-			vars = append(vars, spec.As)
-		}
-		d = rdf.NewDict()
-		sols = encodeBindings(d, names, agg)
-	}
 	if len(vars) == 0 {
 		vars = append(vars, sols.Vars...)
 	}
@@ -177,41 +157,8 @@ func Finalize(q *Query, d *rdf.Dict, sols Solutions) (Projection, error) {
 	}
 
 	p := Projection{Form: q.Form, Vars: vars, dict: d, sols: sols, cols: cols, keep: keep}
-	if !grouped {
-		p.Group, p.Members = groupByTuple(sols, cols, keep)
-	}
-	return p, nil
-}
-
-// bindings decodes every solution; only aggregation needs that.
-func (s Solutions) bindings(d *rdf.Dict) []Binding {
-	out := make([]Binding, s.N)
-	for i := range out {
-		b := make(Binding, len(s.Vars))
-		for j, id := range s.row(i) {
-			if id != rdf.NoID {
-				b[s.Vars[j]] = d.Term(id)
-			}
-		}
-		out[i] = b
-	}
-	return out
-}
-
-// encodeBindings is the inverse of Solutions.bindings, interning the
-// rows' terms into d.
-func encodeBindings(d *rdf.Dict, vars []string, rows []Binding) Solutions {
-	s := Solutions{Vars: vars, N: len(rows), IDs: make([]rdf.ID, 0, len(rows)*len(vars))}
-	for _, b := range rows {
-		for _, v := range vars {
-			id := rdf.NoID
-			if t, ok := b[v]; ok {
-				id = d.Intern(t)
-			}
-			s.IDs = append(s.IDs, id)
-		}
-	}
-	return s
+	p.Group, p.Members = groupByTuple(sols, cols, keep)
+	return p
 }
 
 // appendTupleKey appends the map-key encoding of a row's projection:
@@ -354,25 +301,4 @@ func collectVars(g *GroupGraphPattern, fn func(string)) {
 			collectVars(a, fn)
 		}
 	}
-}
-
-// bindingKey encodes the vars of a decoded row as a grouping key: per
-// variable, 0x00 when unbound, else 0x01 and the length-prefixed
-// rendering of the term. A separator alone cannot tell rows apart when
-// a term contains the separator byte.
-func bindingKey(vars []string, b Binding) string {
-	var sb strings.Builder
-	var n [binary.MaxVarintLen64]byte
-	for _, v := range vars {
-		t, ok := b[v]
-		if !ok {
-			sb.WriteByte(0x00)
-			continue
-		}
-		s := t.String()
-		sb.WriteByte(0x01)
-		sb.Write(n[:binary.PutUvarint(n[:], uint64(len(s)))])
-		sb.WriteString(s)
-	}
-	return sb.String()
 }

@@ -7,6 +7,22 @@ import (
 	"alex/internal/rdf"
 )
 
+// encodeBindings interns the rows' terms into d and returns them as the
+// ID-form solutions Finalize reads.
+func encodeBindings(d *rdf.Dict, vars []string, rows []Binding) Solutions {
+	s := Solutions{Vars: vars, N: len(rows), IDs: make([]rdf.ID, 0, len(rows)*len(vars))}
+	for _, b := range rows {
+		for _, v := range vars {
+			id := rdf.NoID
+			if t, ok := b[v]; ok {
+				id = d.Intern(t)
+			}
+			s.IDs = append(s.IDs, id)
+		}
+	}
+	return s
+}
+
 // TestDistinctSeparatesNULSplitRows: two distinct rows whose rendered
 // terms concatenate to the same bytes around a NUL separator (IRIs may
 // contain NUL) must both survive DISTINCT; a true duplicate must not.
@@ -15,10 +31,7 @@ func TestDistinctSeparatesNULSplitRows(t *testing.T) {
 	left := Binding{"a": rdf.IRI("x"), "b": rdf.IRI("y>\x00<z")}
 	right := Binding{"a": rdf.IRI("x>\x00<y"), "b": rdf.IRI("z")}
 	d := rdf.NewDict()
-	proj, err := Finalize(q, d, encodeBindings(d, q.Vars, []Binding{left, right, left}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	proj := Finalize(q, d, encodeBindings(d, q.Vars, []Binding{left, right, left}))
 	res := proj.Result()
 	if len(res.Rows) != 2 {
 		t.Fatalf("DISTINCT kept %d rows, want 2: %v", len(res.Rows), res.Rows)
@@ -47,10 +60,7 @@ func TestDistinctComparesRenderedTerms(t *testing.T) {
 		{{"v": typed}, {"v": typed}, {"v": taggedTyped}, {"v": rdf.IRI("a")}, {"v": taggedTyped}},
 	} {
 		d := rdf.NewDict()
-		proj, err := Finalize(q, d, encodeBindings(d, q.Vars, rows))
-		if err != nil {
-			t.Fatal(err)
-		}
+		proj := Finalize(q, d, encodeBindings(d, q.Vars, rows))
 		res := proj.Result()
 		seen := map[string]bool{}
 		for _, r := range rows {

@@ -119,10 +119,7 @@ func TestOrderByPermutationMatchesReference(t *testing.T) {
 		rng.Shuffle(len(q.OrderBy), func(i, j int) { q.OrderBy[i], q.OrderBy[j] = q.OrderBy[j], q.OrderBy[i] })
 
 		d := rdf.NewDict()
-		proj, err := Finalize(q, d, encodeBindings(d, vars, rows))
-		if err != nil {
-			t.Fatal(err)
-		}
+		proj := Finalize(q, d, encodeBindings(d, vars, rows))
 		res := proj.Result()
 
 		want := make([]Binding, n)
@@ -183,9 +180,8 @@ func BenchmarkFinalizeOrderBy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Finalize(q, d, sols)
-		if err != nil || res.Len() != 50 {
-			b.Fatalf("rows=%d err=%v", res.Len(), err)
+		if res := Finalize(q, d, sols); res.Len() != 50 {
+			b.Fatalf("rows=%d", res.Len())
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"alex/internal/rdf"
 )
 
-// Parse parses a SPARQL SELECT query from the supported subset.
+// Parse parses a SPARQL SELECT or ASK query from the supported subset:
+// basic graph patterns with OPTIONAL, UNION and FILTER, and the
+// DISTINCT, ORDER BY, LIMIT and OFFSET modifiers.
 func Parse(query string) (*Query, error) {
 	toks, err := lex(query)
 	if err != nil {
@@ -96,17 +98,6 @@ func (p *parser) query() (*Query, error) {
 			break
 		}
 		switch t.text {
-		case "GROUP":
-			p.next()
-			if err := p.expectKeyword("BY"); err != nil {
-				return nil, err
-			}
-			for p.cur().kind == tokVar {
-				q.GroupBy = append(q.GroupBy, p.next().text)
-			}
-			if len(q.GroupBy) == 0 {
-				return nil, fmt.Errorf("sparql: empty GROUP BY")
-			}
 		case "ORDER":
 			p.next()
 			if err := p.expectKeyword("BY"); err != nil {
@@ -153,101 +144,20 @@ func (p *parser) query() (*Query, error) {
 	if p.cur().kind != tokEOF {
 		return nil, fmt.Errorf("sparql: trailing input at %s", p.cur())
 	}
-	if err := validateGrouping(q); err != nil {
-		return nil, err
-	}
 	return q, nil
 }
 
-// projection parses the SELECT clause: '*', plain variables, and
-// aggregate expressions "(FUNC([DISTINCT] ?v|*) AS ?name)".
+// projection parses the SELECT clause: '*' or plain variables.
 func (p *parser) projection(q *Query) error {
 	if p.cur().kind == tokStar {
 		p.next()
 		return nil
 	}
-	for {
-		switch p.cur().kind {
-		case tokVar:
-			q.Vars = append(q.Vars, p.next().text)
-		case tokLParen:
-			p.next()
-			spec, err := p.aggSpec()
-			if err != nil {
-				return err
-			}
-			q.Aggregates = append(q.Aggregates, spec)
-			if _, err := p.expect(tokRParen, ")"); err != nil {
-				return err
-			}
-		default:
-			if len(q.Vars) == 0 && len(q.Aggregates) == 0 {
-				return fmt.Errorf("sparql: expected projection, got %s", p.cur())
-			}
-			return nil
-		}
+	for p.cur().kind == tokVar {
+		q.Vars = append(q.Vars, p.next().text)
 	}
-}
-
-func (p *parser) aggSpec() (AggSpec, error) {
-	t := p.next()
-	if t.kind != tokKeyword {
-		return AggSpec{}, fmt.Errorf("sparql: expected aggregate function, got %s", t)
-	}
-	fn, ok := aggNames[t.text]
-	if !ok {
-		return AggSpec{}, fmt.Errorf("sparql: unknown aggregate %q", t.text)
-	}
-	spec := AggSpec{Func: fn}
-	if _, err := p.expect(tokLParen, "("); err != nil {
-		return spec, err
-	}
-	if p.cur().kind == tokKeyword && p.cur().text == "DISTINCT" {
-		p.next()
-		spec.Distinct = true
-	}
-	switch p.cur().kind {
-	case tokStar:
-		if fn != AggCount {
-			return spec, fmt.Errorf("sparql: only COUNT accepts *")
-		}
-		p.next()
-	case tokVar:
-		spec.Var = p.next().text
-	default:
-		return spec, fmt.Errorf("sparql: expected variable or * in aggregate, got %s", p.cur())
-	}
-	if _, err := p.expect(tokRParen, ")"); err != nil {
-		return spec, err
-	}
-	if err := p.expectKeyword("AS"); err != nil {
-		return spec, err
-	}
-	as, err := p.expect(tokVar, "result variable")
-	if err != nil {
-		return spec, err
-	}
-	spec.As = as.text
-	return spec, nil
-}
-
-// validateGrouping enforces the SPARQL rule that, in an aggregate
-// query, every plainly projected variable must appear in GROUP BY.
-func validateGrouping(q *Query) error {
-	if len(q.Aggregates) == 0 {
-		if len(q.GroupBy) > 0 {
-			return fmt.Errorf("sparql: GROUP BY without aggregate projection")
-		}
-		return nil
-	}
-	grouped := map[string]bool{}
-	for _, v := range q.GroupBy {
-		grouped[v] = true
-	}
-	for _, v := range q.Vars {
-		if !grouped[v] {
-			return fmt.Errorf("sparql: variable ?%s projected outside GROUP BY in aggregate query", v)
-		}
+	if len(q.Vars) == 0 {
+		return fmt.Errorf("sparql: expected projection, got %s", p.cur())
 	}
 	return nil
 }

@@ -155,6 +155,24 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestAggregateErrors: the subset has no aggregates and no GROUP BY,
+// so every such query is a parse error. ALEX's queries are basic graph
+// patterns with OPTIONAL and FILTER, and an aggregate row would stand
+// for every link that fed its group.
+func TestAggregateErrors(t *testing.T) {
+	for name, in := range map[string]string{
+		"count-star":     `SELECT (COUNT(*) AS ?n) WHERE { ?p <http://ex/team> ?t . }`,
+		"count-distinct": `SELECT (COUNT(DISTINCT ?t) AS ?n) WHERE { ?p <http://ex/team> ?t . }`,
+		"sum":            `SELECT ?t (SUM(?pts) AS ?s) WHERE { ?p <http://ex/team> ?t . ?p <http://ex/points> ?pts . } GROUP BY ?t`,
+		"group-by-count": `SELECT ?t (COUNT(?p) AS ?n) WHERE { ?p <http://ex/team> ?t . } GROUP BY ?t`,
+		"group-by-plain": `SELECT ?t WHERE { ?p <http://ex/team> ?t . } GROUP BY ?t`,
+	} {
+		if q, err := Parse(in); err == nil {
+			t.Errorf("%s: Parse succeeded (%+v), want error", name, q)
+		}
+	}
+}
+
 func TestTriplePatternVars(t *testing.T) {
 	tp := TriplePattern{S: VarNode("x"), P: TermNode(rdf.IRI("http://p")), O: VarNode("x")}
 	vars := tp.Vars()
