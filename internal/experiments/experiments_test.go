@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,71 @@ import (
 	"alex/internal/core"
 	"alex/internal/synth"
 )
+
+var updateTrajectories = flag.Bool("update-trajectories", false,
+	"rewrite testdata/trajectories from this run instead of comparing against it")
+
+// trajectoryCSV is a run's path, one row per episode: Series.CSV's
+// columns and then the episode's EpisodeStats. Row 0 is PARIS's
+// candidate set, before any feedback.
+func trajectoryCSV(r *QualityRun) string {
+	rows := strings.Split(strings.TrimSuffix(r.Series.CSV(), "\n"), "\n")
+	var b strings.Builder
+	b.WriteString(rows[0] + ",feedback,negative,explored,explorations,removed,rollbacks,spared,blacklisted,changed_frac\n")
+	for i, row := range rows[1:] {
+		b.WriteString(row)
+		if i > 0 {
+			st := r.Result.Stats[i-1]
+			fmt.Fprintf(&b, ",%d,%d,%d,%d,%d,%d,%d,%d,%.6f", st.Feedback, st.Negative, st.Explored,
+				st.Explorations, st.Removed, st.Rollbacks, st.Spared, st.Blacklisted, st.ChangedFrac)
+		} else {
+			b.WriteString(",,,,,,,,,")
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// checkTrajectory holds a run to its golden per-episode trajectory in
+// testdata/trajectories/<name>.csv. The runs are seeded end to end, so
+// any change to the learning loop that moves one episode shows here,
+// not only one that moves the final F. -update-trajectories rewrites
+// the file; do that only for a change meant to move the loop, and show
+// the diff.
+func checkTrajectory(t *testing.T, name string, r *QualityRun) {
+	t.Helper()
+	path := filepath.Join("testdata", "trajectories", name+".csv")
+	got := trajectoryCSV(r)
+	if *updateTrajectories {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("%s departs from its golden trajectory at line %d:\n got %q\nwant %q", path, i+1, gl, wl)
+		}
+	}
+}
 
 // smallOpts keeps experiment tests fast on one core.
 func smallOpts() Options {
@@ -162,6 +229,8 @@ func TestFig7Rollback(t *testing.T) {
 	if rep := r.Report(); !strings.Contains(rep, "per-partition final F") {
 		t.Fatal("report format wrong")
 	}
+	checkTrajectory(t, "fig7-with-rollback", r.WithRollback)
+	checkTrajectory(t, "fig7-without-rollback", r.WithoutRollback)
 }
 
 // TestFig9IncorrectFeedback runs Appendix C at `alexbench -exp fig9`'s
@@ -193,6 +262,8 @@ func TestFig9IncorrectFeedback(t *testing.T) {
 	if noisy.F1 < 0.75 {
 		t.Errorf("F under noise %.3f, want >= 0.75", noisy.F1)
 	}
+	checkTrajectory(t, "fig9-clean", c.Runs[0])
+	checkTrajectory(t, "fig9-10pct-wrong", c.Runs[1])
 }
 
 func TestFig10StepSize(t *testing.T) {
@@ -252,6 +323,7 @@ func TestRunQueryDrivenImprovesF(t *testing.T) {
 	if r.Discovered == 0 {
 		t.Fatal("no links discovered through query feedback")
 	}
+	checkTrajectory(t, "querydriven", r)
 }
 
 func TestRunQueryDrivenUnknownProfile(t *testing.T) {
@@ -279,6 +351,9 @@ func TestCrowdFeedback(t *testing.T) {
 	}
 	if rep := r.Report(); !strings.Contains(rep, "crowd of 9") {
 		t.Fatal("report format wrong")
+	}
+	for i, name := range []string{"crowd-1", "crowd-3", "crowd-9"} {
+		checkTrajectory(t, name, r.Runs[i])
 	}
 }
 
