@@ -36,12 +36,12 @@ func TestRewardChainPropagation(t *testing.T) {
 	// Wire the chain by hand: s1 is an initial candidate; (s1, a1)
 	// generated s2; (s2, a2) generated s3.
 	p.addCandidate(s1, nil)
-	pk1 := provKey{state: s1, action: a1}
-	p.addCandidate(s2, &pk1)
-	p.generated[pk1] = append(p.generated[pk1], s2)
-	pk2 := provKey{state: s2, action: a2}
-	p.addCandidate(s3, &pk2)
-	p.generated[pk2] = append(p.generated[pk2], s3)
+	g1 := p.group(provKey{state: s1, action: a1})
+	p.addCandidate(s2, g1)
+	g1.links = append(g1.links, s2)
+	g2 := p.group(provKey{state: s2, action: a2})
+	p.addCandidate(s3, g2)
+	g2.links = append(g2.links, s3)
 
 	// Positive feedback on s3 rewards both chain links.
 	p.handle(s3, true, &sys.cfg)
@@ -82,8 +82,7 @@ func TestChainDepthBounded(t *testing.T) {
 	p.addCandidate(prev, nil)
 	for i := 0; i < 200; i++ {
 		next := links.Link{E1: rdf.ID(910000 + i), E2: rdf.ID(920000 + i)}
-		pk := provKey{state: prev, action: feature.Key{P1: 1, P2: 2}}
-		p.addCandidate(next, &pk)
+		p.addCandidate(next, p.group(provKey{state: prev, action: feature.Key{P1: 1, P2: 2}}))
 		prev = next
 	}
 	// Must terminate promptly (the 64-hop bound) without stack issues.
@@ -105,8 +104,8 @@ func TestRewardWalkCreditsEachPairOnce(t *testing.T) {
 	B := links.Link{E1: 900003, E2: 900004}
 	a := feature.Key{P1: 1, P2: 2}
 	b := feature.Key{P1: 3, P2: 4}
-	p.addCandidate(A, &provKey{state: B, action: a})
-	p.addCandidate(B, &provKey{state: A, action: b})
+	p.addCandidate(A, p.group(provKey{state: B, action: a}))
+	p.addCandidate(B, p.group(provKey{state: A, action: b}))
 	p.ctrl.RecordReturn(A, b, -1)
 
 	p.handle(A, true, &sys.cfg)
@@ -137,10 +136,10 @@ func TestEpisodeStatsCountExplorationsAndSpared(t *testing.T) {
 		t.Skip("space too small")
 	}
 	group = group[:5]
-	pk := provKey{state: links.Link{E1: 900001, E2: 900002}, action: feature.Key{P1: 1, P2: 2}}
+	g := p.group(provKey{state: links.Link{E1: 900001, E2: 900002}, action: feature.Key{P1: 1, P2: 2}})
 	for _, l := range group {
-		p.addCandidate(l, &pk)
-		p.generated[pk] = append(p.generated[pk], l)
+		p.addCandidate(l, g)
+		g.links = append(g.links, l)
 	}
 
 	sys.BeginEpisode()

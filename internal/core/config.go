@@ -28,15 +28,9 @@ type Config struct {
 	// MaxEpisodes bounds the policy evaluation/improvement iterations
 	// (the paper caps at 100).
 	MaxEpisodes int
-	// ConvergenceEpisodes is the number of consecutive episodes with no
-	// change in the candidate set required for strict convergence
-	// (default 2). With small episode sizes a single unchanged episode
-	// can be a sampling accident rather than a fixpoint.
-	ConvergenceEpisodes int
-	// UseBlacklist enables the blacklist optimization (§6.3).
-	UseBlacklist bool
 	// BlacklistMargin is how many net negative votes (negatives minus
-	// positives) a link needs before it is blacklisted. 1 reproduces
+	// positives) a link needs before it is blacklisted (§6.3); 0 turns
+	// the blacklist off. 1 reproduces
 	// §6.3 literally: the first rejection of a never-approved link
 	// blacklists it. 2 (the default) tolerates one erroneous rejection,
 	// which is what keeps recall robust under incorrect feedback
@@ -44,10 +38,9 @@ type Config struct {
 	// error is merely removed and can be rediscovered, instead of being
 	// barred forever.
 	BlacklistMargin int
-	// UseRollback enables the rollback optimization (§6.3).
-	UseRollback bool
 	// RollbackThreshold is the number of negative feedback items on
-	// links generated by one state-action pair that triggers rollback.
+	// links generated by one state-action pair that triggers rollback
+	// (§6.3); 0 turns rollback off.
 	RollbackThreshold int
 	// Partitions is the number of equal-size partitions of dataset 1
 	// (§6.2). Partitions are explored independently.
@@ -59,6 +52,12 @@ type Config struct {
 	// baseline showing the value of the RL component.
 	UniformPolicy bool
 }
+
+// convergenceEpisodes is the number of consecutive episodes with no
+// change in the candidate set that strict convergence needs. With small
+// episode sizes a single unchanged episode can be a sampling accident
+// rather than a fixpoint.
+const convergenceEpisodes = 2
 
 // relaxedDelta is the fraction of changed links below which the
 // relaxed convergence rule fires (paper: 5%).
@@ -74,17 +73,14 @@ const (
 // DefaultConfig returns the paper's default settings.
 func DefaultConfig() Config {
 	return Config{
-		StepSize:            0.05,
-		Theta:               0.3,
-		Epsilon:             0.1,
-		EpisodeSize:         1000,
-		MaxEpisodes:         100,
-		ConvergenceEpisodes: 2,
-		UseBlacklist:        true,
-		BlacklistMargin:     2,
-		UseRollback:         true,
-		RollbackThreshold:   3,
-		Partitions:          1,
-		Seed:                1,
+		StepSize:          0.05,
+		Theta:             0.3,
+		Epsilon:           0.1,
+		EpisodeSize:       1000,
+		MaxEpisodes:       100,
+		BlacklistMargin:   2,
+		RollbackThreshold: 3,
+		Partitions:        1,
+		Seed:              1,
 	}
 }

@@ -12,7 +12,7 @@ import (
 // staticWorld builds a system whose candidate set cannot change: the
 // initial links reference entities with no feature sets, so approval
 // explores nothing and the oracle always approves.
-func staticWorld(t *testing.T, convergenceEpisodes int) (*System, *feedback.Oracle) {
+func staticWorld(t *testing.T) (*System, *feedback.Oracle) {
 	t.Helper()
 	d := rdf.NewDict()
 	g1 := rdf.NewGraphWithDict(d)
@@ -24,7 +24,6 @@ func staticWorld(t *testing.T, convergenceEpisodes int) (*System, *feedback.Orac
 	cfg := DefaultConfig()
 	cfg.EpisodeSize = 5
 	cfg.MaxEpisodes = 50
-	cfg.ConvergenceEpisodes = convergenceEpisodes
 	e1 := g1.SubjectIDs()
 	e2 := g2.SubjectIDs()
 	x, _ := d.Lookup(rdf.IRI("http://a/x"))
@@ -35,27 +34,43 @@ func staticWorld(t *testing.T, convergenceEpisodes int) (*System, *feedback.Orac
 	return sys, oracle
 }
 
+// TestStrictConvergenceNeedsConsecutiveUnchanged: one unchanged
+// episode is not convergence, two in a row are, and a changed episode
+// starts the count again.
 func TestStrictConvergenceNeedsConsecutiveUnchanged(t *testing.T) {
-	sys, oracle := staticWorld(t, 3)
+	sys, oracle := staticWorld(t)
 	res := sys.Run(oracle, nil)
-	if !res.Converged {
+	if !res.Converged || !sys.Converged() {
 		t.Fatal("static world did not converge")
 	}
-	if res.Episodes != 3 {
-		t.Fatalf("episodes = %d, want exactly ConvergenceEpisodes (3)", res.Episodes)
+	if res.Episodes != convergenceEpisodes || convergenceEpisodes != 2 {
+		t.Fatalf("episodes = %d, want exactly 2", res.Episodes)
 	}
-}
 
-func TestConvergenceEpisodesDefaultsToOneWhenZero(t *testing.T) {
-	sys, oracle := staticWorld(t, 0)
-	res := sys.Run(oracle, nil)
-	if !res.Converged || res.Episodes != 1 {
-		t.Fatalf("episodes = %d converged=%v, want 1/true", res.Episodes, res.Converged)
+	sys, oracle = staticWorld(t)
+	sys.RunEpisode(oracle)
+	if sys.Converged() {
+		t.Fatal("converged after one unchanged episode")
+	}
+	extra := links.Link{E1: 424242, E2: 434343}
+	sys.BeginEpisode()
+	sys.parts[0].addCandidate(extra, nil)
+	sys.FinishEpisode()
+	sys.BeginEpisode()
+	sys.parts[0].removeCandidate(extra)
+	sys.FinishEpisode()
+	sys.RunEpisode(oracle)
+	if sys.Converged() {
+		t.Fatal("a changed episode did not reset the count")
+	}
+	sys.RunEpisode(oracle)
+	if !sys.Converged() {
+		t.Fatal("two unchanged episodes after a change did not converge")
 	}
 }
 
 func TestRelaxedConvergenceRecorded(t *testing.T) {
-	sys, oracle := staticWorld(t, 2)
+	sys, oracle := staticWorld(t)
 	res := sys.Run(oracle, nil)
 	if res.RelaxedEpisode != 1 {
 		t.Fatalf("relaxed episode = %d, want 1 (first unchanged episode)", res.RelaxedEpisode)
@@ -63,7 +78,7 @@ func TestRelaxedConvergenceRecorded(t *testing.T) {
 }
 
 func TestChangedFracComputation(t *testing.T) {
-	sys, oracle := staticWorld(t, 2)
+	sys, oracle := staticWorld(t)
 	st := sys.RunEpisode(oracle)
 	if st.ChangedFrac != 0 {
 		t.Fatalf("ChangedFrac = %f, want 0 in a static world", st.ChangedFrac)

@@ -90,22 +90,3 @@ func FormatFeatureStats(d *rdf.Dict, stats []FeatureStat) string {
 	}
 	return b.String()
 }
-
-// BlacklistSize returns the total number of blacklisted links.
-func (s *System) BlacklistSize() int {
-	n := 0
-	for _, p := range s.parts {
-		n += p.blacklist.Len()
-	}
-	return n
-}
-
-// RetiredActions returns the number of state-action pairs permanently
-// retired by rollback.
-func (s *System) RetiredActions() int {
-	n := 0
-	for _, p := range s.parts {
-		n += len(p.rolledBack)
-	}
-	return n
-}

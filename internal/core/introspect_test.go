@@ -38,20 +38,34 @@ func TestFeatureStatsLearnDistinctiveness(t *testing.T) {
 	}
 }
 
+// TestIntrospectionCounters: EpisodeStats.Blacklisted is the number of
+// blacklisted vote records, and a full run on this trap-rich world
+// blacklists something and retires a group.
 func TestIntrospectionCounters(t *testing.T) {
 	ds := smallWorld(t)
 	sys := newTestSystem(t, ds, nil)
 	oracle := feedback.NewOracle(ds.GroundTruth, 0, rand.New(rand.NewSource(3)))
-	sys.Run(oracle, nil)
-	if sys.BlacklistSize() < 0 {
-		t.Fatal("negative blacklist size")
+	res := sys.Run(oracle, nil)
+	blacklisted, retired := 0, 0
+	for _, p := range sys.parts {
+		for _, v := range p.votes {
+			if v.blacklisted {
+				blacklisted++
+			}
+		}
+		for _, g := range p.groups {
+			if g.retired {
+				retired++
+			}
+		}
 	}
-	if sys.RetiredActions() < 0 {
-		t.Fatal("negative retired count")
+	if got := res.Stats[len(res.Stats)-1].Blacklisted; got != blacklisted {
+		t.Fatalf("EpisodeStats.Blacklisted = %d, the records hold %d", got, blacklisted)
 	}
-	// After a full run on this trap-rich world something must have
-	// been blacklisted.
-	if sys.BlacklistSize() == 0 {
+	if blacklisted == 0 {
 		t.Error("no links blacklisted after a full run with traps")
+	}
+	if retired == 0 {
+		t.Error("no group retired after a full run with traps")
 	}
 }

@@ -14,51 +14,60 @@ type provKey struct {
 	action feature.Key
 }
 
+// vote is one link's feedback history: how often the user approved and
+// rejected it, and whether it is blacklisted. A link is blacklisted when
+// its rejections outnumber its approvals by the blacklist margin, which
+// makes the blacklist resilient to erroneous feedback (Appendix C): a
+// correct link wrongly rejected once is removed but can be rediscovered,
+// while a genuinely wrong link accumulates a negative majority and stays
+// out. Under fully correct feedback the rule reduces to "blacklist on
+// first rejection", the plain §6.3 behaviour, because correct links
+// never receive negatives. A blacklisted link stays blacklisted.
+type vote struct {
+	pos, neg    int32
+	blacklisted bool
+}
+
+// group is what one state-action pair's explorations admitted, and the
+// feedback on those links. Rollback fires when a group's rejections
+// reach the threshold AND outnumber its approvals, so a flood of wrong
+// links is cleaned quickly while a mostly-correct group survives
+// sporadic (possibly erroneous) rejections. A rolled-back group is
+// retired: its pair never explores again. The paper's §6.3 states
+// rolled-back links "can be discovered later by another state-action
+// pair with a better average return" — the offending pair itself is
+// retired, which is also what makes strict convergence reachable under
+// an ε-greedy policy.
+type group struct {
+	key      provKey
+	links    []links.Link // nil once retired
+	pos, neg int32
+	retired  bool
+}
+
 // candInfo is per-candidate bookkeeping.
 type candInfo struct {
-	// gen is the state-action pair whose exploration admitted this
-	// link; nil for initial candidates.
-	gen *provKey
+	// gen is the group whose exploration admitted this link; nil for
+	// initial candidates.
+	gen *group
 }
 
 // partition owns one share-nothing slice of the search space (§6.2): a
 // subset of dataset-1 entities crossed with all of dataset 2, its own
-// candidate set, RL controller, blacklist and rollback state.
+// candidate set, RL controller, and the feedback records the blacklist
+// and rollback read.
 type partition struct {
 	space *feature.Space
 	ctrl  *rl.Controller[links.Link, feature.Key]
 	rng   *stream // shared with ctrl: action picks, ε-greedy draws, sampling
 
-	cands     map[links.Link]candInfo
-	order     []links.Link // append-only sampling order; lazily compacted
-	dead      int          // entries of order no longer in cands
-	blacklist links.Set
-	approved  links.Set
-	generated map[provKey][]links.Link
-	// negCount/posCount tally feedback on the links each state-action
-	// pair generated. Rollback fires when a group's negatives reach the
-	// threshold AND outnumber its positives, so a flood of wrong links
-	// is cleaned quickly while a mostly-correct group survives sporadic
-	// (possibly erroneous) rejections.
-	negCount map[provKey]int
-	posCount map[provKey]int
-	// rolledBack marks state-action pairs whose generated links were
-	// rolled back; such a pair never explores again. The paper's §6.3
-	// states rolled-back links "can be discovered later by another
-	// state-action pair with a better average return" — the offending
-	// pair itself is retired, which is also what makes strict
-	// convergence reachable under an ε-greedy policy.
-	rolledBack map[provKey]bool
-	// posVotes/negVotes count per-link feedback history. A link enters
-	// the blacklist only when its negative votes exceed its positive
-	// votes, which makes the blacklist resilient to erroneous feedback
-	// (Appendix C): a correct link wrongly rejected once is removed but
-	// can be rediscovered, while a genuinely wrong link accumulates a
-	// negative majority and stays out. Under fully correct feedback the
-	// rule reduces to "blacklist on first rejection", the plain §6.3
-	// behaviour, because correct links never receive negatives.
-	posVotes map[links.Link]int
-	negVotes map[links.Link]int
+	cands  map[links.Link]candInfo
+	order  []links.Link // append-only sampling order; lazily compacted
+	dead   int          // entries of order no longer in cands
+	votes  map[links.Link]vote
+	groups map[provKey]*group
+	// blacklisted counts the votes marked blacklisted.
+	blacklisted int
 
 	// episode counters
 	explored     int
@@ -70,22 +79,27 @@ type partition struct {
 
 func newPartition(space *feature.Space, epsilon float64, rng *stream) *partition {
 	return &partition{
-		space:      space,
-		ctrl:       rl.New[links.Link, feature.Key](epsilon, rng.Rand),
-		rng:        rng,
-		cands:      make(map[links.Link]candInfo),
-		blacklist:  links.NewSet(),
-		approved:   links.NewSet(),
-		generated:  make(map[provKey][]links.Link),
-		negCount:   make(map[provKey]int),
-		posCount:   make(map[provKey]int),
-		rolledBack: make(map[provKey]bool),
-		posVotes:   make(map[links.Link]int),
-		negVotes:   make(map[links.Link]int),
+		space:  space,
+		ctrl:   rl.New[links.Link, feature.Key](epsilon, rng.Rand),
+		rng:    rng,
+		cands:  make(map[links.Link]candInfo),
+		votes:  make(map[links.Link]vote),
+		groups: make(map[provKey]*group),
 	}
 }
 
-func (p *partition) addCandidate(l links.Link, gen *provKey) bool {
+// group returns the record of a state-action pair, creating it on first
+// use.
+func (p *partition) group(key provKey) *group {
+	g := p.groups[key]
+	if g == nil {
+		g = &group{key: key}
+		p.groups[key] = g
+	}
+	return g
+}
+
+func (p *partition) addCandidate(l links.Link, gen *group) bool {
 	if _, ok := p.cands[l]; ok {
 		return false
 	}
@@ -159,11 +173,12 @@ func (p *partition) handle(l links.Link, positive bool, cfg *Config) {
 		p.credit(info.gen, reward)
 	}
 
+	v := p.votes[l]
 	if positive {
-		p.posVotes[l]++
-		p.approved.Add(l)
+		v.pos++
+		p.votes[l] = v
 		if info.gen != nil {
-			p.posCount[*info.gen]++
+			info.gen.pos++
 		}
 		if firstVisit {
 			p.explore(l, cfg)
@@ -172,19 +187,16 @@ func (p *partition) handle(l links.Link, positive bool, cfg *Config) {
 	}
 
 	// Negative feedback: remove the link (Algorithm 1 line 20).
-	p.negVotes[l]++
+	v.neg++
 	p.removeCandidate(l)
 	p.removed++
-	margin := cfg.BlacklistMargin
-	if margin < 1 {
-		margin = 1
+	if m := cfg.BlacklistMargin; m > 0 && !v.blacklisted && v.neg-v.pos >= int32(m) {
+		v.blacklisted = true
+		p.blacklisted++
 	}
-	if cfg.UseBlacklist && p.negVotes[l]-p.posVotes[l] >= margin {
-		p.blacklist.Add(l)
-	}
-	if info.gen != nil {
-		pk := *info.gen
-		p.negCount[pk]++
+	p.votes[l] = v
+	if g := info.gen; g != nil {
+		g.neg++
 		// Rollback needs a "sufficient number" of negatives (§6.3):
 		// the absolute threshold, scaled up for larger generation
 		// groups so that a handful of rejections does not erase a big,
@@ -193,14 +205,14 @@ func (p *partition) handle(l links.Link, positive bool, cfg *Config) {
 		// link-by-link feedback could clean it — and in any case a
 		// negative majority.
 		need := cfg.RollbackThreshold
-		if scaled := len(p.generated[pk]) / 16; scaled > need {
+		if scaled := len(g.links) / 16; scaled > need {
 			need = scaled
 		}
 		if ceil := 8 * cfg.RollbackThreshold; need > ceil {
 			need = ceil
 		}
-		if cfg.UseRollback && p.negCount[pk] >= need && p.negCount[pk] > p.posCount[pk] {
-			p.rollback(pk)
+		if cfg.RollbackThreshold > 0 && int(g.neg) >= need && g.neg > g.pos {
+			p.rollback(g)
 		}
 	}
 }
@@ -214,17 +226,17 @@ const maxChainDepth = 64
 // a chain can loop — a rejected link re-admitted by a group descending
 // from it — so the walk credits each pair once and stops at the first
 // one it has already credited, and in any case after maxChainDepth.
-func (p *partition) credit(gen *provKey, reward float64) {
+func (p *partition) credit(gen *group, reward float64) {
 	var seen [maxChainDepth]provKey
 	for n := 0; gen != nil && n < maxChainDepth; n++ {
 		for _, pk := range seen[:n] {
-			if pk == *gen {
+			if pk == gen.key {
 				return
 			}
 		}
-		seen[n] = *gen
-		p.ctrl.RecordReturn(gen.state, gen.action, reward)
-		parent, ok := p.cands[gen.state]
+		seen[n] = gen.key
+		p.ctrl.RecordReturn(gen.key.state, gen.key.action, reward)
+		parent, ok := p.cands[gen.key.state]
 		if !ok {
 			return
 		}
@@ -252,20 +264,23 @@ func (p *partition) explore(l links.Link, cfg *Config) {
 		}
 	}
 	pk := provKey{state: l, action: action}
-	if p.rolledBack[pk] {
+	g := p.groups[pk]
+	if g != nil && g.retired {
 		return
 	}
 	score := fs.Score(action)
 	p.explorations++
 	found := p.space.FindInRange(action, score-cfg.StepSize, score+cfg.StepSize)
 	for _, nl := range found {
-		if p.blacklist.Has(nl) {
+		if _, ok := p.cands[nl]; ok || p.votes[nl].blacklisted {
 			continue
 		}
-		if p.addCandidate(nl, &pk) {
-			p.generated[pk] = append(p.generated[pk], nl)
-			p.explored++
+		if g == nil {
+			g = p.group(pk)
 		}
+		p.addCandidate(nl, g)
+		g.links = append(g.links, nl)
+		p.explored++
 	}
 }
 
@@ -274,12 +289,12 @@ func (p *partition) explore(l links.Link, cfg *Config) {
 // are not blacklisted: they may include correct links that another
 // state-action pair can rediscover. Links with a positive feedback
 // majority survive.
-func (p *partition) rollback(pk provKey) {
+func (p *partition) rollback(g *group) {
 	removedAny := false
-	for _, l := range p.generated[pk] {
+	for _, l := range g.links {
 		// Spare links the user has vouched for at least as often as
 		// rejected: their own negatives will remove them if wrong.
-		if p.posVotes[l] > 0 && p.posVotes[l] >= p.negVotes[l] {
+		if v := p.votes[l]; v.pos > 0 && v.pos >= v.neg {
 			if _, ok := p.cands[l]; ok {
 				p.spared++
 			}
@@ -289,8 +304,8 @@ func (p *partition) rollback(pk provKey) {
 			removedAny = true
 		}
 	}
-	p.generated[pk] = nil
-	p.rolledBack[pk] = true
+	g.links = nil
+	g.retired = true
 	if removedAny {
 		p.rollbacks++
 	}

@@ -63,9 +63,10 @@ type provCountWire struct {
 }
 
 type partitionWire struct {
-	Cands      []candWire
-	Blacklist  []links.Link
-	Approved   []links.Link
+	Cands     []candWire
+	Blacklist []links.Link
+	// Approved, every link with an approval, went: it equals the links
+	// in PosVotes. gob skips it in a snapshot that still carries it.
 	PosVotes   []voteWire
 	NegVotes   []voteWire
 	Generated  []groupWire
@@ -124,11 +125,10 @@ func (s *System) Restore(r io.Reader) error {
 	s.ep = wire.Episode
 	s.relaxedAt = wire.RelaxedAt
 	s.rng.seek(wire.SamplerPos)
+	s.unchanged = 0
 	s.prevCands = nil
 	return nil
 }
-
-func sortedLinks(set links.Set) []links.Link { return set.Slice() }
 
 func exportPartition(p *partition) partitionWire {
 	var w partitionWire
@@ -136,30 +136,43 @@ func exportPartition(p *partition) partitionWire {
 		cw := candWire{Link: l}
 		if gen := p.cands[l].gen; gen != nil {
 			cw.HasGen = true
-			cw.Gen = provWire{State: gen.state, Action: gen.action}
+			cw.Gen = provWire{State: gen.key.state, Action: gen.key.action}
 		}
 		w.Cands = append(w.Cands, cw)
 	}
-	w.Blacklist = sortedLinks(p.blacklist)
-	w.Approved = sortedLinks(p.approved)
-	w.PosVotes = exportVotes(p.posVotes)
-	w.NegVotes = exportVotes(p.negVotes)
-	for pk, ls := range p.generated {
-		if len(ls) == 0 {
-			continue
+	for l, v := range p.votes {
+		if v.blacklisted {
+			w.Blacklist = append(w.Blacklist, l)
 		}
-		w.Generated = append(w.Generated, groupWire{
-			Key:   provWire{State: pk.state, Action: pk.action},
-			Links: append([]links.Link(nil), ls...),
-		})
+		if v.pos > 0 {
+			w.PosVotes = append(w.PosVotes, voteWire{Link: l, N: int(v.pos)})
+		}
+		if v.neg > 0 {
+			w.NegVotes = append(w.NegVotes, voteWire{Link: l, N: int(v.neg)})
+		}
 	}
-	sortGroups(w.Generated)
-	w.NegCount = exportProvCounts(p.negCount)
-	w.PosCount = exportProvCounts(p.posCount)
-	for pk := range p.rolledBack {
-		w.RolledBack = append(w.RolledBack, provWire{State: pk.state, Action: pk.action})
+	sort.Slice(w.Blacklist, func(i, j int) bool { return linkLess(w.Blacklist[i], w.Blacklist[j]) })
+	sortVotes(w.PosVotes)
+	sortVotes(w.NegVotes)
+	for pk, g := range p.groups {
+		key := provWire{State: pk.state, Action: pk.action}
+		if len(g.links) > 0 {
+			w.Generated = append(w.Generated, groupWire{Key: key, Links: g.links})
+		}
+		if g.neg > 0 {
+			w.NegCount = append(w.NegCount, provCountWire{Key: key, N: int(g.neg)})
+		}
+		if g.pos > 0 {
+			w.PosCount = append(w.PosCount, provCountWire{Key: key, N: int(g.pos)})
+		}
+		if g.retired {
+			w.RolledBack = append(w.RolledBack, key)
+		}
 	}
-	sortProv(w.RolledBack)
+	sort.Slice(w.Generated, func(i, j int) bool { return provLess(w.Generated[i].Key, w.Generated[j].Key) })
+	sortProvCounts(w.NegCount)
+	sortProvCounts(w.PosCount)
+	sort.Slice(w.RolledBack, func(i, j int) bool { return provLess(w.RolledBack[i], w.RolledBack[j]) })
 	w.QTable, w.Policy = p.ctrl.Export()
 	w.Order = p.order // encoded before Save returns, so no copy
 	w.RandPos = p.rng.pos()
@@ -167,12 +180,14 @@ func exportPartition(p *partition) partitionWire {
 }
 
 func importPartition(p *partition, w partitionWire) {
+	p.groups = make(map[provKey]*group, len(w.Generated))
+	groupOf := func(pw provWire) *group { return p.group(provKey{state: pw.State, action: pw.Action}) }
 	p.cands = make(map[links.Link]candInfo, len(w.Cands))
 	p.order = append(p.order[:0], w.Order...)
 	for _, cw := range w.Cands {
-		var gen *provKey
+		var gen *group
 		if cw.HasGen {
-			gen = &provKey{state: cw.Gen.State, action: cw.Gen.Action}
+			gen = groupOf(cw.Gen)
 		}
 		p.cands[cw.Link] = candInfo{gen: gen}
 		if len(w.Order) == 0 {
@@ -182,57 +197,46 @@ func importPartition(p *partition, w partitionWire) {
 	// Every add appends to order and every removal leaves its slot
 	// behind, so the stale slots are the difference in length.
 	p.dead = len(p.order) - len(p.cands)
-	p.blacklist = links.NewSet(w.Blacklist...)
-	p.approved = links.NewSet(w.Approved...)
-	p.posVotes = importVotes(w.PosVotes)
-	p.negVotes = importVotes(w.NegVotes)
-	p.generated = make(map[provKey][]links.Link, len(w.Generated))
-	for _, g := range w.Generated {
-		p.generated[provKey{state: g.Key.State, action: g.Key.Action}] = append([]links.Link(nil), g.Links...)
+	p.votes = make(map[links.Link]vote, len(w.NegVotes)+len(w.PosVotes))
+	for _, vw := range w.PosVotes {
+		v := p.votes[vw.Link]
+		v.pos = int32(vw.N)
+		p.votes[vw.Link] = v
 	}
-	p.negCount = importProvCounts(w.NegCount)
-	p.posCount = importProvCounts(w.PosCount)
-	p.rolledBack = make(map[provKey]bool, len(w.RolledBack))
-	for _, pk := range w.RolledBack {
-		p.rolledBack[provKey{state: pk.State, action: pk.Action}] = true
+	for _, vw := range w.NegVotes {
+		v := p.votes[vw.Link]
+		v.neg = int32(vw.N)
+		p.votes[vw.Link] = v
+	}
+	for _, l := range w.Blacklist {
+		v := p.votes[l]
+		v.blacklisted = true
+		p.votes[l] = v
+	}
+	p.blacklisted = len(w.Blacklist)
+	for _, gw := range w.Generated {
+		groupOf(gw.Key).links = append([]links.Link(nil), gw.Links...)
+	}
+	for _, c := range w.NegCount {
+		groupOf(c.Key).neg = int32(c.N)
+	}
+	for _, c := range w.PosCount {
+		groupOf(c.Key).pos = int32(c.N)
+	}
+	for _, pw := range w.RolledBack {
+		groupOf(pw).retired = true
 	}
 	p.ctrl.Import(w.QTable, w.Policy)
 	p.rng.seek(w.RandPos)
 	p.resetEpisodeCounters()
 }
 
-func exportVotes(m map[links.Link]int) []voteWire {
-	out := make([]voteWire, 0, len(m))
-	for l, n := range m {
-		out = append(out, voteWire{Link: l, N: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return linkLess(out[i].Link, out[j].Link) })
-	return out
+func sortVotes(vs []voteWire) {
+	sort.Slice(vs, func(i, j int) bool { return linkLess(vs[i].Link, vs[j].Link) })
 }
 
-func importVotes(vs []voteWire) map[links.Link]int {
-	out := make(map[links.Link]int, len(vs))
-	for _, v := range vs {
-		out[v.Link] = v.N
-	}
-	return out
-}
-
-func exportProvCounts(m map[provKey]int) []provCountWire {
-	out := make([]provCountWire, 0, len(m))
-	for pk, n := range m {
-		out = append(out, provCountWire{Key: provWire{State: pk.state, Action: pk.action}, N: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return provLess(out[i].Key, out[j].Key) })
-	return out
-}
-
-func importProvCounts(vs []provCountWire) map[provKey]int {
-	out := make(map[provKey]int, len(vs))
-	for _, v := range vs {
-		out[provKey{state: v.Key.State, action: v.Key.Action}] = v.N
-	}
-	return out
+func sortProvCounts(cs []provCountWire) {
+	sort.Slice(cs, func(i, j int) bool { return provLess(cs[i].Key, cs[j].Key) })
 }
 
 func sortedCandLinks(m map[links.Link]candInfo) []links.Link {
@@ -259,12 +263,4 @@ func provLess(a, b provWire) bool {
 		return a.Action.P1 < b.Action.P1
 	}
 	return a.Action.P2 < b.Action.P2
-}
-
-func sortGroups(gs []groupWire) {
-	sort.Slice(gs, func(i, j int) bool { return provLess(gs[i].Key, gs[j].Key) })
-}
-
-func sortProv(ps []provWire) {
-	sort.Slice(ps, func(i, j int) bool { return provLess(ps[i], ps[j]) })
 }

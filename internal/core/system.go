@@ -19,6 +19,7 @@ type System struct {
 	ep     int
 
 	relaxedAt int       // first episode with <relaxedDelta change; 0 = not yet
+	unchanged int       // consecutive episodes that left the candidate set as it was
 	prevCands links.Set // candidate snapshot from BeginEpisode
 }
 
@@ -205,7 +206,7 @@ func (s *System) FinishEpisode() EpisodeStats {
 		st.Removed += p.removed
 		st.Rollbacks += p.rollbacks
 		st.Spared += p.spared
-		st.Blacklisted += p.blacklist.Len()
+		st.Blacklisted += p.blacklisted
 	}
 	s.ep++
 
@@ -222,8 +223,17 @@ func (s *System) FinishEpisode() EpisodeStats {
 	if s.relaxedAt == 0 && st.ChangedFrac < relaxedDelta {
 		s.relaxedAt = s.ep
 	}
+	if st.ChangedFrac == 0 {
+		s.unchanged++
+	} else {
+		s.unchanged = 0
+	}
 	return st
 }
+
+// Converged reports strict convergence: the last convergenceEpisodes
+// episodes left the candidate set unchanged.
+func (s *System) Converged() bool { return s.unchanged >= convergenceEpisodes }
 
 // RunEpisode collects one episode of feedback (policy evaluation) and
 // then improves the policy of every partition (Algorithm 1).
@@ -256,32 +266,21 @@ type Result struct {
 	Stats          []EpisodeStats
 }
 
-// Run iterates policy evaluation and policy improvement until the
-// candidate set stops changing for ConvergenceEpisodes consecutive
-// episodes (strict convergence), or MaxEpisodes is reached. onEpisode,
-// if non-nil, is called after every episode with that episode's stats —
-// experiments use it to snapshot metrics.
+// Run iterates policy evaluation and policy improvement until strict
+// convergence (Converged) or MaxEpisodes. onEpisode, if non-nil, is
+// called after every episode with that episode's stats — experiments
+// use it to snapshot metrics.
 func (s *System) Run(oracle feedback.Judger, onEpisode func(EpisodeStats)) Result {
 	res := Result{}
-	need := s.cfg.ConvergenceEpisodes
-	if need < 1 {
-		need = 1
-	}
-	unchanged := 0
 	for s.ep < s.cfg.MaxEpisodes {
 		st := s.RunEpisode(oracle)
 		res.Stats = append(res.Stats, st)
 		if onEpisode != nil {
 			onEpisode(st)
 		}
-		if st.ChangedFrac == 0 {
-			unchanged++
-			if unchanged >= need {
-				res.Converged = true
-				break
-			}
-		} else {
-			unchanged = 0
+		if s.Converged() {
+			res.Converged = true
+			break
 		}
 	}
 	res.Episodes = s.ep

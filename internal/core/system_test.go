@@ -116,13 +116,13 @@ func TestNegativeFeedbackRemovesAndBlacklists(t *testing.T) {
 	p := sys.parts[sys.partitionOf(wrong)]
 	// Default BlacklistMargin is 2: the first rejection removes, the
 	// second (after a hypothetical re-exploration) blacklists.
-	if p.blacklist.Has(wrong) {
-		t.Fatal("link blacklisted before reaching the margin")
+	if v := p.votes[wrong]; v.neg != 1 || v.blacklisted {
+		t.Fatalf("after one rejection the link's record is %+v, want 1 rejection and not blacklisted", v)
 	}
 	p.addCandidate(wrong, nil)
 	sys.Feedback(wrong, false)
-	if !p.blacklist.Has(wrong) {
-		t.Fatal("rejected link not blacklisted after reaching the margin")
+	if v := p.votes[wrong]; v.neg != 2 || !v.blacklisted {
+		t.Fatalf("after two rejections the link's record is %+v, want 2 rejections and blacklisted", v)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestBlacklistMarginOneIsImmediate(t *testing.T) {
 		t.Skip("no wrong initial candidate in this world")
 	}
 	sys.Feedback(wrong, false)
-	if !sys.parts[sys.partitionOf(wrong)].blacklist.Has(wrong) {
+	if !sys.parts[sys.partitionOf(wrong)].votes[wrong].blacklisted {
 		t.Fatal("margin 1 did not blacklist on first rejection")
 	}
 }
@@ -222,13 +222,12 @@ func TestRollbackRemovesGeneratedLinks(t *testing.T) {
 	}
 
 	before := len(p.cands)
-	pk := provKey{state: state, action: typeKey}
-	p.approved.Add(state)
+	g := p.group(provKey{state: state, action: typeKey})
 	// Emulate the bad action directly via explore internals.
 	score := p.space.FeatureSet(state).Score(typeKey)
 	for _, nl := range p.space.FindInRange(typeKey, score-0.05, score+0.05) {
-		if p.addCandidate(nl, &pk) {
-			p.generated[pk] = append(p.generated[pk], nl)
+		if p.addCandidate(nl, g) {
+			g.links = append(g.links, nl)
 		}
 	}
 	flooded := len(p.cands)
@@ -240,11 +239,11 @@ func TestRollbackRemovesGeneratedLinks(t *testing.T) {
 	// the trigger scales with group size (|group|/16) so a big flood
 	// needs proportionally more rejections than the base threshold.
 	need := sys.cfg.RollbackThreshold
-	if scaled := len(p.generated[pk]) / 16; scaled > need {
+	if scaled := len(g.links) / 16; scaled > need {
 		need = scaled
 	}
 	neg := 0
-	for _, l := range p.generated[pk] {
+	for _, l := range append([]links.Link(nil), g.links...) {
 		if !ds.GroundTruth.Has(l) {
 			p.handle(l, false, &sys.cfg)
 			neg++
@@ -263,6 +262,9 @@ func TestRollbackRemovesGeneratedLinks(t *testing.T) {
 	if p.rollbacks == 0 {
 		t.Fatal("rollback counter not incremented")
 	}
+	if !g.retired || g.links != nil || int(g.neg) != need {
+		t.Fatalf("rolled-back group: retired %v, %d links kept, %d rejections; want retired, none, %d", g.retired, len(g.links), g.neg, need)
+	}
 }
 
 func TestRollbackSparesApprovedLinks(t *testing.T) {
@@ -271,21 +273,16 @@ func TestRollbackSparesApprovedLinks(t *testing.T) {
 	p := sys.parts[0]
 	// Construct a synthetic generation group by hand.
 	var group []links.Link
-	for l := range p.space.Links() {
-		_ = l
-		break
-	}
 	ls := p.space.Links()
 	if len(ls) < 5 {
 		t.Skip("space too small")
 	}
-	state := ls[0]
-	pk := provKey{state: state, action: feature.Key{P1: 1, P2: 2}}
+	g := p.group(provKey{state: ls[0], action: feature.Key{P1: 1, P2: 2}})
 	// Links comes in map order: take the first four that are not
 	// candidates already, whichever they are.
 	for _, l := range ls[1:] {
-		if len(group) < 4 && p.addCandidate(l, &pk) {
-			p.generated[pk] = append(p.generated[pk], l)
+		if len(group) < 4 && p.addCandidate(l, g) {
+			g.links = append(g.links, l)
 			group = append(group, l)
 		}
 	}
@@ -293,8 +290,8 @@ func TestRollbackSparesApprovedLinks(t *testing.T) {
 		t.Skip("could not build group")
 	}
 	p.handle(group[0], true, &sys.cfg) // approve first
-	// Two rejections: negCount (2) reaches the threshold and exceeds
-	// the group's positive count (1), so rollback fires.
+	// Two rejections: the group's neg (2) reaches the threshold and
+	// exceeds its pos (1), so rollback fires.
 	p.handle(group[1], false, &sys.cfg)
 	p.handle(group[2], false, &sys.cfg)
 	if _, ok := p.cands[group[0]]; !ok {
@@ -304,8 +301,11 @@ func TestRollbackSparesApprovedLinks(t *testing.T) {
 		t.Fatal("rollback left an unapproved generated link")
 	}
 	// rolled-back links must not be blacklisted
-	if p.blacklist.Has(group[3]) {
+	if p.votes[group[3]].blacklisted {
 		t.Fatal("rolled-back link was blacklisted")
+	}
+	if !g.retired || g.pos != 1 || g.neg != 2 {
+		t.Fatalf("group record %+v, want retired with 1 approval and 2 rejections", *g)
 	}
 }
 
@@ -316,8 +316,8 @@ func TestBlacklistPreventsReexploration(t *testing.T) {
 	sys.Run(oracle, nil)
 	// After convergence every blacklisted link must be absent.
 	for _, p := range sys.parts {
-		for l := range p.blacklist {
-			if _, ok := p.cands[l]; ok {
+		for l, v := range p.votes {
+			if _, ok := p.cands[l]; ok && v.blacklisted {
 				t.Fatalf("blacklisted link %+v is a candidate", l)
 			}
 		}
@@ -391,5 +391,54 @@ func TestStringer(t *testing.T) {
 	sys := newTestSystem(t, ds, nil)
 	if s := sys.String(); s == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// TestZeroTurnsBlacklistAndRollbackOff pins what 0 means for the two
+// §6.3 knobs: a BlacklistMargin of 0 blacklists nothing and a
+// RollbackThreshold of 0 rolls nothing back, so a zero Config has both
+// off. One group of eight admitted links takes three rejections, two
+// of them on the same link.
+func TestZeroTurnsBlacklistAndRollbackOff(t *testing.T) {
+	ds := smallWorld(t)
+	for _, tc := range []struct {
+		name                        string
+		mutate                      func(*Config)
+		wantBlacklist, wantRollback bool
+	}{
+		{"defaults", func(*Config) {}, true, true},
+		{"margin 0", func(c *Config) { c.BlacklistMargin = 0 }, false, true},
+		{"threshold 0", func(c *Config) { c.RollbackThreshold = 0 }, true, false},
+		{"zero Config", func(c *Config) { *c = Config{Seed: c.Seed, Partitions: 1} }, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newTestSystem(t, ds, func(c *Config) {
+				c.Partitions = 1
+				tc.mutate(c)
+			})
+			p := sys.parts[0]
+			g := p.group(provKey{state: links.Link{E1: 900001, E2: 900002}, action: feature.Key{P1: 1, P2: 2}})
+			for _, l := range links.NewSet(p.space.Links()...).Slice() {
+				if len(g.links) < 8 && p.addCandidate(l, g) {
+					g.links = append(g.links, l)
+				}
+			}
+			if len(g.links) < 8 {
+				t.Skip("space too small")
+			}
+			group := append([]links.Link(nil), g.links...)
+			p.handle(group[0], false, &sys.cfg)
+			p.addCandidate(group[0], g)
+			p.handle(group[0], false, &sys.cfg)
+			p.handle(group[1], false, &sys.cfg)
+
+			if got := p.votes[group[0]].blacklisted; got != tc.wantBlacklist {
+				t.Errorf("link rejected twice: blacklisted %v, want %v", got, tc.wantBlacklist)
+			}
+			_, kept := p.cands[group[7]]
+			if g.retired != tc.wantRollback || kept == tc.wantRollback {
+				t.Errorf("group retired %v, unjudged link kept %v; want rollback %v", g.retired, kept, tc.wantRollback)
+			}
+		})
 	}
 }

@@ -108,23 +108,34 @@ func (o *Options) stores(ds *synth.Dataset) (t1, t2 store.TripleStore, cleanup f
 	return set.Source("ds1"), set.Source("ds2"), cleanup, nil
 }
 
-// RunQuality executes the standard pipeline for one profile:
-// generate → PARIS → ALEX with oracle feedback until convergence.
-func RunQuality(profileName string, opts Options) (*QualityRun, error) {
+// profile looks a built-in profile up by name and scales it by
+// opts.Scale.
+func profile(name string, opts Options) (synth.Profile, error) {
 	opts.fill()
-	prof, ok := synth.ProfileByName(profileName)
+	prof, ok := synth.ProfileByName(name)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown profile %q", profileName)
+		return synth.Profile{}, fmt.Errorf("experiments: unknown profile %q", name)
 	}
 	if opts.Scale != 1 {
 		prof = prof.Scale(opts.Scale)
+	}
+	return prof, nil
+}
+
+// RunQuality executes the standard pipeline for one profile:
+// generate → PARIS → ALEX with oracle feedback until convergence.
+func RunQuality(profileName string, opts Options) (*QualityRun, error) {
+	prof, err := profile(profileName, opts)
+	if err != nil {
+		return nil, err
 	}
 	return RunQualityProfile(prof, opts)
 }
 
 // RunQualityProfile is RunQuality for an explicit profile value.
 func RunQualityProfile(prof synth.Profile, opts Options) (*QualityRun, error) {
-	return runQuality(synth.Generate(prof), opts)
+	run, _, err := runQuality(synth.Generate(prof), opts, nil)
+	return run, err
 }
 
 // RunQualityFiles is the same pipeline on a dataset pair and its ground
@@ -144,67 +155,87 @@ func RunQualityFiles(ds1, ds2, truth string, opts Options) (*QualityRun, error) 
 		Partitions:  cfg.Partitions,
 		Seed:        opts.Seed,
 	}
-	return runQuality(ds, opts)
+	run, _, err := runQuality(ds, opts, nil)
+	return run, err
 }
 
-// runQuality runs PARIS on ds, then ALEX from PARIS's links with a
-// ground-truth oracle until convergence, under core.DefaultConfig with
-// the profile's episode size, partitions and seed.
-func runQuality(ds *synth.Dataset, opts Options) (*QualityRun, error) {
+// runQuality runs ALEX on ds until convergence with feedback from
+// judger; nil means a ground-truth oracle that errs at opts.ErrRate. It
+// also returns the system, for views of its final candidate set; the
+// stores behind it are closed by then.
+func runQuality(ds *synth.Dataset, opts Options, judger feedback.Judger) (*QualityRun, *core.System, error) {
 	opts.fill()
-	prof := ds.Profile
+	w, err := newWorld(ds, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer w.cleanup()
+	if judger == nil {
+		judger = feedback.NewOracle(ds.GroundTruth, opts.ErrRate, rand.New(rand.NewSource(opts.Seed)))
+	}
+	start := time.Now()
+	w.run.Result = w.sys.Run(judger, w.record)
+	w.run.RunTime = time.Since(start)
+	w.finish()
+	return w.run, w.sys, nil
+}
+
+// world is the setup every experiment shares: ds served from the
+// configured store, PARIS's links on it, and ALEX built from them under
+// core.DefaultConfig with the profile's episode size, partitions and
+// seed, then opts.Mutate. Its run holds PARIS's quality as point 0.
+type world struct {
+	ds      *synth.Dataset
+	t1, t2  store.TripleStore
+	cfg     core.Config
+	sys     *core.System
+	initial links.Set
+	run     *QualityRun
+	cleanup func()
+}
+
+func newWorld(ds *synth.Dataset, opts Options) (*world, error) {
 	t1, t2, cleanup, err := opts.stores(ds)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
-
 	scored := paris.Link(t1, t2, ds.Entities1, ds.Entities2, paris.NewOptions())
 	initial := make([]links.Link, len(scored))
-	initialSet := links.NewSet()
 	for i, s := range scored {
 		initial[i] = s.Link
-		initialSet.Add(s.Link)
 	}
 
 	cfg := core.DefaultConfig()
-	cfg.EpisodeSize = prof.EpisodeSize
-	cfg.Partitions = prof.Partitions
-	cfg.Seed = prof.Seed
+	cfg.EpisodeSize = ds.Profile.EpisodeSize
+	cfg.Partitions = ds.Profile.Partitions
+	cfg.Seed = ds.Profile.Seed
 	if opts.Mutate != nil {
 		opts.Mutate(&cfg)
 	}
 
-	buildStart := time.Now()
+	start := time.Now()
 	sys := core.New(t1, t2, ds.Entities1, ds.Entities2, initial, cfg)
-	buildTime := time.Since(buildStart)
-
-	oracle := feedback.NewOracle(ds.GroundTruth, opts.ErrRate, rand.New(rand.NewSource(opts.Seed)))
-
-	run := &QualityRun{
-		Profile:     prof,
-		GroundTruth: ds.GroundTruth.Len(),
-		BuildTime:   buildTime,
-	}
+	run := &QualityRun{Profile: ds.Profile, GroundTruth: ds.GroundTruth.Len(), BuildTime: time.Since(start)}
 	run.Initial = eval.Compute(sys.Candidates(), ds.GroundTruth)
 	run.Series.Append(run.Initial)
+	return &world{ds: ds, t1: t1, t2: t2, cfg: cfg, sys: sys, initial: links.NewSet(initial...), run: run, cleanup: cleanup}, nil
+}
 
-	runStart := time.Now()
-	run.Result = sys.Run(oracle, func(st core.EpisodeStats) {
-		m := eval.Compute(sys.Candidates(), ds.GroundTruth)
-		run.Series.Append(m)
-		run.Series.NegativeFeedbackPct = append(run.Series.NegativeFeedbackPct, st.NegativePct())
-	})
-	run.RunTime = time.Since(runStart)
-	run.Final = run.Series.Last()
+// record appends the quality after one more episode to the series.
+func (w *world) record(st core.EpisodeStats) {
+	w.run.Series.Append(eval.Compute(w.sys.Candidates(), w.ds.GroundTruth))
+	w.run.Series.NegativeFeedbackPct = append(w.run.Series.NegativeFeedbackPct, st.NegativePct())
+}
 
-	final := sys.Candidates()
-	for l := range final {
-		if ds.GroundTruth.Has(l) && !initialSet.Has(l) {
-			run.Discovered++
+// finish sets the final quality and counts the correct links ALEX
+// found that PARIS had not.
+func (w *world) finish() {
+	w.run.Final = w.run.Series.Last()
+	for l := range w.sys.Candidates() {
+		if w.ds.GroundTruth.Has(l) && !w.initial.Has(l) {
+			w.run.Discovered++
 		}
 	}
-	return run, nil
 }
 
 // Report renders the run in the format printed by cmd/alexbench.

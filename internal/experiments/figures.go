@@ -11,7 +11,6 @@ import (
 	"alex/internal/feature"
 	"alex/internal/feedback"
 	"alex/internal/links"
-	"alex/internal/paris"
 	"alex/internal/rdf"
 	"alex/internal/synth"
 )
@@ -81,14 +80,10 @@ type Fig5Result struct {
 // Fig5 measures the filtering optimization on the first partition of a
 // profile (§6.1, Figures 5a and 5b).
 func Fig5(profileName string, scale float64) (*Fig5Result, error) {
-	if scale == 0 {
-		scale = 1
+	prof, err := profile(profileName, Options{Scale: scale})
+	if err != nil {
+		return nil, err
 	}
-	prof, ok := synth.ProfileByName(profileName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown profile %q", profileName)
-	}
-	prof = prof.Scale(scale)
 	ds := synth.Generate(prof)
 
 	cfg := core.DefaultConfig()
@@ -184,13 +179,13 @@ func (c *ComparisonRun) Report() string {
 
 // Fig6Blacklist compares ALEX with and without the blacklist
 // optimization on a profile (Figures 6a and 6b): similar F-measure, but
-// markedly more negative feedback without the blacklist.
+// markedly more negative feedback without the blacklist (margin 0).
 func Fig6Blacklist(profileName string, opts Options) (*ComparisonRun, error) {
-	with, err := RunQuality(profileName, withMutate(opts, func(c *core.Config) { c.UseBlacklist = true }))
+	with, err := RunQuality(profileName, opts)
 	if err != nil {
 		return nil, err
 	}
-	without, err := RunQuality(profileName, withMutate(opts, func(c *core.Config) { c.UseBlacklist = false }))
+	without, err := RunQuality(profileName, withMutate(opts, func(c *core.Config) { c.BlacklistMargin = 0 }))
 	if err != nil {
 		return nil, err
 	}
@@ -209,84 +204,42 @@ type Fig7Result struct {
 	PartitionFinalF []float64
 }
 
-// Fig7Rollback runs the rollback on/off comparison. The episode size is
+// Fig7Rollback runs the rollback on/off comparison; off is a rollback
+// threshold of 0. The episode size is
 // quartered relative to the profile default: the figure's phenomenon —
 // wrong decisions flooding more links than link-by-link negative
 // feedback can remove — appears when exploration floods outpace the
 // feedback budget, which is the regime of the paper's full-size data.
 // An explicit opts.Mutate can override the episode size.
 func Fig7Rollback(profileName string, opts Options) (*Fig7Result, error) {
-	prev := opts.Mutate
-	opts.Mutate = func(c *core.Config) {
+	opts = withDefault(opts, func(c *core.Config) {
 		if c.EpisodeSize >= 4 {
 			c.EpisodeSize /= 4
 		}
-		if prev != nil {
-			prev(c)
-		}
-	}
-	with, err := RunQuality(profileName, withMutate(opts, func(c *core.Config) { c.UseRollback = true }))
+	})
+	with, err := RunQuality(profileName, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Without rollback, run with per-partition final inspection.
-	opts.fill()
-	prof, ok := synth.ProfileByName(profileName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown profile %q", profileName)
-	}
-	if opts.Scale != 1 {
-		prof = prof.Scale(opts.Scale)
+	prof, err := profile(profileName, opts)
+	if err != nil {
+		return nil, err
 	}
 	ds := synth.Generate(prof)
-	t1, t2, cleanup, err := opts.stores(ds)
+	without, sys, err := runQuality(ds, withMutate(opts, func(c *core.Config) { c.RollbackThreshold = 0 }), nil)
 	if err != nil {
 		return nil, err
-	}
-	defer cleanup()
-	scored := paris.Link(t1, t2, ds.Entities1, ds.Entities2, paris.NewOptions())
-	initial := make([]links.Link, len(scored))
-	initialSet := links.NewSet()
-	for i, s := range scored {
-		initial[i] = s.Link
-		initialSet.Add(s.Link)
-	}
-	cfg := core.DefaultConfig()
-	cfg.EpisodeSize = prof.EpisodeSize
-	cfg.Partitions = prof.Partitions
-	cfg.Seed = prof.Seed
-	cfg.UseRollback = false
-	if opts.Mutate != nil {
-		opts.Mutate(&cfg)
-	}
-	cfg.UseRollback = false
-	sys := core.New(t1, t2, ds.Entities1, ds.Entities2, initial, cfg)
-	oracle := feedback.NewOracle(ds.GroundTruth, opts.ErrRate, rand.New(rand.NewSource(opts.Seed)))
-
-	without := &QualityRun{Profile: prof, GroundTruth: ds.GroundTruth.Len()}
-	without.Initial = eval.Compute(sys.Candidates(), ds.GroundTruth)
-	without.Series.Append(without.Initial)
-	start := time.Now()
-	without.Result = sys.Run(oracle, func(st core.EpisodeStats) {
-		m := eval.Compute(sys.Candidates(), ds.GroundTruth)
-		without.Series.Append(m)
-		without.Series.NegativeFeedbackPct = append(without.Series.NegativeFeedbackPct, st.NegativePct())
-	})
-	without.RunTime = time.Since(start)
-	without.Final = without.Series.Last()
-	for l := range sys.Candidates() {
-		if ds.GroundTruth.Has(l) && !initialSet.Has(l) {
-			without.Discovered++
-		}
 	}
 
 	res := &Fig7Result{Profile: profileName, WithRollback: with, WithoutRollback: without}
 	// Per-partition final quality (Figures 7b/7c): partition GT =
-	// ground-truth links rooted at that partition's entities, using the
-	// same round-robin placement as the system.
+	// ground-truth links rooted at that partition's entities, placed as
+	// the system places them.
 	partOf := map[rdf.ID]int{}
-	for i, e := range ds.Entities1 {
-		partOf[e] = i % prof.Partitions
+	for pi, ents := range feature.PartitionRoundRobin(ds.Entities1, sys.Partitions()) {
+		for _, e := range ents {
+			partOf[e] = pi
+		}
 	}
 	for pi := 0; pi < sys.Partitions(); pi++ {
 		pc := sys.PartitionCandidates(pi)
@@ -348,6 +301,10 @@ type CrowdResult struct {
 // CrowdFeedback runs the crowd-vote comparison on a profile.
 func CrowdFeedback(profileName string, opts Options) (*CrowdResult, error) {
 	opts.fill()
+	prof, err := profile(profileName, opts)
+	if err != nil {
+		return nil, err
+	}
 	res := &CrowdResult{Profile: profileName}
 	configs := []struct {
 		label  string
@@ -358,10 +315,9 @@ func CrowdFeedback(profileName string, opts Options) (*CrowdResult, error) {
 		{"crowd of 9 (10% each)", 9},
 	}
 	for _, c := range configs {
-		c := c
-		run, err := runQualityWithJudger(profileName, opts, func(ds *synth.Dataset, seed int64) feedback.Judger {
-			return feedback.NewCrowd(ds.GroundTruth, 0.10, c.voters, rand.New(rand.NewSource(seed)))
-		})
+		ds := synth.Generate(prof)
+		crowd := feedback.NewCrowd(ds.GroundTruth, 0.10, c.voters, rand.New(rand.NewSource(opts.Seed)))
+		run, _, err := runQuality(ds, opts, crowd)
 		if err != nil {
 			return nil, err
 		}
@@ -381,58 +337,6 @@ func (r *CrowdResult) Report() string {
 			r.Labels[i], run.Final.Precision, run.Final.Recall, run.Final.F1, run.Result.Episodes)
 	}
 	return b.String()
-}
-
-// runQualityWithJudger is RunQuality with a custom feedback channel.
-func runQualityWithJudger(profileName string, opts Options, mkJudger func(*synth.Dataset, int64) feedback.Judger) (*QualityRun, error) {
-	opts.fill()
-	prof, ok := synth.ProfileByName(profileName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown profile %q", profileName)
-	}
-	if opts.Scale != 1 {
-		prof = prof.Scale(opts.Scale)
-	}
-	ds := synth.Generate(prof)
-	t1, t2, cleanup, err := opts.stores(ds)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	scored := paris.Link(t1, t2, ds.Entities1, ds.Entities2, paris.NewOptions())
-	initial := make([]links.Link, len(scored))
-	initialSet := links.NewSet()
-	for i, s := range scored {
-		initial[i] = s.Link
-		initialSet.Add(s.Link)
-	}
-	cfg := core.DefaultConfig()
-	cfg.EpisodeSize = prof.EpisodeSize
-	cfg.Partitions = prof.Partitions
-	cfg.Seed = prof.Seed
-	if opts.Mutate != nil {
-		opts.Mutate(&cfg)
-	}
-	start := time.Now()
-	sys := core.New(t1, t2, ds.Entities1, ds.Entities2, initial, cfg)
-	run := &QualityRun{Profile: prof, GroundTruth: ds.GroundTruth.Len(), BuildTime: time.Since(start)}
-	run.Initial = eval.Compute(sys.Candidates(), ds.GroundTruth)
-	run.Series.Append(run.Initial)
-	judger := mkJudger(ds, opts.Seed)
-	runStart := time.Now()
-	run.Result = sys.Run(judger, func(st core.EpisodeStats) {
-		m := eval.Compute(sys.Candidates(), ds.GroundTruth)
-		run.Series.Append(m)
-		run.Series.NegativeFeedbackPct = append(run.Series.NegativeFeedbackPct, st.NegativePct())
-	})
-	run.RunTime = time.Since(runStart)
-	run.Final = run.Series.Last()
-	for l := range sys.Candidates() {
-		if ds.GroundTruth.Has(l) && !initialSet.Has(l) {
-			run.Discovered++
-		}
-	}
-	return run, nil
 }
 
 // SweepPoint is one configuration of a parameter sweep.
@@ -625,6 +529,19 @@ func withMutate(opts Options, fn func(*core.Config)) Options {
 			prev(c)
 		}
 		fn(c)
+	}
+	return opts
+}
+
+// withDefault is withMutate with fn applied before opts.Mutate, so that
+// the caller's Mutate can still override what fn sets.
+func withDefault(opts Options, fn func(*core.Config)) Options {
+	prev := opts.Mutate
+	opts.Mutate = func(c *core.Config) {
+		fn(c)
+		if prev != nil {
+			prev(c)
+		}
 	}
 	return opts
 }

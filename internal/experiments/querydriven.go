@@ -6,10 +6,7 @@ import (
 	"time"
 
 	"alex/internal/core"
-	"alex/internal/eval"
 	"alex/internal/federation"
-	"alex/internal/links"
-	"alex/internal/paris"
 	"alex/internal/synth"
 )
 
@@ -22,53 +19,28 @@ import (
 // system under test is the entire pipeline.
 func RunQueryDriven(profileName string, opts Options) (*QualityRun, error) {
 	opts.fill()
-	prof, ok := synth.ProfileByName(profileName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown profile %q", profileName)
-	}
-	if opts.Scale != 1 {
-		prof = prof.Scale(opts.Scale)
-	}
-	ds := synth.Generate(prof)
-
-	t1, t2, cleanup, err := opts.stores(ds)
+	prof, err := profile(profileName, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
-	scored := paris.Link(t1, t2, ds.Entities1, ds.Entities2, paris.NewOptions())
-	initial := make([]links.Link, len(scored))
-	initialSet := links.NewSet()
-	for i, s := range scored {
-		initial[i] = s.Link
-		initialSet.Add(s.Link)
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.EpisodeSize = prof.EpisodeSize
-	cfg.Partitions = prof.Partitions
-	cfg.Seed = prof.Seed
+	ds := synth.Generate(prof)
 	// Answer-level judgments against the ground truth are definitive
 	// (any error injection happens at the answer, below), so the first
 	// rejection of a link is trustworthy: the literal §6.3 blacklist
 	// rule converges much faster here.
-	cfg.BlacklistMargin = 1
-	if opts.Mutate != nil {
-		opts.Mutate(&cfg)
+	w, err := newWorld(ds, withDefault(opts, func(c *core.Config) { c.BlacklistMargin = 1 }))
+	if err != nil {
+		return nil, err
 	}
-
-	buildStart := time.Now()
-	sys := core.New(t1, t2, ds.Entities1, ds.Entities2, initial, cfg)
-	run := &QualityRun{Profile: prof, GroundTruth: ds.GroundTruth.Len(), BuildTime: time.Since(buildStart)}
-	run.Initial = eval.Compute(sys.Candidates(), ds.GroundTruth)
-	run.Series.Append(run.Initial)
+	defer w.cleanup()
+	sys, run := w.sys, w.run
 
 	fed := federation.New(ds.Dict)
 	fed.SetPlanCache(federation.NewPlanCache(0))
-	if err := fed.AddSource("ds1", t1); err != nil {
+	if err := fed.AddSource("ds1", w.t1); err != nil {
 		return nil, err
 	}
-	if err := fed.AddSource("ds2", t2); err != nil {
+	if err := fed.AddSource("ds2", w.t2); err != nil {
 		return nil, err
 	}
 
@@ -78,19 +50,13 @@ func RunQueryDriven(profileName string, opts Options) (*QualityRun, error) {
 	ds2Preds := []string{synth.P2Group.Value, synth.P2Born.Value, synth.P2Place.Value}
 
 	runStart := time.Now()
-	maxEpisodes := cfg.MaxEpisodes
-	need := cfg.ConvergenceEpisodes
-	if need < 1 {
-		need = 1
-	}
-	unchanged := 0
-	for ep := 0; ep < maxEpisodes; ep++ {
+	for sys.Episode() < w.cfg.MaxEpisodes && !sys.Converged() {
 		// The query layer sees the current candidate links.
 		fed.SetLinks(sys.Candidates())
 		sys.BeginEpisode()
 		feedbackCount, negative := 0, 0
 
-		for i := 0; i < cfg.EpisodeSize; i++ {
+		for i := 0; i < w.cfg.EpisodeSize; i++ {
 			l, ok := sys.SampleCandidate()
 			if !ok {
 				break
@@ -134,27 +100,11 @@ func RunQueryDriven(profileName string, opts Options) (*QualityRun, error) {
 		st.Feedback = feedbackCount
 		st.Negative = negative
 		run.Result.Stats = append(run.Result.Stats, st)
-		m := eval.Compute(sys.Candidates(), ds.GroundTruth)
-		run.Series.Append(m)
-		run.Series.NegativeFeedbackPct = append(run.Series.NegativeFeedbackPct, st.NegativePct())
-
-		if st.ChangedFrac == 0 {
-			unchanged++
-			if unchanged >= need {
-				run.Result.Converged = true
-				break
-			}
-		} else {
-			unchanged = 0
-		}
+		w.record(st)
 	}
 	run.RunTime = time.Since(runStart)
 	run.Result.Episodes = sys.Episode()
-	run.Final = run.Series.Last()
-	for l := range sys.Candidates() {
-		if ds.GroundTruth.Has(l) && !initialSet.Has(l) {
-			run.Discovered++
-		}
-	}
+	run.Result.Converged = sys.Converged()
+	w.finish()
 	return run, nil
 }
