@@ -50,6 +50,10 @@ type candInfo struct {
 	// gen is the group whose exploration admitted this link; nil for
 	// initial candidates.
 	gen *group
+	// slot is the index of the link's live entry in order. A link
+	// removed and admitted again leaves its old entry behind; only the
+	// entry at slot is drawn, so every candidate is drawn equally often.
+	slot int
 }
 
 // partition owns one share-nothing slice of the search space (§6.2): a
@@ -63,7 +67,7 @@ type partition struct {
 
 	cands  map[links.Link]candInfo
 	order  []links.Link // append-only sampling order; lazily compacted
-	dead   int          // entries of order no longer in cands
+	dead   int          // entries of order that are no candidate's slot
 	votes  map[links.Link]vote
 	groups map[provKey]*group
 	// blacklisted counts the votes marked blacklisted.
@@ -103,7 +107,7 @@ func (p *partition) addCandidate(l links.Link, gen *group) bool {
 	if _, ok := p.cands[l]; ok {
 		return false
 	}
-	p.cands[l] = candInfo{gen: gen}
+	p.cands[l] = candInfo{gen: gen, slot: len(p.order)}
 	p.order = append(p.order, l)
 	return true
 }
@@ -117,9 +121,10 @@ func (p *partition) removeCandidate(l links.Link) bool {
 	return true
 }
 
-// sample draws a uniformly random current candidate. It retries over
-// the append-only order slice, compacting when it gets too stale, which
-// keeps sampling deterministic under a seeded rng.
+// sample draws a uniformly random current candidate (§7.1). It retries
+// over the append-only order slice until it lands on a live entry,
+// compacting when it gets too stale, which keeps sampling deterministic
+// under a seeded rng.
 func (p *partition) sample() (links.Link, bool) {
 	if len(p.cands) == 0 {
 		return links.Link{}, false
@@ -128,8 +133,9 @@ func (p *partition) sample() (links.Link, bool) {
 		p.compact()
 	}
 	for {
-		l := p.order[p.rng.Intn(len(p.order))]
-		if _, ok := p.cands[l]; ok {
+		i := p.rng.Intn(len(p.order))
+		l := p.order[i]
+		if info, ok := p.cands[l]; ok && info.slot == i {
 			return l, true
 		}
 	}
@@ -137,11 +143,11 @@ func (p *partition) sample() (links.Link, bool) {
 
 func (p *partition) compact() {
 	kept := p.order[:0]
-	seen := make(map[links.Link]bool, len(p.cands))
-	for _, l := range p.order {
-		if _, ok := p.cands[l]; ok && !seen[l] {
+	for i, l := range p.order {
+		if info, ok := p.cands[l]; ok && info.slot == i {
+			info.slot = len(kept)
+			p.cands[l] = info
 			kept = append(kept, l)
-			seen[l] = true
 		}
 	}
 	p.order = kept

@@ -189,13 +189,21 @@ func importPartition(p *partition, w partitionWire) {
 		if cw.HasGen {
 			gen = groupOf(cw.Gen)
 		}
-		p.cands[cw.Link] = candInfo{gen: gen}
+		p.cands[cw.Link] = candInfo{gen: gen, slot: len(p.order)}
 		if len(w.Order) == 0 {
 			p.order = append(p.order, cw.Link)
 		}
 	}
-	// Every add appends to order and every removal leaves its slot
-	// behind, so the stale slots are the difference in length.
+	// A candidate's live entry is its last one: a checkpoint written
+	// before slots existed may hold an earlier entry of a link that was
+	// removed and admitted again.
+	for i, l := range p.order {
+		if info, ok := p.cands[l]; ok {
+			info.slot = i
+			p.cands[l] = info
+		}
+	}
+	// Every candidate owns one entry, so the rest are dead.
 	p.dead = len(p.order) - len(p.cands)
 	p.votes = make(map[links.Link]vote, len(w.NegVotes)+len(w.PosVotes))
 	for _, vw := range w.PosVotes {
