@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"alex/internal/feature"
+	"alex/internal/feedback"
 	"alex/internal/links"
 	"alex/internal/rdf"
 )
@@ -121,7 +123,8 @@ func TestRewardWalkCreditsEachPairOnce(t *testing.T) {
 // hand: a state-action pair has admitted five links, the user approves
 // one of them twice and rejects three. The first approval explores once
 // (the second is not a first visit); the third rejection rolls the
-// group back, which keeps the approved link and removes the other.
+// group of five back, which keeps the approved link and removes the
+// other. Admitted and RolledBack list what the counters count.
 func TestEpisodeStatsCountExplorationsAndSpared(t *testing.T) {
 	ds := smallWorld(t)
 	sys := newTestSystem(t, ds, func(c *Config) { c.Partitions = 1 })
@@ -152,6 +155,10 @@ func TestEpisodeStatsCountExplorationsAndSpared(t *testing.T) {
 	if st.Explorations != 1 || st.Rollbacks != 1 || st.Spared != 1 {
 		t.Fatalf("explorations %d, rollbacks %d, spared %d; want 1, 1, 1", st.Explorations, st.Rollbacks, st.Spared)
 	}
+	checkHistogramRules(t, st)
+	if len(st.RolledBack) != 1 || st.RolledBack[0] != 5 {
+		t.Fatalf("RolledBack = %v, want the group's 5 links", st.RolledBack)
+	}
 	if _, ok := p.cands[group[0]]; !ok {
 		t.Fatal("the approved link did not survive the rollback")
 	}
@@ -161,8 +168,37 @@ func TestEpisodeStatsCountExplorationsAndSpared(t *testing.T) {
 
 	sys.BeginEpisode()
 	st = sys.FinishEpisode()
-	if st.Explorations != 0 || st.Spared != 0 {
-		t.Fatalf("an empty episode counted %d explorations, %d spared", st.Explorations, st.Spared)
+	if st.Explorations != 0 || st.Spared != 0 || len(st.Admitted) != 0 || len(st.RolledBack) != 0 {
+		t.Fatalf("an empty episode counted %d explorations, %d spared, admissions %v, rollbacks %v",
+			st.Explorations, st.Spared, st.Admitted, st.RolledBack)
+	}
+
+	// The same rules hold on every episode of a run.
+	oracle := feedback.NewOracle(ds.GroundTruth, 0.1, rand.New(rand.NewSource(3)))
+	for _, st := range sys.Run(oracle, nil).Stats {
+		checkHistogramRules(t, st)
+	}
+}
+
+// checkHistogramRules: Admitted has one entry per exploration summing
+// to Explored, and RolledBack one positive group size per rollback.
+func checkHistogramRules(t *testing.T, st EpisodeStats) {
+	t.Helper()
+	sum := 0
+	for _, n := range st.Admitted {
+		sum += n
+	}
+	if len(st.Admitted) != st.Explorations || sum != st.Explored {
+		t.Fatalf("episode %d: Admitted %v (sum %d) for %d explorations admitting %d links",
+			st.Episode, st.Admitted, sum, st.Explorations, st.Explored)
+	}
+	if len(st.RolledBack) != st.Rollbacks {
+		t.Fatalf("episode %d: RolledBack %v for %d rollbacks", st.Episode, st.RolledBack, st.Rollbacks)
+	}
+	for _, n := range st.RolledBack {
+		if n < 1 {
+			t.Fatalf("episode %d: a rollback of an empty group: %v", st.Episode, st.RolledBack)
+		}
 	}
 }
 

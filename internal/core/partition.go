@@ -79,6 +79,8 @@ type partition struct {
 	removed      int
 	rollbacks    int
 	spared       int
+	admitted     []int // links each exploration admitted
+	rolledBack   []int // group size at each rollback
 }
 
 func newPartition(space *feature.Space, epsilon float64, rng *stream) *partition {
@@ -277,6 +279,7 @@ func (p *partition) explore(l links.Link, cfg *Config) {
 	score := fs.Score(action)
 	p.explorations++
 	found := p.space.FindInRange(action, score-cfg.StepSize, score+cfg.StepSize)
+	n := 0
 	for _, nl := range found {
 		if _, ok := p.cands[nl]; ok || p.votes[nl].blacklisted {
 			continue
@@ -286,8 +289,10 @@ func (p *partition) explore(l links.Link, cfg *Config) {
 		}
 		p.addCandidate(nl, g)
 		g.links = append(g.links, nl)
-		p.explored++
+		n++
 	}
+	p.explored += n
+	p.admitted = append(p.admitted, n)
 }
 
 // rollback removes every link generated by a state-action pair that has
@@ -296,6 +301,7 @@ func (p *partition) explore(l links.Link, cfg *Config) {
 // state-action pair can rediscover. Links with a positive feedback
 // majority survive.
 func (p *partition) rollback(g *group) {
+	size := len(g.links)
 	removedAny := false
 	for _, l := range g.links {
 		// Spare links the user has vouched for at least as often as
@@ -314,9 +320,11 @@ func (p *partition) rollback(g *group) {
 	g.retired = true
 	if removedAny {
 		p.rollbacks++
+		p.rolledBack = append(p.rolledBack, size)
 	}
 }
 
 func (p *partition) resetEpisodeCounters() {
 	p.explored, p.explorations, p.removed, p.rollbacks, p.spared = 0, 0, 0, 0, 0
+	p.admitted, p.rolledBack = p.admitted[:0], p.rolledBack[:0]
 }

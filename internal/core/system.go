@@ -38,6 +38,11 @@ type EpisodeStats struct {
 	// Spared counts the links rollbacks kept as candidates because the
 	// user approved them at least as often as rejected them.
 	Spared int
+	// Admitted holds the links each exploration admitted: its length is
+	// Explorations and its sum is Explored. RolledBack holds the size of
+	// the group each rollback undid; its length is Rollbacks.
+	Admitted   []int
+	RolledBack []int
 	// Blacklisted is the cumulative blacklist size after the episode.
 	Blacklisted int
 	// ChangedFrac is |C_now Δ C_prev| / max(1, |C_prev|).
@@ -206,6 +211,8 @@ func (s *System) FinishEpisode() EpisodeStats {
 		st.Removed += p.removed
 		st.Rollbacks += p.rollbacks
 		st.Spared += p.spared
+		st.Admitted = append(st.Admitted, p.admitted...)
+		st.RolledBack = append(st.RolledBack, p.rolledBack...)
 		st.Blacklisted += p.blacklisted
 	}
 	s.ep++

@@ -135,7 +135,7 @@ type Config struct {
 	// serves full reads from the union.
 	Fleet *FleetConfig
 	// Stores, when non-nil, is the disk-backed segment store set behind
-	// the federation sources (cmd/alexd -store=disk), reported on
+	// the federation sources (cmd/alexd with -data), reported on
 	// /healthz. It is committed before the server starts, and the
 	// server never writes it: feedback changes the link set, not the
 	// triples.
@@ -305,6 +305,8 @@ type serverMetrics struct {
 	exploredLinks       *Counter
 	rollbacks           *Counter
 	sparedLinks         *Counter
+	explorationLinks    *Histogram
+	rollbackGroupLinks  *Histogram
 	panics              *Counter
 	journalFsync        *Histogram
 	journalErrors       *Counter
@@ -446,6 +448,11 @@ func (s *Server) recover() error {
 	return nil
 }
 
+// linkCountBuckets bound the link-count histograms. An exploration
+// from a correct link admits tens to a couple of hundred links; one
+// from a wrong link in a flood admits thousands.
+var linkCountBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096}
+
 func (s *Server) registerMetrics() {
 	m := &s.metrics
 	m.queries = s.reg.Counter("alexd_queries_total", "Federated queries served.")
@@ -485,6 +492,8 @@ func (s *Server) registerMetrics() {
 	m.exploredLinks = s.reg.Counter("alexd_explored_links_total", "Candidate links admitted by explorations.")
 	m.rollbacks = s.reg.Counter("alexd_rollbacks_total", "Rollbacks that removed the links one exploration admitted.")
 	m.sparedLinks = s.reg.Counter("alexd_rollback_spared_links_total", "Links a rollback kept because they were approved at least as often as rejected.")
+	m.explorationLinks = s.reg.Histogram("alexd_exploration_links", "Candidate links one exploration admitted.", linkCountBuckets)
+	m.rollbackGroupLinks = s.reg.Histogram("alexd_rollback_group_links", "Links in the group a rollback undid, spared ones included.", linkCountBuckets)
 	m.panics = s.reg.Counter("alexd_http_panics_total", "Handler panics recovered.")
 	m.journalFsync = s.reg.Histogram("alexd_journal_fsync_seconds", "Feedback journal append+fsync latency.", nil)
 	m.journalErrors = s.reg.Counter("alexd_journal_errors_total", "Journal appends that failed (feedback refused with 503).")
@@ -579,6 +588,12 @@ func (s *Server) finishEpisode() {
 	s.metrics.exploredLinks.Add(uint64(st.Explored))
 	s.metrics.rollbacks.Add(uint64(st.Rollbacks))
 	s.metrics.sparedLinks.Add(uint64(st.Spared))
+	for _, n := range st.Admitted {
+		s.metrics.explorationLinks.Observe(float64(n))
+	}
+	for _, n := range st.RolledBack {
+		s.metrics.rollbackGroupLinks.Observe(float64(n))
+	}
 	s.metrics.episodeDuration.Observe(time.Since(s.w.epStart).Seconds())
 	s.w.pending = 0
 	s.w.sinceCkpt++

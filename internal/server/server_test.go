@@ -574,7 +574,17 @@ type statsEngine struct {
 }
 
 func scriptedStats(n int) core.EpisodeStats {
-	return core.EpisodeStats{Episode: n, Explorations: n, Explored: 10 * n, Rollbacks: n % 2, Spared: 3 * n}
+	st := core.EpisodeStats{Episode: n, Explorations: n, Explored: 10 * n, Rollbacks: n % 2, Spared: 3 * n}
+	// Episode n's n explorations admit 10n links: 10n−(n−1) in the
+	// first, one in each of the others.
+	st.Admitted = []int{10*n - (n - 1)}
+	for i := 1; i < n; i++ {
+		st.Admitted = append(st.Admitted, 1)
+	}
+	if st.Rollbacks == 1 {
+		st.RolledBack = []int{100 * n}
+	}
+	return st
 }
 
 func (e *statsEngine) FinishEpisode() core.EpisodeStats {
@@ -585,7 +595,9 @@ func (e *statsEngine) FinishEpisode() core.EpisodeStats {
 
 // TestExplorationCounters: the writer adds every episode's exploration
 // and rollback stats to their /metrics series, so links per exploration
-// can be read off a running alexd.
+// can be read off a running alexd, and puts each exploration's and each
+// rolled-back group's link count into a histogram, so a flood shows as
+// explorations in the top buckets.
 func TestExplorationCounters(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
 	eng := &statsEngine{System: sys}
@@ -617,6 +629,28 @@ func TestExplorationCounters(t *testing.T) {
 	} {
 		if got := metricValue(t, metrics, name); got != float64(v) {
 			t.Errorf("%s = %v, want %d", name, got, v)
+		}
+	}
+
+	// Episodes 1–4 admit (10), (19 1), (28 1 1), (37 1 1 1) links per
+	// exploration, and roll back groups of 100 and 300 links.
+	for name, v := range map[string]float64{
+		`alexd_exploration_links_bucket{le="1"}`:       6,
+		`alexd_exploration_links_bucket{le="4"}`:       6,
+		`alexd_exploration_links_bucket{le="16"}`:      7,
+		`alexd_exploration_links_bucket{le="64"}`:      10,
+		`alexd_exploration_links_bucket{le="+Inf"}`:    10,
+		`alexd_exploration_links_count`:                float64(want.Explorations),
+		`alexd_exploration_links_sum`:                  float64(want.Explored),
+		`alexd_rollback_group_links_bucket{le="64"}`:   0,
+		`alexd_rollback_group_links_bucket{le="256"}`:  1,
+		`alexd_rollback_group_links_bucket{le="1024"}`: 2,
+		`alexd_rollback_group_links_bucket{le="+Inf"}`: 2,
+		`alexd_rollback_group_links_count`:             float64(want.Rollbacks),
+		`alexd_rollback_group_links_sum`:               400,
+	} {
+		if got := metricValue(t, metrics, name); got != v {
+			t.Errorf("%s = %v, want %v", name, got, v)
 		}
 	}
 }
