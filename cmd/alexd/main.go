@@ -78,9 +78,8 @@ func main() {
 	flush := flag.Duration("flush", 250*time.Millisecond, "finish a partial episode after this much idle time")
 	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-request query deadline (the evaluation stops at it; the client gets 504)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "shutdown budget for draining feedback")
-	dataDir := flag.String("data", "", "durability directory (feedback journal + checkpoints); empty disables durability")
+	dataDir := flag.String("data", "", "data directory: feedback journal, checkpoints and the mmap'd segment store under <data>/store; empty serves in-memory graphs with no durability")
 	checkpointEvery := flag.Int("checkpoint-every", 16, "episodes between state checkpoints (with -data)")
-	storeBackend := flag.String("store", "mem", "triple store backend: mem (rebuild graphs at startup) or disk (persistent mmap'd segment store under <data>/store; requires -data)")
 	planCache := flag.Int("plan-cache", 0, "compiled query plans kept in the LRU cache (0 = default)")
 	maxQueries := flag.Int("max-queries", 0, "concurrent /query evaluations admitted (0 = unlimited; excess waits, then 503)")
 	shardID := flag.Int("shard-id", -1, "this shard's ID within -fleet (-1 = standalone)")
@@ -96,18 +95,6 @@ func main() {
 
 	if (*profile == "") == (*ds1Path == "" || *ds2Path == "") {
 		fmt.Fprintln(os.Stderr, "alexd: exactly one of -profile or (-ds1 and -ds2) is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	switch *storeBackend {
-	case "mem", "disk":
-	default:
-		fmt.Fprintln(os.Stderr, "alexd: -store must be mem or disk")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *storeBackend == "disk" && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "alexd: -store=disk requires -data (the store lives under <data>/store)")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -148,8 +135,8 @@ func main() {
 		}
 	}
 
-	// The serving stores: in-memory graphs, or mmap'd segments under
-	// <data>/store. storeMeta stamps the store with the inputs it was
+	// The serving stores: mmap'd segments under <data>/store with -data,
+	// in-memory graphs without it. storeMeta stamps the store with the inputs it was
 	// built from, so a warm start over different flags fails loudly
 	// instead of serving another dataset's dictionary IDs.
 	var (
@@ -162,7 +149,7 @@ func main() {
 	}
 	loadStart := time.Now()
 
-	if *storeBackend == "disk" {
+	if *dataDir != "" {
 		dir := filepath.Join(*dataDir, "store")
 		set, err := store.Open(dir, store.Options{Meta: storeMeta})
 		switch {
@@ -228,7 +215,7 @@ func main() {
 		}
 
 		t1, t2 = g1, g2
-		if *storeBackend == "disk" {
+		if *dataDir != "" {
 			dir := filepath.Join(*dataDir, "store")
 			set, err := store.Create(dir, dict, store.Options{Meta: storeMeta})
 			if err != nil {

@@ -50,9 +50,9 @@ type Options struct {
 	Seed int64
 	// Store selects the triple-store backend the run's sources are
 	// served from: "" or "mem" keeps the generated rdf.Graphs; "disk"
-	// persists them into a temporary mmap'd segment store (the alexd
-	// -store=disk serving path), so experiments exercise the segment
-	// read path end to end.
+	// persists them into a temporary mmap'd segment store (what alexd
+	// serves with -data), so experiments exercise the segment read path
+	// end to end.
 	Store string
 }
 
