@@ -30,13 +30,12 @@ type Config struct {
 	MaxEpisodes int
 	// BlacklistMargin is how many net negative votes (negatives minus
 	// positives) a link needs before it is blacklisted (§6.3); 0 turns
-	// the blacklist off. 1 reproduces
-	// §6.3 literally: the first rejection of a never-approved link
-	// blacklists it. 2 (the default) tolerates one erroneous rejection,
-	// which is what keeps recall robust under incorrect feedback
-	// (Appendix C): a correct link whose very first judgment is a user
-	// error is merely removed and can be rediscovered, instead of being
-	// barred forever.
+	// the blacklist off. 1 reproduces §6.3 literally: the first
+	// rejection of a never-approved link blacklists it. 2 (the default)
+	// tolerates one erroneous rejection, which is what keeps recall
+	// robust under incorrect feedback (Appendix C): a correct link whose
+	// very first judgment is a user error is merely removed and can be
+	// rediscovered, instead of being barred forever.
 	BlacklistMargin int
 	// RollbackThreshold is the number of negative feedback items on
 	// links generated by one state-action pair that triggers rollback

@@ -205,12 +205,12 @@ type Fig7Result struct {
 }
 
 // Fig7Rollback runs the rollback on/off comparison; off is a rollback
-// threshold of 0. The episode size is
-// quartered relative to the profile default: the figure's phenomenon —
-// wrong decisions flooding more links than link-by-link negative
-// feedback can remove — appears when exploration floods outpace the
-// feedback budget, which is the regime of the paper's full-size data.
-// An explicit opts.Mutate can override the episode size.
+// threshold of 0. The episode size is quartered relative to the profile
+// default: the figure's phenomenon — wrong decisions flooding more
+// links than link-by-link negative feedback can remove — appears when
+// exploration floods outpace the feedback budget, which is the regime
+// of the paper's full-size data. An explicit opts.Mutate can override
+// the episode size.
 func Fig7Rollback(profileName string, opts Options) (*Fig7Result, error) {
 	opts = withDefault(opts, func(c *core.Config) {
 		if c.EpisodeSize >= 4 {
