@@ -18,8 +18,8 @@ import (
 
 // faultWorld builds an uncommitted single-source set in dir over a
 // fresh faultfs, with entities and initial links recorded, and returns
-// the reference graph its commit must read back as.
-func faultWorld(t *testing.T, dir string) (*faultfs.FS, *Set, *rdf.Graph) {
+// the oracle its commit must read back as.
+func faultWorld(t *testing.T, dir string) (*faultfs.FS, *Set, oracle) {
 	t.Helper()
 	ffs := faultfs.New(nil)
 	set, err := Create(dir, nil, Options{FS: ffs})
@@ -35,14 +35,14 @@ func faultWorld(t *testing.T, dir string) (*faultfs.FS, *Set, *rdf.Graph) {
 	fillSource(t, set, src, ts)
 	set.SetEntities("ds1", []rdf.ID{1, 2, 3})
 	set.SetInitialLinks([]links.Link{{E1: 1, E2: 4}})
-	return ffs, set, graphOf(ts)
+	return ffs, set, oracleOf(ts)
 }
 
 // assertTornBuild injects a fault, requires the commit to fail with the
 // source still reading as empty, then simulates a process death: the
 // reopen must find no store, and a fresh build over the same directory
 // — overwriting the torn build's files — must open equal to the
-// reference graph.
+// oracle.
 func assertTornBuild(t *testing.T, inject func(*faultfs.FS)) {
 	t.Helper()
 	dir := t.TempDir()

@@ -9,8 +9,8 @@ import (
 // FuzzSegmentRoundTrip drives arbitrary triple multisets through the
 // full segment cycle — sort, dedupe, write, reopen (alternating mmap
 // and heap reads on the input's parity) — and requires scan and
-// CountMatch identity against rdf.Graph, the reference TripleStore,
-// for every bound-position mask: at six fixed IDs, and at every
+// CountMatch identity against the oracle, a linear scan of the
+// distinct input triples, for every bound-position mask: at six fixed IDs, and at every
 // present triple's prefixes, so every non-empty range is checked.
 func FuzzSegmentRoundTrip(f *testing.F) {
 	f.Add([]byte{})
@@ -30,7 +30,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 				o: rdf.ID(data[i+2]%32 + 1),
 			})
 		}
-		g := graphOf(ts)
+		g := oracleOf(ts)
 		dir := t.TempDir()
 		cp := append([]triple(nil), ts...)
 		if err := writeSegment(nil2fs(), dir, "f-000001.seg", cp); err != nil {
@@ -43,7 +43,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 		defer seg.Close() //nolint:errcheck // read-only teardown
 		if seg.Count() != g.Size() {
-			t.Fatalf("count %d, graph %d", seg.Count(), g.Size())
+			t.Fatalf("count %d, oracle %d", seg.Count(), g.Size())
 		}
 		for mask := 0; mask < 8; mask++ {
 			for _, probe := range []rdf.ID{0, 1, 5, 16, 32, 33} {

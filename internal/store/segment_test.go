@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"os"
 	"testing"
 
 	"alex/internal/rdf"
@@ -23,16 +25,6 @@ func randomTriples(rng *rand.Rand, n, universe int) []triple {
 		}
 	}
 	return ts
-}
-
-// graphOf loads triples into a fresh rdf.Graph (the reference
-// implementation).
-func graphOf(ts []triple) *rdf.Graph {
-	g := rdf.NewGraph()
-	for _, t := range ts {
-		g.InsertIDs(t.s, t.p, t.o)
-	}
-	return g
 }
 
 // buildSegment writes and reopens one segment from the triples.
@@ -56,9 +48,9 @@ func buildSegment(t *testing.T, ts []triple, noMmap bool) *Segment {
 }
 
 // assertProbe checks one probe — the positions set in mask (1 S, 2 P,
-// 4 O) bound to s, p, o — against the reference graph: countMatch must
-// equal its count and forEachMatch must yield its triples, each once.
-func assertProbe(t testing.TB, seg *Segment, g *rdf.Graph, mask int, s, p, o rdf.ID) {
+// 4 O) bound to s, p, o — against the oracle: countMatch must equal its
+// count and forEachMatch must yield its triples, each once.
+func assertProbe(t testing.TB, seg *Segment, g oracle, mask int, s, p, o rdf.ID) {
 	t.Helper()
 	haveS, haveP, haveO := mask&1 != 0, mask&2 != 0, mask&4 != 0
 	if got, want := seg.countMatch(s, p, o, haveS, haveP, haveO), g.CountMatch(s, p, o, haveS, haveP, haveO); got != want {
@@ -82,9 +74,9 @@ func assertProbe(t testing.TB, seg *Segment, g *rdf.Graph, mask int, s, p, o rdf
 }
 
 // assertPresentPrefixes probes every bound mask with the components of
-// every triple in g, so every non-empty record range of every section
-// is checked, not only misses.
-func assertPresentPrefixes(t testing.TB, seg *Segment, g *rdf.Graph) {
+// every triple in the oracle, so every non-empty record range of every
+// section is checked, not only misses.
+func assertPresentPrefixes(t testing.TB, seg *Segment, g oracle) {
 	t.Helper()
 	type probe struct {
 		mask int
@@ -112,12 +104,13 @@ func assertPresentPrefixes(t testing.TB, seg *Segment, g *rdf.Graph) {
 	}
 }
 
-// assertSegmentMatchesGraph checks scan and count identity for every
-// bound-position combination over a sample of IDs.
-func assertSegmentMatchesGraph(t *testing.T, seg *Segment, g *rdf.Graph, universe int) {
+// assertSegmentMatchesGraph checks scan and count identity with the
+// oracle of the segment's input graph for every bound-position
+// combination over a sample of IDs.
+func assertSegmentMatchesGraph(t *testing.T, seg *Segment, g oracle, universe int) {
 	t.Helper()
 	if seg.Count() != g.Size() {
-		t.Fatalf("count: segment %d, graph %d", seg.Count(), g.Size())
+		t.Fatalf("count: segment %d, oracle %d", seg.Count(), g.Size())
 	}
 	assertProbe(t, seg, g, 0, 0, 0, 0)
 	for mask := 1; mask < 8; mask++ {
@@ -140,7 +133,7 @@ func TestSegmentBoundsSpanPages(t *testing.T) {
 			triple{rdf.ID(2000 + i), 3, rdf.ID(100 + i%7)},
 			triple{rdf.ID(2000 + i), rdf.ID(10 + i%3), 5})
 	}
-	g := graphOf(ts)
+	g := oracleOf(ts)
 	seg := buildSegment(t, ts, false)
 	for _, c := range []struct {
 		sec int
@@ -173,7 +166,7 @@ func TestSegmentEmpty(t *testing.T) {
 		"uncommitted": {},
 	} {
 		t.Run(name, func(t *testing.T) {
-			g := rdf.NewGraph()
+			var g oracle
 			for mask := 0; mask < 8; mask++ {
 				assertProbe(t, seg, g, mask, 0, 0, 0)
 				assertProbe(t, seg, g, mask, 1, 1, 1)
@@ -223,9 +216,54 @@ func TestSegmentMatchesGraph(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.n)*31 + 7))
 			ts := randomTriples(rng, tc.n, tc.universe)
-			g := graphOf(ts)
+			g := oracleOf(ts)
 			seg := buildSegment(t, ts, false)
 			assertSegmentMatchesGraph(t, seg, g, tc.universe)
+		})
+	}
+}
+
+// segmentFixture is an ALXSEG02 segment file holding fixtureTriples,
+// kept as written so that a format change cannot go unnoticed.
+const segmentFixture = "testdata/fixture.seg"
+
+// fixtureTriples are segmentFixture's triples: 700 draws, so every
+// section spans three pages and record ranges cross page ends.
+func fixtureTriples() []triple { return randomTriples(rand.New(rand.NewSource(38)), 700, 60) }
+
+// TestSegmentFixture: encoding the fixture's triples gives the
+// fixture's bytes, and the fixture opens — mapped and from the heap —
+// reading as its oracle, so a store directory written by an earlier
+// build still warm-starts.
+func TestSegmentFixture(t *testing.T) {
+	want, err := os.ReadFile(segmentFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := writeSegment(nil2fs(), dir, "x.seg", fixtureTriples()); err != nil {
+		t.Fatalf("writeSegment: %v", err)
+	}
+	got, err := os.ReadFile(dir + "/x.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoded segment (%d bytes) differs from %s (%d bytes)", len(got), segmentFixture, len(want))
+	}
+	or := oracleOf(fixtureTriples())
+	for _, noMmap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("noMmap=%v", noMmap), func(t *testing.T) {
+			seg, err := openSegment(nil2fs(), segmentFixture, noMmap)
+			if err != nil {
+				t.Fatalf("openSegment: %v", err)
+			}
+			defer seg.Close() //nolint:errcheck // read-only teardown
+			if noMmap && seg.mapped {
+				t.Fatal("segment mapped despite noMmap")
+			}
+			assertSegmentMatchesGraph(t, seg, or, 60)
+			assertPresentPrefixes(t, seg, or)
 		})
 	}
 }
@@ -233,7 +271,7 @@ func TestSegmentMatchesGraph(t *testing.T) {
 func TestSegmentNoMmapFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	ts := randomTriples(rng, 500, 16)
-	g := graphOf(ts)
+	g := oracleOf(ts)
 	seg := buildSegment(t, ts, true)
 	if seg.mapped {
 		t.Fatal("expected heap-loaded segment")
@@ -244,7 +282,7 @@ func TestSegmentNoMmapFallback(t *testing.T) {
 func TestSegmentPostingEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ts := randomTriples(rng, 800, 25)
-	g := graphOf(ts)
+	g := oracleOf(ts)
 	seg := buildSegment(t, ts, false)
 	gotS, wantS := seg.postingIDs(secSPO), g.SubjectIDs()
 	if len(gotS) != len(wantS) {

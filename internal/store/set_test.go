@@ -32,9 +32,9 @@ func fillSource(t *testing.T, set *Set, src *Segmented, ts []triple) {
 	}
 }
 
-// assertStoreEqual compares a Segmented store against a reference
-// graph on every TripleStore read.
-func assertStoreEqual(t *testing.T, got TripleStore, want *rdf.Graph, universe int) {
+// assertStoreEqual compares a Segmented store against the oracle on
+// every TripleStore read.
+func assertStoreEqual(t *testing.T, got TripleStore, want oracle, universe int) {
 	t.Helper()
 	if got.Size() != want.Size() {
 		t.Fatalf("size: %d want %d", got.Size(), want.Size())
@@ -99,12 +99,12 @@ func TestSetRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ts := randomTriples(rng, 1200, 30)
 	fillSource(t, set, src, ts)
-	ref := graphOf(ts)
+	ref := oracleOf(ts)
 	set.SetEntities("ds1", []rdf.ID{3, 1, 9})
 	set.SetInitialLinks([]links.Link{{E1: 1, E2: 2}, {E1: 5, E2: 7}})
 
 	// Before the commit the source reads as empty.
-	assertStoreEqual(t, src, rdf.NewGraph(), 30)
+	assertStoreEqual(t, src, nil, 30)
 	if err := set.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestSetCheckpointSkipsWhenClean(t *testing.T) {
 	if err != nil || !wrote {
 		t.Fatalf("first checkpoint: wrote=%v err=%v, want a commit", wrote, err)
 	}
-	assertStoreEqual(t, src, graphOf(ts), 10)
+	assertStoreEqual(t, src, oracleOf(ts), 10)
 	before := dirState(t, dir)
 	if wrote, err := set.Checkpoint(); err != nil || wrote {
 		t.Fatalf("committed checkpoint: wrote=%v err=%v", wrote, err)
