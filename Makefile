@@ -84,7 +84,8 @@ bench-query:
 # profile: the one-time store build, an mmap'd full scan, mmap cold
 # start vs N-Triples re-parse (acceptance: faster), and the probes a
 # bind join makes — S+P-bound point lookups and P+O-bound counts over
-# every pair of ds1, on rdf.Graph (mem) and the mmap'd segment (disk).
+# every pair of ds1, on rdf.Graph's heap image (mem) and the mmap'd
+# segment (disk): one index, two residencies.
 # Results land in BENCH_store.json.
 bench-store:
 	$(GO) test -run '^$$' -bench '^BenchmarkSegmentStore$$' -benchmem \

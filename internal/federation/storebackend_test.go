@@ -17,8 +17,9 @@ import (
 // join orders (the planner's output) — on every world and under every
 // configuration. The disk twin is built by persisting the mem
 // federator's triples, committing them once, then cold-starting from
-// the manifest, so the comparison also covers the build → commit →
-// mmap-open cycle, not just the in-process Segmented.
+// the manifest. Both sides search the same rdf.Index code, so what
+// this half checks is residency: the build → commit → mmap-open cycle
+// gives back the image the in-memory graph searches.
 
 // installedLinks reconstructs the link set a federator is running
 // with from its sameAs edge array (each edge carries the canonical

@@ -1,16 +1,20 @@
 package rdf
 
-import "sort"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// Graph is an in-memory RDF dataset with three access-path indexes
-// (SPO, POS, OSP) over dictionary-encoded term IDs. Graph is not safe for
+// Graph is an in-memory RDF dataset over dictionary-encoded term IDs:
+// an append buffer of inserted triples plus the sorted Index built
+// from them on the first read after a mutation, so it answers every
+// lookup with the same code as a segment file. Graph is not safe for
 // concurrent mutation; concurrent reads are safe once loading is done.
 type Graph struct {
-	dict *Dict
-	spo  map[ID]map[ID][]ID
-	pos  map[ID]map[ID][]ID
-	osp  map[ID]map[ID][]ID
-	size int
+	dict    *Dict
+	mu      sync.Mutex // serialises building idx from pending
+	pending []IDTriple // inserted since idx was built
+	idx     atomic.Pointer[Index]
 }
 
 // NewGraph returns an empty graph with its own private dictionary.
@@ -19,57 +23,54 @@ func NewGraph() *Graph { return NewGraphWithDict(NewDict()) }
 // NewGraphWithDict returns an empty graph interning terms into d. Sharing
 // a dictionary across graphs makes IDs comparable across datasets, which
 // the linking layers rely on.
-func NewGraphWithDict(d *Dict) *Graph {
-	return &Graph{
-		dict: d,
-		spo:  make(map[ID]map[ID][]ID),
-		pos:  make(map[ID]map[ID][]ID),
-		osp:  make(map[ID]map[ID][]ID),
-	}
-}
+func NewGraphWithDict(d *Dict) *Graph { return &Graph{dict: d} }
 
 // Dict returns the graph's dictionary.
 func (g *Graph) Dict() *Dict { return g.dict }
 
 // Size returns the number of distinct triples.
-func (g *Graph) Size() int { return g.size }
+func (g *Graph) Size() int { return g.index().Size() }
 
-// Insert adds a triple and reports whether it was new.
-func (g *Graph) Insert(t Triple) bool {
-	s := g.dict.Intern(t.S)
-	p := g.dict.Intern(t.P)
-	o := g.dict.Intern(t.O)
-	return g.InsertIDs(s, p, o)
+// Insert adds a triple; a duplicate is dropped when the index is built.
+func (g *Graph) Insert(t Triple) {
+	g.InsertIDs(g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O))
 }
 
-// InsertIDs adds a triple given already interned IDs and reports whether
-// it was new.
-func (g *Graph) InsertIDs(s, p, o ID) bool {
-	po := g.spo[s]
-	if po == nil {
-		po = make(map[ID][]ID)
-		g.spo[s] = po
+// InsertIDs adds a triple given already interned IDs. An insert after a
+// read folds the built index back into the buffer, to be rebuilt on the
+// next read.
+func (g *Graph) InsertIDs(s, p, o ID) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if x := g.idx.Load(); x != nil {
+		g.pending = make([]IDTriple, 0, x.Size()+1)
+		x.ForEachMatchIDs(0, 0, 0, false, false, false, func(s, p, o ID) bool {
+			g.pending = append(g.pending, IDTriple{s, p, o})
+			return true
+		})
+		g.idx.Store(nil)
 	}
-	objs := po[p]
-	for _, existing := range objs {
-		if existing == o {
-			return false
-		}
-	}
-	po[p] = append(objs, o)
-	addIndex(g.pos, p, o, s)
-	addIndex(g.osp, o, s, p)
-	g.size++
-	return true
+	g.pending = append(g.pending, IDTriple{s, p, o})
 }
 
-func addIndex(idx map[ID]map[ID][]ID, a, b, c ID) {
-	m := idx[a]
-	if m == nil {
-		m = make(map[ID][]ID)
-		idx[a] = m
+// index returns the index of every inserted triple, building it on the
+// first read after a mutation. Afterwards a read is one atomic load.
+func (g *Graph) index() *Index {
+	if x := g.idx.Load(); x != nil {
+		return x
 	}
-	m[b] = append(m[b], c)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if x := g.idx.Load(); x != nil {
+		return x
+	}
+	x, err := OpenIndex(EncodeIndex(g.pending))
+	if err != nil {
+		panic("rdf: the encoder wrote an invalid index: " + err.Error())
+	}
+	g.pending = nil
+	g.idx.Store(x)
+	return x
 }
 
 // Has reports whether the triple is present.
@@ -86,39 +87,28 @@ func (g *Graph) Has(t Triple) bool {
 	if !ok {
 		return false
 	}
-	for _, existing := range g.spo[s][p] {
-		if existing == o {
-			return true
-		}
-	}
-	return false
+	return g.CountMatch(s, p, o, true, true, true) > 0
 }
 
-// Objects returns the object IDs of triples (s, p, ·).
-func (g *Graph) Objects(s, p ID) []ID { return g.spo[s][p] }
+// Objects returns the object IDs of triples (s, p, ·) in ascending order.
+func (g *Graph) Objects(s, p ID) []ID {
+	var out []ID
+	g.ForEachMatchIDs(s, p, 0, true, true, false, func(_, _, o ID) bool { out = append(out, o); return true })
+	return out
+}
 
-// Subjects returns the subject IDs of triples (·, p, o).
-func (g *Graph) Subjects(p, o ID) []ID { return g.pos[p][o] }
+// Subjects returns the subject IDs of triples (·, p, o) in ascending order.
+func (g *Graph) Subjects(p, o ID) []ID {
+	var out []ID
+	g.ForEachMatchIDs(0, p, o, false, true, true, func(s, _, _ ID) bool { out = append(out, s); return true })
+	return out
+}
 
 // SubjectIDs returns all distinct subject IDs in ascending order.
-func (g *Graph) SubjectIDs() []ID {
-	out := make([]ID, 0, len(g.spo))
-	for s := range g.spo {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) SubjectIDs() []ID { return g.index().SubjectIDs() }
 
 // PredicateIDs returns all distinct predicate IDs in ascending order.
-func (g *Graph) PredicateIDs() []ID {
-	out := make([]ID, 0, len(g.pos))
-	for p := range g.pos {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) PredicateIDs() []ID { return g.index().PredicateIDs() }
 
 // Attribute is a (predicate, object) pair of an entity.
 type Attribute struct {
@@ -129,25 +119,7 @@ type Attribute struct {
 // Entity returns all (predicate, object) pairs of subject s, ordered by
 // predicate then object ID. This is the "entity = set of attributes" view
 // of Section 4.1 of the paper.
-func (g *Graph) Entity(s ID) []Attribute {
-	po := g.spo[s]
-	if len(po) == 0 {
-		return nil
-	}
-	out := make([]Attribute, 0, len(po))
-	for p, objs := range po {
-		for _, o := range objs {
-			out = append(out, Attribute{Pred: p, Obj: o})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pred != out[j].Pred {
-			return out[i].Pred < out[j].Pred
-		}
-		return out[i].Obj < out[j].Obj
-	})
-	return out
-}
+func (g *Graph) Entity(s ID) []Attribute { return g.index().Entity(s) }
 
 // Pattern is a triple pattern; nil fields are wildcards.
 type Pattern struct {
@@ -155,7 +127,7 @@ type Pattern struct {
 }
 
 // ForEachMatch calls fn for every triple matching the pattern until fn
-// returns false. Matching picks the most selective index available.
+// returns false. Matching searches the index on the bound positions.
 func (g *Graph) ForEachMatch(pat Pattern, fn func(Triple) bool) {
 	var s, p, o ID
 	var haveS, haveP, haveO bool
@@ -187,118 +159,21 @@ func (g *Graph) ForEachMatch(pat Pattern, fn func(Triple) bool) {
 
 // ForEachMatchIDs is the ID-level matcher behind ForEachMatch. The have*
 // flags mark bound positions; unbound positions are wildcards. fn returns
-// false to stop early.
+// false to stop early. A full scan comes in (s, p, o) ID order.
 func (g *Graph) ForEachMatchIDs(s, p, o ID, haveS, haveP, haveO bool, fn func(s, p, o ID) bool) {
-	switch {
-	case haveS && haveP && haveO:
-		for _, oo := range g.spo[s][p] {
-			if oo == o {
-				fn(s, p, o)
-				return
-			}
-		}
-	case haveS && haveP:
-		for _, oo := range g.spo[s][p] {
-			if !fn(s, p, oo) {
-				return
-			}
-		}
-	case haveP && haveO:
-		for _, ss := range g.pos[p][o] {
-			if !fn(ss, p, o) {
-				return
-			}
-		}
-	case haveS && haveO:
-		for _, pp := range g.osp[o][s] {
-			if !fn(s, pp, o) {
-				return
-			}
-		}
-	case haveS:
-		for pp, objs := range g.spo[s] {
-			for _, oo := range objs {
-				if !fn(s, pp, oo) {
-					return
-				}
-			}
-		}
-	case haveP:
-		for oo, subs := range g.pos[p] {
-			for _, ss := range subs {
-				if !fn(ss, p, oo) {
-					return
-				}
-			}
-		}
-	case haveO:
-		for ss, preds := range g.osp[o] {
-			for _, pp := range preds {
-				if !fn(ss, pp, o) {
-					return
-				}
-			}
-		}
-	default:
-		for ss, po := range g.spo {
-			for pp, objs := range po {
-				for _, o2 := range objs {
-					if !fn(ss, pp, o2) {
-						return
-					}
-				}
-			}
-		}
-	}
+	g.index().ForEachMatchIDs(s, p, o, haveS, haveP, haveO, fn)
 }
 
 // CountMatch returns the number of triples matching the ID pattern; used
-// for selectivity estimation by the query engine. It counts straight off
-// the index postings rather than enumerating matches, so planners can
-// afford to estimate every pattern: two-bound patterns are O(1) plus one
-// slice scan, one-bound patterns are O(distinct second key), and the
-// all-wildcard pattern is O(1).
+// for selectivity estimation by the query engine. It is the size of the
+// pattern's record range in the index, found without enumerating it.
 func (g *Graph) CountMatch(s, p, o ID, haveS, haveP, haveO bool) int {
-	switch {
-	case haveS && haveP && haveO:
-		for _, oo := range g.spo[s][p] {
-			if oo == o {
-				return 1
-			}
-		}
-		return 0
-	case haveS && haveP:
-		return len(g.spo[s][p])
-	case haveP && haveO:
-		return len(g.pos[p][o])
-	case haveS && haveO:
-		return len(g.osp[o][s])
-	case haveS:
-		n := 0
-		for _, objs := range g.spo[s] {
-			n += len(objs)
-		}
-		return n
-	case haveP:
-		n := 0
-		for _, subs := range g.pos[p] {
-			n += len(subs)
-		}
-		return n
-	case haveO:
-		n := 0
-		for _, preds := range g.osp[o] {
-			n += len(preds)
-		}
-		return n
-	default:
-		return g.size
-	}
+	return g.index().CountMatch(s, p, o, haveS, haveP, haveO)
 }
 
 // Triples returns all triples. Intended for tests and small graphs.
 func (g *Graph) Triples() []Triple {
-	out := make([]Triple, 0, g.size)
+	out := make([]Triple, 0, g.Size())
 	g.ForEachMatch(Pattern{}, func(t Triple) bool {
 		out = append(out, t)
 		return true

@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -13,12 +14,8 @@ func tr(s, p, o string) Triple {
 
 func TestGraphInsertDedup(t *testing.T) {
 	g := NewGraph()
-	if !g.Insert(tr("s", "p", "o")) {
-		t.Fatal("first insert reported duplicate")
-	}
-	if g.Insert(tr("s", "p", "o")) {
-		t.Fatal("second insert reported new")
-	}
+	g.Insert(tr("s", "p", "o"))
+	g.Insert(tr("s", "p", "o"))
 	if g.Size() != 1 {
 		t.Fatalf("Size = %d, want 1", g.Size())
 	}
@@ -244,5 +241,70 @@ func TestCountMatchAgainstEnumeration(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGraphConcurrentFirstReads: eight goroutines make the first reads
+// of a freshly loaded graph at once, so they race to build its index;
+// run under -race. Every one must see the whole graph.
+func TestGraphConcurrentFirstReads(t *testing.T) {
+	g := buildBenchGraph(500)
+	d := g.Dict()
+	s, _ := d.Lookup(IRI("http://e/7"))
+	p, _ := d.Lookup(IRI("http://p/type"))
+	o, _ := d.Lookup(IRI("http://t/7"))
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*3)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				if n := g.CountMatch(0, p, o, false, true, true); n != 31 { // i%16 == 7 for 31 i < 500
+					errs <- fmt.Sprintf("CountMatch(·,type,t7) = %d, want 31", n)
+				}
+			case 1:
+				n := 0
+				g.ForEachMatchIDs(s, 0, 0, true, false, false, func(_, _, _ ID) bool { n++; return true })
+				if n != 3 {
+					errs <- fmt.Sprintf("ForEachMatchIDs(e7,·,·) saw %d, want 3", n)
+				}
+			default:
+				if a := g.Entity(s); len(a) != 3 {
+					errs <- fmt.Sprintf("Entity(e7) = %d attributes, want 3", len(a))
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if g.Size() != 3*500 {
+		t.Fatalf("Size = %d, want %d", g.Size(), 3*500)
+	}
+}
+
+// TestGraphInsertAfterRead: an insert after a read is visible to the
+// next read, and a duplicate of a triple already indexed counts once.
+func TestGraphInsertAfterRead(t *testing.T) {
+	g := NewGraph()
+	g.Insert(tr("s", "p", "o1"))
+	if g.Size() != 1 {
+		t.Fatalf("Size = %d, want 1", g.Size())
+	}
+	g.Insert(tr("s", "p", "o2"))
+	g.Insert(tr("s", "p", "o1"))
+	if g.Size() != 2 {
+		t.Fatalf("Size after inserts = %d, want 2", g.Size())
+	}
+	if !g.Has(tr("s", "p", "o2")) {
+		t.Fatal("a triple inserted after a read is missing")
+	}
+	s, _ := g.Dict().Lookup(IRI("http://ex.org/s"))
+	if attrs := g.Entity(s); len(attrs) != 2 {
+		t.Fatalf("Entity = %v, want 2 attributes", attrs)
 	}
 }

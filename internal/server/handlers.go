@@ -128,9 +128,10 @@ type StoreSourceHealth struct {
 	Triples int    `json:"triples"`
 }
 
-// StoreHealth surfaces the active triple-store backend. Backend is
-// "mem" (everything in rdf.Graph maps) or "disk" (one mmap'd immutable
-// segment per source); Sources is only set for "disk".
+// StoreHealth surfaces where the triple index lives. Backend is "mem"
+// (each source an rdf.Graph, its index image on the heap) or "disk"
+// (one mmap'd immutable segment file per source holding the same
+// image); Sources is only set for "disk".
 type StoreHealth struct {
 	Backend string              `json:"backend"`
 	Sources []StoreSourceHealth `json:"sources,omitempty"`

@@ -1,7 +1,9 @@
 // Package sparql implements a SPARQL subset sufficient for the federated
 // query workloads in the ALEX reproduction: SELECT queries with basic
 // graph patterns, FILTER expressions, OPTIONAL, UNION, DISTINCT,
-// ORDER BY, LIMIT and OFFSET, evaluated over the in-memory rdf.Graph.
+// ORDER BY, LIMIT and OFFSET. It is the language only: the parser, FILTER
+// expressions and the finalisation of solution rows. internal/federation
+// evaluates a query's patterns over the stores.
 package sparql
 
 import (

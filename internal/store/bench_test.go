@@ -65,12 +65,16 @@ func buildBenchSet(b *testing.B, dir string) *Set {
 //     path's worst case);
 //   - coldstart/mmap: Open on a committed directory (footers + dict);
 //   - coldstart/parse: re-parsing the same triples from N-Triples text
-//     into a fresh rdf.Graph, the mem backend's cold start;
+//     into a fresh rdf.Graph and building its index, the in-memory
+//     cold start;
 //   - point/{mem,disk}: one S+P-bound ForEachMatchIDs per op, cycling
-//     over every (s,p) of ds1 — the probe a bind join makes per row —
-//     on rdf.Graph and on the mmap'd segment;
+//     over every (s,p) of ds1 — the probe a bind join makes per row;
 //   - count/{mem,disk}: one P+O-bound CountMatch per op, cycling over
 //     every (p,o) of ds1 — the planner's statistic.
+//
+// mem is ds1 as an rdf.Graph, whose index image is on the heap; disk
+// is the same image as the mmap'd segment of a committed store. Both
+// run the one rdf.Index search, so they differ in residency only.
 func BenchmarkSegmentStore(b *testing.B) {
 	ds := benchDataset(b)
 	total := ds.G1.Size() + ds.G2.Size()
@@ -180,8 +184,8 @@ func BenchmarkSegmentStore(b *testing.B) {
 	})
 }
 
-// benchBackends runs fn on ds1 as rdf.Graph ("mem") and as the mmap'd
-// segment of a committed store ("disk").
+// benchBackends runs fn on ds1 as rdf.Graph, its index on the heap
+// ("mem"), and as the mmap'd segment of a committed store ("disk").
 func benchBackends(b *testing.B, fn func(b *testing.B, ts TripleStore)) {
 	b.Run("mem", func(b *testing.B) { fn(b, benchDataset(b).G1) })
 	b.Run("disk", func(b *testing.B) {

@@ -32,8 +32,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 		g := oracleOf(ts)
 		dir := t.TempDir()
-		cp := append([]triple(nil), ts...)
-		if err := writeSegment(nil2fs(), dir, "f-000001.seg", cp); err != nil {
+		if err := writeSegment(dir, "f-000001.seg", ts); err != nil {
 			t.Fatalf("writeSegment: %v", err)
 		}
 		noMmap := len(data)%2 == 1
@@ -42,8 +41,8 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			t.Fatalf("openSegment: %v", err)
 		}
 		defer seg.Close() //nolint:errcheck // read-only teardown
-		if seg.Count() != g.Size() {
-			t.Fatalf("count %d, oracle %d", seg.Count(), g.Size())
+		if seg.Size() != g.Size() {
+			t.Fatalf("count %d, oracle %d", seg.Size(), g.Size())
 		}
 		for mask := 0; mask < 8; mask++ {
 			for _, probe := range []rdf.ID{0, 1, 5, 16, 32, 33} {

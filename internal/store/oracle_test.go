@@ -6,6 +6,8 @@ import (
 	"alex/internal/rdf"
 )
 
+type triple struct{ s, p, o rdf.ID }
+
 // oracle is the reference the store's reads are judged against: the
 // distinct input triples, searched by a linear scan. It shares no code
 // with the sorted index under test, so it cannot agree with a bug in

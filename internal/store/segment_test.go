@@ -13,6 +13,13 @@ import (
 	"alex/internal/wal"
 )
 
+// The index geometry the tests build against: 12-byte records in
+// 4096-byte pages, and the image's trailer length.
+const (
+	recsPerPage = 4096 / 12
+	segTrailer  = 8 + 8 + 4 + 8
+)
+
 // randomTriples returns n random (possibly duplicate) triples over a
 // small ID universe, so every bound-position combination has matches.
 func randomTriples(rng *rand.Rand, n, universe int) []triple {
@@ -27,12 +34,25 @@ func randomTriples(rng *rand.Rand, n, universe int) []triple {
 	return ts
 }
 
+// encodeSegment returns the segment image of ts.
+func encodeSegment(ts []triple) []byte {
+	ids := make([]rdf.IDTriple, len(ts))
+	for i, t := range ts {
+		ids[i] = rdf.IDTriple{S: t.s, P: t.p, O: t.o}
+	}
+	return rdf.EncodeIndex(ids)
+}
+
+// writeSegment writes the segment image of ts to dir/name.
+func writeSegment(dir, name string, ts []triple) error {
+	return os.WriteFile(dir+"/"+name, encodeSegment(ts), 0o644)
+}
+
 // buildSegment writes and reopens one segment from the triples.
 func buildSegment(t *testing.T, ts []triple, noMmap bool) *Segment {
 	t.Helper()
 	dir := t.TempDir()
-	cp := append([]triple(nil), ts...)
-	if err := writeSegment(nil2fs(), dir, "t-000001.seg", cp); err != nil {
+	if err := writeSegment(dir, "t-000001.seg", ts); err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
 	seg, err := openSegment(nil2fs(), dir+"/t-000001.seg", noMmap)
@@ -48,28 +68,28 @@ func buildSegment(t *testing.T, ts []triple, noMmap bool) *Segment {
 }
 
 // assertProbe checks one probe — the positions set in mask (1 S, 2 P,
-// 4 O) bound to s, p, o — against the oracle: countMatch must equal its
-// count and forEachMatch must yield its triples, each once.
+// 4 O) bound to s, p, o — against the oracle: CountMatch must equal its
+// count and ForEachMatchIDs must yield its triples, each once.
 func assertProbe(t testing.TB, seg *Segment, g oracle, mask int, s, p, o rdf.ID) {
 	t.Helper()
 	haveS, haveP, haveO := mask&1 != 0, mask&2 != 0, mask&4 != 0
-	if got, want := seg.countMatch(s, p, o, haveS, haveP, haveO), g.CountMatch(s, p, o, haveS, haveP, haveO); got != want {
-		t.Fatalf("countMatch mask=%03b (%d,%d,%d): %d want %d", mask, s, p, o, got, want)
+	if got, want := seg.CountMatch(s, p, o, haveS, haveP, haveO), g.CountMatch(s, p, o, haveS, haveP, haveO); got != want {
+		t.Fatalf("CountMatch mask=%03b (%d,%d,%d): %d want %d", mask, s, p, o, got, want)
 	}
 	want := map[triple]bool{}
 	g.ForEachMatchIDs(s, p, o, haveS, haveP, haveO, func(ts, tp, to rdf.ID) bool {
 		want[triple{ts, tp, to}] = true
 		return true
 	})
-	seg.forEachMatch(s, p, o, haveS, haveP, haveO, func(ts, tp, to rdf.ID) bool {
+	seg.ForEachMatchIDs(s, p, o, haveS, haveP, haveO, func(ts, tp, to rdf.ID) bool {
 		if !want[triple{ts, tp, to}] {
-			t.Fatalf("forEachMatch mask=%03b (%d,%d,%d): unexpected or repeated (%d,%d,%d)", mask, s, p, o, ts, tp, to)
+			t.Fatalf("ForEachMatchIDs mask=%03b (%d,%d,%d): unexpected or repeated (%d,%d,%d)", mask, s, p, o, ts, tp, to)
 		}
 		delete(want, triple{ts, tp, to})
 		return true
 	})
 	if len(want) != 0 {
-		t.Fatalf("forEachMatch mask=%03b (%d,%d,%d): %d triples missing", mask, s, p, o, len(want))
+		t.Fatalf("ForEachMatchIDs mask=%03b (%d,%d,%d): %d triples missing", mask, s, p, o, len(want))
 	}
 }
 
@@ -109,8 +129,8 @@ func assertPresentPrefixes(t testing.TB, seg *Segment, g oracle) {
 // combination over a sample of IDs.
 func assertSegmentMatchesGraph(t *testing.T, seg *Segment, g oracle, universe int) {
 	t.Helper()
-	if seg.Count() != g.Size() {
-		t.Fatalf("count: segment %d, oracle %d", seg.Count(), g.Size())
+	if seg.Size() != g.Size() {
+		t.Fatalf("count: segment %d, oracle %d", seg.Size(), g.Size())
 	}
 	assertProbe(t, seg, g, 0, 0, 0, 0)
 	for mask := 1; mask < 8; mask++ {
@@ -135,13 +155,13 @@ func TestSegmentBoundsSpanPages(t *testing.T) {
 	}
 	g := oracleOf(ts)
 	seg := buildSegment(t, ts, false)
-	for _, c := range []struct {
-		sec int
-		id  uint32
-	}{{secSPO, 7}, {secPOS, 3}, {secOSP, 5}} {
-		lo, hi := seg.bounds(c.sec, [3]uint32{c.id}, 1)
-		if pages := (hi-1)/recsPerPage - lo/recsPerPage + 1; pages < 3 {
-			t.Fatalf("section %d ID %d: records [%d, %d) span %d pages, want ≥ 3", c.sec, c.id, lo, hi, pages)
+	for mask, n := range map[int]int{
+		1: seg.CountMatch(7, 0, 0, true, false, false),
+		2: seg.CountMatch(0, 3, 0, false, true, false),
+		4: seg.CountMatch(0, 0, 5, false, false, true),
+	} {
+		if n < wide { // a range of more than two pages' records spans at least three
+			t.Fatalf("mask=%03b: %d records, want ≥ %d", mask, n, wide)
 		}
 	}
 	assertPresentPrefixes(t, seg, g)
@@ -171,16 +191,17 @@ func TestSegmentEmpty(t *testing.T) {
 				assertProbe(t, seg, g, mask, 0, 0, 0)
 				assertProbe(t, seg, g, mask, 1, 1, 1)
 			}
-			if ids := seg.postingIDs(secSPO); len(ids) != 0 {
+			if ids := seg.SubjectIDs(); len(ids) != 0 {
 				t.Fatalf("subjects %v, want none", ids)
 			}
 		})
 	}
 }
 
-// TestSegmentLookupAllocs pins a bound lookup on a committed store at
-// zero allocations: the posting-table search and the in-range searches
-// are plain loops over the mapped bytes.
+// TestSegmentLookupAllocs pins a bound lookup at zero allocations on a
+// committed store and on a loaded rdf.Graph: the posting-table search
+// and the in-range searches are plain loops over the index bytes, and
+// a graph's built index is one atomic load away.
 func TestSegmentLookupAllocs(t *testing.T) {
 	set, err := Create(t.TempDir(), nil, Options{})
 	if err != nil {
@@ -196,16 +217,23 @@ func TestSegmentLookupAllocs(t *testing.T) {
 	if err := set.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	probe, n := ts[0], 0
-	fn := func(_, _, _ rdf.ID) bool { n++; return true }
-	if a := testing.AllocsPerRun(100, func() { src.ForEachMatchIDs(probe.s, probe.p, 0, true, true, false, fn) }); a != 0 {
-		t.Errorf("S+P-bound ForEachMatchIDs: %v allocations, want 0", a)
+	g := rdf.NewGraph()
+	for _, tr := range ts {
+		g.InsertIDs(tr.s, tr.p, tr.o)
 	}
-	if a := testing.AllocsPerRun(100, func() { n += src.CountMatch(0, probe.p, probe.o, false, true, true) }); a != 0 {
-		t.Errorf("P+O-bound CountMatch: %v allocations, want 0", a)
-	}
-	if n == 0 {
-		t.Fatal("the probes matched nothing")
+	g.Size() // the first read builds the index
+	for name, st := range map[string]TripleStore{"segmented": src, "graph": g} {
+		probe, n := ts[0], 0
+		fn := func(_, _, _ rdf.ID) bool { n++; return true }
+		if a := testing.AllocsPerRun(100, func() { st.ForEachMatchIDs(probe.s, probe.p, 0, true, true, false, fn) }); a != 0 {
+			t.Errorf("%s: S+P-bound ForEachMatchIDs: %v allocations, want 0", name, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { n += st.CountMatch(0, probe.p, probe.o, false, true, true) }); a != 0 {
+			t.Errorf("%s: P+O-bound CountMatch: %v allocations, want 0", name, a)
+		}
+		if n == 0 {
+			t.Fatalf("%s: the probes matched nothing", name)
+		}
 	}
 }
 
@@ -240,15 +268,7 @@ func TestSegmentFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := writeSegment(nil2fs(), dir, "x.seg", fixtureTriples()); err != nil {
-		t.Fatalf("writeSegment: %v", err)
-	}
-	got, err := os.ReadFile(dir + "/x.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if got := encodeSegment(fixtureTriples()); !bytes.Equal(got, want) {
 		t.Fatalf("encoded segment (%d bytes) differs from %s (%d bytes)", len(got), segmentFixture, len(want))
 	}
 	or := oracleOf(fixtureTriples())
@@ -284,7 +304,7 @@ func TestSegmentPostingEnumeration(t *testing.T) {
 	ts := randomTriples(rng, 800, 25)
 	g := oracleOf(ts)
 	seg := buildSegment(t, ts, false)
-	gotS, wantS := seg.postingIDs(secSPO), g.SubjectIDs()
+	gotS, wantS := seg.SubjectIDs(), g.SubjectIDs()
 	if len(gotS) != len(wantS) {
 		t.Fatalf("subjects: %d vs %d", len(gotS), len(wantS))
 	}
@@ -293,7 +313,7 @@ func TestSegmentPostingEnumeration(t *testing.T) {
 			t.Fatalf("subjects[%d]: %d vs %d", i, gotS[i], wantS[i])
 		}
 	}
-	gotP, wantP := seg.postingIDs(secPOS), g.PredicateIDs()
+	gotP, wantP := seg.PredicateIDs(), g.PredicateIDs()
 	if fmt.Sprint(gotP) != fmt.Sprint(wantP) {
 		t.Fatalf("predicates: %v vs %v", gotP, wantP)
 	}
@@ -303,7 +323,7 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ts := randomTriples(rng, 50, 8)
 	dir := t.TempDir()
-	if err := writeSegment(nil2fs(), dir, "c-000001.seg", ts); err != nil {
+	if err := writeSegment(dir, "c-000001.seg", ts); err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
 	path := dir + "/c-000001.seg"
@@ -315,7 +335,7 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 	if err := seg.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if _, err := parseSegment(path, withFooter(append([]byte(nil), data...), func([]byte) {}), false); err != nil {
+	if _, err := rdf.OpenIndex(withFooter(append([]byte(nil), data...), func([]byte) {})); err != nil {
 		t.Fatalf("a footer with its CRC recomputed but unchanged: %v", err)
 	}
 	// The SPO posting table starts after its uint32 entry count; entry i
@@ -341,13 +361,13 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 		"posting-first-past-count": func(b []byte) []byte {
 			return withFooter(b, func(f []byte) {
 				last := int(binary.LittleEndian.Uint32(f)) - 1
-				binary.LittleEndian.PutUint32(f[spo(last)+4:], uint32(seg.count))
+				binary.LittleEndian.PutUint32(f[spo(last)+4:], uint32(seg.Size()))
 			})
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			mut := mutate(append([]byte(nil), data...))
-			if _, err := parseSegment(path, mut, false); err == nil {
+			if _, err := rdf.OpenIndex(mut); err == nil {
 				t.Fatal("corrupt segment accepted")
 			}
 		})

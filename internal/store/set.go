@@ -17,7 +17,7 @@ import (
 
 // On-disk layout of a store directory:
 //
-//	<src>.seg       the source's triples, one sorted segment (segment.go)
+//	<src>.seg       the source's triples, one rdf.Index image (segment.go)
 //	<src>.ent       the source's linkable-entity ID list
 //	links.bin       the initial candidate link set
 //	dict.bin        the dictionary terms in ID order
@@ -192,7 +192,7 @@ func (s *Set) writeFiles() error {
 	m := manifest{Version: manifestVersion, Meta: s.opts.Meta}
 	for _, src := range s.sources {
 		ms := manifestSource{Name: src.name, Segment: src.name + ".seg"}
-		if err := writeSegment(s.fs, s.dir, ms.Segment, src.build); err != nil {
+		if err := s.writeFileAtomic(ms.Segment, rdf.EncodeIndex(src.build)); err != nil {
 			return err
 		}
 		if ids, ok := s.entities[src.name]; ok {

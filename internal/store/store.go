@@ -1,35 +1,37 @@
 // Package store is the storage layer behind the federated query engine:
-// a common TripleStore interface with two backends.
+// a common TripleStore interface and the segment store that persists
+// it.
 //
-// The in-memory backend is rdf.Graph — three map-based indexes, the
-// small-data fast path and the default. The disk backend (Segmented,
-// managed per-dataset by Set) keeps each source as one immutable
-// sorted segment file, written once:
+// There is one triple index, rdf.Index: the SPO, POS and OSP orderings
+// of a dataset's triples in fixed-size pages, with each ordering's
+// posting table — every distinct leading ID (S, P, O) with the record
+// range it leads. A bound lookup is one binary search of that table,
+// then searches inside the range on the remaining components, and
+// CountMatch is the range's size, so the planner's statistics cost no
+// scan. It has two residencies:
 //
-//   - A segment file holds the SPO, POS and OSP orderings of the
-//     source's triples in fixed-size pages, with a footer carrying
-//     each ordering's posting table: every distinct leading ID (S, P,
-//     O) with the record range it leads. A bound lookup is one binary
-//     search of that table, then searches inside the range on the
-//     remaining components, and CountMatch is the range's size, so the
-//     planner's statistics cost no scan on either backend.
-//   - Segments are mmap'd at open, so cold start is a map, not a parse,
-//     and the OS pages data in on demand — the dataset no longer has to
-//     fit in RAM.
-//   - A store is built once (Create, AddSource, InsertIDs, Compact) and
-//     committed by writing its manifest last. ALEX's feedback changes
-//     the link set, never the datasets, so nothing writes the store
-//     while it serves, and a committed store is safe for concurrent
-//     reads without locks.
+//   - In memory, rdf.Graph builds the image on the heap from the
+//     triples inserted into it, on the first read after loading.
+//   - On disk, Segmented (managed per dataset by Set) keeps each source
+//     as one immutable segment file holding the same image. Segments
+//     are mmap'd at open, so cold start is a map, not a parse, and the
+//     OS pages data in on demand — the dataset does not have to fit in
+//     RAM.
+//
+// A store is built once (Create, AddSource, InsertIDs, Compact) and
+// committed by writing its manifest last. ALEX's feedback changes the
+// link set, never the datasets, so nothing writes the store while it
+// serves, and a committed store is safe for concurrent reads without
+// locks.
 package store
 
 import "alex/internal/rdf"
 
 // TripleStore is the read surface the linking and query layers need
-// from a triple store. Both *rdf.Graph (mem backend) and *Segmented
-// (disk backend) satisfy it; the federation planner relies on
-// CountMatch returning exactly the same values on both, which the
-// cross-backend equivalence harness asserts.
+// from a triple store. Both *rdf.Graph (in memory) and *Segmented (on
+// disk) satisfy it by delegating every read to an rdf.Index over the
+// same image bytes, so the federation planner's CountMatch values are
+// the same on both by construction.
 type TripleStore interface {
 	// Dict returns the dictionary the store's IDs are interned in.
 	Dict() *rdf.Dict
