@@ -61,7 +61,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "feedback oracle seed")
 	csvDir := flag.String("csv", "", "also write per-episode series as CSV files into this directory")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
-	storeBackend := flag.String("store", "mem", "triple store backend: mem (in-memory graphs) or disk (temporary mmap'd segment store)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	ds1 := flag.String("ds1", "", "N-Triples file of dataset 1 (file mode, with -ds2 and -truth)")
 	ds2 := flag.String("ds2", "", "N-Triples file of dataset 2 (file mode)")
@@ -81,7 +80,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Store: *storeBackend}
+	opts := experiments.Options{Scale: *scale, Seed: *seed}
 	if *ds1 != "" || *ds2 != "" || *truth != "" {
 		if *ds1 == "" || *ds2 == "" || *truth == "" {
 			fmt.Fprintln(os.Stderr, "alexbench: file mode needs all of -ds1, -ds2 and -truth")

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"time"
 
@@ -17,8 +16,6 @@ import (
 	"alex/internal/feedback"
 	"alex/internal/links"
 	"alex/internal/paris"
-	"alex/internal/rdf"
-	"alex/internal/store"
 	"alex/internal/synth"
 )
 
@@ -48,12 +45,6 @@ type Options struct {
 	Mutate func(*core.Config)
 	// Seed overrides the oracle/driver seed (0 = default).
 	Seed int64
-	// Store selects the triple-store backend the run's sources are
-	// served from: "" or "mem" keeps the generated rdf.Graphs; "disk"
-	// persists them into a temporary mmap'd segment store (what alexd
-	// serves with -data), so experiments exercise the segment read path
-	// end to end.
-	Store string
 }
 
 func (o *Options) fill() {
@@ -65,51 +56,6 @@ func (o *Options) fill() {
 	}
 }
 
-// stores returns the dataset pair behind the configured backend. For
-// "disk" the graphs are committed into a segment store under a
-// temporary directory; cleanup unmaps and removes it (safe to call on
-// the mem path too).
-func (o *Options) stores(ds *synth.Dataset) (t1, t2 store.TripleStore, cleanup func(), err error) {
-	switch o.Store {
-	case "", "mem":
-		return ds.G1, ds.G2, func() {}, nil
-	case "disk":
-	default:
-		return nil, nil, nil, fmt.Errorf("experiments: unknown store backend %q (mem|disk)", o.Store)
-	}
-	dir, err := os.MkdirTemp("", "alexstore-*")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	set, err := store.Create(dir, ds.Dict, store.Options{})
-	if err != nil {
-		os.RemoveAll(dir) //nolint:errcheck // best-effort teardown
-		return nil, nil, nil, err
-	}
-	for name, g := range map[string]*rdf.Graph{"ds1": ds.G1, "ds2": ds.G2} {
-		src, err := set.AddSource(name)
-		if err != nil {
-			os.RemoveAll(dir) //nolint:errcheck // best-effort teardown
-			return nil, nil, nil, err
-		}
-		g.ForEachMatchIDs(0, 0, 0, false, false, false, func(s, p, o rdf.ID) bool {
-			src.InsertIDs(s, p, o)
-			return true
-		})
-	}
-	if err := set.Compact(); err != nil {
-		os.RemoveAll(dir) //nolint:errcheck // best-effort teardown
-		return nil, nil, nil, err
-	}
-	cleanup = func() {
-		set.Close()       //nolint:errcheck // read-only teardown
-		os.RemoveAll(dir) //nolint:errcheck // best-effort teardown
-	}
-	return set.Source("ds1"), set.Source("ds2"), cleanup, nil
-}
-
-// profile looks a built-in profile up by name and scales it by
-// opts.Scale.
 func profile(name string, opts Options) (synth.Profile, error) {
 	opts.fill()
 	prof, ok := synth.ProfileByName(name)
@@ -134,8 +80,8 @@ func RunQuality(profileName string, opts Options) (*QualityRun, error) {
 
 // RunQualityProfile is RunQuality for an explicit profile value.
 func RunQualityProfile(prof synth.Profile, opts Options) (*QualityRun, error) {
-	run, _, err := runQuality(synth.Generate(prof), opts, nil)
-	return run, err
+	run, _ := runQuality(synth.Generate(prof), opts, nil)
+	return run, nil
 }
 
 // RunQualityFiles is the same pipeline on a dataset pair and its ground
@@ -155,21 +101,16 @@ func RunQualityFiles(ds1, ds2, truth string, opts Options) (*QualityRun, error) 
 		Partitions:  cfg.Partitions,
 		Seed:        opts.Seed,
 	}
-	run, _, err := runQuality(ds, opts, nil)
-	return run, err
+	run, _ := runQuality(ds, opts, nil)
+	return run, nil
 }
 
 // runQuality runs ALEX on ds until convergence with feedback from
 // judger; nil means a ground-truth oracle that errs at opts.ErrRate. It
-// also returns the system, for views of its final candidate set; the
-// stores behind it are closed by then.
-func runQuality(ds *synth.Dataset, opts Options, judger feedback.Judger) (*QualityRun, *core.System, error) {
+// also returns the system, for views of its final candidate set.
+func runQuality(ds *synth.Dataset, opts Options, judger feedback.Judger) (*QualityRun, *core.System) {
 	opts.fill()
-	w, err := newWorld(ds, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer w.cleanup()
+	w := newWorld(ds, opts)
 	if judger == nil {
 		judger = feedback.NewOracle(ds.GroundTruth, opts.ErrRate, rand.New(rand.NewSource(opts.Seed)))
 	}
@@ -177,29 +118,22 @@ func runQuality(ds *synth.Dataset, opts Options, judger feedback.Judger) (*Quali
 	w.run.Result = w.sys.Run(judger, w.record)
 	w.run.RunTime = time.Since(start)
 	w.finish()
-	return w.run, w.sys, nil
+	return w.run, w.sys
 }
 
-// world is the setup every experiment shares: ds served from the
-// configured store, PARIS's links on it, and ALEX built from them under
+// world is the setup every experiment shares: PARIS's links on ds, and ALEX built from them under
 // core.DefaultConfig with the profile's episode size, partitions and
 // seed, then opts.Mutate. Its run holds PARIS's quality as point 0.
 type world struct {
 	ds      *synth.Dataset
-	t1, t2  store.TripleStore
 	cfg     core.Config
 	sys     *core.System
 	initial links.Set
 	run     *QualityRun
-	cleanup func()
 }
 
-func newWorld(ds *synth.Dataset, opts Options) (*world, error) {
-	t1, t2, cleanup, err := opts.stores(ds)
-	if err != nil {
-		return nil, err
-	}
-	scored := paris.Link(t1, t2, ds.Entities1, ds.Entities2, paris.NewOptions())
+func newWorld(ds *synth.Dataset, opts Options) *world {
+	scored := paris.Link(ds.G1, ds.G2, ds.Entities1, ds.Entities2, paris.NewOptions())
 	initial := make([]links.Link, len(scored))
 	for i, s := range scored {
 		initial[i] = s.Link
@@ -214,11 +148,11 @@ func newWorld(ds *synth.Dataset, opts Options) (*world, error) {
 	}
 
 	start := time.Now()
-	sys := core.New(t1, t2, ds.Entities1, ds.Entities2, initial, cfg)
+	sys := core.New(ds.G1, ds.G2, ds.Entities1, ds.Entities2, initial, cfg)
 	run := &QualityRun{Profile: ds.Profile, GroundTruth: ds.GroundTruth.Len(), BuildTime: time.Since(start)}
 	run.Initial = eval.Compute(sys.Candidates(), ds.GroundTruth)
 	run.Series.Append(run.Initial)
-	return &world{ds: ds, t1: t1, t2: t2, cfg: cfg, sys: sys, initial: links.NewSet(initial...), run: run, cleanup: cleanup}, nil
+	return &world{ds: ds, cfg: cfg, sys: sys, initial: links.NewSet(initial...), run: run}
 }
 
 // record appends the quality after one more episode to the series.

@@ -423,33 +423,3 @@ func TestExecutionTime(t *testing.T) {
 		t.Fatal("timing format wrong")
 	}
 }
-
-// TestRunQualityStoreBackendsAgree: the experiment pipeline is fully
-// seeded, so running it over the mmap'd segment store must reproduce
-// the in-memory run metric-for-metric.
-func TestRunQualityStoreBackendsAgree(t *testing.T) {
-	mem, err := RunQuality("opencyc-lexvo", smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dopts := smallOpts()
-	dopts.Store = "disk"
-	disk, err := RunQuality("opencyc-lexvo", dopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem.Final != disk.Final || mem.Initial != disk.Initial {
-		t.Fatalf("backends diverge:\nmem  initial %+v final %+v\ndisk initial %+v final %+v",
-			mem.Initial, mem.Final, disk.Initial, disk.Final)
-	}
-	if mem.Discovered != disk.Discovered || mem.Result.Episodes != disk.Result.Episodes {
-		t.Fatalf("backends diverge: mem discovered=%d episodes=%d, disk discovered=%d episodes=%d",
-			mem.Discovered, mem.Result.Episodes, disk.Discovered, disk.Result.Episodes)
-	}
-}
-
-func TestRunQualityUnknownStore(t *testing.T) {
-	if _, err := RunQuality("opencyc-lexvo", Options{Store: "floppy"}); err == nil {
-		t.Fatal("unknown store backend did not error")
-	}
-}

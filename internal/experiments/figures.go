@@ -226,10 +226,7 @@ func Fig7Rollback(profileName string, opts Options) (*Fig7Result, error) {
 		return nil, err
 	}
 	ds := synth.Generate(prof)
-	without, sys, err := runQuality(ds, withMutate(opts, func(c *core.Config) { c.RollbackThreshold = 0 }), nil)
-	if err != nil {
-		return nil, err
-	}
+	without, sys := runQuality(ds, withMutate(opts, func(c *core.Config) { c.RollbackThreshold = 0 }), nil)
 
 	res := &Fig7Result{Profile: profileName, WithRollback: with, WithoutRollback: without}
 	// Per-partition final quality (Figures 7b/7c): partition GT =
@@ -317,10 +314,7 @@ func CrowdFeedback(profileName string, opts Options) (*CrowdResult, error) {
 	for _, c := range configs {
 		ds := synth.Generate(prof)
 		crowd := feedback.NewCrowd(ds.GroundTruth, 0.10, c.voters, rand.New(rand.NewSource(opts.Seed)))
-		run, _, err := runQuality(ds, opts, crowd)
-		if err != nil {
-			return nil, err
-		}
+		run, _ := runQuality(ds, opts, crowd)
 		res.Labels = append(res.Labels, c.label)
 		res.Runs = append(res.Runs, run)
 	}

@@ -28,19 +28,15 @@ func RunQueryDriven(profileName string, opts Options) (*QualityRun, error) {
 	// (any error injection happens at the answer, below), so the first
 	// rejection of a link is trustworthy: the literal §6.3 blacklist
 	// rule converges much faster here.
-	w, err := newWorld(ds, withDefault(opts, func(c *core.Config) { c.BlacklistMargin = 1 }))
-	if err != nil {
-		return nil, err
-	}
-	defer w.cleanup()
+	w := newWorld(ds, withDefault(opts, func(c *core.Config) { c.BlacklistMargin = 1 }))
 	sys, run := w.sys, w.run
 
 	fed := federation.New(ds.Dict)
 	fed.SetPlanCache(federation.NewPlanCache(0))
-	if err := fed.AddSource("ds1", w.t1); err != nil {
+	if err := fed.AddSource("ds1", ds.G1); err != nil {
 		return nil, err
 	}
-	if err := fed.AddSource("ds2", w.t2); err != nil {
+	if err := fed.AddSource("ds2", ds.G2); err != nil {
 		return nil, err
 	}
 
