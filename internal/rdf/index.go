@@ -1,11 +1,12 @@
 package rdf
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 )
 
 // Index image layout (all integers little-endian):
@@ -45,8 +46,8 @@ const (
 	idxTrailer  = 8 + 8 + 4 + 8      // footerOff | footerLen | crc | end magic
 )
 
-// Section indexes. The permutation for each section places the sort key
-// components in record order.
+// Section indexes. Each section's records are the triples' components
+// rotated into its key order.
 const (
 	secSPO = 0
 	secPOS = 1
@@ -55,18 +56,6 @@ const (
 
 // IDTriple is a triple of dictionary IDs.
 type IDTriple struct{ S, P, O ID }
-
-// permute returns t's record key in section sec's component order.
-func permute(t IDTriple, sec int) [3]uint32 {
-	switch sec {
-	case secSPO:
-		return [3]uint32{uint32(t.S), uint32(t.P), uint32(t.O)}
-	case secPOS:
-		return [3]uint32{uint32(t.P), uint32(t.O), uint32(t.S)}
-	default:
-		return [3]uint32{uint32(t.O), uint32(t.S), uint32(t.P)}
-	}
-}
 
 // unpermute reconstructs the (s,p,o) triple from a section record key.
 func unpermute(k [3]uint32, sec int) IDTriple {
@@ -80,28 +69,26 @@ func unpermute(k [3]uint32, sec int) IDTriple {
 	}
 }
 
-// sortSection sorts ts in section sec's key order.
-func sortSection(ts []IDTriple, sec int) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := permute(ts[i], sec), permute(ts[j], sec)
-		if a[0] != b[0] {
-			return a[0] < b[0]
+func compareKeys(a, b [3]uint32) int {
+	for c := 0; c < 2; c++ {
+		if a[c] != b[c] {
+			return cmp.Compare(a[c], b[c])
 		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
-	})
+	}
+	return cmp.Compare(a[2], b[2])
 }
 
 func sectionBytes(n int) int { return (n + recsPerPage - 1) / recsPerPage * pageSize }
 
-// EncodeIndex returns the index image of the distinct triples of ts,
-// which it sorts and deduplicates in place.
+// EncodeIndex returns the index image of the distinct triples of ts.
 func EncodeIndex(ts []IDTriple) []byte {
-	sortSection(ts, secSPO)
-	ts = dedupeSorted(ts)
-	n := len(ts)
+	keys := make([][3]uint32, len(ts))
+	for i, t := range ts {
+		keys[i] = [3]uint32{uint32(t.S), uint32(t.P), uint32(t.O)}
+	}
+	slices.SortFunc(keys, compareKeys)
+	keys = slices.Compact(keys)
+	n := len(keys)
 
 	footerOff := pageSize + 3*sectionBytes(n)
 	pages := make([]byte, footerOff)
@@ -109,18 +96,20 @@ func EncodeIndex(ts []IDTriple) []byte {
 	binary.LittleEndian.PutUint64(pages[8:], uint64(n))
 	var footer []byte
 	for sec := 0; sec < 3; sec++ {
-		if sec != secSPO {
-			sortSection(ts, sec)
+		if sec != secSPO { // rotate (s,p,o) to (p,o,s), then to (o,s,p)
+			for i, k := range keys {
+				keys[i] = [3]uint32{k[1], k[2], k[0]}
+			}
+			slices.SortFunc(keys, compareKeys)
 		}
 		base := pageSize + sec*sectionBytes(n)
 		var posts []byte
-		for i, t := range ts {
-			k := permute(t, sec)
+		for i, k := range keys {
 			off := base + (i/recsPerPage)*pageSize + (i%recsPerPage)*recSize
 			binary.LittleEndian.PutUint32(pages[off:], k[0])
 			binary.LittleEndian.PutUint32(pages[off+4:], k[1])
 			binary.LittleEndian.PutUint32(pages[off+8:], k[2])
-			if i == 0 || k[0] != permute(ts[i-1], sec)[0] { // a new leading ID: its posting entry
+			if i == 0 || k[0] != keys[i-1][0] { // a new leading ID: its posting entry
 				posts = binary.LittleEndian.AppendUint32(posts, k[0])
 				posts = binary.LittleEndian.AppendUint32(posts, uint32(i))
 			}
@@ -135,17 +124,6 @@ func EncodeIndex(ts []IDTriple) []byte {
 	img = binary.LittleEndian.AppendUint64(img, uint64(len(footer)))
 	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(footer))
 	return append(img, idxEndMagic...)
-}
-
-// dedupeSorted removes adjacent duplicates from an SPO-sorted slice.
-func dedupeSorted(ts []IDTriple) []IDTriple {
-	out := ts[:0]
-	for i, t := range ts {
-		if i == 0 || t != ts[i-1] {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // Index is the sorted triple index: an image EncodeIndex wrote, opened
@@ -277,7 +255,9 @@ func (x *Index) bounds(sec int, key [3]uint32, k int) (lo, hi int) {
 
 // narrow returns the part of [lo, hi) whose key component c equals v.
 // The records in [lo, hi) agree on every component before c, so they
-// are sorted by component c.
+// are sorted by component c. A binary search finds the first record
+// equal to v; the run of equal records is usually short, so the end of
+// it is found by galloping from there and searching the last stride.
 func (x *Index) narrow(sec, c int, v uint32, lo, hi int) (int, int) {
 	base := x.secOff[sec] + 4*c
 	i, j := lo, hi
@@ -289,7 +269,15 @@ func (x *Index) narrow(sec, c int, v uint32, lo, hi int) (int, int) {
 			j = h
 		}
 	}
-	lo, j = i, hi
+	lo = i
+	if lo == hi || x.component(base, lo) != v {
+		return lo, lo
+	}
+	prev, next := lo, lo+1 // record prev equals v; the run ends in (prev, next]
+	for next < hi && x.component(base, next) <= v {
+		prev, next = next, lo+2*(next-lo)
+	}
+	i, j = prev+1, min(next, hi)
 	for i < j {
 		h := int(uint(i+j) >> 1)
 		if x.component(base, h) <= v {
