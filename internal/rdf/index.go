@@ -69,11 +69,13 @@ func unpermute(k [3]uint32, sec int) IDTriple {
 	}
 }
 
+// compareKeys orders record keys component by component.
 func compareKeys(a, b [3]uint32) int {
-	for c := 0; c < 2; c++ {
-		if a[c] != b[c] {
-			return cmp.Compare(a[c], b[c])
-		}
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a[1], b[1]); c != 0 {
+		return c
 	}
 	return cmp.Compare(a[2], b[2])
 }

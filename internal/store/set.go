@@ -245,7 +245,8 @@ func (s *Set) writeFileDurable(name string, data []byte) error {
 }
 
 // writeFileAtomic writes name via tmp + fsync + rename + dirsync: the
-// manifest protocol.
+// protocol of the manifest and of the segments, whose data pages no
+// checksum covers (rdf.Index checks only the footer).
 func (s *Set) writeFileAtomic(name string, data []byte) error {
 	tmp := s.dir + "/" + name + ".tmp"
 	if err := s.writeFileDurable(name+".tmp", data); err != nil {
