@@ -12,11 +12,13 @@
 //	alexrouter -addr :8080 \
 //	  -shards localhost:8081,localhost:8082,localhost:8083
 //
-// A health loop probes every shard's /healthz; dead shards are routed
-// around behind a circuit breaker (reads keep working off any live
-// shard's replicated full view, and a query whose shard fails or stalls
-// past the p95 of recent shard latencies is hedged to a peer; writes for a dead shard's range get 503 +
-// Retry-After until it recovers).
+// Every request the router sends a shard is one attempt; a failed
+// request or /healthz probe marks the shard down, and its own probe
+// loop brings it back on the first good answer. Down shards are routed
+// around: reads keep working off any live shard's replicated full view,
+// a query whose shard fails or stalls past the p95 of recent shard
+// latencies is hedged to a peer, and writes for a down shard's range
+// get 503 + Retry-After until it recovers.
 //
 // Endpoints: POST /query, POST /feedback, GET /links, GET /healthz,
 // GET /metrics — the same wire contract as alexd, so fedquery and
@@ -35,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"alex/internal/federation"
 	"alex/internal/fleet"
 	"alex/internal/pprofserve"
 )
@@ -45,10 +46,6 @@ func main() {
 	shards := flag.String("shards", "", "comma-separated alexd shard addresses, in shard-ID order (required)")
 	healthInterval := flag.Duration("health-interval", time.Second, "shard /healthz poll interval")
 	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "deadline per /query, failover included")
-	healthProbeTimeout := flag.Duration("health-probe-timeout", 0, "deadline per shard /healthz probe (0 = 2s default)")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive shard failures that open its circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe")
-	breakerSuccesses := flag.Int("breaker-successes", 2, "half-open successes required to close the breaker")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 	flag.Parse()
 
@@ -69,15 +66,9 @@ func main() {
 	}
 
 	r, err := fleet.New(fleet.Config{
-		Shards:             addrs,
-		HealthInterval:     *healthInterval,
-		QueryTimeout:       *queryTimeout,
-		HealthProbeTimeout: *healthProbeTimeout,
-		Breaker: federation.BreakerConfig{
-			Failures:  *breakerFailures,
-			Cooldown:  *breakerCooldown,
-			Successes: *breakerSuccesses,
-		},
+		Shards:         addrs,
+		HealthInterval: *healthInterval,
+		QueryTimeout:   *queryTimeout,
 	})
 	if err != nil {
 		fatal(err)

@@ -3,7 +3,7 @@
 // internal/fleet must be scopeable by the caller's context, and no
 // request path may manufacture an unbounded context.Background().
 //
-// The fleet's availability story (hedged reads, circuit breakers,
+// The fleet's availability story (hedged reads, per-shard probes,
 // scatter-gather deadlines — DESIGN.md) assumes a slow shard can always
 // be abandoned. One convenience call that ignores the request context
 // — client.Links() with a baked-in Background() — reintroduces the

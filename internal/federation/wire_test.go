@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -27,6 +28,8 @@ func (fixedLinks) FinishEpisode() core.EpisodeStats { return core.EpisodeStats{}
 func (e fixedLinks) Candidates() links.Set          { return e.ls }
 func (e fixedLinks) CandidateCount() int            { return e.ls.Len() }
 func (fixedLinks) Episode() int                     { return 0 }
+func (fixedLinks) Save(io.Writer) error             { return nil }
+func (fixedLinks) Restore(io.Reader) error          { return nil }
 
 // reference is the /query response as it was built before the handler
 // wrote it from ID rows: the decoded ResultSet copied into the wire

@@ -3,13 +3,16 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,12 +138,11 @@ func TestRouterAllShardsDownFastFail(t *testing.T) {
 // answers 5xx, refuses the connection or hangs past the hedge delay, the
 // peer is asked and ITS bytes are relayed — a plain 200, with no
 // X-Alex-Fleet-Degraded, because one replica's answer is the full
-// answer. The router is configured as alexrouter configures it (no
-// retry policy of its own) with a 1 s hedge delay: a shard is asked
-// once, so a 5xx or a refused connection fails over at once, not after
-// retries or the delay. The health interval is an hour, so the first
-// query of each fleet goes to shard 0 and only the data path changes
-// what is routable.
+// answer. The hedge delay is 1 s: a shard is asked once, so a 5xx or a
+// refused connection fails over at once, not after retries or the
+// delay. The health interval is an hour, so the first query of each
+// fleet goes to shard 0 and only the data path changes what is
+// routable.
 func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -164,7 +166,6 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 			f := startFleetHedged(t, w, 2, server.Config{}, time.Second, func(c *Config) {
 				c.HealthInterval = time.Hour
 				c.Transport = tr
-				c.Retry = nil // as alexrouter and bench/e2e build it
 			})
 			f.waitConverged(t, len(w.initial))
 			hosts := []string{strings.TrimPrefix(f.addrs[0], "http://"), strings.TrimPrefix(f.addrs[1], "http://")}
@@ -355,11 +356,8 @@ func TestRouterCloseDuringInflightPollNoLeak(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	r, err := New(Config{
-		Shards:             []string{"http://" + ln.Addr().String()},
-		HealthInterval:     20 * time.Millisecond,
-		HealthProbeTimeout: 500 * time.Millisecond,
-		Breaker:            federation.BreakerConfig{Failures: 1000},
-		Retry:              &server.RetryPolicy{MaxAttempts: 1},
+		Shards:         []string{"http://" + ln.Addr().String()},
+		HealthInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,6 +382,114 @@ func TestRouterCloseDuringInflightPollNoLeak(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// untilRoutable polls shard id until the router's verdict on it reads
+// want, and returns how long that took.
+func untilRoutable(t *testing.T, r *Router, id int, want bool) time.Duration {
+	t.Helper()
+	start := time.Now()
+	for r.shards[id].routable.Load() != want {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("shard %d not routable=%v after 10s", id, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return time.Since(start)
+}
+
+// Each shard has its own probe loop, so a shard whose /healthz hangs
+// holds up no other shard's verdict: with shard 0's probe hung until
+// its 2 s timeout, a partitioned shard 1 is down within a few 50 ms
+// intervals.
+func TestRouterHungShardDelaysNoOtherVerdict(t *testing.T) {
+	w := tinyWorld(t)
+	tr := faultnet.New(5, nil)
+	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) { c.Transport = tr })
+	f.waitConverged(t, len(w.initial))
+	tr.SetFaults(strings.TrimPrefix(f.addrs[0], "http://"), faultnet.Faults{Latency: time.Minute})
+	time.Sleep(100 * time.Millisecond) // shard 0's probe is in flight
+	tr.SetFaults(strings.TrimPrefix(f.addrs[1], "http://"), faultnet.Faults{Partition: true})
+	if d := untilRoutable(t, f.router, 1, false); d > 500*time.Millisecond {
+		t.Fatalf("partitioned shard 1 marked down after %s behind a hung shard 0, want within 500ms", d)
+	}
+}
+
+// closingHealthz answers host's /healthz, while host is set, as a
+// draining alexd does (200, status "closing"), and forwards every other
+// request.
+type closingHealthz struct {
+	mu   sync.Mutex
+	host string
+}
+
+func (c *closingHealthz) set(host string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.host = host
+}
+
+func (c *closingHealthz) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	closing := req.URL.Path == "/healthz" && req.URL.Host == c.host
+	c.mu.Unlock()
+	if !closing {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(strings.NewReader(`{"status":"closing"}`)),
+		Request:    req,
+	}, nil
+}
+
+// The first good probe makes a down shard routable again: a shard that
+// fails its probes for 0.5 s is back within a few 50 ms intervals of
+// answering "ok", with no cooldown to wait out.
+func TestRouterShardRoutableOnFirstGoodProbe(t *testing.T) {
+	w := tinyWorld(t)
+	ch := &closingHealthz{}
+	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) { c.Transport = ch })
+	f.waitConverged(t, len(w.initial))
+	ch.set(strings.TrimPrefix(f.addrs[1], "http://"))
+	start := time.Now()
+	untilRoutable(t, f.router, 1, false)
+	time.Sleep(500*time.Millisecond - time.Since(start))
+	ch.set("")
+	if d := untilRoutable(t, f.router, 1, true); d > 500*time.Millisecond {
+		t.Fatalf("shard 1 routable %s after its first good answer, want within 500ms", d)
+	}
+}
+
+// The router asks an owner once: an owner's 503 to /feedback reaches
+// the client after one request, with Retry-After, and the client's
+// retry is the only one.
+func TestRouterAsksAnOwnerOnce(t *testing.T) {
+	w := tinyWorld(t)
+	tr := faultnet.New(2, nil)
+	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
+		c.Transport = tr
+		// One probe at start: the 503s are the owner's answer to
+		// /feedback, not a shard going down.
+		c.HealthInterval = time.Hour
+	})
+	f.waitConverged(t, len(w.initial))
+	l := server.LinkJSON{E1: w.dict.Term(w.initial[0].E1).Value, E2: w.dict.Term(w.initial[0].E2).Value}
+	owner := strings.TrimPrefix(f.addrs[cluster.OwnerOf(cluster.FleetRanges(2), l.E1)], "http://")
+	tr.SetFaults(owner, faultnet.Faults{ErrProb: 1})
+	body, err := json.Marshal(server.FeedbackRequest{Links: []server.LinkJSON{l}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, hdr, data := post(t, f.rts.URL+"/feedback", body)
+	if status != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Fatalf("feedback to a refusing owner: status %d, Retry-After %q, body %s; want 503 with Retry-After",
+			status, hdr.Get("Retry-After"), data)
+	}
+	if got := tr.Requests(owner, "/feedback"); got != 1 {
+		t.Fatalf("the owner got %d /feedback requests, want 1", got)
 	}
 }
 

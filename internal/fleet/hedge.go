@@ -2,8 +2,8 @@
 // shard serves full reads off the replicated snapshots, a slow or
 // failed shard's query can be re-issued to any healthy peer and the
 // first answer wins — this is the read path's failover, and the only
-// one: a shard is asked once per query, and the retry policy
-// (Config.Retry) covers /feedback, /links and /healthz only. The hedge
+// one: every request the router sends a shard is one attempt, and a
+// failed one marks the shard down until its next good probe. The hedge
 // is a timer armed on the adaptive delay (a percentile of recently
 // observed shard latencies, so only genuine stragglers pay it) and
 // stopped when the shard answers first, so it costs nothing unless it

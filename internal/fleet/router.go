@@ -22,14 +22,15 @@
 //     answer to relay: 503 with every shard named in
 //     X-Alex-Fleet-Degraded when none is routable, 502 when those it
 //     asked all failed, 504 at the deadline.
-//   - Failover: a health loop polls every shard's /healthz behind a
-//     per-shard circuit breaker (the PR-2 machinery, reused from
-//     internal/federation). A dead shard is routed around — reads
+//   - Failover: every request the router sends a shard is one
+//     attempt, and a failed request or /healthz probe marks the shard
+//     down. Each shard has its own probe loop, so a hung shard delays
+//     no other shard's verdict, and the first good probe makes a down
+//     shard routable again. A down shard is routed around — reads
 //     survive any N-1 failures because replicas are full; writes for
-//     the dead shard's range are refused with 503 + Retry-After (the
-//     owner is the only durable home for its links; rerouting them
-//     would fork ownership). Data-path failures feed the same breakers
-//     so the router reacts faster than the polling interval.
+//     its range are refused with 503 + Retry-After (the owner is the
+//     only durable home for its links; rerouting them would fork
+//     ownership). The client retries; the router does not.
 //
 // The router holds no link state and no journal: it can be restarted
 // or replicated freely, and every durability promise is exactly one
@@ -62,16 +63,11 @@ type Config struct {
 	// QueryTimeout caps one routed query, failover included; requests
 	// may lower it via timeout_ms. 0 means 10s.
 	QueryTimeout time.Duration
-	// Breaker tunes the per-shard circuit breakers. Zero values take
-	// the federation defaults.
+	// Breaker is ignored: the router has no circuit breakers.
+	//
+	// Deprecated: nothing reads it. It remains until the end-to-end
+	// benchmark stops setting it.
 	Breaker federation.BreakerConfig
-	// Retry is the per-shard client retry policy of /feedback, /links
-	// and /healthz. Nil means server.DefaultRetryPolicy. A /query is
-	// not retried: hedging to a peer is its failover (hedge.go).
-	Retry *server.RetryPolicy
-	// HealthProbeTimeout bounds one /healthz poll, so a hung shard
-	// cannot stall the loop past its interval. 0 means 2s.
-	HealthProbeTimeout time.Duration
 	// Transport, when non-nil, carries every request the router sends a
 	// shard — the chaos tests inject a faultnet.Transport here. Nil means
 	// one transport of the router's own.
@@ -79,9 +75,10 @@ type Config struct {
 }
 
 const (
-	defaultHealthInterval     = time.Second
-	defaultQueryTimeout       = 10 * time.Second
-	defaultHealthProbeTimeout = 2 * time.Second
+	defaultHealthInterval = time.Second
+	defaultQueryTimeout   = 10 * time.Second
+	// healthProbeTimeout bounds one /healthz probe.
+	healthProbeTimeout = 2 * time.Second
 )
 
 // shard is the router's view of one fleet member.
@@ -90,10 +87,10 @@ type shard struct {
 	client *server.Client
 	// query is the template of every /query relayed to the shard
 	// (relay.go).
-	query   *http.Request
-	breaker *federation.Breaker
-	// routable is the health loop's verdict, read lock-free by the
-	// data path. health caches the last successful /healthz response.
+	query *http.Request
+	// routable is the last verdict on the shard — its probe loop's, or
+	// a failed request's — read lock-free by the data path. health
+	// caches the last successful /healthz response.
 	routable atomic.Bool
 	health   atomic.Pointer[server.HealthResponse]
 }
@@ -110,17 +107,15 @@ type Router struct {
 	// one of the router's own that Close releases.
 	transport http.RoundTripper
 
-	mux  http.Handler
-	reg  *server.Registry
-	stop chan struct{}
-	done chan struct{}
-	// baseCtx scopes every background request the router issues (the
-	// health probes): Close cancels it, so shutdown never waits out a
-	// probe timeout.
+	mux http.Handler
+	reg *server.Registry
+	// baseCtx scopes the probe loops and their probes: Close cancels
+	// it, so shutdown never waits out a probe timeout, then waits for
+	// loops.
 	baseCtx context.Context
 	cancel  context.CancelFunc
+	loops   sync.WaitGroup
 
-	closing sync.Once
 	metrics routerMetrics
 }
 
@@ -140,10 +135,10 @@ type routerMetrics struct {
 	panics          *server.Counter
 }
 
-// New builds a router over the shard address list and starts its
-// health loop. The first polling round runs synchronously, so the
-// router never starts blind: shards that are already up are routable
-// before New returns.
+// New builds a router over the shard address list and starts one probe
+// loop per shard. New returns once every shard's first probe has
+// answered or timed out, so the router never starts blind: shards that
+// are already up are routable before New returns.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) < 1 {
 		return nil, fmt.Errorf("fleet: router needs at least one shard address")
@@ -154,13 +149,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = defaultQueryTimeout
 	}
-	if cfg.HealthProbeTimeout <= 0 {
-		cfg.HealthProbeTimeout = defaultHealthProbeTimeout
-	}
-	retry := server.DefaultRetryPolicy()
-	if cfg.Retry != nil {
-		retry = *cfg.Retry
-	}
 	transport := cfg.Transport
 	if transport == nil {
 		transport = http.DefaultTransport.(*http.Transport).Clone()
@@ -168,18 +156,13 @@ func New(cfg Config) (*Router, error) {
 	var shards []*shard
 	for id, addr := range cfg.Shards {
 		c := server.NewClient(addr)
-		c.SetRetryPolicy(retry)
+		c.SetRetryPolicy(server.RetryPolicy{MaxAttempts: 1})
 		c.SetTransport(transport)
 		query, err := newQueryTemplate(c.Addr())
 		if err != nil {
 			return nil, err
 		}
-		shards = append(shards, &shard{
-			id:      id,
-			client:  c,
-			query:   query,
-			breaker: federation.NewBreaker(cfg.Breaker),
-		})
+		shards = append(shards, &shard{id: id, client: c, query: query})
 	}
 	baseCtx, cancel := context.WithCancel(context.Background())
 	r := &Router{
@@ -188,16 +171,19 @@ func New(cfg Config) (*Router, error) {
 		shards:    shards,
 		hedge:     newHedger(),
 		transport: transport,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 		baseCtx:   baseCtx,
 		cancel:    cancel,
 		reg:       server.NewRegistry(),
 	}
 	r.registerMetrics()
 	r.mux = r.routes()
-	r.pollAll()
-	go r.healthLoop()
+	var first sync.WaitGroup
+	for _, sh := range shards {
+		first.Add(1)
+		r.loops.Add(1)
+		go r.healthLoop(sh, &first)
+	}
+	first.Wait()
 	return r, nil
 }
 
@@ -239,53 +225,37 @@ func (r *Router) registerMetrics() {
 				}
 				return 0
 			})
-		r.reg.LabeledGaugeFunc("alexrouter_shard_breaker_state",
-			fmt.Sprintf("shard=\"%d\"", sh.id),
-			"Per-shard circuit state: 0 closed, 1 open, 2 half-open.",
-			func() float64 { return float64(sh.breaker.State()) })
 	}
 }
 
-// healthLoop polls every shard each interval. Stopped by Close; the
-// done channel closes when the loop exits.
-func (r *Router) healthLoop() {
-	defer close(r.done)
-	tick := time.NewTicker(r.cfg.HealthInterval)
-	defer tick.Stop()
+// healthLoop is sh's probe loop: probe, then wait HealthInterval,
+// until Close cancels baseCtx. first is done after the first probe.
+func (r *Router) healthLoop(sh *shard, first *sync.WaitGroup) {
+	defer r.loops.Done()
+	r.probeShard(sh)
+	first.Done()
+	wait := time.NewTimer(r.cfg.HealthInterval)
+	defer wait.Stop()
 	for {
 		select {
-		case <-r.stop:
+		case <-r.baseCtx.Done():
 			return
-		case <-tick.C:
-			r.pollAll()
+		case <-wait.C:
+			r.probeShard(sh)
+			wait.Reset(r.cfg.HealthInterval)
 		}
 	}
 }
 
-// pollAll probes every shard once. The breaker throttles probes to a
-// dead shard: while open, Allow() fails and the shard stays
-// unroutable without a network round trip; after the cooldown the
-// half-open probe is the recovery path.
-func (r *Router) pollAll() {
-	for _, sh := range r.shards {
-		if !sh.breaker.Allow() {
-			sh.routable.Store(false)
-			continue
-		}
-		r.probeShard(r.baseCtx, sh)
-	}
-}
-
-// probeShard issues one /healthz probe within ctx and applies the
-// verdict. The polling loop passes baseCtx, so Close aborts an
-// in-flight probe instead of waiting out its timeout.
-func (r *Router) probeShard(ctx context.Context, sh *shard) {
+// probeShard issues one /healthz probe under baseCtx, so Close aborts
+// it, and applies the verdict: a good answer makes the shard routable,
+// anything else takes it down.
+func (r *Router) probeShard(sh *shard) {
 	r.metrics.healthPolls.Inc()
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.HealthProbeTimeout)
+	ctx, cancel := context.WithTimeout(r.baseCtx, healthProbeTimeout)
 	h, err := sh.client.HealthzContext(ctx)
 	cancel()
 	ok := err == nil && h.Status == "ok"
-	sh.breaker.Record(ok)
 	sh.routable.Store(ok)
 	if ok {
 		sh.health.Store(h)
@@ -294,11 +264,9 @@ func (r *Router) probeShard(ctx context.Context, sh *shard) {
 	}
 }
 
-// markDown records a data-path failure: the breaker learns about it
-// and the shard is immediately unroutable, without waiting for the
-// next poll.
+// markDown records a data-path failure: the shard is unroutable until
+// its probe loop's next good answer.
 func (r *Router) markDown(sh *shard) {
-	sh.breaker.Record(false)
 	sh.routable.Store(false)
 }
 
@@ -330,15 +298,12 @@ func (r *Router) Handler() http.Handler { return r.mux }
 // Registry exposes the router's metrics registry.
 func (r *Router) Registry() *server.Registry { return r.reg }
 
-// Close stops the health loop and aborts in-flight background probes.
-// In-flight client requests finish; the router holds no state to
-// drain.
+// Close stops the probe loops, aborting their in-flight probes, and
+// waits for them. In-flight client requests finish; the router holds
+// no state to drain.
 func (r *Router) Close() error {
-	r.closing.Do(func() {
-		close(r.stop)
-		r.cancel()
-	})
-	<-r.done
+	r.cancel()
+	r.loops.Wait()
 	if t, ok := r.transport.(interface{ CloseIdleConnections() }); ok {
 		t.CloseIdleConnections()
 	}
@@ -668,7 +633,7 @@ func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
 		status, err := statuses[i], errs[i]
 		if err != nil && status == 0 {
 			// Transport failure: the owner may or may not have journaled
-			// the group. Surface a retryable 503 and let the breaker react.
+			// the group. Surface a retryable 503 and take the owner down.
 			r.markDown(r.shards[owner])
 			status = http.StatusServiceUnavailable
 		}
@@ -698,7 +663,7 @@ func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
 
 // handleLinks proxies the full link set from the freshest routable
 // shard (every replica serves full reads; freshest = highest engine
-// episode seen by the health loop, so the answer lags replication the
+// episode seen by the probe loops, so the answer lags replication the
 // least).
 func (r *Router) handleLinks(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
@@ -736,7 +701,6 @@ type ShardStatus struct {
 	Addr     string            `json:"addr"`
 	Range    cluster.HashRange `json:"range"`
 	Routable bool              `json:"routable"`
-	Breaker  string            `json:"breaker"`
 	// Episode/CandidateLinks/SnapshotVersion echo the last successful
 	// health probe (zero before the first one).
 	Episode         int    `json:"episode"`
@@ -760,7 +724,6 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 			Addr:     sh.client.Addr(),
 			Range:    r.ranges[sh.id],
 			Routable: sh.routable.Load(),
-			Breaker:  sh.breaker.State().String(),
 		}
 		if h := sh.health.Load(); h != nil {
 			st.Episode = h.Episode

@@ -149,12 +149,6 @@ func shardEngine(w *world, n, id int) *core.System {
 	return core.New(w.g1, w.g2, e1, w.e2, init, core.DefaultConfig())
 }
 
-// fastBreaker trips after one failure and probes again quickly, so
-// failover tests don't wait out production cooldowns.
-func fastBreaker() federation.BreakerConfig {
-	return federation.BreakerConfig{Failures: 1, Cooldown: 100 * time.Millisecond, Successes: 1}
-}
-
 func startFleet(t testing.TB, w *world, n int, scfg server.Config) *testFleet {
 	return startFleetWith(t, w, n, scfg, nil)
 }
@@ -203,8 +197,6 @@ func startFleetHedged(t testing.TB, w *world, n int, scfg server.Config, hedge t
 	rcfg := Config{
 		Shards:         f.addrs,
 		HealthInterval: 50 * time.Millisecond,
-		Breaker:        fastBreaker(),
-		Retry:          &server.RetryPolicy{MaxAttempts: 1},
 	}
 	if mut != nil {
 		mut(&rcfg)

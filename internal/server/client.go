@@ -327,8 +327,8 @@ func (c *Client) Healthz() (*HealthResponse, error) {
 	return c.HealthzContext(ctx)
 }
 
-// HealthzContext is Healthz bounded by ctx. The fleet router's health
-// loop uses it so one dead shard cannot stall a polling round.
+// HealthzContext is Healthz bounded by ctx. The fleet router's probe
+// loops use it so a hung shard's probe ends at its timeout.
 func (c *Client) HealthzContext(ctx context.Context) (*HealthResponse, error) {
 	var out HealthResponse
 	if err := c.getJSON(ctx, "/healthz", &out); err != nil {

@@ -264,7 +264,9 @@ func (s *Server) Manifest() cluster.SnapshotManifest {
 // Returns whether the manifest replaced the stored one. An unknown
 // entity rejects the whole manifest — shards load identical datasets,
 // so a miss means the fleet is misconfigured and silently dropping the
-// link would be worse than refusing loudly.
+// link would be worse than refusing loudly. So does a link whose E1
+// this shard's ranges do not give to the sender: a peer sized for
+// another fleet could otherwise keep serving a link its owner rejected.
 func (s *Server) applyManifest(m cluster.SnapshotManifest) (bool, error) {
 	if s.fleet == nil {
 		return false, fmt.Errorf("server: not a fleet shard")
@@ -279,6 +281,10 @@ func (s *Server) applyManifest(m cluster.SnapshotManifest) (bool, error) {
 	}
 	set := links.NewSet()
 	for _, lw := range m.Links {
+		if owner := cluster.OwnerOf(s.ranges, lw.E1); owner != m.ShardID {
+			s.fleetMetrics.rejected.Inc()
+			return false, fmt.Errorf("server: manifest from shard %d carries a link of shard %d (%s)", m.ShardID, owner, lw.E1)
+		}
 		e1, ok := s.dict.Lookup(rdf.IRI(lw.E1))
 		if !ok {
 			s.fleetMetrics.rejected.Inc()

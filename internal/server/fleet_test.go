@@ -213,7 +213,7 @@ func TestFleetFeedbackOwnershipRejected(t *testing.T) {
 // stale at any episode: a restarted shard replays its journal into
 // fewer episodes than it had closed.
 func TestFleetStaleManifestIgnored(t *testing.T) {
-	shards, clients, _, initial := fleetWorld(t, 2)
+	shards, clients, dict, initial := fleetWorld(t, 2)
 	waitLinks(t, clients[0], initial.Len())
 
 	s := shards[0]
@@ -257,6 +257,19 @@ func TestFleetStaleManifestIgnored(t *testing.T) {
 		Links: []cluster.LinkWire{{E1: "http://nowhere/x", E2: "http://nowhere/y"}},
 	}); err == nil {
 		t.Fatal("manifest with unknown entities accepted")
+	}
+	// A link of this shard's range, said to come from the peer.
+	var foreign []cluster.LinkWire
+	for _, l := range initial.Slice() {
+		if e1 := dict.Term(l.E1).Value; cluster.OwnerOf(cluster.FleetRanges(2), e1) != from {
+			foreign = append(foreign, cluster.LinkWire{E1: e1, E2: dict.Term(l.E2).Value})
+		}
+	}
+	if len(foreign) == 0 {
+		t.Fatal("no initial link of shard 0 to forge")
+	}
+	if _, err := s.applyManifest(cluster.SnapshotManifest{ShardID: from, Boot: held.boot + 2, Links: foreign}); err == nil {
+		t.Fatalf("manifest from shard %d carrying links it does not own accepted: %+v", from, foreign)
 	}
 }
 

@@ -307,8 +307,8 @@ func TestCrashRecoveryEquivalenceAfterCheckpoint(t *testing.T) {
 // gatedEngine wraps a core.System, blocking each FinishEpisode until
 // the gate yields a token (closing the gate releases it for good), so
 // tests can hold the writer mid-pipeline while producers keep
-// journaling and acking items. The embedded System's Save/Restore keep
-// it a Checkpointer.
+// journaling and acking items. The embedded System supplies the rest
+// of the Engine.
 type gatedEngine struct {
 	*core.System
 	gate chan struct{}

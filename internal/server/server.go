@@ -64,7 +64,8 @@ import (
 
 // Engine is the feedback-consuming side of the writer goroutine.
 // *core.System satisfies it; tests substitute slow or instrumented
-// implementations.
+// implementations. Save and Restore are the full-state checkpoint
+// (core/snapshot.go).
 type Engine interface {
 	BeginEpisode()
 	Feedback(l links.Link, positive bool)
@@ -72,13 +73,6 @@ type Engine interface {
 	Candidates() links.Set
 	CandidateCount() int
 	Episode() int
-}
-
-// Checkpointer is the optional engine surface that enables full-state
-// checkpoints. *core.System satisfies it (core/snapshot.go). Engines
-// without it still get journaling, but every restart replays the whole
-// journal from the initial state.
-type Checkpointer interface {
 	Save(w io.Writer) error
 	Restore(r io.Reader) error
 }
@@ -226,13 +220,11 @@ type Server struct {
 	// every published snapshot (plans are link-independent).
 	plans *federation.PlanCache
 
-	// Durability layer; log is nil when DataDir is unset, ckpt is nil
-	// when the engine cannot checkpoint. logMu serializes journal
-	// appends WITH the queue-capacity check, so a journaled record
-	// always has a reserved queue slot (no acked-but-dropped items) —
-	// and competing fsyncs batch behind it.
-	log  *wal.Log
-	ckpt Checkpointer
+	// Durability layer; log is nil when DataDir is unset. logMu
+	// serializes journal appends WITH the queue-capacity check, so a
+	// journaled record always has a reserved queue slot (no
+	// acked-but-dropped items) — and competing fsyncs batch behind it.
+	log *wal.Log
 	// The fsync-under-lock IS the design: producers must not observe a
 	// reserved slot without a durable record, and batching competing
 	// fsyncs behind one lock holder is the journal's group-commit. The
@@ -394,23 +386,20 @@ func (s *Server) recover() error {
 		return err
 	}
 	s.log = log
-	if ck, ok := s.eng.(Checkpointer); ok {
-		s.ckpt = ck
-		seq, state, found, err := log.LatestCheckpoint()
-		if err != nil {
-			return err
+	seq, state, found, err := log.LatestCheckpoint()
+	if err != nil {
+		return err
+	}
+	if found {
+		if bytes.HasPrefix(state, []byte(protocolCheckpointMagic)) {
+			return fmt.Errorf("server: checkpoint (seq %d) %s", seq, protocolStateHint)
 		}
-		if found {
-			if bytes.HasPrefix(state, []byte(protocolCheckpointMagic)) {
-				return fmt.Errorf("server: checkpoint (seq %d) %s", seq, protocolStateHint)
-			}
-			if err := ck.Restore(bytes.NewReader(state)); err != nil {
-				return fmt.Errorf("server: restore checkpoint (seq %d): %w", seq, err)
-			}
-			s.w.ckptSeq = seq
-			s.w.applied = seq
-			s.recovery.CheckpointSeq = seq
+		if err := s.eng.Restore(bytes.NewReader(state)); err != nil {
+			return fmt.Errorf("server: restore checkpoint (seq %d): %w", seq, err)
 		}
+		s.w.ckptSeq = seq
+		s.w.applied = seq
+		s.recovery.CheckpointSeq = seq
 	}
 	s.w.replaying = true
 	n, err := log.Replay(s.w.ckptSeq, func(rec wal.Record) error {
@@ -620,7 +609,7 @@ func (s *Server) finishEpisode() {
 // everything since the last good checkpoint. Writer-goroutine only
 // (or New, strictly before the writer starts).
 func (s *Server) checkpoint() {
-	if s.w.replaying || s.log == nil || s.ckpt == nil {
+	if s.w.replaying || s.log == nil {
 		return
 	}
 	if s.w.applied == s.w.ckptSeq {
@@ -628,7 +617,7 @@ func (s *Server) checkpoint() {
 	}
 	start := time.Now()
 	var buf bytes.Buffer
-	if err := s.ckpt.Save(&buf); err != nil {
+	if err := s.eng.Save(&buf); err != nil {
 		s.metrics.checkpointErrors.Inc()
 		return
 	}

@@ -84,7 +84,6 @@ start_shard 0 "$S0"
 start_shard 1 "$S1"
 start_shard 2 "$S2"
 "$BIN/alexrouter" -addr "$ROUTER" -shards "$FLEET" -health-interval 200ms \
-  -breaker-failures 1 -breaker-cooldown 500ms -breaker-successes 1 \
   >"$DATA/router.log" 2>&1 &
 PIDS+=($!)
 
