@@ -75,7 +75,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 	episodeSize := flag.Int("episode-size", 100, "link-level feedback items per serving episode")
 	queueSize := flag.Int("queue", 1024, "feedback queue capacity (full queue -> 429)")
-	flush := flag.Duration("flush", 250*time.Millisecond, "finish a partial episode after this much idle time")
+	flush := flag.Duration("flush", 250*time.Millisecond, "publication interval: republish the open episode's links this often if feedback arrived since the last publication (episodes end only at -episode-size items or on shutdown)")
 	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-request query deadline (the evaluation stops at it; the client gets 504)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "shutdown budget for draining feedback")
 	dataDir := flag.String("data", "", "data directory: feedback journal, checkpoints and the mmap'd segment store under <data>/store; empty serves in-memory graphs with no durability")

@@ -147,12 +147,10 @@ type SnapshotManifest struct {
 	ShardID int       `json:"shard_id"`
 	Range   HashRange `json:"range"`
 	// Boot (Unix nanoseconds at the shard's start), then Version (the
-	// shard's published snapshot version, which restarts at a boot),
-	// order manifests from the same shard: a receiver replaces its
-	// stored copy only with a newer one. Episode does not order them: a
-	// restart does not restore the episode count, because the journal
-	// replays in full episodes, not the shorter ones the flush timer
-	// closed.
+	// shard's published snapshot version), order manifests from the
+	// same shard: a receiver replaces its stored copy only with a newer
+	// one. Version alone cannot order them, because it restarts at 1
+	// with every boot, below what peers hold from the boot before.
 	Boot    int64  `json:"boot"`
 	Version uint64 `json:"version"`
 	// Episode is the shard's engine episode at manifest time.

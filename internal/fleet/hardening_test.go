@@ -682,12 +682,13 @@ func chaosDrill(t *testing.T, n, kill, partition int) {
 	}
 }
 
-// A restarted shard replays its journal tail in full episodes, so it
-// comes back with fewer episodes than the flush timer had closed before
-// the crash. Its peers must still take its manifests; held to its old
-// episode count, they would serve its pre-crash partition — links it
-// has since acked as rejected — until it caught up.
-func TestRestartedShardReplicatesBelowItsOldEpisode(t *testing.T) {
+// A restarted shard recovers its episode count exactly, but its
+// snapshot versions start again at 1, below the versions its peers hold
+// from its previous boot. Peers must still take its manifests at once:
+// ordered by version alone, they would serve its pre-crash partition —
+// links it has since acked as rejected — until its new versions climbed
+// past the old ones.
+func TestRestartedShardReplicatesBelowItsOldVersion(t *testing.T) {
 	w := splitWorld(t, 2)
 	base := server.Config{DataDir: t.TempDir(), FlushInterval: 20 * time.Millisecond}
 	f := startFleet(t, w, 2, base)
@@ -699,11 +700,15 @@ func TestRestartedShardReplicatesBelowItsOldEpisode(t *testing.T) {
 		}
 		f.waitConverged(t, len(w.initial)-k-1)
 	}
-	// Three rejections on shard 1, each closed as its own episode and
-	// replicated before the next.
+	// Three rejections on shard 1, each published and replicated before
+	// the next.
 	for k := 0; k < 3; k++ {
 		reject(k)
 	}
+	old := f.shards[1].Snapshot()
+	// Four anti-entropy rounds: every peer has pulled a manifest at
+	// least as new as old.
+	time.Sleep(100 * time.Millisecond)
 	f.kill(1)
 	f.restartShard(t, w, 1, base)
 	f.clients[1] = server.NewClient(f.addrs[1])
@@ -711,7 +716,14 @@ func TestRestartedShardReplicatesBelowItsOldEpisode(t *testing.T) {
 	if rec := f.shards[1].Recovery(); rec.Replayed != 3 {
 		t.Fatalf("restarted shard replayed %d journal records, want 3", rec.Replayed)
 	}
+	if ep := f.shards[1].Snapshot().Episode; ep != old.Episode {
+		t.Fatalf("restarted shard recovered episode %d, it had closed %d", ep, old.Episode)
+	}
 	reject(3)
+	if v := f.shards[1].Snapshot().Version; v >= old.Version {
+		t.Fatalf("restarted shard reached version %d before its peers served its rejection, not below its old boot's %d",
+			v, old.Version)
+	}
 }
 
 // spanningBatch is a rejection of the k-th initial link of every owner

@@ -10,17 +10,18 @@
 // owner). Durability is unchanged: fsync-before-ack holds per shard,
 // over the shard's own journal.
 //
-// Replication makes every shard able to serve a FULL read. After each
-// episode the writer publishes a fresh snapshot and kicks the
+// Replication makes every shard able to serve a FULL read. Whenever the
+// writer publishes the shard's feedback — after each episode, and each
+// publication interval in which feedback arrived — it kicks the
 // replicator, which pushes the shard's own link partition — a
-// cluster.SnapshotManifest carrying the episode that produced it — to
-// every peer, and pulls the peers' manifests back (the pull doubles as
-// catch-up after a restart and as anti-entropy on a timer). A received
-// manifest replaces the stored copy only when it is newer — a later
-// boot of the shard's process, or the same boot and a later snapshot
-// version — so replays and reordered deliveries cannot roll a peer's
-// links back, and a restarted shard is not held to its old episode
-// count.
+// cluster.SnapshotManifest carrying the snapshot version that produced
+// it — to every peer, and pulls the peers' manifests back (the pull
+// doubles as catch-up after a restart and as anti-entropy on a timer).
+// A received manifest replaces the stored copy only when it is newer —
+// a later boot of the shard's process, or the same boot and a later
+// snapshot version — so replays and reordered deliveries cannot roll a
+// peer's links back, and a restarted shard, whose versions start again
+// at 1, is not held to its old boot's versions.
 // The served snapshot is the union of the shard's own candidates and
 // the newest manifest from every peer; queries and /links never
 // distinguish a shard from a standalone server.
@@ -184,7 +185,7 @@ func (s *Server) kickReplicator() {
 }
 
 // replicator is the fleet's second long-lived goroutine: on every kick
-// (episode published, peers changed) and every ReplicateEvery tick it
+// (feedback published, peers changed) and every ReplicateEvery tick it
 // pushes this shard's manifest to all peers and pulls theirs back.
 func (s *Server) replicator() {
 	defer close(s.repDone)
@@ -357,7 +358,7 @@ func (s *Server) peerHealth() []PeerHealth {
 // replicaPushResponse acknowledges a pushed manifest.
 type replicaPushResponse struct {
 	// Applied is false when the manifest was valid but stale (the
-	// receiver already holds a newer episode from that shard).
+	// receiver already holds a newer manifest from that shard).
 	Applied bool `json:"applied"`
 }
 

@@ -28,13 +28,10 @@ import (
 )
 
 // durableCfg is the deterministic configuration the recovery tests
-// share: tiny episodes, no timer flushes (only EpisodeSize and the
-// drain path close episodes, so batching is a pure function of the
-// feedback sequence), frequent checkpoints.
+// share: tiny episodes and frequent checkpoints.
 func durableCfg(dir string) Config {
 	return Config{
 		EpisodeSize:     2,
-		FlushInterval:   time.Hour,
 		CheckpointEvery: 2,
 		DataDir:         dir,
 		DrainTimeout:    5 * time.Second,
@@ -302,6 +299,153 @@ func TestCrashRecoveryEquivalenceAfterCheckpoint(t *testing.T) {
 	if got, want := recSys.Episode(), twinSys.Episode(); got != want {
 		t.Fatalf("recovered engine closed %d episodes, the twin %d", got, want)
 	}
+}
+
+// TestEpisodesCloseByCountOnly: the publication interval serves a
+// rejection without closing the open episode; only EpisodeSize link
+// items close it.
+func TestEpisodesCloseByCountOnly(t *testing.T) {
+	dict, sources, sys, _ := tinyWorld(t)
+	cfg := durableCfg(t.TempDir())
+	cfg.EpisodeSize = 3
+	cfg.FlushInterval = 5 * time.Millisecond
+	s, _, client := newTestServer(t, sys, dict, sources, cfg)
+	good := []LinkJSON{{E1: "http://ds1/a1", E2: "http://ds2/b1"}}
+	bad := LinkJSON{E1: "http://ds1/a2", E2: "http://ds2/b2w"}
+
+	if err := client.Feedback([]LinkJSON{bad}, false); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	ls, err := client.Links()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range ls.Links {
+		if l == bad {
+			t.Fatalf("rejected link %v still served 10 publication intervals after its ack", bad)
+		}
+	}
+	if ep := s.Snapshot().Episode; ep != 0 {
+		t.Fatalf("episode = %d after 1 of %d link items, want 0: the timer closed an episode", ep, cfg.EpisodeSize)
+	}
+
+	for i := 0; i < 2; i++ {
+		if err := client.Feedback(good, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitForSnapshotEpisode(t, s, 1)
+	if ep := s.Snapshot().Episode; ep != 1 {
+		t.Fatalf("episode = %d after %d link items, want 1", ep, cfg.EpisodeSize)
+	}
+}
+
+// TestReplayEqualsLiveRun: a server fed in bursts with pauses longer
+// than its publication interval, crashed and recovered over its data
+// directory, is the twin that got the same feedback without pauses —
+// same links, same episode — and the two stay equal under further
+// feedback. At CheckpointEvery 1 recovery restores a checkpoint and
+// replays a tail; at the default it replays the journal alone.
+func TestReplayEqualsLiveRun(t *testing.T) {
+	script := feedbackScript(10) // 13 link items: three episodes of 4, one open
+	more := feedbackScript(5)
+	linkItems := func(reqs []FeedbackRequest) (n uint64) {
+		for _, r := range reqs {
+			n += uint64(len(r.Links))
+		}
+		return n
+	}
+	for _, every := range []int{DefaultConfig().CheckpointEvery, 1} {
+		t.Run(fmt.Sprintf("checkpointEvery=%d", every), func(t *testing.T) {
+			cfg := Config{
+				EpisodeSize:     4,
+				FlushInterval:   5 * time.Millisecond,
+				CheckpointEvery: every,
+				DataDir:         t.TempDir(),
+				DrainTimeout:    5 * time.Second,
+			}
+			dict, sources, sys, _ := tinyWorld(t)
+			live, err := New(sys, dict, sources, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Bursts of 1 and 3 link items (script items {0}, {1,2}, {3}, …),
+			// each followed by four publication intervals of silence.
+			for i := 0; i < len(script); {
+				end := i + 1
+				if i%3 == 1 {
+					end = i + 2
+				}
+				postAll(t, live, script[i:end])
+				time.Sleep(20 * time.Millisecond)
+				i = end
+			}
+			live.Abort()
+			live.Close() //nolint:errcheck // releases the journal fd
+
+			dictR, sourcesR, sysR, _ := tinyWorld(t)
+			rec, err := New(sysR, dictR, sourcesR, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dictT, sourcesT, sysT, _ := tinyWorld(t)
+			twinCfg := cfg
+			twinCfg.DataDir = ""
+			twin, err := New(sysT, dictT, sourcesT, twinCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(when string, r, w *Snapshot) {
+				t.Helper()
+				got, want := linkIRIs(dictR, r.Links), linkIRIs(dictT, w.Links)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: recovered links %v, twin %v", when, got, want)
+				}
+				if r.Episode != w.Episode {
+					t.Fatalf("%s: recovered episode %d, twin %d", when, r.Episode, w.Episode)
+				}
+			}
+
+			postAll(t, twin, script)
+			same("after recovery", rec.Snapshot(), settle(t, twin, linkItems(script)))
+			st := rec.Recovery()
+			if every == 1 && (st.CheckpointSeq == 0 || st.Replayed == 0) {
+				t.Fatalf("recovery restored a checkpoint at %d and replayed %d records; want a checkpoint and a tail",
+					st.CheckpointSeq, st.Replayed)
+			}
+
+			recBase := rec.metrics.feedbackLinks.Value()
+			postAll(t, rec, more)
+			postAll(t, twin, more)
+			same("after further feedback",
+				settle(t, rec, recBase+linkItems(more)),
+				settle(t, twin, linkItems(script)+linkItems(more)))
+
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Close(); err != nil {
+				t.Fatal(err)
+			}
+			same("after shutdown", rec.Snapshot(), twin.Snapshot())
+		})
+	}
+}
+
+// settle waits until s's writer has applied n link items in all, then
+// for the publication interval to serve them.
+func settle(t *testing.T, s *Server, n uint64) *Snapshot {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.metrics.feedbackLinks.Value() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("writer applied %d of %d link items", s.metrics.feedbackLinks.Value(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * s.cfg.FlushInterval)
+	return s.Snapshot()
 }
 
 // gatedEngine wraps a core.System, blocking each FinishEpisode until

@@ -5,10 +5,16 @@
 //
 // The architecture is single-writer / many-reader with snapshot
 // isolation. Exactly one writer goroutine owns the *core.System: all
-// feedback flows through a bounded queue into it, the writer brackets
-// the feedback into episodes (BeginEpisode … FinishEpisode) and, after
-// every episode, publishes an immutable Snapshot — the candidate link
-// set plus a Federator frozen over it — through an atomic.Pointer.
+// feedback flows through a bounded queue into it, and the writer
+// brackets the feedback into episodes (BeginEpisode … FinishEpisode).
+// One rule ends an episode: EpisodeSize link items, or graceful
+// shutdown. Journal replay batches by the same count, so a recovered
+// server is the run that never crashed. The writer publishes an
+// immutable Snapshot — the candidate link set plus a Federator frozen
+// over it — through an atomic.Pointer after every episode, and every
+// FlushInterval if feedback arrived since the last publication, so a
+// rejection leaves the served links promptly without closing the open
+// episode.
 // Query handlers load the current snapshot and evaluate against it
 // without taking any lock, so readers never block on feedback
 // processing and never observe a half-updated link set. A snapshot is
@@ -86,9 +92,10 @@ type Config struct {
 	// QueueSize bounds the feedback queue (answer-level items). A full
 	// queue yields 429 to clients, never a silent drop.
 	QueueSize int
-	// FlushInterval finishes a partially filled episode after this much
-	// writer idle time, so low-traffic feedback still reaches the
-	// published snapshot promptly.
+	// FlushInterval is the publication interval: every interval, if
+	// feedback was applied since the last publication, the writer
+	// publishes the open episode's candidates, so low-traffic feedback
+	// still reaches the served links promptly. It never ends an episode.
 	FlushInterval time.Duration
 	// QueryTimeout caps per-request query evaluation time. Requests may
 	// ask for less via timeout_ms, never more.
@@ -275,6 +282,7 @@ type writerState struct {
 	pending   int       // link-level items in the open episode
 	epStart   time.Time // when the open episode began
 	version   uint64    // last published snapshot version
+	stale     bool      // feedback applied since the last publication
 	sinceCkpt int       // episodes completed since the last checkpoint
 	applied   uint64    // journal seq of the newest applied item
 	ckptSeq   uint64    // journal seq covered by the last checkpoint
@@ -351,8 +359,7 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 			return nil, err
 		}
 	}
-	s.w.version = 1
-	s.publish(1)
+	s.publish()
 	s.mux = s.routes()
 	go s.writer()
 	if s.fleet != nil {
@@ -526,18 +533,20 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // instruments next to the server's.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// publish builds a fresh immutable snapshot from the engine's current
-// candidate set — unioned with the newest peer manifests on a fleet
-// shard, so reads are always full. Writer-goroutine only (plus from
-// New, before the writer starts).
-func (s *Server) publish(version uint64) {
+// publish builds a fresh immutable snapshot, the next version, from
+// the engine's current candidate set — unioned with the newest peer
+// manifests on a fleet shard, so reads are always full. Writer-goroutine
+// only (plus from New, before the writer starts).
+func (s *Server) publish() {
 	own := s.eng.Candidates()
 	served := s.peerUnion(own)
+	s.w.version++
+	s.w.stale = false
 	s.snap.Store(&Snapshot{
 		Fed:       s.base.WithLinks(served),
 		Links:     served,
 		Own:       own,
-		Version:   version,
+		Version:   s.w.version,
 		Episode:   s.eng.Episode(),
 		Published: time.Now(),
 	})
@@ -545,8 +554,10 @@ func (s *Server) publish(version uint64) {
 
 // applyItem feeds one answer-level item into the engine, bracketing
 // episodes exactly as the paper's loop does. It is the shared apply
-// path of live writing and journal replay: identical batching is what
-// makes a recovered run converge to the uninterrupted run's state.
+// path of live writing and journal replay, and the count check at its
+// end is the only place a served episode ends before shutdown:
+// identical batching is what makes a recovered run converge to the
+// uninterrupted run's state.
 func (s *Server) applyItem(it feedbackItem) {
 	if s.w.pending == 0 {
 		s.eng.BeginEpisode()
@@ -557,6 +568,7 @@ func (s *Server) applyItem(it feedbackItem) {
 		s.metrics.feedbackLinks.Inc()
 		s.w.pending++
 	}
+	s.w.stale = true
 	if it.seq > s.w.applied {
 		s.w.applied = it.seq
 	}
@@ -587,8 +599,7 @@ func (s *Server) finishEpisode() {
 	s.w.pending = 0
 	s.w.sinceCkpt++
 	if !s.w.replaying {
-		s.w.version++
-		s.publish(s.w.version)
+		s.publish()
 		// On a fleet shard, every published episode is replicated out.
 		s.kickReplicator()
 	}
@@ -655,13 +666,17 @@ func (s *Server) writer() {
 		case it := <-s.queue:
 			s.applyItem(it)
 		case <-flush.C:
-			s.finishEpisode()
+			// Publish the open episode's candidates; the episode stays
+			// open until it reaches EpisodeSize items.
+			if s.w.stale {
+				s.publish()
+				s.kickReplicator()
+			}
 		case <-s.repub:
 			// A peer manifest landed (fleet only; the channel is nil and
 			// never fires standalone): fold it into a fresh snapshot.
 			// Publication stays writer-only.
-			s.w.version++
-			s.publish(s.w.version)
+			s.publish()
 		case <-s.die:
 			return // simulated crash: no drain, no checkpoint
 		case <-s.stop:

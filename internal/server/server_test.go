@@ -280,8 +280,7 @@ func TestBackpressure429(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
 	s, _, client := newTestServer(t, sys, dict, sources, Config{
-		EpisodeSize:   1000, // never auto-finishes: only the drain path closes the episode
-		FlushInterval: time.Hour,
+		EpisodeSize: 1000, // never auto-finishes: only the drain path closes the episode
 	})
 	if err := client.Feedback([]LinkJSON{{E1: "http://ds1/a2", E2: "http://ds2/b2w"}}, false); err != nil {
 		t.Fatal(err)
@@ -601,7 +600,7 @@ func (e *statsEngine) FinishEpisode() core.EpisodeStats {
 func TestExplorationCounters(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
 	eng := &statsEngine{System: sys}
-	s, ts, client := newTestServer(t, eng, dict, sources, Config{EpisodeSize: 1, FlushInterval: time.Hour})
+	s, ts, client := newTestServer(t, eng, dict, sources, Config{EpisodeSize: 1})
 	const episodes = 4
 	for i, req := range feedbackScript(episodes) {
 		if code := postFeedback(t, ts.URL, req); code != http.StatusAccepted {

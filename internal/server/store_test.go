@@ -183,7 +183,6 @@ func TestStoreBackedServerHealthAndMetrics(t *testing.T) {
 	dict, sources, sys, set, _ := diskWorld(t, t.TempDir())
 	cfg := Config{
 		EpisodeSize:      1,
-		FlushInterval:    time.Hour,
 		CheckpointEvery:  1,
 		Stores:           set,
 		StoreLoadSeconds: 1.25,
@@ -250,7 +249,6 @@ func TestServingNeverWritesTheStore(t *testing.T) {
 
 	cfg := Config{
 		EpisodeSize:     1,
-		FlushInterval:   time.Hour,
 		CheckpointEvery: 1,
 		DataDir:         t.TempDir(),
 		Stores:          set,
@@ -293,7 +291,6 @@ func TestCrashRecoveryFromDiskStore(t *testing.T) {
 	dict, sources, sys, set, _ := diskWorld(t, storeDir)
 	cfg := Config{
 		EpisodeSize:     1,
-		FlushInterval:   time.Hour,
 		CheckpointEvery: 2,
 		DataDir:         dataDir,
 		Stores:          set,

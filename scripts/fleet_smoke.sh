@@ -107,7 +107,7 @@ echo "== load through the router (queries + feedback)"
 # reject a shard's whole partition within seconds, and the rejection
 # below needs a link on every owner.
 "$BIN/alexload" -server "http://$ROUTER" -duration 3s -concurrency 4 -seed 7 -feedback-frac 0.02
-sleep 1 # let the final episodes flush + replicate before baselining
+sleep 1 # let the last feedback publish (-flush) + replicate before baselining
 BASELINE=$(query_rows)
 [ -n "$BASELINE" ] || fail "baseline query returned no rows payload"
 
