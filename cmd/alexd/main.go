@@ -84,7 +84,7 @@ func main() {
 	maxQueries := flag.Int("max-queries", 0, "concurrent /query evaluations admitted (0 = unlimited; excess waits, then 503)")
 	shardID := flag.Int("shard-id", -1, "this shard's ID within -fleet (-1 = standalone)")
 	fleetList := flag.String("fleet", "", "comma-separated addresses of ALL fleet shards in shard-ID order (requires -shard-id)")
-	replicateEvery := flag.Duration("replicate-every", 2*time.Second, "fleet anti-entropy interval: the shard pushes its snapshot to every peer and pulls theirs (with -fleet)")
+	replicateEvery := flag.Duration("replicate-every", 2*time.Second, "fleet anti-entropy interval: the shard exchanges its snapshot with every peer, one request each (with -fleet)")
 	flag.Parse()
 
 	if addr, err := pprofserve.Start(*pprofAddr); err != nil {
@@ -314,8 +314,8 @@ func main() {
 			*dataDir, rec.CheckpointSeq, rec.Replayed)
 	}
 	if fleetCfg != nil {
-		// Peers may still be starting; replication retries on its
-		// interval, so a one-shot registration here is enough.
+		// Peers may still be starting; the next replication round asks
+		// them again, so a one-shot registration here is enough.
 		if err := srv.SetPeers(peers); err != nil {
 			fatal(err)
 		}

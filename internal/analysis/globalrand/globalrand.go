@@ -2,7 +2,7 @@
 //
 // ALEX's reproduction of the paper's Figures 2–4 is bit-for-bit
 // deterministic because every random draw — candidate sampling, oracle
-// noise, retry jitter — flows through an explicitly seeded *rand.Rand
+// noise, fault-injection jitter — flows through an explicitly seeded *rand.Rand
 // that the caller owns (core.Config.Seed, the -seed flags of the
 // binaries). Top-level math/rand functions (rand.Intn, rand.Shuffle,
 // rand.Seed, ...) draw from a shared, process-global source instead:

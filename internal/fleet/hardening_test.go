@@ -607,9 +607,7 @@ func chaosDrill(t *testing.T, n, kill, partition int) {
 	// journal alone.
 	f.kill(kill)
 	f.restartShard(t, w, kill, base)
-	newClient := server.NewClient(f.addrs[kill])
-	newClient.SetRetryPolicy(server.RetryPolicy{MaxAttempts: 1})
-	f.clients[kill] = newClient
+	f.clients[kill] = server.NewClient(f.addrs[kill])
 	sendBatch(spanningBatch(t, w, n, 1))
 
 	// Asymmetric partition: the router loses a shard while that shard
@@ -706,13 +704,12 @@ func TestRestartedShardReplicatesBelowItsOldVersion(t *testing.T) {
 		reject(k)
 	}
 	old := f.shards[1].Snapshot()
-	// Four anti-entropy rounds: every peer has pulled a manifest at
+	// Four anti-entropy rounds: every peer holds a manifest at
 	// least as new as old.
 	time.Sleep(100 * time.Millisecond)
 	f.kill(1)
 	f.restartShard(t, w, 1, base)
 	f.clients[1] = server.NewClient(f.addrs[1])
-	f.clients[1].SetRetryPolicy(server.RetryPolicy{MaxAttempts: 1})
 	if rec := f.shards[1].Recovery(); rec.Replayed != 3 {
 		t.Fatalf("restarted shard replayed %d journal records, want 3", rec.Replayed)
 	}

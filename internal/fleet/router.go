@@ -156,7 +156,6 @@ func New(cfg Config) (*Router, error) {
 	var shards []*shard
 	for id, addr := range cfg.Shards {
 		c := server.NewClient(addr)
-		c.SetRetryPolicy(server.RetryPolicy{MaxAttempts: 1})
 		c.SetTransport(transport)
 		query, err := newQueryTemplate(c.Addr())
 		if err != nil {

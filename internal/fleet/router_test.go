@@ -185,9 +185,7 @@ func startFleetHedged(t testing.TB, w *world, n int, scfg server.Config, hedge t
 		f.shards = append(f.shards, s)
 		f.https = append(f.https, ts)
 		f.addrs = append(f.addrs, ts.URL)
-		c := server.NewClient(ts.URL)
-		c.SetRetryPolicy(server.RetryPolicy{MaxAttempts: 1})
-		f.clients = append(f.clients, c)
+		f.clients = append(f.clients, server.NewClient(ts.URL))
 	}
 	for _, s := range f.shards {
 		if err := s.SetPeers(f.addrs); err != nil {
@@ -209,7 +207,6 @@ func startFleetHedged(t testing.TB, w *world, n int, scfg server.Config, hedge t
 	f.router = r
 	f.rts = httptest.NewServer(r.Handler())
 	f.rclient = server.NewClient(f.rts.URL)
-	f.rclient.SetRetryPolicy(server.RetryPolicy{MaxAttempts: 1})
 	t.Cleanup(func() {
 		f.rts.Close()
 		r.Close()
@@ -835,9 +832,7 @@ func TestRouterFailoverRecoversAckedFeedback(t *testing.T) {
 	if liveRejected {
 		want--
 	}
-	newClient := server.NewClient(f.addrs[victim])
-	newClient.SetRetryPolicy(server.RetryPolicy{MaxAttempts: 1})
-	f.clients[victim] = newClient
+	f.clients[victim] = server.NewClient(f.addrs[victim])
 	f.waitConverged(t, want)
 	ls := waitServed(t, f.rclient, want)
 	for _, l := range ls.Links {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -9,121 +11,107 @@ import (
 	"time"
 )
 
-// flakyHandler answers failures[i] for the i-th request and 200 with an
-// empty query response once the scripted failures run out.
-func flakyHandler(calls *atomic.Int64, failures ...int) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := int(calls.Add(1)) - 1
-		if n < len(failures) {
-			w.WriteHeader(failures[n])
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"rows":[],"snapshot_version":1}`)) //nolint:errcheck
-	})
+// countingTransport counts the requests a client hands its transport,
+// so a test sees every attempt even when no server answers.
+type countingTransport struct {
+	calls atomic.Int64
+	next  http.RoundTripper
 }
 
-func fastRetryClient(url string, attempts int) *Client {
-	c := NewClient(url)
-	c.SetRetryPolicy(RetryPolicy{
-		MaxAttempts: attempts,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-	})
-	return c
+func (t *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	t.calls.Add(1)
+	return t.next.RoundTrip(r)
 }
 
-func TestClientRetriesTransientFailures(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(flakyHandler(&calls, http.StatusServiceUnavailable, http.StatusInternalServerError))
-	defer ts.Close()
-
-	c := fastRetryClient(ts.URL, 4)
-	if _, err := c.Query("SELECT ?s WHERE { ?s ?p ?o . }"); err != nil {
-		t.Fatalf("query through 2 transient failures: %v", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3 (2 failures + success)", got)
-	}
-}
-
-func TestClientCapsAttempts(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-
-	c := fastRetryClient(ts.URL, 3)
-	if _, err := c.Query("SELECT ?s WHERE { ?s ?p ?o . }"); err == nil {
-		t.Fatal("query against a permanently failing server succeeded")
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want exactly MaxAttempts=3", got)
-	}
-}
-
-func TestClientDoesNotRetryCallerErrors(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusBadRequest)
-	}))
-	defer ts.Close()
-
-	c := fastRetryClient(ts.URL, 4)
-	if _, err := c.Query("nonsense"); err == nil {
-		t.Fatal("400 did not surface as an error")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("4xx retried: %d attempts", got)
-	}
-}
-
-func TestClientHonorsRetryAfter(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		w.Write([]byte(`{"rows":[],"snapshot_version":1}`)) //nolint:errcheck
-	}))
-	defer ts.Close()
-
-	c := fastRetryClient(ts.URL, 2) // backoff alone would retry in ~1ms
-	start := time.Now()
-	if _, err := c.Query("SELECT ?s WHERE { ?s ?p ?o . }"); err != nil {
+// Every request is one attempt: a caller mistake, backpressure, an
+// outage that asks to be retried later, and a refused connection all
+// reach the caller on the first response, and the server sees one
+// request each.
+func TestClientAsksOnce(t *testing.T) {
+	refused, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < time.Second {
-		t.Fatalf("retried after %s, Retry-After asked for 1s", elapsed)
+	refusedAddr := refused.Addr().String()
+	refused.Close()
+
+	for _, tc := range []struct {
+		name   string
+		status int
+		after  string
+	}{
+		{name: "400", status: http.StatusBadRequest},
+		{name: "429", status: http.StatusTooManyRequests, after: "1"},
+		{name: "500", status: http.StatusInternalServerError},
+		{name: "503 with Retry-After", status: http.StatusServiceUnavailable, after: "1"},
+		{name: "refused connection"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := refusedAddr
+			if tc.status != 0 {
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if tc.after != "" {
+						w.Header().Set("Retry-After", tc.after)
+					}
+					w.WriteHeader(tc.status)
+				}))
+				defer ts.Close()
+				addr = ts.URL
+			}
+			rt := &countingTransport{next: http.DefaultTransport.(*http.Transport).Clone()}
+			c := NewClient(addr)
+			c.SetTransport(rt)
+
+			status, err := c.FeedbackResult(context.Background(), []LinkJSON{{E1: "a", E2: "b"}}, true)
+			if err == nil {
+				t.Fatalf("feedback: status %d with no error", status)
+			}
+			if status != tc.status {
+				t.Fatalf("feedback: status %d, want %d (err %v)", status, tc.status, err)
+			}
+			if got := rt.calls.Load(); got != 1 {
+				t.Fatalf("feedback: %d requests, want 1", got)
+			}
+			err = c.Feedback([]LinkJSON{{E1: "a", E2: "b"}}, true)
+			if (tc.status == http.StatusTooManyRequests) != errors.Is(err, ErrQueueFull) {
+				t.Fatalf("feedback after %d: err %v", tc.status, err)
+			}
+			if _, err := c.Query("SELECT ?s WHERE { ?s ?p ?o . }"); err == nil {
+				t.Fatal("query: no error")
+			}
+			if got := rt.calls.Load(); got != 3 {
+				t.Fatalf("three calls sent %d requests, want 3", got)
+			}
+		})
 	}
 }
 
+// A hung server is abandoned at the caller's deadline.
 func TestClientRespectsContextDeadline(t *testing.T) {
 	var calls atomic.Int64
+	release := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusServiceUnavailable)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
 	}))
 	defer ts.Close()
+	defer close(release)
 
-	c := fastRetryClient(ts.URL, 10)
+	c := NewClient(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	err := c.FeedbackContext(ctx, []LinkJSON{{E1: "a", E2: "b"}}, true)
-	if err == nil {
-		t.Fatal("feedback against a failing server succeeded")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("feedback against a hung server: err %v, want the deadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("client ignored the context deadline: returned after %s", elapsed)
 	}
 	if got := calls.Load(); got != 1 {
-		t.Fatalf("deadline of 50ms vs Retry-After 30s: %d attempts, want 1", got)
+		t.Fatalf("server saw %d requests, want 1", got)
 	}
 }

@@ -13,10 +13,14 @@
 // Replication makes every shard able to serve a FULL read. Whenever the
 // writer publishes the shard's feedback — after each episode, and each
 // publication interval in which feedback arrived — it kicks the
-// replicator, which pushes the shard's own link partition — a
-// cluster.SnapshotManifest carrying the snapshot version that produced
-// it — to every peer, and pulls the peers' manifests back (the pull
-// doubles as catch-up after a restart and as anti-entropy on a timer).
+// replicator, and a timer runs the same round every ReplicateEvery. A
+// round is one exchange per peer: a POST /replica/push carries the
+// shard's own link partition — a cluster.SnapshotManifest stamped with
+// the snapshot version that produced it — and the peer answers with its
+// own, which the replicator applies (so the exchange doubles as
+// catch-up after a restart and as anti-entropy on the timer). Each
+// exchange is one attempt, bounded by replicaRPCTimeout; Close and
+// Abort cancel the one in flight.
 // A received manifest replaces the stored copy only when it is newer —
 // a later boot of the shard's process, or the same boot and a later
 // snapshot version — so replays and reordered deliveries cannot roll a
@@ -27,12 +31,14 @@
 // distinguish a shard from a standalone server.
 //
 // The replicator is the shard's only long-lived goroutine beside the
-// writer. It follows the same lifecycle discipline (defer close of its done
-// channel, select on stop/die), and it never touches the engine: it
-// reads published snapshots and the peer table, so the single-writer
-// invariant stands. When a manifest is applied outside an episode
-// boundary the writer is asked — via the repub channel — to republish,
-// keeping publication itself writer-only.
+// writer. Like the writer it closes a done channel on exit; it ends
+// when Close or Abort cancels its context, and it never touches the
+// engine: it reads published snapshots and the peer table, so the
+// single-writer invariant stands. When an accepted manifest changes a peer's links
+// the writer is asked — via the repub channel — to republish, keeping
+// publication itself writer-only. A newer manifest with the same links
+// republishes nothing, so an idle fleet stops publishing once it has
+// converged.
 package server
 
 import (
@@ -54,14 +60,14 @@ type FleetConfig struct {
 	// Shards is the fleet size.
 	Shards int
 	// ReplicateEvery is the anti-entropy interval: how often the
-	// replicator pushes/pulls snapshots absent episode activity.
-	// 0 means 2s.
+	// replicator exchanges manifests with every peer absent episode
+	// activity. 0 means 2s.
 	ReplicateEvery time.Duration
 }
 
 const defaultReplicateEvery = 2 * time.Second
 
-// replicaRPCTimeout bounds one push or pull to a single peer, so a hung
+// replicaRPCTimeout bounds one exchange with a single peer, so a hung
 // peer cannot stall the whole replication round past the next tick.
 const replicaRPCTimeout = 5 * time.Second
 
@@ -109,10 +115,8 @@ func (s *Server) initFleet(fc *FleetConfig) error {
 
 func (s *Server) registerFleetMetrics() {
 	m := &s.fleetMetrics
-	m.pushes = s.reg.Counter("alexd_replica_pushes_total", "Snapshot manifests pushed to peers.")
-	m.pushErrors = s.reg.Counter("alexd_replica_push_errors_total", "Manifest pushes that failed.")
-	m.pulls = s.reg.Counter("alexd_replica_pulls_total", "Snapshot manifests pulled from peers.")
-	m.pullErrors = s.reg.Counter("alexd_replica_pull_errors_total", "Manifest pulls that failed.")
+	m.pushes = s.reg.Counter("alexd_replica_pushes_total", "Manifest exchanges with peers (our manifest pushed, theirs returned).")
+	m.pushErrors = s.reg.Counter("alexd_replica_push_errors_total", "Manifest exchanges that failed.")
 	m.applied = s.reg.Counter("alexd_replica_applied_total", "Peer manifests accepted (newer than the stored copy).")
 	m.rejected = s.reg.Counter("alexd_replica_rejected_total", "Peer manifests refused (bad shard, unknown entity).")
 	s.reg.GaugeFunc("alexd_shard_id", "This shard's ID within the fleet.", func() float64 {
@@ -140,8 +144,6 @@ func (s *Server) registerFleetMetrics() {
 type fleetMetrics struct {
 	pushes     *Counter
 	pushErrors *Counter
-	pulls      *Counter
-	pullErrors *Counter
 	applied    *Counter
 	rejected   *Counter
 }
@@ -186,51 +188,42 @@ func (s *Server) kickReplicator() {
 
 // replicator is the fleet's second long-lived goroutine: on every kick
 // (feedback published, peers changed) and every ReplicateEvery tick it
-// pushes this shard's manifest to all peers and pulls theirs back.
-func (s *Server) replicator() {
+// exchanges manifests with every peer. ctx is cancelled by Close and
+// Abort, which ends the exchange in flight and the loop with it.
+func (s *Server) replicator(ctx context.Context) {
 	defer close(s.repDone)
 	tick := time.NewTicker(s.fleet.ReplicateEvery)
 	defer tick.Stop()
 	for {
 		select {
-		case <-s.stop:
+		case <-ctx.Done():
 			return
-		case <-s.die:
-			return // simulated crash, same as the writer
 		case <-s.kick:
-			s.replicate()
 		case <-tick.C:
-			s.replicate()
 		}
+		s.replicate(ctx)
 	}
 }
 
-// replicate runs one push+pull round against every configured peer.
-func (s *Server) replicate() {
+// replicate runs one round: a single exchange with every configured
+// peer, which takes this shard's manifest and answers with its own.
+func (s *Server) replicate(ctx context.Context) {
 	s.peerMu.Lock()
-	clients := make(map[int]*Client, len(s.peerClients))
-	for id, c := range s.peerClients {
-		clients[id] = c
-	}
+	clients := s.peerClients // SetPeers replaces the map, never mutates it
 	s.peerMu.Unlock()
 	if len(clients) == 0 {
 		return
 	}
 	own := s.Manifest()
 	for id, c := range clients {
-		ctx, cancel := context.WithTimeout(context.Background(), replicaRPCTimeout)
-		if _, err := c.ReplicaPush(ctx, own); err != nil {
-			s.fleetMetrics.pushErrors.Inc()
-		} else {
-			s.fleetMetrics.pushes.Inc()
-		}
-		m, err := c.ReplicaSnapshot(ctx)
+		rctx, cancel := context.WithTimeout(ctx, replicaRPCTimeout)
+		m, err := c.ReplicaPush(rctx, own)
 		cancel()
 		if err != nil {
-			s.fleetMetrics.pullErrors.Inc()
+			s.fleetMetrics.pushErrors.Inc()
 			continue
 		}
-		s.fleetMetrics.pulls.Inc()
+		s.fleetMetrics.pushes.Inc()
 		if m.ShardID != id {
 			s.fleetMetrics.rejected.Inc()
 			continue // address list and fleet topology disagree
@@ -261,11 +254,12 @@ func (s *Server) Manifest() cluster.SnapshotManifest {
 }
 
 // applyManifest accepts a peer's manifest: resolve its links into this
-// shard's dictionary and store it if it is newer than the held copy.
-// Returns whether the manifest replaced the stored one. An unknown
-// entity rejects the whole manifest — shards load identical datasets,
-// so a miss means the fleet is misconfigured and silently dropping the
-// link would be worse than refusing loudly. So does a link whose E1
+// shard's dictionary and store it if it is newer than the held copy,
+// asking the writer to republish only when its links differ from the
+// held copy's. Returns whether the manifest replaced the stored one.
+// An unknown entity rejects the whole manifest — shards load identical
+// datasets, so a miss means the fleet is misconfigured and silently
+// dropping the link would be worse than refusing loudly. So does a link whose E1
 // this shard's ranges do not give to the sender: a peer sized for
 // another fleet could otherwise keep serving a link its owner rejected.
 func (s *Server) applyManifest(m cluster.SnapshotManifest) (bool, error) {
@@ -309,6 +303,12 @@ func (s *Server) applyManifest(m cluster.SnapshotManifest) (bool, error) {
 		return false, nil
 	}
 	s.fleetMetrics.applied.Inc()
+	if ok && held.links.SymmetricDiff(set) == 0 {
+		// Same links, so the served union is unchanged: republishing
+		// would only bump this shard's version and make its own manifest
+		// newer for the sender, round after round.
+		return true, nil
+	}
 	// Publication is writer-only; ask it to fold the new peer links into
 	// a fresh snapshot. A pending request coalesces.
 	select {
@@ -355,15 +355,9 @@ func (s *Server) peerHealth() []PeerHealth {
 	return out
 }
 
-// replicaPushResponse acknowledges a pushed manifest.
-type replicaPushResponse struct {
-	// Applied is false when the manifest was valid but stale (the
-	// receiver already holds a newer manifest from that shard).
-	Applied bool `json:"applied"`
-}
-
 // handleReplicaSnapshot serves this shard's own link partition (GET
-// /replica/snapshot) for peers catching up by pull.
+// /replica/snapshot): the operator's view of what the shard replicates
+// out. Peers get the same manifest as the answer to their push.
 func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
@@ -376,7 +370,8 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Manifest())
 }
 
-// handleReplicaPush accepts a peer's manifest (POST /replica/push).
+// handleReplicaPush accepts a peer's manifest (POST /replica/push) and
+// answers with this shard's own, so one exchange replicates both ways.
 func (s *Server) handleReplicaPush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
@@ -391,10 +386,9 @@ func (s *Server) handleReplicaPush(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	applied, err := s.applyManifest(m)
-	if err != nil {
+	if _, err := s.applyManifest(m); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, replicaPushResponse{Applied: applied})
+	writeJSON(w, http.StatusOK, s.Manifest())
 }

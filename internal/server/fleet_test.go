@@ -51,10 +51,8 @@ func fleetWorld(t *testing.T, n int) (shards []*Server, clients []*Client, dict 
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		t.Cleanup(func() { s.Close() })
-		c := NewClient(ts.URL)
-		c.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
 		shards = append(shards, s)
-		clients = append(clients, c)
+		clients = append(clients, NewClient(ts.URL))
 		addrs[id] = ts.URL
 	}
 	for _, s := range shards {
@@ -270,6 +268,71 @@ func TestFleetStaleManifestIgnored(t *testing.T) {
 	}
 	if _, err := s.applyManifest(cluster.SnapshotManifest{ShardID: from, Boot: held.boot + 2, Links: foreign}); err == nil {
 		t.Fatalf("manifest from shard %d carrying links it does not own accepted: %+v", from, foreign)
+	}
+}
+
+// Once a fleet has converged, a round carries nothing new: a peer's
+// newer manifest with unchanged links republishes nothing, so no
+// shard's snapshot version moves while no feedback arrives.
+func TestIdleFleetIsQuiet(t *testing.T) {
+	shards, clients, _, initial := fleetWorld(t, 3)
+	for _, c := range clients {
+		waitLinks(t, c, initial.Len())
+	}
+	const round = 25 * time.Millisecond // fleetWorld's ReplicateEvery
+	time.Sleep(10 * round)
+	before := make([]uint64, len(shards))
+	for i, s := range shards {
+		before[i] = s.Snapshot().Version
+	}
+	time.Sleep(20 * round)
+	for i, s := range shards {
+		if v := s.Snapshot().Version; v != before[i] {
+			t.Errorf("idle shard %d republished: version %d -> %d over 20 rounds", i, before[i], v)
+		}
+	}
+}
+
+// Close cancels the replication exchange in flight: a peer that
+// accepts the connection and never answers does not hold shutdown for
+// the exchange's timeout.
+func TestCloseDoesNotWaitOnAHungPeer(t *testing.T) {
+	asked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case asked <- struct{}{}:
+		default:
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
+
+	dict, sources, sys, _ := tinyWorld(t)
+	s, err := New(sys, dict, sources, Config{
+		Fleet: &FleetConfig{ShardID: 0, Shards: 2, ReplicateEvery: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetPeers([]string{"", hung.URL}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-asked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replicator never reached the peer")
+	}
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("Close took %s behind a hung peer, want < 1s", elapsed)
 	}
 }
 

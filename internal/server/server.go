@@ -51,6 +51,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -254,8 +255,9 @@ type Server struct {
 	// Fleet role (all nil/zero when standalone; see fleet.go). boot
 	// stamps this process's manifests; peerMu guards peerSets and
 	// peerClients; kick wakes the replicator, repub asks the writer to
-	// republish after a peer manifest lands, repDone closes when the
-	// replicator goroutine exits.
+	// republish after a peer manifest changes a peer's links, repCancel
+	// (Close, Abort) ends the replicator and its exchange in flight, and
+	// repDone closes when the replicator goroutine exits.
 	fleet        *FleetConfig
 	boot         int64
 	ranges       []cluster.HashRange
@@ -264,6 +266,7 @@ type Server struct {
 	peerClients  map[int]*Client
 	kick         chan struct{}
 	repub        chan struct{}
+	repCancel    context.CancelFunc
 	repDone      chan struct{}
 	fleetMetrics fleetMetrics
 
@@ -363,7 +366,9 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 	s.mux = s.routes()
 	go s.writer()
 	if s.fleet != nil {
-		go s.replicator()
+		var ctx context.Context
+		ctx, s.repCancel = context.WithCancel(context.Background())
+		go s.replicator(ctx)
 	}
 	return s, nil
 }
@@ -756,6 +761,9 @@ func (s *Server) Close() error {
 	// takes the shard out of rotation; its data path already has, once
 	// the listener in front of the shard refuses connections.
 	s.closing.Do(func() { close(s.stop) })
+	if s.repCancel != nil {
+		s.repCancel()
+	}
 	select {
 	case <-s.done:
 	case <-time.After(s.cfg.DrainTimeout):
@@ -778,6 +786,9 @@ func (s *Server) Close() error {
 // recovery must resurrect them.
 func (s *Server) abort() {
 	s.aborting.Do(func() { close(s.die) })
+	if s.repCancel != nil {
+		s.repCancel()
+	}
 	<-s.done
 	if s.repDone != nil {
 		<-s.repDone

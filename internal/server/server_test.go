@@ -66,11 +66,7 @@ func newTestServer(t *testing.T, eng Engine, dict *rdf.Dict, sources []federatio
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { s.Close() })
-	// Retries off: tests that provoke 429/503 assert on the immediate
-	// response; client_test.go covers the retry behavior.
-	client := NewClient(ts.URL)
-	client.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
-	return s, ts, client
+	return s, ts, NewClient(ts.URL)
 }
 
 func TestQueryFeedbackRoundTrip(t *testing.T) {
