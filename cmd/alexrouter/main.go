@@ -16,9 +16,9 @@
 // request or /healthz probe marks the shard down, and its own probe
 // loop brings it back on the first good answer. Down shards are routed
 // around: reads keep working off any live shard's replicated full view,
-// a query whose shard fails or stalls past the p95 of recent shard
-// latencies is hedged to a peer, and writes for a down shard's range
-// get 503 + Retry-After until it recovers.
+// a query whose shard fails is asked of the next routable shard once, a
+// query whose shard hangs ends at its deadline, and writes for a down
+// shard's range get 503 + Retry-After until it recovers.
 //
 // Endpoints: POST /query, POST /feedback, GET /links, GET /healthz,
 // GET /metrics — the same wire contract as alexd, so fedquery and

@@ -3,9 +3,9 @@
 // internal/fleet must be scopeable by the caller's context, and no
 // request path may manufacture an unbounded context.Background().
 //
-// The fleet's availability story (hedged reads, per-shard probes,
-// scatter-gather deadlines — DESIGN.md) assumes a slow shard can always
-// be abandoned. One convenience call that ignores the request context
+// The fleet's availability story (a query's deadline, per-shard probes
+// — DESIGN.md) assumes a slow shard can always be abandoned. One
+// convenience call that ignores the request context
 // — client.Links() with a baked-in Background() — reintroduces the
 // unbounded wait the whole design exists to remove, and no local
 // review can see it once the Background() is two packages away. The

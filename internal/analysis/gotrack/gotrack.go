@@ -8,19 +8,19 @@
 // started: an untracked `go` statement keeps running through shutdown,
 // races teardown, and leaks under the race detector's radar. The
 // serving layer's writer goroutine signals completion with
-// `defer close(s.done)`; request-scoped helpers bound their lifetime
-// with a context. This analyzer requires every launch to show one such
-// tie, structurally:
+// `defer close(s.done)`. This analyzer requires every launch to show
+// one such tie, structurally:
 //
 //   - the launched body does `defer close(ch)` on a done-channel, or
 //     calls Done on a sync.WaitGroup;
 //   - the launch site is preceded (same or enclosing block) by
 //     wg.Add on a sync.WaitGroup — the classic Add/go/Done triple,
 //     which also covers launches of functions defined elsewhere;
-//   - the launched body is context-scoped: it uses a context.Context
-//     value (selects on Done or passes it to its callees, which is how
-//     the router's hedged shard requests are cancelled); or
 //   - the launched body receives from a struct{} stop-channel.
+//
+// Using a context.Context is no tie: a goroutine that was handed one
+// can still run past its caller, so a request-scoped helper waits for
+// its goroutine as any other launch does.
 //
 // Launched named functions and methods of the same package are checked
 // by their declared body; for functions of other packages only the
@@ -42,7 +42,7 @@ import (
 // serve loops and signal handlers that must not outlive shutdown.
 var Analyzer = &analysis.Analyzer{
 	Name: "gotrack",
-	Doc:  "flags goroutines not tied to a WaitGroup, done-channel, context, or stop-channel",
+	Doc:  "flags goroutines not tied to a WaitGroup, done-channel, or stop-channel",
 	Match: func(p string) bool {
 		return analysis.PathHasAny(p, "alex/internal/server", "alex/internal/fleet", "alex/internal/faultnet", "alex/internal/store", "alex/cmd")
 	},
@@ -60,7 +60,7 @@ func run(pass *analysis.Pass) error {
 			if launchSiteTracked(pass, file, g) || bodyTracked(pass, decls, g.Call) {
 				return true
 			}
-			pass.Reportf(g.Pos(), "goroutine is not tied to a WaitGroup, done-channel, context, or stop-channel; orphan goroutines outlive the daemon's shutdown path")
+			pass.Reportf(g.Pos(), "goroutine is not tied to a WaitGroup, done-channel, or stop-channel; orphan goroutines outlive the daemon's shutdown path")
 			return true
 		})
 	}
@@ -189,13 +189,6 @@ func bodyTracked(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, call 
 			if isHTTPServerServe(pass, n) {
 				tracked = true
 			}
-		case *ast.Ident:
-			// Any use of a context.Context value: the goroutine's work is
-			// cancel-scoped through it (the router's hedged shard request
-			// passes its ctx to the shard client, which honors it).
-			if obj := pass.TypesInfo.ObjectOf(n); obj != nil && isContextType(obj.Type()) {
-				tracked = true
-			}
 		case *ast.UnaryExpr:
 			// <-stop on a struct{} channel.
 			if n.Op == token.ARROW && isStructChan(pass, n.X) {
@@ -281,15 +274,6 @@ func isWaitGroupMethod(pass *analysis.Pass, call *ast.CallExpr, name string) boo
 	}
 	obj := named.Obj()
 	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
 func isStructChan(pass *analysis.Pass, e ast.Expr) bool {

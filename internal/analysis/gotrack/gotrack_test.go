@@ -10,6 +10,6 @@ import (
 func TestGotrack(t *testing.T) {
 	analysistest.Run(t, gotrack.Analyzer,
 		"testdata/src/a", // orphan launches (an accept loop serving untracked connections)
-		"testdata/src/b", // done-channel, WaitGroup, context, stop-channel ties
+		"testdata/src/b", // done-channel, WaitGroup, stop-channel ties; a context is none
 	)
 }

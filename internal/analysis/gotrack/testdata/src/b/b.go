@@ -1,4 +1,5 @@
-// Fixture b: tracked launches — the serving layer's own idioms.
+// Fixture b: tracked launches — the serving layer's own idioms — and
+// one that a context does not track.
 package b
 
 import (
@@ -58,12 +59,12 @@ func serveTracked(l net.Listener, srv *rpc.Server) error {
 	}
 }
 
-// evalShape is a request-scoped helper (fleet's hedged shard request has
-// this shape): its work is scoped to the request context, which cancels
-// its callees.
+// evalShape is a request-scoped helper that hands its goroutine the
+// request context and stops waiting at its deadline: the goroutine can
+// still run on behind the return, so the context is no tie.
 func evalShape(ctx context.Context, eval func(context.Context) int) int {
 	ch := make(chan int, 1)
-	go func() {
+	go func() { // want "goroutine is not tied to a WaitGroup"
 		ch <- eval(ctx)
 	}()
 	select {

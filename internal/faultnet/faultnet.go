@@ -7,8 +7,8 @@
 // bursts, slow-loris response bodies and full partitions. All
 // randomness comes from one seeded *rand.Rand, so a chaos run is
 // reproducible from its seed alone. The transport also counts every
-// upstream request attempt by (host, path) — chaos tests assert rate
-// bounds (e.g. "hedging never exceeds 2× the baseline request rate")
+// upstream request attempt by (host, path) — tests assert request
+// counts (e.g. "a slow shard gets exactly one /query per client query")
 // against those counters.
 //
 // Asymmetric partitions fall out of the shape: faults are keyed by

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -134,28 +133,22 @@ func TestRouterAllShardsDownFastFail(t *testing.T) {
 	}
 }
 
-// Hedging is the read failover: when the shard a query was routed to
-// answers 5xx, refuses the connection or hangs past the hedge delay, the
-// peer is asked and ITS bytes are relayed — a plain 200, with no
-// X-Alex-Fleet-Degraded, because one replica's answer is the full
-// answer. The hedge delay is 1 s: a shard is asked once, so a 5xx or a
-// refused connection fails over at once, not after retries or the
-// delay. The health interval is an hour, so the first query of each
-// fleet goes to shard 0 and only the data path changes what is
-// routable.
+// The read path's one failover rule: when the shard a query was routed
+// to answers 5xx or refuses the connection, it is marked down and the
+// next routable shard is asked, and ITS bytes are relayed — a plain 200,
+// with no X-Alex-Fleet-Degraded, because one replica's answer is the
+// full answer. A shard is asked once, so the failover is at once, not
+// after retries. The health interval is an hour, so the first query of
+// each fleet goes to shard 0 and only the data path changes what is
+// routable. A shard that hangs is not asked around: its query ends at
+// its deadline, and the probe loop takes the shard out of rotation.
 func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 	cases := []struct {
 		name  string
 		fault faultnet.Faults
-		// down: the failure marks shard 0 unroutable (a hang does not:
-		// the hedge answers first and the slow request is cancelled).
-		down bool
-		// within bounds the failover.
-		within time.Duration
 	}{
-		{"5xx", faultnet.Faults{ErrProb: 1}, true, 250 * time.Millisecond},
-		{"refused", faultnet.Faults{Partition: true}, true, 250 * time.Millisecond},
-		{"hangs", faultnet.Faults{Latency: 5 * time.Second}, false, 2 * time.Second},
+		{"5xx", faultnet.Faults{ErrProb: 1}},
+		{"refused", faultnet.Faults{Partition: true}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -163,7 +156,7 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 			w := tinyWorld(t)
 			tp := &tap{} // behind the faults: it sees what a shard really answered
 			tr := faultnet.New(7, tp)
-			f := startFleetHedged(t, w, 2, server.Config{}, time.Second, func(c *Config) {
+			f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
 				c.HealthInterval = time.Hour
 				c.Transport = tr
 			})
@@ -181,8 +174,8 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 			if status != http.StatusOK || !bytes.Equal(got, seen[0].resp) {
 				t.Fatalf("router answered %d %s, the peer answered %s", status, got, seen[0].resp)
 			}
-			if elapsed := time.Since(start); elapsed > tc.within {
-				t.Fatalf("failover took %s, want at most %s", elapsed, tc.within)
+			if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+				t.Fatalf("failover took %s, want at most 250ms", elapsed)
 			}
 			if d := hdr.Get("X-Alex-Fleet-Degraded"); d != "" {
 				t.Fatalf("a failed-over 200 carries X-Alex-Fleet-Degraded: %s", d)
@@ -191,19 +184,15 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 				t.Fatalf("upstream /query attempts %v, want one on each shard", tr.Stats())
 			}
 			m := &f.router.metrics
-			if m.hedges.Value() != 1 || m.hedgeWins.Value() != 1 || m.queryFanouts.Sum() != 2 {
-				t.Fatalf("hedges %d, hedge wins %d, shards asked %v; want 1, 1, 2",
-					m.hedges.Value(), m.hedgeWins.Value(), m.queryFanouts.Sum())
+			if got := m.queryFanouts.Sum(); got != 2 {
+				t.Fatalf("shards asked %v, want 2", got)
 			}
 			h, err := f.router.healthView()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h.Shards[0].Routable == tc.down || !h.Shards[1].Routable {
+			if h.Shards[0].Routable || !h.Shards[1].Routable {
 				t.Fatalf("routable after the failover: %+v", h.Shards)
-			}
-			if !tc.down {
-				return
 			}
 
 			// The peer fails the same way: nothing is left to ask, and the
@@ -222,94 +211,44 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 			}
 		})
 	}
-}
 
-// queryFrames are the router's per-query stack frames: the handler, the
-// primary's request and the hedge's, whichever goroutine runs them.
-var queryFrames = []string{
-	"alex/internal/fleet.(*Router).handleQuery",
-	"alex/internal/fleet.(*Router).subQuery",
-	"alex/internal/fleet.(*Router).ask",
-	"alex/internal/fleet.(*routedQuery)",
-}
-
-// A hedged query leaves nothing running once it is answered, in either
-// order: when the peer wins, the hung primary's request is cancelled;
-// when the slow primary beats a slower peer, the peer's is. The metrics
-// count what happened: one hedge each time, a win only for the peer.
-func TestHedgedQueryStopsTheLoser(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		primary, peer time.Duration // latency each shard is given
-		peerWins      bool
-	}{
-		{"primary hangs, peer wins", 5 * time.Second, 0, true},
-		{"slow primary beats a slower peer", 100 * time.Millisecond, 5 * time.Second, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := tinyWorld(t)
-			tp := &tap{}
-			tr := faultnet.New(3, tp)
-			f := startFleetHedged(t, w, 2, server.Config{}, 20*time.Millisecond, func(c *Config) {
-				c.HealthInterval = time.Hour // the first query goes to shard 0
-				c.Transport = tr
-			})
-			f.waitConverged(t, len(w.initial))
-			hosts := []string{strings.TrimPrefix(f.addrs[0], "http://"), strings.TrimPrefix(f.addrs[1], "http://")}
-			tr.SetFaults(hosts[0], faultnet.Faults{Latency: tc.primary})
-			tr.SetFaults(hosts[1], faultnet.Faults{Latency: tc.peer})
-
-			start := time.Now()
-			status, _, got := postQuery(t, f.rts.URL, queryBody(t, server.QueryRequest{Query: w.queries[0]}))
-			elapsed := time.Since(start)
-			winner := hosts[0]
-			if tc.peerWins {
-				winner = hosts[1]
-			}
-			seen := tp.take()
-			if status != http.StatusOK || len(seen) != 1 || seen[0].host != winner || !bytes.Equal(got, seen[0].resp) {
-				t.Fatalf("router answered %d %s; shards that answered: %+v; want %s's answer", status, got, seen, winner)
-			}
-			if elapsed > time.Second {
-				t.Fatalf("answered after %s: the loser was waited for", elapsed)
-			}
-
-			deadline := time.Now().Add(500 * time.Millisecond)
-			for {
-				var stacks bytes.Buffer
-				if err := pprof.Lookup("goroutine").WriteTo(&stacks, 2); err != nil {
-					t.Fatal(err)
-				}
-				held := ""
-				for _, frame := range queryFrames {
-					if strings.Contains(stacks.String(), frame) {
-						held = frame
-						break
-					}
-				}
-				if held == "" {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("500ms after the answer a goroutine still holds %s:\n%s", held, stacks.String())
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-
-			m := &f.router.metrics
-			wantWins := uint64(0)
-			if tc.peerWins {
-				wantWins = 1
-			}
-			if m.hedges.Value() != 1 || m.hedgeWins.Value() != wantWins || m.queryFanouts.Sum() != 2 {
-				t.Fatalf("hedges %d, hedge wins %d, shards asked %v; want 1, %d, 2",
-					m.hedges.Value(), m.hedgeWins.Value(), m.queryFanouts.Sum(), wantWins)
-			}
-			if h, err := f.router.healthView(); err != nil || h.Routable != 2 {
-				t.Fatalf("a slow shard was marked down: %+v (err %v)", h, err)
-			}
+	// What bounds a hang: the query's own deadline, then the probe loop.
+	// Shard 0 answers nothing for 5 s; a query with a 300 ms budget gets
+	// 504 well inside a second, shard 0's next probe times out and takes
+	// it out of rotation, and the next query is the peer's answer.
+	t.Run("hangs", func(t *testing.T) {
+		w := tinyWorld(t)
+		tp := &tap{}
+		tr := faultnet.New(7, tp)
+		f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
+			c.HealthInterval = 50 * time.Millisecond
+			c.Transport = tr
 		})
-	}
+		f.waitConverged(t, len(w.initial))
+		hosts := []string{strings.TrimPrefix(f.addrs[0], "http://"), strings.TrimPrefix(f.addrs[1], "http://")}
+		tr.SetFaults(hosts[0], faultnet.Faults{Latency: 5 * time.Second})
+
+		start := time.Now()
+		status, _, got := postQuery(t, f.rts.URL, queryBody(t, server.QueryRequest{Query: w.queries[0], TimeoutMillis: 300}))
+		if elapsed := time.Since(start); status != http.StatusGatewayTimeout || elapsed > time.Second {
+			t.Fatalf("query held by a hung shard got %d %s after %s, want 504 within 1s", status, got, elapsed)
+		}
+		if seen := tp.take(); len(seen) != 0 {
+			t.Fatalf("shards that answered: %+v, want none", seen)
+		}
+		if d := untilRoutable(t, f.router, 0, false); d > 3*time.Second {
+			t.Fatalf("hung shard 0 left the rotation after %s, want within 3s", d)
+		}
+		body := queryBody(t, server.QueryRequest{Query: w.queries[0]})
+		status, _, got = postQuery(t, f.rts.URL, body)
+		seen := tp.take()
+		if len(seen) != 1 || seen[0].host != hosts[1] {
+			t.Fatalf("shards that answered: %+v, want the peer alone", seen)
+		}
+		if status != http.StatusOK || !bytes.Equal(got, seen[0].resp) {
+			t.Fatalf("router answered %d %s, the peer answered %s", status, got, seen[0].resp)
+		}
+	})
 }
 
 // Satellite: Router.Close during an in-flight health probe must cancel
@@ -493,24 +432,18 @@ func TestRouterAsksAnOwnerOnce(t *testing.T) {
 	}
 }
 
-// Tentpole acceptance: under a 100% slow fleet the hedging budget caps
-// upstream amplification — total /query sub-requests stay at most 2×
-// the client query count, while at least one hedge actually fires.
+// Reads are not amplified: under a 100% slow fleet — where a router that
+// asked around a slow shard would send a second /query for nearly every
+// client query — each client query is exactly one upstream /query.
 // faultnet's per-(host,path) counters are the measurement.
 func TestRouterHedgedReadsBoundedAmplification(t *testing.T) {
 	w := splitWorld(t, 2)
 	tr := faultnet.New(11, nil)
-	f := startFleetHedged(t, w, 2, server.Config{}, 10*time.Millisecond, func(c *Config) {
+	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {
 		c.Transport = tr
+		c.HealthInterval = time.Hour // no poll can take a slow shard out of the rotation
 	})
 	f.waitConverged(t, len(w.initial))
-	hosts := make([]string, f.n)
-	for i, a := range f.addrs {
-		hosts[i] = strings.TrimPrefix(a, "http://")
-	}
-
-	// Every shard is slow: the pathological case where naive hedging
-	// would double (or worse) the upstream rate for zero benefit.
 	tr.SetFaults("", faultnet.Faults{Latency: 120 * time.Millisecond})
 
 	const m = 30
@@ -519,22 +452,15 @@ func TestRouterHedgedReadsBoundedAmplification(t *testing.T) {
 			t.Fatalf("query %d under slow fleet: %v", i, err)
 		}
 	}
-
 	total := 0
-	for _, h := range hosts {
-		total += tr.Requests(h, "/query")
+	for _, a := range f.addrs {
+		total += tr.Requests(strings.TrimPrefix(a, "http://"), "/query")
 	}
-	if total <= m {
-		t.Fatalf("no hedges fired: %d upstream /query attempts for %d queries", total, m)
+	if total != m {
+		t.Fatalf("%d upstream /query requests for %d client queries, want %d", total, m, m)
 	}
-	if total > 2*m {
-		t.Fatalf("hedging amplified upstream load: %d /query attempts for %d queries (bound: %d)", total, m, 2*m)
-	}
-	if f.router.metrics.hedges.Value() == 0 {
-		t.Fatal("hedge counter never moved")
-	}
-	if f.router.metrics.hedgeBudgetDeny.Value() == 0 {
-		t.Fatal("budget never denied a hedge under a 100% slow fleet")
+	if got := f.router.metrics.queryFanouts.Sum(); got != m {
+		t.Fatalf("alexrouter_query_fanout sums to %v shards asked, want %d", got, m)
 	}
 }
 

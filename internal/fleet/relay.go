@@ -1,8 +1,8 @@
 // The /query relay: the router's request to a shard is one attempt
 // through the transport, built from a per-shard template — no
-// http.Client, no redirect policy, no retries (the hedge is the
-// router's retry) — and the shard's answer is read into one slice and
-// relayed as received.
+// http.Client, no redirect policy, no retries (a failed shard's query
+// goes to the next routable shard instead, router.go) — and the shard's
+// answer is read into one slice and relayed as received.
 package fleet
 
 import (

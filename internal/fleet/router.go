@@ -13,15 +13,18 @@
 //     — the fleet ack is as durable as the single-node one. Delivery
 //     is at-least-once per group; ALEX feedback tolerates duplicates.
 //   - /query goes to ONE routable shard, picked round-robin, and the
-//     shard's status, Content-Type and body are relayed as received, the client's request body as sent: the answer is one
-//     replica's snapshot, byte for byte what that alexd would have
-//     told the client directly. A shard's 4xx is such an answer. A
-//     shard is asked once (relay.go): a transport error, a 5xx or the
-//     hedge delay (hedge.go) sends the query to a peer instead. The
+//     shard's status, Content-Type and body are relayed as received, the
+//     client's request body as sent: the answer is one replica's
+//     snapshot, byte for byte what that alexd would have told the
+//     client directly. A shard's 4xx is such an answer. The read path
+//     has one failover rule, the one /links keeps too: a shard is asked
+//     once (relay.go), and a transport error or a 5xx marks it down and
+//     sends the query to the next routable shard in ID order, once. A
+//     shard that hangs is waited for until the query's deadline. The
 //     router answers in its own words only when it has no shard's
 //     answer to relay: 503 with every shard named in
 //     X-Alex-Fleet-Degraded when none is routable, 502 when those it
-//     asked all failed, 504 at the deadline.
+//     asked both failed, 504 at the deadline.
 //   - Failover: every request the router sends a shard is one
 //     attempt, and a failed request or /healthz probe marks the shard
 //     down. Each shard has its own probe loop, so a hung shard delays
@@ -102,7 +105,6 @@ type Router struct {
 	ranges []cluster.HashRange
 	shards []*shard
 	rr     atomic.Uint64 // round-robin cursor of the /query shard pick
-	hedge  *hedger
 	// transport carries every request to a shard: Config.Transport, or
 	// one of the router's own that Close releases.
 	transport http.RoundTripper
@@ -120,19 +122,16 @@ type Router struct {
 }
 
 type routerMetrics struct {
-	queries         *server.Counter
-	queryErrors     *server.Counter
-	queryFanouts    *server.Histogram
-	fleetDegraded   *server.Counter
-	feedback        *server.Counter
-	feedbackErrors  *server.Counter
-	feedbackSplits  *server.Histogram
-	hedges          *server.Counter
-	hedgeWins       *server.Counter
-	hedgeBudgetDeny *server.Counter
-	healthPolls     *server.Counter
-	healthFailures  *server.Counter
-	panics          *server.Counter
+	queries        *server.Counter
+	queryErrors    *server.Counter
+	queryFanouts   *server.Histogram
+	fleetDegraded  *server.Counter
+	feedback       *server.Counter
+	feedbackErrors *server.Counter
+	feedbackSplits *server.Histogram
+	healthPolls    *server.Counter
+	healthFailures *server.Counter
+	panics         *server.Counter
 }
 
 // New builds a router over the shard address list and starts one probe
@@ -168,7 +167,6 @@ func New(cfg Config) (*Router, error) {
 		cfg:       cfg,
 		ranges:    cluster.FleetRanges(len(cfg.Shards)),
 		shards:    shards,
-		hedge:     newHedger(),
 		transport: transport,
 		baseCtx:   baseCtx,
 		cancel:    cancel,
@@ -190,14 +188,11 @@ func (r *Router) registerMetrics() {
 	m := &r.metrics
 	m.queries = r.reg.Counter("alexrouter_queries_total", "Queries answered by a shard and relayed.")
 	m.queryErrors = r.reg.Counter("alexrouter_query_errors_total", "Queries no shard could be asked or none answered.")
-	m.queryFanouts = r.reg.Histogram("alexrouter_query_fanout", "Shards asked per query: 1, or 2 when hedged.", []float64{1, 2, 4, 8, 16})
+	m.queryFanouts = r.reg.Histogram("alexrouter_query_fanout", "Shards asked per query: 1, or 2 when the first failed and the next routable one was asked.", []float64{1, 2})
 	m.fleetDegraded = r.reg.Counter("alexrouter_fleet_degraded_total", "Queries refused with 503 because no shard was routable.")
 	m.feedback = r.reg.Counter("alexrouter_feedback_total", "Feedback requests routed to owning shards.")
 	m.feedbackErrors = r.reg.Counter("alexrouter_feedback_errors_total", "Feedback requests refused (owner down, backpressure, bad links).")
 	m.feedbackSplits = r.reg.Histogram("alexrouter_feedback_split", "Owner groups per feedback request.", []float64{1, 2, 4, 8})
-	m.hedges = r.reg.Counter("alexrouter_hedged_queries_total", "Queries hedged to a peer shard.")
-	m.hedgeWins = r.reg.Counter("alexrouter_hedge_wins_total", "Hedged queries where the peer answered first.")
-	m.hedgeBudgetDeny = r.reg.Counter("alexrouter_hedge_budget_denied_total", "Hedges suppressed by the retry budget.")
 	m.healthPolls = r.reg.Counter("alexrouter_health_polls_total", "Shard health probes issued.")
 	m.healthFailures = r.reg.Counter("alexrouter_health_failures_total", "Shard health probes that failed.")
 	m.panics = r.reg.Counter("alexrouter_http_panics_total", "Handler panics recovered.")
@@ -369,23 +364,23 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := context.WithTimeout(req.Context(), timeout)
 	defer cancel()
 
-	primary := r.pickShard()
-	if primary == nil {
+	sh := r.pickShard()
+	if sh == nil {
 		// All shards down: fail fast with the full degraded set rather
 		// than burn the query timeout — the client can tell "fleet is
 		// down, retry later" from "query is slow".
 		r.metrics.queryErrors.Inc()
 		r.metrics.fleetDegraded.Inc()
 		all := make([]string, 0, len(r.shards))
-		for _, sh := range r.shards {
-			all = append(all, fmt.Sprintf("shard-%d", sh.id))
+		for id := range r.shards {
+			all = append(all, fmt.Sprintf("shard-%d", id))
 		}
 		w.Header().Set("X-Alex-Fleet-Degraded", strings.Join(all, ","))
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no routable shard"})
 		return
 	}
-	reply, err := r.subQuery(ctx, cancel, primary, body)
+	reply, err := r.subQuery(ctx, sh, body)
 	if err != nil {
 		r.metrics.queryErrors.Inc()
 		if ctx.Err() != nil {
@@ -403,156 +398,38 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	w.Write(reply.body) //nolint:errcheck // client gone; nothing to do
 }
 
-// subQuery asks primary on the caller's goroutine, and a healthy peer too
-// when the primary is slow (after the hedger's adaptive delay) or fails
-// fast — replicas are full, so any peer's answer is the full answer — and
-// returns the first reply that is an answer: any status below 500, a 4xx
-// included (the shard judged the request, which says nothing about the
-// shard). A transport error or a 5xx marks its shard down. At most one
-// hedge per query, and only if the retry budget allows it, so hedging
-// cannot amplify a brownout. The hedge is a timer stopped when the
-// primary answers first, so a query answered inside the delay starts no
-// goroutine. Whichever request wins, cancel stops the other.
-func (r *Router) subQuery(ctx context.Context, cancel context.CancelFunc, primary *shard, body []byte) (shardReply, error) {
-	q := &routedQuery{r: r, ctx: ctx, cancel: cancel, primary: primary, body: body}
-	r.hedge.earn()
-	timer := time.AfterFunc(r.hedge.delay(), q.hedgeAfterDelay)
-	start := time.Now()
-	reply, err := r.ask(ctx, primary, body)
-	if err == nil {
-		r.hedge.observe(time.Since(start))
-	} else if ctx.Err() == nil {
-		r.markDown(primary)
-	}
-
-	q.mu.Lock()
-	if err != nil && q.peer != nil && !q.peerWon && ctx.Err() == nil {
-		// The primary failed with the hedge in flight: the peer's answer
-		// is the query's last chance.
-		q.mu.Unlock()
-		select {
-		case <-q.peerDone:
-		case <-ctx.Done():
-		}
-		q.mu.Lock()
-	}
-	q.settled = true // a hedge that has not asked its peer now never will
-	peer, won, peerReply := q.peer, q.peerWon, q.peerReply
-	q.mu.Unlock()
-	timer.Stop()
-
+// subQuery asks sh on the caller's goroutine and returns its reply when
+// it is an answer: any status below 500, a 4xx included (the shard judged
+// the request, which says nothing about the shard). A transport error or
+// a 5xx marks sh down, and the query is asked of the next routable shard
+// in ID order once — replicas are full, so its answer is the full answer.
+// A shard that answers nothing is waited for until ctx's deadline.
+func (r *Router) subQuery(ctx context.Context, sh *shard, body []byte) (shardReply, error) {
+	reply, err := r.ask(ctx, sh, body)
 	asked := 1
-	if peer != nil {
-		asked = 2
-	}
-	defer func() { r.metrics.queryFanouts.Observe(float64(asked)) }()
-	switch {
-	case won:
-		r.metrics.hedgeWins.Inc()
-		return peerReply, nil
-	case err == nil:
-		if peer != nil {
-			cancel() // the peer lost
+	if err != nil && ctx.Err() == nil {
+		r.markDown(sh)
+		if next := r.nextRoutable(sh); next != nil {
+			asked = 2
+			var nextErr error
+			if reply, nextErr = r.ask(ctx, next, body); nextErr == nil {
+				err = nil
+			} else if ctx.Err() == nil {
+				r.markDown(next)
+			}
 		}
-		return reply, nil
-	case peer != nil || ctx.Err() != nil:
-		return shardReply{}, err
 	}
-	// The primary failed outright before the hedge delay: hedge now, on
-	// this goroutine; the delay has nothing left to protect.
-	if peer = r.tryHedge(primary); peer == nil {
-		return shardReply{}, err
-	}
-	asked = 2
-	peerReply, peerErr := r.ask(ctx, peer, body)
-	if peerErr == nil {
-		r.metrics.hedgeWins.Inc()
-		return peerReply, nil
-	}
-	if ctx.Err() == nil {
-		r.markDown(peer)
-	}
-	return shardReply{}, err
+	r.metrics.queryFanouts.Observe(float64(asked))
+	return reply, err
 }
 
-// routedQuery is what a query's hedge timer shares with the handler
-// asking the primary.
-type routedQuery struct {
-	r       *Router
-	ctx     context.Context
-	cancel  context.CancelFunc
-	primary *shard
-	body    []byte
-
-	mu sync.Mutex
-	// settled: the handler has taken an answer or given up, so a hedge
-	// that has not asked its peer yet must not.
-	settled   bool
-	peer      *shard        // the shard the hedge asked, nil until it does
-	peerDone  chan struct{} // closed when the peer's request is over
-	peerWon   bool          // the peer answered first; peerReply is the answer
-	peerReply shardReply
-}
-
-// hedgeAfterDelay is the hedge timer's callback: the primary has not
-// answered within the delay, so a peer is asked, budget permitting. A
-// peer that answers first wins the query and cancels the primary's
-// request, which returns the handler to take the peer's answer.
-func (q *routedQuery) hedgeAfterDelay() {
-	q.mu.Lock()
-	if q.settled {
-		q.mu.Unlock()
-		return
-	}
-	sh := q.r.tryHedge(q.primary)
-	if sh == nil {
-		q.mu.Unlock()
-		return
-	}
-	q.peer, q.peerDone = sh, make(chan struct{})
-	q.mu.Unlock()
-	defer close(q.peerDone)
-
-	reply, err := q.r.ask(q.ctx, sh, q.body)
-	if err != nil {
-		if q.ctx.Err() == nil {
-			q.r.markDown(sh)
-		}
-		return
-	}
-	q.mu.Lock()
-	won := !q.settled
-	if won {
-		q.settled, q.peerWon, q.peerReply = true, true, reply
-	}
-	q.mu.Unlock()
-	if won {
-		q.cancel() // the primary lost
-	}
-}
-
-// tryHedge picks a hedge destination and spends a budget token;
-// nil means no peer is available or the budget is exhausted.
-func (r *Router) tryHedge(primary *shard) *shard {
-	sh := r.hedgePeer(primary)
-	if sh == nil {
-		return nil
-	}
-	if !r.hedge.take() {
-		r.metrics.hedgeBudgetDeny.Inc()
-		return nil
-	}
-	r.metrics.hedges.Inc()
-	return sh
-}
-
-// hedgePeer picks the hedge destination: the next routable shard after
-// the primary in ID order, nil when the primary is the only one.
-func (r *Router) hedgePeer(primary *shard) *shard {
+// nextRoutable returns the next routable shard after sh in ID order, nil
+// when there is none.
+func (r *Router) nextRoutable(sh *shard) *shard {
 	n := len(r.shards)
 	for i := 1; i < n; i++ {
-		if sh := r.shards[(primary.id+i)%n]; sh.routable.Load() {
-			return sh
+		if next := r.shards[(sh.id+i)%n]; next.routable.Load() {
+			return next
 		}
 	}
 	return nil

@@ -158,15 +158,6 @@ func startFleet(t testing.TB, w *world, n int, scfg server.Config) *testFleet {
 // without duplicating the harness.
 func startFleetWith(t testing.TB, w *world, n int, scfg server.Config, mut func(*Config)) *testFleet {
 	t.Helper()
-	return startFleetHedged(t, w, n, scfg, 0, mut)
-}
-
-// startFleetHedged is startFleetWith with the router's hedge delay fixed
-// at hedge (0 keeps the adaptive one), set before the router serves. A
-// delay longer than any test means no query is hedged unless its shard
-// fails.
-func startFleetHedged(t testing.TB, w *world, n int, scfg server.Config, hedge time.Duration, mut func(*Config)) *testFleet {
-	t.Helper()
 	f := &testFleet{n: n}
 	for id := 0; id < n; id++ {
 		cfg := scfg
@@ -203,7 +194,6 @@ func startFleetHedged(t testing.TB, w *world, n int, scfg server.Config, hedge t
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.hedge.fixed = hedge
 	f.router = r
 	f.rts = httptest.NewServer(r.Handler())
 	f.rclient = server.NewClient(f.rts.URL)
@@ -461,9 +451,7 @@ func TestRouterEquivalenceWithSingleNode(t *testing.T) {
 				n := n
 				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 					tp := &tap{}
-					// No hedge: one shard asked per query, so one exchange to
-					// compare with.
-					f := startFleetHedged(t, w, n, server.Config{}, time.Hour, func(c *Config) {
+					f := startFleetWith(t, w, n, server.Config{}, func(c *Config) {
 						c.Transport = tp
 					})
 					f.waitConverged(t, len(w.initial))
@@ -522,20 +510,25 @@ func (f *testFleet) shardQueries(t testing.TB, i int) int {
 	return 0
 }
 
-// Queries go to the routable shards in turn: 3·N queries through a
-// healthy 3-shard fleet are N evaluations on each shard.
+// Queries go to the routable shards in turn, and a slow shard is waited
+// for, never asked around: 3·N queries through a 3-shard fleet whose
+// every shard is slow are N evaluations on each shard, from exactly one
+// upstream /query per client query.
 func TestRouterSpreadsQueriesRoundRobin(t *testing.T) {
 	w := tinyWorld(t)
-	const n, perShard = 3, 8
-	// No hedge: a hedge is a second evaluation.
-	f := startFleetHedged(t, w, n, server.Config{}, time.Hour, func(c *Config) {
+	const n, perShard = 3, 16
+	tr := faultnet.New(13, nil)
+	f := startFleetWith(t, w, n, server.Config{}, func(c *Config) {
 		c.HealthInterval = time.Hour // no poll can take a shard out of the rotation
+		c.Transport = tr
 	})
 	f.waitConverged(t, len(w.initial))
 	before := make([]int, n)
 	for i := range before {
 		before[i] = f.shardQueries(t, i)
 	}
+	// Every shard is slow, each /query by a different amount.
+	tr.SetFaults("", faultnet.Faults{Latency: 10 * time.Millisecond, Jitter: 30 * time.Millisecond})
 	for i := 0; i < n*perShard; i++ {
 		if _, err := f.rclient.Query(w.queries[i%len(w.queries)]); err != nil {
 			t.Fatal(err)
@@ -545,6 +538,9 @@ func TestRouterSpreadsQueriesRoundRobin(t *testing.T) {
 		if got := f.shardQueries(t, i) - before[i]; got != perShard {
 			t.Errorf("shard %d evaluated %d of %d queries, want %d", i, got, n*perShard, perShard)
 		}
+		if got := tr.Requests(strings.TrimPrefix(f.addrs[i], "http://"), "/query"); got != perShard {
+			t.Errorf("shard %d was sent %d /query requests for %d client queries, want %d", i, got, n*perShard, perShard)
+		}
 	}
 	if got := f.router.metrics.queryFanouts.Sum(); got != n*perShard {
 		t.Errorf("alexrouter_query_fanout sums to %v shards asked, want %d", got, n*perShard)
@@ -553,7 +549,7 @@ func TestRouterSpreadsQueriesRoundRobin(t *testing.T) {
 
 // The satellite bug: a shard's 4xx is an answer about the request, not
 // a failure of the shard. One malformed query used to be "no shard
-// answered" (502), mark the primary and the hedge peer down, and turn
+// answered" (502), mark the shard asked and the next one down, and turn
 // the next valid query into a 503 until the health loop came round. The
 // health interval is an hour here, so only the data path can change
 // what is routable.
