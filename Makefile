@@ -57,8 +57,10 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# bench re-records the three BENCH files. The paper's figures are
+# `go run ./cmd/alexbench -exp all` (bounded by ./internal/experiments'
+# tests); the serving numbers are bench/e2e/run.sh.
 bench: bench-space bench-query bench-store
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-space runs the feature-space construction scaling benchmark
 # (-cpu rows are the parallel speedup curve) and records the results as
@@ -93,9 +95,10 @@ bench-store:
 		$(GO) run ./cmd/benchjson -out BENCH_store.json
 
 # fleet-smoke boots 3 alexd shards plus an alexrouter out-of-process,
-# queries through the router, acks a rejection that spans every owner,
-# SIGKILLs one shard, asserts degraded-but-correct serving, restarts it
-# and asserts recovery with the acked rejection served nowhere.
+# sends curl lookups and one approval per owner through the router,
+# acks a rejection that spans every owner, SIGKILLs one shard, asserts
+# degraded-but-correct serving, restarts it and asserts recovery with
+# the acked rejection served nowhere.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 

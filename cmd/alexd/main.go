@@ -74,12 +74,9 @@ func main() {
 	partitions := flag.Int("partitions", 0, "ALEX partitions (0 = profile default or 1)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 	episodeSize := flag.Int("episode-size", 100, "link-level feedback items per serving episode")
-	queueSize := flag.Int("queue", 1024, "feedback queue capacity (full queue -> 429)")
 	flush := flag.Duration("flush", 250*time.Millisecond, "publication interval: republish the open episode's links this often if feedback arrived since the last publication (episodes end only at -episode-size items or on shutdown)")
 	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-request query deadline (the evaluation stops at it; the client gets 504)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "shutdown budget for draining feedback")
 	dataDir := flag.String("data", "", "data directory: feedback journal, checkpoints and the mmap'd segment store under <data>/store; empty serves in-memory graphs with no durability")
-	checkpointEvery := flag.Int("checkpoint-every", 16, "episodes between state checkpoints (with -data)")
 	planCache := flag.Int("plan-cache", 0, "compiled query plans kept in the LRU cache (0 = default)")
 	maxQueries := flag.Int("max-queries", 0, "concurrent /query evaluations admitted (0 = unlimited; excess waits, then 503)")
 	shardID := flag.Int("shard-id", -1, "this shard's ID within -fleet (-1 = standalone)")
@@ -293,12 +290,9 @@ func main() {
 		{Name: sourceName[1], Graph: t2},
 	}, server.Config{
 		EpisodeSize:          *episodeSize,
-		QueueSize:            *queueSize,
 		FlushInterval:        *flush,
 		QueryTimeout:         *queryTimeout,
-		DrainTimeout:         *drainTimeout,
 		DataDir:              *dataDir,
-		CheckpointEvery:      *checkpointEvery,
 		Stores:               stores,
 		StoreLoadSeconds:     storeLoadSeconds,
 		PlanCacheSize:        *planCache,
@@ -336,7 +330,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down...")
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), server.DefaultConfig().DrainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("alexd: http shutdown: %v", err)

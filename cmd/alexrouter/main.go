@@ -21,8 +21,8 @@
 // shard's range get 503 + Retry-After until it recovers.
 //
 // Endpoints: POST /query, POST /feedback, GET /links, GET /healthz,
-// GET /metrics — the same wire contract as alexd, so fedquery and
-// alexload point at the router unchanged.
+// GET /metrics — the same wire contract as alexd, so fedquery and curl
+// point at the router unchanged.
 package main
 
 import (

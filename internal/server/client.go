@@ -1,6 +1,6 @@
-// Client is the thin HTTP client of alexd used by cmd/fedquery,
-// cmd/alexload, the fleet router and a shard's replicator. It speaks
-// the JSON wire types defined in handlers.go.
+// Client is the thin HTTP client of alexd used by cmd/fedquery, the
+// fleet router and a shard's replicator. It speaks the JSON wire types
+// defined in handlers.go.
 //
 // Every request is one attempt. A transport error, a 429 and a 5xx
 // reach the caller on the first response, with the server's

@@ -7,6 +7,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -576,6 +578,66 @@ func TestCheckpointSparesQueuedAckedRecords(t *testing.T) {
 
 	close(eng.gate) // release the held writer for a clean shutdown
 	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// savingEngine is a gatedEngine that counts Save calls, so a test can
+// tell an encoded-then-discarded checkpoint from one never encoded.
+type savingEngine struct {
+	gatedEngine
+	saves atomic.Int32
+}
+
+func (e *savingEngine) Save(w io.Writer) error {
+	e.saves.Add(1)
+	return e.System.Save(w)
+}
+
+// TestCheckpointDueWithQueuedItemsSkipsSave: a checkpoint due while an
+// acked item is still queued is skipped (see
+// TestCheckpointSparesQueuedAckedRecords), and the skip comes before
+// the engine is encoded. Encoding first and then discarding the bytes
+// costs a full Save at every episode boundary for as long as feedback
+// keeps the queue non-empty.
+func TestCheckpointDueWithQueuedItemsSkipsSave(t *testing.T) {
+	dict, sources, sys, _ := tinyWorld(t)
+	eng := &savingEngine{gatedEngine: gatedEngine{System: sys, gate: make(chan struct{})}}
+	cfg := durableCfg(t.TempDir())
+	cfg.EpisodeSize = 1 // every item closes an episode
+	cfg.CheckpointEvery = 1
+	s, err := New(eng, dict, sources, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	script := feedbackScript(2)
+	// Item 1: the writer applies it and blocks inside FinishEpisode.
+	if code := postFeedback(t, ts.URL, script[0]); code != http.StatusAccepted {
+		t.Fatalf("feedback 0: status %d", code)
+	}
+	// Item 2: acked and queued while the writer is held.
+	if code := postFeedback(t, ts.URL, script[1]); code != http.StatusAccepted {
+		t.Fatalf("feedback 1: status %d", code)
+	}
+	// Release episode 1: its checkpoint is due with item 2 queued. The
+	// writer then dequeues item 2 and blocks in episode 2.
+	eng.gate <- struct{}{}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.queue) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("writer never picked up item 2")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if saves, ckpts := eng.saves.Load(), s.metrics.checkpoints.Value(); saves != 0 || ckpts != 0 {
+		t.Fatalf("checkpoint due with an acked item queued: %d Save calls, %d checkpoints; want 0 and 0", saves, ckpts)
+	}
+
+	close(eng.gate)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

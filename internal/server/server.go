@@ -618,7 +618,8 @@ func (s *Server) finishEpisode() {
 // nothing beyond s.w.applied: it is suppressed during startup replay
 // (the unreplayed tail exists only in memory, and a crash mid-recovery
 // would lose it) and skipped while acked-but-unapplied feedback is
-// still queued (checked under logMu, so no producer can journal a new
+// still queued (checked before the engine is encoded, so a skip costs
+// no Save, and again under logMu, so no producer can journal a new
 // record between the check and the reset). A skipped checkpoint retries
 // at the next episode boundary — sinceCkpt stays past the threshold.
 // Failures are counted and tolerated: the journal still covers
@@ -630,6 +631,9 @@ func (s *Server) checkpoint() {
 	}
 	if s.w.applied == s.w.ckptSeq {
 		return // nothing new since the last checkpoint
+	}
+	if len(s.queue) > 0 {
+		return // the check under logMu would discard the encoding
 	}
 	start := time.Now()
 	var buf bytes.Buffer

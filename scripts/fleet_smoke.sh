@@ -77,7 +77,6 @@ start_shard() { # start_shard <id> <addr>
 echo "== building binaries"
 go build -o "$BIN/alexd" ./cmd/alexd
 go build -o "$BIN/alexrouter" ./cmd/alexrouter
-go build -o "$BIN/alexload" ./cmd/alexload
 
 echo "== starting 3 shards + router (base port $BASE, data in $DATA)"
 start_shard 0 "$S0"
@@ -102,11 +101,24 @@ query_rows() {
     grep -o '"rows":\[.*\]'
 }
 
-echo "== load through the router (queries + feedback)"
-# alexload's verdicts are random. At its default feedback fraction they
-# reject a shard's whole partition within seconds, and the rejection
-# below needs a link on every owner.
-"$BIN/alexload" -server "http://$ROUTER" -duration 3s -concurrency 4 -seed 7 -feedback-frac 0.02
+echo "== traffic through the router (300 lookups, one approval per owner)"
+mapfile -t ENTITIES < <(curl -fsS "http://$ROUTER/links" | grep -o '"e1":"[^"]*"' | cut -d'"' -f4 | sort -u | head -100)
+for i in $(seq 0 299); do
+  E=${ENTITIES[i % ${#ENTITIES[@]}]}
+  curl -fsS -o /dev/null -X POST "http://$ROUTER/query" -H 'Content-Type: application/json' \
+    -d "{\"query\":\"SELECT ?n WHERE { <$E> <http://ds2.example.org/prop/name> ?n . }\"}" ||
+    fail "lookup $i of <$E> through the router failed"
+done
+# One approval per owner, off the shard's own partition and never the
+# probe entity's, so every shard journals a record before the SIGKILL.
+for s in "$S0" "$S1" "$S2"; do
+  L=$(curl -fsS "http://$s/replica/snapshot" | grep -o '"e1":"[^"]*","e2":"[^"]*"' |
+    grep -vF "\"e1\":\"$E1\"" | tail -n 1 || true)
+  [ -n "$L" ] || fail "shard $s owns no link to approve"
+  CODE=$(curl -s -o "$DATA/fb.out" -w '%{http_code}' -X POST "http://$ROUTER/feedback" \
+    -H 'Content-Type: application/json' -d "{\"approve\":true,\"links\":[{$L}]}")
+  [ "$CODE" = 202 ] || fail "approval owned by $s not acked: $CODE $(cat "$DATA/fb.out")"
+done
 sleep 1 # let the last feedback publish (-flush) + replicate before baselining
 BASELINE=$(query_rows)
 [ -n "$BASELINE" ] || fail "baseline query returned no rows payload"
