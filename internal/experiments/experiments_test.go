@@ -406,6 +406,17 @@ func TestSummarySmall(t *testing.T) {
 	if len(rows) != 11 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// The paper's claim on every pair: ALEX improves on its linker, by
+	// at least 0.05 in F wherever PARIS leaves that much to gain.
+	for _, r := range rows {
+		t.Logf("%s: F %.2f -> %.2f", r.Profile, r.Initial.F1, r.Final.F1)
+		if r.Final.F1 < r.Initial.F1 {
+			t.Errorf("%s: final F %.3f below PARIS's %.3f", r.Profile, r.Final.F1, r.Initial.F1)
+		}
+		if r.Initial.F1 < 0.95 && r.Final.F1 < r.Initial.F1+0.05 {
+			t.Errorf("%s: final F %.3f gains under 0.05 on PARIS's %.3f", r.Profile, r.Final.F1, r.Initial.F1)
+		}
+	}
 	if s := FormatSummary(rows); !strings.Contains(s, "dbpedia-nytimes") {
 		t.Fatal("format wrong")
 	}

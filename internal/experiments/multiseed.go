@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"alex/internal/eval"
 	"alex/internal/synth"
 )
 
@@ -108,8 +109,8 @@ func (r *MultiSeedResult) Report() string {
 // SummaryRow condenses one profile's quality run for the all-pairs table.
 type SummaryRow struct {
 	Profile    string
-	Initial    string
-	Final      string
+	Initial    eval.Metrics // PARIS's links
+	Final      eval.Metrics // ALEX's links after the run
 	Episodes   int
 	Relaxed    int
 	Discovered int
@@ -129,8 +130,8 @@ func Summary(opts Options) ([]SummaryRow, error) {
 		}
 		rows = append(rows, SummaryRow{
 			Profile:    p.Name,
-			Initial:    fmt.Sprintf("P=%.2f R=%.2f", run.Initial.Precision, run.Initial.Recall),
-			Final:      fmt.Sprintf("P=%.2f R=%.2f F=%.2f", run.Final.Precision, run.Final.Recall, run.Final.F1),
+			Initial:    run.Initial,
+			Final:      run.Final,
 			Episodes:   run.Result.Episodes,
 			Relaxed:    run.Result.RelaxedEpisode,
 			Discovered: run.Discovered,
@@ -144,7 +145,9 @@ func FormatSummary(rows []SummaryRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s %-18s %-24s %-9s %-8s %s\n", "pair", "initial (PARIS)", "final (ALEX)", "episodes", "relaxed", "discovered")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %-18s %-24s %-9d %-8d %d\n", r.Profile, r.Initial, r.Final, r.Episodes, r.Relaxed, r.Discovered)
+		initial := fmt.Sprintf("P=%.2f R=%.2f", r.Initial.Precision, r.Initial.Recall)
+		final := fmt.Sprintf("P=%.2f R=%.2f F=%.2f", r.Final.Precision, r.Final.Recall, r.Final.F1)
+		fmt.Fprintf(&b, "%-22s %-18s %-24s %-9d %-8d %d\n", r.Profile, initial, final, r.Episodes, r.Relaxed, r.Discovered)
 	}
 	return b.String()
 }

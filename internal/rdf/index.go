@@ -26,11 +26,16 @@ import (
 // records and are padded to pageSize, so record i of a section lives at
 // a fixed computable offset. A section's posting table lists each
 // distinct leading ID (S in SPO, P in POS, O in OSP) with the first
-// record it leads, so the ID's records are [first, next entry's first):
-// a bound lookup is one binary search of the footer for that range,
-// then binary searches inside it on the remaining components only. The
-// tables also give the distinct subject/predicate lists without
-// touching data pages.
+// record it leads, so the ID's records are [first, next entry's first).
+// Opening an image derives from each table a bitmap of its IDs (one bit
+// per ID up to the largest; on the heap, not in the image). A bound
+// lookup tests the leading ID's bit: clear, and the range is empty —
+// in a federation most probes of a sameAs-expanded entity ask a source
+// that never saw it, and each of those costs that one test. Set, and
+// it is one binary search of the footer for the range, then binary
+// searches inside it on the remaining components only. The tables also
+// give the distinct subject/predicate lists without touching data
+// pages.
 //
 // The image is the same bytes on the heap (an in-memory Graph) and in
 // a segment file (internal/store mmaps it). The trailer CRC covers the
@@ -136,7 +141,8 @@ type Index struct {
 	data   []byte
 	count  int
 	secOff [3]int
-	posts  [3][]byte // per-section posting tables, 8 bytes per (id, first record) entry
+	posts  [3][]byte   // per-section posting tables, 8 bytes per (id, first record) entry
+	lead   [3][]uint64 // per-section bitmaps of the posting tables' IDs
 }
 
 // OpenIndex validates the image in data and returns the index over it;
@@ -182,6 +188,7 @@ func OpenIndex(data []byte) (*Index, error) {
 		if err := checkPostings(x.posts[sec], n); err != nil {
 			return nil, fmt.Errorf("section %d: %v", sec, err)
 		}
+		x.lead[sec] = leadBitmap(x.posts[sec])
 	}
 	if off != len(footer) {
 		return nil, errors.New("trailing footer bytes")
@@ -211,6 +218,28 @@ func checkPostings(tbl []byte, n int) error {
 	return nil
 }
 
+// leadBitmap returns the bitmap of a checked posting table's IDs: bit
+// id is set when id leads a record range. The IDs ascend, so the last
+// one sizes it.
+func leadBitmap(tbl []byte) []uint64 {
+	m := len(tbl) / 8
+	if m == 0 {
+		return nil
+	}
+	bits := make([]uint64, binary.LittleEndian.Uint32(tbl[(m-1)*8:])/64+1)
+	for i := 0; i < m; i++ {
+		id := binary.LittleEndian.Uint32(tbl[i*8:])
+		bits[id/64] |= 1 << (id % 64)
+	}
+	return bits
+}
+
+// leads reports whether id is a leading ID of section sec.
+func (x *Index) leads(sec int, id uint32) bool {
+	bits := x.lead[sec]
+	return int(id/64) < len(bits) && bits[id/64]&(1<<(id%64)) != 0
+}
+
 // Size returns the number of distinct triples.
 func (x *Index) Size() int { return x.count }
 
@@ -225,11 +254,15 @@ func (x *Index) key(sec, i int) [3]uint32 {
 
 // bounds returns the half-open record range [lo, hi) of section sec
 // whose leading k key components equal key; k == 0 is the whole
-// section. The posting table gives the leading ID's range, and each
+// section. A leading ID the section lacks is an empty range after one
+// bit test; otherwise the posting table gives its range, and each
 // further component narrows it.
 func (x *Index) bounds(sec int, key [3]uint32, k int) (lo, hi int) {
 	if k == 0 {
 		return 0, x.count
+	}
+	if !x.leads(sec, key[0]) {
+		return 0, 0
 	}
 	tbl := x.posts[sec]
 	m := len(tbl) / 8

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"alex/internal/rdf"
@@ -34,17 +35,30 @@ func referenceCompare(a, b rdf.Term) int {
 	return strings.Compare(as, bs)
 }
 
+// compareTermsForOrder orders two terms by the ORDER BY rule, through
+// the same numeric keys and comparison a sort's cells use.
+func compareTermsForOrder(a, b rdf.Term) int {
+	af, aNum := numericKey(a.Value)
+	bf, bNum := numericKey(b.Value)
+	return compareLex(a.Value, af, aNum, b.Value, bf, bNum)
+}
+
 // adversarialForms are lexical forms on which "numeric when it scans"
 // is least like a numeric order: "nancy" scans as NaN, which compares
 // equal to every number, so the relation is not transitive; "12abc"
 // scans its prefix; blanks are skipped but a leading newline is an
 // error; Sscanf accepts hex floats and swallows underscores that
-// ParseFloat then rejects.
+// ParseFloat then rejects. The last row tries the edges of the plain
+// decimal ParseFloat reads without Sscanf: where the token stops (a
+// second point, a blank, a date's dash), where it must not (an
+// exponent, complete or not, a "p" exponent, a hex prefix), leading
+// zeros, and a decimal past float64's range, which reads as no number.
 var adversarialForms = []string{
 	"nancy", "nan", "NaN", "inf", "-inf", "+Inf", "infinity", "info", "i", "n", "ni",
 	"12abc", "12", "12.0", "012", "1e3", "1e", "e5", "1000", "0x1p4", "0x", "16", "1_000", "_1", "1__0",
 	" 7", "\t7", "\n7", "\r\n7", "7 ", "\u00a07", "\u20037", "\u00857", "+.5", ".5", "-.5", ".", "-", "+", "--1", "0", "-0",
 	"", "abc", "http://ds1.example.org/resource/E12", "Zed", "zed", "é", "1é", "\xff", "9\xff",
+	"1902-03-31", "12.5.6", "1.e5", "9.", "5E", "12e+", "1p3", "1P3", "007", "0X1p-2", strings.Repeat("9", 400), "1 ",
 }
 
 // TestOrderKeyMatchesReference: the cached-key comparison orders every
@@ -137,6 +151,53 @@ func TestOrderByPermutationMatchesReference(t *testing.T) {
 				trial, q.OrderBy, res.Vars, res.Rows, want)
 		}
 	}
+}
+
+// TestOrderBySortsConcurrently: queries sorting at once, each through
+// a cell table the pool may have handed another query before, return
+// the rows they return alone — a table too large to pool among them.
+func TestOrderBySortsConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vars := []string{"a", "b"}
+	d := rdf.NewDict()
+	type job struct {
+		q    *Query
+		sols Solutions
+		want *Result
+	}
+	jobs := make([]job, 12)
+	for i := range jobs {
+		rows := make([]Binding, 1+rng.Intn(300))
+		if i == 0 {
+			rows = make([]Binding, maxPooledCells) // two keys: twice what the pool keeps
+		}
+		for r := range rows {
+			rows[r] = Binding{
+				"a": rdf.Literal(adversarialForms[rng.Intn(len(adversarialForms))]),
+				"b": rdf.Literal(adversarialForms[rng.Intn(len(adversarialForms))]),
+			}
+		}
+		q := &Query{Vars: vars, Limit: -1, OrderBy: []OrderKey{{Var: "a"}, {Var: "b", Desc: true}}}
+		sols := encodeBindings(d, vars, rows)
+		proj := Finalize(q, d, sols)
+		jobs[i] = job{q, sols, proj.Result()}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				j := jobs[(g*5+i)%len(jobs)]
+				proj := Finalize(j.q, d, j.sols)
+				if got := proj.Result(); !reflect.DeepEqual(got, j.want) {
+					t.Errorf("goroutine %d, job %d: rows differ from the same sort run alone", g, (g*5+i)%len(jobs))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // FuzzOrderKey holds the keyed comparison to the reference on arbitrary

@@ -70,7 +70,11 @@ func buildBenchSet(b *testing.B, dir string) *Set {
 //   - point/{mem,disk}: one S+P-bound ForEachMatchIDs per op, cycling
 //     over every (s,p) of ds1 — the probe a bind join makes per row;
 //   - count/{mem,disk}: one P+O-bound CountMatch per op, cycling over
-//     every (p,o) of ds1 — the planner's statistic.
+//     every (p,o) of ds1 — the planner's statistic;
+//   - miss/{mem,disk}: one S+P-bound ForEachMatchIDs on ds1 per op
+//     whose subject is a ds2 entity, cycling over ds2's subjects and
+//     ds1's predicates — the probe a cross-source bind join makes
+//     under a row's own ID, which ds1 cannot hold.
 //
 // mem is ds1 as an rdf.Graph, whose index image is on the heap; disk
 // is the same image as the mmap'd segment of a committed store. Both
@@ -153,7 +157,7 @@ func BenchmarkSegmentStore(b *testing.B) {
 	})
 
 	b.Run("point", func(b *testing.B) {
-		benchBackends(b, func(b *testing.B, ts TripleStore) {
+		benchBackends(b, func(b *testing.B, ts, _ TripleStore) {
 			pairs := distinctPairs(ts, func(s, p, _ rdf.ID) [2]rdf.ID { return [2]rdf.ID{s, p} })
 			n := 0
 			fn := func(_, _, _ rdf.ID) bool { n++; return true }
@@ -169,7 +173,7 @@ func BenchmarkSegmentStore(b *testing.B) {
 	})
 
 	b.Run("count", func(b *testing.B) {
-		benchBackends(b, func(b *testing.B, ts TripleStore) {
+		benchBackends(b, func(b *testing.B, ts, _ TripleStore) {
 			pairs := distinctPairs(ts, func(_, p, o rdf.ID) [2]rdf.ID { return [2]rdf.ID{p, o} })
 			n := 0
 			b.ResetTimer()
@@ -182,16 +186,32 @@ func BenchmarkSegmentStore(b *testing.B) {
 			}
 		})
 	})
+
+	b.Run("miss", func(b *testing.B) {
+		benchBackends(b, func(b *testing.B, ts, other TripleStore) {
+			subjects, preds := other.SubjectIDs(), ts.PredicateIDs()
+			n := 0
+			fn := func(_, _, _ rdf.ID) bool { n++; return true }
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts.ForEachMatchIDs(subjects[i%len(subjects)], preds[i%len(preds)], 0, true, true, false, fn)
+			}
+			if n != 0 {
+				b.Fatalf("%d probes of ds2 subjects matched %d ds1 triples", b.N, n)
+			}
+		})
+	})
 }
 
-// benchBackends runs fn on ds1 as rdf.Graph, its index on the heap
-// ("mem"), and as the mmap'd segment of a committed store ("disk").
-func benchBackends(b *testing.B, fn func(b *testing.B, ts TripleStore)) {
-	b.Run("mem", func(b *testing.B) { fn(b, benchDataset(b).G1) })
+// benchBackends runs fn on ds1 and ds2 as rdf.Graphs, their indexes on
+// the heap ("mem"), and as the mmap'd segments of a committed store
+// ("disk").
+func benchBackends(b *testing.B, fn func(b *testing.B, ds1, ds2 TripleStore)) {
+	b.Run("mem", func(b *testing.B) { fn(b, benchDataset(b).G1, benchDataset(b).G2) })
 	b.Run("disk", func(b *testing.B) {
 		set := buildBenchSet(b, b.TempDir())
 		defer set.Close() //nolint:errcheck // read-only teardown
-		fn(b, set.Source("ds1"))
+		fn(b, set.Source("ds1"), set.Source("ds2"))
 	})
 }
 
