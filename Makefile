@@ -27,9 +27,8 @@ vet:
 
 # lint builds and runs alexlint, the ALEX invariant analyzer suite
 # (internal/analysis).
-# The wall-clock budget guards the two-phase loader: the repo-wide
-# typecheck + fact fixpoint must stay interactive, or the gate stops
-# being run before commits.
+# The wall-clock budget guards the loader: typechecking every package
+# must stay interactive, or the gate stops being run before commits.
 lint:
 	@start=$$(date +%s) && \
 	$(GO) build -o bin/alexlint ./cmd/alexlint && \

@@ -73,13 +73,12 @@ func emitGitHub(rel func(string) string, f analysis.Finding) {
 		rel(f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, esc.Replace(f.Message))
 }
 
-// runStandalone loads packages (and their module dependency graph, for
-// facts) with the go tool and analyzes each target.
+// runStandalone loads packages with the go tool and analyzes each one.
 func runStandalone(patterns []string, emit func(func(string) string, analysis.Finding)) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	res, err := analysis.Load("", patterns...)
+	pkgs, err := analysis.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "alexlint:", err)
 		return 1
@@ -87,8 +86,8 @@ func runStandalone(patterns []string, emit func(func(string) string, analysis.Fi
 	cwd, _ := os.Getwd()
 	rel := func(path string) string { return relpath(cwd, path) }
 	found := 0
-	for _, pkg := range res.Pkgs {
-		findings, err := analysis.Run(pkg, res.Facts, suite.Analyzers)
+	for _, pkg := range pkgs {
+		findings, err := analysis.Run(pkg, suite.Analyzers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "alexlint:", err)
 			return 1

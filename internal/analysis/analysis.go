@@ -8,18 +8,15 @@
 //
 //   - Analyzer / Pass / Diagnostic — the contract an invariant checker
 //     implements (analysis.go, this file);
-//   - a two-phase go/list-based loader that parses and typechecks the
-//     whole module dependency graph from source and computes
-//     interprocedural facts over it (load.go, facts.go);
-//   - structural dominance helpers shared by the ordering analyzers
-//     (dominance.go);
+//   - a go-list-based loader that typechecks the target packages from
+//     source against their imports' export data (load.go);
 //   - an analysistest-style fixture harness driven by `// want` comments
 //     (internal/analysis/analysistest).
 //
-// The six shipped analyzers (snapmut, ackorder, syncerr, globalrand,
-// gotrack, ctxflow) encode the concurrency, durability and determinism
-// contracts of the serving fleet; cmd/alexlint is the multichecker
-// binary that runs them in `make verify` and CI.
+// The three shipped analyzers (snapmut, syncerr, globalrand) encode the
+// snapshot, durability and determinism contracts that no test catches
+// at every site; cmd/alexlint is the multichecker binary that runs
+// them in `make verify` and CI.
 //
 // Findings can be suppressed in place with a directive comment
 //
@@ -69,32 +66,12 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts is the load's interprocedural fact table; nil outside a
-	// framework-driven run. Use FuncFacts, which falls back to the
-	// intrinsic seeds when the table is absent.
-	Facts  *FactSet
-	Report func(Diagnostic)
+	Report    func(Diagnostic)
 }
 
 // Reportf reports a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// FuncFacts returns the interprocedural facts for fn (see FuncFacts in
-// facts.go). Safe with a nil fact table: intrinsic seeds still answer.
-func (p *Pass) FuncFacts(fn *types.Func) (FuncFacts, bool) {
-	return p.Facts.ForFunc(fn)
-}
-
-// CallFacts resolves call's callee and returns its facts.
-func (p *Pass) CallFacts(call *ast.CallExpr) (*types.Func, FuncFacts) {
-	fn := CalleeFunc(p.TypesInfo, call)
-	if fn == nil {
-		return nil, FuncFacts{}
-	}
-	f, _ := p.FuncFacts(fn)
-	return fn, f
 }
 
 // Finding is a diagnostic bound to its analyzer and resolved position,
@@ -111,10 +88,10 @@ func (f Finding) String() string {
 
 // Run applies every analyzer whose Match accepts pkg's import path and
 // returns the findings sorted by position, minus any suppressed by
-// `//lint:ignore` directives. facts may be nil (seed-only lookups).
-// Analyzer errors (not findings) abort the run. Test files are never
-// analyzed: Load reads a package's non-test files only.
-func Run(pkg *Package, facts *FactSet, analyzers []*Analyzer) ([]Finding, error) {
+// `//lint:ignore` directives. Analyzer errors (not findings) abort the
+// run. Test files are never analyzed: Load reads a package's non-test
+// files only.
+func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	ignores := collectIgnores(pkg.Fset, pkg.Files)
 	var out []Finding
 	for _, a := range analyzers {
@@ -127,7 +104,6 @@ func Run(pkg *Package, facts *FactSet, analyzers []*Analyzer) ([]Finding, error)
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Facts:     facts,
 		}
 		pass.Report = func(d Diagnostic) {
 			pos := pkg.Fset.Position(d.Pos)

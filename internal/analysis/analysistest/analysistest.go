@@ -19,9 +19,8 @@
 // path; testdata is invisible to ./... wildcards), so they may import
 // live packages such as alex/internal/wal and reproduce this repo's
 // actual historical bug shapes against the real types. The loader
-// typechecks the fixture's whole module dependency graph from source
-// and computes interprocedural facts over it, so fact-driven analyzers
-// (ackorder, ctxflow) see exactly what the production driver sees.
+// typechecks a fixture as it does any target package, so an analyzer
+// sees exactly what the production driver sees.
 package analysistest
 
 import (
@@ -64,20 +63,20 @@ func Run(t *testing.T, a *analysis.Analyzer, fixtureDirs ...string) {
 // analyzer error) — conditions that should abort rather than
 // accumulate.
 func RunDir(r Reporter, a *analysis.Analyzer, dir string) error {
-	res, err := analysis.Load("", "./"+dir)
+	pkgs, err := analysis.Load("", "./"+dir)
 	if err != nil {
 		return fmt.Errorf("loading fixture %s: %v", dir, err)
 	}
-	if len(res.Pkgs) != 1 {
-		return fmt.Errorf("fixture %s: loaded %d packages, want 1", dir, len(res.Pkgs))
+	if len(pkgs) != 1 {
+		return fmt.Errorf("fixture %s: loaded %d packages, want 1", dir, len(pkgs))
 	}
-	pkg := res.Pkgs[0]
+	pkg := pkgs[0]
 
 	// Bypass Match: fixtures live under testdata, not in the scoped
 	// packages; scope is the driver's concern, behavior is tested here.
 	unscoped := *a
 	unscoped.Match = nil
-	findings, err := analysis.Run(pkg, res.Facts, []*analysis.Analyzer{&unscoped})
+	findings, err := analysis.Run(pkg, []*analysis.Analyzer{&unscoped})
 	if err != nil {
 		return fmt.Errorf("running %s on %s: %v", a.Name, dir, err)
 	}

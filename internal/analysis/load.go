@@ -1,13 +1,10 @@
-// The package loader behind alexlint, in two phases. Phase one:
-// `go list -deps -export` resolves the import graph (dependency-first
-// order) and compiles export data into the build cache; every
-// non-standard package in the graph is then parsed and typechecked from
-// source, importing already-checked module packages directly and the
-// standard library from export data. Phase two: ComputeFacts walks all
-// the source packages and propagates interprocedural facts over the
-// repo-wide call graph (facts.go). Everything runs offline — the module
-// has no external dependencies and the standard library's export data
-// comes from the local toolchain's build cache.
+// The package loader behind alexlint. One `go list -deps -export`
+// call resolves the patterns and compiles export data for their whole
+// import graph into the build cache. The target packages are then
+// parsed and typechecked from source; everything they import, module
+// packages and the standard library alike, is imported from that export
+// data. Everything runs offline — the module has no external
+// dependencies.
 package analysis
 
 import (
@@ -28,20 +25,10 @@ import (
 // Package is one loaded, typechecked package.
 type Package struct {
 	Path  string // import path
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File // non-test Go files, parsed with comments
 	Types *types.Package
 	Info  *types.Info
-}
-
-// Result is one completed load: the requested target packages, the
-// full non-standard source graph behind them (dependencies first), and
-// the interprocedural facts computed over that graph.
-type Result struct {
-	Pkgs  []*Package // the packages the patterns matched
-	All   []*Package // Pkgs plus their non-stdlib dependencies, deps first
-	Facts *FactSet
 }
 
 // listedPkg is the subset of `go list -json` output the loader reads.
@@ -49,12 +36,12 @@ type listedPkg struct {
 	Dir        string
 	ImportPath string
 	Export     string
-	Standard   bool
+	DepOnly    bool
 	GoFiles    []string
 	Error      *struct{ Err string }
 }
 
-const listFields = "-json=ImportPath,Export,Dir,GoFiles,Standard,Error"
+const listFields = "-json=ImportPath,Export,Dir,GoFiles,DepOnly,Error"
 
 func goList(dir string, args ...string) ([]listedPkg, error) {
 	cmd := exec.Command("go", append([]string{"list"}, args...)...)
@@ -83,74 +70,41 @@ func goList(dir string, args ...string) ([]listedPkg, error) {
 }
 
 // Load resolves patterns with the go tool (relative to dir; "" means
-// the current directory), parses and typechecks every non-standard
-// package in their dependency graph from source, and computes facts
-// over the whole graph. Standard-library packages are imported from
-// export data; module packages import each other's source-checked
-// types directly (go list's -deps order guarantees dependencies come
-// first), so cross-package object identity holds within one load.
-func Load(dir string, patterns ...string) (*Result, error) {
-	targets, err := goList(dir, append([]string{"-json=ImportPath"}, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-	wanted := make(map[string]bool, len(targets))
-	for _, t := range targets {
-		wanted[t.ImportPath] = true
-	}
-	// One -deps -export walk compiles and exposes export data for the
-	// whole graph, including the standard library.
+// the current directory) and returns the packages they match, parsed
+// and typechecked from source. Their imports come from the export data
+// the same go list call compiles.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	graph, err := goList(dir, append([]string{"-deps", "-export", listFields}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
 	exports := make(map[string]string, len(graph))
-	var order []listedPkg
 	for _, p := range graph {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.Standard {
-			order = append(order, p)
-		}
 	}
-
 	fset := token.NewFileSet()
-	source := map[string]*types.Package{}
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
 	})
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if tp, ok := source[path]; ok {
-			return tp, nil
+	var pkgs []*Package
+	for _, p := range graph {
+		if p.DepOnly {
+			continue
 		}
-		return gc.Import(path)
-	})
-
-	res := &Result{}
-	for _, p := range order {
 		pkg, err := typecheck(fset, imp, p)
 		if err != nil {
 			return nil, err
 		}
-		source[p.ImportPath] = pkg.Types
-		res.All = append(res.All, pkg)
-		if wanted[p.ImportPath] {
-			res.Pkgs = append(res.Pkgs, pkg)
-		}
+		pkgs = append(pkgs, pkg)
 	}
-	res.Facts = ComputeFacts(res.All)
-	return res, nil
+	return pkgs, nil
 }
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func typecheck(fset *token.FileSet, imp types.Importer, p listedPkg) (*Package, error) {
 	files := make([]*ast.File, 0, len(p.GoFiles))
@@ -177,7 +131,6 @@ func typecheck(fset *token.FileSet, imp types.Importer, p listedPkg) (*Package, 
 	}
 	return &Package{
 		Path:  p.ImportPath,
-		Dir:   p.Dir,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,

@@ -5,23 +5,15 @@ package suite
 
 import (
 	"alex/internal/analysis"
-	"alex/internal/analysis/ackorder"
-	"alex/internal/analysis/ctxflow"
 	"alex/internal/analysis/globalrand"
-	"alex/internal/analysis/gotrack"
 	"alex/internal/analysis/snapmut"
 	"alex/internal/analysis/syncerr"
 )
 
 // Analyzers is the full alexlint suite, in the order findings are
-// attributed. Each analyzer carries its own package scope (Match);
-// ackorder and ctxflow consume the interprocedural facts the loader
-// computes.
+// attributed. Each analyzer carries its own package scope (Match).
 var Analyzers = []*analysis.Analyzer{
 	snapmut.Analyzer,
-	ackorder.Analyzer,
 	syncerr.Analyzer,
 	globalrand.Analyzer,
-	gotrack.Analyzer,
-	ctxflow.Analyzer,
 }

@@ -17,16 +17,16 @@ func TestTreeLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
 	}
-	res, err := analysis.Load("", "alex/...")
+	pkgs, err := analysis.Load("", "alex/...")
 	if err != nil {
 		t.Fatalf("loading module packages: %v", err)
 	}
-	if len(res.Pkgs) == 0 {
+	if len(pkgs) == 0 {
 		t.Fatal("loaded no packages")
 	}
 	var all []string
-	for _, pkg := range res.Pkgs {
-		findings, err := analysis.Run(pkg, res.Facts, suite.Analyzers)
+	for _, pkg := range pkgs {
+		findings, err := analysis.Run(pkg, suite.Analyzers)
 		if err != nil {
 			t.Fatalf("analyzing %s: %v", pkg.Path, err)
 		}

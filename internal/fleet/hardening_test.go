@@ -432,11 +432,76 @@ func TestRouterAsksAnOwnerOnce(t *testing.T) {
 	}
 }
 
+// A client that gives up ends the router's request to the shard: each
+// of /query, /feedback and /links is asked of a shard under the
+// client's request context, so a shard that never answers sees its
+// request end within 2 s of a client that waited 200 ms — far below
+// QueryTimeout (10 s) and the shard client's 30 s request bound.
+func TestRouterClientGiveUpCancelsShardRequest(t *testing.T) {
+	cases := []struct{ method, path, body string }{
+		{http.MethodPost, "/query", `{"query":"SELECT ?n WHERE { <http://ds1/a1> <http://ds2/name> ?n . }"}`},
+		{http.MethodPost, "/feedback", `{"approve":false,"links":[{"e1":"http://ds1/a1","e2":"http://ds2/b1"}]}`},
+		{http.MethodGet, "/links", ""},
+	}
+	for _, tc := range cases {
+		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
+			ended := make(chan struct{})
+			release := make(chan struct{})
+			shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				switch req.URL.Path {
+				case "/healthz":
+					writeJSON(w, http.StatusOK, server.HealthResponse{Status: "ok"})
+				case tc.path:
+					// The server watches for a gone client only once
+					// the body is read.
+					if _, err := io.Copy(io.Discard, req.Body); err != nil {
+						t.Errorf("reading the %s body: %v", tc.path, err)
+					}
+					select {
+					case <-req.Context().Done():
+						close(ended)
+					case <-release:
+					}
+				default:
+					http.NotFound(w, req)
+				}
+			}))
+			defer shard.Close()
+			r, err := New(Config{Shards: []string{shard.URL}, HealthInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			rts := httptest.NewServer(r.Handler())
+			defer rts.Close()
+			// Runs first: a shard request the router failed to cancel
+			// returns, so the servers above can close.
+			defer close(release)
+
+			req, err := http.NewRequest(tc.method, rts.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			client := &http.Client{Timeout: 200 * time.Millisecond}
+			resp, err := client.Do(req)
+			if err == nil {
+				resp.Body.Close()
+				t.Fatalf("%s to a shard that never answers: HTTP %d, want the client's timeout", tc.path, resp.StatusCode)
+			}
+			select {
+			case <-ended:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("the shard's %s request was still open 2s after the client gave up", tc.path)
+			}
+		})
+	}
+}
+
 // Reads are not amplified: under a 100% slow fleet — where a router that
 // asked around a slow shard would send a second /query for nearly every
 // client query — each client query is exactly one upstream /query.
 // faultnet's per-(host,path) counters are the measurement.
-func TestRouterHedgedReadsBoundedAmplification(t *testing.T) {
+func TestRouterOneUpstreamQueryPerClientQuery(t *testing.T) {
 	w := splitWorld(t, 2)
 	tr := faultnet.New(11, nil)
 	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) {

@@ -2,6 +2,8 @@ package wal_test
 
 import (
 	"errors"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -103,5 +105,70 @@ func TestRepairCloseFailureMarksBroken(t *testing.T) {
 	}
 	if len(recovered) == 0 || recovered[0] != "ok" {
 		t.Fatalf("recovered %q, want the acked record first", recovered)
+	}
+}
+
+// TestCheckpointTempFileFailure fails the checkpoint temp file's fsync,
+// then its close. Either way the checkpoint was not made: Checkpoint
+// says so, leaves neither a checkpoint nor its temp file behind, and the
+// journal it would have reset keeps every record and takes appends.
+func TestCheckpointTempFileFailure(t *testing.T) {
+	cases := []struct {
+		name   string
+		inject func(*faultfs.FS)
+	}{
+		{"sync", func(fs *faultfs.FS) { fs.FailSyncAt(2) }},   // #1 is the append's
+		{"close", func(fs *faultfs.FS) { fs.FailCloseAt(1) }}, // #1 is the temp file's
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs := faultfs.New(nil)
+			l, err := wal.Open(dir, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := l.Append([]byte("fed"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.inject(fs)
+			if err := l.Checkpoint(seq, []byte("state")); !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("Checkpoint with a failing temp file %s = %v, want wrapped ErrInjected", tc.name, err)
+			}
+			if _, _, ok, err := l.LatestCheckpoint(); ok || err != nil {
+				t.Fatalf("LatestCheckpoint after a failed checkpoint = ok %v, err %v; want none", ok, err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if strings.HasSuffix(e.Name(), ".tmp") {
+					t.Fatalf("failed checkpoint left its temp file %s", e.Name())
+				}
+			}
+			if _, err := l.Append([]byte("more")); err != nil {
+				t.Fatalf("Append after a failed checkpoint: %v", err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			l2, err := wal.Open(dir, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var recovered []string
+			if _, err := l2.Replay(0, func(r wal.Record) error {
+				recovered = append(recovered, string(r.Data))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if want := []string{"fed", "more"}; !reflect.DeepEqual(recovered, want) {
+				t.Fatalf("reopen replayed %q, want %q", recovered, want)
+			}
+		})
 	}
 }

@@ -92,7 +92,8 @@ var ErrBroken = fmt.Errorf("wal: journal broken (unrepaired partial write)")
 
 // Log is a write-ahead log over one directory. It is not safe for
 // concurrent use; callers serialize access (the server does so with a
-// mutex, which also batches competing fsyncs).
+// mutex, which serialises competing fsyncs rather than batching them:
+// every Append syncs once).
 type Log struct {
 	fs     FS
 	dir    string
