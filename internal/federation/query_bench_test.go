@@ -202,8 +202,9 @@ func BenchmarkFederatedQuery(b *testing.B) {
 // row per dataset-1 entity, a few of which reach a hometown across a
 // sameAs link, and LIMIT keeps five. A warm evaluation may allocate
 // for what it returns (bindings, provenance sets), one provenance node
-// per row that crossed a link, and a fixed handful of blocks, sort keys
-// and bookkeeping — not per intermediate row. A map per row, or a
+// per row that crossed a link, and a fixed handful of blocks, grouping
+// tables and bookkeeping — not per intermediate row (ORDER BY's cells
+// and sort pairs come from a pool). A map per row, or a
 // decoded term per row, is one allocation or more for each of them and
 // fails the bound several times over.
 func TestWideQueryAllocationsFollowSurvivors(t *testing.T) {
@@ -233,9 +234,9 @@ func TestWideQueryAllocationsFollowSurvivors(t *testing.T) {
 		}
 	})
 	// 8 per returned row: its binding and provenance set (a map header
-	// and a bucket each), its grouping key, its share of the result
-	// slices. 64 fixed: evaluation context, two matchers, the doubling
-	// of two blocks' backing arrays, order keys, Finalize's index slices.
+	// and a bucket each), its share of the result slices. 64 fixed:
+	// evaluation context, two matchers, the doubling of two blocks'
+	// backing arrays, Finalize's index slices and grouping table.
 	bound := float64(crossed + 8*survivors + 64)
 	if bound >= float64(scanned) {
 		t.Fatalf("bound %v is not below the %d intermediate rows; it would pass a per-row allocation", bound, scanned)

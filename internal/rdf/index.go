@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 )
 
@@ -28,14 +29,15 @@ import (
 // distinct leading ID (S in SPO, P in POS, O in OSP) with the first
 // record it leads, so the ID's records are [first, next entry's first).
 // Opening an image derives from each table a bitmap of its IDs (one bit
-// per ID up to the largest; on the heap, not in the image). A bound
-// lookup tests the leading ID's bit: clear, and the range is empty —
-// in a federation most probes of a sameAs-expanded entity ask a source
-// that never saw it, and each of those costs that one test. Set, and
-// it is one binary search of the footer for the range, then binary
-// searches inside it on the remaining components only. The tables also
-// give the distinct subject/predicate lists without touching data
-// pages.
+// per ID up to the largest) and a rank directory over it (the set bits
+// before each word that has one); both live on the heap, not in the
+// image. A bound lookup tests the leading ID's bit: clear, and the
+// range is empty — in a federation most probes of a sameAs-expanded
+// entity ask a source that never saw it, and each of those costs that
+// one test. Set, and the ID's posting entry is the rank of its bit, so
+// the range costs no search; binary searches inside it narrow on the
+// remaining components only. The tables also give the distinct subject/predicate
+// lists without touching data pages.
 //
 // The image is the same bytes on the heap (an in-memory Graph) and in
 // a segment file (internal/store mmaps it). The trailer CRC covers the
@@ -134,15 +136,16 @@ func EncodeIndex(ts []IDTriple) []byte {
 }
 
 // Index is the sorted triple index: an image EncodeIndex wrote, opened
-// in place. Every lookup is a search of its posting tables and records,
-// so the bytes may be on the heap or mmap'd. An Index is immutable and
-// safe for concurrent use; the zero Index is empty.
+// in place. Every lookup reads its posting tables and records where
+// they lie, so the bytes may be on the heap or mmap'd. An Index is
+// immutable and safe for concurrent use; the zero Index is empty.
 type Index struct {
 	data   []byte
 	count  int
 	secOff [3]int
 	posts  [3][]byte   // per-section posting tables, 8 bytes per (id, first record) entry
 	lead   [3][]uint64 // per-section bitmaps of the posting tables' IDs
+	rank   [3][]uint32 // per-section rank directories: set bits of lead before each word
 }
 
 // OpenIndex validates the image in data and returns the index over it;
@@ -188,7 +191,7 @@ func OpenIndex(data []byte) (*Index, error) {
 		if err := checkPostings(x.posts[sec], n); err != nil {
 			return nil, fmt.Errorf("section %d: %v", sec, err)
 		}
-		x.lead[sec] = leadBitmap(x.posts[sec])
+		x.lead[sec], x.rank[sec] = leadBitmap(x.posts[sec])
 	}
 	if off != len(footer) {
 		return nil, errors.New("trailing footer bytes")
@@ -218,26 +221,32 @@ func checkPostings(tbl []byte, n int) error {
 	return nil
 }
 
-// leadBitmap returns the bitmap of a checked posting table's IDs: bit
-// id is set when id leads a record range. The IDs ascend, so the last
-// one sizes it.
-func leadBitmap(tbl []byte) []uint64 {
+// leadBitmap returns the bitmap of a checked posting table's IDs (bit
+// id is set when id leads a record range) and its rank directory: for
+// each word with a bit set, the set bits before it, which is the
+// posting entry of its first ID. The IDs ascend, so the last one sizes
+// both.
+func leadBitmap(tbl []byte) (lead []uint64, rank []uint32) {
 	m := len(tbl) / 8
 	if m == 0 {
-		return nil
+		return nil, nil
 	}
-	bits := make([]uint64, binary.LittleEndian.Uint32(tbl[(m-1)*8:])/64+1)
+	w := binary.LittleEndian.Uint32(tbl[(m-1)*8:])/64 + 1
+	lead, rank = make([]uint64, w), make([]uint32, w)
 	for i := 0; i < m; i++ {
 		id := binary.LittleEndian.Uint32(tbl[i*8:])
-		bits[id/64] |= 1 << (id % 64)
+		if lead[id/64] == 0 {
+			rank[id/64] = uint32(i)
+		}
+		lead[id/64] |= 1 << (id % 64)
 	}
-	return bits
+	return lead, rank
 }
 
 // leads reports whether id is a leading ID of section sec.
 func (x *Index) leads(sec int, id uint32) bool {
-	bits := x.lead[sec]
-	return int(id/64) < len(bits) && bits[id/64]&(1<<(id%64)) != 0
+	words := x.lead[sec]
+	return int(id/64) < len(words) && words[id/64]&(1<<(id%64)) != 0
 }
 
 // Size returns the number of distinct triples.
@@ -255,8 +264,8 @@ func (x *Index) key(sec, i int) [3]uint32 {
 // bounds returns the half-open record range [lo, hi) of section sec
 // whose leading k key components equal key; k == 0 is the whole
 // section. A leading ID the section lacks is an empty range after one
-// bit test; otherwise the posting table gives its range, and each
-// further component narrows it.
+// bit test; otherwise the rank of its bit is its posting entry, which
+// gives its range, and each further component narrows it.
 func (x *Index) bounds(sec int, key [3]uint32, k int) (lo, hi int) {
 	if k == 0 {
 		return 0, x.count
@@ -264,22 +273,11 @@ func (x *Index) bounds(sec int, key [3]uint32, k int) (lo, hi int) {
 	if !x.leads(sec, key[0]) {
 		return 0, 0
 	}
+	w, b := key[0]/64, key[0]%64
+	i := int(x.rank[sec][w]) + bits.OnesCount64(x.lead[sec][w]&(1<<b-1))
 	tbl := x.posts[sec]
-	m := len(tbl) / 8
-	i, j := 0, m
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if binary.LittleEndian.Uint32(tbl[h*8:]) < key[0] {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	if i == m || binary.LittleEndian.Uint32(tbl[i*8:]) != key[0] {
-		return 0, 0
-	}
 	lo, hi = int(binary.LittleEndian.Uint32(tbl[i*8+4:])), x.count
-	if i+1 < m {
+	if i+1 < len(tbl)/8 {
 		hi = int(binary.LittleEndian.Uint32(tbl[i*8+12:]))
 	}
 	for c := 1; c < k && lo < hi; c++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -295,11 +296,17 @@ func TestIdleFleetIsQuiet(t *testing.T) {
 
 // Close cancels the replication exchange in flight: a peer that
 // accepts the connection and never answers does not hold shutdown for
-// the exchange's timeout.
+// the exchange's timeout. The peer reads the request body before it
+// hangs: Go's HTTP server notices a client that went away only once
+// the body is read, so only then does r.Context() end when the shard
+// gives up. A shard that never gives up then fails this test at its
+// deadline instead of leaving the handler parked until the package
+// times out.
 func TestCloseDoesNotWaitOnAHungPeer(t *testing.T) {
 	asked := make(chan struct{}, 1)
 	release := make(chan struct{})
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
 		select {
 		case asked <- struct{}{}:
 		default:

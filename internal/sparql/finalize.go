@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"alex/internal/rdf"
@@ -161,9 +162,9 @@ func Finalize(q *Query, d *rdf.Dict, sols Solutions) Projection {
 	return p
 }
 
-// appendTupleKey appends the map-key encoding of a row's projection:
-// four bytes per projected variable, rdf.NoID for an unbound one. The
-// width is fixed, so distinct tuples cannot collide.
+// appendTupleKey appends DISTINCT's map-key encoding of a row's
+// projection: four bytes per projected variable, rdf.NoID for an
+// unbound one. The width is fixed, so distinct tuples cannot collide.
 func appendTupleKey(key []byte, row []rdf.ID, cols []int, id func(rdf.ID) rdf.ID) []byte {
 	for _, c := range cols {
 		v := rdf.NoID
@@ -174,8 +175,6 @@ func appendTupleKey(key []byte, row []rdf.ID, cols []int, id func(rdf.ID) rdf.ID
 	}
 	return key
 }
-
-func sameID(id rdf.ID) rdf.ID { return id }
 
 // canonicalIDs maps dictionary IDs to representatives of DISTINCT's
 // equality, which is equality of the N-Triples rendering
@@ -228,26 +227,26 @@ func groupByTuple(sols Solutions, cols []int, keep []int32) (group []int32, memb
 	if sols.N == 1 {
 		return group, [][]int32{{0}}
 	}
-	index := make(map[string]int32, len(keep))
-	var key []byte
+	size := bits.Len(uint(2*len(keep) - 1)) // log2 of the slots: 2×keep or more
+	t := tupleTable{sols: sols, cols: cols, keep: keep, slots: make([]int32, 1<<size), shift: uint(64 - size)}
+	groups := int32(0)
 	for k, i := range keep {
-		key = appendTupleKey(key[:0], sols.row(int(i)), cols, sameID)
-		g, ok := index[string(key)]
-		if !ok {
-			g = int32(len(index))
-			index[string(key)] = g
+		s := t.find(i)
+		if t.slots[s] == 0 {
+			t.slots[s] = int32(k) + 1
+			group[k] = groups
+			groups++
+		} else {
+			group[k] = group[t.slots[s]-1]
 		}
-		group[k] = g
 	}
 	// Members in one backing array: count, then fill.
 	of := make([]int32, sols.N)
-	start := make([]int32, len(index)+1)
+	start := make([]int32, groups+1)
 	for i := range of {
-		key = appendTupleKey(key[:0], sols.row(i), cols, sameID)
-		g, ok := index[string(key)]
-		if !ok {
-			g = -1
-		} else {
+		g := int32(-1)
+		if s := t.find(int32(i)); t.slots[s] != 0 {
+			g = group[t.slots[s]-1]
 			start[g+1]++
 		}
 		of[i] = g
@@ -255,8 +254,8 @@ func groupByTuple(sols Solutions, cols []int, keep []int32) (group []int32, memb
 	for g := 1; g < len(start); g++ {
 		start[g] += start[g-1]
 	}
-	flat := make([]int32, start[len(index)])
-	members = make([][]int32, len(index))
+	flat := make([]int32, start[groups])
+	members = make([][]int32, groups)
 	for g := range members {
 		members[g] = flat[start[g]:start[g]:start[g+1]]
 	}
@@ -266,6 +265,46 @@ func groupByTuple(sols Solutions, cols []int, keep []int32) (group []int32, memb
 		}
 	}
 	return group, members
+}
+
+// tupleTable is an open-addressed hash set of the projected ID tuples
+// of keep's rows. A slot holds 1 + the position in keep of the first
+// row with its tuple, or 0 when empty; the table is at least twice as
+// large as keep, so a probe always ends at a match or an empty slot.
+type tupleTable struct {
+	sols  Solutions
+	cols  []int
+	keep  []int32
+	slots []int32
+	shift uint // 64 − log2(len(slots)): a hash's top bits pick its slot
+}
+
+// find returns the slot of row's projected tuple: the slot that holds
+// it, or the empty one where it belongs.
+func (t *tupleTable) find(row int32) int {
+	r := t.sols.row(int(row))
+	h := uint64(0)
+	for _, c := range t.cols {
+		if c >= 0 {
+			h = (h ^ uint64(r[c])) * 0x9e3779b97f4a7c15
+		}
+	}
+	mask := len(t.slots) - 1
+	for s := int(h >> t.shift); ; s = (s + 1) & mask {
+		if t.slots[s] == 0 || t.sameTuple(r, t.sols.row(int(t.keep[t.slots[s]-1]))) {
+			return s
+		}
+	}
+}
+
+// sameTuple reports whether rows a and b project onto the same IDs.
+func (t *tupleTable) sameTuple(a, b []rdf.ID) bool {
+	for _, c := range t.cols {
+		if c >= 0 && a[c] != b[c] {
+			return false
+		}
+	}
+	return true
 }
 
 // WhereVars returns the variables of a WHERE clause's triple patterns

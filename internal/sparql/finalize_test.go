@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"alex/internal/rdf"
@@ -98,6 +99,49 @@ func TestCanonicalIDsMatchRendering(t *testing.T) {
 			if got := canon.of(a) == canon.of(b); got != same {
 				t.Fatalf("%#v and %#v: canonical IDs equal = %v, renderings equal = %v", d.Term(a), d.Term(b), got, same)
 			}
+		}
+	}
+}
+
+// TestGroupsFollowProjectedTuples: over rows drawn from a few IDs, so
+// that tuples repeat and hash slots collide, two output rows share a
+// group exactly when they project onto the same IDs, groups are
+// numbered by first appearance, and a group's members are every input
+// row with its tuple, ascending — unprojected columns and unbound cells
+// included in the draw.
+func TestGroupsFollowProjectedTuples(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	vars := []string{"a", "b", "c"}
+	for trial := 0; trial < 300; trial++ {
+		sols := Solutions{Vars: vars, N: 1 + rng.Intn(80)}
+		for i := 0; i < sols.N*len(vars); i++ {
+			sols.IDs = append(sols.IDs, rdf.ID(rng.Intn(4))) // 0 is rdf.NoID
+		}
+		q := &Query{Vars: []string{"a", "b", "x"}, Limit: -1, Offset: rng.Intn(5)}
+		if rng.Intn(2) == 0 {
+			q.Limit = rng.Intn(sols.N + 1)
+		}
+		proj := Finalize(q, rdf.NewDict(), sols)
+		tuple := func(i int) [2]rdf.ID { return [2]rdf.ID{sols.IDs[i*3], sols.IDs[i*3+1]} }
+		first := map[[2]rdf.ID]int32{}
+		for k, i := range proj.keep {
+			g, ok := first[tuple(int(i))]
+			if !ok {
+				g = int32(len(first))
+				first[tuple(int(i))] = g
+			}
+			if proj.Group[k] != g {
+				t.Fatalf("trial %d: row %d (input %d) in group %d, want %d", trial, k, i, proj.Group[k], g)
+			}
+		}
+		want := make([][]int32, len(first))
+		for i := 0; i < sols.N; i++ {
+			if g, ok := first[tuple(i)]; ok {
+				want[g] = append(want[g], int32(i))
+			}
+		}
+		if len(proj.keep) > 0 && !reflect.DeepEqual(proj.Members, want) {
+			t.Fatalf("trial %d: members %v, want %v", trial, proj.Members, want)
 		}
 	}
 }

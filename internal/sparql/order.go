@@ -1,7 +1,10 @@
 package sparql
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -111,70 +114,184 @@ func compareLex(a string, af float64, aNum bool, b string, bf float64, bNum bool
 	return strings.Compare(a, b)
 }
 
-// rowOrder sorts row indices of a Solutions by ORDER BY keys. A cell
-// (row, key) reads its lexical form from the dictionary and parses its
-// numeric key when a comparison first needs it; later comparisons read
-// the cell.
+// rowOrder sorts row indices of a Solutions by ORDER BY keys. Each
+// cell (row, key) is read once before the sort: its lexical form from
+// the dictionary and its numeric key; comparisons read the cells.
 type rowOrder struct {
 	by    []OrderKey
-	cols  []int // column of each key; -1: reads as unbound in every row
-	d     *rdf.Dict
-	sols  Solutions
 	cells []orderCell // per row × key
+	pairs []prefixRow // the prefix sort's (first-key prefix, row) pairs
 }
 
 type orderCell struct {
 	lex   string // "" when unbound
 	num   float64
-	state uint8 // 0 not read yet, else keyText or keyNumber
+	isNum bool
 }
 
-const (
-	keyText uint8 = 1 + iota
-	keyNumber
-)
+// prefixRow is a row under the prefix sort: its first key's prefix,
+// inverted for a descending key, and the row.
+type prefixRow struct {
+	prefix uint64
+	row    int32
+}
 
-// rowOrders recycles a rowOrder and its cell table across queries. A
-// table is cleared before it goes back, so one taken out reads as not
-// read yet; one grown past maxPooledCells is dropped instead of pinned
-// in the pool.
+// rowOrders recycles a rowOrder, its cell table and its pair buffer
+// across queries. A table is cleared before it goes back, so it pins
+// no lexical form; one grown past maxPooledCells is dropped instead of
+// pinned in the pool.
 var rowOrders = sync.Pool{New: func() any { return new(rowOrder) }}
 
 const maxPooledCells = 4 << 10
 
-// sortRows stably sorts keep, a list of row indices of sols, by the
-// ORDER BY keys. A key names a projected variable; one that is not
-// projected orders nothing (every row reads as unbound).
+// sortRows stably sorts keep, an ascending list of row indices of sols,
+// by the ORDER BY keys. A key names a projected variable; one that is
+// not projected orders nothing (every row reads as unbound).
+//
+// When each key's cells are of one class — all numbers, none NaN, or
+// all text (unbound and IRIs included) — the comparison is a strict
+// weak order, so the stable sort's permutation is the one that orders
+// by it and then by row index. That sort runs on (prefix, row) pairs,
+// where the prefix orders the first key's cells as the comparison
+// does; only rows with equal prefixes are compared key by key. Any
+// other input — where NaN or a number beside text makes the comparison
+// intransitive, and the permutation depends on the algorithm's every
+// step — takes the stable sort itself.
 func sortRows(by []OrderKey, projected []string, d *rdf.Dict, sols Solutions, keep []int32) {
-	o := rowOrders.Get().(*rowOrder)
-	o.by, o.d, o.sols = by, d, sols
-	o.cols = o.cols[:0]
-	for _, key := range by {
-		col := -1
-		if slices.Contains(projected, key.Var) {
-			col = sols.column(key.Var)
-		}
-		o.cols = append(o.cols, col)
+	if len(keep) < 2 {
+		return
 	}
+	o := rowOrders.Get().(*rowOrder)
+	o.by = by
 	n := sols.N * len(by)
 	if cap(o.cells) < n {
 		o.cells = make([]orderCell, n)
 	}
 	o.cells = o.cells[:n]
-	slices.SortStableFunc(keep, o.compare)
-	if cap(o.cells) <= maxPooledCells {
+	oneClass := true
+	for k, key := range by {
+		col := -1
+		if slices.Contains(projected, key.Var) {
+			col = sols.column(key.Var)
+		}
+		var text, number bool
+		for _, row := range keep {
+			c := &o.cells[int(row)*len(by)+k]
+			c.lex = ""
+			if col >= 0 {
+				if id := sols.IDs[int(row)*len(sols.Vars)+col]; id != rdf.NoID {
+					c.lex = d.Term(id).Value
+				}
+			}
+			c.num, c.isNum = numericKey(c.lex)
+			switch {
+			case !c.isNum:
+				text = true
+			case math.IsNaN(c.num):
+				oneClass = false
+			default:
+				number = true
+			}
+		}
+		oneClass = oneClass && !(text && number)
+	}
+	if oneClass {
+		o.pairs = o.pairs[:0]
+		skip := o.sharedPrefix(keep)
+		for _, row := range keep {
+			o.pairs = append(o.pairs, prefixRow{o.prefix(row, skip), row})
+		}
+		slices.SortFunc(o.pairs, o.comparePairs)
+		for i, p := range o.pairs {
+			keep[i] = p.row
+		}
+	} else {
+		slices.SortStableFunc(keep, o.compare)
+	}
+	if cap(o.cells) <= maxPooledCells && cap(o.pairs) <= maxPooledCells {
 		clear(o.cells)
-		*o = rowOrder{cols: o.cols, cells: o.cells}
+		*o = rowOrder{cells: o.cells, pairs: o.pairs}
 		rowOrders.Put(o)
 	}
+}
+
+// sharedPrefix returns how many leading bytes the first key's cells of
+// keep's rows share when they are text, else 0. Texts that share a
+// prefix compare as what follows it, so prefix skips it: an IRI key's
+// first eight bytes would be its scheme and host.
+func (o *rowOrder) sharedPrefix(keep []int32) int {
+	w := len(o.by)
+	ref := o.cells[int(keep[0])*w]
+	if ref.isNum {
+		return 0
+	}
+	n := len(ref.lex)
+	for _, row := range keep[1:] {
+		lex := o.cells[int(row)*w].lex
+		if strings.HasPrefix(lex, ref.lex[:n]) {
+			continue
+		}
+		i := 0
+		for i < min(n, len(lex)) && lex[i] == ref.lex[i] {
+			i++
+		}
+		n = i
+	}
+	return n
+}
+
+// prefix returns 8 bytes of row's first-key cell that order as compare
+// orders the key's cells, given they are of one class: a number's IEEE
+// bits with the sign flipped (and every other bit too when negative,
+// so larger magnitudes sort lower), or the eight bytes of a text after
+// its first skip, zero-padded, big-endian. Equal cells get equal
+// prefixes; so may unequal texts, which comparePairs then compares in
+// full. A descending key inverts the prefix.
+func (o *rowOrder) prefix(row int32, skip int) uint64 {
+	c := &o.cells[int(row)*len(o.by)]
+	var p uint64
+	if c.isNum {
+		f := c.num
+		if f == 0 {
+			f = 0 // -0 compares equal to 0, so it gets 0's prefix
+		}
+		p = math.Float64bits(f)
+		if p>>63 == 1 {
+			p = ^p
+		} else {
+			p |= 1 << 63
+		}
+	} else {
+		var b [8]byte
+		copy(b[:], c.lex[skip:])
+		p = binary.BigEndian.Uint64(b[:])
+	}
+	if o.by[0].Desc {
+		return ^p
+	}
+	return p
+}
+
+// comparePairs orders two rows by first-key prefix, then by compare,
+// then by row index: the stable sort's order, when compare is a strict
+// weak order.
+func (o *rowOrder) comparePairs(a, b prefixRow) int {
+	if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+		return c
+	}
+	if c := o.compare(a.row, b.row); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.row, b.row)
 }
 
 // compare returns a negative number exactly when row a sorts before row
 // b, which is all a stable sort asks of it.
 func (o *rowOrder) compare(a, b int32) int {
-	for k := range o.by {
-		ac, bc := o.cell(a, k), o.cell(b, k)
-		c := compareLex(ac.lex, ac.num, ac.state == keyNumber, bc.lex, bc.num, bc.state == keyNumber)
+	w := len(o.by)
+	ac, bc := o.cells[int(a)*w:][:w], o.cells[int(b)*w:][:w]
+	for k := range ac {
+		c := compareLex(ac[k].lex, ac[k].num, ac[k].isNum, bc[k].lex, bc[k].num, bc[k].isNum)
 		if c == 0 {
 			continue
 		}
@@ -184,21 +301,4 @@ func (o *rowOrder) compare(a, b int32) int {
 		return c
 	}
 	return 0
-}
-
-// cell returns row's cell under ORDER BY key k, read on first use.
-func (o *rowOrder) cell(row int32, k int) *orderCell {
-	c := &o.cells[int(row)*len(o.by)+k]
-	if c.state == 0 {
-		if col := o.cols[k]; col >= 0 {
-			if id := o.sols.IDs[int(row)*len(o.sols.Vars)+col]; id != rdf.NoID {
-				c.lex = o.d.Term(id).Value
-			}
-		}
-		c.state = keyText
-		if f, ok := numericKey(c.lex); ok {
-			c.num, c.state = f, keyNumber
-		}
-	}
-	return c
 }

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -103,23 +104,112 @@ func referenceOrder(rows []Binding, by []OrderKey) {
 	})
 }
 
+// numberForms all scan as numbers, none NaN, and textForms none do, so
+// a key whose cells come from one of them alone (and, for text,
+// unbound cells) takes the prefix sort. Ties and shared 8-byte
+// prefixes are common in both: equal numbers written differently, a
+// date and its year, -0 and 0; texts equal up to a zero byte or past
+// their eighth byte.
+var (
+	numberForms = []string{
+		"12", "12.0", "012", "12abc", "-3.5", "0", "-0", "1e3", "1000", "+.5", ".5", "9.",
+		"-inf", "inf", "+Inf", " 7", "7 ", "0x1p4", "16", "1902", "1902-03-31", "1902-11-02", "2001-01-01",
+	}
+	textForms = []string{
+		"", "abc", "abc\x00", "abcdefgh", "abcdefgh\x00", "abcdefghi", "Zed", "zed", "é", "\xff", "n", "ni",
+		"Springfield", "Lyon", "New York", "http://ds1.example.org/resource/E12",
+		"http://ds1.example.org/resource/E120", "http://ds1.example.org/resource/E13",
+	}
+)
+
+// orderPools are the cell pools a column draws from: adversarial forms
+// (mostly the stable sort's input), numbers or text (the prefix
+// sort's, when every ordered column draws from one of those two), and
+// numbers with NaN among them, which must take the stable sort.
+var orderPools = [][]string{adversarialForms, numberForms, textForms, append([]string{"nan", "NaN", "nancy"}, numberForms...)}
+
+// bindsAll reports whether a column drawn from pool binds every cell:
+// a number column does, or its unbound cells would make it mixed.
+func bindsAll(pool int) bool { return pool == 1 || pool == 3 }
+
+// orderTerm is the term a pool's form stands for; text is an IRI half
+// of the time, which ORDER BY compares by its value like a literal.
+func orderTerm(form string, pool int, iri bool) rdf.Term {
+	if pool == 2 && iri {
+		return rdf.IRI(form)
+	}
+	return rdf.Literal(form)
+}
+
+// checkOrderAgainstReference finalizes rows under q and fails unless
+// the rows are the reference sort's permutation, cut by OFFSET and
+// LIMIT.
+func checkOrderAgainstReference(t *testing.T, vars []string, rows []Binding, q *Query) {
+	t.Helper()
+	d := rdf.NewDict()
+	proj := Finalize(q, d, encodeBindings(d, vars, rows))
+	res := proj.Result()
+
+	want := make([]Binding, len(rows))
+	for i, r := range rows {
+		want[i] = Binding{}
+		for _, v := range res.Vars {
+			if term, ok := r[v]; ok {
+				want[i][v] = term
+			}
+		}
+	}
+	referenceOrder(want, q.OrderBy)
+	want = want[min(q.Offset, len(want)):]
+	if q.Limit >= 0 && q.Limit < len(want) {
+		want = want[:q.Limit]
+	}
+	if got := res.Rows; (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+		t.Fatalf("ORDER BY %+v OFFSET %d LIMIT %d over %v: rows differ from the reference sort\n got %v\nwant %v",
+			q.OrderBy, q.Offset, q.Limit, res.Vars, got, want)
+	}
+}
+
+// TestOrderPoolClasses keeps the pools honest: a number form scans as
+// a number that is not NaN, and a text form scans as none.
+func TestOrderPoolClasses(t *testing.T) {
+	for _, f := range numberForms {
+		if x, ok := numericKey(f); !ok || math.IsNaN(x) {
+			t.Errorf("number form %q reads as (%v, %v)", f, x, ok)
+		}
+	}
+	for _, f := range textForms {
+		if x, ok := numericKey(f); ok {
+			t.Errorf("text form %q reads as the number %v", f, x)
+		}
+	}
+}
+
 // TestOrderByPermutationMatchesReference: over random multisets of
-// adversarial forms — where the comparison is not a strict weak order
-// and the outcome depends on the sorting algorithm's every step —
-// Finalize returns rows in exactly the permutation the reference sort
-// produces. Keys are ascending and descending, bound and unbound,
-// projected and (ordering nothing) not projected.
+// cells, Finalize returns rows in exactly the permutation the
+// reference sort produces, cut by a random OFFSET and LIMIT. Each
+// column draws from one pool. Adversarial forms, and numbers with NaN,
+// make the comparison no strict weak order, and the outcome then
+// depends on the sorting algorithm's every step. Number and text pools
+// make it one, and keys drawn from those alone take the prefix sort. Keys are ascending and
+// descending, bound and unbound, projected and (ordering nothing) not
+// projected.
 func TestOrderByPermutationMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	vars := []string{"a", "b", "c"}
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		n := 2 + rng.Intn(60)
+		pools := make([]int, len(vars))
+		for j := range pools {
+			pools[j] = rng.Intn(len(orderPools))
+		}
 		rows := make([]Binding, n)
 		for i := range rows {
 			rows[i] = Binding{}
-			for _, v := range vars {
-				if rng.Intn(6) > 0 {
-					rows[i][v] = rdf.Literal(adversarialForms[rng.Intn(len(adversarialForms))])
+			for j, v := range vars {
+				if bindsAll(pools[j]) || rng.Intn(6) > 0 {
+					pool := orderPools[pools[j]]
+					rows[i][v] = orderTerm(pool[rng.Intn(len(pool))], pools[j], rng.Intn(2) == 0)
 				}
 			}
 		}
@@ -127,30 +217,65 @@ func TestOrderByPermutationMatchesReference(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			q.Vars = nil // SELECT *: all three, so ?c orders too
 		}
+		if rng.Intn(2) == 0 {
+			q.Limit = rng.Intn(n + 2)
+		}
+		if rng.Intn(2) == 0 {
+			q.Offset = rng.Intn(n + 2)
+		}
 		for _, v := range vars[:1+rng.Intn(len(vars))] {
 			q.OrderBy = append(q.OrderBy, OrderKey{Var: v, Desc: rng.Intn(2) == 0})
 		}
 		rng.Shuffle(len(q.OrderBy), func(i, j int) { q.OrderBy[i], q.OrderBy[j] = q.OrderBy[j], q.OrderBy[i] })
+		checkOrderAgainstReference(t, vars, rows, q)
+	}
+}
 
-		d := rdf.NewDict()
-		proj := Finalize(q, d, encodeBindings(d, vars, rows))
-		res := proj.Result()
-
-		want := make([]Binding, n)
-		for i, r := range rows {
-			want[i] = Binding{}
-			for _, v := range res.Vars {
-				if term, ok := r[v]; ok {
-					want[i][v] = term
+// FuzzOrderByPermutation holds Finalize's ORDER BY, OFFSET and LIMIT
+// to the reference sort on rows built from fuzz bytes. The first byte
+// picks each column's pool (two bits a column, an index into
+// orderPools), the second the keys and their directions, the third and
+// fourth OFFSET and LIMIT; then each two bytes are a row, a byte a
+// cell: its low bit binds an IRI or a literal, the rest picks a form
+// of the pool, or leaves the cell unbound past its end. Rows past 64
+// are dropped: the reference sort scans its cells afresh at every
+// comparison, and a long input would spend the budget on few runs.
+func FuzzOrderByPermutation(f *testing.F) {
+	f.Add([]byte{0x00, 0x00, 0, 255, 3, 7, 9, 11, 40, 2, 14, 200})
+	f.Add([]byte{0x05, 0x1b, 1, 3, 2, 4, 6, 8, 10, 12, 14, 16, 2, 4})
+	f.Add([]byte{0x0a, 0x06, 0, 255, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 30, 31})
+	f.Add([]byte{0x09, 0x0f, 2, 5, 9, 9, 9, 8, 7, 7, 0, 0, 255, 255, 44, 46})
+	f.Add([]byte{0x0f, 0x01, 0, 255, 0, 2, 6, 4, 2, 0, 8, 10, 4, 6})
+	f.Add([]byte{0x05, 0x00, 0, 255}) // no rows
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		vars := []string{"a", "b"}
+		classes, keys, offset, limit := data[0], data[1], int(data[2]), int(data[3])
+		q := &Query{Vars: vars, Offset: offset, Limit: limit}
+		if limit == 255 {
+			q.Limit = -1
+		}
+		// keys: bit 0 a second key; bit 1 ?b first; bits 2, 3 descending.
+		first, second := vars[keys>>1&1], vars[1-keys>>1&1]
+		q.OrderBy = []OrderKey{{Var: first, Desc: keys&4 != 0}}
+		if keys&1 != 0 {
+			q.OrderBy = append(q.OrderBy, OrderKey{Var: second, Desc: keys&8 != 0})
+		}
+		var rows []Binding
+		for cells := data[4:]; len(cells) >= len(vars) && len(rows) < 64; cells = cells[len(vars):] {
+			row := Binding{}
+			for j, v := range vars {
+				pool := int(classes >> (2 * j) & 3)
+				if forms, i := orderPools[pool], int(cells[j]>>1); i < len(forms) {
+					row[v] = orderTerm(forms[i], pool, cells[j]&1 != 0)
 				}
 			}
+			rows = append(rows, row)
 		}
-		referenceOrder(want, q.OrderBy)
-		if !reflect.DeepEqual(res.Rows, want) {
-			t.Fatalf("trial %d (ORDER BY %+v over %v): permutation differs from the reference sort\n got %v\nwant %v",
-				trial, q.OrderBy, res.Vars, res.Rows, want)
-		}
-	}
+		checkOrderAgainstReference(t, vars, rows, q)
+	})
 }
 
 // TestOrderBySortsConcurrently: queries sorting at once, each through
@@ -221,28 +346,40 @@ func FuzzOrderKey(f *testing.F) {
 // BenchmarkFinalizeOrderBy measures Finalize on bench/e2e's wide shape
 // as the executor hands it over at scale 0.5: some two hundred ID rows
 // of entity IRI, label and hometown, a three-key ORDER BY, LIMIT 50.
-// It is the finalizer's share of federation.query_us.wide: what parsing
-// each key once (and not parsing IRIs at all) buys shows here.
+// "text" has the workload's value classes — every key's cells are
+// text, so it takes the prefix sort — and is the finalizer's share of
+// federation.query_us.wide. "mixed" puts a year ("1770") and a name
+// that scans as NaN ("Nantes") among the hometowns, so it measures the
+// stable sort that such keys fall back to.
 func BenchmarkFinalizeOrderBy(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vars := []string{"e", "l", "h"}
-	places := []string{"Springfield", "Nantes", "Ipswich", "1770", "Indianapolis", "New York", "Innsbruck", "Osaka"}
-	rows := make([]Binding, 200)
-	for i := range rows {
-		rows[i] = Binding{
-			"e": rdf.IRI(fmt.Sprintf("http://ds1.example.org/resource/E%d", rng.Intn(1200))),
-			"l": rdf.Literal(fmt.Sprintf("%c%c person %d", 'A'+rng.Intn(26), 'a'+rng.Intn(26), rng.Intn(400))),
-			"h": rdf.Literal(places[rng.Intn(len(places))]),
-		}
-	}
-	d := rdf.NewDict()
-	sols := encodeBindings(d, vars, rows)
-	q := &Query{Vars: vars, Limit: 50, OrderBy: []OrderKey{{Var: "h"}, {Var: "e"}, {Var: "l"}}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := Finalize(q, d, sols); res.Len() != 50 {
-			b.Fatalf("rows=%d", res.Len())
-		}
+	for _, bc := range []struct {
+		name   string
+		places []string
+	}{
+		{"text", []string{"Springfield", "Lyon", "Ipswich", "Boston", "Indianapolis", "New York", "Innsbruck", "Osaka"}},
+		{"mixed", []string{"Springfield", "Nantes", "Ipswich", "1770", "Indianapolis", "New York", "Innsbruck", "Osaka"}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			vars := []string{"e", "l", "h"}
+			rows := make([]Binding, 200)
+			for i := range rows {
+				rows[i] = Binding{
+					"e": rdf.IRI(fmt.Sprintf("http://ds1.example.org/resource/E%d", rng.Intn(1200))),
+					"l": rdf.Literal(fmt.Sprintf("%c%c person %d", 'A'+rng.Intn(26), 'a'+rng.Intn(26), rng.Intn(400))),
+					"h": rdf.Literal(bc.places[rng.Intn(len(bc.places))]),
+				}
+			}
+			d := rdf.NewDict()
+			sols := encodeBindings(d, vars, rows)
+			q := &Query{Vars: vars, Limit: 50, OrderBy: []OrderKey{{Var: "h"}, {Var: "e"}, {Var: "l"}}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := Finalize(q, d, sols); res.Len() != 50 {
+					b.Fatalf("rows=%d", res.Len())
+				}
+			}
+		})
 	}
 }
