@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -847,4 +848,48 @@ func (r *Router) healthView() (*RouterHealth, error) {
 		return nil, err
 	}
 	return &h, nil
+}
+
+// heldProbes answers each shard's first /healthz at once and holds every
+// later one until its context ends, then lingers before it returns: a
+// probe loop is still inside a round trip for a while after Close has
+// cancelled it.
+type heldProbes struct {
+	answered sync.Map      // shard host → its first probe was answered
+	inFlight atomic.Int32  // held round trips not yet returned
+	held     chan struct{} // one send per held round trip
+}
+
+func (p *heldProbes) RoundTrip(req *http.Request) (*http.Response, error) {
+	if _, again := p.answered.LoadOrStore(req.URL.Host, true); !again {
+		return stubShards{}.RoundTrip(req)
+	}
+	p.inFlight.Add(1)
+	defer p.inFlight.Add(-1)
+	p.held <- struct{}{}
+	<-req.Context().Done()
+	time.Sleep(20 * time.Millisecond)
+	return nil, req.Context().Err()
+}
+
+// Close returns only once every probe loop has: no /healthz round trip
+// is in flight after it.
+func TestRouterCloseWaitsForProbeLoops(t *testing.T) {
+	shards := []string{"shard-0:1", "shard-1:1", "shard-2:1"}
+	p := &heldProbes{held: make(chan struct{}, len(shards))}
+	r, err := New(Config{Shards: shards, HealthInterval: time.Millisecond, Transport: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range shards {
+		select {
+		case <-p.held:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a probe loop never sent its second probe")
+		}
+	}
+	r.Close()
+	if n := p.inFlight.Load(); n != 0 {
+		t.Fatalf("%d /healthz round trips still in flight after Close returned", n)
+	}
 }

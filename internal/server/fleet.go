@@ -201,6 +201,9 @@ func (s *Server) replicator(ctx context.Context) {
 		case <-s.kick:
 		case <-tick.C:
 		}
+		if ctx.Err() != nil {
+			return // a kick or tick that raced Close's cancel
+		}
 		s.replicate(ctx)
 	}
 }

@@ -343,6 +343,54 @@ func TestCloseDoesNotWaitOnAHungPeer(t *testing.T) {
 	}
 }
 
+// A closing shard starts no replication round. Close runs with one
+// exchange in flight to a hung peer and a kick queued behind it; once
+// Close has cancelled the replicator, that kick must not win the select
+// against ctx.Done() and push again, so the cancelled exchange is the
+// only push error. The select picks at random, so the test repeats.
+func TestCloseStartsNoReplicationRound(t *testing.T) {
+	asked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case asked <- struct{}{}:
+		case <-release:
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
+
+	for round := 0; round < 32; round++ {
+		dict, sources, sys, _ := tinyWorld(t)
+		s, err := New(sys, dict, sources, Config{
+			Fleet: &FleetConfig{ShardID: 0, Shards: 2, ReplicateEvery: time.Hour},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetPeers([]string{"", hung.URL}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-asked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the replicator never reached the peer")
+		}
+		s.kickReplicator()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.fleetMetrics.pushErrors.Value(); n != 1 {
+			t.Fatalf("round %d: alexd_replica_push_errors_total = %d after Close, want 1 (the cancelled exchange)", round, n)
+		}
+	}
+}
+
 // The replica endpoints are fleet-only: a standalone server 404s them.
 func TestReplicaEndpointsStandaloneDisabled(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)

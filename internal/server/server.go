@@ -231,13 +231,13 @@ type Server struct {
 	// Durability layer; log is nil when DataDir is unset. logMu
 	// serializes journal appends WITH the queue-capacity check, so a
 	// journaled record always has a reserved queue slot (no
-	// acked-but-dropped items) — and competing fsyncs batch behind it.
+	// acked-but-dropped items).
 	log *wal.Log
 	// The fsync-under-lock IS the design: producers must not observe a
-	// reserved slot without a durable record, and batching competing
-	// fsyncs behind one lock holder is the journal's group-commit. The
-	// queue send under logMu cannot block — the capacity check above it
-	// holds the reservation.
+	// reserved slot without a durable record. The mutex serialises
+	// competing fsyncs; it does not batch them — every Append syncs
+	// once. The queue send under logMu cannot block — the capacity
+	// check above it holds the reservation.
 	logMu    sync.Mutex
 	recovery RecoveryStats
 
