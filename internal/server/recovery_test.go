@@ -706,6 +706,58 @@ func TestCrashDuringRecoveryLosesNothing(t *testing.T) {
 	}
 }
 
+// TestCorruptCheckpointFailsStartup: checkpoints at two episode
+// boundaries with acked feedback between them, a crash, and one byte of
+// the newest checkpoint flipped. The journal was reset at that
+// checkpoint, so the feedback acked since the older one lives nowhere
+// else: New must refuse to start and name the file, not recover the
+// older checkpoint without it.
+func TestCorruptCheckpointFailsStartup(t *testing.T) {
+	dir := t.TempDir()
+	dict, sources, sys, _ := tinyWorld(t)
+	cfg := durableCfg(dir)
+	cfg.EpisodeSize = 1 // every item closes an episode
+	cfg.CheckpointEvery = 1
+	s, err := New(sys, dict, sources, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := feedbackScript(2)
+	postAll(t, s, script[:1])
+	waitForCheckpoints(t, s, 1)
+	postAll(t, s, script[1:])
+	waitForCheckpoints(t, s, 2)
+	s.abort()
+	s.Close() //nolint:errcheck // releases the journal fd
+
+	names, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no checkpoint in %s (%v)", dir, err)
+	}
+	sort.Strings(names)
+	newest := names[len(names)-1]
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dict2, sources2, sys2, _ := tinyWorld(t)
+	rec, err := New(sys2, dict2, sources2, cfg)
+	if err == nil {
+		st := rec.Recovery()
+		rec.Close()
+		t.Fatalf("New recovered checkpoint seq %d and replayed %d records over a corrupt %s; %d were acked",
+			st.CheckpointSeq, st.Replayed, filepath.Base(newest), len(script))
+	}
+	if !strings.Contains(err.Error(), filepath.Base(newest)) {
+		t.Fatalf("New: %v; want an error naming %s", err, filepath.Base(newest))
+	}
+}
+
 // TestCleanShutdownNeedsNoReplay: graceful Close leaves a final
 // checkpoint, so the next start replays nothing and still sees every
 // acked item.

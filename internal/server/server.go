@@ -29,8 +29,9 @@
 // every CheckpointEvery episodes and again on graceful shutdown — but
 // only once every journaled record has been applied, since a checkpoint
 // resets the journal and must never strand a queued, already-acked
-// item; restart loads the newest valid checkpoint and replays only the
-// journal tail, idempotently (a clean shutdown needs no replay at all).
+// item; restart loads the checkpoint and replays only the journal tail,
+// idempotently (a clean shutdown needs no replay at all), and refuses to
+// start over a checkpoint that does not read back.
 // Torn or corrupt journal tails are truncated on open. When the journal
 // cannot be written, /feedback returns 503 instead of lying with a 202.
 //
@@ -320,8 +321,8 @@ type serverMetrics struct {
 
 // New builds a Server over an engine and the federation sources the
 // queries run against. All graphs must share dict. With Config.DataDir
-// set, New first recovers: it restores the newest valid checkpoint into
-// the engine and replays the journal tail (idempotently — records a
+// set, New first recovers: it restores the checkpoint into the engine
+// (failing, and naming the file, when it does not read back) and replays the journal tail (idempotently — records a
 // checkpoint already covers are skipped), so the first published
 // snapshot already reflects every previously acknowledged feedback
 // item. The writer goroutine starts before New returns and the initial

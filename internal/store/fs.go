@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 
 	"alex/internal/wal"
 )
@@ -35,17 +34,9 @@ func mapOrRead(fsys wal.FS, path string, noMmap bool) ([]byte, bool, error) {
 		// Fall through: the file may only be visible through fsys, or
 		// the platform refused the mapping; a heap read is always valid.
 	}
-	r, err := fsys.Open(path)
+	data, err := wal.ReadFile(fsys, path)
 	if err != nil {
-		return nil, false, err
-	}
-	data, rerr := io.ReadAll(r)
-	cerr := r.Close()
-	if rerr != nil {
-		return nil, false, fmt.Errorf("store: read %s: %w", path, rerr)
-	}
-	if cerr != nil {
-		return nil, false, fmt.Errorf("store: close %s: %w", path, cerr)
+		return nil, false, fmt.Errorf("store: read %s: %w", path, err)
 	}
 	return data, false, nil
 }

@@ -1,12 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"io/fs"
 	"strings"
 
@@ -21,12 +20,16 @@ import (
 //	<src>.ent       the source's linkable-entity ID list
 //	links.bin       the initial candidate link set
 //	dict.bin        the dictionary terms in ID order
-//	MANIFEST.json   the commit record (written last, atomically:
-//	                tmp + fsync + rename + dirsync)
+//	MANIFEST.json   the commit record
 //
-// The directory is written once, by Compact. Every other file is
-// durable before the manifest is renamed into place, so a crash at
-// any point leaves either a complete store or no manifest at all —
+// The .ent, links and dict files are each one wal record (EncodeRecord:
+// length, CRC32, seq 0) whose payload starts with the file's magic, so a
+// flipped byte fails Open by name. The segments and the manifest are
+// installed by wal.WriteFileAtomic (a segment's data pages carry no
+// checksum: rdf.Index checks only its footer); the framed files by
+// wal.WriteFile. The directory is written once, by Compact. Every other
+// file is durable before the manifest is renamed into place, so a crash
+// at any point leaves either a complete store or no manifest at all —
 // Open reports ErrNoStore and the caller builds again over the same
 // directory, whose fixed file names overwrite the torn build's debris.
 const (
@@ -34,7 +37,11 @@ const (
 	dictName     = "dict.bin"
 	linksName    = "links.bin"
 
-	manifestVersion = 3
+	entMagic   = "ALXENT01"
+	linksMagic = "ALXLNK01"
+	dictMagic  = "ALXDCT01"
+
+	manifestVersion = 4
 )
 
 // ErrNoStore is wrapped by Open when dir holds no store manifest —
@@ -84,9 +91,13 @@ func Create(dir string, dict *rdf.Dict, opts Options) (*Set, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
 	}
-	if r, err := fsys.Open(dir + "/" + manifestName); err == nil {
-		r.Close() //lint:ignore syncerr read-only probe; the refusal is the result
+	// Only a manifest known to be absent lets a build start: an I/O or
+	// permission error on the probe could hide a committed store the
+	// new manifest would be renamed over.
+	if _, err := wal.ReadFile(fsys, dir+"/"+manifestName); err == nil {
 		return nil, fmt.Errorf("store: %s already holds a committed store", dir)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("store: probe %s/%s: %w", dir, manifestName, err)
 	}
 	if dict == nil {
 		dict = rdf.NewDict()
@@ -192,71 +203,37 @@ func (s *Set) writeFiles() error {
 	m := manifest{Version: manifestVersion, Meta: s.opts.Meta}
 	for _, src := range s.sources {
 		ms := manifestSource{Name: src.name, Segment: src.name + ".seg"}
-		if err := s.writeFileAtomic(ms.Segment, rdf.EncodeIndex(src.build)); err != nil {
-			return err
+		if err := wal.WriteFileAtomic(s.fs, s.dir+"/"+ms.Segment, rdf.EncodeIndex(src.build)); err != nil {
+			return fmt.Errorf("store: write %s: %w", ms.Segment, err)
 		}
 		if ids, ok := s.entities[src.name]; ok {
 			ms.Entities = src.name + ".ent"
-			if err := s.writeFileDurable(ms.Entities, encodeEntities(ids)); err != nil {
-				return err
+			if err := wal.WriteFile(s.fs, s.dir+"/"+ms.Entities, encodeEntities(ids)); err != nil {
+				return fmt.Errorf("store: write %s: %w", ms.Entities, err)
 			}
 		}
 		m.Sources = append(m.Sources, ms)
 	}
 	if s.hasLinks {
 		m.Links = linksName
-		if err := s.writeFileDurable(linksName, encodeLinks(s.links)); err != nil {
-			return err
+		if err := wal.WriteFile(s.fs, s.dir+"/"+linksName, encodeLinks(s.links)); err != nil {
+			return fmt.Errorf("store: write %s: %w", linksName, err)
 		}
 	}
-	var dict []byte
+	dict := []byte(dictMagic)
 	for id := 1; id <= s.dict.Len(); id++ {
 		dict = appendTerm(dict, s.dict.Term(rdf.ID(id)))
 	}
-	m.DictTerms, m.DictBytes = s.dict.Len(), int64(len(dict))
-	if err := s.writeFileDurable(dictName, dict); err != nil {
-		return err
+	m.DictTerms = s.dict.Len()
+	if err := wal.WriteFile(s.fs, s.dir+"/"+dictName, wal.EncodeRecord(0, dict)); err != nil {
+		return fmt.Errorf("store: write %s: %w", dictName, err)
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: encode manifest: %w", err)
 	}
-	return s.writeFileAtomic(manifestName, append(data, '\n'))
-}
-
-// writeFileDurable writes name and fsyncs it. No rename dance: the
-// file only becomes live when the manifest references it.
-func (s *Set) writeFileDurable(name string, data []byte) error {
-	f, err := s.fs.Create(s.dir + "/" + name)
-	if err != nil {
-		return fmt.Errorf("store: create %s: %w", name, err)
-	}
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if err := f.Close(); werr == nil {
-		werr = err
-	}
-	if werr != nil {
-		return fmt.Errorf("store: write %s: %w", name, werr)
-	}
-	return nil
-}
-
-// writeFileAtomic writes name via tmp + fsync + rename + dirsync: the
-// protocol of the manifest and of the segments, whose data pages no
-// checksum covers (rdf.Index checks only the footer).
-func (s *Set) writeFileAtomic(name string, data []byte) error {
-	tmp := s.dir + "/" + name + ".tmp"
-	if err := s.writeFileDurable(name+".tmp", data); err != nil {
-		return err
-	}
-	if err := s.fs.Rename(tmp, s.dir+"/"+name); err != nil {
-		return fmt.Errorf("store: rename %s: %w", name, err)
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("store: sync dir %s: %w", s.dir, err)
+	if err := wal.WriteFileAtomic(s.fs, s.dir+"/"+manifestName, append(data, '\n')); err != nil {
+		return fmt.Errorf("store: write %s: %w", manifestName, err)
 	}
 	return nil
 }
@@ -283,19 +260,12 @@ func Open(dir string, opts Options) (*Set, error) {
 	if fsys == nil {
 		fsys = wal.OS{}
 	}
-	r, err := fsys.Open(dir + "/" + manifestName)
+	data, err := wal.ReadFile(fsys, dir+"/"+manifestName)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w in %s", ErrNoStore, dir)
+	}
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w in %s", ErrNoStore, dir)
-		}
-		return nil, fmt.Errorf("store: open manifest: %w", err)
-	}
-	data, rerr := io.ReadAll(r)
-	if cerr := r.Close(); rerr == nil {
-		rerr = cerr
-	}
-	if rerr != nil {
-		return nil, fmt.Errorf("store: read manifest: %w", rerr)
+		return nil, fmt.Errorf("store: read manifest: %w", err)
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -358,19 +328,9 @@ func (s *Set) load(m manifest) error {
 }
 
 func (s *Set) loadDict(m manifest) error {
-	r, err := s.fs.Open(s.dir + "/" + dictName)
+	buf, err := s.readFramed(dictName, dictMagic)
 	if err != nil {
-		return fmt.Errorf("store: open dict: %w", err)
-	}
-	buf, rerr := io.ReadAll(r)
-	if cerr := r.Close(); rerr == nil {
-		rerr = cerr
-	}
-	if rerr != nil {
-		return fmt.Errorf("store: read dict: %w", rerr)
-	}
-	if int64(len(buf)) != m.DictBytes {
-		return fmt.Errorf("store: dict file is %d bytes, manifest says %d", len(buf), m.DictBytes)
+		return err
 	}
 	for i := 0; i < m.DictTerms; i++ {
 		t, rest, err := readTerm(buf)
@@ -389,7 +349,7 @@ func (s *Set) loadDict(m manifest) error {
 }
 
 func (s *Set) readEntities(name string) ([]rdf.ID, error) {
-	payload, err := s.readBlob(name, "ALXENT01")
+	payload, err := s.readFramed(name, entMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +369,7 @@ func (s *Set) readEntities(name string) ([]rdf.ID, error) {
 }
 
 func (s *Set) readLinks(name string) ([]links.Link, error) {
-	payload, err := s.readBlob(name, "ALXLNK01")
+	payload, err := s.readFramed(name, linksMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -431,28 +391,24 @@ func (s *Set) readLinks(name string) ([]links.Link, error) {
 	return ls, nil
 }
 
-// readBlob reads and validates a magic+payload+crc file.
-func (s *Set) readBlob(name, magic string) ([]byte, error) {
-	r, err := s.fs.Open(s.dir + "/" + name)
+// readFramed reads name, one wal record whose payload starts with
+// magic, and returns the payload after the magic.
+func (s *Set) readFramed(name, magic string) ([]byte, error) {
+	data, err := wal.ReadFile(s.fs, s.dir+"/"+name)
 	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", name, err)
+		return nil, fmt.Errorf("store: read %s: %w", name, err)
 	}
-	data, rerr := io.ReadAll(r)
-	if cerr := r.Close(); rerr == nil {
-		rerr = cerr
+	_, payload, n, err := wal.DecodeRecord(data)
+	if err == nil && n != len(data) {
+		err = fmt.Errorf("%d trailing bytes", len(data)-n)
 	}
-	if rerr != nil {
-		return nil, fmt.Errorf("store: read %s: %w", name, rerr)
+	if err == nil && !bytes.HasPrefix(payload, []byte(magic)) {
+		err = errors.New("bad magic")
 	}
-	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("store: %s: bad header", name)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", name, err)
 	}
-	payload := data[len(magic) : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("store: %s: checksum mismatch", name)
-	}
-	return payload, nil
+	return payload[len(magic):], nil
 }
 
 // manifest is the JSON commit record of a store directory.
@@ -460,7 +416,6 @@ type manifest struct {
 	Version   int              `json:"version"`
 	Meta      string           `json:"meta,omitempty"`
 	DictTerms int              `json:"dict_terms"`
-	DictBytes int64            `json:"dict_bytes"`
 	Links     string           `json:"links,omitempty"`
 	Sources   []manifestSource `json:"sources"`
 }
@@ -471,28 +426,21 @@ type manifestSource struct {
 	Entities string `json:"entities,omitempty"`
 }
 
-func blobBytes(magic string, payload []byte) []byte {
-	out := make([]byte, 0, len(magic)+len(payload)+4)
-	out = append(out, magic...)
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-}
-
 func encodeEntities(ids []rdf.ID) []byte {
-	payload := binary.AppendUvarint(nil, uint64(len(ids)))
+	payload := binary.AppendUvarint([]byte(entMagic), uint64(len(ids)))
 	for _, id := range ids {
 		payload = binary.AppendUvarint(payload, uint64(id))
 	}
-	return blobBytes("ALXENT01", payload)
+	return wal.EncodeRecord(0, payload)
 }
 
 func encodeLinks(ls []links.Link) []byte {
-	payload := binary.AppendUvarint(nil, uint64(len(ls)))
+	payload := binary.AppendUvarint([]byte(linksMagic), uint64(len(ls)))
 	for _, l := range ls {
 		payload = binary.AppendUvarint(payload, uint64(l.E1))
 		payload = binary.AppendUvarint(payload, uint64(l.E2))
 	}
-	return blobBytes("ALXLNK01", payload)
+	return wal.EncodeRecord(0, payload)
 }
 
 // appendTerm encodes one dictionary term: kind byte plus three

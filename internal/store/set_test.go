@@ -1,16 +1,20 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"alex/internal/links"
 	"alex/internal/rdf"
+	"alex/internal/wal"
 )
 
 // fillSource interns terms for the IDs in play and inserts the triples.
@@ -246,5 +250,90 @@ func TestOpenNoStore(t *testing.T) {
 	_, err := Open(t.TempDir(), Options{})
 	if !errors.Is(err, ErrNoStore) {
 		t.Fatalf("want ErrNoStore, got %v", err)
+	}
+}
+
+// commitTwoSources commits a store with two sources, both with entity
+// lists, and an initial link set: every framed file a store can hold.
+func commitTwoSources(t *testing.T, dir string, opts Options) {
+	t.Helper()
+	set, err := Create(dir, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	for i, name := range []string{"ds1", "ds2"} {
+		src, err := set.AddSource(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillSource(t, set, src, randomTriples(rand.New(rand.NewSource(int64(i+5))), 60, 12))
+		set.SetEntities(name, []rdf.ID{1, rdf.ID(i + 2)})
+	}
+	set.SetInitialLinks([]links.Link{{E1: 1, E2: 3}})
+	if err := set.Compact(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenFailsOnCorruptFramedFile flips one payload byte in each
+// framed file of a committed store: Open must fail and name the file.
+// In dict.bin the flip lands inside an IRI, which without a checksum
+// loads as a different term rather than failing to parse.
+func TestOpenFailsOnCorruptFramedFile(t *testing.T) {
+	last := func(b []byte) int { return len(b) - 1 }
+	for _, tc := range []struct {
+		file string
+		at   func([]byte) int
+	}{
+		{dictName, func(b []byte) int { return bytes.Index(b, []byte("urn:t:")) + len("urn:") }},
+		{"ds1.ent", last},
+		{"ds2.ent", last},
+		{linksName, last},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			dir := t.TempDir()
+			commitTwoSources(t, dir, Options{})
+			path := filepath.Join(dir, tc.file)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[tc.at(data)] ^= 0x40
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(dir, Options{})
+			if err == nil {
+				re.Close()
+				t.Fatalf("Open accepted a flipped byte in %s", tc.file)
+			}
+			if !strings.Contains(err.Error(), tc.file) {
+				t.Fatalf("Open: %v; want an error naming %s", err, tc.file)
+			}
+		})
+	}
+}
+
+// manifestProbeFailFS fails every Open of a manifest with an error that
+// is not fs.ErrNotExist: a permission or I/O failure on the probe.
+type manifestProbeFailFS struct{ wal.FS }
+
+func (f manifestProbeFailFS) Open(name string) (io.ReadCloser, error) {
+	if strings.HasSuffix(name, manifestName) {
+		return nil, errors.New("injected: permission denied")
+	}
+	return f.FS.Open(name)
+}
+
+// TestCreateRefusesAFailedProbe: Create over a committed store whose
+// manifest it cannot read must refuse, not take the failed probe for
+// "no store" and let a build rename a new manifest over the old one.
+func TestCreateRefusesAFailedProbe(t *testing.T) {
+	dir := t.TempDir()
+	commitTwoSources(t, dir, Options{})
+	if set, err := Create(dir, nil, Options{FS: manifestProbeFailFS{wal.OS{}}}); err == nil {
+		set.Close()
+		t.Fatal("Create started a build over a store whose manifest probe failed")
 	}
 }

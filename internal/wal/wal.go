@@ -1,16 +1,17 @@
 // Package wal is the durability layer of alexd: a write-ahead feedback
-// journal plus atomic full-state checkpoints.
+// journal plus one atomic full-state checkpoint, over a durable-file
+// layer (file.go) the segment store shares.
 //
 // The contract backing the serving layer's 202 ack on /feedback is:
 // every record handed to Append is on stable storage (written and
 // fsynced) before Append returns. Restart then reconstructs exactly the
-// acknowledged state by loading the newest valid checkpoint and
-// replaying the journal records that came after it.
+// acknowledged state by loading the checkpoint and replaying the
+// journal records that came after it.
 //
 // On-disk layout inside the log directory:
 //
-//	journal.wal             length-prefixed, CRC32-checksummed records
-//	checkpoint-<seq>.ckpt   one checkpointed state blob, same framing
+//	journal.wal             records: len | crc | seq | payload (file.go)
+//	checkpoint-<seq>.ckpt   one checkpointed state blob, one record
 //
 // Every record carries a monotonically increasing sequence number. A
 // checkpoint file is named (and framed) with the sequence number of the
@@ -18,21 +19,22 @@
 // with seq <= checkpoint seq are skipped even if a crash left them in
 // the journal. Torn or corrupt journal tails (short write, bad CRC,
 // garbage) are detected on open and truncated away; everything before
-// the first bad byte is recovered.
+// the first bad byte is recovered. A checkpoint is never a torn write
+// (WriteFileAtomic), and the journal it absorbed is reset after it, so
+// one that does not read back is an error, not a reason to load an
+// older state: that would drop every record in between.
 //
 // All file operations go through the FS interface so tests can inject
 // fsync failures, short writes and crash points (internal/faultfs).
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -69,8 +71,6 @@ const (
 	checkpointSuffix = ".ckpt"
 	tmpSuffix        = ".tmp"
 
-	// headerSize is len(uint32) | crc(uint32) | seq(uint64).
-	headerSize = 16
 	// maxRecord guards the scanner against absurd length prefixes from
 	// corrupt headers, and so bounds what Append accepts: the scanner
 	// would read a longer record as a torn tail and truncate the journal
@@ -100,7 +100,6 @@ type Log struct {
 	f      File  // append handle on the journal
 	size   int64 // bytes of valid records in the journal
 	seq    uint64
-	keep   int // checkpoint files to retain
 	broken bool
 	// pending holds the records scanned at Open until Replay consumes
 	// them.
@@ -118,7 +117,7 @@ func Open(dir string, fs FS) (*Log, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
-	l := &Log{fs: fs, dir: dir, keep: 2}
+	l := &Log{fs: fs, dir: dir}
 	if err := l.scan(); err != nil {
 		return nil, err
 	}
@@ -138,51 +137,36 @@ func (l *Log) LastSeq() uint64 { return l.seq }
 
 // scan reads the journal, validates records, truncates a bad tail, and
 // stashes the valid records for Replay. A missing journal is an empty
-// log. The checkpoint floor also advances seq so new appends never
-// reuse numbers from journal records a checkpoint absorbed.
+// log. The checkpoint's seq, taken from its file name, also advances
+// seq so new appends never reuse numbers from journal records a
+// checkpoint absorbed.
 func (l *Log) scan() error {
-	if seq, _, ok, _ := l.LatestCheckpoint(); ok && seq > l.seq {
-		l.seq = seq
-	}
-	rc, err := l.fs.Open(l.journalPath())
+	ckpt, _, err := l.newestCheckpoint()
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil // no journal yet: an empty log
-		}
+		return err
+	}
+	l.seq = ckpt
+	data, err := ReadFile(l.fs, l.journalPath())
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil // no journal yet: an empty log
+	}
+	if err != nil {
 		// Any other error (permissions, transient I/O) must fail startup
 		// loudly: treating it as "no journal" would silently discard
 		// acked records and reissue their sequence numbers.
-		return fmt.Errorf("wal: open journal: %w", err)
-	}
-	data, err := io.ReadAll(rc)
-	if cerr := rc.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
 		return fmt.Errorf("wal: read journal: %w", err)
 	}
-	valid := int64(0)
-	for int64(len(data))-valid >= headerSize {
-		n := binary.LittleEndian.Uint32(data[valid:])
-		sum := binary.LittleEndian.Uint32(data[valid+4:])
-		if n > maxRecord || valid+headerSize+int64(n) > int64(len(data)) {
-			break // torn tail or corrupt length
+	for int(l.size) < len(data) {
+		seq, payload, n, err := DecodeRecord(data[l.size:])
+		if err != nil || len(payload) > maxRecord {
+			break // torn tail, corrupt length or corrupt record
 		}
-		body := data[valid+8 : valid+headerSize+int64(n)] // seq || payload
-		if crc32.ChecksumIEEE(body) != sum {
-			break // corrupt record
-		}
-		seq := binary.LittleEndian.Uint64(body)
-		payload := append([]byte(nil), body[8:]...)
 		l.pending = append(l.pending, Record{Seq: seq, Data: payload})
-		if seq > l.seq {
-			l.seq = seq
-		}
-		valid += headerSize + int64(n)
+		l.seq = max(l.seq, seq)
+		l.size += int64(n)
 	}
-	l.size = valid
-	if valid < int64(len(data)) {
-		if err := l.fs.Truncate(l.journalPath(), valid); err != nil {
+	if int(l.size) < len(data) {
+		if err := l.fs.Truncate(l.journalPath(), l.size); err != nil {
 			return fmt.Errorf("wal: truncate corrupt tail: %w", err)
 		}
 	}
@@ -208,15 +192,6 @@ func (l *Log) Replay(after uint64, fn func(Record) error) (int, error) {
 	return n, nil
 }
 
-func encodeRecord(seq uint64, payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint64(buf[8:], seq)
-	copy(buf[headerSize:], payload)
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[8:]))
-	return buf
-}
-
 // Append writes payload as the next record and fsyncs before returning:
 // when Append returns nil the record is durable. A payload longer than
 // maxRecord is refused before anything is written, and the journal stays
@@ -231,17 +206,12 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: append: a %d-byte record exceeds the %d-byte limit", len(payload), maxRecord)
 	}
 	seq := l.seq + 1
-	buf := encodeRecord(seq, payload)
-	_, werr := l.f.Write(buf)
-	var serr error
-	if werr == nil {
-		serr = l.f.Sync()
+	buf := EncodeRecord(seq, payload)
+	_, err := l.f.Write(buf)
+	if err == nil {
+		err = l.f.Sync()
 	}
-	if werr != nil || serr != nil {
-		err := werr
-		if err == nil {
-			err = serr
-		}
+	if err != nil {
 		l.repair()
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -277,54 +247,22 @@ func checkpointName(seq uint64) string {
 }
 
 func parseCheckpointName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, checkpointPrefix) || !strings.HasSuffix(name, checkpointSuffix) {
-		return 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, checkpointPrefix), checkpointSuffix)
-	var seq uint64
-	if _, err := fmt.Sscanf(mid, "%d", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
+	mid, pre := strings.CutPrefix(name, checkpointPrefix)
+	mid, suf := strings.CutSuffix(mid, checkpointSuffix)
+	seq, err := strconv.ParseUint(mid, 10, 64)
+	return seq, pre && suf && err == nil
 }
 
 // Checkpoint durably stores state as the full log state up to and
 // including record seq, then resets the journal. The write is atomic
-// (temp file + fsync + rename + directory fsync): a crash at any point
-// leaves either the previous checkpoint or the new one, never a partial
-// file that would be trusted. After a successful checkpoint the journal
-// is emptied — replay starts from this state — and checkpoints older
-// than the retained window are pruned.
+// (WriteFileAtomic): a crash at any point leaves either the previous
+// checkpoint or the new one, never a partial file that would be
+// trusted. After a successful checkpoint the journal is emptied —
+// replay starts from this state — and every other checkpoint is
+// removed.
 func (l *Log) Checkpoint(seq uint64, state []byte) error {
-	final := filepath.Join(l.dir, checkpointName(seq))
-	tmp := final + tmpSuffix
-	f, err := l.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: checkpoint create: %w", err)
-	}
-	_, werr := f.Write(encodeRecord(seq, state))
-	var serr error
-	if werr == nil {
-		serr = f.Sync()
-	}
-	cerr := f.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		l.fs.Remove(tmp)
-		err := werr
-		if err == nil {
-			err = serr
-		}
-		if err == nil {
-			err = cerr
-		}
+	if err := WriteFileAtomic(l.fs, filepath.Join(l.dir, checkpointName(seq)), EncodeRecord(seq, state)); err != nil {
 		return fmt.Errorf("wal: checkpoint write: %w", err)
-	}
-	if err := l.fs.Rename(tmp, final); err != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint rename: %w", err)
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		return fmt.Errorf("wal: checkpoint dir sync: %w", err)
 	}
 	// The checkpoint is durable; the journal records it absorbed are no
 	// longer needed. A crash before (or during) this reset is harmless:
@@ -347,84 +285,60 @@ func (l *Log) Checkpoint(seq uint64, state []byte) error {
 	return nil
 }
 
-// prune removes stale checkpoint files (keeping the newest l.keep) and
-// any leftover temp files. Best-effort: pruning failures are ignored —
-// stale files only cost space.
-func (l *Log) prune(latest uint64) {
+// prune removes every checkpoint but seq's and any leftover temp file.
+// Best-effort: a stale file only costs space, since recovery reads the
+// newest checkpoint alone.
+func (l *Log) prune(seq uint64) {
 	names, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return
 	}
-	var seqs []uint64
 	for _, name := range names {
-		if strings.HasSuffix(name, tmpSuffix) {
+		if s, ok := parseCheckpointName(name); (ok && s != seq) || strings.HasSuffix(name, tmpSuffix) {
 			l.fs.Remove(filepath.Join(l.dir, name))
-			continue
-		}
-		if seq, ok := parseCheckpointName(name); ok && seq != latest {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for i, seq := range seqs {
-		if i >= l.keep-1 { // latest plus keep-1 older ones survive
-			l.fs.Remove(filepath.Join(l.dir, checkpointName(seq)))
 		}
 	}
 }
 
-// LatestCheckpoint loads the newest checkpoint that validates
-// (framing and CRC intact). Invalid or unreadable newer checkpoints are
-// skipped in favor of older ones. ok is false when no valid checkpoint
-// exists.
-func (l *Log) LatestCheckpoint() (seq uint64, state []byte, ok bool, err error) {
+// newestCheckpoint returns the highest seq a checkpoint file is named
+// with; ok is false when there is none.
+func (l *Log) newestCheckpoint() (seq uint64, ok bool, err error) {
 	names, err := l.fs.ReadDir(l.dir)
 	if err != nil {
-		return 0, nil, false, nil // directory may not exist yet
+		return 0, false, fmt.Errorf("wal: list %s: %w", l.dir, err)
 	}
-	var seqs []uint64
 	for _, name := range names {
-		if s, isCk := parseCheckpointName(name); isCk {
-			seqs = append(seqs, s)
+		if s, isCk := parseCheckpointName(name); isCk && (!ok || s > seq) {
+			seq, ok = s, true
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for _, s := range seqs {
-		data, rerr := l.readCheckpoint(s)
-		if rerr != nil {
-			continue // corrupt or torn: fall back to the previous one
-		}
-		return s, data, true, nil
-	}
-	return 0, nil, false, nil
+	return seq, ok, nil
 }
 
-func (l *Log) readCheckpoint(seq uint64) ([]byte, error) {
-	rc, err := l.fs.Open(filepath.Join(l.dir, checkpointName(seq)))
+// LatestCheckpoint loads the newest checkpoint; ok is false when there
+// is none. A newest checkpoint that does not read back whole, with its
+// CRC and its name's seq, is an error naming the file: the journal
+// was reset after it was written, so no older state covers what it
+// holds.
+func (l *Log) LatestCheckpoint() (seq uint64, state []byte, ok bool, err error) {
+	seq, ok, err = l.newestCheckpoint()
+	if err != nil || !ok {
+		return 0, nil, false, err
+	}
+	name := filepath.Join(l.dir, checkpointName(seq))
+	data, err := ReadFile(l.fs, name)
+	if err == nil {
+		var got uint64
+		var n int
+		got, state, n, err = DecodeRecord(data)
+		if err == nil && (n != len(data) || got != seq) {
+			err = fmt.Errorf("a %d-byte record for seq %d in %d bytes", n, got, len(data))
+		}
+	}
 	if err != nil {
-		return nil, err
+		return 0, nil, false, fmt.Errorf("wal: checkpoint %s does not read back: %w", name, err)
 	}
-	defer rc.Close()
-	data, err := io.ReadAll(rc)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("wal: checkpoint too short")
-	}
-	n := binary.LittleEndian.Uint32(data)
-	sum := binary.LittleEndian.Uint32(data[4:])
-	if int(n) != len(data)-headerSize {
-		return nil, fmt.Errorf("wal: checkpoint length mismatch")
-	}
-	body := data[8:]
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("wal: checkpoint checksum mismatch")
-	}
-	if got := binary.LittleEndian.Uint64(body); got != seq {
-		return nil, fmt.Errorf("wal: checkpoint seq %d under name %d", got, seq)
-	}
-	return body[8:], nil
+	return seq, state, true, nil
 }
 
 // Close releases the journal handle. It does not checkpoint; callers

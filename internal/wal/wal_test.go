@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -131,10 +132,10 @@ func TestTornTailTruncated(t *testing.T) {
 			case "partial-header":
 				data = append(data, 0x0a, 0x00) // 2 of 16 header bytes
 			case "partial-record":
-				rec := encodeRecord(4, []byte("torn"))
+				rec := EncodeRecord(4, []byte("torn"))
 				data = append(data, rec[:len(rec)-2]...)
 			case "bad-crc":
-				rec := encodeRecord(4, []byte("flipped"))
+				rec := EncodeRecord(4, []byte("flipped"))
 				rec[len(rec)-1] ^= 0xff
 				data = append(data, rec...)
 			}
@@ -206,7 +207,7 @@ func TestReplaySkipsCheckpointedRecords(t *testing.T) {
 	appendN(t, l, 1, 3)
 	// Forge the crash window: checkpoint written by hand (atomic file),
 	// journal untouched.
-	ck := encodeRecord(2, []byte("state@2"))
+	ck := EncodeRecord(2, []byte("state@2"))
 	if err := os.WriteFile(filepath.Join(dir, checkpointName(2)), ck, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -227,30 +228,69 @@ func TestReplaySkipsCheckpointedRecords(t *testing.T) {
 	}
 }
 
-func TestCorruptCheckpointFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 1, 2)
-	if err := l.Checkpoint(2, []byte("good")); err != nil {
-		t.Fatal(err)
-	}
-	// A corrupt newer checkpoint (e.g. disk corruption) must not win.
-	if err := os.WriteFile(filepath.Join(dir, checkpointName(9)), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
+// TestCorruptCheckpointFailsRecovery: the journal is reset after every
+// checkpoint, so the records between an older checkpoint and the newest
+// live only in the newest. One that does not read back must fail
+// LatestCheckpoint by name; loading the older one instead would
+// silently drop records 3 and 4 here. A junk file named as a newer
+// checkpoint fails the same way.
+func TestCorruptCheckpointFailsRecovery(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, dir string) string // returns the file to name
+	}{
+		{"flipped byte", func(t *testing.T, dir string) string {
+			path := filepath.Join(dir, checkpointName(4))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0x40
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return checkpointName(4)
+		}},
+		{"junk newer file", func(t *testing.T, dir string) string {
+			if err := os.WriteFile(filepath.Join(dir, checkpointName(9)), []byte("junk"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return checkpointName(9)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, l, 1, 2)
+			if err := l.Checkpoint(2, []byte("state@2")); err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, l, 3, 4)
+			if err := l.Checkpoint(4, []byte("state@4")); err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, l, 5, 5)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			bad := tc.corrupt(t, dir)
 
-	l2, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	seq, state, ok, err := l2.LatestCheckpoint()
-	if err != nil || !ok || seq != 2 || string(state) != "good" {
-		t.Fatalf("fallback checkpoint = %d %q %v %v", seq, state, ok, err)
+			l2, err := Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			seq, _, ok, err := l2.LatestCheckpoint()
+			if err == nil {
+				t.Fatalf("LatestCheckpoint = seq %d (ok %v) over a corrupt newest checkpoint; records after it are lost", seq, ok)
+			}
+			if !strings.Contains(err.Error(), bad) {
+				t.Fatalf("LatestCheckpoint error %q does not name %s", err, bad)
+			}
+		})
 	}
 }
 
@@ -277,8 +317,8 @@ func TestCheckpointPrunes(t *testing.T) {
 			ckpts++
 		}
 	}
-	if ckpts != 2 {
-		t.Fatalf("%d checkpoints retained, want 2", ckpts)
+	if ckpts != 1 {
+		t.Fatalf("%d checkpoints retained, want 1", ckpts)
 	}
 }
 
