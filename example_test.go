@@ -309,7 +309,7 @@ func Example_customLinker() {
 // Example_checkpoint checkpoints a long-running deployment: the batch
 // mode's service provider (§7.2.1) collects feedback continuously, so it
 // saves everything the system has learned (candidates, provenance,
-// blacklist, Q tables, policies), restores it into a freshly built
+// votes and blacklist, Q tables), restores it into a freshly built
 // system and keeps going.
 func Example_checkpoint() {
 	prof, _ := alex.ProfileByName("opencyc-lexvo")

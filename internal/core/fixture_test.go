@@ -2,12 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
-	"reflect"
-	"sort"
 	"testing"
 
 	"alex/internal/feedback"
@@ -18,19 +18,27 @@ import (
 var updateCheckpoint = flag.Bool("update-checkpoint", false,
 	"rewrite "+checkpointFixture+" from this tree instead of restoring it")
 
-// checkpointFixture was written by fixtureSystem after fixtureEpisodes
-// episodes of 20 % wrong feedback. It is a checkpoint in the format
-// alexd keeps on disk, so a change to the partition's state has to
-// restore it and write it back field for field.
+// checkpointFixture holds the state fixtureSystem reached after
+// fixtureEpisodes episodes of 20 % wrong feedback under an earlier
+// learning loop: snapshot version 1 wrote it as a gob stream and
+// version 2 re-encoded the state it restored. It is a checkpoint in the
+// format alexd keeps on disk, so a change to the partition's state has
+// to restore it and write it back byte for byte.
+//
+// fixtureDigest is stateDigest after restoring that gob stream with
+// version 1's Restore and running three more episodes, so the fixture
+// has to resume into the same run. -update-checkpoint writes today's
+// run instead, whose digest differs.
 const (
-	checkpointFixture = "testdata/checkpoint-opencyc-lexvo.gob"
+	checkpointFixture = "testdata/checkpoint-opencyc-lexvo.snap"
 	fixtureEpisodes   = 5
+	fixtureDigest     = "ed1b92d8cf91792ca4f08fbd2bcc6d6e8a57970eaea286893dd66bd89ff65992"
 )
 
 // fixtureSystem builds the system the fixture belongs to: opencyc-lexvo
 // at a quarter of its size, from PARIS's links, under the default
 // configuration with episodes of 50 items.
-func fixtureSystem(t *testing.T) (*System, *synth.Dataset) {
+func fixtureSystem(t testing.TB) (*System, *synth.Dataset) {
 	t.Helper()
 	prof, ok := synth.ProfileByName("opencyc-lexvo")
 	if !ok {
@@ -45,10 +53,9 @@ func fixtureSystem(t *testing.T) (*System, *synth.Dataset) {
 	return New(ds.G1, ds.G2, ds.Entities1, ds.Entities2, initialLinks(ds), cfg), ds
 }
 
-// TestCheckpointFixtureRoundTrips restores a checkpoint an earlier
-// version of the partition state wrote, saves it again and compares
-// every decoded partitionWire field. Old checkpoints have to keep
-// loading with nothing lost, since snapshotVersion did not change.
+// TestCheckpointFixtureRoundTrips restores the fixture, saves it back
+// byte for byte, checks it still holds every kind of state, and runs it
+// on to the digest it was pinned at.
 func TestCheckpointFixtureRoundTrips(t *testing.T) {
 	sys, ds := fixtureSystem(t)
 	if *updateCheckpoint {
@@ -68,66 +75,68 @@ func TestCheckpointFixtureRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := decodeWire(t, data)
-	checkFixtureComplete(t, want)
-
 	if err := sys.Restore(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
+	checkFixtureComplete(t, sys)
 	var buf bytes.Buffer
 	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got := decodeWire(t, buf.Bytes())
-	if got.Version != want.Version || got.Episode != want.Episode || got.RelaxedAt != want.RelaxedAt || got.SamplerPos != want.SamplerPos {
-		t.Fatalf("header %+v, want %+v", got, want)
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("restore and save wrote %d bytes that differ from the fixture's %d", buf.Len(), len(data))
 	}
-	if len(got.Parts) != len(want.Parts) {
-		t.Fatalf("%d partitions, want %d", len(got.Parts), len(want.Parts))
+	oracle := feedback.NewOracle(ds.GroundTruth, 0.2, rand.New(rand.NewSource(43)))
+	for i := 0; i < 3; i++ {
+		sys.RunEpisode(oracle)
 	}
-	for pi := range want.Parts {
-		g, w := reflect.ValueOf(got.Parts[pi]), reflect.ValueOf(want.Parts[pi])
-		for f := 0; f < w.NumField(); f++ {
-			if !reflect.DeepEqual(g.Field(f).Interface(), w.Field(f).Interface()) {
-				t.Errorf("partition %d: %s differs after restore and save", pi, w.Type().Field(f).Name)
-			}
-		}
+	if got := stateDigest(sys); got != fixtureDigest {
+		t.Fatalf("three episodes after restore: digest %s, want %s (%d candidates after %d episodes)",
+			got, fixtureDigest, sys.CandidateCount(), sys.Episode())
 	}
 }
 
-// decodeWire decodes a snapshot with its action-value tables in state
-// order. Save writes them in map order; within a state the actions keep
-// their order, which is argmax's tie-break.
-func decodeWire(t *testing.T, data []byte) systemWire {
-	t.Helper()
-	var w systemWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		t.Fatal(err)
+// stateDigest hashes what a resumed run's course shows in: the sorted
+// candidates, the episode, and the sampler's and every partition's
+// stream position.
+func stateDigest(sys *System) string {
+	var b []byte
+	for _, l := range sys.Candidates().Slice() {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(l.E1)), uint64(l.E2))
 	}
-	for _, p := range w.Parts {
-		sort.SliceStable(p.QTable, func(i, j int) bool { return linkLess(p.QTable[i].State, p.QTable[j].State) })
-		sort.Slice(p.Policy, func(i, j int) bool { return linkLess(p.Policy[i].State, p.Policy[j].State) })
+	b = binary.AppendUvarint(b, uint64(sys.Episode()))
+	b = binary.AppendUvarint(b, sys.rng.pos())
+	for _, p := range sys.parts {
+		b = binary.AppendUvarint(b, p.rng.pos())
 	}
-	return w
+	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
 
 // checkFixtureComplete: the fixture is only a test of the state it
 // holds, so it must hold every kind of it — votes both ways, blacklist
 // entries, generation groups with their counts, retired groups and a
 // link that was removed and admitted again.
-func checkFixtureComplete(t *testing.T, w systemWire) {
+func checkFixtureComplete(t *testing.T, sys *System) {
 	t.Helper()
 	var pos, neg, black, gen, negc, posc, retired, readmitted int
-	for _, p := range w.Parts {
-		pos += len(p.PosVotes)
-		neg += len(p.NegVotes)
-		black += len(p.Blacklist)
-		gen += len(p.Generated)
-		negc += len(p.NegCount)
-		posc += len(p.PosCount)
-		retired += len(p.RolledBack)
+	for _, p := range sys.parts {
+		for _, v := range p.votes {
+			pos += min(int(v.pos), 1)
+			neg += min(int(v.neg), 1)
+		}
+		black += p.blacklisted
+		for _, g := range p.groups {
+			if len(g.links) > 0 {
+				gen++
+			}
+			negc += min(int(g.neg), 1)
+			posc += min(int(g.pos), 1)
+			if g.retired {
+				retired++
+			}
+		}
 		seen := links.NewSet()
-		for _, l := range p.Order {
+		for _, l := range p.order {
 			if seen.Has(l) {
 				readmitted++
 			}

@@ -38,8 +38,7 @@ func (s *System) FeatureStats() []FeatureStat {
 	}
 	byKey := map[feature.Key]*acc{}
 	for _, p := range s.parts {
-		table, policy := p.ctrl.Export()
-		for _, e := range table {
+		for _, e := range p.ctrl.Export() {
 			a := byKey[e.Action]
 			if a == nil {
 				a = &acc{}
@@ -49,14 +48,9 @@ func (s *System) FeatureStats() []FeatureStat {
 				a.sum += e.Sum / float64(e.N)
 				a.n++
 			}
-		}
-		for _, pe := range policy {
-			a := byKey[pe.Action]
-			if a == nil {
-				a = &acc{}
-				byKey[pe.Action] = a
+			if g, ok := p.ctrl.GreedyAction(e.State); ok && g == e.Action {
+				a.greedy++
 			}
-			a.greedy++
 		}
 	}
 	out := make([]FeatureStat, 0, len(byKey))

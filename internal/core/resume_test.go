@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -129,49 +128,4 @@ func TestResumeIsExactUnderRun(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestRestoreSnapshotWithoutPositions: a snapshot written before the
-// stream positions and Order existed carries neither (gob omits what it
-// does not know, and zero values alike). It must still load, as it
-// always did: streams at their seed, candidates sampled in link order.
-func TestRestoreSnapshotWithoutPositions(t *testing.T) {
-	ds := smallWorld(t)
-	sys := newTestSystem(t, ds, nil)
-	oracle := feedback.NewOracle(ds.GroundTruth, 0, rand.New(rand.NewSource(3)))
-	for ep := 0; ep < 4; ep++ {
-		sys.RunEpisode(oracle)
-	}
-	var buf bytes.Buffer
-	if err := sys.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var wire systemWire
-	if err := gob.NewDecoder(&buf).Decode(&wire); err != nil {
-		t.Fatal(err)
-	}
-	wire.SamplerPos = 0
-	for i := range wire.Parts {
-		wire.Parts[i].Order, wire.Parts[i].RandPos = nil, 0
-	}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := newTestSystem(t, ds, nil)
-	if err := restored.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := restored.Candidates().SymmetricDiff(sys.Candidates()); d != 0 || restored.Episode() != sys.Episode() {
-		t.Fatalf("restored %d candidates after %d episodes, differing by %d; want %d after %d",
-			restored.CandidateCount(), restored.Episode(), d, sys.CandidateCount(), sys.Episode())
-	}
-	for pi, p := range restored.parts {
-		if p.rng.pos() != 0 || p.dead != 0 || len(p.order) != len(p.cands) {
-			t.Fatalf("partition %d: stream at %d, %d stale of %d sampling slots for %d candidates",
-				pi, p.rng.pos(), p.dead, len(p.order), len(p.cands))
-		}
-	}
-	restored.RunEpisode(oracle) // and it keeps going
 }

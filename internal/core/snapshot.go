@@ -1,274 +1,298 @@
 package core
 
 import (
-	"encoding/gob"
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 
 	"alex/internal/feature"
 	"alex/internal/links"
+	"alex/internal/rdf"
 	"alex/internal/rl"
+	"alex/internal/wal"
 )
-
-// snapshotVersion guards against restoring incompatible snapshots.
-const snapshotVersion = 1
 
 // Snapshots let a long-running deployment (the paper's batch-mode
 // service provider, §7.2) checkpoint everything ALEX has learned —
-// candidate links with their generation provenance, the blacklist,
-// feedback vote tallies, rollback state, and the per-partition
-// action-value tables and policies — and resume later, exactly: the
-// snapshot also carries how far every random stream has been read and
-// each partition's sampling order, so a restored system given the same
-// feedback makes the choices the saved one would have made
-// (TestResumeIsExact). ε is fixed (§4.4.1) and comes from the
-// configuration, not the snapshot.
+// candidate links with their generation provenance, feedback votes and
+// the blacklist, rollback state, and the per-partition action-value
+// tables — and resume later, exactly: the snapshot also carries how far
+// every random stream has been read and each partition's sampling
+// order, so a restored system given the same feedback makes the choices
+// the saved one would have made (TestResumeIsExact). ε is fixed
+// (§4.4.1) and comes from the configuration, not the snapshot.
 //
 // A snapshot is only valid against a System built over the same
 // datasets with the same configuration and partition count: dictionary
 // IDs are positional, so the graphs must be loaded identically.
 //
-// Stream positions and Order are optional within snapshotVersion 1: a
-// snapshot written without them (gob decodes the missing fields as
-// zero) restores to streams at their seed and candidates sampled in
-// link order (TestRestoreSnapshotWithoutPositions). A snapshot that
-// still carries a partition's ε, written when ε could decay, loads
-// too: gob skips the field.
-
-type provWire struct {
-	State  links.Link
-	Action feature.Key
-}
-
-type candWire struct {
-	Link   links.Link
-	HasGen bool
-	Gen    provWire
-}
-
-type voteWire struct {
-	Link links.Link
-	N    int
-}
-
-type groupWire struct {
-	Key   provWire
-	Links []links.Link
-}
-
-type provCountWire struct {
-	Key provWire
-	N   int
-}
-
-type partitionWire struct {
-	Cands     []candWire
-	Blacklist []links.Link
-	// Approved, every link with an approval, went: it equals the links
-	// in PosVotes. gob skips it in a snapshot that still carries it.
-	PosVotes   []voteWire
-	NegVotes   []voteWire
-	Generated  []groupWire
-	NegCount   []provCountWire
-	PosCount   []provCountWire
-	RolledBack []provWire
-	QTable     []rl.TableEntry[links.Link, feature.Key]
-	Policy     []rl.PolicyEntry[links.Link, feature.Key]
-	// Order is the sampling order verbatim, removed links included:
-	// sample draws an index into it, so its length and stale slots
-	// decide which link a given draw lands on.
-	Order   []links.Link
-	RandPos uint64
-}
-
-type systemWire struct {
-	Version    int
-	Episode    int
-	RelaxedAt  int
-	SamplerPos uint64
-	Parts      []partitionWire
-}
+// A snapshot is uvarint fields: magic, version, episode, relaxedAt, the
+// sampler's stream position, the partition count, then per partition
+// five counted tables, each sorted so equal states save equal bytes,
+// and its stream position:
+//
+//	groups      state, action, pos, neg, retired, its links
+//	candidates  link, generating group (0: none; i: the ith group)
+//	votes       link, pos, neg, blacklisted
+//	Q-table     state, action, sum (IEEE bits byte-reversed), n
+//	order       link: the sampling order verbatim, stale entries included
+//
+// The greedy policy is not saved: rl.Import derives it from the Q-table.
+const (
+	snapshotMagic   = "ALEXSNAP"
+	snapshotVersion = 2
+)
 
 // Save writes a snapshot of the system's learned state. Take snapshots
 // between episodes (first-visit bookkeeping within an open episode is
 // not persisted).
 func (s *System) Save(w io.Writer) error {
-	wire := systemWire{
-		Version:    snapshotVersion,
-		Episode:    s.ep,
-		RelaxedAt:  s.relaxedAt,
-		SamplerPos: s.rng.pos(),
-	}
+	b := binary.AppendUvarint([]byte(snapshotMagic), snapshotVersion)
+	b = appendUvarints(b, uint64(s.ep), uint64(s.relaxedAt), s.rng.pos(), uint64(len(s.parts)))
 	for _, p := range s.parts {
-		wire.Parts = append(wire.Parts, exportPartition(p))
+		b = p.appendState(b)
 	}
-	return gob.NewEncoder(w).Encode(&wire)
+	_, err := w.Write(b)
+	return err
 }
 
 // Restore replaces the system's learned state from a snapshot taken on
-// an identically constructed System.
+// an identically constructed System. It decodes the whole snapshot
+// before it installs any of it, so a failed Restore changes nothing.
 func (s *System) Restore(r io.Reader) error {
-	var wire systemWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return fmt.Errorf("core: decode snapshot: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: read snapshot: %w", err)
 	}
-	if wire.Version != snapshotVersion {
-		return fmt.Errorf("core: snapshot version %d, want %d", wire.Version, snapshotVersion)
+	snap, err := decodeSnapshot(data, len(s.parts))
+	if err != nil {
+		return err
 	}
-	if len(wire.Parts) != len(s.parts) {
-		return fmt.Errorf("core: snapshot has %d partitions, system has %d", len(wire.Parts), len(s.parts))
+	for i, st := range snap.parts {
+		s.parts[i].install(st)
 	}
-	for i, pw := range wire.Parts {
-		importPartition(s.parts[i], pw)
-	}
-	s.ep = wire.Episode
-	s.relaxedAt = wire.RelaxedAt
-	s.rng.seek(wire.SamplerPos)
+	s.ep, s.relaxedAt = int(snap.ep), int(snap.relaxedAt)
+	s.rng.seek(snap.samplerPos)
 	s.unchanged = 0
 	s.prevCands = nil
 	return nil
 }
 
-func exportPartition(p *partition) partitionWire {
-	var w partitionWire
-	for _, l := range sortedCandLinks(p.cands) {
-		cw := candWire{Link: l}
-		if gen := p.cands[l].gen; gen != nil {
-			cw.HasGen = true
-			cw.Gen = provWire{State: gen.key.state, Action: gen.key.action}
-		}
-		w.Cands = append(w.Cands, cw)
-	}
-	for l, v := range p.votes {
-		if v.blacklisted {
-			w.Blacklist = append(w.Blacklist, l)
-		}
-		if v.pos > 0 {
-			w.PosVotes = append(w.PosVotes, voteWire{Link: l, N: int(v.pos)})
-		}
-		if v.neg > 0 {
-			w.NegVotes = append(w.NegVotes, voteWire{Link: l, N: int(v.neg)})
-		}
-	}
-	sort.Slice(w.Blacklist, func(i, j int) bool { return linkLess(w.Blacklist[i], w.Blacklist[j]) })
-	sortVotes(w.PosVotes)
-	sortVotes(w.NegVotes)
-	for pk, g := range p.groups {
-		key := provWire{State: pk.state, Action: pk.action}
-		if len(g.links) > 0 {
-			w.Generated = append(w.Generated, groupWire{Key: key, Links: g.links})
-		}
-		if g.neg > 0 {
-			w.NegCount = append(w.NegCount, provCountWire{Key: key, N: int(g.neg)})
-		}
-		if g.pos > 0 {
-			w.PosCount = append(w.PosCount, provCountWire{Key: key, N: int(g.pos)})
-		}
-		if g.retired {
-			w.RolledBack = append(w.RolledBack, key)
-		}
-	}
-	sort.Slice(w.Generated, func(i, j int) bool { return provLess(w.Generated[i].Key, w.Generated[j].Key) })
-	sortProvCounts(w.NegCount)
-	sortProvCounts(w.PosCount)
-	sort.Slice(w.RolledBack, func(i, j int) bool { return provLess(w.RolledBack[i], w.RolledBack[j]) })
-	w.QTable, w.Policy = p.ctrl.Export()
-	w.Order = p.order // encoded before Save returns, so no copy
-	w.RandPos = p.rng.pos()
-	return w
+// snapshot is a decoded snapshot, not yet installed.
+type snapshot struct {
+	ep, relaxedAt, samplerPos uint64
+	parts                     []partState
 }
 
-func importPartition(p *partition, w partitionWire) {
-	p.groups = make(map[provKey]*group, len(w.Generated))
-	groupOf := func(pw provWire) *group { return p.group(provKey{state: pw.State, action: pw.Action}) }
-	p.cands = make(map[links.Link]candInfo, len(w.Cands))
-	p.order = append(p.order[:0], w.Order...)
-	for _, cw := range w.Cands {
-		var gen *group
-		if cw.HasGen {
-			gen = groupOf(cw.Gen)
-		}
-		p.cands[cw.Link] = candInfo{gen: gen, slot: len(p.order)}
-		if len(w.Order) == 0 {
-			p.order = append(p.order, cw.Link)
-		}
+// partState is one partition's share of a snapshot.
+type partState struct {
+	cands  map[links.Link]candInfo
+	order  []links.Link
+	votes  map[links.Link]vote
+	groups map[provKey]*group
+	table  []rl.TableEntry[links.Link, feature.Key]
+	pos    uint64
+}
+
+func decodeSnapshot(data []byte, parts int) (*snapshot, error) {
+	switch {
+	case bytes.HasPrefix(data, []byte("ALEXCKPT")):
+		return nil, foreign("the ALEXCKPT envelope of the cross-shard prepare/commit protocol")
+	case bytes.Contains(data[:min(len(data), 32)], []byte("systemWire")):
+		return nil, foreign("a gob stream, snapshot version 1")
+	case !bytes.HasPrefix(data, []byte(snapshotMagic)):
+		return nil, foreign("no snapshot magic")
 	}
-	// A candidate's live entry is its last one: a checkpoint written
-	// before slots existed may hold an earlier entry of a link that was
-	// removed and admitted again.
-	for i, l := range p.order {
-		if info, ok := p.cands[l]; ok {
+	f := wal.NewFields(data[len(snapshotMagic):])
+	if v := f.Uvarint(); f.Err() == nil && v != snapshotVersion {
+		return nil, foreign(fmt.Sprintf("snapshot version %d", v))
+	}
+	snap := &snapshot{ep: f.Uvarint(), relaxedAt: f.Uvarint(), samplerPos: f.Uvarint()}
+	if n := f.Count(); f.Err() == nil && n != parts {
+		return nil, fmt.Errorf("core: snapshot has %d partitions, system has %d", n, parts)
+	}
+	snap.parts = make([]partState, parts)
+	for i := range snap.parts {
+		snap.parts[i] = readPartState(f)
+	}
+	if err := f.Done(); err != nil {
+		return nil, fmt.Errorf("core: decode snapshot: %w", err)
+	}
+	return snap, nil
+}
+
+// foreign refuses bytes some other build wrote, naming what they are.
+func foreign(what string) error {
+	return fmt.Errorf("core: %s, which this build does not read; start from an empty data directory", what)
+}
+
+func (p *partition) appendState(b []byte) []byte {
+	keys := sortedKeys(p.groups, provKey.compare)
+	index := make(map[*group]uint64, len(keys))
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for i, k := range keys {
+		g := p.groups[k]
+		index[g] = uint64(i) + 1
+		b = appendUvarints(appendKey(appendLink(b, k.state), k.action), uint64(g.pos), uint64(g.neg), bit(g.retired))
+		b = appendLinks(b, g.links)
+	}
+	cands := sortedKeys(p.cands, links.Link.Compare)
+	b = binary.AppendUvarint(b, uint64(len(cands)))
+	for _, l := range cands {
+		b = appendUvarints(appendLink(b, l), index[p.cands[l].gen])
+	}
+	voted := sortedKeys(p.votes, links.Link.Compare)
+	b = binary.AppendUvarint(b, uint64(len(voted)))
+	for _, l := range voted {
+		v := p.votes[l]
+		b = appendUvarints(appendLink(b, l), uint64(v.pos), uint64(v.neg), bit(v.blacklisted))
+	}
+	// Export keeps each state's rows together in first-seen order, so
+	// a stable sort by state keeps argmax's tie-break.
+	table := p.ctrl.Export()
+	slices.SortStableFunc(table, func(x, y rl.TableEntry[links.Link, feature.Key]) int { return x.State.Compare(y.State) })
+	b = binary.AppendUvarint(b, uint64(len(table)))
+	for _, e := range table {
+		b = appendKey(appendLink(b, e.State), e.Action)
+		b = appendUvarints(b, bits.ReverseBytes64(math.Float64bits(e.Sum)), uint64(e.N))
+	}
+	return binary.AppendUvarint(appendLinks(b, p.order), p.rng.pos())
+}
+
+// readPartState decodes what appendState wrote. A state-action pair
+// with two groups, a generating group past the groups, or a candidate
+// without an entry in the sampling order fails f.
+func readPartState(f *wal.Fields) partState {
+	n := f.Count()
+	st := partState{groups: make(map[provKey]*group, n)}
+	groups := make([]*group, n)
+	for i := range groups {
+		g := &group{key: provKey{readLink(f), readKey(f)}, pos: int32(f.Uvarint()), neg: int32(f.Uvarint()), retired: f.Uvarint() != 0}
+		g.links = readLinks(f)
+		groups[i], st.groups[g.key] = g, g
+	}
+	if len(st.groups) != n {
+		f.Fail(errors.New("a state-action pair has two groups"))
+	}
+
+	n = f.Count()
+	st.cands = make(map[links.Link]candInfo, n)
+	for range n {
+		l, gi := readLink(f), f.Uvarint()
+		info := candInfo{slot: -1}
+		if gi > uint64(len(groups)) {
+			f.Fail(fmt.Errorf("candidate generated by group %d of %d", gi, len(groups)))
+		} else if gi > 0 {
+			info.gen = groups[gi-1]
+		}
+		st.cands[l] = info
+	}
+
+	n = f.Count()
+	st.votes = make(map[links.Link]vote, n)
+	for range n {
+		l := readLink(f)
+		st.votes[l] = vote{pos: int32(f.Uvarint()), neg: int32(f.Uvarint()), blacklisted: f.Uvarint() != 0}
+	}
+
+	st.table = make([]rl.TableEntry[links.Link, feature.Key], f.Count())
+	for i := range st.table {
+		e := &st.table[i]
+		e.State, e.Action = readLink(f), readKey(f)
+		e.Sum, e.N = math.Float64frombits(bits.ReverseBytes64(f.Uvarint())), int(f.Uvarint())
+	}
+
+	// A candidate's live entry is its last one: a link removed and
+	// admitted again left its earlier entries behind.
+	st.order = readLinks(f)
+	for i, l := range st.order {
+		if info, ok := st.cands[l]; ok {
 			info.slot = i
-			p.cands[l] = info
+			st.cands[l] = info
 		}
 	}
+	for l, info := range st.cands {
+		if info.slot < 0 {
+			f.Fail(fmt.Errorf("candidate %v has no entry in the sampling order", l))
+			break
+		}
+	}
+	st.pos = f.Uvarint()
+	return st
+}
+
+func (p *partition) install(st partState) {
+	p.cands, p.order, p.votes, p.groups = st.cands, st.order, st.votes, st.groups
 	// Every candidate owns one entry, so the rest are dead.
 	p.dead = len(p.order) - len(p.cands)
-	p.votes = make(map[links.Link]vote, len(w.NegVotes)+len(w.PosVotes))
-	for _, vw := range w.PosVotes {
-		v := p.votes[vw.Link]
-		v.pos = int32(vw.N)
-		p.votes[vw.Link] = v
+	p.blacklisted = 0
+	for _, v := range p.votes {
+		if v.blacklisted {
+			p.blacklisted++
+		}
 	}
-	for _, vw := range w.NegVotes {
-		v := p.votes[vw.Link]
-		v.neg = int32(vw.N)
-		p.votes[vw.Link] = v
-	}
-	for _, l := range w.Blacklist {
-		v := p.votes[l]
-		v.blacklisted = true
-		p.votes[l] = v
-	}
-	p.blacklisted = len(w.Blacklist)
-	for _, gw := range w.Generated {
-		groupOf(gw.Key).links = append([]links.Link(nil), gw.Links...)
-	}
-	for _, c := range w.NegCount {
-		groupOf(c.Key).neg = int32(c.N)
-	}
-	for _, c := range w.PosCount {
-		groupOf(c.Key).pos = int32(c.N)
-	}
-	for _, pw := range w.RolledBack {
-		groupOf(pw).retired = true
-	}
-	p.ctrl.Import(w.QTable, w.Policy)
-	p.rng.seek(w.RandPos)
+	p.ctrl.Import(st.table)
+	p.rng.seek(st.pos)
 	p.resetEpisodeCounters()
 }
 
-func sortVotes(vs []voteWire) {
-	sort.Slice(vs, func(i, j int) bool { return linkLess(vs[i].Link, vs[j].Link) })
+func (k provKey) compare(o provKey) int {
+	return cmp.Or(k.state.Compare(o.state), cmp.Compare(k.action.P1, o.action.P1), cmp.Compare(k.action.P2, o.action.P2))
 }
 
-func sortProvCounts(cs []provCountWire) {
-	sort.Slice(cs, func(i, j int) bool { return provLess(cs[i].Key, cs[j].Key) })
+func sortedKeys[K comparable, V any](m map[K]V, compare func(K, K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compare)
+	return keys
 }
 
-func sortedCandLinks(m map[links.Link]candInfo) []links.Link {
-	out := make([]links.Link, 0, len(m))
-	for l := range m {
-		out = append(out, l)
+func appendUvarints(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return linkLess(out[i], out[j]) })
-	return out
+	return b
 }
 
-func linkLess(a, b links.Link) bool {
-	if a.E1 != b.E1 {
-		return a.E1 < b.E1
+func bit(b bool) uint64 {
+	if b {
+		return 1
 	}
-	return a.E2 < b.E2
+	return 0
 }
 
-func provLess(a, b provWire) bool {
-	if a.State != b.State {
-		return linkLess(a.State, b.State)
+func appendLink(b []byte, l links.Link) []byte { return appendUvarints(b, uint64(l.E1), uint64(l.E2)) }
+
+func appendKey(b []byte, k feature.Key) []byte { return appendUvarints(b, uint64(k.P1), uint64(k.P2)) }
+
+func appendLinks(b []byte, ls []links.Link) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ls)))
+	for _, l := range ls {
+		b = appendLink(b, l)
 	}
-	if a.Action.P1 != b.Action.P1 {
-		return a.Action.P1 < b.Action.P1
+	return b
+}
+
+func readLink(f *wal.Fields) links.Link {
+	return links.Link{E1: rdf.ID(f.Uvarint()), E2: rdf.ID(f.Uvarint())}
+}
+
+func readKey(f *wal.Fields) feature.Key {
+	return feature.Key{P1: rdf.ID(f.Uvarint()), P2: rdf.ID(f.Uvarint())}
+}
+
+func readLinks(f *wal.Fields) []links.Link {
+	ls := make([]links.Link, f.Count())
+	for i := range ls {
+		ls[i] = readLink(f)
 	}
-	return a.Action.P2 < b.Action.P2
+	return ls
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"testing"
 
 	"alex/internal/eval"
@@ -116,5 +117,88 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	sys := newTestSystem(t, ds, nil)
 	if err := sys.Restore(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// FuzzRestore feeds Restore mutations of real snapshots. Restore never
+// panics; a failed Restore changes nothing Save would write; and what
+// an accepted snapshot restores to saves, restores and saves again to
+// the same bytes.
+func FuzzRestore(f *testing.F) {
+	sys, ds := fixtureSystem(f)
+	save := func() []byte {
+		var buf bytes.Buffer
+		if err := sys.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(save())
+	data, err := os.ReadFile(checkpointFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	if err := sys.Restore(bytes.NewReader(data)); err != nil {
+		f.Fatal(err)
+	}
+	sys.RunEpisode(feedback.NewOracle(ds.GroundTruth, 0.2, rand.New(rand.NewSource(43))))
+	f.Add(save())
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		// Restore seeks every stream from its seed, a few nanoseconds
+		// a draw: a mutated position of 2^40 would take the run, and
+		// minimizing inputs with ones near 2^24 stalls it.
+		if d, err := decodeSnapshot(snap, len(sys.parts)); err == nil {
+			for _, st := range d.parts {
+				if max(d.samplerPos, st.pos) > 1<<20 {
+					t.Skip("a stream position past 2^20")
+				}
+			}
+		}
+		before := save()
+		if err := sys.Restore(bytes.NewReader(snap)); err != nil {
+			if after := save(); !bytes.Equal(after, before) {
+				t.Fatalf("a failed Restore (%v) changed the state", err)
+			}
+			return
+		}
+		once := save()
+		if err := sys.Restore(bytes.NewReader(once)); err != nil {
+			t.Fatalf("Restore refused what Save wrote: %v", err)
+		}
+		if twice := save(); !bytes.Equal(twice, once) {
+			t.Fatalf("save, restore and save wrote %d bytes, then %d that differ", len(once), len(twice))
+		}
+	})
+}
+
+// TestFailedRestoreChangesNothing: a snapshot cut anywhere, or with its
+// last byte changed, is refused, and the system keeps every byte of the
+// state it had — partitions decoded before the fault included.
+func TestFailedRestoreChangesNothing(t *testing.T) {
+	sys, _ := fixtureSystem(t)
+	var before bytes.Buffer
+	if err := sys.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(checkpointFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]byte{append(append([]byte(nil), data[:len(data)-1]...), 0x80)}
+	for cut := 0; cut < len(data); cut++ {
+		bad = append(bad, data[:cut])
+	}
+	for _, snap := range bad {
+		if err := sys.Restore(bytes.NewReader(snap)); err == nil {
+			t.Fatalf("a %d-byte snapshot cut from %d bytes was restored", len(snap), len(data))
+		}
+		var after bytes.Buffer
+		if err := sys.Save(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after.Bytes(), before.Bytes()) {
+			t.Fatalf("refusing a %d-byte snapshot changed the state", len(snap))
+		}
 	}
 }

@@ -3,12 +3,17 @@
 // writes, and crash points after which every operation fails as if the
 // process had been killed. Crash-recovery tests use it to cut power at
 // arbitrary byte positions and then assert that recovery preserves
-// every acknowledged record.
+// every acknowledged record. A crash loses every rename no SyncDir of
+// its directory made durable, as power loss can; written bytes survive
+// it, as they do a killed process.
 package faultfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"io/fs"
+	"path/filepath"
 	"sync"
 
 	"alex/internal/wal"
@@ -42,6 +47,16 @@ type FS struct {
 	shortAt       int // tear the nth write in half (1-based); 0 = never
 	crashAfter    int // crash once this many writes have completed; -1 = never
 	crashed       bool
+	open          int      // handles opened and not yet closed
+	unsynced      []rename // renames since their directory's last SyncDir, oldest first
+}
+
+// rename is one completed Rename a crash can still undo: prev holds
+// what newname held before, absent when it did not exist.
+type rename struct {
+	oldname, newname string
+	prev             []byte
+	absent           bool
 }
 
 // New wraps inner (nil for the real OS).
@@ -100,9 +115,16 @@ func (f *FS) CrashAfterWrites(n int) {
 }
 
 // Revive clears the crash state (the "process" restarts over the same
-// disk). Injected sync/write faults are cleared too.
+// disk). After a crash the disk has lost every rename no SyncDir made
+// durable, newest first. Injected sync/write faults are cleared too.
 func (f *FS) Revive() {
 	f.mu.Lock()
+	if f.crashed {
+		for i := len(f.unsynced) - 1; i >= 0; i-- {
+			f.undo(f.unsynced[i])
+		}
+		f.unsynced = nil
+	}
 	f.crashed = false
 	f.crashAfter = -1
 	f.failSyncAt = 0
@@ -115,6 +137,24 @@ func (f *FS) Revive() {
 	f.shortAt = 0
 	f.mu.Unlock()
 }
+
+// undo reverts one lost rename on the inner file system.
+func (f *FS) undo(r rename) {
+	if err := f.inner.Rename(r.newname, r.oldname); err != nil {
+		panic(fmt.Sprintf("faultfs: undo rename of %s: %v", r.newname, err))
+	}
+	if !r.absent {
+		if err := wal.WriteFile(f.inner, r.newname, r.prev); err != nil {
+			panic(fmt.Sprintf("faultfs: restore %s: %v", r.newname, err))
+		}
+	}
+}
+
+// OpenHandles returns the number of files opened through f and not yet
+// closed: a failed start that leaves one open leaks a descriptor.
+func (f *FS) OpenHandles() int { f.mu.Lock(); defer f.mu.Unlock(); return f.open }
+
+func (f *FS) opened() { f.mu.Lock(); f.open++; f.mu.Unlock() }
 
 // Writes returns the number of completed file writes, the coordinate
 // system of CrashAfterWrites and ShortWriteAt.
@@ -137,6 +177,7 @@ func (f *FS) OpenAppend(name string) (wal.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	f.opened()
 	return &file{fs: f, inner: inner}, nil
 }
 
@@ -148,6 +189,7 @@ func (f *FS) Create(name string) (wal.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	f.opened()
 	return &file{fs: f, inner: inner}, nil
 }
 
@@ -155,7 +197,25 @@ func (f *FS) Open(name string) (io.ReadCloser, error) {
 	if f.dead() {
 		return nil, ErrCrashed
 	}
-	return f.inner.Open(name)
+	rc, err := f.inner.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	f.opened()
+	return &reader{fs: f, ReadCloser: rc}, nil
+}
+
+// reader counts its Close in OpenHandles.
+type reader struct {
+	fs *FS
+	io.ReadCloser
+}
+
+func (r *reader) Close() error {
+	r.fs.mu.Lock()
+	r.fs.open--
+	r.fs.mu.Unlock()
+	return r.ReadCloser.Close()
 }
 
 func (f *FS) Rename(oldname, newname string) error {
@@ -170,7 +230,20 @@ func (f *FS) Rename(oldname, newname string) error {
 	if fail {
 		return ErrInjected
 	}
-	return f.inner.Rename(oldname, newname)
+	r := rename{oldname: oldname, newname: newname}
+	var err error
+	r.prev, err = wal.ReadFile(f.inner, newname)
+	r.absent = errors.Is(err, fs.ErrNotExist)
+	if err != nil && !r.absent {
+		return err
+	}
+	if err := f.inner.Rename(oldname, newname); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	f.unsynced = append(f.unsynced, r)
+	f.mu.Unlock()
+	return nil
 }
 
 // MmapFault is the store's pre-mmap hook: it vetoes the mapping when a
@@ -214,7 +287,19 @@ func (f *FS) SyncDir(dir string) error {
 	if f.dead() {
 		return ErrCrashed
 	}
-	return f.inner.SyncDir(dir)
+	if err := f.inner.SyncDir(dir); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	kept := f.unsynced[:0]
+	for _, r := range f.unsynced {
+		if filepath.Dir(r.newname) != filepath.Clean(dir) {
+			kept = append(kept, r)
+		}
+	}
+	f.unsynced = kept
+	f.mu.Unlock()
+	return nil
 }
 
 // file wraps a wal.File, consulting the FS fault counters on every
@@ -268,6 +353,7 @@ func (w *file) Close() error {
 	// kernel frees the descriptor even when close(2) reports an error.
 	w.fs.mu.Lock()
 	w.fs.closes++
+	w.fs.open--
 	fail := w.fs.failCloseAll || (w.fs.failCloseAt > 0 && w.fs.closes == w.fs.failCloseAt)
 	w.fs.mu.Unlock()
 	err := w.inner.Close()

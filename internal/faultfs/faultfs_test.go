@@ -3,6 +3,8 @@ package faultfs
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"path/filepath"
 	"testing"
 
 	"alex/internal/wal"
@@ -143,6 +145,70 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 		}
 		if int(after)+replayed < 3 {
 			t.Fatalf("crash extra=%d: checkpoint@%d + %d replayed < 3 acked records", extra, after, replayed)
+		}
+	}
+}
+
+// TestCrashLosesUnsyncedRenames: a crash undoes every rename no SyncDir
+// followed, the replaced file's bytes included, and keeps the ones a
+// SyncDir made durable; a handle counts as open until it is closed.
+func TestCrashLosesUnsyncedRenames(t *testing.T) {
+	dir := t.TempDir()
+	ffs := New(nil)
+	write := func(name, data string) {
+		t.Helper()
+		if err := wal.WriteFile(ffs, filepath.Join(dir, name), []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(name string) string {
+		t.Helper()
+		data, err := wal.ReadFile(ffs, filepath.Join(dir, name))
+		if errors.Is(err, fs.ErrNotExist) {
+			return "absent"
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	rename := func(from, to string) {
+		t.Helper()
+		if err := ffs.Rename(filepath.Join(dir, from), filepath.Join(dir, to)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("kept", "old")
+	write("kept.tmp", "new")
+	rename("kept.tmp", "kept")
+	if err := ffs.SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	write("lost", "old")
+	write("lost.tmp", "new")
+	rename("lost.tmp", "lost")
+	write("fresh.tmp", "new")
+	rename("fresh.tmp", "fresh")
+	f, err := ffs.Create(filepath.Join(dir, "open"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ffs.OpenHandles(); n != 1 {
+		t.Fatalf("%d open handles, want 1", n)
+	}
+	ffs.CrashAfterWrites(0)
+	f.Close() //nolint:errcheck // the crashed process's handle
+	if n := ffs.OpenHandles(); n != 0 {
+		t.Fatalf("%d open handles after Close, want 0", n)
+	}
+	ffs.Revive()
+	for name, want := range map[string]string{
+		"kept": "new", "kept.tmp": "absent",
+		"lost": "old", "lost.tmp": "new",
+		"fresh": "absent", "fresh.tmp": "new",
+	} {
+		if got := read(name); got != want {
+			t.Errorf("after the crash %s holds %q, want %q", name, got, want)
 		}
 	}
 }

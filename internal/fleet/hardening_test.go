@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -251,9 +250,9 @@ func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 	})
 }
 
-// Satellite: Router.Close during an in-flight health probe must cancel
-// the probe and leave no goroutines behind — it cannot wait out the
-// probe timeout, and the poll loop cannot outlive Close.
+// Router.Close during an in-flight health probe cancels the probe: it
+// cannot wait out the probe timeout. That no probe loop outlives Close
+// is TestRouterCloseWaitsForProbeLoops's check.
 func TestRouterCloseDuringInflightPollNoLeak(t *testing.T) {
 	// A listener that accepts and then says nothing: every probe hangs
 	// until its context dies.
@@ -293,7 +292,6 @@ func TestRouterCloseDuringInflightPollNoLeak(t *testing.T) {
 		}
 	}()
 
-	before := runtime.NumGoroutine()
 	r, err := New(Config{
 		Shards:         []string{"http://" + ln.Addr().String()},
 		HealthInterval: 20 * time.Millisecond,
@@ -309,18 +307,6 @@ func TestRouterCloseDuringInflightPollNoLeak(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
 		t.Fatalf("Close took %s; must cancel the in-flight probe, not wait it out", elapsed)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked after Close: before=%d after=%d\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -91,7 +91,11 @@ func (c *Controller[S, A]) ChooseAction(s S, available []A) (A, bool) {
 // "append feedback value to all Returns(s,a) that led to s′"; the caller
 // walks the generation chain and calls RecordReturn once per pair).
 // Q(s, a) is maintained as the running average of Returns (line 16).
-func (c *Controller[S, A]) RecordReturn(s S, a A, reward float64) {
+func (c *Controller[S, A]) RecordReturn(s S, a A, reward float64) { c.add(s, a, reward, 1) }
+
+// add adds n returns summing to sum to Returns(s, a) and marks s for
+// EndEpisode, which keeps every state's policy the argmax of its values.
+func (c *Controller[S, A]) add(s S, a A, sum float64, n int) {
 	c.episode[s] = struct{}{}
 	m := c.q[s]
 	if m == nil {
@@ -102,9 +106,7 @@ func (c *Controller[S, A]) RecordReturn(s S, a A, reward float64) {
 		c.order[s] = append(c.order[s], a)
 	}
 	r := m[a]
-	r.sum += reward
-	r.n++
-	m[a] = r
+	m[a] = returns{sum: r.sum + sum, n: r.n + n}
 }
 
 // Q returns the current action-value estimate for (s, a).

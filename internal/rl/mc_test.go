@@ -159,3 +159,34 @@ func TestConvergenceToBetterAction(t *testing.T) {
 		}
 	}
 }
+
+// TestImportDerivesThePolicy: the policy is not exported, so at every
+// episode boundary a controller imported from the exported table must
+// hold the same greedy action for every state — ties (common: returns
+// are ±1) broken toward the first-seen action, as EndEpisode breaks
+// them.
+func TestImportDerivesThePolicy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := newTestController(0.3)
+	actions := []string{"a", "b", "c", "d"}
+	for ep := 0; ep < 40; ep++ {
+		for i := 0; i < 30; i++ {
+			s := rng.Intn(12)
+			if rng.Intn(2) == 0 {
+				c.ChooseAction(s, actions)
+				continue
+			}
+			c.RecordReturn(s, actions[rng.Intn(len(actions))], float64(2*rng.Intn(2)-1))
+		}
+		c.EndEpisode()
+		twin := newTestController(0.3)
+		twin.Import(c.Export())
+		for s := 0; s < 12; s++ {
+			got, gok := twin.GreedyAction(s)
+			want, wok := c.GreedyAction(s)
+			if got != want || gok != wok {
+				t.Fatalf("episode %d, state %d: imported policy %q/%v, want %q/%v", ep, s, got, gok, want, wok)
+			}
+		}
+	}
+}

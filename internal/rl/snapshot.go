@@ -9,49 +9,32 @@ type TableEntry[S comparable, A comparable] struct {
 	N      int
 }
 
-// PolicyEntry is one state's greedy action in the exported policy.
-type PolicyEntry[S comparable, A comparable] struct {
-	State  S
-	Action A
-}
-
-// Export dumps the learned action-value table and greedy policy. The
-// per-episode first-visit bookkeeping is transient and not exported;
-// snapshots are intended to be taken between episodes.
-func (c *Controller[S, A]) Export() (table []TableEntry[S, A], policy []PolicyEntry[S, A]) {
+// Export dumps the learned action-value table, each state's rows
+// together in its actions' first-seen order. Snapshots are taken
+// between episodes, so neither the greedy policy, which Import derives,
+// nor the first-visit bookkeeping is exported.
+func (c *Controller[S, A]) Export() []TableEntry[S, A] {
+	var table []TableEntry[S, A]
 	for s, actions := range c.q {
 		for _, a := range c.order[s] {
 			r := actions[a]
 			table = append(table, TableEntry[S, A]{State: s, Action: a, Sum: r.sum, N: r.n})
 		}
 	}
-	for s, a := range c.policy {
-		policy = append(policy, PolicyEntry[S, A]{State: s, Action: a})
-	}
-	return table, policy
+	return table
 }
 
-// Import replaces the controller's learned state with a previously
-// exported table and policy. Entries are applied in slice order, which
-// also fixes the deterministic tie-break order of argmax.
-func (c *Controller[S, A]) Import(table []TableEntry[S, A], policy []PolicyEntry[S, A]) {
+// Import replaces the controller's learned state with an exported
+// table, then derives the policy with EndEpisode's argmax over every
+// state. A state's rows are applied in slice order, which fixes its
+// actions' first-seen order and so argmax's tie-break.
+func (c *Controller[S, A]) Import(table []TableEntry[S, A]) {
 	c.q = make(map[S]map[A]returns, len(table))
 	c.order = make(map[S][]A, len(table))
-	c.policy = make(map[S]A, len(policy))
-	c.visited = make(map[S]bool)
+	c.policy = make(map[S]A, len(table))
 	c.episode = make(map[S]struct{})
 	for _, e := range table {
-		m := c.q[e.State]
-		if m == nil {
-			m = make(map[A]returns)
-			c.q[e.State] = m
-		}
-		if _, seen := m[e.Action]; !seen {
-			c.order[e.State] = append(c.order[e.State], e.Action)
-		}
-		m[e.Action] = returns{sum: e.Sum, n: e.N}
+		c.add(e.State, e.Action, e.Sum, e.N)
 	}
-	for _, p := range policy {
-		c.policy[p.State] = p.Action
-	}
+	c.EndEpisode()
 }

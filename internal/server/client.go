@@ -151,19 +151,14 @@ func (c *Client) QueryContext(ctx context.Context, query string) (*QueryResponse
 func (c *Client) Feedback(rowLinks []LinkJSON, approve bool) error {
 	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
-	return c.FeedbackContext(ctx, rowLinks, approve)
-}
-
-// FeedbackContext is Feedback bounded by ctx.
-func (c *Client) FeedbackContext(ctx context.Context, rowLinks []LinkJSON, approve bool) error {
-	status, err := c.postJSON(ctx, "/feedback", FeedbackRequest{Approve: approve, Links: rowLinks}, nil)
+	status, err := c.FeedbackResult(ctx, rowLinks, approve)
 	if status == http.StatusTooManyRequests {
 		return ErrQueueFull
 	}
 	return err
 }
 
-// FeedbackResult is FeedbackContext exposing the HTTP status (0 when
+// FeedbackResult is Feedback bounded by ctx, exposing the HTTP status (0 when
 // no response was obtained at all). The fleet router uses it
 // to tell a client mistake (4xx, not retryable) from backpressure and
 // outages (429/5xx/transport, retryable).
@@ -226,11 +221,6 @@ func (c *Client) Addr() string { return c.base }
 func (c *Client) MetricsText() (string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
-	return c.MetricsTextContext(ctx)
-}
-
-// MetricsTextContext is MetricsText bounded by ctx.
-func (c *Client) MetricsTextContext(ctx context.Context) (string, error) {
 	status, _, data, err := c.do(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return "", err

@@ -104,7 +104,7 @@ func TestClientRespectsContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := c.FeedbackContext(ctx, []LinkJSON{{E1: "a", E2: "b"}}, true)
+	_, err := c.FeedbackResult(ctx, []LinkJSON{{E1: "a", E2: "b"}}, true)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("feedback against a hung server: err %v, want the deadline", err)
 	}

@@ -140,7 +140,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				}
 			}
 			ts.Close()
-			s.abort() // crash: no drain, no final checkpoint
+			s.Abort() // crash: no drain, no final checkpoint
 			s.Close() //nolint:errcheck // releases the journal fd
 
 			dict2, sources2, sys2, _ := tinyWorld(t)
@@ -281,7 +281,7 @@ func TestCrashRecoveryEquivalenceAfterCheckpoint(t *testing.T) {
 	postAll(t, s, script[:ckpt])
 	waitForCheckpoints(t, s, 1)
 	postAll(t, s, script[ckpt:crash])
-	s.abort()
+	s.Abort()
 	s.Close() //nolint:errcheck // releases the journal fd
 
 	rec, recSys := world.server(t, cfg(dir))
@@ -670,7 +670,7 @@ func TestCrashDuringRecoveryLosesNothing(t *testing.T) {
 		}
 	}
 	ts.Close()
-	s.abort()
+	s.Abort()
 	s.Close() //nolint:errcheck // releases the journal fd
 
 	// First recovery replays several episodes, then crashes again before
@@ -680,7 +680,7 @@ func TestCrashDuringRecoveryLosesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec1.abort()
+	rec1.Abort()
 	rec1.Close() //nolint:errcheck // releases the journal fd
 
 	// The second recovery must still cover every acked item.
@@ -727,7 +727,7 @@ func TestCorruptCheckpointFailsStartup(t *testing.T) {
 	waitForCheckpoints(t, s, 1)
 	postAll(t, s, script[1:])
 	waitForCheckpoints(t, s, 2)
-	s.abort()
+	s.Abort()
 	s.Close() //nolint:errcheck // releases the journal fd
 
 	names, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
@@ -746,6 +746,8 @@ func TestCorruptCheckpointFailsStartup(t *testing.T) {
 	}
 
 	dict2, sources2, sys2, _ := tinyWorld(t)
+	ffs := faultfs.New(nil)
+	cfg.FS = ffs
 	rec, err := New(sys2, dict2, sources2, cfg)
 	if err == nil {
 		st := rec.Recovery()
@@ -755,6 +757,9 @@ func TestCorruptCheckpointFailsStartup(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), filepath.Base(newest)) {
 		t.Fatalf("New: %v; want an error naming %s", err, filepath.Base(newest))
+	}
+	if n := ffs.OpenHandles(); n != 0 {
+		t.Fatalf("the failed New left %d file handles open", n)
 	}
 }
 
@@ -799,15 +804,17 @@ func TestCleanShutdownNeedsNoReplay(t *testing.T) {
 	}
 }
 
-// TestProtocolEraStateIsRefused: a data directory written by a build
-// that had the cross-shard prepare/commit protocol is refused by name —
-// the record or checkpoint sequence and who wrote it — never skipped
-// and never misread as feedback or engine state.
+// TestProtocolEraStateIsRefused: a data directory an earlier build
+// wrote in a format this one does not read — a journal record or
+// checkpoint of the cross-shard prepare/commit protocol, a version-1 gob
+// snapshot — is refused by name (the record or checkpoint sequence and
+// who wrote it), never skipped and never misread as feedback or engine
+// state.
 func TestProtocolEraStateIsRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		write func(t *testing.T, log *wal.Log)
-		want  string
+		want  []string
 	}{
 		{
 			name: "journal record with the 0x00 envelope",
@@ -819,7 +826,7 @@ func TestProtocolEraStateIsRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			want: "journal record 2 ",
+			want: []string{"journal record 2 ", "cross-shard prepare/commit protocol"},
 		},
 		{
 			name: "checkpoint with the ALEXCKPT envelope",
@@ -828,7 +835,18 @@ func TestProtocolEraStateIsRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			want: "checkpoint (seq 7) ",
+			want: []string{"checkpoint (seq 7)", "ALEXCKPT", "cross-shard prepare/commit protocol"},
+		},
+		{
+			// The head of a version-1 snapshot: gob's definition of
+			// the type it encoded, systemWire.
+			name: "checkpoint with a gob snapshot",
+			write: func(t *testing.T, log *wal.Log) {
+				if err := log.Checkpoint(9, []byte("W\x7f\x03\x01\x01\x0asystemWire\x01\xff\x80\x00\x01\x05\x01\x07Version\x01\x04\x00")); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: []string{"checkpoint (seq 9)", "gob"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -845,9 +863,9 @@ func TestProtocolEraStateIsRefused(t *testing.T) {
 			s, err := New(sys, dict, sources, durableCfg(dir))
 			if err == nil {
 				s.Close()
-				t.Fatal("New accepted a data directory a build with the cross-shard protocol wrote")
+				t.Fatal("New accepted a data directory an earlier build wrote")
 			}
-			for _, want := range []string{tc.want, "cross-shard prepare/commit protocol"} {
+			for _, want := range append(tc.want, "start from an empty data directory") {
 				if !strings.Contains(err.Error(), want) {
 					t.Fatalf("New: %v; want an error containing %q", err, want)
 				}

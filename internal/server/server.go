@@ -360,6 +360,9 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 	}
 	if cfg.DataDir != "" {
 		if err := s.recover(); err != nil {
+			if s.log != nil {
+				s.log.Close() //lint:ignore syncerr the recovery error wins; close releases the journal handle
+			}
 			return nil, err
 		}
 	}
@@ -375,14 +378,13 @@ func New(eng Engine, dict *rdf.Dict, sources []federation.Source, cfg Config) (*
 }
 
 // Builds that had the cross-shard prepare/commit protocol began the
-// protocol's journal records with a 0x00 byte and every checkpoint with
-// an envelope magic. This build reads neither: a journal record is a
-// /feedback body and a checkpoint is the engine's bytes, so recover
-// refuses such a directory by name instead of misreading it.
+// protocol's journal records with a 0x00 byte. This build does not read
+// them: a journal record is a /feedback body, so recover refuses such a
+// directory by name instead of misreading it. A checkpoint this build
+// does not read is the engine's Restore to refuse by name.
 const (
-	protocolRecordSentinel  = 0x00
-	protocolCheckpointMagic = "ALEXCKPT"
-	protocolStateHint       = "was written by a build with the cross-shard prepare/commit protocol, which this build does not read; start from an empty data directory"
+	protocolRecordSentinel = 0x00
+	protocolStateHint      = "was written by a build with the cross-shard prepare/commit protocol, which this build does not read; start from an empty data directory"
 )
 
 // recover opens the journal and rebuilds the acknowledged state:
@@ -404,9 +406,6 @@ func (s *Server) recover() error {
 		return err
 	}
 	if found {
-		if bytes.HasPrefix(state, []byte(protocolCheckpointMagic)) {
-			return fmt.Errorf("server: checkpoint (seq %d) %s", seq, protocolStateHint)
-		}
 		if err := s.eng.Restore(bytes.NewReader(state)); err != nil {
 			return fmt.Errorf("server: restore checkpoint (seq %d): %w", seq, err)
 		}
@@ -785,11 +784,13 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// abort kills the writer without draining, finishing the episode, or
-// checkpointing — the crash-simulation entry point of the chaos tests.
-// Acknowledged items that were still queued stay journaled on disk;
-// recovery must resurrect them.
-func (s *Server) abort() {
+// Abort is the crash simulation of the chaos and failover tests: the
+// writer (and, on a fleet shard, the replicator) exits at once — no
+// drain, no final episode, no checkpoint. The journal stays on disk
+// exactly as a real crash would leave it, acknowledged items still
+// queued included, so a later New over the same data directory must
+// recover every one.
+func (s *Server) Abort() {
 	s.aborting.Do(func() { close(s.die) })
 	if s.repCancel != nil {
 		s.repCancel()
@@ -799,11 +800,3 @@ func (s *Server) abort() {
 		<-s.repDone
 	}
 }
-
-// Abort is the exported crash simulation: the writer (and, on a fleet
-// shard, the replicator) exits immediately — no drain, no final
-// episode, no checkpoint. The journal stays on disk exactly as a real
-// crash would leave it, so a subsequent New over the same data
-// directory must recover every acknowledged item. Fleet failover tests
-// kill shards with it.
-func (s *Server) Abort() { s.abort() }

@@ -310,7 +310,7 @@ func TestCrashRecoveryFromDiskStore(t *testing.T) {
 
 	// Power cut: no drain, no final episode or checkpoint.
 	ts.Close()
-	s.abort()
+	s.Abort()
 	s.Close()   //nolint:errcheck // releases the journal fd
 	set.Close() //nolint:errcheck // drops the mmaps of the dead process
 

@@ -328,75 +328,46 @@ func (s *Set) load(m manifest) error {
 }
 
 func (s *Set) loadDict(m manifest) error {
-	buf, err := s.readFramed(dictName, dictMagic)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < m.DictTerms; i++ {
-		t, rest, err := readTerm(buf)
-		if err != nil {
-			return fmt.Errorf("store: dict term %d: %w", i+1, err)
+	return s.readFramed(dictName, dictMagic, func(f *wal.Fields) {
+		for i := 1; i <= m.DictTerms; i++ {
+			t := readTerm(f)
+			if f.Err() != nil {
+				return
+			}
+			if got := s.dict.Intern(t); got != rdf.ID(i) {
+				f.Fail(fmt.Errorf("term %d interned as %d (duplicate?)", i, got))
+			}
 		}
-		buf = rest
-		if got := s.dict.Intern(t); got != rdf.ID(i+1) {
-			return fmt.Errorf("store: dict term %d interned as %d (duplicate?)", i+1, got)
-		}
-	}
-	if len(buf) != 0 {
-		return fmt.Errorf("store: dict file has %d trailing bytes", len(buf))
-	}
-	return nil
+	})
 }
 
-func (s *Set) readEntities(name string) ([]rdf.ID, error) {
-	payload, err := s.readFramed(name, entMagic)
-	if err != nil {
-		return nil, err
-	}
-	n, payload, err := readUvarint(payload)
-	if err != nil {
-		return nil, fmt.Errorf("store: entities %s: %w", name, err)
-	}
-	ids := make([]rdf.ID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var v uint64
-		if v, payload, err = readUvarint(payload); err != nil {
-			return nil, fmt.Errorf("store: entities %s: %w", name, err)
+func (s *Set) readEntities(name string) (ids []rdf.ID, err error) {
+	err = s.readFramed(name, entMagic, func(f *wal.Fields) {
+		ids = make([]rdf.ID, f.Count())
+		for i := range ids {
+			ids[i] = rdf.ID(f.Uvarint())
 		}
-		ids = append(ids, rdf.ID(v))
-	}
-	return ids, nil
+	})
+	return ids, err
 }
 
-func (s *Set) readLinks(name string) ([]links.Link, error) {
-	payload, err := s.readFramed(name, linksMagic)
-	if err != nil {
-		return nil, err
-	}
-	n, payload, err := readUvarint(payload)
-	if err != nil {
-		return nil, fmt.Errorf("store: links: %w", err)
-	}
-	ls := make([]links.Link, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e1, e2 uint64
-		if e1, payload, err = readUvarint(payload); err == nil {
-			e2, payload, err = readUvarint(payload)
+func (s *Set) readLinks(name string) (ls []links.Link, err error) {
+	err = s.readFramed(name, linksMagic, func(f *wal.Fields) {
+		ls = make([]links.Link, f.Count())
+		for i := range ls {
+			ls[i] = links.Link{E1: rdf.ID(f.Uvarint()), E2: rdf.ID(f.Uvarint())}
 		}
-		if err != nil {
-			return nil, fmt.Errorf("store: links: %w", err)
-		}
-		ls = append(ls, links.Link{E1: rdf.ID(e1), E2: rdf.ID(e2)})
-	}
-	return ls, nil
+	})
+	return ls, err
 }
 
 // readFramed reads name, one wal record whose payload starts with
-// magic, and returns the payload after the magic.
-func (s *Set) readFramed(name, magic string) ([]byte, error) {
+// magic, and hands the fields after the magic to read, which must
+// consume them all. An error names the file.
+func (s *Set) readFramed(name, magic string, read func(*wal.Fields)) error {
 	data, err := wal.ReadFile(s.fs, s.dir+"/"+name)
 	if err != nil {
-		return nil, fmt.Errorf("store: read %s: %w", name, err)
+		return fmt.Errorf("store: read %s: %w", name, err)
 	}
 	_, payload, n, err := wal.DecodeRecord(data)
 	if err == nil && n != len(data) {
@@ -405,10 +376,15 @@ func (s *Set) readFramed(name, magic string) ([]byte, error) {
 	if err == nil && !bytes.HasPrefix(payload, []byte(magic)) {
 		err = errors.New("bad magic")
 	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", name, err)
+	if err == nil {
+		f := wal.NewFields(payload[len(magic):])
+		read(f)
+		err = f.Done()
 	}
-	return payload[len(magic):], nil
+	if err != nil {
+		return fmt.Errorf("store: %s: %w", name, err)
+	}
+	return nil
 }
 
 // manifest is the JSON commit record of a store directory.
@@ -443,8 +419,8 @@ func encodeLinks(ls []links.Link) []byte {
 	return wal.EncodeRecord(0, payload)
 }
 
-// appendTerm encodes one dictionary term: kind byte plus three
-// length-prefixed strings.
+// appendTerm encodes one dictionary term: kind byte (a kind is below
+// 0x80, so the byte is its uvarint) plus three length-prefixed strings.
 func appendTerm(buf []byte, t rdf.Term) []byte {
 	buf = append(buf, byte(t.Kind))
 	for _, s := range []string{t.Value, t.Datatype, t.Lang} {
@@ -454,35 +430,11 @@ func appendTerm(buf []byte, t rdf.Term) []byte {
 	return buf
 }
 
-func readTerm(buf []byte) (rdf.Term, []byte, error) {
-	if len(buf) < 1 {
-		return rdf.Term{}, nil, errors.New("short term record")
-	}
-	t := rdf.Term{Kind: rdf.TermKind(buf[0])}
-	buf = buf[1:]
-	for i := 0; i < 3; i++ {
-		n, rest, err := readUvarint(buf)
-		if err != nil || uint64(len(rest)) < n {
-			return rdf.Term{}, nil, errors.New("short term string")
-		}
-		str := string(rest[:n])
-		buf = rest[n:]
-		switch i {
-		case 0:
-			t.Value = str
-		case 1:
-			t.Datatype = str
-		default:
-			t.Lang = str
-		}
-	}
-	return t, buf, nil
-}
-
-func readUvarint(buf []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, errors.New("bad uvarint")
-	}
-	return v, buf[n:], nil
+// readTerm reads one term appendTerm wrote.
+func readTerm(f *wal.Fields) rdf.Term {
+	t := rdf.Term{Kind: rdf.TermKind(f.Uvarint())}
+	t.Value = f.Text()
+	t.Datatype = f.Text()
+	t.Lang = f.Text()
+	return t
 }

@@ -96,3 +96,63 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	}
 	return data, err
 }
+
+// Fields reads back a payload of uvarint fields, as
+// binary.AppendUvarint wrote them. The first truncated or malformed
+// field fails the reader: every later read returns zero and Done
+// reports that first error. A count larger than the bytes left fails
+// too, so a corrupt one never sizes an allocation.
+type Fields struct {
+	buf []byte
+	err error
+}
+
+// NewFields reads payload.
+func NewFields(payload []byte) *Fields { return &Fields{buf: payload} }
+
+// Fail fails the reader with err unless it has failed already.
+func (f *Fields) Fail(err error) {
+	if f.err == nil {
+		f.err, f.buf = err, nil
+	}
+}
+
+// Uvarint reads one uvarint.
+func (f *Fields) Uvarint() uint64 {
+	v, n := binary.Uvarint(f.buf)
+	if n <= 0 {
+		f.Fail(fmt.Errorf("bad uvarint with %d bytes left", len(f.buf)))
+		return 0
+	}
+	f.buf = f.buf[n:]
+	return v
+}
+
+// Count reads the number of items that follow, each at least a byte.
+func (f *Fields) Count() int {
+	n := f.Uvarint()
+	if n > uint64(len(f.buf)) {
+		f.Fail(fmt.Errorf("count %d with %d bytes left", n, len(f.buf)))
+		return 0
+	}
+	return int(n)
+}
+
+// Text reads a string: its length, then its bytes.
+func (f *Fields) Text() string {
+	n := f.Count()
+	s := string(f.buf[:n])
+	f.buf = f.buf[n:]
+	return s
+}
+
+// Err returns the reader's first error.
+func (f *Fields) Err() error { return f.err }
+
+// Done is Err, or an error when bytes are left: a payload is read whole.
+func (f *Fields) Done() error {
+	if f.err == nil && len(f.buf) > 0 {
+		return fmt.Errorf("%d trailing bytes", len(f.buf))
+	}
+	return f.err
+}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -404,5 +405,42 @@ func TestEmptyAndLargePayloads(t *testing.T) {
 	recs := replayAll(t, l2, 0)
 	if len(recs) != 2 || len(recs[0].Data) != 0 || !bytes.Equal(recs[1].Data, big) {
 		t.Fatalf("payload round trip failed: %d records", len(recs))
+	}
+}
+
+// TestFieldsFailOnce: the first malformed field fails the reader, every
+// later read returns zero, and Done reports that first error; a count
+// past the bytes left and bytes left over are errors too.
+func TestFieldsFailOnce(t *testing.T) {
+	whole := binary.AppendUvarint(nil, 2)
+	whole = binary.AppendUvarint(whole, 300)
+	whole = append(binary.AppendUvarint(whole, 3), "abc"...)
+	f := NewFields(whole)
+	if c, v, s := f.Count(), f.Uvarint(), f.Text(); c != 2 || v != 300 || s != "abc" || f.Done() != nil {
+		t.Fatalf("read %d %d %q, %v; want 2 300 \"abc\", nil", c, v, s, f.Done())
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		read    func(*Fields)
+		want    string
+	}{
+		{"count past the end", binary.AppendUvarint(nil, 1<<40), func(f *Fields) { f.Count() }, "count 1099511627776 with 0 bytes left"},
+		{"string past the end", append(binary.AppendUvarint(nil, 4), "abc"...), func(f *Fields) { f.Text() }, "count 4 with 3 bytes left"},
+		{"cut uvarint", []byte{0x80}, func(f *Fields) { f.Uvarint() }, "bad uvarint"},
+	} {
+		f := NewFields(tc.payload)
+		tc.read(f)
+		if v := f.Uvarint(); v != 0 {
+			t.Errorf("%s: a read after the failure returned %d", tc.name, v)
+		}
+		if err := f.Done(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Done = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	f = NewFields([]byte{1, 2})
+	f.Uvarint()
+	if err := f.Done(); err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
+		t.Errorf("a byte left over: Done = %v, want 1 trailing bytes", err)
 	}
 }
