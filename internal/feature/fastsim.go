@@ -144,13 +144,13 @@ const (
 // of sorted-set merges per column — nearly all of which find nothing in
 // common — into a walk over the posting lists of the value's own
 // hashes: a column that shares no trigram and no token with the value is
-// never visited and scores the 0 its row was allocated with. It is the
+// never visited and keeps the 0 its row arrives with. It is the
 // overlap count of an exact set-similarity join (ScanCount), with no
 // threshold inside: every score, including those below θ, is the one a
 // pairwise comparison gives, bit for bit.
 //
-// Read-only once built, so shared without locks by every worker of
-// every partition build.
+// Read-only once built, so shared without locks by the workers that
+// score a build's dataset-1 values.
 type valueIndex struct {
 	cols []termSig // the signature of each column's value
 	// tri and tok map a hash to the ascending columns whose value has

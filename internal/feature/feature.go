@@ -10,13 +10,19 @@
 // "all links whose feature (p1, p2) has a score within [lo, hi]", served
 // by a per-feature sorted index in O(log n + answers).
 //
-// Construction is parallel (Options.Workers) over a shared, read-only
-// index of the dataset-2 values (valueIndex); the constructed space is
-// identical to a serial build. See DESIGN.md "Space construction".
+// Construction is an exact θ-similarity join: each distinct dataset-1
+// value is scored once against the distinct dataset-2 values (through
+// valueIndex, an inverted index, or Options.Sim), and only the value
+// pairs that pass θ are expanded into the entity pairs that hold them,
+// so a pair with no feature is never visited. It is parallel
+// (Options.Workers), and the constructed space is identical to a serial
+// build. See DESIGN.md "Space construction".
 package feature
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 
 	"alex/internal/links"
@@ -74,8 +80,8 @@ type Options struct {
 	// rules are used, scored from an inverted index over the dataset-2
 	// values (valueIndex), which is substantially faster for large cross
 	// products. A non-nil Sim must be safe for concurrent calls when
-	// Workers > 1; it is asked once per pair of distinct values per
-	// worker.
+	// Workers > 1; a build asks it once per pair of a distinct dataset-1
+	// value and a distinct dataset-2 value.
 	Sim func(a, b rdf.Term) float64
 	// Workers is the number of goroutines Build uses (0 or negative =
 	// runtime.GOMAXPROCS(0)). The constructed space is byte-identical
@@ -102,16 +108,18 @@ type scoredPair struct {
 // The comparison is a total order over the entries of one feature key (a
 // link occurs at most once per key), so the result is independent of
 // input order — map iteration and parallel merge order cannot leak into
-// the index, and FindInRange answers are stable run to run.
+// the index, and FindInRange answers are stable run to run. Scores are
+// compared as numbers, which is a total order because the built-in
+// similarity yields no NaN.
 func sortPairs(ps []scoredPair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].score != ps[j].score {
-			return ps[i].score < ps[j].score
+	slices.SortFunc(ps, func(a, b scoredPair) int {
+		switch {
+		case a.score < b.score:
+			return -1
+		case a.score > b.score:
+			return 1
 		}
-		if ps[i].link.E1 != ps[j].link.E1 {
-			return ps[i].link.E1 < ps[j].link.E1
-		}
-		return ps[i].link.E2 < ps[j].link.E2
+		return cmp.Compare(uint64(a.link.E1)<<32|uint64(a.link.E2), uint64(b.link.E1)<<32|uint64(b.link.E2))
 	})
 }
 
@@ -122,56 +130,6 @@ type Space struct {
 	index map[Key][]scoredPair // sorted ascending by (score, link)
 	// TotalPairs is the unfiltered size |E1|×|E2| (Figure 5a).
 	TotalPairs int
-}
-
-// buildSet reads the similarity matrix between the two attribute lists
-// off the worker's memo (see simMemo) — rows[i] is the memo row of
-// a1[i]'s value, cols[j] the column of a2[j]'s — discards entries below
-// θ, and reduces to the state feature set by keeping the maximum per row
-// if the first entity has more attributes than the second, otherwise the
-// maximum per column (§4.1).
-func buildSet(a1, a2 []rdf.Attribute, rows [][]float64, cols []int32, theta float64) Set {
-	type cell struct {
-		key   Key
-		score float64
-	}
-	var cells []cell
-	for i, x := range a1 {
-		row := rows[i]
-		for j, y := range a2 {
-			s := row[cols[j]]
-			if s < theta {
-				continue
-			}
-			cells = append(cells, cell{key: Key{P1: x.Pred, P2: y.Pred}, score: s})
-		}
-	}
-	if len(cells) == 0 {
-		return nil
-	}
-	// Row = dataset-1 predicate, column = dataset-2 predicate.
-	groupByRow := len(a1) > len(a2)
-	best := make(map[rdf.ID]cell)
-	for _, c := range cells {
-		g := c.key.P1
-		if !groupByRow {
-			g = c.key.P2
-		}
-		if cur, ok := best[g]; !ok || c.score > cur.score {
-			best[g] = c
-		}
-	}
-	set := make(Set, 0, len(best))
-	for _, c := range best {
-		set = append(set, Feature{Key: c.key, Score: c.score})
-	}
-	sort.Slice(set, func(i, j int) bool {
-		if set[i].Key.P1 != set[j].Key.P1 {
-			return set[i].Key.P1 < set[j].Key.P1
-		}
-		return set[i].Key.P2 < set[j].Key.P2
-	})
-	return set
 }
 
 // FeatureSet returns the feature set of a link in the space (nil if the

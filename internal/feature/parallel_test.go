@@ -89,7 +89,7 @@ func TestBuildPartitionsMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestRowFillMatchesPairwise holds the index-filled memo rows to the
+// TestRowFillMatchesPairwise holds the index-filled score rows to the
 // pairwise oracle on every synth profile: the space is the one a build
 // that asks sigTable.sim for every pair of values produces, at θ=0
 // (every score is kept, the zeros included) and at the default.
@@ -158,36 +158,41 @@ func rowFillVsPairwise(t *testing.T, vals1, vals2 []rdf.Term) func(i, j int) flo
 	}
 }
 
-// TestRowFillAwkwardValues runs the row fill over the values where an
-// overlap count and a pairwise comparison could part ways, and pins what
-// they score. "Nan" and "Infinity" are the regression for NaN scores:
+// awkwardValues are the values where an overlap count and a pairwise
+// comparison could part ways: empty literals, equal normal forms,
+// literals against IRIs, numbers and dates at their windows' edges, and
+// lexical forms strconv.ParseFloat takes for NaN and ±Inf.
+var awkwardValues = []rdf.Term{
+	rdf.Literal(""),
+	rdf.LangLiteral("", "en"),
+	rdf.Literal("Kevin Durant"),
+	rdf.Literal("kevin  durant"),
+	rdf.IRI("http://x.org/Kevin_Durant"),
+	rdf.IRI("http://y.org/kevin-durant"),
+	rdf.Literal("7"),
+	rdf.TypedLiteral("7", rdf.XSDInteger),
+	rdf.Literal("7.5"),
+	rdf.Literal("1984-12-30"),
+	rdf.TypedLiteral("1985-12-29", rdf.XSDDate), // 364 days on
+	rdf.Literal("1985-12-30"),                   // 365 days on
+	rdf.Literal("a"),
+	rdf.Literal("b"),
+	rdf.Literal("a b"),
+	rdf.Literal("alpha centauri"),
+	rdf.Literal("alpha zzzzzzzz"),
+	rdf.Literal("Nan"),
+	rdf.Literal("Infinity"),
+	rdf.Literal("inf"),
+	rdf.TypedLiteral("NaN", rdf.XSDDouble),
+	rdf.TypedLiteral("seven", rdf.XSDInteger),
+}
+
+// TestRowFillAwkwardValues runs the row fill over awkwardValues and pins
+// what they score. "Nan" and "Infinity" are the regression for NaN scores:
 // strconv.ParseFloat takes them for numbers, and a window over them is
 // NaN, which passed the θ filter into the space.
 func TestRowFillAwkwardValues(t *testing.T) {
-	vals := []rdf.Term{
-		rdf.Literal(""),
-		rdf.LangLiteral("", "en"),
-		rdf.Literal("Kevin Durant"),
-		rdf.Literal("kevin  durant"),
-		rdf.IRI("http://x.org/Kevin_Durant"),
-		rdf.IRI("http://y.org/kevin-durant"),
-		rdf.Literal("7"),
-		rdf.TypedLiteral("7", rdf.XSDInteger),
-		rdf.Literal("7.5"),
-		rdf.Literal("1984-12-30"),
-		rdf.TypedLiteral("1985-12-29", rdf.XSDDate), // 364 days on
-		rdf.Literal("1985-12-30"),                   // 365 days on
-		rdf.Literal("a"),
-		rdf.Literal("b"),
-		rdf.Literal("a b"),
-		rdf.Literal("alpha centauri"),
-		rdf.Literal("alpha zzzzzzzz"),
-		rdf.Literal("Nan"),
-		rdf.Literal("Infinity"),
-		rdf.Literal("inf"),
-		rdf.TypedLiteral("NaN", rdf.XSDDouble),
-		rdf.TypedLiteral("seven", rdf.XSDInteger),
-	}
+	vals := awkwardValues
 	score := rowFillVsPairwise(t, vals, vals)
 	at := func(lex string, n int) int { // the n-th value with that lexical form
 		for i, v := range vals {
@@ -304,11 +309,12 @@ func TestCustomSimParallel(t *testing.T) {
 	sameSpace(t, "custom sim workers=8", parallel, serial)
 }
 
-// TestMemoisedScoresAreTheSimilarity checks the similarity memo against
-// the function it tabulates: every feature set of a built space — read
-// off rows that thousands of earlier pairs share — equals the set scored
-// for that pair alone, value pair by value pair, and a custom Sim is
-// asked for each pair of values at most once per worker.
+// TestMemoisedScoresAreTheSimilarity checks the scores a build shares
+// against the function they tabulate: every feature set of a built
+// space — read off hit lists that every pair holding the value shares —
+// equals the set buildSet scores for that pair alone, value pair by
+// value pair, and a custom Sim is asked for each pair of values at most
+// once per build.
 func TestMemoisedScoresAreTheSimilarity(t *testing.T) {
 	prof, _ := synth.ProfileByName("dbpedia-opencyc")
 	ds := synth.Generate(prof.Scale(testScale))
@@ -352,4 +358,122 @@ func TestMemoisedScoresAreTheSimilarity(t *testing.T) {
 			t.Fatalf("Sim was asked %d times for %v", n, pair)
 		}
 	}
+}
+
+// TestJoinMatchesEveryPair holds the θ-similarity join to the build it
+// replaced (everyPair in oracle_test.go: every pair of entities visited
+// and reduced from dense rows of pairwise scores) on every synth
+// profile, at θ=0 (every zero score is a feature), the default and a
+// high θ, serial and parallel, over two partitions that share their hit
+// lists. The tie case pins which of two equal maxima a row or a column
+// keeps: the first in (i, j) order.
+func TestJoinMatchesEveryPair(t *testing.T) {
+	for _, prof := range synth.Profiles() {
+		prof := prof
+		t.Run(prof.Name, func(t *testing.T) {
+			ds := synth.Generate(prof.Scale(testScale))
+			sim := newSigTable(ds.Dict).sim
+			parts := PartitionRoundRobin(ds.Entities1, 2)
+			for _, theta := range []float64{0, DefaultTheta, 0.9} {
+				want := make([]*Space, len(parts))
+				for pi, part := range parts {
+					want[pi] = everyPair(ds.G1, ds.G2, part, ds.Entities2, theta, sim)
+				}
+				if want[0].Len() == 0 {
+					t.Fatalf("θ=%g: space is empty; test proves nothing", theta)
+				}
+				for _, workers := range []int{1, 3} {
+					got := BuildPartitions(ds.G1, ds.G2, parts, ds.Entities2, Options{Theta: theta, Workers: workers})
+					for pi := range parts {
+						sameSpace(t, fmt.Sprintf("θ=%g workers=%d partition %d", theta, workers, pi), got[pi], want[pi])
+					}
+				}
+			}
+		})
+	}
+
+	t.Run("tie", func(t *testing.T) {
+		d := rdf.NewDict()
+		g1, g2 := rdf.NewGraphWithDict(d), rdf.NewGraphWithDict(d)
+		// Interned in this order, so attribute lists (ordered by
+		// predicate, then object ID) read as written below.
+		term := map[string]rdf.Term{}
+		for _, name := range []string{"alpha", "zulu", "mike"} {
+			term[name] = rdf.Literal(name)
+			d.Intern(term[name])
+		}
+		for _, name := range []string{"pA", "pB", "p", "p2", "q", "qA", "qB"} {
+			term[name] = rdf.IRI("http://x/" + name)
+			d.Intern(term[name])
+		}
+		add := func(g *rdf.Graph, s, p, o string) {
+			g.Insert(rdf.Triple{S: rdf.IRI("http://x/" + s), P: term[p], O: term[o]})
+		}
+		// e × r, two attributes each, so one feature per column: column q
+		// has two cells scoring 1, (0,1) = pA/q and (1,0) = pB/q.
+		add(g1, "e", "pA", "zulu")
+		add(g1, "e", "pB", "alpha")
+		add(g2, "r", "q", "alpha")
+		add(g2, "r", "q", "zulu")
+		// f × s, three attributes against two, so one feature per row: row
+		// p has two cells scoring 1, (0,1) = p/qB and (1,0) = p/qA.
+		add(g1, "f", "p", "alpha")
+		add(g1, "f", "p", "zulu")
+		add(g1, "f", "p2", "mike")
+		add(g2, "s", "qA", "zulu")
+		add(g2, "s", "qB", "alpha")
+
+		e1, e2 := g1.SubjectIDs(), g2.SubjectIDs()
+		for _, workers := range []int{1, 3} {
+			got := Build(g1, g2, e1, e2, Options{Theta: DefaultTheta, Workers: workers})
+			sameSpace(t, fmt.Sprintf("tie workers=%d", workers), got, everyPair(g1, g2, e1, e2, DefaultTheta, newSigTable(d).sim))
+			key := func(p1, p2 string) Key { return Key{P1: mustID(d, "http://x/"+p1), P2: mustID(d, "http://x/"+p2)} }
+			link := func(a, b string) links.Link {
+				return links.Link{E1: mustID(d, "http://x/"+a), E2: mustID(d, "http://x/"+b)}
+			}
+			for _, c := range []struct {
+				l    links.Link
+				want Set
+			}{
+				{link("e", "r"), Set{{Key: key("pA", "q"), Score: 1}}},
+				{link("f", "s"), Set{{Key: key("p", "qB"), Score: 1}}},
+			} {
+				if set := got.FeatureSet(c.l); !reflect.DeepEqual(set, c.want) {
+					t.Errorf("workers=%d link %v: set %v, want %v (the first of the equal maxima in (i, j) order)", workers, c.l, set, c.want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzJoinMatchesEveryPair: two small graphs spelled by the fuzz bytes —
+// 1 to 3 predicates a side, values from awkwardValues, θ from the first
+// byte in steps of 0.05 (so scores can sit exactly on it) — give the
+// reference build's space.
+func FuzzJoinMatchesEveryPair(f *testing.F) {
+	f.Add([]byte{6, 4, 0, 2, 1, 3, 2, 12, 3, 14, 9, 15, 8, 9})
+	f.Add([]byte{0, 0, 0, 0, 1, 1})
+	f.Add([]byte{20, 8, 0, 6, 1, 7, 10, 9, 11, 9, 16, 0, 17, 1})
+	f.Add([]byte{19, 5, 24, 7, 25, 8, 2, 10, 3, 11, 4, 17, 5, 20})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		theta := float64(data[0]%21) / 20
+		preds := [2]int{1 + int(data[1]%3), 1 + int(data[1]/3%3)}
+		d := rdf.NewDict()
+		g := [2]*rdf.Graph{rdf.NewGraphWithDict(d), rdf.NewGraphWithDict(d)}
+		for k := 2; k+1 < len(data); k += 2 {
+			side := int(data[k] & 1)
+			e, p := int(data[k]>>1)%4, int(data[k]>>3)%preds[side]
+			g[side].Insert(rdf.Triple{
+				S: rdf.IRI(fmt.Sprintf("http://ds%d/e%d", side+1, e)),
+				P: rdf.IRI(fmt.Sprintf("http://ds%d/p%d", side+1, p)),
+				O: awkwardValues[int(data[k+1])%len(awkwardValues)],
+			})
+		}
+		e1, e2 := g[0].SubjectIDs(), g[1].SubjectIDs()
+		got := Build(g[0], g[1], e1, e2, Options{Theta: theta, Workers: 2})
+		sameSpace(t, fmt.Sprintf("θ=%g", theta), got, everyPair(g[0], g[1], e1, e2, theta, newSigTable(d).sim))
+	})
 }
