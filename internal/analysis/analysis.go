@@ -1,10 +1,10 @@
-// Package analysis is alexlint's analyzer framework: a minimal,
-// dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// surface that the ALEX invariant checkers need.
+// Package analysis is the repository's static-analysis framework: a
+// minimal, dependency-free reimplementation of the
+// golang.org/x/tools/go/analysis surface its one analyzer needs.
 //
 // The repo deliberately has no module dependencies, so instead of the
 // x/tools driver stack this package provides the same pieces in
-// ~stdlib-only form:
+// stdlib-only form:
 //
 //   - Analyzer / Pass / Diagnostic — the contract an invariant checker
 //     implements (analysis.go, this file);
@@ -13,10 +13,9 @@
 //   - an analysistest-style fixture harness driven by `// want` comments
 //     (internal/analysis/analysistest).
 //
-// The three shipped analyzers (snapmut, syncerr, globalrand) encode the
-// snapshot, durability and determinism contracts that no test catches
-// at every site; cmd/alexlint is the multichecker binary that runs
-// them in `make verify` and CI.
+// The analyzer is syncerr, the durability contract's check at every
+// site where no test faults a dropped Sync, Flush or Close error. Its
+// TestTreeLintsClean runs it over the whole module in `go test ./...`.
 //
 // Findings can be suppressed in place with a directive comment
 //
@@ -31,7 +30,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -41,11 +39,8 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics (lowercase, no spaces).
 	Name string
-	// Doc states the invariant the analyzer enforces, the exact shapes
-	// it flags, and the compliant idioms it accepts.
-	Doc string
 	// Match reports whether the analyzer applies to the package with the
-	// given import path. nil applies it everywhere. The driver consults
+	// given import path. nil applies it everywhere. Run consults
 	// Match; the test harness bypasses it so fixtures can live anywhere.
 	Match func(pkgPath string) bool
 	// Run analyzes one package, reporting findings through pass.Report.
@@ -64,7 +59,6 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 }
@@ -86,53 +80,33 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// Run applies every analyzer whose Match accepts pkg's import path and
-// returns the findings sorted by position, minus any suppressed by
-// `//lint:ignore` directives. Analyzer errors (not findings) abort the
-// run. Test files are never analyzed: Load reads a package's non-test
-// files only.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
+// Run applies a to pkg when a's Match accepts pkg's import path and
+// returns its findings in the order it reported them, minus any
+// suppressed by `//lint:ignore` directives. An analyzer error (not a
+// finding) aborts the run. Test files are never analyzed: Load reads a
+// package's non-test files only.
+func Run(pkg *Package, a *Analyzer) ([]Finding, error) {
+	if a.Match != nil && !a.Match(pkg.Path) {
+		return nil, nil
+	}
 	ignores := collectIgnores(pkg.Fset, pkg.Files)
 	var out []Finding
-	for _, a := range analyzers {
-		if a.Match != nil && !a.Match(pkg.Path) {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-		}
-		pass.Report = func(d Diagnostic) {
-			pos := pkg.Fset.Position(d.Pos)
-			if ignores.covers(pos, a.Name) {
-				return
-			}
-			out = append(out, Finding{
-				Analyzer: a.Name,
-				Pos:      pos,
-				Message:  d.Message,
-			})
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-		}
+	pass := &Pass{
+		Analyzer:  a,
+		Fset:      pkg.Fset,
+		Files:     pkg.Files,
+		TypesInfo: pkg.Info,
 	}
-	sort.Slice(out, func(i, j int) bool {
-		pi, pj := out[i].Pos, out[j].Pos
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
+	pass.Report = func(d Diagnostic) {
+		pos := pkg.Fset.Position(d.Pos)
+		if ignores.covers(pos, a.Name) {
+			return
 		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return out[i].Analyzer < out[j].Analyzer
-	})
+		out = append(out, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+	}
+	if err := a.Run(pass); err != nil {
+		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+	}
 	return out, nil
 }
 

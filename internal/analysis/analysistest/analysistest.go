@@ -1,4 +1,4 @@
-// Package analysistest runs an alexlint analyzer over fixture packages
+// Package analysistest runs an analyzer over fixture packages
 // and checks its diagnostics against expectations written in the
 // fixtures themselves, in the style of
 // golang.org/x/tools/go/analysis/analysistest.
@@ -76,7 +76,7 @@ func RunDir(r Reporter, a *analysis.Analyzer, dir string) error {
 	// packages; scope is the driver's concern, behavior is tested here.
 	unscoped := *a
 	unscoped.Match = nil
-	findings, err := analysis.Run(pkg, []*analysis.Analyzer{&unscoped})
+	findings, err := analysis.Run(pkg, &unscoped)
 	if err != nil {
 		return fmt.Errorf("running %s on %s: %v", a.Name, dir, err)
 	}

@@ -1,4 +1,4 @@
-// The package loader behind alexlint. One `go list -deps -export`
+// The package loader behind the analyzers. One `go list -deps -export`
 // call resolves the patterns and compiles export data for their whole
 // import graph into the build cache. The target packages are then
 // parsed and typechecked from source; everything they import, module
@@ -27,7 +27,6 @@ type Package struct {
 	Path  string // import path
 	Fset  *token.FileSet
 	Files []*ast.File // non-test Go files, parsed with comments
-	Types *types.Package
 	Info  *types.Info
 }
 
@@ -116,24 +115,17 @@ func typecheck(fset *token.FileSet, imp types.Importer, p listedPkg) (*Package, 
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(p.ImportPath, fset, files, info); err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
 	}
 	return &Package{
 		Path:  p.ImportPath,
 		Fset:  fset,
 		Files: files,
-		Types: tpkg,
 		Info:  info,
 	}, nil
 }

@@ -37,7 +37,6 @@ import (
 // every downstream run).
 var Analyzer = &analysis.Analyzer{
 	Name: "syncerr",
-	Doc:  "flags discarded Sync/Flush/Close errors on durability-relevant files",
 	Match: func(p string) bool {
 		return analysis.PathHasAny(p, "alex/internal/wal", "alex/internal/server", "alex/internal/fleet", "alex/internal/faultnet", "alex/internal/store", "alex/internal/synth", "alex/cmd")
 	},

@@ -1,18 +1,17 @@
-package suite_test
+package syncerr_test
 
 import (
 	"strings"
 	"testing"
 
 	"alex/internal/analysis"
-	"alex/internal/analysis/suite"
+	"alex/internal/analysis/syncerr"
 )
 
-// TestTreeLintsClean is the merge gate in test form: the whole module
-// must produce zero findings. `make lint` (and CI) run the alexlint
-// binary for the same result with human-oriented output; this test
-// makes sure the invariants hold even for contributors who only run
-// `go test ./...`.
+// TestTreeLintsClean is the merge gate: syncerr finds nothing in the
+// whole module. It is the only place the analyzer runs on the tree, so
+// `go test ./...` (and so `make verify` and CI) fails on a dropped Sync,
+// Flush or Close error in the scoped packages.
 func TestTreeLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
@@ -26,7 +25,7 @@ func TestTreeLintsClean(t *testing.T) {
 	}
 	var all []string
 	for _, pkg := range pkgs {
-		findings, err := analysis.Run(pkg, suite.Analyzers)
+		findings, err := analysis.Run(pkg, syncerr.Analyzer)
 		if err != nil {
 			t.Fatalf("analyzing %s: %v", pkg.Path, err)
 		}
@@ -35,6 +34,6 @@ func TestTreeLintsClean(t *testing.T) {
 		}
 	}
 	if len(all) > 0 {
-		t.Errorf("alexlint findings in the tree (must be zero at merge):\n%s", strings.Join(all, "\n"))
+		t.Errorf("syncerr findings in the tree (must be zero at merge):\n%s", strings.Join(all, "\n"))
 	}
 }

@@ -112,6 +112,40 @@ func TestTransportDeterministicDrops(t *testing.T) {
 	if dropped == 0 || dropped == len(a) {
 		t.Fatalf("DropProb 0.5 dropped %d/%d", dropped, len(a))
 	}
+
+	// Every draw plan makes — the jitter, the drop and the 5xx burst —
+	// comes from the seed, so two transports with one seed plan the
+	// same fates.
+	type fate struct {
+		delay          time.Duration
+		drop, errBurst bool
+	}
+	plans := func(seed int64) []fate {
+		tr := New(seed, nil)
+		tr.SetFaults("", Faults{Latency: time.Millisecond, Jitter: time.Second, DropProb: 0.5, ErrProb: 0.5})
+		out := make([]fate, 64)
+		for i := range out {
+			_, delay, drop, errBurst := tr.plan("shard", "/query")
+			out[i] = fate{delay, drop, errBurst}
+		}
+		return out
+	}
+	pa, pb := plans(42), plans(42)
+	bursts := 0
+	for i := range pa {
+		if pa[i] != pb[i] {
+			t.Fatalf("seed 42 plans diverged at request %d: %+v vs %+v", i, pa[i], pb[i])
+		}
+		if pa[i].delay < time.Millisecond || pa[i].delay > time.Millisecond+time.Second {
+			t.Fatalf("request %d delay %v outside Latency + [0, Jitter]", i, pa[i].delay)
+		}
+		if pa[i].errBurst {
+			bursts++
+		}
+	}
+	if pa[0].delay == pa[1].delay || bursts == 0 || bursts == len(pa) {
+		t.Fatalf("Jitter and ErrProb 0.5 drew no spread: delays %v, %v; %d/%d bursts", pa[0].delay, pa[1].delay, bursts, len(pa))
+	}
 }
 
 func TestTransportErrBurst(t *testing.T) {

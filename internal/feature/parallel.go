@@ -189,16 +189,20 @@ func (t *target) scoreRow(o1 rdf.ID, row []float64, count *scanCount) {
 // dataset-1 value (read-only, shared by every partition's workers).
 //
 // Construction shards entities1 across workers goroutines. Each worker
-// joins its entities against the shared read-only target into
-// shard-local sets and index maps; the shards are then merged and every
-// index slice is sorted by the total (score, link) order, so the result
-// is byte-identical to a serial build regardless of worker count or
-// scheduling.
+// joins its entities against the shared read-only target into a
+// shard-local list of kept pairs and index map; the shards are then
+// merged and every index slice is sorted by the total (score, link)
+// order, so the result is byte-identical to a serial build regardless
+// of worker count or scheduling.
 func (t *target) build(entities1 []rdf.ID, attrs1 [][]rdf.Attribute, hits map[rdf.ID][]hit, workers int) *Space {
 	workers = max(min(workers, len(entities1)), 1)
 
+	type pairSet struct {
+		link links.Link
+		set  Set
+	}
 	type shard struct {
-		sets  map[links.Link]Set
+		sets  []pairSet
 		index map[Key][]scoredPair
 	}
 	shards := make([]shard, workers)
@@ -207,17 +211,14 @@ func (t *target) build(entities1 []rdf.ID, attrs1 [][]rdf.Attribute, hits map[rd
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res := shard{
-				sets:  make(map[links.Link]Set),
-				index: make(map[Key][]scoredPair),
-			}
+			res := shard{index: make(map[Key][]scoredPair)}
 			jn := joiner{t: t, next: make([]int32, len(t.entities))}
 			// Round-robin sharding keeps workers balanced when entity
 			// cost varies systematically along entities1.
 			for k := w; k < len(entities1); k += workers {
 				for _, p := range jn.join(attrs1[k], hits) {
 					l := links.Link{E1: entities1[k], E2: t.entities[p.e]}
-					res.sets[l] = p.set
+					res.sets = append(res.sets, pairSet{link: l, set: p.set})
 					for _, f := range p.set {
 						res.index[f.Key] = append(res.index[f.Key], scoredPair{score: f.Score, link: l})
 					}
@@ -228,30 +229,25 @@ func (t *target) build(entities1 []rdf.ID, attrs1 [][]rdf.Attribute, hits map[rd
 	}
 	wg.Wait()
 
-	// Merge. Shard set maps are disjoint (entities1 is partitioned): a
-	// lone shard's is the result, several are copied into one map made
-	// at its final size. The index slices are copied either way — a
-	// slice a worker grew by appending holds up to twice what it needs,
-	// and the space is kept for the life of the system — and the per-key
-	// sort below is a total order, so concatenation order is immaterial.
+	// Merge. The shards' pairs are disjoint (entities1 is partitioned),
+	// so each is inserted once into one map made at its final size. The
+	// index slices are copied — a slice a worker grew by appending holds
+	// up to twice what it needs, and the space is kept for the life of
+	// the system — and the per-key sort below is a total order, so
+	// concatenation order is immaterial.
+	pairs := 0
+	for _, res := range shards {
+		pairs += len(res.sets)
+	}
 	sp := &Space{
-		sets:       shards[0].sets,
+		sets:       make(map[links.Link]Set, pairs),
 		index:      make(map[Key][]scoredPair, len(shards[0].index)),
 		TotalPairs: len(entities1) * len(t.entities),
 	}
-	if len(shards) > 1 {
-		n := 0
-		for _, res := range shards {
-			n += len(res.sets)
-		}
-		sp.sets = make(map[links.Link]Set, n)
-		for _, res := range shards {
-			for l, set := range res.sets {
-				sp.sets[l] = set
-			}
-		}
-	}
 	for _, res := range shards {
+		for _, p := range res.sets {
+			sp.sets[p.link] = p.set
+		}
 		for k, ps := range res.index {
 			sp.index[k] = append(sp.index[k], ps...)
 		}

@@ -372,12 +372,30 @@ func (c *closingHealthz) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // The first good probe makes a down shard routable again: a shard that
 // fails its probes for 0.5 s is back within a few 50 ms intervals of
-// answering "ok", with no cooldown to wait out.
+// answering "ok", with no cooldown to wait out. Meanwhile the router's
+// /healthz is read without pause, so under -race a probe that writes a
+// health report it already published races the reader.
 func TestRouterShardRoutableOnFirstGoodProbe(t *testing.T) {
 	w := tinyWorld(t)
 	ch := &closingHealthz{}
 	f := startFleetWith(t, w, 2, server.Config{}, func(c *Config) { c.Transport = ch })
 	f.waitConverged(t, len(w.initial))
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if _, err := f.router.healthView(); err != nil {
+				t.Errorf("router /healthz: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
 	ch.set(strings.TrimPrefix(f.addrs[1], "http://"))
 	start := time.Now()
 	untilRoutable(t, f.router, 1, false)

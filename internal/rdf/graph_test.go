@@ -287,6 +287,82 @@ func TestGraphConcurrentFirstReads(t *testing.T) {
 	}
 }
 
+// TestHeldIndexSurvivesReplacement: an *Index the graph handed out is
+// immutable. Four readers hold the one g.index() returned and read it
+// through every read method while InsertIDs replaces it and reads
+// rebuild it, six times over; run under -race. A write to the replaced
+// index (the graph folding it back into its buffer, say) races the
+// readers, and one that changes an answer fails the value checks.
+func TestHeldIndexSurvivesReplacement(t *testing.T) {
+	g := buildBenchGraph(500)
+	x := g.index()
+	d := g.Dict()
+	s, _ := d.Lookup(IRI("http://e/7"))
+	p, _ := d.Lookup(IRI("http://p/type"))
+	o, _ := d.Lookup(IRI("http://t/7"))
+	read := func() (got []string) {
+		if n := x.Size(); n != 3*500 {
+			got = append(got, fmt.Sprintf("Size = %d, want %d", n, 3*500))
+		}
+		if n := x.CountMatch(0, p, o, false, true, true); n != 31 {
+			got = append(got, fmt.Sprintf("CountMatch(·,type,t7) = %d, want 31", n))
+		}
+		n := 0
+		x.ForEachMatchIDs(s, 0, 0, true, false, false, func(_, _, _ ID) bool { n++; return true })
+		if n != 3 {
+			got = append(got, fmt.Sprintf("ForEachMatchIDs(e7,·,·) saw %d, want 3", n))
+		}
+		if a := x.Entity(s); len(a) != 3 {
+			got = append(got, fmt.Sprintf("Entity(e7) = %d attributes, want 3", len(a)))
+		}
+		if n := len(x.SubjectIDs()); n != 500 {
+			got = append(got, fmt.Sprintf("SubjectIDs = %d, want 500", n))
+		}
+		if n := len(x.PredicateIDs()); n != 3 {
+			got = append(got, fmt.Sprintf("PredicateIDs = %d, want 3", n))
+		}
+		return got
+	}
+	stop := make(chan struct{})
+	var started, wg sync.WaitGroup
+	errs := make(chan []string, 4)
+	for r := 0; r < 4; r++ {
+		started.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for first := true; ; first = false {
+				got := read()
+				if first {
+					started.Done()
+				}
+				if len(got) > 0 {
+					errs <- got
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+	for i := 0; i < 6; i++ {
+		g.InsertIDs(s, p, d.Intern(IRI(fmt.Sprintf("http://t/extra%d", i))))
+		if n := g.Size(); n != 3*500+i+1 {
+			t.Errorf("Size after insert %d = %d, want %d", i, n, 3*500+i+1)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error("held index changed:", e)
+	}
+}
+
 // TestGraphInsertAfterRead: an insert after a read is visible to the
 // next read, and a duplicate of a triple already indexed counts once.
 func TestGraphInsertAfterRead(t *testing.T) {

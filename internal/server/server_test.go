@@ -652,7 +652,10 @@ func TestExplorationCounters(t *testing.T) {
 
 // TestConcurrentQueriesDuringFeedback races many readers against a
 // steady feedback stream; run under -race this is the data-race proof
-// for the snapshot-isolation design.
+// for the snapshot-isolation design. Between them the readers' /query,
+// /links, /healthz and /metrics read every Snapshot field while
+// episodes end and flush publications run, so a write to a published
+// snapshot anywhere on the writer's path races one of them.
 func TestConcurrentQueriesDuringFeedback(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
 	_, _, client := newTestServer(t, sys, dict, sources, Config{
@@ -686,6 +689,18 @@ func TestConcurrentQueriesDuringFeedback(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				if _, err := client.Query(`SELECT ?n WHERE { <http://ds1/a1> <http://ds2/name> ?n . }`); err != nil {
 					t.Errorf("query: %v", err)
+					return
+				}
+				if _, err := client.Links(); err != nil {
+					t.Errorf("links: %v", err)
+					return
+				}
+				if _, err := client.Healthz(); err != nil {
+					t.Errorf("healthz: %v", err)
+					return
+				}
+				if _, err := client.MetricsText(); err != nil {
+					t.Errorf("metrics: %v", err)
 					return
 				}
 			}
