@@ -61,9 +61,9 @@ bench-space:
 		$(GO) run ./cmd/benchjson -out BENCH_space.json
 
 # bench-query runs the federated query read-path benchmarks: cold vs
-# pre-warmed plan cache and bench/e2e's three join shapes, a fresh vs a
-# learned plan on the skewed-hub profile, and the finalizer's ORDER BY
-# alone. A query is one goroutine, so there is no -cpu axis: a second P
+# pre-warmed plan cache and bench/e2e's three join shapes through the
+# shape-keyed cache, the skewed-hub profile's misordered query, and the
+# finalizer's ORDER BY alone. A query is one goroutine, so there is no -cpu axis: a second P
 # only moves the garbage collector. Results land in BENCH_query.json.
 bench-query:
 	$(GO) test -run '^$$' -bench '^(BenchmarkFederatedQuery|BenchmarkAdaptiveQuery|BenchmarkFinalizeOrderBy)$$' -benchmem \

@@ -25,9 +25,10 @@
 // stay full. Writes for entities it does not own are refused with 400 —
 // front the fleet with alexrouter.
 //
-// The read path has one setting, -plan-cache; no flag chooses a join
-// order (every cached plan learns its own from the row counts its
-// executions observe), none spreads a query over goroutines (it runs on
+// The read path has one setting, -plan-cache, the number of query
+// shapes whose plans are kept; no flag chooses a join order (the ranker
+// orders each group by index counts at its stage boundaries), none
+// spreads a query over goroutines (it runs on
 // its handler's, and stops at -query-timeout) and none tunes source
 // breakers: the two sources are local stores, read directly, and a
 // query's one failure is its deadline.
@@ -77,7 +78,7 @@ func main() {
 	flush := flag.Duration("flush", 250*time.Millisecond, "publication interval: republish the open episode's links this often if feedback arrived since the last publication (episodes end only at -episode-size items or on shutdown)")
 	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-request query deadline (the evaluation stops at it; the client gets 504)")
 	dataDir := flag.String("data", "", "data directory: feedback journal, checkpoints and the mmap'd segment store under <data>/store; empty serves in-memory graphs with no durability")
-	planCache := flag.Int("plan-cache", 0, "compiled query plans kept in the LRU cache (0 = default)")
+	planCache := flag.Int("plan-cache", 0, "compiled query plans kept in the LRU cache, keyed by query shape (0 = default)")
 	maxQueries := flag.Int("max-queries", 0, "concurrent /query evaluations admitted (0 = unlimited; excess waits, then 503)")
 	shardID := flag.Int("shard-id", -1, "this shard's ID within -fleet (-1 = standalone)")
 	fleetList := flag.String("fleet", "", "comma-separated addresses of ALL fleet shards in shard-ID order (requires -shard-id)")

@@ -2,44 +2,66 @@
 // its plan but chosen while the group runs. At every stage boundary the
 // stage loop (evalTriples) asks the ranker (nextPattern, plan.go) which
 // of the patterns still to run is cheapest against the live row count,
-// and adaptiveCost prices each by what has been seen: this query's own
-// counters, then the cardinalities earlier queries folded into the
-// plan's obsTable, then a static CountMatch estimate. A plan that has
-// learned nothing therefore executes the greedy order of those static
-// estimates; when an estimate is wrong — correlated patterns, skewed
-// fan-out — the first execution pays for it, records what it saw, and
-// the next one over the cached plan ranks by it. There is no setting:
-// a static order is what the ranker produces before it has seen
-// anything, and a group of fewer than two patterns is never ranked.
+// and adaptiveCost prices each: by what this evaluation has seen the
+// stage do, else by a static CountMatch estimate. A group that runs
+// once therefore executes the greedy order of the static estimates; a
+// group re-entered in the same evaluation (under an OPTIONAL, once per
+// row) ranks its later entries by the row counts its earlier ones
+// recorded. Nothing is carried from one evaluation to the next: a plan
+// is immutable, a cached plan executes exactly the order an uncached
+// one does, and the golden files pin that order. A plan serves every
+// text of its shape (plancache.go), whose constants select different
+// rows, so one text's cardinalities would be no guide to another's.
+// There is no setting, and a group of fewer than two patterns is never
+// ranked.
 //
 // Ranking never moves the answer: the ranker only produces binding-safe
 // orders (a pattern may not steal a variable's first binding from an
 // earlier-written pattern), and any binding-safe order is
 // answer-identical — the invariant the golden harness enforces. Ties
 // break toward written order, so the chosen order is a pure function of
-// the query and the observation sequence. This is why ranking happens
-// at chunk (stage) boundaries rather than per tuple as in ADQUEX:
-// routing individual tuples through different operator orders would
-// make provenance and row production order-dependent on scheduling;
-// see DESIGN.md decision 15.
+// the query, the stores and the evaluation's own counts. This is why
+// ranking happens at chunk (stage) boundaries rather than per tuple as
+// in ADQUEX: routing individual tuples through different operator
+// orders would make provenance and row production order-dependent on
+// scheduling; see DESIGN.md decision 15.
 package federation
 
+// stageCount is one stage's observation in one evaluation: input
+// rows, emitted rows, and how many executions contributed. A stage is
+// counted once, at its boundary, rather than per emitted row, so
+// observation costs the same whatever the result size.
+type stageCount struct {
+	in, out, runs uint64
+}
+
+// expansion returns the observed per-input-row output multiplier, or
+// ok=false when the stage has never run with a non-empty input (an
+// empty input observes nothing about selectivity).
+func (s stageCount) expansion() (perRow float64, ok bool) {
+	if s.runs == 0 || s.in == 0 {
+		return 0, false
+	}
+	return float64(s.out) / float64(s.in), true
+}
+
 // adaptiveCost estimates what executing pattern i next would cost, in
-// rows. Preference order: this query's own observation of the stage
-// (only available when the group re-runs per row, e.g. under
-// OPTIONAL), then the plan's learned table from earlier queries, then
-// the static CountMatch estimate — so the first query under a fresh
-// plan runs the greedy order of the static estimates. Observed
-// expansions are per-input-row and scale with the live row count, which
-// is the whole point: a stage that looked cheap statically but fanned
-// out 8× per row is re-costed against reality.
+// rows: this evaluation's own observation of the stage when it has one
+// (only when the group re-runs, e.g. under OPTIONAL), else the static
+// CountMatch estimate. An observed expansion is per input row and
+// scales with the live row count: a stage that looked cheap statically
+// but fanned out 8× per row is re-costed against what it did.
 func (f *Federator) adaptiveCost(ec *evalCtx, g *cgroup, i, nrows int, bound []bool) float64 {
 	sid := g.first + i
-	if per, ok := ec.stats.stages[sid].expansion(); ok {
-		return float64(nrows) * per
-	}
-	if per, ok := ec.learnedExpansion(sid); ok {
+	if per, ok := ec.stats[sid].expansion(); ok {
 		return float64(nrows) * per
 	}
 	return float64(f.estimatePattern(&ec.pats[sid], bound))
+}
+
+// AdaptiveStats returns the cumulative count of rankings made after a
+// group's first stage, across the federator and all its WithLinks
+// snapshots.
+func (f *Federator) AdaptiveStats() (replans uint64) {
+	return f.replans.Load()
 }

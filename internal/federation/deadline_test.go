@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -120,9 +121,10 @@ func TestEvaluateStopsAtDeadline(t *testing.T) {
 	})
 }
 
-// TestCancelledQueryLearnsNothing: a stopped evaluation folds nothing
-// into its plan's learned table, so a half-run stage cannot steer the
-// next query's order. The fifth look at the context comes after the
+// TestCancelledQueryLearnsNothing: a stopped evaluation leaves nothing
+// a later one reads. Its row counts belonged to it alone, and its plan
+// stays cached exactly as compiled, so a half-run stage cannot steer
+// another query's order. The fifth look at the context comes after the
 // first pattern's stage has run whole (3 001 rows out of one) and a few
 // rows into the second's.
 func TestCancelledQueryLearnsNothing(t *testing.T) {
@@ -132,13 +134,20 @@ func TestCancelledQueryLearnsNothing(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || ans != nil {
 		t.Fatalf("Evaluate: answer %t, err %v; want no answer and %v", ans != nil, err, context.Canceled)
 	}
-	p, err := f.planFor(crossProduct)
-	if hits, _ := f.plans.Stats(); err != nil || hits != 1 {
-		t.Fatalf("planFor: %v, %d cache hits: the plan looked at is not the one that ran", err, hits)
+	s, ok := sparql.Shape{}.Scan(crossProduct)
+	if !ok {
+		t.Fatal("the cross product does not lex")
 	}
-	for i := range p.obs.stages {
-		if got := p.obs.stages[i].load(); got != (stageCount{}) {
-			t.Errorf("stage %d of the stopped query's plan learned %+v", i, got)
-		}
+	p := f.plans.get(s.Key)
+	if hits, misses := f.plans.Stats(); p == nil || hits != 1 || misses != 1 {
+		t.Fatalf("%d cache hits, %d misses: the stopped query's plan was not cached", hits, misses)
+	}
+	q, err := sparql.Parse(crossProduct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := f.planQuery(q, s.Consts)
+	if !reflect.DeepEqual(p.pats, fresh.pats) || !reflect.DeepEqual(p.binds, fresh.binds) || p.ranks != fresh.ranks {
+		t.Errorf("the stopped query's plan is not the one compiling the text makes")
 	}
 }

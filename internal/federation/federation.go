@@ -10,12 +10,13 @@
 // This is the repository's one query executor. Queries are compiled
 // into link-independent plans (plan.go): every variable of the WHERE
 // tree gets a slot, every triple pattern becomes slots and constant
-// dictionary IDs, and an LRU cache shares plans across WithLinks
-// snapshots (plancache.go). One stage loop (evalTriples) runs a group's
-// patterns, asking one ranker (nextPattern) at every stage boundary
-// which goes next: it prices a pattern by the cardinalities this and
-// earlier executions of the plan observed and, while there are none, by
-// a static CountMatch estimate (adaptive.go). A query is evaluated by
+// dictionary IDs, and an LRU cache keyed by the query's shape — its
+// text with the constants lifted out — shares plans across texts and
+// across WithLinks snapshots (plancache.go). One stage loop
+// (evalTriples) runs a group's patterns, asking one ranker
+// (nextPattern) at every stage boundary which goes next: it prices a
+// pattern by a static CountMatch estimate, or by the row counts the
+// same evaluation recorded for it (adaptive.go). A query is evaluated by
 // the goroutine that asked for it, start to finish, and stops at its
 // context's deadline (evalCtx.cancelled). Every source is a local store,
 // read directly, so that deadline is the one way an evaluation fails.
@@ -33,15 +34,15 @@
 // a Binding map and a links.Set per row — from Answer.ResultSet;
 // internal/server writes its JSON from Answer.Term and Answer.Links and
 // decodes nothing. A single-graph query is a federation of one source
-// with no links (single.go). Answers, and the join orders a plan that
-// has learned nothing executes, are pinned by the golden files under
-// testdata/golden.
+// with no links (single.go). Answers, and the join orders executed, are
+// pinned by the golden files under testdata/golden.
 package federation
 
 import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"alex/internal/links"
 	"alex/internal/rdf"
@@ -96,13 +97,13 @@ type Federator struct {
 	// least one triple with it. Patterns with a bound predicate are
 	// only evaluated against relevant sources.
 	predSources map[rdf.ID][]int
-	// plans, when non-nil, caches compiled plans by query text; shared
+	// plans, when non-nil, caches compiled plans by query shape; shared
 	// with WithLinks snapshots because plans are link-independent.
 	plans *PlanCache
-	// ametrics counts the ranker's events (see runtimestats.go);
-	// shared with WithLinks snapshots, so the counters are monotone
-	// across snapshot publications.
-	ametrics *adaptiveMetrics
+	// replans counts the ranker's rankings after a group's first stage
+	// (adaptive.go); shared with WithLinks snapshots, so the count is
+	// monotone across snapshot publications.
+	replans *atomic.Uint64
 	// traceExec, when non-nil, observes the executed stage order of
 	// every group (indices into grp.Triples, in execution order). Test
 	// hook for the golden and ranking determinism suites; never set in
@@ -145,7 +146,7 @@ func New(dict *rdf.Dict) *Federator {
 	return &Federator{
 		dict:        dict,
 		predSources: make(map[rdf.ID][]int),
-		ametrics:    &adaptiveMetrics{},
+		replans:     new(atomic.Uint64),
 	}
 }
 
@@ -203,7 +204,7 @@ func (f *Federator) WithLinks(ls links.Set) *Federator {
 		linkCount:   ls.Len(),
 		predSources: f.predSources,
 		plans:       f.plans,
-		ametrics:    f.ametrics,
+		replans:     f.replans,
 		traceExec:   f.traceExec,
 	}
 }
@@ -269,9 +270,8 @@ func (f *Federator) Query(query string) (*ResultSet, error) {
 // QueryContext parses and evaluates a federated query; ctx bounds the
 // evaluation, which returns ctx's error, and no answer, within one
 // check interval of ctx being done (evalCtx.cancelled). When a plan
-// cache is installed (SetPlanCache), a repeated query text skips the
-// parser and the compiler and ranks by what its earlier evaluations
-// observed.
+// cache is installed (SetPlanCache), a text whose shape was planned
+// before skips the parser and the compiler.
 func (f *Federator) QueryContext(ctx context.Context, query string) (*ResultSet, error) {
 	a, err := f.evalText(ctx, query)
 	if err != nil {
@@ -290,84 +290,82 @@ func (f *Federator) Evaluate(ctx context.Context, query string) (*Answer, error)
 	return &a, nil
 }
 
-// evalText plans (or finds the cached plan of) a query text and runs it.
+// evalText evaluates a query text. With a plan cache installed the
+// text's shape is its key: on a hit the cached plan runs with the
+// text's own constants bound, on a miss the text is parsed and planned
+// and the plan cached. Parse failures are returned, not cached:
+// malformed queries are cheap to re-reject and must not evict useful
+// plans. A hit whose LIMIT or OFFSET is no count is parsed too, for
+// the parser's error, and caches nothing. The shape is made in stack
+// buffers, which a longer text outgrows onto the heap.
 func (f *Federator) evalText(ctx context.Context, query string) (Answer, error) {
-	p, err := f.planFor(query)
-	if err != nil {
-		return Answer{}, err
-	}
-	return f.evalPlan(ctx, p)
-}
-
-// planFor returns a compiled plan for the query text, consulting the
-// plan cache when one is installed. Parse failures are returned, not
-// cached: malformed queries are cheap to re-reject and must not evict
-// useful plans.
-func (f *Federator) planFor(query string) (*plan, error) {
+	var consts []string
+	var key []byte
 	if f.plans != nil {
-		if p := f.plans.get(query); p != nil {
-			return p, nil
+		var keyBuf [256]byte
+		var constBuf [16]string
+		if s, ok := (sparql.Shape{Key: keyBuf[:0], Consts: constBuf[:0]}).Scan(query); ok {
+			if p := f.plans.get(s.Key); p == nil {
+				consts, key = s.Consts, s.Key
+			} else if _, _, ok := p.q.Limits(s.Consts); ok {
+				return f.evalPlan(ctx, p, s.Consts)
+			}
 		}
 	}
 	q, err := sparql.Parse(query)
 	if err != nil {
-		return nil, err
+		return Answer{}, err
 	}
-	p := f.planQuery(q)
-	if f.plans != nil {
-		f.plans.put(query, p)
+	// consts may live in constBuf, which the cached plan outlives.
+	p := f.planQuery(q, slices.Clone(consts))
+	if key != nil {
+		f.plans.put(string(key), p)
 	}
-	return p, nil
+	return f.evalPlan(ctx, p, nil)
 }
 
 // EvalContext evaluates a parsed query across the federation. The
 // query is planned on every call — the plan cache only applies to
 // QueryContext, which has the query text to key it by.
 func (f *Federator) EvalContext(ctx context.Context, q *sparql.Query) (*ResultSet, error) {
-	a, err := f.evalPlan(ctx, f.planQuery(q))
+	a, err := f.evalPlan(ctx, f.planQuery(q, nil), nil)
 	if err != nil {
 		return nil, err
 	}
 	return a.ResultSet(), nil
 }
 
-// evalPlan runs a compiled plan: evaluate the pattern tree and finalize
-// through the sparql engine — still on IDs. A plan with an order to
-// choose (p.obs non-nil) takes a RuntimeStats table along: stages record
-// into it, ranking consults it, and it is folded into the plan's
-// learned table at the end so the next query over a cached plan starts
-// from real cardinalities. An evaluation whose context is done by then
-// returns the context's error instead: it folds nothing, so a half-run
-// stage never steers a later query's order, and finalizes nothing.
-func (f *Federator) evalPlan(ctx context.Context, p *plan) (Answer, error) {
+// evalPlan runs a compiled plan with consts, the constants of the text
+// being answered (nil: the plan's own), bound (bindConsts): evaluate
+// the pattern tree and finalize through the sparql engine — still on
+// IDs. An evaluation whose context is done by then returns the
+// context's error instead and finalizes nothing.
+func (f *Federator) evalPlan(ctx context.Context, p *plan, consts []string) (Answer, error) {
 	if len(f.sources) == 0 {
 		return Answer{}, fmt.Errorf("federation: no sources registered")
 	}
-	ec := &evalCtx{ctx: ctx, pats: p.pats}
-	if p.obs != nil {
-		ec.stats = newRuntimeStats(len(p.pats))
-	}
-	if p.unresolved {
-		ec.pats = f.resolveConstants(p)
-	}
-	if ec.stats != nil && p.obs.validate(f.linkCount) {
-		ec.learned = p.obs
-		f.ametrics.learnedHits.Add(1)
-	}
+	ec := newEvalCtx(ctx, p)
+	f.bindConsts(ec, p, consts)
 	// Evaluation starts from one row with every slot unbound.
 	w := len(p.vars)
-	rows := rowset{w: w, ids: make([]rdf.ID, w), used: []*links.Frozen{nil}}
+	rows := rowset{w: w, ids: make([]rdf.ID, w), used: ec.root[:]}
 	if p.root != nil {
 		rows = f.evalGroup(ec, p.root, rows)
 	}
 	if err := ec.ctx.Err(); err != nil {
 		return Answer{}, err
 	}
-	if ec.stats != nil {
-		ec.stats.foldInto(p.obs)
-	}
 
-	proj := sparql.Finalize(p.q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
+	q := p.q
+	if consts != nil {
+		// evalText has checked that the text's counts are counts.
+		if limit, offset, _ := q.Limits(consts); limit != q.Limit || offset != q.Offset {
+			bq := *q
+			bq.Limit, bq.Offset = limit, offset
+			q = &bq
+		}
+	}
+	proj := sparql.Finalize(q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
 	return Answer{Projection: proj, used: rows.used}, nil
 }
 
@@ -406,6 +404,7 @@ func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset) rowset {
 		// The expression sees a binding of just the variables it
 		// reads, decoded per row into one reused map.
 		b := make(sparql.Binding, len(flt.vars))
+		expr := ec.expr(flt)
 		for i := 0; i < rows.len() && !ec.cancelled(); i++ {
 			row := rows.row(i)
 			clear(b)
@@ -414,7 +413,7 @@ func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset) rowset {
 					b[flt.vars[k]] = f.dict.Term(id)
 				}
 			}
-			v, err := flt.expr.Eval(b)
+			v, err := expr.Eval(b)
 			if err != nil {
 				continue // SPARQL expression error: filter is false
 			}
@@ -431,8 +430,9 @@ func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset) rowset {
 // over rows, one stage per pattern, until the patterns or the rows run
 // out. At every stage boundary the ranker picks the pattern to run next
 // against the live row count, and every stage's row counts are recorded
-// for the rankings to come. A group of fewer than two patterns has
-// nothing to rank: it allocates no ranking state and records nothing.
+// for the rankings to come in the same evaluation. A group of fewer
+// than two patterns has nothing to rank: it allocates no ranking state
+// and records nothing.
 func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset) rowset {
 	pats := ec.pats[g.first : g.first+len(g.src.Triples)]
 	var executed []int
@@ -449,10 +449,10 @@ func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset) rowset {
 			in := rows.len()
 			ti := f.nextPattern(ec, g, bound, scheduled, in)
 			if done > 0 {
-				f.ametrics.replans.Add(1)
+				f.replans.Add(1)
 			}
 			rows = f.evalPattern(ec, pats[ti], rows)
-			ec.stats.record(g.first+ti, in, rows.len())
+			ec.record(g.first+ti, in, rows.len())
 			scheduled[ti] = true
 			pats[ti].bind(bound)
 			if f.traceExec != nil {

@@ -18,10 +18,11 @@ import (
 )
 
 // The golden harness is the proof obligation of the read path: on both
-// store backends, a plan that has learned nothing (cold), one that has
-// seen one execution (learned) and one that has seen two (refined) must
-// produce exactly the answers frozen under testdata/golden, and the
-// cold one must execute exactly the frozen join orders. The files were written by the evaluator this package
+// store backends, a freshly planned query (cold) and the same plan
+// served from the cache once (cached) and twice (recached) must
+// produce exactly the answers frozen under testdata/golden and execute
+// exactly the frozen join orders: a plan is immutable, so the cache
+// changes nothing about a run. The files were written by the evaluator this package
 // used to carry as a baseline (written-order joins, a cloned links.Set
 // per intermediate row, one worker) and by its plan-time planner, at
 // the last commit that had them; testdata/golden/README.md gives the
@@ -44,7 +45,7 @@ type goldenEntry struct {
 	Result []string `json:"result"`
 	// StaticOrders is the multiset of join orders static CountMatch
 	// estimates alone give, one per group evaluation, as sorted
-	// "order xN" strings: what a plan that has learned nothing executes.
+	// "order xN" strings: what every run of the query executes.
 	StaticOrders []string `json:"static_orders"`
 }
 
@@ -108,7 +109,7 @@ func writeGolden(t *testing.T, world string, f *Federator, queries map[string]st
 	t.Helper()
 	entries := map[string]goldenEntry{}
 	for name, q := range queries {
-		fresh, orders := traced(f) // no plan cache: nothing learned
+		fresh, orders := traced(f) // no plan cache
 		ref, err := fresh.Query(q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -133,8 +134,8 @@ func writeGolden(t *testing.T, world string, f *Federator, queries map[string]st
 // rerunsRankedGroup reports whether evaluating g enters a group of two
 // or more patterns more than once: one reached through an OPTIONAL,
 // which runs once per input row. From its second entry on, such a group
-// is ranked by the counters its earlier entries left in the same
-// query's RuntimeStats, so even a fresh plan may leave the order static
+// is ranked by the row counts its earlier entries left in the same
+// evaluation, so even a fresh plan may leave the order static
 // estimates give; a single-pattern group is never ranked, however often
 // it runs. No query of the harness has one today (every OPTIONAL here
 // holds one pattern; TestReenteredGroupRanksByItsOwnCounters shows the
@@ -161,16 +162,16 @@ func rerunsRankedGroup(g *sparql.GroupGraphPattern, reentered bool) bool {
 	return false
 }
 
-// goldenRuns names the executions each plan cache sees: the plan has
-// learned nothing, has folded in one execution, has folded in two.
-var goldenRuns = []string{"cold", "learned", "refined"}
+// goldenRuns names the executions each plan cache sees: the query is
+// planned, then served by the cached plan once and twice.
+var goldenRuns = []string{"cold", "cached", "recached"}
 
 // assertGolden is the harness core. For every query, both backends (the
 // federator as built, and its twin over mmap'd segments) get a plan
-// cache of their own and run cold, learned and refined. Every run must answer as frozen; the cold run must also
-// execute the frozen join orders, unless the query re-enters a ranked
-// group (rerunsRankedGroup), and every run must execute the same orders
-// on both backends.
+// cache of their own and run cold, cached and recached. Every run must
+// answer as frozen and execute the frozen join orders, unless the query
+// re-enters a ranked group (rerunsRankedGroup), and every run must
+// execute the same orders on both backends.
 func assertGolden(t *testing.T, world string, fmem *Federator, queries map[string]string) {
 	t.Helper()
 	if *updateGolden {
@@ -215,7 +216,7 @@ func assertGolden(t *testing.T, world string, fmem *Federator, queries map[strin
 							label, strings.Join(want.Result, "\n"), strings.Join(lines, "\n"))
 					}
 					ran := orders()
-					if r == 0 && frozenOrders && !slices.Equal(ran, want.StaticOrders) {
+					if frozenOrders && !slices.Equal(ran, want.StaticOrders) {
 						t.Errorf("%s executed join orders %v, golden %v", label, ran, want.StaticOrders)
 					}
 					if b.fed == fmem {
@@ -306,9 +307,9 @@ func goldenSynthQueries(profile string) map[string]string {
 	}
 	if profile == "skewed-hub" {
 		// The query shape the profile is built to mislead: static
-		// estimates schedule the hub fan-out before the type filter, a
-		// plan that has seen one execution flips them. Either order
-		// must produce the same rows + provenance.
+		// estimates schedule the hub fan-out before the type filter.
+		// Any binding-safe order must produce the same rows +
+		// provenance.
 		queries["hub-fanout"] = fmt.Sprintf(`SELECT ?e ?x WHERE {
 			?e <http://ds1.example.org/onto/category> %q .
 			?e <http://ds2.example.org/prop/connectedWith> ?x .
@@ -329,9 +330,9 @@ func TestGoldenChainWorld(t *testing.T) {
 }
 
 // TestGoldenSynthProfiles covers every built-in synth profile; short
-// mode keeps one paper profile plus the skewed one, whose whole point
-// is that a learned plan executes a different join order than a cold
-// one — and must still answer identically.
+// mode keeps one paper profile plus the skewed one, whose static
+// estimates schedule the hub fan-out before the type filter: the order
+// that answers is the frozen one, from the cache as without it.
 func TestGoldenSynthProfiles(t *testing.T) {
 	var names []string
 	for _, p := range synth.Profiles() {

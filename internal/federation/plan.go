@@ -1,15 +1,15 @@
 // Query planning for the federated read path. A plan is everything
 // about a query that does not depend on the current sameAs link set:
 // the parsed AST, the row layout (one slot per WHERE-tree variable),
-// the triple patterns compiled to slots and constant dictionary IDs,
-// and the cardinalities its executions have observed. A plan holds no
-// join order: the stage loop asks the one ranker (nextPattern) for the
-// next pattern at every stage boundary, and the ranker prices a pattern
-// by what the plan has learned, or by a static CountMatch estimate while
-// it has learned nothing (adaptive.go). Apart from that learned table a
-// plan is immutable after construction, which makes it safe to share
-// across concurrent queries and across WithLinks snapshots, and
-// therefore cacheable (see plancache.go).
+// and the triple patterns compiled to slots and constant dictionary
+// IDs. A plan holds no join order: the stage loop asks the one ranker
+// (nextPattern) for the next pattern at every stage boundary, and the
+// ranker prices a pattern by a static CountMatch estimate, or by what
+// the same evaluation has seen it do (adaptive.go). A plan is immutable
+// after construction, which makes it safe to share across concurrent
+// queries and across WithLinks snapshots, and therefore cacheable: the
+// cache keys it by the shape of its text (plancache.go), and an
+// evaluation binds the constants of its own text (evalCtx.bind).
 package federation
 
 import (
@@ -20,13 +20,10 @@ import (
 )
 
 // plan is a compiled query: the AST, a slot for every variable of the
-// WHERE tree, and the tree compiled against those slots.
-// The AST itself is never mutated, so planning works on caller-owned
-// queries and a cached plan can serve concurrent readers. The one
-// mutable field is obs, the learned cardinality table every execution
-// folds into; it is internally synchronized and only ever steers
-// ordering, never answers, so sharing a cached plan remains safe (see
-// runtimestats.go).
+// WHERE tree, and the tree compiled against those slots, with the
+// constants of the text it was planned from. The AST itself is never
+// mutated, so planning works on caller-owned queries and a cached plan
+// can serve concurrent readers.
 type plan struct {
 	q *sparql.Query
 	// vars names the slots of an intermediate row: slot i holds the
@@ -36,22 +33,36 @@ type plan struct {
 	// root is the compiled WHERE group; nil when the query has none.
 	root *cgroup
 	// pats holds every triple pattern of the tree, compiled, indexed by
-	// its plan-global stage id — the id that also indexes the
-	// RuntimeStats and obsTable counters. A group's patterns are
-	// contiguous and ids follow the deterministic planning walk, so a
-	// cached plan's ids are stable across queries.
+	// its plan-global stage id — the id that also indexes an
+	// evaluation's row counts. A group's patterns are contiguous and ids
+	// follow the deterministic planning walk.
 	pats []cpattern
-	// unresolved reports that some pattern constant was not in the
-	// dictionary when the plan was compiled (its cnode.id is rdf.NoID).
-	// Such a plan looks its constants up again on every evaluation, so a
-	// cached plan never pins a miss the dictionary has since filled.
+	// consts are the text's constants (sparql.Shape.Consts); nil for a
+	// plan made from a parsed query, which no other text shares.
+	consts []string
+	// binds lists the pattern positions an evaluation may have to look
+	// up afresh: every constant that came from the text, and every one
+	// the dictionary lacked when the plan was compiled (its cnode.id is
+	// rdf.NoID, and unresolved is set). Such a plan looks those up again
+	// on every evaluation, so a cached plan never pins a miss the
+	// dictionary has since filled.
+	binds      []constBind
 	unresolved bool
-	// obs accumulates observed per-stage cardinalities across the
-	// executions of this plan. Cached plans keep it, which is what makes
-	// hot queries converge to the best order across requests. nil when
-	// no group of the plan holds two patterns: there is no order to
-	// choose, so such a plan observes nothing.
-	obs *obsTable
+	// filters lists every FILTER of the tree by its id.
+	filters []*cfilter
+	// ranks reports that a group of the tree holds two patterns or
+	// more, so an evaluation has an order to choose and counts rows.
+	ranks bool
+}
+
+// constBind is one pattern position holding a constant: pats[stage]'s
+// position pos (0 s, 1 p, 2 o), which text constants built it, and the
+// term the plan's own text gave it.
+type constBind struct {
+	stage int32
+	pos   uint8
+	lift  sparql.Lift
+	term  rdf.Term
 }
 
 // cnode is one position of a compiled triple pattern: a variable's row
@@ -67,6 +78,11 @@ type cpattern struct {
 }
 
 func (c *cpattern) nodes() [3]cnode { return [3]cnode{c.s, c.p, c.o} }
+
+// node returns position pos (0 s, 1 p, 2 o).
+func (c *cpattern) node(pos uint8) *cnode {
+	return [3]*cnode{&c.s, &c.p, &c.o}[pos]
+}
 
 // uses reports whether the pattern mentions the variable in slot.
 func (c *cpattern) uses(slot int32) bool {
@@ -94,7 +110,9 @@ func (c *cpattern) bind(bound []bool) {
 
 // cfilter is a FILTER with the slots of the variables it reads, so a
 // row can be shown to the expression as a binding of just those.
+// id is its index in plan.filters.
 type cfilter struct {
+	id    int
 	expr  sparql.Expr
 	vars  []string
 	slots []int32
@@ -109,9 +127,22 @@ type cgroup struct {
 	// group starts evaluating: the starting point of the ranker's
 	// binding-safety checks.
 	bound     []bool
-	filters   []cfilter
+	filters   []*cfilter
 	optionals []*cgroup
 	unions    [][]*cgroup
+}
+
+// planQuery compiles q against the federator's dictionary and
+// source-selection index; consts are the constants of the text q was
+// parsed from, nil when there is none.
+func (f *Federator) planQuery(q *sparql.Query, consts []string) *plan {
+	p := &plan{q: q, consts: consts}
+	if q.Where != nil {
+		p.vars = sparql.WhereVars(q.Where)
+		p.root = f.planGroup(q.Where, make([]bool, len(p.vars)), p)
+		p.ranks = p.root.ranks()
+	}
+	return p
 }
 
 // ranks reports whether the group, or one nested in it, holds at least
@@ -129,33 +160,23 @@ func (g *cgroup) ranks() bool {
 	return false
 }
 
-// planQuery compiles q against the federator's dictionary and
-// source-selection index.
-func (f *Federator) planQuery(q *sparql.Query) *plan {
-	p := &plan{q: q}
-	if q.Where != nil {
-		p.vars = sparql.WhereVars(q.Where)
-		p.root = f.planGroup(q.Where, make([]bool, len(p.vars)), p)
-	}
-	if p.root != nil && p.root.ranks() {
-		p.obs = newObsTable(len(p.pats))
-	}
-	return p
-}
-
 // slot returns the row slot of a WHERE-tree variable, or -1 for a name
 // no triple pattern mentions (a FILTER may: it then reads as unbound).
 func (p *plan) slot(name string) int32 { return int32(slices.Index(p.vars, name)) }
 
 // compileNode resolves one pattern position: variables to slots,
-// constants to dictionary IDs.
-func (f *Federator) compileNode(p *plan, n sparql.Node) cnode {
+// constants to dictionary IDs, noting in p.binds a constant that came
+// from the text or that the dictionary lacks.
+func (f *Federator) compileNode(p *plan, n sparql.Node, pos uint8) cnode {
 	if n.IsVar {
 		return cnode{slot: p.slot(n.Var)}
 	}
 	id, ok := f.dict.Lookup(n.Term)
 	if !ok {
 		p.unresolved = true
+	}
+	if !ok || n.Lift.Lifted() {
+		p.binds = append(p.binds, constBind{stage: int32(len(p.pats)), pos: pos, lift: n.Lift, term: n.Term})
 	}
 	return cnode{slot: -1, id: id}
 }
@@ -169,13 +190,13 @@ func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *pl
 	g := &cgroup{src: grp, first: len(p.pats), bound: bound}
 	for _, tp := range grp.Triples {
 		p.pats = append(p.pats, cpattern{
-			s: f.compileNode(p, tp.S),
-			p: f.compileNode(p, tp.P),
-			o: f.compileNode(p, tp.O),
+			s: f.compileNode(p, tp.S, 0),
+			p: f.compileNode(p, tp.P, 1),
+			o: f.compileNode(p, tp.O, 2),
 		})
 	}
 	for _, flt := range grp.Filters {
-		cf := cfilter{expr: flt}
+		cf := &cfilter{id: len(p.filters), expr: flt}
 		for _, v := range flt.ExprVars() {
 			if s := p.slot(v); s >= 0 && !slices.Contains(cf.slots, s) {
 				cf.vars = append(cf.vars, v)
@@ -183,6 +204,7 @@ func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *pl
 			}
 		}
 		g.filters = append(g.filters, cf)
+		p.filters = append(p.filters, cf)
 	}
 
 	inner := slices.Clone(bound)
@@ -204,38 +226,6 @@ func (f *Federator) planGroup(grp *sparql.GroupGraphPattern, bound []bool, p *pl
 		g.optionals = append(g.optionals, f.planGroup(opt, slices.Clone(inner), p))
 	}
 	return g
-}
-
-// resolveConstants returns p.pats with every constant looked up afresh:
-// the per-evaluation pattern table of a plan compiled while the
-// dictionary lacked one of its constants. A term still absent keeps
-// rdf.NoID and matches nothing.
-func (f *Federator) resolveConstants(p *plan) []cpattern {
-	pats := slices.Clone(p.pats)
-	fill := func(c *cnode, n sparql.Node) {
-		if c.slot < 0 && c.id == rdf.NoID {
-			c.id, _ = f.dict.Lookup(n.Term)
-		}
-	}
-	var walk func(g *cgroup)
-	walk = func(g *cgroup) {
-		for i, tp := range g.src.Triples {
-			c := &pats[g.first+i]
-			fill(&c.s, tp.S)
-			fill(&c.p, tp.P)
-			fill(&c.o, tp.O)
-		}
-		for _, alts := range g.unions {
-			for _, alt := range alts {
-				walk(alt)
-			}
-		}
-		for _, opt := range g.optionals {
-			walk(opt)
-		}
-	}
-	walk(p.root)
-	return pats
 }
 
 // nextPattern is the one join-order ranker: of the group's patterns not

@@ -199,7 +199,7 @@ func TestReorderIsDeterministic(t *testing.T) {
 // TestUnboundPredicateVisitsAllSourcesUnderReordering joins an
 // unbound-predicate pattern with a selective one. However the planner
 // orders them, the unbound-predicate pattern must still visit every
-// source; that the rows are the frozen ones, cold, learned and refined,
+// source; that the rows are the frozen ones, cold, cached and recached,
 // is the golden harness's "unbound-predicate-reordered" case.
 func TestUnboundPredicateVisitsAllSourcesUnderReordering(t *testing.T) {
 	f, _ := chainWorld(t)

@@ -11,10 +11,14 @@ import (
 const DefaultPlanCacheSize = 512
 
 // PlanCache is a bounded LRU cache of compiled query plans keyed by
-// query text. Plans depend only on the federation's sources and their
-// statistics — never on the sameAs link set — so one cache is shared
-// across every WithLinks snapshot and steady-state /query traffic
-// skips both the parser and the join planner. Safe for concurrent use.
+// query shape: the text with its constants lifted out (sparql.Shape),
+// so the texts of one template, whatever their IRIs, literals and
+// LIMIT/OFFSET counts, share one plan, and each evaluation binds its
+// own text's constants. Plans depend only on the federation's sources
+// and their statistics — never on the sameAs link set — so one cache is
+// shared across every WithLinks snapshot and steady-state /query
+// traffic skips both the parser and the join planner. Safe for
+// concurrent use.
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -59,9 +63,9 @@ func (f *Federator) PlanCacheStats() (hits, misses uint64) {
 	return f.plans.Stats()
 }
 
-func (c *PlanCache) get(key string) *plan {
+func (c *PlanCache) get(key []byte) *plan {
 	c.mu.Lock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[string(key)]
 	if ok {
 		c.ll.MoveToFront(el)
 	}
@@ -78,7 +82,7 @@ func (c *PlanCache) put(key string, p *plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		// Another goroutine planned the same query concurrently; keep
+		// Another goroutine planned the same shape concurrently; keep
 		// the incumbent and refresh its recency.
 		c.ll.MoveToFront(el)
 		return
@@ -97,10 +101,10 @@ func (c *PlanCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Evictions returns how many plans have been evicted by the LRU bound.
-// An eviction also discards the plan's learned cardinality table, so a
-// hot cache that is too small both re-plans and re-learns; the
-// alexd_plan_cache_evictions_total metric makes that visible.
+// Evictions returns how many plans, keyed by query shape, have been
+// evicted by the LRU bound: a cache holding fewer shapes than the
+// traffic cycles through re-plans, which the
+// alexd_plan_cache_evictions_total metric makes visible.
 func (c *PlanCache) Evictions() uint64 {
 	return c.evictions.Load()
 }

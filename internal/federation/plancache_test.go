@@ -39,8 +39,9 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	pc := NewPlanCache(2)
 	f.SetPlanCache(pc)
 
+	// Three shapes: qa and qb differ in more than a constant.
 	qa := `SELECT ?p WHERE { ?p <http://kb/award> "NBA MVP 2013" . }`
-	qb := `SELECT ?p WHERE { ?p <http://kb/award> "NBA MVP 2003" . }`
+	qb := `SELECT ?a WHERE { ?p <http://kb/award> ?a . }`
 	qc := `SELECT ?p ?n WHERE { ?p <http://kb/name> ?n . }`
 	for _, q := range []string{qa, qb} {
 		if _, err := f.Query(q); err != nil {
@@ -137,6 +138,9 @@ func TestPlanCacheSharedAcrossSnapshots(t *testing.T) {
 	}
 }
 
+// TestPlanCacheConcurrentQueries shares one cache among goroutines
+// whose texts share shapes: each binds its own constants into a plan
+// another may be running, and must get its own answer.
 func TestPlanCacheConcurrentQueries(t *testing.T) {
 	f, _, _ := newsWorld(t)
 	pc := NewPlanCache(4)
@@ -145,8 +149,20 @@ func TestPlanCacheConcurrentQueries(t *testing.T) {
 
 	queries := []string{
 		`SELECT ?p WHERE { ?p <http://kb/award> "NBA MVP 2013" . }`,
+		`SELECT ?p WHERE { ?p <http://kb/award> "NBA MVP 2003" . }`,
 		`SELECT ?p ?n WHERE { ?p <http://kb/name> ?n . }`,
-		`SELECT ?a WHERE { ?a <http://news/about> ?x . }`,
+		`SELECT ?x WHERE { <http://news/a1> <http://news/about> ?x . }`,
+		`SELECT ?x WHERE { <http://news/a3> <http://news/about> ?x . }`,
+	}
+	uncached := copyOf(snap)
+	uncached.SetPlanCache(nil)
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		rs, err := uncached.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = canonicalResult(rs)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -155,8 +171,14 @@ func TestPlanCacheConcurrentQueries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := snap.Query(queries[(w+i)%len(queries)]); err != nil {
+				k := (w + i) % len(queries)
+				rs, err := snap.Query(queries[k])
+				if err != nil {
 					errs <- err
+					return
+				}
+				if got := canonicalResult(rs); got != want[k] {
+					errs <- fmt.Errorf("%s answered\n%s, want\n%s", queries[k], got, want[k])
 					return
 				}
 			}
@@ -171,8 +193,8 @@ func TestPlanCacheConcurrentQueries(t *testing.T) {
 	if hits+misses != 8*25 {
 		t.Fatalf("hits+misses = %d, want %d", hits+misses, 8*25)
 	}
-	if pc.Len() != len(queries) {
-		t.Fatalf("Len = %d, want %d", pc.Len(), len(queries))
+	if pc.Len() != 3 {
+		t.Fatalf("Len = %d, want the 3 shapes of %d texts", pc.Len(), len(queries))
 	}
 }
 
@@ -186,13 +208,14 @@ func TestPlanCacheDefaultCapacity(t *testing.T) {
 }
 
 // TestPlanCacheCapacityChurn hammers a tiny cache with more distinct
-// queries than it can hold; the bound must hold throughout.
+// query shapes than it can hold; the bound must hold throughout. The
+// texts differ in a variable's name, which is part of the shape.
 func TestPlanCacheCapacityChurn(t *testing.T) {
 	f, _, _ := newsWorld(t)
 	pc := NewPlanCache(3)
 	f.SetPlanCache(pc)
 	for i := 0; i < 20; i++ {
-		q := fmt.Sprintf(`SELECT ?p WHERE { ?p <http://kb/award> "A%d" . }`, i)
+		q := fmt.Sprintf(`SELECT ?p%d WHERE { ?p%d <http://kb/award> "A%d" . }`, i, i, i)
 		if _, err := f.Query(q); err != nil {
 			t.Fatal(err)
 		}

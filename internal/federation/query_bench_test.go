@@ -152,21 +152,22 @@ func joinShapeWorld(tb testing.TB, scale float64) (*Federator, map[string]string
 //   - cold: parsing and planning on every call.
 //   - warm: a pre-warmed plan cache, the steady state of alexd's
 //     /query loop.
-//   - sel, filter, wide: bench/e2e's three join_disk shapes, parsed and
-//     planned on every call as that workload's cyclic walk makes them
-//     (see joinShapeWorld). These rows explain the end-to-end
-//     federation.query_us.{sel,filter,wide}; they are not a figure of
-//     their own.
+//   - sel, filter, wide: bench/e2e's three join_disk shapes (see
+//     joinShapeWorld), two texts of each shape alternating through a
+//     plan cache as that workload's walk sends them: one plan per
+//     shape, each call binding its own text's constants. These rows
+//     explain the end-to-end federation.query_us.{sel,filter,wide};
+//     they are not a figure of their own.
 //
 // `make bench-query` records them as BENCH_query.json.
 func BenchmarkFederatedQuery(b *testing.B) {
 	f, query := benchFederation(b)
 
-	run := func(b *testing.B, fed *Federator, query string) {
+	run := func(b *testing.B, fed *Federator, queries ...string) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := fed.Query(query); err != nil {
+			if _, err := fed.Query(queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -190,9 +191,17 @@ func BenchmarkFederatedQuery(b *testing.B) {
 		scale = 0.1
 	}
 	shapes, texts := joinShapeWorld(b, scale)
+	cats := objectsOf(b, shapes, synth.P1Cat)
+	siblings := map[string]string{
+		"sel":    strings.Replace(texts["sel"], fmt.Sprintf("%q", cats[0]), fmt.Sprintf("%q", cats[1]), 1),
+		"filter": strings.Replace(texts["filter"], "LIMIT 20", "LIMIT 21", 1),
+		"wide":   strings.Replace(texts["wide"], "LIMIT 50", "LIMIT 51", 1),
+	}
 	for _, name := range []string{"sel", "filter", "wide"} {
 		b.Run(name, func(b *testing.B) {
-			run(b, shapes, texts[name])
+			fed := copyOf(shapes)
+			fed.SetPlanCache(NewPlanCache(16))
+			run(b, fed, texts[name], siblings[name])
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -439,5 +440,115 @@ func TestQueryAdmissionBackpressure(t *testing.T) {
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(res.Rows))
+	}
+}
+
+// TestFleetReadsDuringRepublication holds a fleet shard's published
+// snapshots immutable the way TestConcurrentQueriesDuringFeedback does
+// a standalone server's: readers ask every shard's /links, /healthz,
+// /metrics and /query for the whole run while peer manifests land and
+// the writer republishes, so under -race a write to a snapshot after
+// its publication — in the writer's repub case above all — races with
+// a read of it. A peer's manifest is pushed in by the test, from a boot
+// later than the real peer's, and its link set toggles each round, so
+// every round changes what the receiving shard serves. The repub-case
+// plant (the live snapshot's Published set before the writer publishes)
+// fails this test in every -race run.
+func TestFleetReadsDuringRepublication(t *testing.T) {
+	const n, rounds = 3, 40
+	_, clients, dict, initial := fleetWorld(t, n)
+	for _, c := range clients {
+		waitLinks(t, c, initial.Len())
+	}
+	// An IRI of the dictionary each shard's range owns, to stand as the
+	// E1 of the links its pushed manifests carry.
+	ranges := cluster.FleetRanges(n)
+	owned := make([]string, n)
+	for id := rdf.ID(1); int(id) <= dict.Len(); id++ {
+		if term := dict.Term(id); term.IsIRI() {
+			if k := cluster.OwnerOf(ranges, term.Value); owned[k] == "" {
+				owned[k] = term.Value
+			}
+		}
+	}
+	// Each shard receives the manifests of a peer that owns one.
+	sender := make([]int, n)
+	for i := range sender {
+		sender[i] = -1
+		for k := range owned {
+			if k != i && owned[k] != "" && sender[i] < 0 {
+				sender[i] = k
+			}
+		}
+		if sender[i] < 0 {
+			t.Fatalf("no peer of shard %d owns an IRI of the world", i)
+		}
+	}
+	before := make([]uint64, n)
+	for i, c := range clients {
+		h, err := c.Healthz()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[i] = h.SnapshotVersion
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for _, c := range clients {
+		readers.Add(1)
+		go func(c *Client) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.Links(); err != nil {
+					t.Errorf("links: %v", err)
+					return
+				}
+				if _, err := c.Healthz(); err != nil {
+					t.Errorf("healthz: %v", err)
+					return
+				}
+				if _, err := c.MetricsText(); err != nil {
+					t.Errorf("metrics: %v", err)
+					return
+				}
+				if _, err := c.Query(`SELECT ?n WHERE { <http://ds1/a1> <http://ds2/name> ?n . }`); err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+			}
+		}(c)
+	}
+
+	boot := time.Now().Add(time.Hour).UnixNano()
+	for r := 1; r <= rounds; r++ {
+		for i, c := range clients {
+			k := sender[i]
+			m := cluster.SnapshotManifest{ShardID: k, Range: ranges[k], Boot: boot, Version: uint64(r), Episode: r}
+			if r%2 == 1 {
+				m.Links = []cluster.LinkWire{{E1: owned[k], E2: "http://ds2/b1"}}
+			}
+			if _, err := c.ReplicaPush(context.Background(), m); err != nil {
+				t.Fatalf("round %d, push to shard %d: %v", r, i, err)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	readers.Wait()
+
+	for i, c := range clients {
+		h, err := c.Healthz()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.SnapshotVersion < before[i]+rounds/4 {
+			t.Errorf("shard %d republished %d times over %d changed manifests", i, h.SnapshotVersion-before[i], rounds)
+		}
 	}
 }

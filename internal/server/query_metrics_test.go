@@ -61,8 +61,8 @@ func TestQueryMetricsExposition(t *testing.T) {
 }
 
 // TestAdaptiveMetricsExposition drives /query and asserts the ranker's
-// observability surface: mid-query re-rankings, learned-plan hits, and
-// plan-cache evictions.
+// observability surface: mid-query re-rankings and plan-cache
+// evictions.
 func TestAdaptiveMetricsExposition(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
 	_, ts, client := newTestServer(t, sys, dict, sources, Config{
@@ -71,7 +71,7 @@ func TestAdaptiveMetricsExposition(t *testing.T) {
 	})
 
 	// Two stages => one re-ranking per evaluation; the second run of
-	// the same text starts from the cached plan's observations.
+	// the same text is served by the cached plan.
 	q := `SELECT ?l ?n WHERE {
 		<http://ds1/a1> <http://ds1/label> ?l .
 		<http://ds1/a1> <http://ds2/name> ?n .
@@ -85,7 +85,7 @@ func TestAdaptiveMetricsExposition(t *testing.T) {
 			t.Fatalf("rows = %d, want 1", len(res.Rows))
 		}
 	}
-	// A second query text overflows the single-entry cache.
+	// A second query shape overflows the single-entry cache.
 	if _, err := client.Query(`SELECT ?n WHERE { <http://ds1/a1> <http://ds2/name> ?n . }`); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,6 @@ func TestAdaptiveMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE alexd_replans_total counter",
 		"alexd_replans_total 2",
-		"# TYPE alexd_plan_learned_hits_total counter",
-		"alexd_plan_learned_hits_total 1",
 		"# TYPE alexd_plan_cache_evictions_total counter",
 		"alexd_plan_cache_evictions_total 1",
 	} {
@@ -114,8 +112,8 @@ func TestAdaptiveMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestQueryMetricsCacheDistinctQueries checks that distinct query texts
-// occupy distinct plan-cache entries.
+// TestQueryMetricsCacheDistinctQueries checks that query texts of
+// distinct shapes occupy distinct plan-cache entries.
 func TestQueryMetricsCacheDistinctQueries(t *testing.T) {
 	dict, sources, sys, _ := tinyWorld(t)
 	s, _, client := newTestServer(t, sys, dict, sources, Config{

@@ -121,9 +121,9 @@ type Config struct {
 	// Deprecated: nothing reads it. It remains until the end-to-end
 	// benchmark stops setting it.
 	Resilience federation.Resilience
-	// PlanCacheSize bounds the LRU cache of compiled query plans shared
-	// by all published snapshots; 0 or negative means
-	// federation.DefaultPlanCacheSize.
+	// PlanCacheSize bounds the LRU cache of compiled query plans, keyed
+	// by query shape and shared by all published snapshots; 0 or
+	// negative means federation.DefaultPlanCacheSize.
 	PlanCacheSize int
 	// MaxConcurrentQueries caps in-flight /query evaluations; excess
 	// requests wait for a slot until their deadline, then get 503 +
@@ -462,27 +462,22 @@ func (s *Server) registerMetrics() {
 	m.queryAdmissionDrops = s.reg.Counter("alexd_query_admission_drops_total", "Queries refused with 503 because no evaluation slot freed up in time.")
 	m.queryRows = s.reg.Counter("alexd_query_rows_total", "Answer rows returned across all queries.")
 	m.queryDuration = s.reg.Histogram("alexd_query_duration_seconds", "Query evaluation latency; a query stopped at its deadline counts with the time at which it stopped.", nil)
-	s.reg.CounterFunc("alexd_plan_cache_hits_total", "Queries served from a cached plan.", func() uint64 {
+	s.reg.CounterFunc("alexd_plan_cache_hits_total", "Queries served from a cached plan (plans are keyed by query shape).", func() uint64 {
 		hits, _ := s.plans.Stats()
 		return hits
 	})
-	s.reg.CounterFunc("alexd_plan_cache_misses_total", "Queries that required parsing and planning.", func() uint64 {
+	s.reg.CounterFunc("alexd_plan_cache_misses_total", "Queries whose shape had no cached plan, so they were parsed and planned.", func() uint64 {
 		_, misses := s.plans.Stats()
 		return misses
 	})
-	s.reg.CounterFunc("alexd_plan_cache_evictions_total", "Compiled plans (and their learned cardinalities) evicted by the LRU bound.", func() uint64 {
+	s.reg.CounterFunc("alexd_plan_cache_evictions_total", "Compiled plans, keyed by query shape, evicted by the LRU bound.", func() uint64 {
 		return s.plans.Evictions()
 	})
-	s.reg.GaugeFunc("alexd_plan_cache_entries", "Compiled plans currently cached.", func() float64 {
+	s.reg.GaugeFunc("alexd_plan_cache_entries", "Compiled plans currently cached, keyed by query shape.", func() float64 {
 		return float64(s.plans.Len())
 	})
 	s.reg.CounterFunc("alexd_replans_total", "Mid-query re-rankings of the patterns a group had still to run.", func() uint64 {
-		replans, _ := s.base.AdaptiveStats()
-		return replans
-	})
-	s.reg.CounterFunc("alexd_plan_learned_hits_total", "Queries that started with usable learned cardinalities from their cached plan.", func() uint64 {
-		_, hits := s.base.AdaptiveStats()
-		return hits
+		return s.base.AdaptiveStats()
 	})
 	m.feedbackQueued = s.reg.Counter("alexd_feedback_total", "Answer-level feedback items accepted into the queue.")
 	m.feedbackThrottled = s.reg.Counter("alexd_feedback_throttled_total", "Feedback items refused with 429 (queue full).")

@@ -10,6 +10,9 @@ type Node struct {
 	IsVar bool
 	Var   string
 	Term  rdf.Term
+	// Lift is where a parsed constant came from among the text's
+	// constants (see Shape); zero for a node no constant built.
+	Lift Lift
 }
 
 // VarNode returns a variable node.
@@ -72,6 +75,10 @@ type Query struct {
 	Limit    int // -1 when absent
 	Offset   int
 	Prefixes map[string]string
+
+	// limitLift and offsetLift say which of the text's constants the
+	// LIMIT and OFFSET counts are (see Limits).
+	limitLift, offsetLift Lift
 }
 
 // Expr is a FILTER expression.

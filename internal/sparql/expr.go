@@ -29,7 +29,12 @@ func mustParseFloat(s string) float64 {
 	return f
 }
 
-type constExpr struct{ v Value }
+// constExpr is a constant of a FILTER; lift says which of the text's
+// constants it is, if it is one (see BindExpr).
+type constExpr struct {
+	v    Value
+	lift Lift
+}
 
 func (e *constExpr) Eval(Binding) (Value, error) { return e.v, nil }
 func (e *constExpr) ExprVars() []string          { return nil }

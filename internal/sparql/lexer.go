@@ -48,6 +48,9 @@ type token struct {
 	kind tokenKind
 	text string
 	pos  int
+	// ord numbers the token among the text's constants (see Shape); -1
+	// when it is not one.
+	ord int32
 }
 
 func (t token) String() string {
@@ -57,26 +60,46 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "WHERE": true, "PREFIX": true, "DISTINCT": true,
-	"FILTER": true, "OPTIONAL": true, "UNION": true, "ORDER": true,
-	"BY": true, "ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true,
-	"TRUE": true, "FALSE": true,
-}
-
+// lexer hands out a text's tokens one at a time. A string token's text
+// is what stands between its quotes, escapes still in it: lex decodes
+// it, Shape.Scan keeps it as it is.
 type lexer struct {
-	in   string
-	pos  int
-	toks []token
+	in  string
+	pos int
+	// body is set once the first '{' has passed: the WHERE clause has
+	// begun, and from there on every IRI, string, number and language
+	// tag is a constant, numbered in text order by consts.
+	body   bool
+	consts int32
 }
 
+// lex returns every token of in, strings decoded, ending with tokEOF.
 func lex(in string) ([]token, error) {
 	l := &lexer{in: in}
+	var toks []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		if t.kind == tokString {
+			t.text = unescape(t.text)
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
+// next returns the next token, tokEOF at the end of the input. It
+// allocates only to report an error or to upper-case a keyword written
+// in lower case.
+func (l *lexer) next() (token, error) {
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.in) {
-			l.emit(tokEOF, "", l.pos)
-			return l.toks, nil
+			return l.tok(tokEOF, "", l.pos), nil
 		}
 		start := l.pos
 		c := l.in[l.pos]
@@ -85,121 +108,128 @@ func lex(in string) ([]token, error) {
 			// '<' starts an IRI only if a '>' follows before whitespace;
 			// otherwise it is the less-than operator.
 			if end := iriEnd(l.in[l.pos:]); end > 0 {
-				l.emit(tokIRI, l.in[l.pos+1:l.pos+end], start)
 				l.pos += end + 1
-			} else if l.peekAt(1) == '=' {
-				l.pos += 2
-				l.emit(tokLte, "<=", start)
-			} else {
-				l.pos++
-				l.emit(tokLt, "<", start)
+				return l.tok(tokIRI, l.in[start+1:start+end], start), nil
 			}
+			if l.peekAt(1) == '=' {
+				l.pos += 2
+				return l.tok(tokLte, "<=", start), nil
+			}
+			l.pos++
+			return l.tok(tokLt, "<", start), nil
 		case c == '?' || c == '$':
 			l.pos++
 			name := l.ident()
 			if name == "" {
-				return nil, fmt.Errorf("sparql: empty variable name at offset %d", start)
+				return token{}, fmt.Errorf("sparql: empty variable name at offset %d", start)
 			}
-			l.emit(tokVar, name, start)
+			return l.tok(tokVar, name, start), nil
 		case c == '"':
 			s, err := l.stringLit()
 			if err != nil {
-				return nil, err
+				return token{}, err
 			}
-			l.emit(tokString, s, start)
+			return l.tok(tokString, s, start), nil
 		case c == '@':
 			l.pos++
 			tag := l.ident()
 			if tag == "" {
-				return nil, fmt.Errorf("sparql: empty language tag at offset %d", start)
+				return token{}, fmt.Errorf("sparql: empty language tag at offset %d", start)
 			}
-			l.emit(tokLangTag, tag, start)
+			return l.tok(tokLangTag, tag, start), nil
 		case c >= '0' && c <= '9' || (c == '-' || c == '+') && l.pos+1 < len(l.in) && l.in[l.pos+1] >= '0' && l.in[l.pos+1] <= '9':
-			l.emit(tokNumber, l.number(), start)
-		case c == '{':
-			l.pos++
-			l.emit(tokLBrace, "{", start)
-		case c == '}':
-			l.pos++
-			l.emit(tokRBrace, "}", start)
-		case c == '(':
-			l.pos++
-			l.emit(tokLParen, "(", start)
-		case c == ')':
-			l.pos++
-			l.emit(tokRParen, ")", start)
-		case c == '.':
-			l.pos++
-			l.emit(tokDot, ".", start)
-		case c == ';':
-			l.pos++
-			l.emit(tokSemicolon, ";", start)
-		case c == ',':
-			l.pos++
-			l.emit(tokComma, ",", start)
-		case c == '*':
-			l.pos++
-			l.emit(tokStar, "*", start)
-		case c == '=':
-			l.pos++
-			l.emit(tokEq, "=", start)
-		case c == '!':
-			if l.peekAt(1) == '=' {
-				l.pos += 2
-				l.emit(tokNeq, "!=", start)
-			} else {
-				l.pos++
-				l.emit(tokNot, "!", start)
-			}
-		case c == '>':
-			if l.peekAt(1) == '=' {
-				l.pos += 2
-				l.emit(tokGte, ">=", start)
-			} else {
-				l.pos++
-				l.emit(tokGt, ">", start)
-			}
-		case c == '&':
-			if l.peekAt(1) != '&' {
-				return nil, fmt.Errorf("sparql: stray '&' at offset %d", start)
-			}
-			l.pos += 2
-			l.emit(tokAnd, "&&", start)
-		case c == '|':
-			if l.peekAt(1) != '|' {
-				return nil, fmt.Errorf("sparql: stray '|' at offset %d", start)
-			}
-			l.pos += 2
-			l.emit(tokOr, "||", start)
-		case c == '^':
-			if l.peekAt(1) != '^' {
-				return nil, fmt.Errorf("sparql: stray '^' at offset %d", start)
-			}
-			l.pos += 2
-			l.emit(tokDTSep, "^^", start)
+			return l.tok(tokNumber, l.number(), start), nil
 		case c == '#':
 			for l.pos < len(l.in) && l.in[l.pos] != '\n' {
 				l.pos++
 			}
+			continue
+		}
+		if k, n := punct(l.in[l.pos:]); n > 0 {
+			l.pos += n
+			return l.tok(k, l.in[start:l.pos], start), nil
+		}
+		switch c {
+		case '&', '|', '^':
+			return token{}, fmt.Errorf("sparql: stray '%c' at offset %d", c, start)
+		}
+		word := l.pnameOrKeyword()
+		switch {
+		case word == "":
+			return token{}, fmt.Errorf("sparql: unexpected character %q at offset %d", c, start)
+		case word == "a":
+			return l.tok(tokA, "a", start), nil
+		case strings.Contains(word, ":"):
+			return l.tok(tokPName, word, start), nil
 		default:
-			word := l.pnameOrKeyword()
-			if word == "" {
-				return nil, fmt.Errorf("sparql: unexpected character %q at offset %d", c, start)
-			}
-			upper := strings.ToUpper(word)
-			switch {
-			case word == "a":
-				l.emit(tokA, "a", start)
-			case keywords[upper] && !strings.Contains(word, ":"):
-				l.emit(tokKeyword, upper, start)
-			case strings.Contains(word, ":"):
-				l.emit(tokPName, word, start)
-			default:
-				// bare word that is not a keyword: treat as function name
-				l.emit(tokKeyword, upper, start)
-			}
+			// A keyword, or a bare word that is not one: a function name.
+			return l.tok(tokKeyword, strings.ToUpper(word), start), nil
 		}
 	}
+}
+
+// punct returns the operator or punctuation token s starts with, n 0
+// when it starts with none.
+func punct(s string) (k tokenKind, n int) {
+	two := len(s) > 1
+	switch s[0] {
+	case '{':
+		return tokLBrace, 1
+	case '}':
+		return tokRBrace, 1
+	case '(':
+		return tokLParen, 1
+	case ')':
+		return tokRParen, 1
+	case '.':
+		return tokDot, 1
+	case ';':
+		return tokSemicolon, 1
+	case ',':
+		return tokComma, 1
+	case '*':
+		return tokStar, 1
+	case '=':
+		return tokEq, 1
+	case '!':
+		if two && s[1] == '=' {
+			return tokNeq, 2
+		}
+		return tokNot, 1
+	case '>':
+		if two && s[1] == '=' {
+			return tokGte, 2
+		}
+		return tokGt, 1
+	case '&':
+		if two && s[1] == '&' {
+			return tokAnd, 2
+		}
+	case '|':
+		if two && s[1] == '|' {
+			return tokOr, 2
+		}
+	case '^':
+		if two && s[1] == '^' {
+			return tokDTSep, 2
+		}
+	}
+	return 0, 0
+}
+
+// tok makes the token at pos, numbering it if it is a constant.
+func (l *lexer) tok(k tokenKind, text string, pos int) token {
+	t := token{kind: k, text: text, pos: pos, ord: -1}
+	switch k {
+	case tokLBrace:
+		l.body = true
+	case tokIRI, tokString, tokNumber, tokLangTag:
+		if l.body {
+			t.ord = l.consts
+			l.consts++
+		}
+	}
+	return t
 }
 
 // iriEnd returns the index of the closing '>' if s (starting with '<')
@@ -214,10 +244,6 @@ func iriEnd(s string) int {
 		}
 	}
 	return 0
-}
-
-func (l *lexer) emit(k tokenKind, text string, pos int) {
-	l.toks = append(l.toks, token{kind: k, text: text, pos: pos})
 }
 
 func (l *lexer) skipSpace() {
@@ -290,40 +316,63 @@ func (l *lexer) number() string {
 	return l.in[start:l.pos]
 }
 
+// stringLit reads a string literal and returns what stands between its
+// quotes, escapes checked but not decoded.
 func (l *lexer) stringLit() (string, error) {
 	l.pos++ // opening quote
-	var b strings.Builder
+	start := l.pos
 	for {
 		if l.pos >= len(l.in) {
 			return "", fmt.Errorf("sparql: unterminated string")
 		}
-		c := l.in[l.pos]
-		if c == '"' {
+		switch l.in[l.pos] {
+		case '"':
 			l.pos++
-			return b.String(), nil
-		}
-		if c == '\\' {
+			return l.in[start : l.pos-1], nil
+		case '\\':
 			if l.pos+1 >= len(l.in) {
 				return "", fmt.Errorf("sparql: dangling escape in string")
 			}
-			switch l.in[l.pos+1] {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
+			if unescapeByte(l.in[l.pos+1]) == 0 {
 				return "", fmt.Errorf("sparql: invalid escape \\%c", l.in[l.pos+1])
 			}
 			l.pos += 2
+		default:
+			l.pos++
+		}
+	}
+}
+
+// unescapeByte returns the byte the escape \c stands for, 0 when it is
+// not an escape.
+func unescapeByte(c byte) byte {
+	switch c {
+	case 'n':
+		return '\n'
+	case 't':
+		return '\t'
+	case 'r':
+		return '\r'
+	case '"', '\\':
+		return c
+	}
+	return 0
+}
+
+// unescape decodes a string literal's text as stringLit returned it.
+// Only a text with an escape in it is copied.
+func unescape(raw string) string {
+	if strings.IndexByte(raw, '\\') < 0 {
+		return raw
+	}
+	var b strings.Builder
+	for i := 0; i < len(raw); i++ {
+		if raw[i] == '\\' {
+			i++
+			b.WriteByte(unescapeByte(raw[i]))
 			continue
 		}
-		b.WriteByte(c)
-		l.pos++
+		b.WriteByte(raw[i])
 	}
+	return b.String()
 }

@@ -122,7 +122,7 @@ func (p *parser) query() (*Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			q.Limit = atoiStrict(n.text)
+			q.Limit, q.limitLift = atoiStrict(n.text), lift(liftNumber, n)
 			if q.Limit < 0 {
 				return nil, fmt.Errorf("sparql: invalid LIMIT %q", n.text)
 			}
@@ -132,7 +132,7 @@ func (p *parser) query() (*Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			q.Offset = atoiStrict(n.text)
+			q.Offset, q.offsetLift = atoiStrict(n.text), lift(liftNumber, n)
 			if q.Offset < 0 {
 				return nil, fmt.Errorf("sparql: invalid OFFSET %q", n.text)
 			}
@@ -296,13 +296,15 @@ func (p *parser) triplesSameSubject(g *GroupGraphPattern) error {
 }
 
 // node parses a variable, IRI, prefixed name, 'a', literal, or number.
+// A constant of the text becomes its term through constTerm, the
+// constructor Lift.Term binds another text's constants with.
 func (p *parser) node() (Node, error) {
 	t := p.next()
 	switch t.kind {
 	case tokVar:
 		return VarNode(t.text), nil
 	case tokIRI:
-		return TermNode(rdf.IRI(t.text)), nil
+		return constNode(liftIRI, t, ""), nil
 	case tokA:
 		return TermNode(rdf.IRI(rdf.RDFType)), nil
 	case tokPName:
@@ -312,26 +314,21 @@ func (p *parser) node() (Node, error) {
 		}
 		return TermNode(rdf.IRI(iri)), nil
 	case tokString:
-		lex := t.text
 		switch p.cur().kind {
 		case tokLangTag:
-			tag := p.next().text
-			return TermNode(rdf.LangLiteral(lex, tag)), nil
+			return constNode(liftLang, t, p.next().text), nil
 		case tokDTSep:
 			p.next()
 			dt, err := p.expect(tokIRI, "datatype IRI")
 			if err != nil {
 				return Node{}, err
 			}
-			return TermNode(rdf.TypedLiteral(lex, dt.text)), nil
+			return constNode(liftTyped, t, dt.text), nil
 		default:
-			return TermNode(rdf.Literal(lex)), nil
+			return constNode(liftString, t, ""), nil
 		}
 	case tokNumber:
-		if strings.Contains(t.text, ".") {
-			return TermNode(rdf.TypedLiteral(t.text, rdf.XSDDecimal)), nil
-		}
-		return TermNode(rdf.TypedLiteral(t.text, rdf.XSDInteger)), nil
+		return constNode(liftNumber, t, ""), nil
 	case tokKeyword:
 		if t.text == "TRUE" || t.text == "FALSE" {
 			return TermNode(rdf.TypedLiteral(strings.ToLower(t.text), rdf.XSDBoolean)), nil
@@ -340,6 +337,12 @@ func (p *parser) node() (Node, error) {
 	default:
 		return Node{}, fmt.Errorf("sparql: unexpected %s in triple pattern", t)
 	}
+}
+
+// constNode is the node of a constant token t; extra is a string's
+// language tag or datatype IRI.
+func constNode(form liftForm, t token, extra string) Node {
+	return Node{Term: constTerm(form, t.text, extra), Lift: lift(form, t)}
 }
 
 func (p *parser) expandPName(pname string) (string, error) {
@@ -473,13 +476,13 @@ func (p *parser) unary() (Expr, error) {
 				return nil, err
 			}
 		}
-		return &constExpr{v: Value{Kind: ValString, Str: t.text}}, nil
+		return constExprOf(liftString, t), nil
 	case tokNumber:
 		p.next()
-		return &constExpr{v: Value{Kind: ValNumber, Num: mustParseFloat(t.text)}}, nil
+		return constExprOf(liftNumber, t), nil
 	case tokIRI:
 		p.next()
-		return &constExpr{v: Value{Kind: ValTerm, Term: rdf.IRI(t.text)}}, nil
+		return constExprOf(liftIRI, t), nil
 	case tokPName:
 		p.next()
 		iri, err := p.expandPName(t.text)
@@ -498,6 +501,12 @@ func (p *parser) unary() (Expr, error) {
 	default:
 		return nil, fmt.Errorf("sparql: unexpected %s in expression", t)
 	}
+}
+
+// constExprOf is the FILTER constant of token t, made by constValue,
+// which BindExpr binds another text's constants with.
+func constExprOf(form liftForm, t token) Expr {
+	return &constExpr{v: constValue(form, t.text), lift: lift(form, t)}
 }
 
 func (p *parser) funcCall() (Expr, error) {
