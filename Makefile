@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet verify fmt fmt-check bench bench-space bench-query bench-store bench-e2e-check fleet-smoke clean
+.PHONY: all build test race vet verify fmt fmt-check bench bench-space bench-query bench-store bench-publish bench-e2e-check fleet-smoke clean
 
 # BENCH_CPUS is the -cpu list of the scaling benchmarks: 1,2,4,8 cut
 # off at the host's core count. A row above it measures goroutines
@@ -45,10 +45,10 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# bench re-records the three BENCH files. The paper's figures are
+# bench re-records the four BENCH files. The paper's figures are
 # `go run ./cmd/alexbench -exp all` (bounded by ./internal/experiments'
 # tests); the serving numbers are bench/e2e/run.sh.
-bench: bench-space bench-query bench-store
+bench: bench-space bench-query bench-store bench-publish
 
 # bench-space runs the feature-space construction scaling benchmark
 # (-cpu rows are the parallel speedup curve) and records the results as
@@ -81,6 +81,15 @@ bench-store:
 	$(GO) test -run '^$$' -bench '^BenchmarkSegmentStore$$' -benchmem \
 		./internal/store | \
 		$(GO) run ./cmd/benchjson -out BENCH_store.json
+
+# bench-publish runs the episode-boundary benchmark through the
+# writer's path: BeginEpisode, 100 rejections, FinishEpisode and the
+# publication of the next snapshot from the previous one, at 10k and
+# 100k candidates. Results land in BENCH_publish.json.
+bench-publish:
+	$(GO) test -run '^$$' -bench '^BenchmarkEpisodeBoundary$$' -benchmem \
+		./internal/server | \
+		$(GO) run ./cmd/benchjson -out BENCH_publish.json
 
 # fleet-smoke boots 3 alexd shards plus an alexrouter out-of-process,
 # sends curl lookups and one approval per owner through the router,

@@ -73,6 +73,13 @@ type partition struct {
 	// blacklisted counts the votes marked blacklisted.
 	blacklisted int
 
+	// epWas and drainWas hold each link's membership before its first
+	// change since a mark: BeginEpisode for epWas, the last drain for
+	// drainWas. A nil map marks nothing, which is the state New and
+	// Restore leave.
+	epWas    map[links.Link]bool
+	drainWas map[links.Link]bool
+
 	// episode counters
 	explored     int
 	explorations int
@@ -109,6 +116,7 @@ func (p *partition) addCandidate(l links.Link, gen *group) bool {
 	if _, ok := p.cands[l]; ok {
 		return false
 	}
+	p.noteChange(l, false)
 	p.cands[l] = candInfo{gen: gen, slot: len(p.order)}
 	p.order = append(p.order, l)
 	return true
@@ -118,9 +126,56 @@ func (p *partition) removeCandidate(l links.Link) bool {
 	if _, ok := p.cands[l]; !ok {
 		return false
 	}
+	p.noteChange(l, true)
 	delete(p.cands, l)
 	p.dead++
 	return true
+}
+
+// noteChange records was, l's membership before the change under way,
+// if it is l's first change since each mark.
+func (p *partition) noteChange(l links.Link, was bool) {
+	for _, rec := range [...]map[links.Link]bool{p.epWas, p.drainWas} {
+		if _, seen := rec[l]; rec != nil && !seen {
+			rec[l] = was
+		}
+	}
+}
+
+// episodeChanges counts the links whose membership differs from the
+// one epWas recorded: the links the candidate set gained or lost since
+// BeginEpisode.
+func (p *partition) episodeChanges() int {
+	n := 0
+	for l, in := range p.epWas {
+		if _, now := p.cands[l]; now != in {
+			n++
+		}
+	}
+	return n
+}
+
+// drain appends the links the candidate set gained and lost since the
+// last drain to added and removed, and starts the next interval. The
+// first drain after New or Restore has no record, and appends every
+// candidate as gained.
+func (p *partition) drain(added, removed []links.Link) ([]links.Link, []links.Link) {
+	if p.drainWas == nil {
+		for l := range p.cands {
+			added = append(added, l)
+		}
+	}
+	for l, was := range p.drainWas {
+		if _, now := p.cands[l]; now && !was {
+			added = append(added, l)
+		} else if !now && was {
+			removed = append(removed, l)
+		}
+	}
+	// A fresh record rather than a cleared one: a flood's record would
+	// otherwise keep its size for the life of the process.
+	p.drainWas = make(map[links.Link]bool)
+	return added, removed
 }
 
 // sample draws a uniformly random current candidate (§7.1). It retries

@@ -80,7 +80,7 @@ func (s *System) Restore(r io.Reader) error {
 	s.ep, s.relaxedAt = int(snap.ep), int(snap.relaxedAt)
 	s.rng.seek(snap.samplerPos)
 	s.unchanged = 0
-	s.prevCands = nil
+	s.epBase = -1
 	return nil
 }
 
@@ -237,6 +237,7 @@ func (p *partition) install(st partState) {
 			p.blacklisted++
 		}
 	}
+	p.epWas, p.drainWas = nil, nil
 	p.ctrl.Import(st.table)
 	p.rng.seek(st.pos)
 	p.resetEpisodeCounters()

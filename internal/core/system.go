@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"alex/internal/feature"
 	"alex/internal/feedback"
@@ -18,9 +19,12 @@ type System struct {
 	rng    *stream        // the feedback sampler's draws
 	ep     int
 
-	relaxedAt int       // first episode with <relaxedDelta change; 0 = not yet
-	unchanged int       // consecutive episodes that left the candidate set as it was
-	prevCands links.Set // candidate snapshot from BeginEpisode
+	relaxedAt int // first episode with <relaxedDelta change; 0 = not yet
+	unchanged int // consecutive episodes that left the candidate set as it was
+	// epBase is |C| at BeginEpisode, whose changes every partition's
+	// epWas records; -1 before the first BeginEpisode since New or
+	// Restore, when an episode is measured from the empty set.
+	epBase int
 }
 
 // EpisodeStats summarizes one feedback episode.
@@ -77,6 +81,7 @@ func New(g1, g2 store.TripleStore, entities1, entities2 []rdf.ID, initial []link
 		cfg:    cfg,
 		partOf: make(map[rdf.ID]int, len(entities1)),
 		rng:    newStream(cfg.Seed),
+		epBase: -1,
 	}
 	partEnts := feature.PartitionRoundRobin(entities1, cfg.Partitions)
 	for pi, ents := range partEnts {
@@ -109,7 +114,7 @@ func (s *System) partitionOf(l links.Link) int {
 
 // Candidates returns the current candidate link set across partitions.
 func (s *System) Candidates() links.Set {
-	out := links.NewSet()
+	out := make(links.Set, s.CandidateCount())
 	for _, p := range s.parts {
 		for l := range p.cands {
 			out.Add(l)
@@ -146,7 +151,7 @@ func (s *System) SpaceSize() (filtered, total int) {
 // PartitionCandidates returns the candidate set of one partition, for
 // the per-partition views of Figure 7.
 func (s *System) PartitionCandidates(pi int) links.Set {
-	out := links.NewSet()
+	out := make(links.Set, len(s.parts[pi].cands))
 	for l := range s.parts[pi].cands {
 		out.Add(l)
 	}
@@ -181,15 +186,31 @@ func (s *System) sampleCandidate() (links.Link, int, bool) {
 	return links.Link{}, 0, false
 }
 
-// BeginEpisode snapshots the candidate set for convergence accounting
-// and resets the per-episode counters. RunEpisode calls it implicitly;
-// a driver whose feedback arrives from outside (internal/server's
-// writer) calls the episode phases explicitly.
+// BeginEpisode marks the candidate set for convergence accounting —
+// from here every partition records the links that change — and resets
+// the per-episode counters. RunEpisode calls it implicitly; a driver
+// whose feedback arrives from outside (internal/server's writer) calls
+// the episode phases explicitly.
 func (s *System) BeginEpisode() {
-	s.prevCands = s.Candidates()
+	s.epBase = s.CandidateCount()
 	for _, p := range s.parts {
+		p.epWas = make(map[links.Link]bool)
 		p.resetEpisodeCounters()
 	}
+}
+
+// Changes returns the links the candidate set gained and lost since
+// the previous call, each in (E1, E2) order. The first call after New
+// or Restore returns every candidate as gained: the changes from the
+// empty set. A publisher that starts from the empty set and applies
+// every call's changes holds the candidate set.
+func (s *System) Changes() (added, removed []links.Link) {
+	for _, p := range s.parts {
+		added, removed = p.drain(added, removed)
+	}
+	slices.SortFunc(added, links.Link.Compare)
+	slices.SortFunc(removed, links.Link.Compare)
+	return added, removed
 }
 
 // SampleCandidate draws a uniformly random current candidate link, as
@@ -217,16 +238,16 @@ func (s *System) FinishEpisode() EpisodeStats {
 	}
 	s.ep++
 
-	prev := s.prevCands
-	if prev == nil {
-		prev = links.NewSet()
+	// |C_prev Δ C_now| is the count of links whose membership differs
+	// from the one recorded at their first change since BeginEpisode.
+	changed, denom := s.CandidateCount(), 1 // from the empty set
+	if s.epBase >= 0 {
+		changed, denom = 0, max(s.epBase, 1)
+		for _, p := range s.parts {
+			changed += p.episodeChanges()
+		}
 	}
-	now := s.Candidates()
-	denom := prev.Len()
-	if denom == 0 {
-		denom = 1
-	}
-	st.ChangedFrac = float64(prev.SymmetricDiff(now)) / float64(denom)
+	st.ChangedFrac = float64(changed) / float64(denom)
 	if s.relaxedAt == 0 && st.ChangedFrac < relaxedDelta {
 		s.relaxedAt = s.ep
 	}

@@ -183,7 +183,7 @@ func (f *Federator) Sources() []Source { return f.sources }
 // Federator across goroutines must not call it concurrently with Query —
 // use WithLinks to publish an immutable snapshot instead.
 func (f *Federator) SetLinks(ls links.Set) {
-	f.same = buildSameAs(f.dict, ls)
+	f.same = buildSameAs(f.dict, ls.Slice())
 	f.linkCount = ls.Len()
 }
 
@@ -194,14 +194,19 @@ func (f *Federator) SetLinks(ls links.Set) {
 // only the sameAs edge index is fresh. The returned Federator is a
 // snapshot: treat it as immutable after publication — never call
 // SetLinks or AddSource on it — and concurrent Query calls are then
-// safe without locking. This is the read path of the alexd
-// single-writer architecture.
-func (f *Federator) WithLinks(ls links.Set) *Federator {
+// safe without locking.
+func (f *Federator) WithLinks(ls links.Set) *Federator { return f.WithSortedLinks(ls.Slice()) }
+
+// WithSortedLinks is WithLinks over the set's links in (E1, E2) order,
+// as links.Set.Slice returns them, for a caller that keeps the set
+// sorted and need not sort it again. sorted is read, not retained.
+// This is the read path of the alexd single-writer architecture.
+func (f *Federator) WithSortedLinks(sorted []links.Link) *Federator {
 	return &Federator{
 		dict:        f.dict,
 		sources:     f.sources,
-		same:        buildSameAs(f.dict, ls),
-		linkCount:   ls.Len(),
+		same:        buildSameAs(f.dict, sorted),
+		linkCount:   len(sorted),
 		predSources: f.predSources,
 		plans:       f.plans,
 		replans:     f.replans,
@@ -209,18 +214,17 @@ func (f *Federator) WithLinks(ls links.Set) *Federator {
 	}
 }
 
-// buildSameAs indexes the link set by endpoint, in ls.Slice order, so
-// each ID's edges (and with them row and provenance order) follow the
-// sorted links. Only IRIs resolve through sameAs, so only endpoints that
-// are IRIs get edges; that is decided here, once per link set, so that
-// evaluation can go from a bound ID to its equivalents without looking
-// at the term. The offsets cost 4 bytes per ID up to the largest linked
-// one.
-func buildSameAs(d *rdf.Dict, ls links.Set) sameAs {
+// buildSameAs indexes the links by endpoint, in their (E1, E2) order,
+// so each ID's edges (and with them row and provenance order) follow
+// the sorted links. Only IRIs resolve through sameAs, so only endpoints
+// that are IRIs get edges; that is decided here, once per link set, so
+// that evaluation can go from a bound ID to its equivalents without
+// looking at the term. The offsets cost 4 bytes per ID up to the
+// largest linked one.
+func buildSameAs(d *rdf.Dict, sorted []links.Link) sameAs {
 	isIRI := func(id rdf.ID) bool {
 		return id != rdf.NoID && int(id) <= d.Len() && d.Term(id).IsIRI()
 	}
-	sorted := ls.Slice()
 	top := 0
 	for _, l := range sorted {
 		top = max(top, int(l.E1), int(l.E2))

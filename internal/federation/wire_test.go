@@ -19,17 +19,26 @@ import (
 )
 
 // fixedLinks is a server.Engine that serves one link set and learns
-// nothing.
-type fixedLinks struct{ ls links.Set }
+// nothing: its first Changes are the whole set, and later ones empty.
+type fixedLinks struct {
+	ls      links.Set
+	drained bool
+}
 
-func (fixedLinks) BeginEpisode()                    {}
-func (fixedLinks) Feedback(links.Link, bool)        {}
-func (fixedLinks) FinishEpisode() core.EpisodeStats { return core.EpisodeStats{} }
-func (e fixedLinks) Candidates() links.Set          { return e.ls }
-func (e fixedLinks) CandidateCount() int            { return e.ls.Len() }
-func (fixedLinks) Episode() int                     { return 0 }
-func (fixedLinks) Save(io.Writer) error             { return nil }
-func (fixedLinks) Restore(io.Reader) error          { return nil }
+func (*fixedLinks) BeginEpisode()                    {}
+func (*fixedLinks) Feedback(links.Link, bool)        {}
+func (*fixedLinks) FinishEpisode() core.EpisodeStats { return core.EpisodeStats{} }
+func (*fixedLinks) Episode() int                     { return 0 }
+func (*fixedLinks) Save(io.Writer) error             { return nil }
+func (*fixedLinks) Restore(io.Reader) error          { return nil }
+
+func (e *fixedLinks) Changes() (added, removed []links.Link) {
+	if e.drained {
+		return nil, nil
+	}
+	e.drained = true
+	return e.ls.Slice(), nil
+}
 
 // reference is the /query response as it was built before the handler
 // wrote it from ID rows: the decoded ResultSet copied into the wire
@@ -154,7 +163,7 @@ func TestWireEquivalence(t *testing.T) {
 	worlds := append(federation.GoldenWorlds(t), awkwardWorld(t))
 	cases, withLinks := 0, 0
 	for _, w := range worlds {
-		srv, err := server.New(fixedLinks{w.Links}, w.Dict, w.Sources, server.Config{})
+		srv, err := server.New(&fixedLinks{ls: w.Links}, w.Dict, w.Sources, server.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

@@ -91,6 +91,33 @@ func (s Set) Slice() []Link {
 	return out
 }
 
+// Merge returns sorted with removed taken out and added put in, in
+// (E1, E2) order. All three must be in that order; added must hold no
+// link of sorted and removed only links of sorted. sorted is not
+// modified. The result is a new slice, except that it is sorted itself
+// when there is no change, and added itself when sorted is empty.
+func Merge(sorted, added, removed []Link) []Link {
+	switch {
+	case len(added) == 0 && len(removed) == 0:
+		return sorted
+	case len(sorted) == 0:
+		return added
+	}
+	out := make([]Link, 0, len(sorted)+len(added)-len(removed))
+	for _, l := range sorted {
+		for len(added) > 0 && added[0].Compare(l) < 0 {
+			out = append(out, added[0])
+			added = added[1:]
+		}
+		if len(removed) > 0 && removed[0] == l {
+			removed = removed[1:]
+			continue
+		}
+		out = append(out, l)
+	}
+	return append(out, added...)
+}
+
 // Intersection returns |s ∩ other|.
 func (s Set) Intersection(other Set) int {
 	small, large := s, other

@@ -1,6 +1,7 @@
 package links
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -96,6 +97,37 @@ func TestSymmetricDiffProperty(t *testing.T) {
 		return d1 == manual
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: merging B's changes from A into A's sorted slice gives B's
+// sorted slice, and leaves A's slice as it was.
+func TestMergeProperty(t *testing.T) {
+	f := func(xs, ys []uint16) bool {
+		a, b := NewSet(), NewSet()
+		for _, x := range xs {
+			a.Add(l(uint32(x%50), uint32(x/50%50)))
+		}
+		for _, y := range ys {
+			b.Add(l(uint32(y%50), uint32(y/50%50)))
+		}
+		var added, removed []Link
+		for _, x := range b.Slice() {
+			if !a.Has(x) {
+				added = append(added, x)
+			}
+		}
+		for _, x := range a.Slice() {
+			if !b.Has(x) {
+				removed = append(removed, x)
+			}
+		}
+		prev := a.Slice()
+		got := Merge(prev, added, removed)
+		return slices.Equal(got, b.Slice()) && slices.Equal(prev, a.Slice())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

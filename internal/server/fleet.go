@@ -46,6 +46,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"alex/internal/cluster"
@@ -105,6 +106,7 @@ func (s *Server) initFleet(fc *FleetConfig) error {
 	s.boot = time.Now().UnixNano()
 	s.ranges = cluster.FleetRanges(c.Shards)
 	s.peerSets = make(map[int]peerState)
+	s.w.folded = make(map[int]peerState)
 	s.peerClients = make(map[int]*Client)
 	s.kick = make(chan struct{}, 1)
 	s.repub = make(chan struct{}, 1)
@@ -123,7 +125,7 @@ func (s *Server) registerFleetMetrics() {
 		return float64(s.fleet.ShardID)
 	})
 	s.reg.GaugeFunc("alexd_shard_own_links", "Candidate links of this shard's own partition.", func() float64 {
-		return float64(s.Snapshot().Own.Len())
+		return float64(len(s.Snapshot().Own))
 	})
 	for id := 0; id < s.fleet.Shards; id++ {
 		if id == s.fleet.ShardID {
@@ -247,7 +249,7 @@ func (s *Server) Manifest() cluster.SnapshotManifest {
 		Episode: snap.Episode,
 		Version: snap.Version,
 	}
-	for _, l := range snap.Own.Slice() {
+	for _, l := range snap.Own {
 		m.Links = append(m.Links, cluster.LinkWire{
 			E1: s.dict.Term(l.E1).Value,
 			E2: s.dict.Term(l.E2).Value,
@@ -321,25 +323,46 @@ func (s *Server) applyManifest(m cluster.SnapshotManifest) (bool, error) {
 	return true, nil
 }
 
-// peerUnion folds the newest accepted peer manifests into own,
-// returning the full served link set (own itself when there are no
-// peers, so standalone publication pays nothing).
-func (s *Server) peerUnion(own links.Set) links.Set {
-	if s.fleet == nil {
-		return own
-	}
+// peerChanges returns the served set's changes since the last
+// publication: the own changes given, plus each peer's manifest diff
+// against the one that publication folded in. Own and peer links are
+// disjoint — a shard serves as its own only links whose E1 its range
+// holds, and applyManifest refuses a peer link outside the sender's —
+// so the two add up. Both results are sorted; when no peer changed,
+// they are the arguments themselves.
+func (s *Server) peerChanges(added, removed []links.Link) ([]links.Link, []links.Link) {
+	var peerAdded, peerRemoved []links.Link
 	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	if len(s.peerSets) == 0 {
-		return own
-	}
-	full := own.Clone()
-	for _, ps := range s.peerSets {
-		for l := range ps.links {
-			full.Add(l)
+	for id, ps := range s.peerSets {
+		was, ok := s.w.folded[id]
+		if ok && ps.boot == was.boot && ps.version == was.version {
+			continue
 		}
+		for l := range ps.links {
+			if !was.links.Has(l) {
+				peerAdded = append(peerAdded, l)
+			}
+		}
+		for l := range was.links {
+			if !ps.links.Has(l) {
+				peerRemoved = append(peerRemoved, l)
+			}
+		}
+		s.w.folded[id] = ps
 	}
-	return full
+	s.peerMu.Unlock()
+	return withSorted(added, peerAdded), withSorted(removed, peerRemoved)
+}
+
+// withSorted returns the links of a, which is sorted, and b in (E1, E2)
+// order, in a new slice unless b is empty.
+func withSorted(a, b []links.Link) []links.Link {
+	if len(b) == 0 {
+		return a
+	}
+	out := slices.Concat(a, b)
+	slices.SortFunc(out, links.Link.Compare)
+	return out
 }
 
 // peerHealth reports the newest accepted manifest per peer, for

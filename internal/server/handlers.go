@@ -351,7 +351,7 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "ntriples" {
 		w.Header().Set("Content-Type", "application/n-triples")
 		sameAs := rdf.IRI(rdf.OWLSameAs)
-		for _, l := range snap.Links.Slice() {
+		for _, l := range snap.Sorted {
 			fmt.Fprintf(w, "%s\n", rdf.Triple{S: s.dict.Term(l.E1), P: sameAs, O: s.dict.Term(l.E2)})
 		}
 		return
@@ -362,7 +362,7 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 		Count:           snap.Links.Len(),
 		Links:           make([]LinkJSON, 0, snap.Links.Len()),
 	}
-	for _, l := range snap.Links.Slice() {
+	for _, l := range snap.Sorted {
 		out.Links = append(out.Links, LinkJSON{E1: s.dict.Term(l.E1).Value, E2: s.dict.Term(l.E2).Value})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -410,7 +410,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Range:      rng,
 			RangeText:  rng.String(),
 			OwnEpisode: snap.Episode,
-			OwnLinks:   snap.Own.Len(),
+			OwnLinks:   len(snap.Own),
 			Peers:      s.peerHealth(),
 		}
 	}

@@ -10,11 +10,17 @@
 // One rule ends an episode: EpisodeSize link items, or graceful
 // shutdown. Journal replay batches by the same count, so a recovered
 // server is the run that never crashed. The writer publishes an
-// immutable Snapshot — the candidate link set plus a Federator frozen
-// over it — through an atomic.Pointer after every episode, and every
-// FlushInterval if feedback arrived since the last publication, so a
-// rejection leaves the served links promptly without closing the open
-// episode.
+// immutable Snapshot — the candidate link set, its links kept sorted,
+// and a Federator frozen over them — through an atomic.Pointer after
+// every episode, and every FlushInterval if feedback arrived since the
+// last publication, so a rejection leaves the served links promptly
+// without closing the open episode. A publication is built from the
+// previous one: the engine hands over the links it gained and lost
+// since (Engine.Changes), sorted, and the writer merges them into the
+// previous snapshot's sorted slice, builds the set at its size from
+// the result and indexes it for sameAs without sorting again. Only the
+// first publication, in New, starts from the empty snapshot, with the
+// whole set as its changes.
 // Query handlers load the current snapshot and evaluate against it
 // without taking any lock, so readers never block on feedback
 // processing and never observe a half-updated link set. A snapshot is
@@ -72,14 +78,15 @@ import (
 
 // Engine is the feedback-consuming side of the writer goroutine.
 // *core.System satisfies it; tests substitute slow or instrumented
-// implementations. Save and Restore are the full-state checkpoint
-// (core/snapshot.go).
+// implementations. Changes hands each publication the candidate set's
+// changes since the last one, sorted, and the whole set as gained at
+// the first call after construction or Restore (core.System.Changes).
+// Save and Restore are the full-state checkpoint (core/snapshot.go).
 type Engine interface {
 	BeginEpisode()
 	Feedback(l links.Link, positive bool)
 	FinishEpisode() core.EpisodeStats
-	Candidates() links.Set
-	CandidateCount() int
+	Changes() (added, removed []links.Link)
 	Episode() int
 	Save(w io.Writer) error
 	Restore(r io.Reader) error
@@ -186,16 +193,18 @@ func (c Config) withDefaults() Config {
 }
 
 // Snapshot is one published, immutable view of the link set: queries
-// evaluate against Fed, /links serves Links. Both are frozen at
-// publication time. On a fleet shard, Links is the FULL served set
-// (own partition ∪ newest peer manifests) while Own is the shard's
-// authoritative slice — what it replicates out; Episode is always the
-// local engine's episode (peer manifests republish without advancing
-// it). Standalone, Own aliases Links.
+// evaluate against Fed, /links serves Sorted, which holds the links of
+// Links in (E1, E2) order. All are frozen at publication time, and the
+// next publication merges its changes into Sorted. On a fleet shard,
+// Links is the FULL served set (own partition ∪ newest peer manifests)
+// while Own, sorted too, is the shard's authoritative slice — what it
+// replicates out; Episode is always the local engine's episode (peer
+// manifests republish without advancing it). Standalone, Own is Sorted.
 type Snapshot struct {
 	Fed       *federation.Federator
 	Links     links.Set
-	Own       links.Set
+	Sorted    []links.Link
+	Own       []links.Link
 	Version   uint64
 	Episode   int
 	Published time.Time
@@ -291,6 +300,9 @@ type writerState struct {
 	applied   uint64    // journal seq of the newest applied item
 	ckptSeq   uint64    // journal seq covered by the last checkpoint
 	replaying bool      // suppress per-episode publication during replay
+	// folded holds, per peer, the manifest the last publication served
+	// (fleet only).
+	folded map[int]peerState
 }
 
 type serverMetrics struct {
@@ -533,23 +545,40 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // instruments next to the server's.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// publish builds a fresh immutable snapshot, the next version, from
-// the engine's current candidate set — unioned with the newest peer
-// manifests on a fleet shard, so reads are always full. Writer-goroutine
-// only (plus from New, before the writer starts).
+// publish builds the next immutable snapshot from the previous one:
+// the engine's changes since the last publication — on a fleet shard
+// with those of the peer manifests accepted since, so reads are always
+// full — merged into the previous snapshot's sorted links, from which
+// the set and the sameAs index are built. New's first publication
+// starts from the empty snapshot, and the engine's first changes are
+// its whole set. Writer-goroutine only (plus from New, before the
+// writer starts).
 func (s *Server) publish() {
-	own := s.eng.Candidates()
-	served := s.peerUnion(own)
-	s.w.version++
-	s.w.stale = false
-	s.snap.Store(&Snapshot{
-		Fed:       s.base.WithLinks(served),
-		Links:     served,
-		Own:       own,
-		Version:   s.w.version,
+	prev := s.snap.Load()
+	if prev == nil {
+		prev = &Snapshot{}
+	}
+	added, removed := s.eng.Changes()
+	next := &Snapshot{
+		Own:       links.Merge(prev.Own, added, removed),
 		Episode:   s.eng.Episode(),
 		Published: time.Now(),
-	})
+	}
+	next.Sorted = next.Own
+	if s.fleet != nil {
+		added, removed = s.peerChanges(added, removed)
+		next.Sorted = links.Merge(prev.Sorted, added, removed)
+	}
+	if prev.Fed != nil && len(added) == 0 && len(removed) == 0 {
+		next.Links, next.Fed = prev.Links, prev.Fed
+	} else {
+		next.Links = links.NewSet(next.Sorted...)
+		next.Fed = s.base.WithSortedLinks(next.Sorted)
+	}
+	s.w.version++
+	s.w.stale = false
+	next.Version = s.w.version
+	s.snap.Store(next)
 }
 
 // applyItem feeds one answer-level item into the engine, bracketing
