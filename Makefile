@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` is the full pre-commit gate:
 # tier-1 (build + test) plus vet and the race detector. `go test ./...`
-# includes TestTreeLintsClean, which runs the syncerr analyzer
-# (internal/analysis) over the whole module.
+# includes TestTreeLintsClean, which runs the syncerr check
+# (internal/analysis, one package) over the whole module.
 
 GO ?= go
 

@@ -1,10 +1,3 @@
-// The package loader behind the analyzers. One `go list -deps -export`
-// call resolves the patterns and compiles export data for their whole
-// import graph into the build cache. The target packages are then
-// parsed and typechecked from source; everything they import, module
-// packages and the standard library alike, is imported from that export
-// data. Everything runs offline — the module has no external
-// dependencies.
 package analysis
 
 import (
@@ -30,7 +23,7 @@ type Package struct {
 	Info  *types.Info
 }
 
-// listedPkg is the subset of `go list -json` output the loader reads.
+// listedPkg is the subset of `go list -json` output Load reads.
 type listedPkg struct {
 	Dir        string
 	ImportPath string
@@ -40,48 +33,39 @@ type listedPkg struct {
 	Error      *struct{ Err string }
 }
 
-const listFields = "-json=ImportPath,Export,Dir,GoFiles,DepOnly,Error"
-
-func goList(dir string, args ...string) ([]listedPkg, error) {
-	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+// Load resolves patterns with the go tool (relative to dir; "" means
+// the current directory) and returns the packages they match, parsed
+// and typechecked from source. One `go list -deps -export` call
+// compiles export data for their whole import graph into the build
+// cache; their imports, module packages and the standard library
+// alike, are read from it. Everything runs offline — the module has no
+// external dependencies.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export,Dir,GoFiles,DepOnly,Error"}, patterns...)
+	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %w\n%s", args, err, stderr.String())
+		return nil, fmt.Errorf("go list %v: %w\n%s", patterns, err, stderr.String())
 	}
-	var pkgs []listedPkg
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
+	var graph []listedPkg
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		var p listedPkg
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("go list %v: decoding output: %w", args, err)
+			return nil, fmt.Errorf("go list %v: decoding output: %w", patterns, err)
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// Load resolves patterns with the go tool (relative to dir; "" means
-// the current directory) and returns the packages they match, parsed
-// and typechecked from source. Their imports come from the export data
-// the same go list call compiles.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	graph, err := goList(dir, append([]string{"-deps", "-export", listFields}, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(graph))
-	for _, p := range graph {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
+		graph = append(graph, p)
 	}
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -122,10 +106,5 @@ func typecheck(fset *token.FileSet, imp types.Importer, p listedPkg) (*Package, 
 	if _, err := conf.Check(p.ImportPath, fset, files, info); err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
 	}
-	return &Package{
-		Path:  p.ImportPath,
-		Fset:  fset,
-		Files: files,
-		Info:  info,
-	}, nil
+	return &Package{Path: p.ImportPath, Fset: fset, Files: files, Info: info}, nil
 }

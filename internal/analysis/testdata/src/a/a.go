@@ -1,6 +1,6 @@
-// Fixture a: the dropped-error shapes PR 2 actually shipped in
-// internal/wal (bare Close on the scan path, bare Close in repair and
-// checkpoint) plus a deferred close of a writable handle.
+// Fixture a: the dropped-error shapes the first journal actually
+// shipped in internal/wal (bare Close on the scan path, bare Close in
+// repair and checkpoint) plus a deferred close of a writable handle.
 package a
 
 import (
@@ -18,7 +18,7 @@ type log struct {
 // closed with its error dropped.
 func scanShape(l *log, rc io.ReadCloser) ([]byte, error) {
 	data, err := io.ReadAll(rc)
-	rc.Close() // want `discarded error from rc.Close\(\)`
+	rc.Close() // want discarded error from rc.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -28,7 +28,7 @@ func scanShape(l *log, rc io.ReadCloser) ([]byte, error) {
 // repairShape is wal.(*Log).repair before the fix: the append handle
 // closed bare before truncating back to the record boundary.
 func repairShape(l *log, path string, size int64) {
-	l.f.Close() // want `discarded error from l.f.Close\(\)`
+	l.f.Close() // want discarded error from l.f.Close()
 	if err := l.fs.Truncate(path, size); err != nil {
 		return
 	}
@@ -37,8 +37,8 @@ func repairShape(l *log, path string, size int64) {
 // checkpointShape is wal.(*Log).Checkpoint before the fix: the journal
 // handle closed bare before the reset, plus a dropped Sync.
 func checkpointShape(l *log, f wal.File) error {
-	f.Sync()    // want `discarded error from f.Sync\(\)`
-	l.f.Close() // want `discarded error from l.f.Close\(\)`
+	f.Sync()    // want discarded error from f.Sync()
+	l.f.Close() // want discarded error from l.f.Close()
 	nf, err := l.fs.Create("journal")
 	if err != nil {
 		return err
@@ -54,7 +54,7 @@ func deferredWritable(fs wal.FS) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close() // want `deferred f.Close\(\) on a writable file`
+	defer f.Close() // want deferred f.Close() on a writable file
 	_, err = f.Write([]byte("state"))
 	return err
 }
@@ -63,6 +63,6 @@ func deferredWritable(fs wal.FS) error {
 // statement is still a drop.
 func insideDefer(f wal.File) {
 	defer func() {
-		f.Close() // want `discarded error from f.Close\(\)`
+		f.Close() // want discarded error from f.Close()
 	}()
 }

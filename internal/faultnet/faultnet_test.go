@@ -200,3 +200,39 @@ func TestTransportSlowBody(t *testing.T) {
 		t.Fatalf("slow body arrived in %s", elapsed)
 	}
 }
+
+// closeFails is a response body that reads whole and then fails to
+// close.
+type closeFails struct{ io.Reader }
+
+var errBodyClose = errors.New("body close failed")
+
+func (closeFails) Close() error { return errBodyClose }
+
+type upstreamFunc func(*http.Request) (*http.Response, error)
+
+func (f upstreamFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestSlowBodyReturnsCloseError: a slow-loris body passes on the
+// wrapped body's Close error, so a chaos drill cannot hide a failed
+// close behind the fault it injects.
+func TestSlowBodyReturnsCloseError(t *testing.T) {
+	tr := New(6, upstreamFunc(func(req *http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Body: closeFails{strings.NewReader("answer")}, Request: req}, nil
+	}))
+	tr.SetFaults("", Faults{SlowBody: time.Millisecond})
+	req, err := http.NewRequest(http.MethodGet, "http://shard/query", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := tr.RoundTrip(req)
+	if err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	if data, err := io.ReadAll(resp.Body); err != nil || string(data) != "answer" {
+		t.Fatalf("read %q, %v; want the whole body", data, err)
+	}
+	if err := resp.Body.Close(); !errors.Is(err, errBodyClose) {
+		t.Fatalf("slow body's Close returned %v, want %v", err, errBodyClose)
+	}
+}

@@ -9,7 +9,7 @@
 // after construction, which makes it safe to share across concurrent
 // queries and across WithLinks snapshots, and therefore cacheable: the
 // cache keys it by the shape of its text (plancache.go), and an
-// evaluation binds the constants of its own text (evalCtx.bind).
+// evaluation binds the constants of its own text (Federator.bindConsts).
 package federation
 
 import (

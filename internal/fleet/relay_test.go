@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -83,5 +84,50 @@ func TestRoutedQueryAllocs(t *testing.T) {
 	pin := 27 + raceAllocs
 	if got := testing.AllocsPerRun(200, serve) - harness; got != float64(pin) {
 		t.Errorf("a routed query allocates %v times in the router, want %d", got, pin)
+	}
+}
+
+// closeFails is a response body that reads whole and then fails to
+// close.
+type closeFails struct{ io.Reader }
+
+var errBodyClose = errors.New("body close failed")
+
+func (closeFails) Close() error { return errBodyClose }
+
+// closeFailingShards answers like stubShards, but every /query body
+// fails to close; unsized leaves its length unsaid.
+type closeFailingShards struct{ unsized bool }
+
+func (c closeFailingShards) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := stubShards{}.RoundTrip(req)
+	if err == nil && req.URL.Path == "/query" {
+		resp.Body = closeFails{resp.Body}
+		if c.unsized {
+			resp.ContentLength = -1
+		}
+	}
+	return resp, err
+}
+
+// TestRelayReturnsBodyCloseError: a shard answer whose body reads whole
+// but fails to close is a failed exchange, read by length or to EOF, so
+// the router answers 502 with the close error and relays no bytes.
+func TestRelayReturnsBodyCloseError(t *testing.T) {
+	for _, unsized := range []bool{false, true} {
+		r, err := New(Config{
+			Shards:         []string{"shard-0:1"},
+			HealthInterval: time.Hour,
+			Transport:      closeFailingShards{unsized},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"query":"ASK { ?s ?p ?o . }"}`)))
+		r.Close()
+		if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), errBodyClose.Error()) {
+			t.Errorf("unsized=%v: router answered %d %s, want 502 with %q", unsized, rec.Code, rec.Body.Bytes(), errBodyClose)
+		}
 	}
 }

@@ -27,17 +27,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket histogram of observations (seconds, by
 // convention). Buckets are cumulative in the exported format, as
 // Prometheus expects.
@@ -80,38 +69,11 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile returns an upper-bound estimate of the q-quantile (q in
-// [0,1]) from the bucket counts: the upper bound of the bucket the
-// quantile falls in, or the largest finite bound for the overflow
-// bucket. Zero observations yield 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
 	kindCounterFunc
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -125,7 +87,6 @@ type metric struct {
 	kind      metricKind
 	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 }
@@ -171,13 +132,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(metric{name: name, help: help, kind: kindCounterFunc, counterFn: fn})
 }
 
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(metric{name: name, help: help, kind: kindGauge, gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(metric{name: name, help: help, kind: kindGaugeFunc, gaugeFn: fn})
@@ -220,8 +174,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s %d\n", sample, m.counter.Value())
 			case kindCounterFunc:
 				fmt.Fprintf(w, "%s %d\n", sample, m.counterFn())
-			case kindGauge:
-				fmt.Fprintf(w, "%s %s\n", sample, formatFloat(m.gauge.Value()))
 			case kindGaugeFunc:
 				fmt.Fprintf(w, "%s %s\n", sample, formatFloat(m.gaugeFn()))
 			}
@@ -232,8 +184,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, sample, m.counter.Value())
 		case kindCounterFunc:
 			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, sample, m.counterFn())
-		case kindGauge:
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", m.name, sample, formatFloat(m.gauge.Value()))
 		case kindGaugeFunc:
 			fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", m.name, sample, formatFloat(m.gaugeFn()))
 		case kindHistogram:

@@ -9,12 +9,11 @@ import (
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_requests_total", "Requests.")
-	g := r.Gauge("test_depth", "Depth.")
+	r.GaugeFunc("test_depth", "Depth.", func() float64 { return 2.5 })
 	r.GaugeFunc("test_version", "Version.", func() float64 { return 7 })
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1})
 
 	c.Add(3)
-	g.Set(2.5)
 	// Binary-exact observations keep the _sum line deterministic.
 	h.Observe(0.0625) // bucket le=0.1
 	h.Observe(0.5)    // bucket le=1
@@ -51,28 +50,6 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r.Counter("dup", "y")
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{0.01, 0.1, 1})
-	if q := h.Quantile(0.5); q != 0 {
-		t.Fatalf("empty quantile = %v", q)
-	}
-	for i := 0; i < 90; i++ {
-		h.Observe(0.005) // le=0.01
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5) // le=1
-	}
-	if q := h.Quantile(0.5); q != 0.01 {
-		t.Fatalf("p50 = %v, want 0.01", q)
-	}
-	if q := h.Quantile(0.99); q != 1 {
-		t.Fatalf("p99 = %v, want 1", q)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
 }
 
 func TestInstrumentsConcurrentSafety(t *testing.T) {

@@ -24,8 +24,8 @@
 // Query handlers load the current snapshot and evaluate against it
 // without taking any lock, so readers never block on feedback
 // processing and never observe a half-updated link set. A snapshot is
-// never mutated after publication (federation.Federator.WithLinks
-// enforces the frozen read path).
+// never mutated after publication (federation.Federator.WithSortedLinks,
+// which publish calls, enforces the frozen read path).
 //
 // Durability: with a data directory configured, every accepted feedback
 // item is appended to a write-ahead journal and fsynced BEFORE the 202
