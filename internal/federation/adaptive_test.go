@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"alex/internal/rdf"
 	"alex/internal/sparql"
@@ -69,7 +70,7 @@ func TestFreshPlanRunsPlanTimeOrder(t *testing.T) {
 	}
 	p := f.planQuery(q, nil)
 	fed, traces := traceOf(f)
-	rs, err := fed.evalPlan(context.Background(), p, nil)
+	rs, err := fed.evalPlan(context.Background(), time.Time{}, p, nil, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +101,11 @@ func TestFreshPlanRunsPlanTimeOrder(t *testing.T) {
 // sparql.Result cost before Finalize stopped at ID rows and the closure
 // a stage handed to the row fan-out (26 at ba58ad9 with this test's
 // body), less the per-source availability state every evaluation set up
-// until sources stopped being probed (23 then, 21 after), and less the
+// until sources stopped being probed (23 then, 21 after), less the
 // starting row's provenance slot, which lives in the evaluation state
-// since plans are keyed by shape (20).
+// since plans are keyed by shape (20), and less all the evaluation's
+// own memory, which a Scratch recycles (8: what is left is the decoded
+// ResultSet, its rows, binding and link set).
 func TestSinglePatternGroupObservesNothing(t *testing.T) {
 	f, _ := joinShapeWorld(t, 0.1)
 	fed := copyOf(f)
@@ -110,17 +113,14 @@ func TestSinglePatternGroupObservesNothing(t *testing.T) {
 	query := "SELECT ?n WHERE { <http://ds1.example.org/resource/E0> <" + synth.P2Name.Value + "> ?n . }"
 	// joinShapeWorld ran the join shapes through the same counter.
 	replans0 := fed.AdaptiveStats()
-	// One row across one link; also warms the plan cache.
-	if rs, err := fed.Query(query); err != nil || len(rs.Rows) != 1 || rs.Rows[0].Used.Len() != 1 {
-		t.Fatalf("rows %v, err %v; want one row across one link", rs, err)
+	// One row across one link; also warms the plan cache and sc.
+	sc := new(Scratch)
+	if rs := decodeIn(t, fed, sc, query); len(rs.Rows) != 1 || rs.Rows[0].Used.Len() != 1 {
+		t.Fatalf("rows %v; want one row across one link", rs)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := fed.Query(query); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 20 {
-		t.Errorf("a warm lookup allocates %v times, want 20", allocs)
+	allocs := testing.AllocsPerRun(100, func() { decodeIn(t, fed, sc, query) })
+	if allocs != 8 {
+		t.Errorf("a warm lookup allocates %v times, want 8", allocs)
 	}
 	if replans := fed.AdaptiveStats(); replans != replans0 {
 		t.Errorf("lookups counted %d rankings, want none", replans-replans0)
@@ -214,12 +214,12 @@ func TestReplanDeterminism(t *testing.T) {
 			for rep := 0; rep < 20; rep++ {
 				p := f.planQuery(q, nil)
 				fed, traces := traceOf(f)
-				ec := newEvalCtx(context.Background(), p)
+				ec := &new(Scratch).ec
+				start := ec.begin(context.Background(), time.Time{}, p)
 				for sid, c := range tc.seen {
 					ec.stats[sid] = c
 				}
-				w := len(p.vars)
-				fed.evalGroup(ec, p.root, rowset{w: w, ids: make([]rdf.ID, w), used: ec.root[:]})
+				fed.evalGroup(ec, p.root, start)
 				if !reflect.DeepEqual(*traces, tc.want) {
 					t.Fatalf("rep %d: executed %v, want %v", rep, *traces, tc.want)
 				}

@@ -12,24 +12,26 @@ import (
 // chain of every solution the executor produced. Two renderers read it.
 // ResultSet decodes it into maps and link sets for library callers;
 // internal/server writes JSON from Term and Links and never builds
-// either. An Answer is not safe for concurrent use.
+// either. An Answer lives in the Scratch it was evaluated in, and is
+// not safe for concurrent use.
 type Answer struct {
 	sparql.Projection
 
-	// used[i] is the provenance of input solution i — the index space
-	// of Projection.Members, not of the surviving rows.
-	used []*links.Frozen
+	// prov[i] is the provenance chain, in arena, of input solution i —
+	// the index space of Projection.Members, not of the surviving rows.
+	prov  []int32
+	arena provArena
 	// groupLinks[groupStart[g]:groupStart[g+1]] is group g's provenance,
 	// sorted and distinct; built by the first Links call.
 	groupLinks []links.Link
 	groupStart []int32
 }
 
-// ResultSet decodes the answer. A row answers for every solution that
-// projects onto its ID tuple, kept or not: their provenance is merged,
-// and rows with one tuple share one set.
+// ResultSet decodes the answer into memory of its own. A row answers
+// for every solution that projects onto its ID tuple, kept or not:
+// their provenance is merged, and rows with one tuple share one set.
 func (a *Answer) ResultSet() *ResultSet {
-	out := &ResultSet{Vars: a.Vars, Ask: a.Ask}
+	out := &ResultSet{Vars: slices.Clone(a.Vars), Ask: a.Ask}
 	if a.Len() == 0 {
 		return out
 	}
@@ -38,12 +40,7 @@ func (a *Answer) ResultSet() *ResultSet {
 	for k := range out.Rows {
 		g := a.Group[k]
 		if sets[g] == nil {
-			members := a.Members[g]
-			u := a.used[members[0]].Set()
-			for _, i := range members[1:] {
-				a.used[i].AddTo(u)
-			}
-			sets[g] = u
+			sets[g] = links.NewSet(a.Links(k)...)
 		}
 		out.Rows[k] = Row{Binding: a.Binding(k), Used: sets[g]}
 	}
@@ -54,7 +51,7 @@ func (a *Answer) ResultSet() *ResultSet {
 // what ResultSet().Rows[k].Used.Slice() holds, without the set. The
 // slice belongs to the answer; rows of one group share it.
 func (a *Answer) Links(k int) []links.Link {
-	if a.groupStart == nil {
+	if len(a.groupStart) == 0 {
 		a.buildGroupLinks()
 	}
 	g := a.Group[k]
@@ -63,15 +60,15 @@ func (a *Answer) Links(k int) []links.Link {
 
 // buildGroupLinks flattens every group's chains into one array.
 func (a *Answer) buildGroupLinks() {
-	a.groupStart = make([]int32, len(a.Members)+1)
-	for g, members := range a.Members {
+	a.groupStart = append(a.groupStart[:0], 0)
+	for _, members := range a.Members {
 		base := len(a.groupLinks)
 		for _, i := range members {
-			a.groupLinks = a.used[i].AppendTo(a.groupLinks)
+			a.groupLinks = a.arena.appendTo(a.groupLinks, a.prov[i])
 		}
 		seg := a.groupLinks[base:]
 		slices.SortFunc(seg, links.Link.Compare)
 		a.groupLinks = a.groupLinks[:base+len(slices.Compact(seg))]
-		a.groupStart[g+1] = int32(len(a.groupLinks))
+		a.groupStart = append(a.groupStart, int32(len(a.groupLinks)))
 	}
 }

@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"alex/internal/links"
@@ -55,4 +57,23 @@ func GoldenWorlds(t *testing.T) []GoldenWorld {
 		}
 	}
 	return out
+}
+
+// JoinShapeWorld is the world of bench/e2e's join_disk workload on the
+// disk backend, cut down: its three join shapes, a sibling of each that
+// a shape-keyed plan serves with other constants, and sameAs lookups of
+// a dozen entities, each a query of its own.
+func JoinShapeWorld(t *testing.T) GoldenWorld {
+	t.Helper()
+	f, texts := joinShapeWorld(t, 0.1)
+	f = diskTwin(t, f)
+	queries := map[string]string{}
+	sibling := strings.NewReplacer("LIMIT 50", "LIMIT 7", "LIMIT 20", "LIMIT 3", "ORDER BY ?l ?e ?n ?b ?h", "ORDER BY ?l ?e ?n ?b ?h LIMIT 9")
+	for name, text := range texts {
+		queries[name], queries[name+"-sibling"] = text, sibling.Replace(text)
+	}
+	for e := 0; e < 12; e++ {
+		queries[fmt.Sprintf("lookup-E%d", e)] = fmt.Sprintf("SELECT ?n WHERE { <http://ds1.example.org/resource/E%d> <%s> ?n . }", e, synth.P2Name.Value)
+	}
+	return GoldenWorld{Name: "join-shapes/disk", Dict: f.dict, Sources: f.sources, Links: installedLinks(f), Queries: queries}
 }

@@ -23,13 +23,15 @@
 //
 // From scan to LIMIT a row is dictionary IDs: a fixed-width run of
 // rdf.ID in a stage's block (rowset), extended by copying those few
-// words and writing the slots a match binds, plus a persistent
-// links.Frozen chain for the sameAs links crossed. The stores hand out
-// IDs and take IDs, so matching never hashes a term; a FILTER is shown
-// a scratch binding of just the variables it reads. sparql.Finalize
+// words and writing the slots a match binds, plus an int32 naming its
+// chain of crossed sameAs links in a provenance arena. The stores hand
+// out IDs and take IDs, so matching never hashes a term; a FILTER is
+// shown a binding of just the variables it reads. sparql's Finalize
 // projects, orders and cuts on the same IDs, and the evaluation ends
 // there, in an Answer (answer.go): the surviving rows as a projection
-// over the ID rows, and every solution's provenance chain. Decoding is
+// over the ID rows, and every solution's provenance chain. Blocks,
+// arena, Finalize's tables and the Answer live in a Scratch that the
+// caller hands in and the next evaluation reuses (evalctx.go). Decoding is
 // the renderer's business. A library caller gets the public ResultSet —
 // a Binding map and a links.Set per row — from Answer.ResultSet;
 // internal/server writes its JSON from Answer.Term and Answer.Links and
@@ -43,6 +45,7 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"alex/internal/links"
 	"alex/internal/rdf"
@@ -275,9 +278,12 @@ func (f *Federator) Query(query string) (*ResultSet, error) {
 // evaluation, which returns ctx's error, and no answer, within one
 // check interval of ctx being done (evalCtx.cancelled). When a plan
 // cache is installed (SetPlanCache), a text whose shape was planned
-// before skips the parser and the compiler.
+// before skips the parser and the compiler. The evaluation runs in a
+// pooled Scratch, which goes back once the answer is decoded.
 func (f *Federator) QueryContext(ctx context.Context, query string) (*ResultSet, error) {
-	a, err := f.evalText(ctx, query)
+	sc := scratches.Get().(*Scratch)
+	defer putScratch(sc)
+	a, err := f.EvaluateIn(ctx, time.Time{}, query, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -285,24 +291,23 @@ func (f *Federator) QueryContext(ctx context.Context, query string) (*ResultSet,
 }
 
 // Evaluate is QueryContext stopping short of the decode: the answer
-// stays in dictionary-ID form for a caller that renders it itself.
+// stays in dictionary-ID form for a caller that renders it itself, in a
+// Scratch of its own.
 func (f *Federator) Evaluate(ctx context.Context, query string) (*Answer, error) {
-	a, err := f.evalText(ctx, query)
-	if err != nil {
-		return nil, err
-	}
-	return &a, nil
+	return f.EvaluateIn(ctx, time.Time{}, query, new(Scratch))
 }
 
-// evalText evaluates a query text. With a plan cache installed the
-// text's shape is its key: on a hit the cached plan runs with the
-// text's own constants bound, on a miss the text is parsed and planned
-// and the plan cached. Parse failures are returned, not cached:
-// malformed queries are cheap to re-reject and must not evict useful
-// plans. A hit whose LIMIT or OFFSET is no count is parsed too, for
-// the parser's error, and caches nothing. The shape is made in stack
-// buffers, which a longer text outgrows onto the heap.
-func (f *Federator) evalText(ctx context.Context, query string) (Answer, error) {
+// EvaluateIn is Evaluate in sc, where the answer lives until sc
+// evaluates again, stopping at ctx's end or at deadline (zero: ctx's
+// alone); past the deadline it returns context.DeadlineExceeded. With
+// a plan cache installed the text's shape is its key: on a hit the
+// cached plan runs with the text's own constants bound, on a miss the
+// text is parsed and planned and the plan cached. Parse failures are
+// returned, not cached: malformed queries are cheap to re-reject and
+// must not evict useful plans. A hit whose LIMIT or OFFSET is no count
+// is parsed too, for the parser's error, and caches nothing. The shape
+// is made in stack buffers, which a longer text outgrows onto the heap.
+func (f *Federator) EvaluateIn(ctx context.Context, deadline time.Time, query string, sc *Scratch) (*Answer, error) {
 	var consts []string
 	var key []byte
 	if f.plans != nil {
@@ -312,102 +317,112 @@ func (f *Federator) evalText(ctx context.Context, query string) (Answer, error) 
 			if p := f.plans.get(s.Key); p == nil {
 				consts, key = s.Consts, s.Key
 			} else if _, _, ok := p.q.Limits(s.Consts); ok {
-				return f.evalPlan(ctx, p, s.Consts)
+				return f.evalPlan(ctx, deadline, p, s.Consts, sc)
 			}
 		}
 	}
 	q, err := sparql.Parse(query)
 	if err != nil {
-		return Answer{}, err
+		return nil, err
 	}
 	// consts may live in constBuf, which the cached plan outlives.
 	p := f.planQuery(q, slices.Clone(consts))
 	if key != nil {
 		f.plans.put(string(key), p)
 	}
-	return f.evalPlan(ctx, p, nil)
+	return f.evalPlan(ctx, deadline, p, nil, sc)
 }
 
 // EvalContext evaluates a parsed query across the federation. The
 // query is planned on every call — the plan cache only applies to
 // QueryContext, which has the query text to key it by.
 func (f *Federator) EvalContext(ctx context.Context, q *sparql.Query) (*ResultSet, error) {
-	a, err := f.evalPlan(ctx, f.planQuery(q, nil), nil)
+	sc := scratches.Get().(*Scratch)
+	defer putScratch(sc)
+	a, err := f.evalPlan(ctx, time.Time{}, f.planQuery(q, nil), nil, sc)
 	if err != nil {
 		return nil, err
 	}
 	return a.ResultSet(), nil
 }
 
-// evalPlan runs a compiled plan with consts, the constants of the text
-// being answered (nil: the plan's own), bound (bindConsts): evaluate
-// the pattern tree and finalize through the sparql engine — still on
-// IDs. An evaluation whose context is done by then returns the
-// context's error instead and finalizes nothing.
-func (f *Federator) evalPlan(ctx context.Context, p *plan, consts []string) (Answer, error) {
+// evalPlan runs a compiled plan in sc with consts, the constants of the
+// text being answered (nil: the plan's own), bound (bindConsts):
+// evaluate the pattern tree and finalize through the sparql engine —
+// still on IDs. A stopped evaluation returns why and finalizes nothing.
+func (f *Federator) evalPlan(ctx context.Context, deadline time.Time, p *plan, consts []string, sc *Scratch) (*Answer, error) {
 	if len(f.sources) == 0 {
-		return Answer{}, fmt.Errorf("federation: no sources registered")
+		return nil, fmt.Errorf("federation: no sources registered")
 	}
-	ec := newEvalCtx(ctx, p)
+	ec := &sc.ec
+	rows := ec.begin(ctx, deadline, p)
+	// A pooled Scratch pins no request, plan or snapshot.
+	defer func() { ec.ctx, ec.pats, ec.m = nil, nil, matcher{visit: ec.m.visit} }()
 	f.bindConsts(ec, p, consts)
-	// Evaluation starts from one row with every slot unbound.
-	w := len(p.vars)
-	rows := rowset{w: w, ids: make([]rdf.ID, w), used: ec.root[:]}
 	if p.root != nil {
 		rows = f.evalGroup(ec, p.root, rows)
 	}
-	if err := ec.ctx.Err(); err != nil {
-		return Answer{}, err
+	if err := ec.err(); err != nil {
+		return nil, err
 	}
 
 	q := p.q
 	if consts != nil {
-		// evalText has checked that the text's counts are counts.
+		// EvaluateIn has checked that the text's counts are counts.
 		if limit, offset, _ := q.Limits(consts); limit != q.Limit || offset != q.Offset {
-			bq := *q
-			bq.Limit, bq.Offset = limit, offset
-			q = &bq
+			sc.q = *q
+			sc.q.Limit, sc.q.Offset = limit, offset
+			q = &sc.q
 		}
 	}
-	proj := sparql.Finalize(q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
-	return Answer{Projection: proj, used: rows.used}, nil
+	proj := sc.fin.Finalize(q, f.dict, sparql.Solutions{Vars: p.vars, IDs: rows.ids, N: rows.len()})
+	sc.ans = Answer{Projection: proj, prov: rows.prov, arena: ec.arena,
+		groupLinks: sc.ans.groupLinks[:0], groupStart: sc.ans.groupStart[:0]}
+	return &sc.ans, nil
 }
 
 // evalGroup evaluates one group pattern over the input rows: triple
 // patterns, then union constructs, optionals and filters, each stage a
 // loop over its input rows filling one block. The input is never
-// modified; the result may be the input itself. A stage that finds the
-// evaluation cancelled stops where it is; what it returns is then
-// discarded by evalPlan.
+// modified; the result may be the input itself, and the blocks of a
+// union alternative or an optional row are reused once their rows are
+// copied out. A stage that finds the evaluation cancelled stops where
+// it is; what it returns is then discarded by evalPlan.
 func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset) rowset {
 	rows = f.evalTriples(ec, g, rows)
 
 	for _, alts := range g.unions {
-		merged := rowset{w: rows.w}
+		merged := ec.block(rows.w, 0)
 		for _, alt := range alts {
+			mark := ec.used
 			merged.addAll(f.evalGroup(ec, alt, rows))
+			ec.used = mark
 		}
-		rows = merged
+		rows = *merged
 	}
 
 	for _, opt := range g.optionals {
-		out := rowset{w: rows.w}
+		out := ec.block(rows.w, 0)
 		for i := 0; i < rows.len() && !ec.cancelled(); i++ {
-			sub := f.evalGroup(ec, opt, rows.slice(i, i+1))
-			if sub.len() == 0 {
-				out.add(rows.row(i), rows.used[i])
-				continue
+			mark := ec.used
+			if sub := f.evalGroup(ec, opt, rows.slice(i, i+1)); sub.len() > 0 {
+				out.addAll(sub)
+			} else {
+				out.add(rows.row(i), rows.prov[i])
 			}
-			out.addAll(sub)
+			ec.used = mark
 		}
-		rows = out
+		rows = *out
 	}
 
 	for _, flt := range g.filters {
-		out := rowset{w: rows.w}
+		out := ec.block(rows.w, 0)
 		// The expression sees a binding of just the variables it
 		// reads, decoded per row into one reused map.
-		b := make(sparql.Binding, len(flt.vars))
+		if ec.filterBinding == nil {
+			ec.filterBinding = make(sparql.Binding, len(flt.vars))
+		}
+		b := ec.filterBinding
 		expr := ec.expr(flt)
 		for i := 0; i < rows.len() && !ec.cancelled(); i++ {
 			row := rows.row(i)
@@ -422,10 +437,10 @@ func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset) rowset {
 				continue // SPARQL expression error: filter is false
 			}
 			if ok, err := sparql.EffectiveBool(v); err == nil && ok {
-				out.add(row, rows.used[i])
+				out.add(row, rows.prov[i])
 			}
 		}
-		rows = out
+		rows = *out
 	}
 	return rows
 }
@@ -435,8 +450,7 @@ func (f *Federator) evalGroup(ec *evalCtx, g *cgroup, rows rowset) rowset {
 // out. At every stage boundary the ranker picks the pattern to run next
 // against the live row count, and every stage's row counts are recorded
 // for the rankings to come in the same evaluation. A group of fewer
-// than two patterns has nothing to rank: it allocates no ranking state
-// and records nothing.
+// than two patterns has nothing to rank and records nothing.
 func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset) rowset {
 	pats := ec.pats[g.first : g.first+len(g.src.Triples)]
 	var executed []int
@@ -447,18 +461,19 @@ func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset) rowset {
 			executed = []int{0}
 		}
 	case len(pats) > 1:
-		bound := slices.Clone(g.bound)
-		scheduled := make([]bool, len(pats))
+		ec.bound = append(ec.bound[:0], g.bound...)
+		ec.scheduled = slices.Grow(ec.scheduled[:0], len(pats))[:len(pats)]
+		clear(ec.scheduled)
 		for done := 0; done < len(pats) && !ec.cancelled(); done++ {
 			in := rows.len()
-			ti := f.nextPattern(ec, g, bound, scheduled, in)
+			ti := f.nextPattern(ec, g, ec.bound, ec.scheduled, in)
 			if done > 0 {
 				f.replans.Add(1)
 			}
 			rows = f.evalPattern(ec, pats[ti], rows)
 			ec.record(g.first+ti, in, rows.len())
-			scheduled[ti] = true
-			pats[ti].bind(bound)
+			ec.scheduled[ti] = true
+			pats[ti].bind(ec.bound)
 			if f.traceExec != nil {
 				executed = append(executed, ti)
 			}
@@ -474,55 +489,54 @@ func (f *Federator) evalTriples(ec *evalCtx, g *cgroup, rows rowset) rowset {
 }
 
 // evalPattern runs one pattern stage: every input row extended by the
-// pattern's matches. A scan — one input row, no bound slot read — knows
-// how many rows it makes before it runs, and its block is made at that
-// size; any other stage's block grows by append, so a cross product
-// never allocates up front.
+// pattern's matches, into a block of its own. A scan — one input row,
+// no bound slot read — knows how many rows it makes before it runs, and
+// its block is made at that size; any other stage's block grows by
+// append, so a cross product never allocates up front.
 func (f *Federator) evalPattern(ec *evalCtx, pat cpattern, rows rowset) rowset {
-	m := f.newMatcher(ec, pat, rows.w)
+	m := f.newMatcher(ec, pat)
+	n := 0
 	if rows.len() == 1 && !m.dead && !pat.readsBound(rows.row(0)) {
-		n := m.count()
-		m.out.ids = make([]rdf.ID, 0, n*rows.w)
-		m.out.used = make([]*links.Frozen, 0, n)
+		n = m.count()
 	}
+	m.out = ec.block(rows.w, n)
 	for i := 0; i < rows.len() && !ec.cancelled(); i++ {
-		m.match(rows.row(i), rows.used[i])
+		m.match(rows.row(i), rows.prov[i])
 	}
-	return m.out
+	return *m.out
 }
 
-// rowset is a block of intermediate rows: len(used) rows of w
+// rowset is a block of intermediate rows: len(prov) rows of w
 // dictionary IDs each, row-major in ids (row i is ids[i*w:(i+1)*w], its
-// slots laid out as plan.vars; rdf.NoID is unbound), and per row the
-// sameAs links its derivation has crossed so far, as a persistent chain
-// that extending never copies. A block is filled by the stage that
-// makes it and read-only once handed on, so it doubles as the arena its
-// rows live in: one backing array of IDs per block, no allocation per
-// row.
+// slots laid out as plan.vars; rdf.NoID is unbound), and per row its
+// provenance chain in the arena. A block is filled by the stage that
+// makes it (evalCtx.block) and read-only once handed on: one backing
+// array of IDs per block, no allocation per row. A rowset value is a
+// view of a block.
 type rowset struct {
 	w    int
 	ids  []rdf.ID
-	used []*links.Frozen
+	prov []int32
 }
 
-func (r *rowset) len() int { return len(r.used) }
+func (r *rowset) len() int { return len(r.prov) }
 
 func (r *rowset) row(i int) []rdf.ID { return r.ids[i*r.w : (i+1)*r.w] }
 
 // slice returns rows [lo, hi) as a read-only view.
 func (r *rowset) slice(lo, hi int) rowset {
-	return rowset{w: r.w, ids: r.ids[lo*r.w : hi*r.w : hi*r.w], used: r.used[lo:hi:hi]}
+	return rowset{w: r.w, ids: r.ids[lo*r.w : hi*r.w : hi*r.w], prov: r.prov[lo:hi:hi]}
 }
 
 // add appends a copy of row.
-func (r *rowset) add(row []rdf.ID, used *links.Frozen) {
+func (r *rowset) add(row []rdf.ID, prov int32) {
 	r.ids = append(r.ids, row...)
-	r.used = append(r.used, used)
+	r.prov = append(r.prov, prov)
 }
 
 func (r *rowset) addAll(o rowset) {
 	r.ids = append(r.ids, o.ids...)
-	r.used = append(r.used, o.used...)
+	r.prov = append(r.prov, o.prov...)
 }
 
 // binding is how a pattern position reads under one row: unbound
@@ -562,14 +576,14 @@ func (b *binding) resolution(k int) resolved {
 }
 
 // matcher runs one pattern stage: it extends input rows by the
-// pattern's matches into the stage's output block. It exists so that
-// the store callback is one method value made once per stage, not a
-// closure per probe.
+// pattern's matches into the stage's output block. Stages run one at a
+// time, so an evaluation has one, in its evalCtx, whose store callback
+// is one method value made once per Scratch, not a closure per probe.
 type matcher struct {
 	f     *Federator
 	ec    *evalCtx
 	pat   cpattern
-	out   rowset
+	out   *rowset
 	visit func(s, p, o rdf.ID) bool
 	// srcs are the sources a probe visits unless its row binds the
 	// pattern's variable predicate: those holding a constant predicate,
@@ -580,23 +594,26 @@ type matcher struct {
 	// positions read (constants are read once, when the matcher is made)
 	// and how each is resolved.
 	row        []rdf.ID
-	used       *links.Frozen
+	prov       int32
 	s, p, o    binding
 	rs, rp, ro resolved
-	// ext is used extended by the links rs, rp and ro crossed, built on
+	// ext is prov extended by the links rs, rp and ro crossed, made on
 	// the probe's first match and shared by the rest.
-	ext    *links.Frozen
+	ext    int32
 	extSet bool
 
 	// dead: the pattern holds a constant the dictionary lacks, which
-	// nothing can match. It sits beside extSet, where the two bools share
-	// a word, which keeps a matcher in the allocator's 320-byte class.
+	// nothing can match.
 	dead bool
 }
 
-func (f *Federator) newMatcher(ec *evalCtx, pat cpattern, width int) *matcher {
-	m := &matcher{f: f, ec: ec, pat: pat, out: rowset{w: width}}
-	m.visit = m.emit
+// newMatcher readies ec's matcher for a stage of pat.
+func (f *Federator) newMatcher(ec *evalCtx, pat cpattern) *matcher {
+	m := &ec.m
+	if m.visit == nil {
+		m.visit = m.emit
+	}
+	*m = matcher{f: f, ec: ec, pat: pat, visit: m.visit}
 	for _, n := range pat.nodes() {
 		m.dead = m.dead || n.slot < 0 && n.id == rdf.NoID
 	}
@@ -611,7 +628,7 @@ func (f *Federator) newMatcher(ec *evalCtx, pat cpattern, width int) *matcher {
 // row's provenance. Source selection: a pattern whose predicate is a
 // constant (or a variable already bound) only visits sources holding
 // that predicate.
-func (m *matcher) match(row []rdf.ID, used *links.Frozen) {
+func (m *matcher) match(row []rdf.ID, prov int32) {
 	if m.dead {
 		return
 	}
@@ -628,7 +645,7 @@ func (m *matcher) match(row []rdf.ID, used *links.Frozen) {
 	if slot := m.pat.o.slot; slot >= 0 {
 		m.o = f.bindingOf(row[slot])
 	}
-	m.row, m.used = row, used
+	m.row, m.prov = row, prov
 	for _, si := range srcs {
 		m.matchInSource(f.sources[si].Graph)
 	}
@@ -691,7 +708,7 @@ func (m *matcher) emit(ms, mp, mo rdf.ID) bool {
 	if !m.extSet {
 		m.ext, m.extSet = m.extend(), true
 	}
-	out := &m.out
+	out := m.out
 	base := len(out.ids)
 	out.add(m.row, m.ext)
 	if s >= 0 && !m.rs.have {
@@ -708,19 +725,14 @@ func (m *matcher) emit(ms, mp, mo rdf.ID) bool {
 
 // extend returns the input row's provenance plus the links the probe in
 // flight crossed.
-func (m *matcher) extend() *links.Frozen {
-	var crossed [3]links.Link
-	n := 0
+func (m *matcher) extend() int32 {
+	p := m.prov
 	for _, l := range [3]*links.Link{m.rs.link, m.rp.link, m.ro.link} {
 		if l != nil {
-			crossed[n] = *l
-			n++
+			p = m.ec.arena.with(p, *l)
 		}
 	}
-	if n == 0 {
-		return m.used
-	}
-	return m.used.With(crossed[:n]...)
+	return p
 }
 
 // Approve reports positive feedback on an answer row: every sameAs link

@@ -1,10 +1,12 @@
 package federation
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"alex/internal/links"
 	"alex/internal/paris"
@@ -206,16 +208,27 @@ func BenchmarkFederatedQuery(b *testing.B) {
 	}
 }
 
+// decodeIn evaluates query in sc and decodes the answer: what
+// QueryContext does in a pooled Scratch, in one the caller holds, so
+// that an allocation count does not depend on sync.Pool, which under
+// the race detector drops a quarter of what it is handed.
+func decodeIn(t testing.TB, f *Federator, sc *Scratch, query string) *ResultSet {
+	a, err := f.EvaluateIn(context.Background(), time.Time{}, query, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.ResultSet()
+}
+
 // TestWideQueryAllocationsFollowSurvivors guards the row representation
 // where it matters most, bench/e2e's wide shape: the label scan emits a
 // row per dataset-1 entity, a few of which reach a hometown across a
-// sameAs link, and LIMIT keeps five. A warm evaluation may allocate
-// for what it returns (bindings, provenance sets), one provenance node
-// per row that crossed a link, and a fixed handful of blocks, grouping
-// tables and bookkeeping — not per intermediate row (ORDER BY's cells
-// and sort pairs come from a pool). A map per row, or a
-// decoded term per row, is one allocation or more for each of them and
-// fails the bound several times over.
+// sameAs link, and LIMIT keeps five. A warm evaluation allocates for
+// what it returns (bindings, provenance sets) and a fixed handful of
+// result slices; its blocks, provenance chains, grouping tables and
+// ORDER BY cells are recycled, so nothing is allocated per
+// intermediate or joined row. A map per row, a decoded term per row
+// or a heap provenance node per joined row fails the bound.
 func TestWideQueryAllocationsFollowSurvivors(t *testing.T) {
 	f, texts := joinShapeWorld(t, 0.1)
 	fed := copyOf(f)
@@ -234,21 +247,16 @@ func TestWideQueryAllocationsFollowSurvivors(t *testing.T) {
 	}
 
 	query := strings.Replace(texts["wide"], "LIMIT 50", fmt.Sprintf("LIMIT %d", survivors), 1)
-	if rs, err := fed.Query(query); err != nil || len(rs.Rows) != survivors { // also warms the plan cache
-		t.Fatalf("rows %v, err %v", rs, err)
+	sc := new(Scratch)
+	if rs := decodeIn(t, fed, sc, query); len(rs.Rows) != survivors { // also warms the plan cache and sc
+		t.Fatalf("rows %v", rs)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := fed.Query(query); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// 8 per returned row: its binding and provenance set (a map header
-	// and a bucket each), its share of the result slices. 64 fixed:
-	// evaluation context, two matchers, the doubling of two blocks'
-	// backing arrays, Finalize's index slices and grouping table.
-	bound := float64(crossed + 8*survivors + 64)
-	if bound >= float64(scanned) {
-		t.Fatalf("bound %v is not below the %d intermediate rows; it would pass a per-row allocation", bound, scanned)
+	allocs := testing.AllocsPerRun(20, func() { decodeIn(t, fed, sc, query) })
+	// 4 per returned row: its binding and provenance set, a map header
+	// and a bucket each. 4 fixed: the ResultSet, its Vars, rows and sets.
+	bound := float64(4*survivors + 4)
+	if bound >= float64(crossed) {
+		t.Fatalf("bound %v is not below the %d joined rows; it would pass a per-row allocation", bound, crossed)
 	}
 	if allocs > bound {
 		t.Errorf("%v allocations for %d scanned rows, %d joined, %d returned; bound %v", allocs, scanned, crossed, survivors, bound)
@@ -260,7 +268,8 @@ func TestWideQueryAllocationsFollowSurvivors(t *testing.T) {
 // at that size. So a query whose first stage scans n labels and whose
 // second keeps one row allocates the same for n = 100 and n = 10 000;
 // a block grown by append reallocates a number of times that grows
-// with n.
+// with n. Each evaluation runs in a fresh Scratch (Evaluate), where no
+// block is left over from the last.
 func TestScanStageSizedBeforeItFills(t *testing.T) {
 	const query = `SELECT ?e ?l WHERE { ?e <http://x/label> ?l . ?e <http://x/kind> "first" . }`
 	allocs := func(n int) float64 {
@@ -281,7 +290,7 @@ func TestScanStageSizedBeforeItFills(t *testing.T) {
 			t.Fatalf("n=%d: rows %v, err %v; want one", n, rs, err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := f.Query(query); err != nil {
+			if _, err := f.Evaluate(context.Background(), query); err != nil {
 				t.Fatal(err)
 			}
 		})

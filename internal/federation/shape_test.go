@@ -436,11 +436,9 @@ func TestShapeCacheMatchesUncached(t *testing.T) {
 
 // TestShapeHitAllocs pins what a hit costs: a one-pattern lookup served
 // by the plan another entity's text made allocates no more than an
-// exact-text hit did when plans were keyed by text (21 allocations,
-// TestSinglePatternGroupObservesNothing's count then). The key is
-// made in stack buffers; the bound pattern table is one allocation, and
-// the starting row's provenance slot, once one of its own, lives in
-// the evaluation state.
+// exact-text hit does (21 allocations when plans were keyed by text,
+// 8 since an evaluation runs in a recycled Scratch). The key is made in
+// stack buffers, and the bound pattern table lives in the Scratch.
 func TestShapeHitAllocs(t *testing.T) {
 	f, _ := joinShapeWorld(t, 0.1)
 	fed := copyOf(f)
@@ -453,16 +451,13 @@ func TestShapeHitAllocs(t *testing.T) {
 		t.Fatalf("rows %v, err %v; want one", rs, err)
 	}
 	query := lookup(0)
-	if rs, err := fed.Query(query); err != nil || len(rs.Rows) != 1 || rs.Rows[0].Used.Len() != 1 {
-		t.Fatalf("rows %v, err %v; want one row across one link", rs, err)
+	sc := new(Scratch)
+	if rs := decodeIn(t, fed, sc, query); len(rs.Rows) != 1 || rs.Rows[0].Used.Len() != 1 {
+		t.Fatalf("rows %v; want one row across one link", rs)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := fed.Query(query); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 21 {
-		t.Errorf("a shape-keyed hit allocates %v times, want at most 21", allocs)
+	allocs := testing.AllocsPerRun(100, func() { decodeIn(t, fed, sc, query) })
+	if allocs > 8 {
+		t.Errorf("a shape-keyed hit allocates %v times, want at most 8", allocs)
 	}
 	if hits, misses := pc.Stats(); misses != 1 || pc.Len() != 1 || hits < 101 {
 		t.Errorf("%d hits, %d misses, %d plans: the lookups did not share one plan", hits, misses, pc.Len())

@@ -20,7 +20,7 @@ func Single(g store.TripleStore) *Federator {
 
 // Execute parses and evaluates a SELECT or ASK query against one store.
 func Execute(g store.TripleStore, query string) (*sparql.Result, error) {
-	a, err := Single(g).evalText(context.Background(), query)
+	a, err := Single(g).Evaluate(context.Background(), query)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
 	"alex/internal/core"
@@ -226,4 +227,52 @@ func clip(b []byte) string {
 		return string(b[:1200]) + "…"
 	}
 	return string(b)
+}
+
+// TestConcurrentQueriesAnswerAsAlone: /query requests served at once by
+// one server — lookups and the three join shapes of bench/e2e's
+// join_disk, each evaluated in the Scratch of a pooled response buffer
+// — answer byte for byte what each answered alone. A Scratch shared by
+// two requests, or an answer read after its Scratch went back to the
+// pool, makes some body differ, and the race detector sees the sharing.
+func TestConcurrentQueriesAnswerAsAlone(t *testing.T) {
+	w := federation.JoinShapeWorld(t)
+	srv, err := server.New(&fixedLinks{ls: w.Links}, w.Dict, w.Sources, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	ask := func(text string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		req := bytes.NewReader(encode(t, server.QueryRequest{Query: text}))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", req))
+		return rec.Code, rec.Body.Bytes()
+	}
+	var texts []string
+	alone := map[string][]byte{}
+	for _, text := range w.Queries {
+		code, body := ask(text)
+		if code != http.StatusOK || !bytes.Contains(body, []byte(`"rows":[{`)) {
+			t.Fatalf("%s: status %d, body %s", text, code, clip(body))
+		}
+		texts = append(texts, text)
+		alone[text] = body
+	}
+	const goroutines, rounds = 4, 25
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds*len(texts); i++ {
+				text := texts[(i*(2*g+1)+7*g)%len(texts)]
+				if code, body := ask(text); code != http.StatusOK || !bytes.Equal(body, alone[text]) {
+					t.Errorf("goroutine %d: %s answered %d\n%s\nalone\n%s", g, text, code, clip(body), clip(alone[text]))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

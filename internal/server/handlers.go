@@ -7,6 +7,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -223,35 +224,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			timeout = t
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
+	// The evaluator stops at the request's own context or at this
+	// deadline, so a query that finds a slot makes no timer context.
+	deadline := time.Now().Add(timeout)
+	ctx := r.Context()
 
 	// Admission: with MaxConcurrentQueries set, wait for an evaluation
 	// slot within the request's own deadline; an overloaded server then
 	// backpressures with 503 + Retry-After instead of piling up work
 	// and timing out everything at once.
 	if s.querySem != nil {
-		select {
-		case s.querySem <- struct{}{}:
-			defer func() { <-s.querySem }()
-		case <-ctx.Done():
+		if !s.admit(ctx, deadline) {
 			s.metrics.queryAdmissionDrops.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "query concurrency limit reached, retry later"})
 			return
 		}
+		defer func() { <-s.querySem }()
 	}
 
 	// Lock-free read path: load the current snapshot once and evaluate
-	// entirely against it, on this goroutine. Concurrent episodes publish
-	// new snapshots but never touch this one. The evaluator stops itself
-	// when ctx is done, so the slot taken above covers all the work.
+	// entirely against it, on this goroutine, in the buffer's scratch:
+	// the answer lives as long as the bytes written from it. Concurrent
+	// episodes publish new snapshots but never touch this one. The
+	// evaluator stops itself at the deadline, so the slot taken above
+	// covers all the work.
 	snap := s.Snapshot()
 	start := time.Now()
-	ans, err := snap.Fed.Evaluate(ctx, req.Query)
+	ans, err := snap.Fed.EvaluateIn(ctx, deadline, req.Query, &wb.sc)
 	s.metrics.queryDuration.Observe(time.Since(start).Seconds())
 	if err != nil {
-		if ctx.Err() != nil {
+		if errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
 			s.metrics.queryTimeouts.Inc()
 			writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "query deadline exceeded"})
 			return
@@ -270,6 +273,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Length", strconv.Itoa(len(wb.b)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(wb.b) //nolint:errcheck // client gone; nothing to do
+}
+
+// admit takes a /query evaluation slot, waiting for one until ctx is
+// done or deadline passes; only a wait makes a timer.
+func (s *Server) admit(ctx context.Context, deadline time.Time) bool {
+	select {
+	case s.querySem <- struct{}{}:
+		return true
+	default:
+	}
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	select {
+	case s.querySem <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {

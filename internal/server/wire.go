@@ -28,22 +28,29 @@ import (
 const MaxQueryBodyBytes = 1 << 20
 
 // wireBuf is the per-request scratch of handleQuery: b holds the request
-// body, then the response; order is the projection's columns by name.
+// body, then the response; sc is the memory the answer is evaluated in,
+// and lives as long as the bytes written from it; order is the
+// projection's columns by name.
 type wireBuf struct {
 	b     []byte
+	sc    federation.Scratch
 	order []int
 }
 
 // wireBufs recycles wireBufs across requests. A buffer a large answer
-// grew past maxPooledWireBuf is dropped instead of pinned in the pool.
+// grew past maxPooledWireBuf, or whose scratch it grew past the
+// federation's bound, is dropped instead of pinned in the pool.
 var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
 
 const maxPooledWireBuf = 64 << 10
 
-func putWireBuf(wb *wireBuf) {
-	if cap(wb.b) <= maxPooledWireBuf {
+// putWireBuf returns wb to the pool, and reports whether it did.
+func putWireBuf(wb *wireBuf) bool {
+	keep := cap(wb.b) <= maxPooledWireBuf && wb.sc.Reusable()
+	if keep {
 		wireBufs.Put(wb)
 	}
+	return keep
 }
 
 // ReadQueryBody reads a /query or /feedback request body of at most

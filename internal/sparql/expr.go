@@ -53,15 +53,20 @@ func (e *varExpr) ExprVars() []string { return []string{e.name} }
 type notExpr struct{ inner Expr }
 
 func (e *notExpr) Eval(b Binding) (Value, error) {
-	v, err := e.inner.Eval(b)
-	if err != nil {
-		return Value{}, err
-	}
-	bv, err := effectiveBool(v)
+	bv, err := evalBool(e.inner, b)
 	if err != nil {
 		return Value{}, err
 	}
 	return Value{Kind: ValBool, Bool: !bv}, nil
+}
+
+// evalBool is the effective boolean value of x under b.
+func evalBool(x Expr, b Binding) (bool, error) {
+	v, err := x.Eval(b)
+	if err != nil {
+		return false, err
+	}
+	return EffectiveBool(v)
 }
 func (e *notExpr) ExprVars() []string { return e.inner.ExprVars() }
 
@@ -77,41 +82,21 @@ func (e *binaryExpr) ExprVars() []string {
 func (e *binaryExpr) Eval(b Binding) (Value, error) {
 	switch e.op {
 	case opAnd, opOr:
-		lv, lerr := e.l.Eval(b)
-		var lb bool
-		if lerr == nil {
-			lb, lerr = boolOrErr(lv)
-		}
-		rv, rerr := e.r.Eval(b)
-		var rb bool
-		if rerr == nil {
-			rb, rerr = boolOrErr(rv)
-		}
-		// SPARQL three-valued logic: AND is false if either side is
-		// false; OR is true if either side is true; otherwise errors
-		// propagate.
-		if e.op == opAnd {
-			if lerr == nil && !lb || rerr == nil && !rb {
-				return Value{Kind: ValBool}, nil
-			}
-			if lerr != nil {
-				return Value{}, lerr
-			}
-			if rerr != nil {
-				return Value{}, rerr
-			}
-			return Value{Kind: ValBool, Bool: true}, nil
-		}
-		if lerr == nil && lb || rerr == nil && rb {
-			return Value{Kind: ValBool, Bool: true}, nil
-		}
-		if lerr != nil {
+		// SPARQL three-valued logic: a side that decides the answer —
+		// false for AND, true for OR — wins over an error on the other;
+		// otherwise an error propagates.
+		decides := e.op == opOr
+		lb, lerr := evalBool(e.l, b)
+		rb, rerr := evalBool(e.r, b)
+		switch {
+		case lerr == nil && lb == decides || rerr == nil && rb == decides:
+			return Value{Kind: ValBool, Bool: decides}, nil
+		case lerr != nil:
 			return Value{}, lerr
-		}
-		if rerr != nil {
+		case rerr != nil:
 			return Value{}, rerr
 		}
-		return Value{Kind: ValBool}, nil
+		return Value{Kind: ValBool, Bool: !decides}, nil
 	default:
 		lv, err := e.l.Eval(b)
 		if err != nil {
@@ -125,14 +110,8 @@ func (e *binaryExpr) Eval(b Binding) (Value, error) {
 	}
 }
 
-func boolOrErr(v Value) (bool, error) { return effectiveBool(v) }
-
-// EffectiveBool exposes SPARQL's effective-boolean-value rule for use by
-// engines built on top of this package (e.g. the federated processor).
-func EffectiveBool(v Value) (bool, error) { return effectiveBool(v) }
-
-// effectiveBool implements SPARQL's effective boolean value.
-func effectiveBool(v Value) (bool, error) {
+// EffectiveBool is SPARQL's effective boolean value of v.
+func EffectiveBool(v Value) (bool, error) {
 	switch v.Kind {
 	case ValBool:
 		return v.Bool, nil
@@ -146,8 +125,8 @@ func effectiveBool(v Value) (bool, error) {
 			case rdf.XSDBoolean:
 				return v.Term.Value == "true" || v.Term.Value == "1", nil
 			case rdf.XSDInteger, rdf.XSDDecimal, rdf.XSDDouble:
-				f, err := strconv.ParseFloat(v.Term.Value, 64)
-				return err == nil && f != 0, nil
+				f, ok := parseFloat(v.Term.Value)
+				return ok && f != 0, nil
 			default:
 				return v.Term.Value != "", nil
 			}
@@ -157,21 +136,40 @@ func effectiveBool(v Value) (bool, error) {
 	return false, fmt.Errorf("invalid value")
 }
 
-// asNumber attempts numeric interpretation of a value.
+// asNumber attempts numeric interpretation of a value: a number, or a
+// string or literal strconv.ParseFloat accepts.
 func asNumber(v Value) (float64, bool) {
 	switch v.Kind {
 	case ValNumber:
 		return v.Num, true
 	case ValString:
-		f, err := strconv.ParseFloat(v.Str, 64)
-		return f, err == nil
+		return parseFloat(v.Str)
 	case ValTerm:
 		if v.Term.IsLiteral() {
-			f, err := strconv.ParseFloat(v.Term.Value, 64)
-			return f, err == nil
+			return parseFloat(v.Term.Value)
 		}
 	}
 	return 0, false
+}
+
+// parseFloat is strconv.ParseFloat(s, 64), ok when its error is nil.
+// Most literals a FILTER compares are no number (a date, a name), and
+// ParseFloat's error is an allocation each, so s is refused first when
+// it holds a byte no float is written with, or a sign other than a
+// leading one or one after an exponent letter.
+func parseFloat(s string) (float64, bool) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '+' || c == '-':
+			if i > 0 && strings.IndexByte("eEpP", s[i-1]) < 0 {
+				return 0, false
+			}
+		case strings.IndexByte("0123456789._abcdefinptxyABCDEFINPTXY", c) < 0:
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
 // asString returns the string form of a value.
@@ -207,29 +205,15 @@ func compareValues(op binaryOp, l, r Value) (Value, error) {
 	// Prefer numeric comparison when both sides are numbers.
 	if lf, lok := asNumber(l); lok {
 		if rf, rok := asNumber(r); rok {
-			return Value{Kind: ValBool, Bool: cmpFloat(op, lf, rf)}, nil
+			return Value{Kind: ValBool, Bool: holds(op, lf, rf)}, nil
 		}
 	}
-	ls, rs := asString(l), asString(r)
-	var res bool
-	switch op {
-	case opEq:
-		res = ls == rs
-	case opNeq:
-		res = ls != rs
-	case opLt:
-		res = ls < rs
-	case opLte:
-		res = ls <= rs
-	case opGt:
-		res = ls > rs
-	case opGte:
-		res = ls >= rs
-	}
-	return Value{Kind: ValBool, Bool: res}, nil
+	return Value{Kind: ValBool, Bool: holds(op, asString(l), asString(r))}, nil
 }
 
-func cmpFloat(op binaryOp, a, b float64) bool {
+// holds reports whether a op b, by the operators of T: a NaN is
+// unequal to, and unordered with, everything.
+func holds[T float64 | string](op binaryOp, a, b T) bool {
 	switch op {
 	case opEq:
 		return a == b

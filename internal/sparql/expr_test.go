@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"math"
+	"strconv"
 	"testing"
 
 	"alex/internal/rdf"
@@ -197,5 +199,38 @@ func TestExprBoolConstants(t *testing.T) {
 	}
 	if mustBool(t, `(false)`, b) {
 		t.Error("false constant")
+	}
+}
+
+// FuzzAsNumber holds asNumber's decision to strconv.ParseFloat's: a
+// string or literal is a number exactly when ParseFloat returns no
+// error, and then the same number.
+func FuzzAsNumber(f *testing.F) {
+	for _, s := range []string{"", "2020-01-15", "12", "-1.5e-3", "+Inf", "infinity", "nan", "+nan", "0x1p-2", "0x_1p0", "1_000", "1e400", "1e-400", ".5", "5.", "e5", "1e+", "--1", "alpha"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := strconv.ParseFloat(s, 64)
+		for _, v := range []Value{{Kind: ValString, Str: s}, {Kind: ValTerm, Term: rdf.Literal(s)}} {
+			got, ok := asNumber(v)
+			if ok != (err == nil) || ok && math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("asNumber(%q) = %v, %t; ParseFloat: %v, %v", s, got, ok, want, err)
+			}
+		}
+	})
+}
+
+// TestCompareDatesAllocatesNothing: comparing two xsd:date literals
+// decides that neither is a number without making ParseFloat's error.
+func TestCompareDatesAllocatesNothing(t *testing.T) {
+	date := func(s string) Value {
+		return Value{Kind: ValTerm, Term: rdf.Term{Kind: rdf.KindLiteral, Value: s, Datatype: "http://www.w3.org/2001/XMLSchema#date"}}
+	}
+	l, r := date("2020-01-15"), date("2021-06-30")
+	if v, err := compareValues(opLt, l, r); err != nil || !v.Bool {
+		t.Fatalf("2020-01-15 < 2021-06-30: %v, %v", v, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = compareValues(opLt, l, r) }); allocs != 0 {
+		t.Errorf("comparing two dates allocates %v times, want 0", allocs)
 	}
 }

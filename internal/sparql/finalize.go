@@ -95,36 +95,48 @@ func (p *Projection) Binding(k int) Binding {
 
 // Result decodes every row.
 func (p *Projection) Result() *Result {
-	res := &Result{Vars: p.Vars, Ask: p.Ask, Rows: make([]Binding, p.Len())}
+	res := &Result{Vars: slices.Clone(p.Vars), Ask: p.Ask, Rows: make([]Binding, p.Len())}
 	for k := range res.Rows {
 		res.Rows[k] = p.Binding(k)
 	}
 	return res
 }
 
+// Scratch is the memory Finalize works in, reused from one call to the
+// next; a Projection reads it until the next. The zero value is ready;
+// a Scratch is not safe for concurrent use.
+type Scratch struct {
+	cols                                []int
+	keep, group, slots, of, start, flat []int32
+	members                             [][]int32
+	order                               rowOrder
+}
+
 // Finalize applies projection, DISTINCT, ORDER BY, OFFSET and LIMIT to
 // the raw solutions of q's WHERE clause and returns the surviving rows
-// as a Projection over them. Producing the solutions is
+// as a Projection over them, working in sc. Producing the solutions is
 // internal/federation's job: this package is the query language only
 // and never touches a store. Everything works on row indices and
 // dictionary IDs; a term is looked up in d only where the language
 // compares lexical forms (DISTINCT on literals that render alike, ORDER
-// BY keys). Decoding the answer is the renderer's decision.
-func Finalize(q *Query, d *rdf.Dict, sols Solutions) Projection {
+// BY keys). Decoding the answer is the renderer's decision. The
+// Projection's Vars are q's or sols', not a copy.
+func (sc *Scratch) Finalize(q *Query, d *rdf.Dict, sols Solutions) Projection {
 	if q.Form == FormAsk {
 		return Projection{Form: FormAsk, Ask: sols.N > 0}
 	}
-	vars := append([]string(nil), q.Vars...)
+	vars := q.Vars
 	if len(vars) == 0 {
-		vars = append(vars, sols.Vars...)
+		vars = sols.Vars
 	}
-	cols := make([]int, len(vars))
+	cols := zeroed(sc.cols, len(vars))
+	sc.cols = cols
 	for i, v := range vars {
 		cols[i] = sols.column(v)
 	}
 
 	// keep holds the surviving input rows, in output order.
-	keep := make([]int32, 0, sols.N)
+	keep := sc.keep[:0]
 	if q.Distinct {
 		canon := canonicalIDs{d: d}
 		seen := make(map[string]struct{})
@@ -141,25 +153,29 @@ func Finalize(q *Query, d *rdf.Dict, sols Solutions) Projection {
 			keep = append(keep, int32(i))
 		}
 	}
+	sc.keep = keep
 
 	if len(q.OrderBy) > 0 {
-		sortRows(q.OrderBy, vars, d, sols, keep)
+		sc.order.sortRows(q.OrderBy, vars, d, sols, keep)
 	}
 
 	if q.Offset > 0 {
-		if q.Offset >= len(keep) {
-			keep = nil
-		} else {
-			keep = keep[q.Offset:]
-		}
+		keep = keep[min(q.Offset, len(keep)):]
 	}
 	if q.Limit >= 0 && q.Limit < len(keep) {
 		keep = keep[:q.Limit]
 	}
 
 	p := Projection{Form: q.Form, Vars: vars, dict: d, sols: sols, cols: cols, keep: keep}
-	p.Group, p.Members = groupByTuple(sols, cols, keep)
+	p.Group, p.Members = sc.groupByTuple(sols, cols, keep)
 	return p
+}
+
+// zeroed returns n zero elements, in s's array when it holds n.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // appendTupleKey appends DISTINCT's map-key encoding of a row's
@@ -219,16 +235,15 @@ func (c *canonicalIDs) of(id rdf.ID) rdf.ID {
 // groupByTuple computes Projection.Group and Projection.Members: the surviving
 // rows are numbered by projected ID tuple in order of first appearance,
 // then every input row is probed against those tuples.
-func groupByTuple(sols Solutions, cols []int, keep []int32) (group []int32, members [][]int32) {
+func (sc *Scratch) groupByTuple(sols Solutions, cols []int, keep []int32) (group []int32, members [][]int32) {
 	if len(keep) == 0 {
 		return nil, nil
 	}
-	group = make([]int32, len(keep))
-	if sols.N == 1 {
-		return group, [][]int32{{0}}
-	}
+	group = zeroed(sc.group, len(keep))
+	sc.group = group
 	size := bits.Len(uint(2*len(keep) - 1)) // log2 of the slots: 2×keep or more
-	t := tupleTable{sols: sols, cols: cols, keep: keep, slots: make([]int32, 1<<size), shift: uint(64 - size)}
+	sc.slots = zeroed(sc.slots, 1<<size)
+	t := tupleTable{sols: sols, cols: cols, keep: keep, slots: sc.slots, shift: uint(64 - size)}
 	groups := int32(0)
 	for k, i := range keep {
 		s := t.find(i)
@@ -241,8 +256,9 @@ func groupByTuple(sols Solutions, cols []int, keep []int32) (group []int32, memb
 		}
 	}
 	// Members in one backing array: count, then fill.
-	of := make([]int32, sols.N)
-	start := make([]int32, groups+1)
+	of := zeroed(sc.of, sols.N)
+	start := zeroed(sc.start, int(groups+1))
+	sc.of, sc.start = of, start
 	for i := range of {
 		g := int32(-1)
 		if s := t.find(int32(i)); t.slots[s] != 0 {
@@ -254,8 +270,9 @@ func groupByTuple(sols Solutions, cols []int, keep []int32) (group []int32, memb
 	for g := 1; g < len(start); g++ {
 		start[g] += start[g-1]
 	}
-	flat := make([]int32, start[groups])
-	members = make([][]int32, groups)
+	flat := zeroed(sc.flat, int(start[groups]))
+	members = zeroed(sc.members, int(groups))
+	sc.flat, sc.members = flat, members
 	for g := range members {
 		members[g] = flat[start[g]:start[g]:start[g+1]]
 	}

@@ -32,7 +32,7 @@ func TestDistinctSeparatesNULSplitRows(t *testing.T) {
 	left := Binding{"a": rdf.IRI("x"), "b": rdf.IRI("y>\x00<z")}
 	right := Binding{"a": rdf.IRI("x>\x00<y"), "b": rdf.IRI("z")}
 	d := rdf.NewDict()
-	proj := Finalize(q, d, encodeBindings(d, q.Vars, []Binding{left, right, left}))
+	proj := new(Scratch).Finalize(q, d, encodeBindings(d, q.Vars, []Binding{left, right, left}))
 	res := proj.Result()
 	if len(res.Rows) != 2 {
 		t.Fatalf("DISTINCT kept %d rows, want 2: %v", len(res.Rows), res.Rows)
@@ -61,7 +61,7 @@ func TestDistinctComparesRenderedTerms(t *testing.T) {
 		{{"v": typed}, {"v": typed}, {"v": taggedTyped}, {"v": rdf.IRI("a")}, {"v": taggedTyped}},
 	} {
 		d := rdf.NewDict()
-		proj := Finalize(q, d, encodeBindings(d, q.Vars, rows))
+		proj := new(Scratch).Finalize(q, d, encodeBindings(d, q.Vars, rows))
 		res := proj.Result()
 		seen := map[string]bool{}
 		for _, r := range rows {
@@ -121,7 +121,7 @@ func TestGroupsFollowProjectedTuples(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			q.Limit = rng.Intn(sols.N + 1)
 		}
-		proj := Finalize(q, rdf.NewDict(), sols)
+		proj := new(Scratch).Finalize(q, rdf.NewDict(), sols)
 		tuple := func(i int) [2]rdf.ID { return [2]rdf.ID{sols.IDs[i*3], sols.IDs[i*3+1]} }
 		first := map[[2]rdf.ID]int32{}
 		for k, i := range proj.keep {

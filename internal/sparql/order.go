@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"alex/internal/rdf"
 )
@@ -136,12 +135,10 @@ type prefixRow struct {
 	row    int32
 }
 
-// rowOrders recycles a rowOrder, its cell table and its pair buffer
-// across queries. A table is cleared before it goes back, so it pins
-// no lexical form; one grown past maxPooledCells is dropped instead of
-// pinned in the pool.
-var rowOrders = sync.Pool{New: func() any { return new(rowOrder) }}
-
+// maxPooledCells bounds the cell table and pair buffer a Scratch keeps
+// for the next ORDER BY. A table is cleared after its sort, so it pins
+// no lexical form; one grown past the bound is dropped instead of kept
+// in a Scratch a pool may hold.
 const maxPooledCells = 4 << 10
 
 // sortRows stably sorts keep, an ascending list of row indices of sols,
@@ -157,17 +154,12 @@ const maxPooledCells = 4 << 10
 // other input — where NaN or a number beside text makes the comparison
 // intransitive, and the permutation depends on the algorithm's every
 // step — takes the stable sort itself.
-func sortRows(by []OrderKey, projected []string, d *rdf.Dict, sols Solutions, keep []int32) {
+func (o *rowOrder) sortRows(by []OrderKey, projected []string, d *rdf.Dict, sols Solutions, keep []int32) {
 	if len(keep) < 2 {
 		return
 	}
-	o := rowOrders.Get().(*rowOrder)
 	o.by = by
-	n := sols.N * len(by)
-	if cap(o.cells) < n {
-		o.cells = make([]orderCell, n)
-	}
-	o.cells = o.cells[:n]
+	o.cells = slices.Grow(o.cells[:0], sols.N*len(by))[:sols.N*len(by)]
 	oneClass := true
 	for k, key := range by {
 		col := -1
@@ -208,10 +200,10 @@ func sortRows(by []OrderKey, projected []string, d *rdf.Dict, sols Solutions, ke
 	} else {
 		slices.SortStableFunc(keep, o.compare)
 	}
-	if cap(o.cells) <= maxPooledCells && cap(o.pairs) <= maxPooledCells {
-		clear(o.cells)
-		*o = rowOrder{cells: o.cells, pairs: o.pairs}
-		rowOrders.Put(o)
+	clear(o.cells)
+	*o = rowOrder{cells: o.cells, pairs: o.pairs}
+	if cap(o.cells) > maxPooledCells || cap(o.pairs) > maxPooledCells {
+		*o = rowOrder{}
 	}
 }
 

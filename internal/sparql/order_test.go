@@ -147,7 +147,7 @@ func orderTerm(form string, pool int, iri bool) rdf.Term {
 func checkOrderAgainstReference(t *testing.T, vars []string, rows []Binding, q *Query) {
 	t.Helper()
 	d := rdf.NewDict()
-	proj := Finalize(q, d, encodeBindings(d, vars, rows))
+	proj := new(Scratch).Finalize(q, d, encodeBindings(d, vars, rows))
 	res := proj.Result()
 
 	want := make([]Binding, len(rows))
@@ -278,9 +278,9 @@ func FuzzOrderByPermutation(f *testing.F) {
 	})
 }
 
-// TestOrderBySortsConcurrently: queries sorting at once, each through
-// a cell table the pool may have handed another query before, return
-// the rows they return alone — a table too large to pool among them.
+// TestOrderBySortsConcurrently: queries sorting at once, each in a
+// Scratch whose cell table an earlier job of its goroutine used, return
+// the rows they return alone — a table too large to keep among them.
 func TestOrderBySortsConcurrently(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vars := []string{"a", "b"}
@@ -304,7 +304,7 @@ func TestOrderBySortsConcurrently(t *testing.T) {
 		}
 		q := &Query{Vars: vars, Limit: -1, OrderBy: []OrderKey{{Var: "a"}, {Var: "b", Desc: true}}}
 		sols := encodeBindings(d, vars, rows)
-		proj := Finalize(q, d, sols)
+		proj := new(Scratch).Finalize(q, d, sols)
 		jobs[i] = job{q, sols, proj.Result()}
 	}
 	var wg sync.WaitGroup
@@ -312,9 +312,10 @@ func TestOrderBySortsConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc Scratch
 			for i := 0; i < 40; i++ {
 				j := jobs[(g*5+i)%len(jobs)]
-				proj := Finalize(j.q, d, j.sols)
+				proj := sc.Finalize(j.q, d, j.sols)
 				if got := proj.Result(); !reflect.DeepEqual(got, j.want) {
 					t.Errorf("goroutine %d, job %d: rows differ from the same sort run alone", g, (g*5+i)%len(jobs))
 					return
@@ -373,10 +374,11 @@ func BenchmarkFinalizeOrderBy(b *testing.B) {
 			d := rdf.NewDict()
 			sols := encodeBindings(d, vars, rows)
 			q := &Query{Vars: vars, Limit: 50, OrderBy: []OrderKey{{Var: "h"}, {Var: "e"}, {Var: "l"}}}
+			var sc Scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if res := Finalize(q, d, sols); res.Len() != 50 {
+				if res := sc.Finalize(q, d, sols); res.Len() != 50 {
 					b.Fatalf("rows=%d", res.Len())
 				}
 			}
